@@ -33,9 +33,9 @@ class CheckResult:
 
 def _timed(fn):
     def wrapper(*args, **kwargs) -> CheckResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         name, status, detail = fn(*args, **kwargs)
-        return CheckResult(name, status, detail, time.time() - t0)
+        return CheckResult(name, status, detail, time.perf_counter() - t0)
 
     return wrapper
 

@@ -161,7 +161,7 @@ def _suite_kloosterman(cfg: RunConfig) -> list[CheckResult]:
     from .arith import primes_up_to
     from .expsums import kloosterman, kloosterman_crt
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_weil = 0.0
     worst_imag = 0.0
     for p in primes_up_to(cfg.params["p_exhaustive"]):
@@ -196,7 +196,7 @@ def _suite_kloosterman(cfg: RunConfig) -> list[CheckResult]:
             "PASS" if ok else "FAIL",
             f"Weil ratio max {worst_weil:.6f}; imag max {worst_imag:.2e}; "
             f"CRT worst {worst_crt:.2e}",
-            time.time() - t0,
+            time.perf_counter() - t0,
         )
     ]
 
@@ -206,7 +206,7 @@ def _suite_petersson(cfg: RunConfig) -> list[CheckResult]:
 
     from .trace import trace_consistency
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     k = cfg.params["k"]
     grid = cfg.params["grid"]
     rep = trace_consistency(k, grid, tol=cfg.params["tol"])
@@ -223,7 +223,7 @@ def _suite_petersson(cfg: RunConfig) -> list[CheckResult]:
             f"weights positive {rep.weights_positive}"
         )
     return [
-        CheckResult(f"Petersson k={k}", rep.status, detail, time.time() - t0)
+        CheckResult(f"Petersson k={k}", rep.status, detail, time.perf_counter() - t0)
     ]
 
 
@@ -235,7 +235,7 @@ def _suite_besselsum(cfg: RunConfig) -> list[CheckResult]:
     ks = tuple(_int_list(cfg.params["k_list"]))
     xs = tuple(_float_list(cfg.params["x_list"]))
     out = [acceptance.criterion_bessel_sum_identity(ks, xs)]
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_as = 0.0
     for K in ks:
         x = float(4 * K * K)
@@ -247,7 +247,7 @@ def _suite_besselsum(cfg: RunConfig) -> list[CheckResult]:
             "k-sum asymptotic scale",
             "PASS" if worst_as <= 0.10 else "FAIL",
             f"worst relative error at x = 4K^2: {worst_as:.3f}",
-            time.time() - t0,
+            time.perf_counter() - t0,
         )
     )
     out.append(acceptance.criterion_bessel_sum_suppression(ks))
@@ -272,7 +272,7 @@ def _spec_for(name: str, prec: int):
 def _suite_afe(cfg: RunConfig) -> list[CheckResult]:
     import time
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     ts = _float_list(cfg.params["t_list"])
     need = max(
         lfunc.afe_lengths(lfunc.delta_spec(100), t, 0.5)[0] for t in ts
@@ -293,7 +293,7 @@ def _suite_afe(cfg: RunConfig) -> list[CheckResult]:
             f"AFE balance invariance ({cfg.params['form']})",
             "PASS" if worst <= 1e-6 else "FAIL",
             f"worst relative spread {worst:.2e} at t in {ts}",
-            time.time() - t0,
+            time.perf_counter() - t0,
         )
     ]
 
@@ -340,7 +340,7 @@ def emit_plotdata(records, path: str, cfg: RunConfig | None = None) -> None:
 def _suite_scan(cfg: RunConfig) -> list[CheckResult]:
     import time
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = _spec_for(cfg.params["form"], cfg.params["prec"])
     records = lfunc.exponent_scan(
         spec,
@@ -377,7 +377,7 @@ def _suite_scan(cfg: RunConfig) -> list[CheckResult]:
         f"{summary.max_weyl_ratio:.3f}"
         + (f"; wrote {', '.join(artifacts)}" if artifacts else "")
     )
-    return [CheckResult("exponent scan", status, detail, time.time() - t0)]
+    return [CheckResult("exponent scan", status, detail, time.perf_counter() - t0)]
 
 
 def _suite_pipeline(cfg: RunConfig) -> list[CheckResult]:
@@ -392,7 +392,7 @@ def _suite_pipeline(cfg: RunConfig) -> list[CheckResult]:
         Q=cfg.params["q_scale"],
     )
     out = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = pipeline.poisson_check_s5(1, max(2, int(p.Q // 2)), p, tol=1e-6)
     out.append(
         CheckResult(
@@ -400,10 +400,10 @@ def _suite_pipeline(cfg: RunConfig) -> list[CheckResult]:
             rep.status,
             f"m=1 c={rep.c}: scaled diff "
             f"{rep.abs_diff / max(abs(rep.direct), 1e-3 * rep.trivial_bound):.2e}",
-            time.time() - t0,
+            time.perf_counter() - t0,
         )
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     c_mid = int(p.Q)
     n_star = pipeline.stationary_dual_index(p, c_mid)
     dec = pipeline.j_decay_report(p, n_star, c_mid)
@@ -412,10 +412,10 @@ def _suite_pipeline(cfg: RunConfig) -> list[CheckResult]:
             "J-decay",
             dec.status,
             f"a0 {dec.a0:.2f}, a1 {dec.worst_a1:.2f}, ratio {dec.decay_ratio:.1e}",
-            time.time() - t0,
+            time.perf_counter() - t0,
         )
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     cs = tuple(int(p.Q) + d for d in (-2, -1, 0, 1))
     asm = pipeline.offdiagonal_assembly(p, cs, n_half_width=2, m_window=60)
     out.append(
@@ -425,7 +425,7 @@ def _suite_pipeline(cfg: RunConfig) -> list[CheckResult]:
             f"diag const {asm.diag_constant:.3f}, offdiag const "
             f"{asm.offdiag_constant:.3f} (alt {asm.offdiag_constant_alt:.3e}), "
             f"sparsity {asm.sparsity_ratio:.2f}",
-            time.time() - t0,
+            time.perf_counter() - t0,
         )
     )
     return out

@@ -13,6 +13,11 @@ exp((w/3)^2).  A unit-width Gaussian decays in u only like
 exp(-ln(u/sqrt C)^2 / 4), which would need Dirichlet pieces tens of
 thousands of conductors long; the width-3 version reaches 1e-12 by
 u ~ 30 sqrt(C) while still dying superexponentially on the contour.
+
+On the contour u^(-w) = u^(-1) e^(-i tau log u), so V(u) = u^(-1) g(log u)
+with g band-limited (|tau| <= 28).  The AFE sums read V from a Chebyshev
+interpolant of g in log u, built once per t from the dense contour sum;
+the dense sum stays as the fitting kernel and the test oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .modforms import delta_eigenform, hecke_eigenforms
 from .oscint import SmoothWeight
@@ -146,6 +152,13 @@ class _AfeContour:
         keep = np.abs(amp) > 1e-19 * np.abs(amp).max()
         self.amp = amp[keep]
         self.w = w[keep]
+        # log u over every argument central_value forms for a balance in
+        # [1/4, 4]: n = 1 at balance 1/4 up to afe_lengths' largest n * b
+        self._log_u_range = (
+            math.log(0.25),
+            math.log(CUT_RATIO * conductor_sqrt(spec, t) + 8.0),
+        )
+        self._interp = None
 
     def weight(self, u: np.ndarray) -> np.ndarray:
         """V(u) for an array of positive cutoff arguments."""
@@ -163,6 +176,46 @@ class _AfeContour:
                 cos_m @ self.amp - 1j * (sin_m @ self.amp)
             )
         return out
+
+    def interpolated_weight(self, u: np.ndarray) -> np.ndarray:
+        """V(u) = u^(-sigma) g(log u) from the Chebyshev interpolant of g.
+
+        g = sum amp_j e^(-i tau_j x) is fitted on the log-u range of the
+        AFE sums at the first-kind Chebyshev points, by `weight`.  On a
+        half-width h the k-th Chebyshev coefficient of e^(-i tau x) is
+        at most 2 |J_k(tau h)| <= 2 (|tau| h / 2)^k / k!, so the degree
+        is the smallest k at which that bound, summed against |amp|,
+        falls below the rounding floor 2^(-52) sum |amp| of the dense sum.
+        """
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        lo, hi = self._log_u_range
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        if self._interp is None:
+            mag = 2.0 * np.abs(self.amp)
+            ratio = np.abs(self.w.imag) * half / 2.0
+            floor = 2.0**-52 * np.sum(np.abs(self.amp))
+            deg = 0
+            while np.sum(mag) >= floor:
+                deg += 1
+                mag = mag * ratio / deg
+
+            def g(y):
+                x = mid + half * y
+                return np.exp(_CONTOUR_SIGMA * x) * self.weight(np.exp(x))
+
+            coef = chebyshev.chebinterpolate(g, deg)
+            # real and imaginary parts as two columns: Clenshaw in real arithmetic
+            self._interp = np.stack([coef.real, coef.imag], axis=1)
+        lu = np.log(u)
+        y = (lu - mid) / half
+        # a few ulps of slack for the largest argument afe_lengths allows
+        if not np.all(np.abs(y) <= 1.0 + 1e-12):
+            raise ValueError(
+                f"cutoff argument outside the fitted range [{math.exp(lo):.4g}, "
+                f"{math.exp(hi):.4g}]"
+            )
+        re_g, im_g = chebyshev.chebval(y, self._interp)
+        return np.exp(-_CONTOUR_SIGMA * lu) * (re_g + 1j * im_g)
 
 
 def afe_weight(y: float, t: float, spec: LFunctionSpec, balance: float) -> complex:
@@ -210,11 +263,11 @@ def central_value(
     s = complex(0.5, t)
 
     ns = np.arange(1, n1 + 1, dtype=float)
-    v1 = contour.weight(ns * balance)
+    v1 = contour.interpolated_weight(ns * balance)
     sum1 = complex(np.sum(lam[1 : n1 + 1] * ns ** (-s) * v1))
 
     ns2 = np.arange(1, n2 + 1, dtype=float)
-    v2 = np.conj(contour.weight(ns2 / balance))
+    v2 = np.conj(contour.interpolated_weight(ns2 / balance))
     sum2 = complex(np.sum(lam[1 : n2 + 1] * ns2 ** (s - 1.0) * v2))
 
     lg_s = complex(_log_gamma_factor(spec, np.array([s]))[0])

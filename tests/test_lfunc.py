@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from weylbound.lfunc import (
+    CUT_RATIO,
     CoefficientSource,
     LFunctionSpec,
+    _AfeContour,
+    _log_gamma_factor,
+    afe_lengths,
     afe_weight,
     central_value,
     completed_modulus_closure,
@@ -100,6 +104,74 @@ def test_weight16_central_value_balance_stable():
     vals = [central_value(spec, 20.0, b).value for b in (0.5, 1.0, 2.0)]
     for v in vals:
         assert abs(v - vals[1]) <= 1e-8 * max(1.0, abs(vals[1]))
+
+
+def _interp_case(name, request, tmp_path):
+    if name == "maass":
+        path = tmp_path / "maass.txt"
+        path.write_text(_toy_maass_lines(n_max=2000))
+        return load_maass_file(str(path))[0], 30.0
+    if name == "k16":
+        return holomorphic_spec(16, 1000), 20.0
+    return request.getfixturevalue("delta12000"), float(name.split("@")[1])
+
+
+def _dense_central_value(spec, t, balance, contour) -> complex:
+    """central_value's two Dirichlet pieces and root factor, with every V
+    from the dense contour sum."""
+    n1, n2 = afe_lengths(spec, t, balance)
+    lam = spec.coefficients.values
+    s = complex(0.5, t)
+    ns1 = np.arange(1, n1 + 1, dtype=float)
+    ns2 = np.arange(1, n2 + 1, dtype=float)
+    sum1 = np.sum(lam[1 : n1 + 1] * ns1 ** (-s) * contour.weight(ns1 * balance))
+    sum2 = np.sum(lam[1 : n2 + 1] * ns2 ** (s - 1.0) * np.conj(contour.weight(ns2 / balance)))
+    lg = _log_gamma_factor(spec, np.array([s, 1 - s]))
+    return complex(sum1 + spec.root_number * np.exp(lg[1] - lg[0]) * sum2)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["delta@0", "delta@10", "delta@100", "delta@500", "delta@1000", "delta@-250", "k16", "maass"],
+)
+def test_interpolated_weight_against_dense_oracle(case, request, tmp_path):
+    spec, t = _interp_case(case, request, tmp_path)
+    contour = _AfeContour(spec, t)
+    balances = (0.25, 0.5, 1.0, 2.0, 4.0)
+    args = []
+    for b in balances:
+        n1, n2 = afe_lengths(spec, t, b)
+        args += [np.arange(1, n1 + 1) * b, np.arange(1, n2 + 1) / b]
+    u = np.unique(np.concatenate(args))
+    assert np.max(np.abs(contour.interpolated_weight(u) - contour.weight(u))) <= 1e-10
+    for b in balances:
+        if max(afe_lengths(spec, t, b)) > spec.coefficients.n_max:
+            continue
+        est = central_value(spec, t, b, _contour=contour)
+        assert abs(est.value - _dense_central_value(spec, t, b, contour)) <= est.abs_error, b
+    # the fitted range ends at the extreme arguments any balance in [1/4, 4] forms
+    u_max = CUT_RATIO * conductor_sqrt(spec, t) + 8.0
+    assert u.min() >= 0.25 and u.max() <= u_max
+    for bad in (0.99 * 0.25, 1.01 * u_max):
+        with pytest.raises(ValueError):
+            contour.interpolated_weight(np.array([bad]))
+
+
+def test_central_value_dense_weight_work(delta12000, monkeypatch):
+    # the dense sum only fits the interpolant: one call of deg + 1 points
+    # per contour, however many AFE terms the two balances need
+    dense = _AfeContour.weight
+    seen = []
+
+    def counted(self, u):
+        seen.append(np.size(u))
+        return dense(self, u)
+
+    monkeypatch.setattr(_AfeContour, "weight", counted)
+    contour = _AfeContour(delta12000, 1000.0)
+    central_value(delta12000, 1000.0, 1.0, _contour=contour)
+    central_value(delta12000, 1000.0, 2.0, _contour=contour)
+    assert sum(seen) <= 300
 
 
 def test_sn_sum_matches_naive(delta2000):
