@@ -27,7 +27,7 @@ def main() -> int:
 
     need = int(35 * (args.t_max / 6.28) * 2) + 100
     spec = delta_spec(max(2000, need))
-    t0 = time.time()
+    t0 = time.perf_counter()
     records = exponent_scan(
         spec, args.t_min, args.t_max, args.step, parallelism=args.parallelism
     )
@@ -44,7 +44,7 @@ def main() -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(format_scan_csv(records, cfg))
     emit_plotdata(records, args.out + ".plot", cfg)
-    print(f"{summary.n_records} records in {time.time()-t0:.0f}s "
+    print(f"{summary.n_records} records in {time.perf_counter()-t0:.0f}s "
           f"({summary.n_flagged} flagged)")
     print(f"max |L|/t^(1/3) = {summary.max_weyl_ratio:.3f}; "
           f"max |L|/t^(1/2) = {summary.max_convexity_ratio:.3f}")

@@ -33,15 +33,15 @@ def main() -> int:
           f"dual length = {p.N_dual:g}")
 
     ok = True
-    t0 = time.time()
+    t0 = time.perf_counter()
     c = max(2, int(p.Q // 2))
     rep = poisson_check_s5(1, c, p, tol=1e-6)
     ok &= rep.status == "PASS"
     print(f"[{rep.status}] S5 Poisson (m=1, c={c}): |direct| = "
           f"{abs(rep.direct):.4e}, diff = {rep.abs_diff:.2e} "
-          f"({time.time()-t0:.1f}s)")
+          f"({time.perf_counter()-t0:.1f}s)")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     c_mid = int(p.Q)
     n_star = stationary_dual_index(p, c_mid)
     dec = j_decay_report(p, n_star, c_mid)
@@ -49,9 +49,9 @@ def main() -> int:
     print(f"[{dec.status}] J-decay (n={n_star}, c={c_mid}): |J(0)| t = "
           f"{dec.a0:.2f}, worst |J(m)| t K = {dec.worst_a1:.2f}, collapse "
           f"ratio {dec.decay_ratio:.1e} at m = {dec.decay_threshold} "
-          f"({time.time()-t0:.1f}s)")
+          f"({time.perf_counter()-t0:.1f}s)")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     cs = tuple(int(p.Q) + d for d in (-2, -1, 0, 1))
     asm = offdiagonal_assembly(p, cs, n_half_width=2, m_window=60)
     ok &= asm.status == "PASS"
@@ -60,7 +60,7 @@ def main() -> int:
           f"{asm.offdiag_constant:.3f} (vs dual*t/(N K^3); alternative "
           f"single-density reading {asm.offdiag_constant_alt:.3e}), "
           f"indicator density ratio {asm.sparsity_ratio:.2f} "
-          f"({time.time()-t0:.1f}s)")
+          f"({time.perf_counter()-t0:.1f}s)")
     return 0 if ok else 1
 
 

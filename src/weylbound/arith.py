@@ -50,14 +50,6 @@ def require_inv(a: int, c: int) -> int:
     return v
 
 
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """x mod m1*m2 with x = r1 (m1), x = r2 (m2); moduli must be coprime."""
-    g, u, _ = egcd(m1, m2)
-    if g != 1:
-        raise ValueError("crt_pair requires coprime moduli")
-    return (r1 + (r2 - r1) * u % m2 * m1) % (m1 * m2)
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization [(p, e), ...] by trial division (n <= ~10^12)."""
     if n < 1:
@@ -140,8 +132,3 @@ def unit_roots(c: int) -> np.ndarray:
     w = np.exp(2j * np.pi * j / c)
     w.setflags(write=False)
     return w
-
-
-def e_frac(num: int, den: int) -> complex:
-    """e(num/den) through the cached root table."""
-    return complex(unit_roots(den)[num % den])

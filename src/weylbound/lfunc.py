@@ -31,7 +31,7 @@ from numpy.polynomial import chebyshev
 
 from .modforms import delta_eigenform, hecke_eigenforms
 from .oscint import SmoothWeight
-from .special import ComplexEstimate, log_gamma_vec
+from .special import ComplexEstimate, chebyshev_degree, log_gamma_vec
 
 MOLLIFIER_WIDTH = 3.0
 CUT_RATIO = 30.0  # V(u) < 5e-12 once u > CUT_RATIO * sqrt(conductor)
@@ -191,13 +191,7 @@ class _AfeContour:
         lo, hi = self._log_u_range
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         if self._interp is None:
-            mag = 2.0 * np.abs(self.amp)
-            ratio = np.abs(self.w.imag) * half / 2.0
-            floor = 2.0**-52 * np.sum(np.abs(self.amp))
-            deg = 0
-            while np.sum(mag) >= floor:
-                deg += 1
-                mag = mag * ratio / deg
+            deg = chebyshev_degree(self.amp, np.abs(self.w.imag) * half / 2.0)
 
             def g(y):
                 x = mid + half * y

@@ -114,14 +114,6 @@ class PhaseSpec:
             self.evaluator(t + step) - 2 * self.evaluator(t) + self.evaluator(t - step)
         ) / (step * step)
 
-    def scale_spot_check(self, support: tuple[float, float], factor: float = 50.0):
-        """Sample |h'|, |h''| on a 32-point grid against Y/Q, Y/Q^2."""
-        a, b = support
-        ts = np.linspace(a + 1e-9 * (b - a), b - 1e-9 * (b - a), 32)
-        ok1 = np.max(np.abs(self.d1(ts))) <= factor * self.Y / self.Q
-        ok2 = np.max(np.abs(self.d2(ts))) <= factor * self.Y / self.Q**2
-        return bool(ok1), bool(ok2)
-
 
 def _canonical_bump(s: np.ndarray) -> np.ndarray:
     out = np.zeros_like(s)

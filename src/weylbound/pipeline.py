@@ -9,6 +9,12 @@ off-diagonal second moment from J values and a congruence indicator.
 
 Everything is measured against brute-force or quadrature ground truth;
 scaling claims are fitted, never assumed.
+
+W lives on [1, 2], so I(x^2, n, c) is e^(i omega0 x) times a function
+band-limited in x = sqrt(m).  The J integrals and the assembly read their
+profiles over the outer grid from a Chebyshev interpolant in x, fitted
+once per (n, c) by the dense I kernel; the dense kernel stays as the
+fitting kernel, the point evaluator and the test oracle.
 """
 
 from __future__ import annotations
@@ -17,13 +23,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .arith import inv_mod
 from .expsums import charsum_congruence, kloosterman
 from .oscint import _canonical_bump, _gl, plateau_weight
-from .special import ComplexEstimate
+from .special import ComplexEstimate, chebyshev_degree
 
 TWO_PI = 2.0 * math.pi
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -95,6 +103,36 @@ def i_integral_batch(
     return out
 
 
+def _i_profile(ms: np.ndarray, n: int, c: int, p: PipelineParams) -> np.ndarray:
+    """I(m, n, c) on an array of first arguments, read from one Chebyshev
+    interpolant in x = sqrt(m).
+
+    W lives on [1, 2], so x -> I(x^2, n, c) superposes e^(i omega x) over
+    omega = (2 pi / c) sqrt(N v), v in [1, 2]: demodulated by the centre
+    frequency omega0 it is band-limited to |omega - omega0| <= beta.  The
+    demodulated profile is fitted at the Chebyshev points of the x-range
+    by the dense `i_integral_batch`, at the degree `chebyshev_degree`
+    derives from beta times the half-width of that range.
+    """
+    x = np.sqrt(np.asarray(ms, dtype=float))
+    lo, hi = float(x.min()), float(x.max())
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    root_n = (TWO_PI / c) * math.sqrt(p.N)
+    omega0 = root_n * (1.0 + SQRT2) / 2.0
+    beta = root_n * (SQRT2 - 1.0) / 2.0
+
+    def g(y):
+        xy = mid + half * y
+        return np.exp(-1j * omega0 * xy) * i_integral_batch(xy * xy, n, c, p)
+
+    coef = chebyshev.chebinterpolate(g, chebyshev_degree(1.0, beta * half / 2.0))
+    # real and imaginary parts as two columns: Clenshaw in real arithmetic
+    re_g, im_g = chebyshev.chebval(
+        (x - mid) / half, np.stack([coef.real, coef.imag], axis=1)
+    )
+    return np.exp(1j * omega0 * x) * (re_g + 1j * im_g)
+
+
 @dataclass(frozen=True)
 class IBoundReport:
     value: complex
@@ -152,8 +190,8 @@ def poisson_check_s5(
     n_lo, n_hi = int(math.floor(N)), int(math.ceil(2 * N))
     re, im = [], []
     trivial = 0.0
-    for n in range(n_lo, n_hi + 1):
-        wv = _canonical_bump(np.array([2.0 * n / N - 3.0]))[0]
+    bump = _canonical_bump(2.0 * np.arange(n_lo, n_hi + 1) / N - 3.0)
+    for n, wv in zip(range(n_lo, n_hi + 1), bump.tolist()):
         if wv == 0.0:
             continue
         s = kloosterman(n, m, c).real
@@ -231,10 +269,8 @@ def j_integral_batch(
     ms = np.asarray(ms, dtype=float)
     v, wt = _outer_nodes(float(np.max(np.abs(ms), initial=0.0)), n1, c1, n2, c2, p)
     u_plateau = plateau_weight(0.5, 1.0, 2.0, 3.0)
-    prof1 = i_integral_batch(v * p.N_dual, n1, c1, p)
-    prof2 = (
-        prof1 if (n1, c1) == (n2, c2) else i_integral_batch(v * p.N_dual, n2, c2, p)
-    )
+    prof1 = _i_profile(v * p.N_dual, n1, c1, p)
+    prof2 = prof1 if (n1, c1) == (n2, c2) else _i_profile(v * p.N_dual, n2, c2, p)
     core = wt * prof1 * np.conj(prof2) * u_plateau(v)
     out = np.empty(len(ms), dtype=complex)
     block = max(1, int(4_000_000 // max(len(v), 1)))
@@ -387,7 +423,7 @@ def offdiagonal_assembly(
     def profile(n: int, c: int) -> np.ndarray:
         key = (n, c)
         if key not in profiles:
-            profiles[key] = i_integral_batch(v * ntil, n, c, p)
+            profiles[key] = _i_profile(v * ntil, n, c, p)
         return profiles[key]
 
     diag = 0.0

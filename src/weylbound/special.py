@@ -56,6 +56,26 @@ class RangeError(ValueError):
     """Input outside the range any implemented method can certify."""
 
 
+def chebyshev_degree(amp, ratio) -> int:
+    """Interpolation degree for sum_j amp_j e^(i tau_j y) on [-1, 1].
+
+    The k-th Chebyshev coefficient of e^(i tau y) is 2 i^k J_k(tau), and
+    |J_k(tau)| <= (|tau| / 2)^k / k!.  With ratio_j = |tau_j| / 2 this
+    returns the smallest k at which sum_j 2 |amp_j| ratio_j^k / k! falls
+    below the rounding floor 2^(-52) sum_j |amp_j| of the sum itself.
+    The terms are formed in logarithms, so a large ratio cannot overflow.
+    """
+    mag = 2.0 * np.abs(amp)
+    floor = 2.0**-52 * np.sum(np.abs(amp))
+    with np.errstate(divide="ignore", over="ignore"):
+        log_mag, log_ratio = np.log(mag), np.log(ratio)
+        deg, bound = 0, np.sum(mag)
+        while bound >= floor:
+            deg += 1
+            bound = np.sum(np.exp(log_mag + deg * log_ratio - math.lgamma(deg + 1)))
+    return deg
+
+
 def _reduce_two_pi(x: float) -> float:
     """x mod 2*pi by multi-part Cody-Waite, accurate for x <= 1e8."""
     q = math.floor(x / _TWO_PI + 0.5)

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from weylbound import pipeline
+from weylbound.oscint import _canonical_bump
 from weylbound.pipeline import (
     PipelineParams,
+    _i_profile,
+    _outer_nodes,
     i_integral,
     i_integral_batch,
     j_decay_report,
@@ -141,3 +145,55 @@ def test_assembly_small_grid():
 def test_assembly_rejects_tiny_grid():
     with pytest.raises(ValueError):
         offdiagonal_assembly(SMALL, (25,), n_half_width=1)
+
+
+CRIT8 = PipelineParams(N=1e4, t=1e3, K=10.0, Q=100.0)
+# |I| <= int_1^2 W(v) dv; the mean of the bump over a uniform grid on
+# [-1, 1] is that integral (spectrally accurate for a compact C-infinity bump)
+TRIVIAL_I = float(np.mean(_canonical_bump(np.linspace(-1.0, 1.0, 4001))))
+
+
+@pytest.mark.parametrize(
+    "p, n, c, m_max, stride",
+    [
+        (CRIT8, stationary_dual_index(CRIT8, 100), 100, 1600.0, 97),
+        (SMALL, 1, 24, 60.0, 7),
+        (SMALL, 2, 25, 60.0, 7),
+        (SMALL, 1, 23, 60.0, 7),
+    ],
+    ids=["crit8", "small-1-24", "small-2-25", "small-1-23"],
+)
+def test_i_profile_against_dense_oracle(p, n, c, m_max, stride):
+    # the interpolant is fitted on the whole outer grid j_integral_batch
+    # uses; the dense kernel checks it on a stride of those nodes.  Past
+    # 1e-11 max |I|, the dense sum's own rounding (phases up to ~1500 rad,
+    # ~2e-13 each, against total weight int W) sets a floor; it matters at
+    # (2, 25), where no stationary point leaves |I| at ~1e-7
+    v, _ = _outer_nodes(m_max, n, c, n, c, p)
+    ms = v * p.N_dual
+    got = _i_profile(ms, n, c, p)[::stride]
+    dense = i_integral_batch(ms[::stride], n, c, p)
+    tol = 1e-11 * np.max(np.abs(dense)) + 1e-12 * TRIVIAL_I
+    assert np.max(np.abs(got - dense)) <= tol
+
+
+def test_j_decay_reference_figures():
+    # reference values from the dense 50256-node profile
+    rep = j_decay_report(CRIT8, stationary_dual_index(CRIT8, 100), 100)
+    assert abs(rep.a0 - 1.9201656839834222) <= 1e-9 * 1.9201656839834222
+    assert abs(rep.worst_a1 - 3.1061219980383523) <= 1e-9 * 3.1061219980383523
+
+
+def test_j_decay_dense_profile_work(monkeypatch):
+    # the dense kernel only fits the interpolant: deg + 1 first arguments,
+    # not the 50256 outer nodes
+    dense = pipeline.i_integral_batch
+    seen = []
+
+    def counted(ms, n, c, p):
+        seen.append(np.size(ms))
+        return dense(ms, n, c, p)
+
+    monkeypatch.setattr(pipeline, "i_integral_batch", counted)
+    j_decay_report(CRIT8, stationary_dual_index(CRIT8, 100), 100)
+    assert 0 < sum(seen) <= 300

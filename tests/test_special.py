@@ -11,6 +11,7 @@ from weylbound.special import (
     bessel_j,
     bessel_j_many,
     bessel_kernel_ca,
+    chebyshev_degree,
     gamma_fn,
     gamma_modulus_asymptotic,
     gamma_ratio_phase,
@@ -219,3 +220,24 @@ def test_kernel_ca_examples():
 def test_complex_estimate_rejects_nonfinite():
     with pytest.raises(ValueError):
         ComplexEstimate(1.0, float("inf"), "series")
+
+
+@pytest.mark.parametrize(
+    "amp, ratio",
+    [
+        (np.array([1.0]), np.array([33.3])),
+        (np.array([1.0, 0.5j, 0.0]), np.array([5.0, 40.0, 90.0])),
+        # past ~710 the terms ratio^k / k! exceed the double range
+        (np.array([1.0]), np.array([1000.0])),
+    ],
+)
+def test_chebyshev_degree_is_smallest_below_floor(amp, ratio):
+    deg = chebyshev_degree(amp, ratio)
+
+    def bound(k):
+        return sum(
+            2 * abs(a) * mp.mpf(r) ** k / mp.factorial(k) for a, r in zip(amp, ratio)
+        )
+
+    floor = 2.0**-52 * np.sum(np.abs(amp))
+    assert bound(deg) < floor <= bound(deg - 1)
