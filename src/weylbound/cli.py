@@ -340,6 +340,11 @@ def emit_plotdata(records, path: str, cfg: RunConfig | None = None) -> None:
 def _suite_scan(cfg: RunConfig) -> list[CheckResult]:
     import time
 
+    if cfg.params["t_max"] <= cfg.params["t_min"]:
+        raise ConfigError(
+            f"empty scan range: t_max {cfg.params['t_max']} <= "
+            f"t_min {cfg.params['t_min']}"
+        )
     t0 = time.perf_counter()
     spec = _spec_for(cfg.params["form"], cfg.params["prec"])
     records = lfunc.exponent_scan(
@@ -519,7 +524,11 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return run(cfg)
+    try:
+        return run(cfg)
+    except ValueError as exc:  # out-of-range parameters the suites reject
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ W lives on [1, 2], so I(x^2, n, c) is e^(i omega0 x) times a function
 band-limited in x = sqrt(m).  The J integrals and the assembly read their
 profiles over the outer grid from a Chebyshev interpolant in x, fitted
 once per (n, c) by the dense I kernel; the dense kernel stays as the
-fitting kernel, the point evaluator and the test oracle.
+fitting kernel, the point evaluator and the test oracle.  The S5 dual
+side reads its whole window of n from one node grid per (m, c) by
+stepping the e(-n N v / c) phase.
 """
 
 from __future__ import annotations
@@ -133,6 +135,48 @@ def _i_profile(ms: np.ndarray, n: int, c: int, p: PipelineParams) -> np.ndarray:
     return np.exp(1j * omega0 * x) * (re_g + 1j * im_g)
 
 
+def _split(a):
+    """Dekker's split: a = hi + lo, each half of at most 26 significant bits."""
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def i_integral_window(
+    m: float, n_lo: int, n_hi: int, c: int, p: PipelineParams
+) -> np.ndarray:
+    """I(m, n, c) for every integer n in [n_lo, n_hi], from one node grid.
+
+    For fixed (m, c) the integrand is h(v) z(v)^n with h(v) = v^{it} W(v)
+    e(sqrt(m N v)/c) and z(v) = e(-N v/c), so the window shares the grid
+    `_inner_nodes` gives the widest |n| (at least as fine as each n's own)
+    and one h; moving from n to n + 1 multiplies by z, one complex product
+    per node.  The step's N v / c cycles are reduced mod 1 with no rounding
+    loss (N v = nv + nv_err exactly by Dekker's two-product, and nv mod c
+    is exact), so after n steps the phase is off by about n ulps of a cycle,
+    far under the n (2 pi N v / c) 2^-53 rad at which the dense kernel's
+    argument rounds.  No re-seeding is needed.
+    """
+    if m < 0:
+        raise ValueError("first argument must be nonnegative")
+    v, wt = _inner_nodes(float(m), max(abs(n_lo), abs(n_hi)), c, p)
+    w_v = _canonical_bump(2.0 * v - 3.0)
+    keep = w_v != 0.0
+    v = v[keep]
+    nv = p.N * v
+    (nh, nl), (vh, vl) = _split(p.N), _split(v)
+    nv_err = ((nh * vh - nv) + nh * vl + nl * vh) + nl * vl
+    cycles = ((nv - c * np.floor(nv / c)) + nv_err) / c
+    phase = p.t * np.log(v) + (TWO_PI / c) * math.sqrt(m * p.N) * np.sqrt(v)
+    acc = wt[keep] * w_v[keep] * np.exp(1j * (phase - TWO_PI * n_lo * cycles))
+    step = np.exp(-1j * TWO_PI * cycles)
+    out = np.empty(n_hi - n_lo + 1, dtype=complex)
+    for k in range(len(out)):
+        out[k] = acc.sum()
+        acc *= step
+    return out
+
+
 @dataclass(frozen=True)
 class IBoundReport:
     value: complex
@@ -204,17 +248,16 @@ def poisson_check_s5(
     cutoff = int(math.ceil(8.0 * c * max(p.t, 1.0) / N))
     n_win_hi = cutoff + max(6, cutoff)
     n_win_lo = -max(6, cutoff // 2)
-    ns = [n for n in range(n_win_lo, n_win_hi + 1) if math.gcd(n, c) == 1]
-    ivals = {}
-    for n in ns:
-        ivals[n] = complex(i_integral_batch(np.array([float(m)]), n, c, p)[0])
+    ivals = i_integral_window(m, n_win_lo, n_win_hi, c, p)
     prefac = N * np.exp(1j * p.t * math.log(N))
     total = 0j
     nonpos = 0.0
     tail = 0.0
-    for n in ns:
+    for n, ival in zip(range(n_win_lo, n_win_hi + 1), ivals.tolist()):
+        if math.gcd(n, c) != 1:
+            continue
         nbar = inv_mod(n, c)
-        term = np.exp(-2j * math.pi * ((m % c) * nbar % c) / c) * ivals[n]
+        term = np.exp(-2j * math.pi * ((m % c) * nbar % c) / c) * ival
         total += term
         if n <= 0:
             nonpos += abs(term)

@@ -139,3 +139,29 @@ def test_json_output_embeds_config(tmp_path):
 def test_afe_command(capsys):
     assert main(["afe", "--form", "delta", "--t-list", "0,10"]) == EXIT_PASS
     assert "[PASS]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pipeline", "--t", "100", "--weight-scale", "50"], "need K <= sqrt(t)"),
+        (["pipeline", "--q-scale", "200"], "desk-scale limits"),
+        (["scan", "--step", "0", "--prec", "600"], "step must be positive"),
+    ],
+    ids=["k-above-sqrt-t", "modulus-past-desk-scale", "zero-step"],
+)
+def test_rejected_parameters_exit_usage(argv, message, capsys):
+    # exit 1 is reserved for a failed gate; a rejected input is a usage error
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("t_max", ["10", "50"], ids=["reversed", "empty"])
+def test_scan_rejects_empty_range(t_max, capsys):
+    assert main(["scan", "--t-min", "50", "--t-max", t_max]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out
+    assert captured.err.startswith("error: empty scan range")
+    assert captured.err.count("\n") == 1

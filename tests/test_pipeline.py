@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from weylbound.pipeline import (
     _outer_nodes,
     i_integral,
     i_integral_batch,
+    i_integral_window,
     j_decay_report,
     j_integral,
     j_integral_batch,
@@ -43,9 +45,6 @@ def test_i_integral_sqrt_t_scaling():
     N, c, m = 1000.0, 22, 1.0
     def amp(t):
         p = PipelineParams(N=N, t=t, K=math.sqrt(t) / 2, Q=40.0)
-        vals = i_integral_batch(
-            np.full(8, m), 1, c, p
-        )  # same m, vary n below
         best = 0.0
         for n in range(1, 9):
             v = i_integral_batch(np.array([m]), n, c, p)[0]
@@ -197,3 +196,79 @@ def test_j_decay_dense_profile_work(monkeypatch):
     monkeypatch.setattr(pipeline, "i_integral_batch", counted)
     j_decay_report(CRIT8, stationary_dual_index(CRIT8, 100), 100)
     assert 0 < sum(seen) <= 300
+
+
+def _crit7_params(t):
+    # the parameters criterion 7 builds for height t
+    t_eff = max(t, 1e-12)
+    return PipelineParams(
+        N=600.0, t=t_eff, K=max(min(math.sqrt(t_eff) / 2.0, 10.0), 1e-7), Q=20.0
+    )
+
+
+@pytest.mark.parametrize(
+    "p, m, c",
+    [
+        (_crit7_params(500.0), 1, 10),
+        (_crit7_params(500.0), 3, 7),
+        (_crit7_params(100.0), 1, 7),
+        (_crit7_params(0.0), 2, 5),
+        (PipelineParams(N=600.0, t=300.0, K=17.0, Q=25.0), 1, 13),
+    ],
+    ids=["t500-m1-c10", "t500-m3-c7", "t100-m1-c7", "t0-m2-c5", "stationary-c13"],
+)
+def test_i_window_against_dense_oracle(p, m, c):
+    # the whole S5 dual window, one dense one-point call per n as oracle
+    n_lo, n_hi = poisson_check_s5(m, c, p).n_window
+    got = i_integral_window(m, n_lo, n_hi, c, p)
+    dense = np.array([
+        i_integral_batch(np.array([float(m)]), n, c, p)[0]
+        for n in range(n_lo, n_hi + 1)
+    ])
+    tol = 1e-11 * np.max(np.abs(dense)) + 1e-12 * TRIVIAL_I
+    assert np.max(np.abs(got - dense)) <= tol
+
+
+def test_poisson_dual_window_work(monkeypatch):
+    # the dual side builds one node grid and makes no dense one-point calls
+    calls = {"batch": 0, "nodes": 0}
+    batch, nodes = pipeline.i_integral_batch, pipeline._inner_nodes
+
+    def counted_batch(*args):
+        calls["batch"] += 1
+        return batch(*args)
+
+    def counted_nodes(*args):
+        calls["nodes"] += 1
+        return nodes(*args)
+
+    monkeypatch.setattr(pipeline, "i_integral_batch", counted_batch)
+    monkeypatch.setattr(pipeline, "_inner_nodes", counted_nodes)
+    rep = poisson_check_s5(1, 10, _crit7_params(500.0))
+    assert rep.status == "PASS"
+    assert calls == {"batch": 0, "nodes": 1}
+
+
+def test_i_window_stepped_phase_at_ulp_level():
+    # the stepped phase stays at the level of the node sum's own rounding
+    # (~1e-16), well under the dense kernel's floor (~5e-15 on this cell):
+    # a 30-digit sum on the same nodes is the reference
+    p, m, c = _crit7_params(100.0), 1, 5
+    n_lo, n_hi = poisson_check_s5(m, c, p).n_window
+    got = i_integral_window(m, n_lo, n_hi, c, p)
+    v, wt = pipeline._inner_nodes(float(m), max(abs(n_lo), abs(n_hi)), c, p)
+    w_v = _canonical_bump(2.0 * v - 3.0)
+    keep = w_v != 0.0
+    with mp.workdps(30):
+        two_pi = 2 * mp.pi
+        nodes = [mp.mpf(float(x)) for x in v[keep]]
+        weights = [mp.mpf(float(x)) for x in (wt * w_v)[keep]]
+        base = [
+            p.t * mp.log(x) + two_pi / c * mp.sqrt(m * p.N * x) for x in nodes
+        ]
+        for n in (n_lo, n_hi):
+            ref = mp.fsum(
+                w * mp.expj(b - two_pi * n * p.N * x / c)
+                for w, b, x in zip(weights, base, nodes)
+            )
+            assert abs(got[n - n_lo] - complex(ref)) <= 1e-15 * TRIVIAL_I
