@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 
 from .arith import (
@@ -179,9 +179,6 @@ class DirichletCharacter:
         return DirichletCharacter(self.modulus, exps, self.exponent_den)
 
 
-_enum_cache: dict[int, tuple] = {}
-
-
 def enumerate_characters(q: int) -> list[DirichletCharacter]:
     """All phi(q) Dirichlet characters mod q, principal first.
 
@@ -191,13 +188,13 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    cached = _enum_cache.get(q)
-    if cached is not None:
-        return list(cached)
+    return list(_characters(q))
+
+
+@cache
+def _characters(q: int) -> tuple[DirichletCharacter, ...]:
     if q == 1:
-        out = [DirichletCharacter(1, (0,), 1)]
-        _enum_cache[q] = tuple(out)
-        return out
+        return (DirichletCharacter(1, (0,), 1),)
     gens, orders, dlogs = _unit_group(q)
     den = _lcm(orders) if orders else 1
     units = [x for x in range(q) if math.gcd(x, q) == 1]
@@ -211,8 +208,7 @@ def enumerate_characters(q: int) -> list[DirichletCharacter]:
             exps[x] = a % den
         out.append(DirichletCharacter(q, tuple(exps), den))
     out.sort(key=lambda ch: not ch.is_principal)
-    _enum_cache[q] = tuple(out)
-    return out
+    return tuple(out)
 
 
 def quadratic_character(p: int) -> DirichletCharacter:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -17,7 +18,8 @@ from .arith import inv_mod, is_prime, require_inv, unit_roots
 from .characters import DirichletCharacter, gauss_sum
 
 
-def _residue_tables(c: int) -> tuple[np.ndarray, np.ndarray]:
+@cache
+def units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     """Units mod c and their inverses, as parallel integer arrays."""
     xs = []
     invs = []
@@ -27,17 +29,6 @@ def _residue_tables(c: int) -> tuple[np.ndarray, np.ndarray]:
             xs.append(x)
             invs.append(xinv)
     return np.array(xs, dtype=np.int64), np.array(invs, dtype=np.int64)
-
-
-_table_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
-    got = _table_cache.get(c)
-    if got is None:
-        got = _residue_tables(c)
-        _table_cache[c] = got
-    return got
 
 
 def kloosterman(m: int, n: int, c: int) -> complex:

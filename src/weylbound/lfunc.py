@@ -27,11 +27,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .modforms import delta_eigenform, hecke_eigenforms
-from .oscint import SmoothWeight
-from .special import ComplexEstimate, chebyshev_degree, log_gamma_vec
+from .oscint import SmoothWeight, panel_rule
+from .special import ComplexEstimate, chebyshev_fit, log_gamma_vec
 
 MOLLIFIER_WIDTH = 3.0
 CUT_RATIO = 30.0  # V(u) < 5e-12 once u > CUT_RATIO * sqrt(conductor)
@@ -131,16 +130,11 @@ class _AfeContour:
     """
 
     def __init__(self, spec: LFunctionSpec, t: float, panels: int | None = None):
-        from scipy.special import roots_legendre
-
         if panels is None:
             panels = _CONTOUR_PANELS
-        xg, wg = roots_legendre(_CONTOUR_NODES)
-        edges = np.linspace(-_CONTOUR_TMAX, _CONTOUR_TMAX, panels + 1)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        tau = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        wts = (half[:, None] * wg[None, :]).ravel()
+        tau, wts = panel_rule(
+            np.linspace(-_CONTOUR_TMAX, _CONTOUR_TMAX, panels + 1), _CONTOUR_NODES
+        )
         w = _CONTOUR_SIGMA + 1j * tau
         s = complex(0.5, t)
         log_ratio = _log_gamma_factor(spec, s + w) - _log_gamma_factor(
@@ -158,7 +152,7 @@ class _AfeContour:
             math.log(0.25),
             math.log(CUT_RATIO * conductor_sqrt(spec, t) + 8.0),
         )
-        self._interp = None
+        self._fit = None
 
     def weight(self, u: np.ndarray) -> np.ndarray:
         """V(u) for an array of positive cutoff arguments."""
@@ -180,36 +174,17 @@ class _AfeContour:
     def interpolated_weight(self, u: np.ndarray) -> np.ndarray:
         """V(u) = u^(-sigma) g(log u) from the Chebyshev interpolant of g.
 
-        g = sum amp_j e^(-i tau_j x) is fitted on the log-u range of the
-        AFE sums at the first-kind Chebyshev points, by `weight`.  On a
-        half-width h the k-th Chebyshev coefficient of e^(-i tau x) is
-        at most 2 |J_k(tau h)| <= 2 (|tau| h / 2)^k / k!, so the degree
-        is the smallest k at which that bound, summed against |amp|,
-        falls below the rounding floor 2^(-52) sum |amp| of the dense sum.
+        g = sum amp_j e^(-i tau_j x) is fitted once, by `weight`, on the
+        log-u range of the AFE sums; a log u outside it raises ValueError.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        lo, hi = self._log_u_range
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        if self._interp is None:
-            deg = chebyshev_degree(self.amp, np.abs(self.w.imag) * half / 2.0)
-
-            def g(y):
-                x = mid + half * y
-                return np.exp(_CONTOUR_SIGMA * x) * self.weight(np.exp(x))
-
-            coef = chebyshev.chebinterpolate(g, deg)
-            # real and imaginary parts as two columns: Clenshaw in real arithmetic
-            self._interp = np.stack([coef.real, coef.imag], axis=1)
-        lu = np.log(u)
-        y = (lu - mid) / half
-        # a few ulps of slack for the largest argument afe_lengths allows
-        if not np.all(np.abs(y) <= 1.0 + 1e-12):
-            raise ValueError(
-                f"cutoff argument outside the fitted range [{math.exp(lo):.4g}, "
-                f"{math.exp(hi):.4g}]"
+        if self._fit is None:
+            self._fit = chebyshev_fit(
+                lambda x: np.exp(_CONTOUR_SIGMA * x) * self.weight(np.exp(x)),
+                *self._log_u_range, self.amp, self.w.imag,
             )
-        re_g, im_g = chebyshev.chebval(y, self._interp)
-        return np.exp(-_CONTOUR_SIGMA * lu) * (re_g + 1j * im_g)
+        lu = np.log(u)
+        return np.exp(-_CONTOUR_SIGMA * lu) * self._fit(lu)
 
 
 def afe_weight(y: float, t: float, spec: LFunctionSpec, balance: float) -> complex:

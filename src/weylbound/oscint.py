@@ -13,23 +13,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
 
-from .special import ComplexEstimate, bessel_j
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+from .special import ComplexEstimate, bessel_j, bessel_kernel_ca
 
 
+@cache
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    got = _GL_CACHE.get(n)
-    if got is None:
-        got = roots_legendre(n)
-        _GL_CACHE[n] = got
-    return got
+    return roots_legendre(n)
+
+
+def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Panelled Gauss-Legendre: `order` nodes on each [edges[i], edges[i+1]].
+
+    Returns flat (nodes, weights), panel by panel in edge order; exact for
+    polynomials of degree 2 order - 1 on each panel.
+    """
+    xs, ws = _gl(order)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
+    weights = (half[:, None] * ws[None, :]).ravel()
+    return nodes, weights
 
 
 class QuadratureError(RuntimeError):
@@ -494,9 +504,9 @@ def second_derivative_bound_check(
 
 _PHI_HAT_STEP = 0.02
 _PHI_HAT_MAX = 368.0  # |phi_hat| < 1e-13 beyond this frequency
-_phi_hat_cache: list[CubicSpline] = []
 
 
+@cache
 def _phi_hat_spline() -> CubicSpline:
     """Spline of phi_hat(xi) = int_{-1}^{1} exp(1 - 1/(1-s^2)) e^{i xi s} ds.
 
@@ -505,15 +515,11 @@ def _phi_hat_spline() -> CubicSpline:
     node count; past _PHI_HAT_MAX the transform is below 1e-13 and is
     treated as zero by callers.
     """
-    if _phi_hat_cache:
-        return _phi_hat_cache[0]
     grid = np.arange(0.0, _PHI_HAT_MAX + 1.0, _PHI_HAT_STEP)
     xs, ws = _gl(560)
     phi = _canonical_bump(xs)
     vals = np.cos(np.outer(grid, xs)) @ (phi * ws)
-    sp = CubicSpline(grid, vals)
-    _phi_hat_cache.append(sp)
-    return sp
+    return CubicSpline(grid, vals)
 
 
 def _phi_hat(xi: np.ndarray) -> np.ndarray:
@@ -539,7 +545,8 @@ def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
     nebentypus in the trace formula), with W the canonical bump on
     [1, 2].  Modes:
 
-    direct      brute-force sum of Bessel values;
+    direct      brute-force sum of Bessel values; the method names the
+                Bessel routes that ran, sorted and joined by "+";
     kernel      the sum-over-orders identity: combining the mod-4
                 kernels over the even order classes collapses to
                 -i int_R K What(K v) cos(2 pi x cos 2 pi v) dv,
@@ -554,6 +561,7 @@ def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
     if mode == "direct":
         total = 0j
         err = 0.0
+        routes = set()
         for k in range(K + 1, 2 * K + 2):
             if k % 2 == 0:
                 continue
@@ -564,30 +572,26 @@ def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
             jv = bessel_j(k - 1, 2 * math.pi * x)
             total += (1j) ** (-k % 4) * wv * jv.value
             err += wv * jv.abs_error
-        return ComplexEstimate(total, err + 1e-15, "series")
+            routes.add(jv.method)
+        return ComplexEstimate(total, err + 1e-15, "+".join(sorted(routes)))
     if mode == "kernel":
         y = 2 * math.pi * x
         vmax = _PHI_HAT_MAX / (math.pi * K)
         # weight factor oscillates at ~4 pi K, the kernel at <= 2 pi y
         rate = 2 * math.pi * y + 4 * math.pi * K
         panels = int(min(max(rate * vmax / 11.0, 64), 2_000_000))
-        xs, ws = _gl(24)
         edges = np.linspace(0.0, vmax, panels + 1)
         total = 0.0
-        chunk = 4096
+        chunk = 4096  # panels per pass, bounding the node arrays
         for i0 in range(0, panels, chunk):
-            lo = edges[i0 : min(i0 + chunk, panels)]
-            hi = edges[i0 + 1 : min(i0 + chunk, panels) + 1]
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            v = mid[:, None] + half[:, None] * xs[None, :]
+            v, wt = panel_rule(edges[i0 : i0 + chunk + 1], 24)
             f = (
                 (K / 2.0)
                 * np.cos(3 * math.pi * K * v)
                 * _phi_hat(math.pi * K * v)
                 * np.cos(y * np.cos(2 * math.pi * v))
             )
-            total += float(np.sum((f @ ws) * half))
+            total += float(f @ wt)
         value = -2j * total
         return ComplexEstimate(value, 2e-9 + abs(value) * 1e-10, "quadrature")
     if mode == "asymptotic":
@@ -618,8 +622,6 @@ def sum_over_orders_check(
     """
     if a % 2 == 0:
         raise ValueError("this check covers odd residue classes")
-    from .special import bessel_kernel_ca
-
     direct = 0.0 + 0j
     for u in range(order_range[0], order_range[1] + 1):
         if u % 4 != a % 4:
@@ -635,13 +637,6 @@ def sum_over_orders_check(
         direct += 4.0 * gu * ju
     rate = 2 * math.pi * y + 1.0
     panels = int(min(max(rate * 2 * v_max / 10.0, 64), 400_000))
-    xs, ws = _gl(24)
-    edges = np.linspace(-v_max, v_max, panels + 1)
-    total = 0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        v = mid + half * xs
-        ca = np.array([bessel_kernel_ca(a, float(vv), y) for vv in v])
-        total += half * np.dot(ws, np.asarray(g_hat(v), dtype=complex) * ca)
-    return direct, total
+    v, wt = panel_rule(np.linspace(-v_max, v_max, panels + 1), 24)
+    ca = bessel_kernel_ca(a, v, y)
+    return direct, complex(wt @ (np.asarray(g_hat(v), dtype=complex) * ca))

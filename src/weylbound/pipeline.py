@@ -25,12 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .arith import inv_mod
 from .expsums import charsum_congruence, kloosterman
-from .oscint import _canonical_bump, _gl, plateau_weight
-from .special import ComplexEstimate, chebyshev_degree
+from .oscint import _canonical_bump, panel_rule, plateau_weight
+from .special import ComplexEstimate, chebyshev_fit
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -74,13 +73,7 @@ def _inner_nodes(m_max: float, n: int, c: int, p: PipelineParams,
         + (TWO_PI / c) * abs(n) * p.N
     )
     panels = int(min(max(rate * 1.0 / rad_per_panel, 24), 600_000))
-    xs, ws = _gl(order)
-    edges = np.linspace(1.0, 2.0, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    v = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    wt = (half[:, None] * ws[None, :]).ravel()
-    return v, wt
+    return panel_rule(np.linspace(1.0, 2.0, panels + 1), order)
 
 
 def i_integral_batch(
@@ -112,27 +105,18 @@ def _i_profile(ms: np.ndarray, n: int, c: int, p: PipelineParams) -> np.ndarray:
     W lives on [1, 2], so x -> I(x^2, n, c) superposes e^(i omega x) over
     omega = (2 pi / c) sqrt(N v), v in [1, 2]: demodulated by the centre
     frequency omega0 it is band-limited to |omega - omega0| <= beta.  The
-    demodulated profile is fitted at the Chebyshev points of the x-range
-    by the dense `i_integral_batch`, at the degree `chebyshev_degree`
-    derives from beta times the half-width of that range.
+    demodulated profile is fitted on the x-range by the dense
+    `i_integral_batch`, as one band of unit amplitude and frequency beta.
     """
     x = np.sqrt(np.asarray(ms, dtype=float))
-    lo, hi = float(x.min()), float(x.max())
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     root_n = (TWO_PI / c) * math.sqrt(p.N)
     omega0 = root_n * (1.0 + SQRT2) / 2.0
     beta = root_n * (SQRT2 - 1.0) / 2.0
-
-    def g(y):
-        xy = mid + half * y
-        return np.exp(-1j * omega0 * xy) * i_integral_batch(xy * xy, n, c, p)
-
-    coef = chebyshev.chebinterpolate(g, chebyshev_degree(1.0, beta * half / 2.0))
-    # real and imaginary parts as two columns: Clenshaw in real arithmetic
-    re_g, im_g = chebyshev.chebval(
-        (x - mid) / half, np.stack([coef.real, coef.imag], axis=1)
+    fit = chebyshev_fit(
+        lambda xs: np.exp(-1j * omega0 * xs) * i_integral_batch(xs * xs, n, c, p),
+        float(x.min()), float(x.max()), 1.0, beta,
     )
-    return np.exp(1j * omega0 * x) * (re_g + 1j * im_g)
+    return np.exp(1j * omega0 * x) * fit(x)
 
 
 def _split(a):
@@ -285,13 +269,7 @@ def _outer_nodes(m_max: float, n1: int, c1: int, n2: int, c2: int,
         2.0 / 0.5
     ) * (1.0 / c1 + 1.0 / c2)
     panels = int(min(max(rate * 2.5 / rad_per_panel, 32), 400_000))
-    xs, ws = _gl(order)
-    edges = np.linspace(0.5, 3.0, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    v = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    wt = (half[:, None] * ws[None, :]).ravel()
-    return v, wt
+    return panel_rule(np.linspace(0.5, 3.0, panels + 1), order)
 
 
 def j_integral_batch(

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
@@ -76,6 +77,33 @@ def chebyshev_degree(amp, ratio) -> int:
     return deg
 
 
+def chebyshev_fit(g, lo: float, hi: float, amp, freq):
+    """Chebyshev interpolant of g on [lo, hi], returned as an evaluator.
+
+    g must be band-limited like sum_j amp_j e^(i freq_j x): on the
+    half-width h the degree is `chebyshev_degree(amp, |freq| h / 2)`.  g is
+    sampled once at the first-kind Chebyshev points; the evaluator runs
+    Clenshaw on the real and imaginary parts as two real columns and
+    raises ValueError for an argument outside [lo, hi].
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    deg = chebyshev_degree(amp, np.abs(freq) * half / 2.0)
+    coef = chebyshev.chebinterpolate(lambda y: g(mid + half * y), deg)
+    columns = np.stack([coef.real, coef.imag], axis=1)
+
+    def evaluate(x):
+        y = (np.asarray(x, dtype=float) - mid) / half
+        # a few ulps of slack for an argument computed at the range end
+        if not np.all(np.abs(y) <= 1.0 + 1e-12):
+            raise ValueError(
+                f"argument outside the fitted range [{lo:.4g}, {hi:.4g}]"
+            )
+        re_g, im_g = chebyshev.chebval(y, columns)
+        return re_g + 1j * im_g
+
+    return evaluate
+
+
 def _reduce_two_pi(x: float) -> float:
     """x mod 2*pi by multi-part Cody-Waite, accurate for x <= 1e8."""
     q = math.floor(x / _TWO_PI + 0.5)
@@ -86,27 +114,32 @@ def _reduce_two_pi(x: float) -> float:
     return r
 
 
-def _bessel_series(n: int, x: float) -> tuple[float, float]:
-    """Ascending series; precondition x*x <= 2(n+1) or x small."""
-    half = 0.5 * x
-    log_t0 = n * math.log(half) - math.lgamma(n + 1) if half > 0 else 0.0
-    if half == 0.0:
-        return (1.0, 0.0) if n == 0 else (0.0, 0.0)
-    if log_t0 < -745.0:
-        return 0.0, math.exp(-700.0)  # underflow-level tail bound
-    t = math.exp(log_t0)
-    total = t
-    largest = abs(t)
+def _bessel_series(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending series of J_n over an array, with per-element error bounds.
+
+    Precondition x*x <= 2(n+1) or x small.  The series runs until every
+    term falls below an ulp of its sum; the bound is the rounding of the
+    largest term over the terms taken plus the last term.
+    """
+    half = 0.5 * np.asarray(xs, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_t0 = np.where(half > 0, n * np.log(half), 0.0 if n == 0 else -np.inf)
+    log_t0 = log_t0 - math.lgamma(n + 1)
+    underflow = log_t0 < -745.0
+    t = np.where(underflow, 0.0, np.exp(log_t0))
+    total = t.copy()
+    largest = np.abs(t)
     xx = half * half
     j = 0
     while True:
         j += 1
         t *= -xx / (j * (n + j))
         total += t
-        largest = max(largest, abs(t))
-        if abs(t) < abs(total) * EPS + 5e-324 or j > 600:
+        largest = np.maximum(largest, np.abs(t))
+        if np.all(np.abs(t) < np.abs(total) * EPS + 5e-324) or j > 600:
             break
-    return total, largest * EPS * (j + 2) + abs(t)
+    err = largest * EPS * (j + 2) + np.abs(t)
+    return total, np.where(underflow, math.exp(-700.0), err)  # underflow-level tail
 
 
 def _bessel_miller(n: int, x: float) -> tuple[float, float]:
@@ -181,8 +214,8 @@ def bessel_j(order: int, x: float) -> ComplexEstimate:
     if x == 0.0:
         return ComplexEstimate(1.0 if order == 0 else 0.0, 0.0, "series")
     if x <= 8.5 or x * x <= 2.0 * (order + 1):
-        v, err = _bessel_series(order, x)
-        return ComplexEstimate(v, err, "series")
+        v, err = _bessel_series(order, np.array([x]))
+        return ComplexEstimate(float(v[0]), float(err[0]), "series")
     if max(order, x) <= 5e5:
         v, err = _bessel_miller(order, x)
         return ComplexEstimate(v, err, "recurrence")
@@ -198,33 +231,15 @@ def bessel_j(order: int, x: float) -> ComplexEstimate:
 def bessel_j_many(order: int, xs: np.ndarray) -> np.ndarray:
     """J_order over an array of arguments (values only).
 
-    The series branch is vectorized; the handful of midrange arguments
-    fall back to the scalar engines.
+    The series branch runs on every series-regime argument at once; the
+    handful of midrange arguments fall back to `bessel_j`.
     """
     xs = np.asarray(xs, dtype=float)
     out = np.empty_like(xs)
     series_mask = (xs <= 8.5) | (xs * xs <= 2.0 * (order + 1))
     hard = np.nonzero(~series_mask)[0]
-    xm = xs[series_mask]
-    if xm.size:
-        half = 0.5 * xm
-        with np.errstate(divide="ignore"):
-            logt = np.where(
-                half > 0, order * np.log(np.where(half > 0, half, 1.0)), 0.0
-            ) - math.lgamma(order + 1)
-        t = np.where(
-            half > 0,
-            np.where(logt > -745.0, np.exp(logt), 0.0),
-            1.0 if order == 0 else 0.0,
-        )
-        total = t.copy()
-        xx = half * half
-        for j in range(1, 80):
-            t = t * (-xx) / (j * (order + j))
-            total += t
-            if np.max(np.abs(t)) < 1e-18 * max(np.max(np.abs(total)), 1e-300):
-                break
-        out[series_mask] = total
+    if series_mask.any():
+        out[series_mask] = _bessel_series(order, xs[series_mask])[0]
     for i in hard:
         out[i] = bessel_j(order, float(xs[i])).value
     return out
@@ -234,46 +249,47 @@ def bessel_j_many(order: int, xs: np.ndarray) -> np.ndarray:
 # Gamma
 
 
-def _stirling_tail(z: complex, terms: int) -> tuple[complex, float]:
-    tail = 0j
+def _stirling(z: np.ndarray, terms: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Principal log Gamma over a complex array by Stirling with recursion lift.
+
+    Each element is lifted by Gamma(z) = Gamma(z+m)/(z...(z+m-1)) until
+    |z+m| >= 18 and Re(z+m) >= 1, at most 400 times.  Returns the values,
+    the largest lift count m and the lifted arguments.
+    """
+    if terms < 1 or terms > 15:
+        raise ValueError("terms must be in 1..15")
+    z = np.asarray(z, dtype=complex).copy()
+    shift = np.zeros_like(z)
+    for lifts in range(401):
+        mask = (np.abs(z) < 18.0) | (z.real < 1.0)
+        if not mask.any():
+            break
+        if lifts == 400:
+            raise RangeError("recursion lift did not reach Stirling regime")
+        shift[mask] += np.log(z[mask])
+        z[mask] += 1
+    tail = np.zeros_like(z)
     zz = z * z
-    zpow = z
-    last = 0.0
+    zpow = z.copy()
     for j in range(1, terms + 1):
-        c = _BERNOULLI[j - 1] / ((2 * j - 1) * (2 * j))
-        t = c / zpow
-        tail += t
-        last = abs(t)
+        tail += (_BERNOULLI[j - 1] / ((2 * j - 1) * (2 * j))) / zpow
         zpow *= zz
-    nxt = abs(_BERNOULLI[min(terms, 14)] / ((2 * terms + 1) * (2 * terms + 2)))
-    err = nxt / abs(z) ** (2 * terms + 1)
-    return tail, err
+    value = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2 * math.pi) + tail - shift
+    return value, lifts, z
 
 
 def log_gamma(s: complex, terms: int = 12) -> ComplexEstimate:
     """Principal-branch log Gamma(s) by Stirling with recursion lift.
 
-    The argument is lifted by Gamma(s) = Gamma(s+m)/(s...(s+m-1)) until
-    |s+m| is comfortably in the asymptotic regime; the claimed error is
-    the first omitted Bernoulli term plus lift rounding.
+    The claimed error is the first omitted Bernoulli term at the lifted
+    argument plus lift rounding.
     """
-    if terms < 1 or terms > 15:
-        raise ValueError("terms must be in 1..15")
     if s.imag == 0 and s.real <= 0 and s.real == int(s.real):
         raise ZeroDivisionError(f"Gamma pole at s = {s}")
-    shift = 0j
-    m = 0
-    z = complex(s)
-    while abs(z) < 18.0 or z.real < 1.0:
-        shift += cmath.log(z)
-        z += 1
-        m += 1
-        if m > 400:
-            raise RangeError("recursion lift did not reach Stirling regime")
-    tail, tail_err = _stirling_tail(z, terms)
-    val = (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2 * math.pi) + tail
-    val -= shift
-    err = tail_err + (m + 4) * EPS * (abs(val) + 1.0)
+    value, m, z = _stirling(np.array([s]), terms)
+    val, zl = complex(value[0]), complex(z[0])
+    nxt = abs(_BERNOULLI[min(terms, 14)] / ((2 * terms + 1) * (2 * terms + 2)))
+    err = nxt / abs(zl) ** (2 * terms + 1) + (m + 4) * EPS * (abs(val) + 1.0)
     return ComplexEstimate(val, err, "asymptotic")
 
 
@@ -293,21 +309,7 @@ def gamma_modulus_asymptotic(sigma: float, t: float) -> float:
 
 def log_gamma_vec(z: np.ndarray, terms: int = 12) -> np.ndarray:
     """Vectorized principal log Gamma for complex arrays (values only)."""
-    z = np.asarray(z, dtype=complex).copy()
-    shift = np.zeros_like(z)
-    for _ in range(64):
-        mask = (np.abs(z) < 18.0) | (z.real < 1.0)
-        if not mask.any():
-            break
-        shift[mask] += np.log(z[mask])
-        z[mask] += 1
-    tail = np.zeros_like(z)
-    zz = z * z
-    zpow = z.copy()
-    for j in range(1, terms + 1):
-        tail += (_BERNOULLI[j - 1] / ((2 * j - 1) * (2 * j))) / zpow
-        zpow *= zz
-    return (z - 0.5) * np.log(z) - z + 0.5 * math.log(2 * math.pi) + tail - shift
+    return _stirling(z, terms)[0]
 
 
 @dataclass(frozen=True)
@@ -351,13 +353,15 @@ def gamma_ratio_phase(K: float, tau: float) -> GammaRatioPhase:
     )
 
 
-def bessel_kernel_ca(a: int, v: float, x: float) -> complex:
-    """C_a(v, x) = -2i sin(x sin 2 pi v) + 2 i^(1-a) sin(x cos 2 pi v).
+def bessel_kernel_ca(a: int, v: np.ndarray, x: float) -> np.ndarray:
+    """C_a(v, x) = -2i sin(x sin 2 pi v) + 2 i^(1-a) sin(x cos 2 pi v),
+    elementwise over v.
 
     The mod-4 kernel of the sum-over-orders identity; for sums over
     orders in a fixed odd residue class a mod 4, pairing J_u(y) with
     C_a(v, y) (same argument y on both sides) makes the identity exact.
     """
-    return -2j * math.sin(x * math.sin(2 * math.pi * v)) + 2 * (1j) ** (
+    v = np.asarray(v, dtype=float)
+    return -2j * np.sin(x * np.sin(2 * math.pi * v)) + 2 * (1j) ** (
         (1 - a) % 4
-    ) * math.sin(x * math.cos(2 * math.pi * v))
+    ) * np.sin(x * np.cos(2 * math.pi * v))

@@ -16,6 +16,7 @@ from weylbound.oscint import (
     gaussian_weight,
     nonstationary_decay_check,
     oscillatory_quadrature,
+    panel_rule,
     plateau_weight,
     second_derivative_bound_check,
     stationary_phase_eval,
@@ -368,6 +369,25 @@ def test_ksum_identity_direct_vs_kernel_small():
         d = bessel_weighted_k_sum(K, x, "direct")
         k = bessel_weighted_k_sum(K, x, "kernel")
         assert abs(d.value - k.value) <= 1e-8, (K, x)
+
+
+def test_ksum_direct_reports_bessel_routes():
+    # 2 pi x = 2 pi 1e4 sits in the recurrence regime for every order
+    assert bessel_weighted_k_sum(32, 1e4, "direct").method == "recurrence"
+    assert bessel_weighted_k_sum(8, 1.0, "direct").method == "series"
+
+
+@pytest.mark.parametrize("order", [1, 3, 12, 24])
+def test_panel_rule_exact_to_degree(order):
+    edges = np.array([-1.3, -1.0, 0.2, 0.25, 1.7, 4.0])
+    v, wt = panel_rule(edges, order)
+    assert v.shape == wt.shape == (order * (len(edges) - 1),)
+    assert np.all(np.diff(v) > 0)
+    a, b = edges[0], edges[-1]
+    for deg in range(2 * order):
+        exact = (b ** (deg + 1) - a ** (deg + 1)) / (deg + 1)
+        got = wt @ v**deg
+        assert abs(got - exact) <= 1e-14 * max(1.0, abs(exact)), deg
 
 
 def test_ksum_asymptotic_scale():

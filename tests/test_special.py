@@ -12,6 +12,7 @@ from weylbound.special import (
     bessel_j_many,
     bessel_kernel_ca,
     chebyshev_degree,
+    chebyshev_fit,
     gamma_fn,
     gamma_modulus_asymptotic,
     gamma_ratio_phase,
@@ -178,6 +179,38 @@ def test_log_gamma_vec_matches_scalar():
     got = log_gamma_vec(zs)
     for z, g in zip(zs, got):
         assert abs(g - log_gamma(complex(z)).value) < 1e-12
+
+
+def test_log_gamma_vec_deep_lift_against_mpmath():
+    # these need over 64 recursion lifts before Stirling applies
+    zs = np.array([-100.5 + 0.3j, -70.5 + 1.0j])
+    got = log_gamma_vec(zs)
+    for z, g in zip(zs, got):
+        ref = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+        assert abs(g - ref) < 1e-9, z
+
+
+def test_log_gamma_lift_limit_raises_in_both_paths():
+    z = -450.5 + 0.5j  # needs more than 400 lifts
+    with pytest.raises(RangeError):
+        log_gamma(z)
+    with pytest.raises(RangeError):
+        log_gamma_vec(np.array([2.0 + 1j, z]))
+
+
+def test_chebyshev_fit_band_limited_and_range():
+    freq = np.array([5.0, -11.0])
+    amp = np.array([1.0, 0.25j])
+
+    def g(x):
+        return np.exp(1j * np.outer(x, freq)) @ amp
+
+    fit = chebyshev_fit(g, -0.5, 2.5, amp, freq)
+    xs = np.linspace(-0.5, 2.5, 301)
+    assert np.max(np.abs(fit(xs) - g(xs))) < 1e-13
+    for bad in (-0.51, 2.51):
+        with pytest.raises(ValueError):
+            fit(np.array([bad]))
 
 
 def test_gamma_ratio_tau_zero():
