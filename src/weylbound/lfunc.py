@@ -17,7 +17,12 @@ u ~ 30 sqrt(C) while still dying superexponentially on the contour.
 On the contour u^(-w) = u^(-1) e^(-i tau log u), so V(u) = u^(-1) g(log u)
 with g band-limited (|tau| <= 28).  The AFE sums read V from a Chebyshev
 interpolant of g in log u, built once per t from the dense contour sum;
-the dense sum stays as the fitting kernel and the test oracle.
+the dense sum stays as the fitting kernel and the test oracle.  Each
+per-t contour also keeps a cutoff table of the V values already read,
+keyed by the exact argument: the arguments n, 2n and n/2 of balances 1
+and 2 share the half-integer grid, so every distinct argument reaches
+the interpolant once per t, and both balances reuse the contour's root
+factor.
 """
 
 from __future__ import annotations
@@ -108,20 +113,19 @@ def conductor_sqrt(spec: LFunctionSpec, t: float) -> float:
 
 def _log_gamma_factor(spec: LFunctionSpec, s: np.ndarray) -> np.ndarray:
     """log of the completed gamma factor, vectorized over s."""
-    s = np.asarray(s, dtype=complex)
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
     if spec.kind == "holomorphic":
         k = spec.gamma_data
         return -s * math.log(2 * math.pi) + log_gamma_vec(s + (k - 1) / 2.0)
     nu = spec.gamma_data
-    return (
-        -s * math.log(math.pi)
-        + log_gamma_vec((s + 1j * nu) / 2.0)
-        + log_gamma_vec((s - 1j * nu) / 2.0)
-    )
+    # one Stirling pass over both shifted arguments
+    lg = log_gamma_vec(np.concatenate([(s + 1j * nu) / 2.0, (s - 1j * nu) / 2.0]))
+    return -s * math.log(math.pi) + lg[: len(s)] + lg[len(s) :]
 
 
 class _AfeContour:
-    """Precomputed contour data for V at one (spec, t).
+    """Precomputed contour data for V at one (spec, t), and the cutoff
+    table of the V values the AFE sums have read.
 
     The default panel count serves the AFE sums, whose arguments stay
     within a few e-folds of the conductor scale (the gamma-ratio drift
@@ -137,9 +141,11 @@ class _AfeContour:
         )
         w = _CONTOUR_SIGMA + 1j * tau
         s = complex(0.5, t)
-        log_ratio = _log_gamma_factor(spec, s + w) - _log_gamma_factor(
-            spec, np.array([s])
-        )
+        # the gamma factor at s + w, s and 1 - s in one call
+        lg = _log_gamma_factor(spec, np.concatenate([s + w, [s, 1 - s]]))
+        log_ratio = lg[:-2] - lg[-2]
+        # root factor eps(f) gamma(1 - s) / gamma(s) of the functional equation
+        self.root_factor = spec.root_number * np.exp(lg[-1] - lg[-2])
         G = np.exp((w / MOLLIFIER_WIDTH) ** 2)
         # (1/2 pi i) f(w) dw on the vertical line = (1/2 pi) f dtau
         amp = wts * G * np.exp(log_ratio) / w / (2 * math.pi)
@@ -153,6 +159,9 @@ class _AfeContour:
             math.log(CUT_RATIO * conductor_sqrt(spec, t) + 8.0),
         )
         self._fit = None
+        # cutoff table: sorted distinct arguments and their V values
+        self._table_u = np.empty(0)
+        self._table_v = np.empty(0, dtype=complex)
 
     def weight(self, u: np.ndarray) -> np.ndarray:
         """V(u) for an array of positive cutoff arguments."""
@@ -186,6 +195,22 @@ class _AfeContour:
         lu = np.log(u)
         return np.exp(-_CONTOUR_SIGMA * lu) * self._fit(lu)
 
+    def cutoff(self, u: np.ndarray) -> np.ndarray:
+        """V(u) from the cutoff table; each distinct argument goes through
+        `interpolated_weight` once per contour, so its range check holds."""
+        u = np.asarray(u, dtype=float)
+        pos = np.searchsorted(self._table_u, u)
+        known = pos < len(self._table_u)
+        known[known] = self._table_u[pos[known]] == u[known]
+        if not known.all():
+            new = np.unique(u[~known])
+            vals = self.interpolated_weight(new)
+            at = np.searchsorted(self._table_u, new)
+            self._table_u = np.insert(self._table_u, at, new)
+            self._table_v = np.insert(self._table_v, at, vals)
+            pos = np.searchsorted(self._table_u, u)
+        return self._table_v[pos]
+
 
 def afe_weight(y: float, t: float, spec: LFunctionSpec, balance: float) -> complex:
     """Smoothed cutoff V_t(balance * y): tends to 1 as y -> 0 and dies
@@ -213,6 +238,16 @@ def afe_lengths(spec: LFunctionSpec, t: float, balance: float) -> tuple[int, int
     return n1, n2
 
 
+def _afe_arguments(spec: LFunctionSpec, t: float, balance: float):
+    """The lengths n1, n2 and the cutoff arguments n * balance (n <= n1)
+    followed by n / balance (n <= n2) of the two AFE pieces."""
+    if not (0.25 <= balance <= 4.0):
+        raise ValueError("balance must lie in [1/4, 4]")
+    n1, n2 = afe_lengths(spec, t, balance)
+    ns = np.arange(1, max(n1, n2) + 1, dtype=float)
+    return n1, n2, np.concatenate([ns[:n1] * balance, ns[:n2] / balance])
+
+
 def central_value(
     spec: LFunctionSpec,
     t: float,
@@ -220,30 +255,20 @@ def central_value(
     _contour: "_AfeContour | None" = None,
 ) -> ComplexEstimate:
     """L(1/2 + it) as the two smoothed Dirichlet pieces plus root factor."""
-    if not (0.25 <= balance <= 4.0):
-        raise ValueError("balance must lie in [1/4, 4]")
-    n1, n2 = afe_lengths(spec, t, balance)
-    if max(n1, n2) > spec.coefficients.n_max:
-        raise ValueError(
-            f"need coefficients to n = {max(n1, n2)}, have {spec.coefficients.n_max}"
-        )
+    n1, n2, u = _afe_arguments(spec, t, balance)
+    n = max(n1, n2)
+    if n > spec.coefficients.n_max:
+        raise ValueError(f"need coefficients to n = {n}, have {spec.coefficients.n_max}")
     contour = _contour if _contour is not None else _AfeContour(spec, t)
-    lam = spec.coefficients.values
+    # one kernel sum_m lambda(m) m^(-s) V(u_m) for both pieces: lambda is
+    # real and s - 1 = -conj(s), so the dual piece is the conjugate of the
+    # kernel at the reciprocal balance
     s = complex(0.5, t)
-
-    ns = np.arange(1, n1 + 1, dtype=float)
-    v1 = contour.interpolated_weight(ns * balance)
-    sum1 = complex(np.sum(lam[1 : n1 + 1] * ns ** (-s) * v1))
-
-    ns2 = np.arange(1, n2 + 1, dtype=float)
-    v2 = np.conj(contour.interpolated_weight(ns2 / balance))
-    sum2 = complex(np.sum(lam[1 : n2 + 1] * ns2 ** (s - 1.0) * v2))
-
-    lg_s = complex(_log_gamma_factor(spec, np.array([s]))[0])
-    lg_1ms = complex(_log_gamma_factor(spec, np.array([1 - s]))[0])
-    omega = spec.root_number * np.exp(lg_1ms - lg_s)
-
-    value = sum1 + omega * sum2
+    coef = spec.coefficients.values[1 : n + 1] * np.arange(1, n + 1.0) ** (-s)
+    v = contour.cutoff(u)
+    sum1 = complex(np.sum(coef[:n1] * v[:n1]))
+    sum2 = complex(np.sum(coef[:n2] * v[n1:])).conjugate()
+    value = sum1 + contour.root_factor * sum2
     # truncation model: the log-normal mollifier tail past the cut,
     # summed against a divisor-weighted n^(-1/2) envelope
     v_cut = math.exp(-((MOLLIFIER_WIDTH * math.log(CUT_RATIO) / 2.0) ** 2))
@@ -279,6 +304,8 @@ class ScanRecord:
 
 def _scan_one(spec: LFunctionSpec, t: float, balances: tuple[float, float]) -> ScanRecord:
     contour = _AfeContour(spec, t)
+    # fill the cutoff table for both balances in one interpolant pass
+    contour.cutoff(np.concatenate([_afe_arguments(spec, t, b)[2] for b in balances]))
     v1 = central_value(spec, t, balances[0], _contour=contour)
     v2 = central_value(spec, t, balances[1], _contour=contour)
     gap = abs(v1.value - v2.value)
@@ -466,8 +493,7 @@ def completed_modulus_closure(spec: LFunctionSpec, t: float) -> float:
     """
     v_plus = central_value(spec, t).value
     v_minus = central_value(spec, -t).value
-    lg_p = complex(_log_gamma_factor(spec, np.array([complex(0.5, t)]))[0])
-    lg_m = complex(_log_gamma_factor(spec, np.array([complex(0.5, -t)]))[0])
+    lg_p, lg_m = _log_gamma_factor(spec, np.array([complex(0.5, t), complex(0.5, -t)]))
     lam_p = abs(np.exp(lg_p)) * abs(v_plus)
     lam_m = abs(np.exp(lg_m)) * abs(v_minus)
     return abs(lam_p - lam_m)

@@ -65,16 +65,23 @@ def chebyshev_degree(amp, ratio) -> int:
     returns the smallest k at which sum_j 2 |amp_j| ratio_j^k / k! falls
     below the rounding floor 2^(-52) sum_j |amp_j| of the sum itself.
     The terms are formed in logarithms, so a large ratio cannot overflow.
+    Degrees are tested in chunks, one row of terms per degree, with the
+    same arithmetic per degree as a one-degree-at-a-time search.
     """
-    mag = 2.0 * np.abs(amp)
-    floor = 2.0**-52 * np.sum(np.abs(amp))
+    amp = np.abs(np.ravel(amp))
+    mag = 2.0 * amp
+    floor = 2.0**-52 * np.sum(amp)
     with np.errstate(divide="ignore", over="ignore"):
-        log_mag, log_ratio = np.log(mag), np.log(ratio)
-        deg, bound = 0, np.sum(mag)
-        while bound >= floor:
-            deg += 1
-            bound = np.sum(np.exp(log_mag + deg * log_ratio - math.lgamma(deg + 1)))
-    return deg
+        log_mag, log_ratio = np.log(mag), np.log(np.ravel(ratio))
+        start, size = 1, 16
+        while True:
+            degs = np.arange(start, start + size)
+            log_fact = np.array([math.lgamma(d + 1) for d in range(start, start + size)])
+            terms = log_mag + degs[:, None] * log_ratio - log_fact[:, None]
+            below = np.flatnonzero(np.sum(np.exp(terms), axis=1) < floor)
+            if below.size:
+                return start + int(below[0])
+            start, size = start + size, min(2 * size, 64)
 
 
 def chebyshev_fit(g, lo: float, hi: float, amp, freq):

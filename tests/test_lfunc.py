@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from weylbound import lfunc, special
 from weylbound.lfunc import (
     CUT_RATIO,
     CoefficientSource,
@@ -172,6 +173,95 @@ def test_central_value_dense_weight_work(delta12000, monkeypatch):
     central_value(delta12000, 1000.0, 1.0, _contour=contour)
     central_value(delta12000, 1000.0, 2.0, _contour=contour)
     assert sum(seen) <= 300
+
+
+def test_scan_one_cutoff_work(delta12000, monkeypatch):
+    # the cutoff table sends each distinct AFE argument of the two
+    # balances to the Chebyshev evaluator once: the 9553 half-integers
+    # and integers up to the balance-2 dual length, not the 21492
+    # arguments n, n, 2n and n/2 of the four Dirichlet pieces
+    fit, stirling = lfunc.chebyshev_fit, special._stirling
+    evaluated, lifted = [], []
+
+    def counted_fit(*args):
+        evaluate = fit(*args)
+
+        def counted(x):
+            evaluated.append(np.size(x))
+            return evaluate(x)
+
+        return counted
+
+    def counted_stirling(*args):
+        lifted.append(np.size(args[0]))
+        return stirling(*args)
+
+    monkeypatch.setattr(lfunc, "chebyshev_fit", counted_fit)
+    monkeypatch.setattr(special, "_stirling", counted_stirling)
+    rec = lfunc._scan_one(delta12000, 1000.0, (1.0, 2.0))
+    assert rec.accepted
+    assert sum(evaluated) == 9553
+    # one gamma-factor call per contour: s + w, s and 1 - s together
+    assert len(lifted) == 1
+
+
+def test_cutoff_table_is_order_independent(delta12000):
+    t = 1000.0
+    forward, backward = _AfeContour(delta12000, t), _AfeContour(delta12000, t)
+    f1 = central_value(delta12000, t, 1.0, _contour=forward)
+    f2 = central_value(delta12000, t, 2.0, _contour=forward)
+    b2 = central_value(delta12000, t, 2.0, _contour=backward)
+    b1 = central_value(delta12000, t, 1.0, _contour=backward)
+    assert f1 == b1 and f2 == b2
+    # a repeated argument reads one table entry
+    u = np.array([3.0, 1.5, 3.0, 1.5, 3.0])
+    v = forward.cutoff(u)
+    assert v[0] == v[2] == v[4] and v[1] == v[3]
+    assert np.array_equal(v, backward.cutoff(u))
+
+
+def test_cutoff_out_of_range_raises(delta12000):
+    # a contour fitted for t = 10 cannot serve the arguments of t = 1000,
+    # and the failed read leaves the table as it was
+    contour = _AfeContour(delta12000, 10.0)
+    with pytest.raises(ValueError, match="outside the fitted range"):
+        central_value(delta12000, 1000.0, 1.0, _contour=contour)
+    with pytest.raises(ValueError):
+        contour.cutoff(np.array([1.0, 0.2]))
+    assert len(contour._table_u) == 0
+
+
+def _mp_root_factor(spec, t) -> complex:
+    """eps(f) gamma(1 - s) / gamma(s) of the completed L-function in mpmath."""
+    with mp.workdps(40):
+        s = mp.mpc(0.5, t)
+        if spec.kind == "holomorphic":
+            shift = mp.mpf(spec.gamma_data - 1) / 2
+
+            def gamma_factor(z):
+                return (2 * mp.pi) ** (-z) * mp.gamma(z + shift)
+
+        else:
+            nu = mp.mpf(spec.gamma_data)
+
+            def gamma_factor(z):
+                return mp.pi ** (-z) * mp.gamma((z + 1j * nu) / 2) * mp.gamma((z - 1j * nu) / 2)
+
+        return complex(spec.root_number * gamma_factor(1 - s) / gamma_factor(s))
+
+
+@pytest.mark.parametrize("case", ["delta", "k16", "maass"])
+def test_contour_root_factor_against_mpmath(case, request, tmp_path):
+    spec = _interp_case(case if case != "delta" else "delta@0", request, tmp_path)[0]
+    for t in (0.0, 10.0, 1000.0, -250.0):
+        omega = _AfeContour(spec, t).root_factor
+        want = _mp_root_factor(spec, t)
+        # the phase of omega is 2 Im log gamma(s), of size |t| log |t|, so a
+        # double evaluation carries a few ulps of it (1.0e-12 for k = 16 and
+        # 2.5e-12 for the Maass spec at t = 1000); 1e-12 at small t
+        floor = 8 * special.EPS * abs(t) * math.log(2.0 + abs(t))
+        assert abs(omega - want) <= (1e-12 + floor) * abs(want), t
+        assert abs(abs(omega) - 1.0) <= 1e-12, t
 
 
 def test_sn_sum_matches_naive(delta2000):

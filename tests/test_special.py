@@ -19,6 +19,7 @@ from weylbound.special import (
     log_gamma,
     log_gamma_vec,
 )
+from weylbound.lfunc import CoefficientSource, LFunctionSpec, _AfeContour
 
 mp.mp.dps = 40
 
@@ -274,3 +275,53 @@ def test_chebyshev_degree_is_smallest_below_floor(amp, ratio):
 
     floor = 2.0**-52 * np.sum(np.abs(amp))
     assert bound(deg) < floor <= bound(deg - 1)
+
+
+def _degree_loop(amp, ratio):
+    """The one-degree-at-a-time search chebyshev_degree must reproduce."""
+    mag = 2.0 * np.abs(amp)
+    floor = 2.0**-52 * np.sum(np.abs(amp))
+    with np.errstate(divide="ignore", over="ignore"):
+        log_mag, log_ratio = np.log(mag), np.log(ratio)
+        deg, bound = 0, np.sum(mag)
+        while bound >= floor:
+            deg += 1
+            bound = np.sum(np.exp(log_mag + deg * log_ratio - math.lgamma(deg + 1)))
+    return deg
+
+
+def _contour_band(kind, gamma_data, t):
+    # the contour reads only the gamma factor and root number of a spec
+    coeffs = CoefficientSource("computed", np.array([0.0, 1.0]), 1)
+    contour = _AfeContour(LFunctionSpec(kind, gamma_data, coeffs, 1.0), t)
+    lo, hi = contour._log_u_range
+    return contour.amp, np.abs(contour.w.imag) * (hi - lo) / 4.0
+
+
+def test_chebyshev_degree_matches_degree_loop_on_contours():
+    bands = [_contour_band("holomorphic", 12.0, t) for t in np.arange(0.0, 1000.5, 0.5)]
+    bands.append(_contour_band("holomorphic", 12.0, -250.0))
+    for t in (0.0, 20.0, 30.0, 1000.0, -250.0):
+        bands.append(_contour_band("holomorphic", 16.0, t))
+        bands.append(_contour_band("maass", 9.5336952613536, t))
+    for amp, ratio in bands:
+        assert chebyshev_degree(amp, ratio) == _degree_loop(amp, ratio)
+
+
+def test_chebyshev_degree_matches_degree_loop_on_random_bands():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        size = int(rng.integers(1, 60))
+        amp = rng.normal(size=size) + 1j * rng.normal(size=size)
+        amp *= 10.0 ** rng.uniform(-20, 0, size=size)
+        ratio = 10.0 ** rng.uniform(-3, 3, size=size)
+        assert chebyshev_degree(amp, ratio) == _degree_loop(amp, ratio)
+
+
+def test_chebyshev_degree_scalar_amplitude():
+    # pipeline._i_profile passes one band as a scalar amplitude
+    for beta in (0.3, 7.5, 120.0):
+        ratio = np.abs(np.array([beta])) * 0.8 / 2.0
+        want = _degree_loop(1.0, ratio)
+        assert chebyshev_degree(1.0, ratio) == want
+        assert chebyshev_degree(1.0, float(ratio[0])) == want
