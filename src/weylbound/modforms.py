@@ -1,10 +1,16 @@
 """Level-1 holomorphic cusp forms with exact integer q-expansions.
 
-The basis of weight-k cusp forms is echelonized from monomials in the
-Eisenstein series E4 and E6; all coefficient arithmetic is exact big
-integers (polynomial products go through Kronecker substitution, so
-CPython's subquadratic integer multiply does the heavy lifting).
-Floating point enters only at the final normalization
+Two independent routes give the coefficients.  Ramanujan's tau comes
+from the eta product: Jacobi's identity writes prod (1 - q^n)^3 as a
+sparse series, and three squarings raise it to the 24th power.  Every
+weight-k cusp space is echelonized from monomials in the Eisenstein
+series E4 and E6 (the Victor-Miller basis), which for k = 12 is the
+independent check on tau.  All coefficient arithmetic is exact big
+integers: a polynomial product is one big-integer product by signed
+Kronecker substitution, so CPython's subquadratic integer multiply does
+the convolution.  The dim-2 Hecke eigenvalues live in a real quadratic
+field and are rounded to 50 digits with the standard-library decimal
+module.  Floating point enters only at the final normalization
 lambda(n) = a(n) / n^((k-1)/2).
 """
 
@@ -12,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -29,41 +36,62 @@ def _encode(coeffs: list[int], width: int) -> int:
     return int.from_bytes(chunks, "little")
 
 
-def _decode(value: int, width: int, count: int) -> list[int]:
-    nbytes = max((value.bit_length() + 7) // 8, width * count)
-    raw = value.to_bytes(nbytes, "little", signed=False)
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little")
-        for i in range(count)
-    ]
+def _encode_signed(coeffs: list[int], width: int) -> int:
+    """sum c_i B^i for B = 2^(8 width): positive part minus negative part."""
+    pos = _encode([c if c > 0 else 0 for c in coeffs], width)
+    neg = _encode([-c if c < 0 else 0 for c in coeffs], width)
+    return pos - neg
+
+
+def _decode_signed(value: int, width: int, count: int) -> list[int]:
+    """The first count balanced base-B digits of value, B = 2^(8 width).
+
+    Every digit must lie in (-B/2, B/2).  The low bytes of the two's
+    complement of value are the digits of value mod B^count, so a
+    negative value needs no separate branch; each raw digit at or above
+    B/2 stands for itself minus B and carries one into the next digit.
+    """
+    nbytes = max(value.bit_length() // 8 + 1, width * count)
+    raw = value.to_bytes(nbytes, "little", signed=True)
+    base = 1 << (8 * width)
+    half = base >> 1
+    out = []
+    carry = 0
+    for i in range(count):
+        digit = int.from_bytes(raw[i * width : (i + 1) * width], "little") + carry
+        carry = digit >= half
+        out.append(digit - base if carry else digit)
+    return out
 
 
 def poly_mul(a: list[int], b: list[int], prec: int) -> list[int]:
     """Product of integer polynomials truncated past degree prec.
 
-    Signed Kronecker substitution: split into positive/negative parts,
-    pack each into one big integer, and let integer multiplication do
-    the convolution.  Exact for arbitrarily large coefficients.
+    Signed Kronecker substitution (Harvey, J. Symbolic Comput. 44,
+    2009): each side is packed into one big integer evaluated at
+    B = 2^(8 width), with B/2 above every product coefficient, so one
+    integer product (a square when a is b) carries the whole
+    convolution and the balanced base-B digits of the result are the
+    coefficients.  Exact for arbitrarily large coefficients.
     """
+    square = a is b
     a = a[: prec + 1]
-    b = b[: prec + 1]
+    b = a if square else b[: prec + 1]
     if not a or not b:
         return [0] * (prec + 1)
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
+    max_a = max(map(abs, a))
+    max_b = max_a if square else max(map(abs, b))
     if max_a == 0 or max_b == 0:
         return [0] * (prec + 1)
-    overlap = min(len(a), len(b))
-    bound = max_a * max_b * overlap
-    width = (bound.bit_length() + 8) // 8 + 1
-    ap = _encode([c if c > 0 else 0 for c in a], width)
-    am = _encode([-c if c < 0 else 0 for c in a], width)
-    bp = _encode([c if c > 0 else 0 for c in b], width)
-    bm = _encode([-c if c < 0 else 0 for c in b], width)
+    bound = max_a * max_b * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
+    packed_a = _encode_signed(a, width)
+    if square:
+        product = packed_a * packed_a
+    else:
+        product = packed_a * _encode_signed(b, width)
     n_out = min(len(a) + len(b) - 1, prec + 1)
-    pos = _decode(ap * bp + am * bm, width, n_out)
-    neg = _decode(ap * bm + am * bp, width, n_out)
-    out = [p - q for p, q in zip(pos, neg)]
+    out = _decode_signed(product, width, n_out)
     out += [0] * (prec + 1 - len(out))
     return out
 
@@ -105,26 +133,19 @@ def eisenstein_qexp(k: int, prec: int) -> list[int]:
 def eta_power24(prec: int) -> list[int]:
     """Coefficients of prod (1 - q^n)^24 up to q^prec.
 
-    Pentagonal-number theorem gives the sparse first power; the 24th
-    power is five Kronecker products.
+    Jacobi's identity prod (1 - q^n)^3 = sum_m (-1)^m (2m + 1) q^(m(m+1)/2)
+    gives the cube with O(sqrt(prec)) nonzero terms; three squarings
+    (cube -> 6th -> 12th -> 24th power) finish it.
     """
-    eta = [0] * (prec + 1)
-    j = 0
-    while True:
-        done = True
-        for jj in (j, -j) if j else (0,):
-            g = jj * (3 * jj - 1) // 2
-            if g <= prec:
-                eta[g] += (-1) ** (jj % 2)
-                done = False
-        if done:
-            break
-        j += 1
-    e2 = poly_mul(eta, eta, prec)
-    e4 = poly_mul(e2, e2, prec)
-    e8 = poly_mul(e4, e4, prec)
-    e16 = poly_mul(e8, e8, prec)
-    return poly_mul(e16, e8, prec)
+    cube = [0] * (prec + 1)
+    m = 0
+    while m * (m + 1) // 2 <= prec:
+        cube[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
+        m += 1
+    power = cube
+    for _ in range(3):
+        power = poly_mul(power, power, prec)
+    return power
 
 
 def delta_qexp(prec: int) -> list[int]:
@@ -252,7 +273,8 @@ class Eigenform:
     """A normalized Hecke eigenform of level 1.
 
     arithmetic_coeffs holds a(n) with a(1) = 1 (exact integers when the
-    form is rational, 50-digit floats for the quadratic pair at dim 2);
+    form is rational, floats rounded from 50-digit values for the
+    quadratic pair at dim 2);
     normalized[n] = a(n) / n^((k-1)/2) as float64.
     """
 
@@ -288,7 +310,8 @@ def hecke_eigenforms(k: int, prec: int) -> list[Eigenform]:
 
     Supports dim <= 2 (all weights k <= 30 and several beyond).  The
     dim-2 quadratic eigenvalues are computed to 50 significant digits
-    before normalization; a repeated T_2 eigenvalue raises.
+    with integers and the standard-library decimal module before
+    normalization; a repeated T_2 eigenvalue raises.
     """
     d = dim_cusp(k)
     if d == 0:
@@ -300,23 +323,25 @@ def hecke_eigenforms(k: int, prec: int) -> list[Eigenform]:
     if d == 1:
         f = basis[0]
         return [_normalize(k, list(f.coefficients[: prec + 1]), prec, 1)]
-    import mpmath as mp
-
     t2 = hecke_operator_matrix(k, 2, basis)
     m00, m01 = t2[0]
     m10, m11 = t2[1]
     disc = (m00 - m11) ** 2 + 4 * m01 * m10
     if disc == 0:
         raise ArithmeticError(f"T_2 has a repeated eigenvalue at weight {k}")
-    with mp.workdps(50):
-        sq = mp.sqrt(disc)
-        out = []
+    # beta lies in Q(sqrt(disc)); the basis coefficients and the matrix
+    # are exact integers, so only the arithmetic with sqrt(disc) rounds,
+    # each step to 50 significant digits.
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 50
+        root = Decimal(disc).sqrt()
         for sign in (+1, -1):
-            beta = (-(m00 - m11) + sign * sq) / (2 * m01)
-            coeffs = [mp.mpf(0)] * (prec + 1)
+            beta = (Decimal(m11 - m00) + sign * root) / (2 * m01)
+            coeffs = [0.0] * (prec + 1)
             for n in range(1, prec + 1):
-                coeffs[n] = basis[0].a(n) + beta * basis[1].a(n)
-            out.append(_normalize(k, [float(c) for c in coeffs], prec, 2))
+                coeffs[n] = float(basis[0].a(n) + beta * basis[1].a(n))
+            out.append(_normalize(k, coeffs, prec, 2))
     return out
 
 

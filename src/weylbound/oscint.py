@@ -17,7 +17,7 @@ from functools import cache
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+import scipy.linalg  # noqa: F401  (see _gl)
 from scipy.special import roots_legendre
 
 from .special import ComplexEstimate, bessel_j, bessel_kernel_ca
@@ -25,6 +25,9 @@ from .special import ComplexEstimate, bessel_j, bessel_kernel_ca
 
 @cache
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # roots_legendre solves a banded eigenproblem and imports scipy.linalg
+    # on its first call; the import at the top keeps that cost in the
+    # package import instead of the first contour or panel build.
     return roots_legendre(n)
 
 
@@ -507,14 +510,18 @@ _PHI_HAT_MAX = 368.0  # |phi_hat| < 1e-13 beyond this frequency
 
 
 @cache
-def _phi_hat_spline() -> CubicSpline:
+def _phi_hat_spline():
     """Spline of phi_hat(xi) = int_{-1}^{1} exp(1 - 1/(1-s^2)) e^{i xi s} ds.
 
     phi is even, so phi_hat is real and even.  The rule must resolve the
     full 2*xi radians of phase at the top of the grid, hence the large
     node count; past _PHI_HAT_MAX the transform is below 1e-13 and is
-    treated as zero by callers.
+    treated as zero by callers.  scipy.interpolate is imported here, on
+    first use, because only the Bessel-weighted k-sum needs it and it
+    adds about 0.4 s to every import of the package.
     """
+    from scipy.interpolate import CubicSpline
+
     grid = np.arange(0.0, _PHI_HAT_MAX + 1.0, _PHI_HAT_STEP)
     xs, ws = _gl(560)
     phi = _canonical_bump(xs)

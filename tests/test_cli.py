@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -55,6 +56,13 @@ def test_petersson_command_exit_zero(capsys):
     assert main(["petersson", "--k", "10", "--grid", "4"]) == EXIT_PASS
     out = capsys.readouterr().out
     assert "[PASS]" in out
+
+
+def test_petersson_dim2_runs_without_mpmath(monkeypatch, capsys):
+    # mpmath is a test-only dependency; the dim-2 eigenforms must not need it
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    assert main(["petersson", "--k", "24"]) == EXIT_PASS
+    assert "[PASS] Petersson k=24: dim 2" in capsys.readouterr().out
 
 
 def test_scan_determinism_across_parallelism(tmp_path):

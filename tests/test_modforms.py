@@ -1,3 +1,6 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,20 +28,48 @@ KNOWN_DIMS = {
 TAU = [0, 1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    a=st.lists(st.integers(min_value=-10**9, max_value=10**9), min_size=1, max_size=24),
-    b=st.lists(st.integers(min_value=-10**9, max_value=10**9), min_size=1, max_size=24),
-)
-def test_poly_mul_matches_schoolbook(a, b):
-    prec = len(a) + len(b)
-    got = poly_mul(a, b, prec)
+def _schoolbook(a, b, prec):
     want = [0] * (prec + 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             if i + j <= prec:
                 want[i + j] += ai * bj
-    assert got == want
+    return want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.lists(st.integers(min_value=-10**30, max_value=10**30), max_size=24),
+    b=st.lists(st.integers(min_value=-10**30, max_value=10**30), max_size=24),
+    prec=st.integers(min_value=0, max_value=50),
+    square=st.booleans(),
+)
+def test_poly_mul_matches_schoolbook(a, b, prec, square):
+    # mixed signs, coefficients up to 1e30, truncation at prec, a is b
+    if square:
+        b = a
+    got = poly_mul(a, b, prec)
+    assert got == _schoolbook(a, b, prec)
+    assert len(got) == prec + 1
+
+
+@pytest.mark.parametrize(
+    "a, b, prec",
+    [
+        ([], [1, 2], 3),
+        ([1, 2], [], 3),
+        ([0, 0, 0], [5, -7], 4),
+        ([0] * 5, [0] * 5, 6),
+        ([1, -1] * 20, [1, 1] * 20, 80),  # long runs of negative digits
+        ([-(10**30)] * 30, [-(10**30)] * 30, 58),  # every digit at the bound
+        ([-3, 0, 0, 5], [2, -1], 1),  # truncation below the product degree
+        ([2, -1], [1, 2], 0),
+        ([-1], [1], 0),  # a negative product
+    ],
+)
+def test_poly_mul_edge_cases(a, b, prec):
+    assert poly_mul(a, b, prec) == _schoolbook(a, b, prec)
+    assert poly_mul(a, a, prec) == _schoolbook(a, a, prec)
 
 
 def test_dimension_formula():
@@ -53,9 +84,9 @@ def test_eisenstein_first_terms():
     assert e6 == [1, -504, -16632, -122976]
 
 
-def test_delta_tau_values():
-    d = delta_qexp(10)
-    assert d == TAU
+def test_delta_tau_values(tau_12000):
+    assert delta_qexp(10) == TAU
+    assert tau_12000[: len(TAU)] == TAU
 
 
 def test_vm_basis_empty_weights():
@@ -185,9 +216,72 @@ def test_eigenforms_dim3_out_of_scope():
 
 def test_delta_two_routes_agree():
     # eta-product route against the Victor-Miller echelon route
-    via_eta = delta_eigenform(60)
-    via_vm = hecke_eigenforms(12, 60)[0]
+    via_eta = delta_eigenform(300)
+    via_vm = hecke_eigenforms(12, 300)[0]
     assert via_eta.arithmetic_coeffs == via_vm.arithmetic_coeffs
+
+
+TAU_PREC = 12000
+
+
+@pytest.fixture(scope="module")
+def tau_12000():
+    return delta_qexp(TAU_PREC)
+
+
+def test_delta_ramanujan_congruence(tau_12000):
+    # tau(n) = sigma_11(n) (mod 691) for every n, sieved independently here
+    sigma = [0] * (TAU_PREC + 1)
+    for d in range(1, TAU_PREC + 1):
+        dr = pow(d, 11, 691)
+        for m in range(d, TAU_PREC + 1, d):
+            sigma[m] += dr
+    bad = [n for n in range(1, TAU_PREC + 1) if (tau_12000[n] - sigma[n]) % 691]
+    assert bad == []
+
+
+def test_delta_hecke_relation_all_primes(tau_12000):
+    # tau(p) tau(n) = tau(pn) + p^11 tau(n/p), for every prime p, pn <= prec
+    tau = tau_12000
+    checked = 0
+    for p in range(2, TAU_PREC // 2 + 1):
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            continue
+        p11 = p**11
+        for n in range(1, TAU_PREC // p + 1):
+            rhs = tau[p * n] + (p11 * tau[n // p] if n % p == 0 else 0)
+            assert tau[p] * tau[n] == rhs, (p, n)
+            checked += 1
+    assert checked > 25_000
+
+
+def _mp_eigenforms(k, prec):
+    """Normalized lambda(n) of the dim-2 pair, with beta in 50-digit mpmath."""
+    basis = victor_miller_basis(k, prec)
+    (m00, m01), (m10, m11) = hecke_operator_matrix(k, 2, basis)
+    with mp.workdps(50):
+        root = mp.sqrt((m00 - m11) ** 2 + 4 * m01 * m10)
+        forms = []
+        for sign in (+1, -1):
+            beta = (-(m00 - m11) + sign * root) / (2 * m01)
+            forms.append([
+                (basis[0].a(n) + beta * basis[1].a(n)) / mp.mpf(n) ** (mp.mpf(k - 1) / 2)
+                for n in range(1, prec + 1)
+            ])
+        return forms
+
+
+@pytest.mark.parametrize("k", [24, 28, 30])
+def test_dim2_eigenforms_against_mpmath(k):
+    prec = 200
+    forms = hecke_eigenforms(k, prec)
+    oracle = _mp_eigenforms(k, prec)
+    assert len(forms) == len(oracle) == 2
+    for f in forms:
+        ref = min(oracle, key=lambda lam: abs(lam[1] - f.lam(2)))
+        for n in range(1, prec + 1):
+            want = ref[n - 1]
+            assert abs(f.lam(n) - want) <= 1e-15 * abs(want), (k, n)
 
 
 def test_delta_multiplicativity_exact():
