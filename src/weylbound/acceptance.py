@@ -1,14 +1,16 @@
 """The gated verification suites, one per headline claim.
 
 Each criterion function measures one family of identities or bounds at
-its pinned tolerance and returns a CheckResult; the CLI `all` command
-and the acceptance test module both drive these, so the gate is the
-same everywhere.  Statuses: PASS, FAIL, INCONCLUSIVE (counted, not
-failing).
+its pinned tolerance and returns a CheckResult.  Every CLI command and
+the acceptance test module drive these, so the gate is the same
+everywhere: `ALL_CRITERIA` is the headline set that `weylbound all`
+runs, and the single-parameter checks after it serve the other
+commands.  Statuses: PASS, FAIL, INCONCLUSIVE (counted, not failing).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import characters as chars
-from . import expsums, lfunc, modforms, oscint, pipeline, trace
+from . import arith, expsums, lfunc, modforms, oscint, pipeline, trace
 
 
 @dataclass
@@ -29,6 +31,11 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return self.status != "FAIL"
+
+    def line(self, label: str | None = None) -> str:
+        """One report line: status, label (the name by default), detail, time."""
+        name = label or self.name
+        return f"[{self.status:4s}] {name}: {self.detail} ({self.elapsed:.1f}s)"
 
 
 def _timed(fn):
@@ -345,18 +352,37 @@ def criterion_j_decay():
     return ("J-integral decay", "PASS" if ok else "FAIL", detail)
 
 
+def _balance_spread(spec: lfunc.LFunctionSpec, ts) -> float:
+    """Worst relative spread of L(1/2 + it) over the balances 0.5, 1, 2."""
+    worst = 0.0
+    for t in ts:
+        contour = lfunc._AfeContour(spec, t)
+        vals = [
+            lfunc.central_value(spec, t, b, _contour=contour).value
+            for b in (0.5, 1.0, 2.0)
+        ]
+        worst = max(
+            worst, max(abs(v - vals[1]) for v in vals) / max(1.0, abs(vals[1]))
+        )
+    return worst
+
+
+def _scan_verdict(summary: lfunc.ScanSummary) -> tuple[str, str]:
+    """Status and detail of an exponent scan: it passes with no flagged record."""
+    slope = "n/a" if summary.fit_slope is None else f"{summary.fit_slope:.3f}"
+    detail = (
+        f"{summary.n_records} records, {summary.n_flagged} flagged; "
+        f"fitted peak exponent {slope} (reported; convexity would be 0.5); "
+        f"max Weyl ratio {summary.max_weyl_ratio:.3f}"
+    )
+    return ("PASS" if summary.n_flagged == 0 else "FAIL"), detail
+
+
 @_timed
 def criterion_l_values(scan_step: float = 0.5, parallelism: int = 2):
     """Balance invariance, conjugate symmetry, and the exponent scan."""
     spec = lfunc.delta_spec(12000)
-    worst_balance = 0.0
-    for t in (0.0, 10.0, 100.0, 500.0):
-        c = lfunc._AfeContour(spec, t)
-        vals = [
-            lfunc.central_value(spec, t, b, _contour=c).value for b in (0.5, 1.0, 2.0)
-        ]
-        rel = max(abs(v - vals[1]) for v in vals) / max(1.0, abs(vals[1]))
-        worst_balance = max(worst_balance, rel)
+    worst_balance = _balance_spread(spec, (0.0, 10.0, 100.0, 500.0))
     worst_conj = 0.0
     for t in (10.0, 250.0):
         vp = lfunc.central_value(spec, t).value
@@ -365,15 +391,11 @@ def criterion_l_values(scan_step: float = 0.5, parallelism: int = 2):
     records = lfunc.exponent_scan(
         spec, 100.0, 1000.0, scan_step, parallelism=parallelism
     )
-    summary = lfunc.scan_summary(records)
-    gaps_ok = summary.n_flagged == 0
-    ok = worst_balance <= 1e-6 and worst_conj <= 1e-9 and gaps_ok
+    scan_status, scan_detail = _scan_verdict(lfunc.scan_summary(records))
+    ok = worst_balance <= lfunc.BALANCE_TOL and worst_conj <= 1e-9 and scan_status == "PASS"
     detail = (
         f"balance worst {worst_balance:.2e}; conj worst {worst_conj:.2e}; "
-        f"{summary.n_records} records, {summary.n_flagged} flagged; "
-        f"fitted peak exponent {summary.fit_slope:.3f} "
-        f"(reported; convexity would be 0.5); max Weyl ratio "
-        f"{summary.max_weyl_ratio:.3f}"
+        + scan_detail
     )
     return ("L central values + exponent scan", "PASS" if ok else "FAIL", detail)
 
@@ -409,10 +431,164 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(emit=print) -> list[CheckResult]:
+def run_all(checks=ALL_CRITERIA, emit=print) -> list[CheckResult]:
+    """Run `(label, check)` pairs in order and emit each result's line as
+    soon as its check returns; a None label prints the result's name."""
     results = []
-    for label, fn in ALL_CRITERIA:
-        res = fn()
+    for label, check in checks:
+        res = check()
         results.append(res)
-        emit(f"[{res.status:4s}] {label}: {res.detail} ({res.elapsed:.1f}s)")
+        emit(res.line(label))
     return results
+
+
+# ----------------------------------------------------------------------
+# single-parameter checks of the other CLI commands (not in ALL_CRITERIA)
+
+
+@_timed
+def criterion_kloosterman(
+    p_exhaustive: int = 50, p_max: int = 499, seed: int = 20240801
+):
+    """Weil's bound and real values at every (m, n) mod p <= p_exhaustive,
+    Weil's bound at seeded pairs for sampled primes up to p_max, and the
+    CRT twisted multiplicativity."""
+    worst_weil = 0.0
+    worst_imag = 0.0
+    for p in arith.primes_up_to(p_exhaustive):
+        for m in range(1, p):
+            for n in range(1, p):
+                s = expsums.kloosterman(m, n, p)
+                worst_weil = max(worst_weil, abs(s) / (2 * math.sqrt(p)))
+                worst_imag = max(worst_imag, abs(s.imag))
+    rng = np.random.default_rng(seed)
+    sampled = [p for p in arith.primes_up_to(p_max) if p > p_exhaustive]
+    for p in sampled[:: max(1, len(sampled) // 12)]:
+        for _ in range(6):
+            m = int(rng.integers(1, p))
+            n = int(rng.integers(1, p))
+            s = expsums.kloosterman(m, n, p)
+            worst_weil = max(worst_weil, abs(s) / (2 * math.sqrt(p)))
+    worst_crt = max(
+        abs(expsums.kloosterman(m, n, c1 * c2) - expsums.kloosterman_crt(m, n, c1, c2))
+        for c1, c2 in [(3, 4), (5, 6), (7, 9), (8, 15), (16, 27), (25, 29)]
+        for m, n in [(1, 1), (2, 5), (0, 1)]
+    )
+    ok = worst_weil <= 1.0 + 1e-12 and worst_imag < 1e-9 and worst_crt < 1e-9
+    return (
+        "Kloosterman sums",
+        "PASS" if ok else "FAIL",
+        f"Weil ratio max {worst_weil:.6f}; imag max {worst_imag:.2e}; "
+        f"CRT worst {worst_crt:.2e}",
+    )
+
+
+@_timed
+def criterion_petersson_weight(k: int = 12, grid: int = 8, tol: float = 1e-6):
+    """The trace formula at one weight on a grid x grid set of (m, n)."""
+    rep = trace.trace_consistency(k, grid, tol=tol)
+    if rep.dim == 0:
+        detail = f"dim 0: worst |Delta| = {rep.max_abs_delta:.2e} on {grid}^2 pairs"
+    elif rep.dim == 1:
+        detail = (
+            f"dim 1: lambda err {rep.lambda_max_err:.2e}, "
+            f"rank ratio {rep.rank_ratio:.2e}"
+        )
+    else:
+        detail = (
+            f"dim 2: residual {rep.max_residual:.2e}, "
+            f"weights positive {rep.weights_positive}"
+        )
+    return f"Petersson k={k}", rep.status, detail
+
+
+@_timed
+def criterion_ksum_asymptotic_scale(k_list: tuple[int, ...] = (8, 16, 32)):
+    """The k-sum's asymptotic form within 10% of the direct sum at x = 4 K^2."""
+    worst = 0.0
+    for K in k_list:
+        x = float(4 * K * K)
+        d = oscint.bessel_weighted_k_sum(K, x, "direct")
+        a = oscint.bessel_weighted_k_sum(K, x, "asymptotic")
+        worst = max(worst, abs(a.value - d.value) / abs(d.value))
+    return (
+        "k-sum asymptotic scale",
+        "PASS" if worst <= 0.10 else "FAIL",
+        f"worst relative error at x = 4K^2: {worst:.3f}",
+    )
+
+
+@_timed
+def criterion_afe_balance(spec: lfunc.LFunctionSpec, ts, form: str = "delta"):
+    """Balance invariance of the smoothed AFE at each t of ts."""
+    worst = _balance_spread(spec, ts)
+    return (
+        f"AFE balance invariance ({form})",
+        "PASS" if worst <= lfunc.BALANCE_TOL else "FAIL",
+        f"worst relative spread {worst:.2e} at t in {list(ts)}",
+    )
+
+
+@_timed
+def criterion_scan(
+    spec: lfunc.LFunctionSpec, t_min: float, t_max: float, step: float,
+    parallelism: int = 1, write=None,
+):
+    """The exponent scan, gated by `_scan_verdict`.  `write(records,
+    summary)`, when given, saves artifacts and returns their paths."""
+    records = lfunc.exponent_scan(spec, t_min, t_max, step, parallelism=parallelism)
+    summary = lfunc.scan_summary(records)
+    status, detail = _scan_verdict(summary)
+    written = write(records, summary) if write else []
+    if written:
+        detail += f"; wrote {', '.join(written)}"
+    return "exponent scan", status, detail
+
+
+@_timed
+def _s5_check(p: pipeline.PipelineParams):
+    c = max(2, int(p.Q // 2))
+    rep = pipeline.poisson_check_s5(1, c, p, tol=1e-6)
+    scaled = rep.abs_diff / max(abs(rep.direct), 1e-3 * rep.trivial_bound)
+    return (
+        "S5 Poisson identity",
+        rep.status,
+        f"m=1 c={rep.c}: |direct| {abs(rep.direct):.4e}, scaled diff {scaled:.2e}",
+    )
+
+
+@_timed
+def _j_decay_check(p: pipeline.PipelineParams):
+    c = int(p.Q)
+    n_star = pipeline.stationary_dual_index(p, c)
+    dec = pipeline.j_decay_report(p, n_star, c)
+    return (
+        "J-decay",
+        dec.status,
+        f"n*={n_star} c={c}: a0 {dec.a0:.2f}, a1 {dec.worst_a1:.2f}, "
+        f"ratio {dec.decay_ratio:.1e} at m = {dec.decay_threshold}",
+    )
+
+
+@_timed
+def _assembly_check(p: pipeline.PipelineParams):
+    cs = tuple(int(p.Q) + d for d in (-2, -1, 0, 1))
+    asm = pipeline.offdiagonal_assembly(p, cs, n_half_width=2, m_window=60)
+    return (
+        "off-diagonal assembly",
+        asm.status,
+        f"diag const {asm.diag_constant:.3f}, offdiag const "
+        f"{asm.offdiag_constant:.3f} (alt {asm.offdiag_constant_alt:.3e}), "
+        f"sparsity {asm.sparsity_ratio:.2f}",
+    )
+
+
+def pipeline_checks(p: pipeline.PipelineParams) -> list:
+    """The dual off-diagonal chain at one scale, as three zero-argument
+    checks run in order: the S5 Poisson identity at m = 1,
+    c = max(2, Q // 2); the J-decay fits at the stationary dual index for
+    c = Q; the assembled second moment over c near Q."""
+    return [
+        functools.partial(check, p)
+        for check in (_s5_check, _j_decay_check, _assembly_check)
+    ]

@@ -1,5 +1,6 @@
-"""Command-line entry point: dispatch to the verification suites,
-machine-readable output, and the exponent-scan orchestration.
+"""Command-line entry point: each command maps its typed parameters to
+acceptance checks, prints one line per result and writes the artifacts;
+every verdict is decided in `acceptance`.
 
 Every run embeds its fully resolved configuration in the output header,
 reductions are fixed-order, and sampled sweeps take their generator
@@ -11,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import acceptance, lfunc
-from .acceptance import CheckResult
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -132,130 +132,56 @@ def build_config(command: str, file_params: dict, flag_params: dict,
     )
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _list(text: str, typ) -> list:
+    return [typ(x) for x in text.split(",") if x.strip()]
 
 
 # ----------------------------------------------------------------------
-# suites
+# suites: each maps cfg.params to (label, check) pairs of acceptance checks
 
 
-def _suite_charsum(cfg: RunConfig) -> list[CheckResult]:
+def _unlabelled(*checks):
+    return [(None, check) for check in checks]
+
+
+def _suite_charsum(cfg: RunConfig):
     from .arith import primes_up_to
 
     primes = tuple(p for p in primes_up_to(cfg.params["q_max"]) if p >= 3)
-    return [
-        acceptance.criterion_charsums(cfg.params["c_max"], cfg.params["cc_max"]),
-        acceptance.criterion_twisted_factorization(primes),
-        acceptance.criterion_psi_average(primes),
-    ]
-
-
-def _suite_kloosterman(cfg: RunConfig) -> list[CheckResult]:
-    import time
-
-    from .arith import primes_up_to
-    from .expsums import kloosterman, kloosterman_crt
-
-    t0 = time.perf_counter()
-    worst_weil = 0.0
-    worst_imag = 0.0
-    for p in primes_up_to(cfg.params["p_exhaustive"]):
-        for m in range(1, p):
-            for n in range(1, p):
-                s = kloosterman(m, n, p)
-                worst_weil = max(worst_weil, abs(s) / (2 * math.sqrt(p)))
-                worst_imag = max(worst_imag, abs(s.imag))
-    rng = np.random.default_rng(cfg.seed)
-    sampled = [
-        p
-        for p in primes_up_to(cfg.params["p_max"])
-        if p > cfg.params["p_exhaustive"]
-    ]
-    for p in sampled[:: max(1, len(sampled) // 12)]:
-        for _ in range(6):
-            m = int(rng.integers(1, p))
-            n = int(rng.integers(1, p))
-            s = kloosterman(m, n, p)
-            worst_weil = max(worst_weil, abs(s) / (2 * math.sqrt(p)))
-    worst_crt = 0.0
-    for c1, c2 in [(3, 4), (5, 6), (7, 9), (8, 15), (16, 27), (25, 29)]:
-        for m, n in [(1, 1), (2, 5), (0, 1)]:
-            worst_crt = max(
-                worst_crt,
-                abs(kloosterman(m, n, c1 * c2) - kloosterman_crt(m, n, c1, c2)),
-            )
-    ok = worst_weil <= 1.0 + 1e-12 and worst_imag < 1e-9 and worst_crt < 1e-9
-    return [
-        CheckResult(
-            "Kloosterman sums",
-            "PASS" if ok else "FAIL",
-            f"Weil ratio max {worst_weil:.6f}; imag max {worst_imag:.2e}; "
-            f"CRT worst {worst_crt:.2e}",
-            time.perf_counter() - t0,
-        )
-    ]
-
-
-def _suite_petersson(cfg: RunConfig) -> list[CheckResult]:
-    import time
-
-    from .trace import trace_consistency
-
-    t0 = time.perf_counter()
-    k = cfg.params["k"]
-    grid = cfg.params["grid"]
-    rep = trace_consistency(k, grid, tol=cfg.params["tol"])
-    if rep.dim == 0:
-        detail = f"dim 0: worst |Delta| = {rep.max_abs_delta:.2e} on {grid}^2 pairs"
-    elif rep.dim == 1:
-        detail = (
-            f"dim 1: lambda err {rep.lambda_max_err:.2e}, "
-            f"rank ratio {rep.rank_ratio:.2e}"
-        )
-    else:
-        detail = (
-            f"dim 2: residual {rep.max_residual:.2e}, "
-            f"weights positive {rep.weights_positive}"
-        )
-    return [
-        CheckResult(f"Petersson k={k}", rep.status, detail, time.perf_counter() - t0)
-    ]
-
-
-def _suite_besselsum(cfg: RunConfig) -> list[CheckResult]:
-    import time
-
-    from .oscint import bessel_weighted_k_sum
-
-    ks = tuple(_int_list(cfg.params["k_list"]))
-    xs = tuple(_float_list(cfg.params["x_list"]))
-    out = [acceptance.criterion_bessel_sum_identity(ks, xs)]
-    t0 = time.perf_counter()
-    worst_as = 0.0
-    for K in ks:
-        x = float(4 * K * K)
-        d = bessel_weighted_k_sum(K, x, "direct")
-        a = bessel_weighted_k_sum(K, x, "asymptotic")
-        worst_as = max(worst_as, abs(a.value - d.value) / abs(d.value))
-    out.append(
-        CheckResult(
-            "k-sum asymptotic scale",
-            "PASS" if worst_as <= 0.10 else "FAIL",
-            f"worst relative error at x = 4K^2: {worst_as:.3f}",
-            time.perf_counter() - t0,
-        )
+    c_max, cc_max = cfg.params["c_max"], cfg.params["cc_max"]
+    return _unlabelled(
+        partial(acceptance.criterion_charsums, c_max, cc_max),
+        partial(acceptance.criterion_twisted_factorization, primes),
+        partial(acceptance.criterion_psi_average, primes),
     )
-    out.append(acceptance.criterion_bessel_sum_suppression(ks))
-    return out
 
 
-def _suite_oscint(cfg: RunConfig) -> list[CheckResult]:
-    return [acceptance.criterion_stationary_phase(cfg.seed)]
+def _suite_kloosterman(cfg: RunConfig):
+    return _unlabelled(partial(
+        acceptance.criterion_kloosterman,
+        cfg.params["p_exhaustive"], cfg.params["p_max"], cfg.seed,
+    ))
+
+
+def _suite_petersson(cfg: RunConfig):
+    return _unlabelled(partial(
+        acceptance.criterion_petersson_weight,
+        cfg.params["k"], cfg.params["grid"], cfg.params["tol"],
+    ))
+
+
+def _suite_besselsum(cfg: RunConfig):
+    ks = tuple(_list(cfg.params["k_list"], int))
+    xs = tuple(_list(cfg.params["x_list"], float))
+    return _unlabelled(
+        partial(acceptance.criterion_bessel_sum_identity, ks, xs),
+        partial(acceptance.criterion_ksum_asymptotic_scale, ks),
+        partial(acceptance.criterion_bessel_sum_suppression, ks),
+    )
+
+
+def _suite_oscint(cfg: RunConfig):
+    return _unlabelled(partial(acceptance.criterion_stationary_phase, cfg.seed))
 
 
 def _spec_for(name: str, prec: int):
@@ -269,33 +195,15 @@ def _spec_for(name: str, prec: int):
     raise ConfigError(f"unknown form {name!r}")
 
 
-def _suite_afe(cfg: RunConfig) -> list[CheckResult]:
-    import time
-
-    t0 = time.perf_counter()
-    ts = _float_list(cfg.params["t_list"])
+def _suite_afe(cfg: RunConfig):
+    ts = _list(cfg.params["t_list"], float)
     need = max(
         lfunc.afe_lengths(lfunc.delta_spec(100), t, 0.5)[0] for t in ts
     )
     spec = _spec_for(cfg.params["form"], max(2000, int(need * 1.2)))
-    worst = 0.0
-    for t in ts:
-        contour = lfunc._AfeContour(spec, t)
-        vals = [
-            lfunc.central_value(spec, t, b, _contour=contour).value
-            for b in (0.5, 1.0, 2.0)
-        ]
-        worst = max(
-            worst, max(abs(v - vals[1]) for v in vals) / max(1.0, abs(vals[1]))
-        )
-    return [
-        CheckResult(
-            f"AFE balance invariance ({cfg.params['form']})",
-            "PASS" if worst <= 1e-6 else "FAIL",
-            f"worst relative spread {worst:.2e} at t in {ts}",
-            time.perf_counter() - t0,
-        )
-    ]
+    return _unlabelled(
+        partial(acceptance.criterion_afe_balance, spec, ts, cfg.params["form"])
+    )
 
 
 def format_scan_csv(records, cfg: RunConfig) -> str:
@@ -337,107 +245,52 @@ def emit_plotdata(records, path: str, cfg: RunConfig | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _suite_scan(cfg: RunConfig) -> list[CheckResult]:
-    import time
-
-    if cfg.params["t_max"] <= cfg.params["t_min"]:
-        raise ConfigError(
-            f"empty scan range: t_max {cfg.params['t_max']} <= "
-            f"t_min {cfg.params['t_min']}"
-        )
-    t0 = time.perf_counter()
-    spec = _spec_for(cfg.params["form"], cfg.params["prec"])
-    records = lfunc.exponent_scan(
-        spec,
-        cfg.params["t_min"],
-        cfg.params["t_max"],
-        cfg.params["step"],
-        parallelism=cfg.parallelism,
-    )
-    summary = lfunc.scan_summary(records)
-    artifacts = []
-    if cfg.output_path:
+def _write_scan(cfg: RunConfig, records, summary) -> list[str]:
+    """The CSV or JSON record file and its plot data; returns their paths."""
+    if not cfg.output_path:
+        return []
+    with open(cfg.output_path, "w", encoding="utf-8") as fh:
         if cfg.format == "csv":
-            with open(cfg.output_path, "w", encoding="utf-8") as fh:
-                fh.write(format_scan_csv(records, cfg))
-            artifacts.append(cfg.output_path)
+            fh.write(format_scan_csv(records, cfg))
         else:
             payload = {
                 "config": cfg.resolved(),
                 "summary": asdict(summary),
                 "records": [asdict(r) for r in records],
             }
-            with open(cfg.output_path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-            artifacts.append(cfg.output_path)
-        if records:
-            plot_path = cfg.output_path + ".plot"
-            emit_plotdata(records, plot_path, cfg)
-            artifacts.append(plot_path)
-    status = "PASS" if summary.n_flagged == 0 else "FAIL"
-    slope = f"{summary.fit_slope:.3f}" if summary.fit_slope is not None else "n/a"
-    detail = (
-        f"{summary.n_records} records, {summary.n_flagged} flagged, "
-        f"fitted peak exponent {slope}, max Weyl ratio "
-        f"{summary.max_weyl_ratio:.3f}"
-        + (f"; wrote {', '.join(artifacts)}" if artifacts else "")
-    )
-    return [CheckResult("exponent scan", status, detail, time.perf_counter() - t0)]
+            json.dump(payload, fh, indent=1, sort_keys=True)
+    emit_plotdata(records, cfg.output_path + ".plot", cfg)
+    return [cfg.output_path, cfg.output_path + ".plot"]
 
 
-def _suite_pipeline(cfg: RunConfig) -> list[CheckResult]:
-    import time
+def _suite_scan(cfg: RunConfig):
+    if cfg.params["t_max"] <= cfg.params["t_min"]:
+        raise ConfigError(
+            f"empty scan range: t_max {cfg.params['t_max']} <= "
+            f"t_min {cfg.params['t_min']}"
+        )
+    spec = _spec_for(cfg.params["form"], cfg.params["prec"])
+    return _unlabelled(partial(
+        acceptance.criterion_scan,
+        spec, cfg.params["t_min"], cfg.params["t_max"], cfg.params["step"],
+        cfg.parallelism, write=partial(_write_scan, cfg),
+    ))
 
-    from . import pipeline
 
-    p = pipeline.PipelineParams(
+def _suite_pipeline(cfg: RunConfig):
+    from .pipeline import PipelineParams
+
+    p = PipelineParams(
         N=cfg.params["n_len"],
         t=cfg.params["t"],
         K=cfg.params["weight_scale"],
         Q=cfg.params["q_scale"],
     )
-    out = []
-    t0 = time.perf_counter()
-    rep = pipeline.poisson_check_s5(1, max(2, int(p.Q // 2)), p, tol=1e-6)
-    out.append(
-        CheckResult(
-            "S5 Poisson identity",
-            rep.status,
-            f"m=1 c={rep.c}: scaled diff "
-            f"{rep.abs_diff / max(abs(rep.direct), 1e-3 * rep.trivial_bound):.2e}",
-            time.perf_counter() - t0,
-        )
-    )
-    t0 = time.perf_counter()
-    c_mid = int(p.Q)
-    n_star = pipeline.stationary_dual_index(p, c_mid)
-    dec = pipeline.j_decay_report(p, n_star, c_mid)
-    out.append(
-        CheckResult(
-            "J-decay",
-            dec.status,
-            f"a0 {dec.a0:.2f}, a1 {dec.worst_a1:.2f}, ratio {dec.decay_ratio:.1e}",
-            time.perf_counter() - t0,
-        )
-    )
-    t0 = time.perf_counter()
-    cs = tuple(int(p.Q) + d for d in (-2, -1, 0, 1))
-    asm = pipeline.offdiagonal_assembly(p, cs, n_half_width=2, m_window=60)
-    out.append(
-        CheckResult(
-            "off-diagonal assembly",
-            asm.status,
-            f"diag const {asm.diag_constant:.3f}, offdiag const "
-            f"{asm.offdiag_constant:.3f} (alt {asm.offdiag_constant_alt:.3e}), "
-            f"sparsity {asm.sparsity_ratio:.2f}",
-            time.perf_counter() - t0,
-        )
-    )
-    return out
+    return _unlabelled(*acceptance.pipeline_checks(p))
 
 
-def _suite_all(cfg: RunConfig) -> list[CheckResult]:
-    return acceptance.run_all(emit=lambda line: print(line, flush=True))
+def _suite_all(cfg: RunConfig):
+    return acceptance.ALL_CRITERIA
 
 
 _SUITES = {
@@ -455,12 +308,11 @@ _SUITES = {
 
 def run(cfg: RunConfig) -> int:
     """Execute the configured suite; 0 iff every gated check passes."""
-    results = _SUITES[cfg.command](cfg)
+    results = acceptance.run_all(
+        _SUITES[cfg.command](cfg), emit=lambda line: print(line, flush=True)
+    )
     n_inconclusive = sum(1 for r in results if r.status == "INCONCLUSIVE")
     failed = [r for r in results if r.status == "FAIL"]
-    if cfg.command != "all":  # `all` already streams its lines
-        for r in results:
-            print(f"[{r.status:4s}] {r.name}: {r.detail} ({r.elapsed:.1f}s)")
     if cfg.output_path and cfg.command != "scan":
         payload = {
             "config": cfg.resolved(),

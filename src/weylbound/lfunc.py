@@ -302,6 +302,10 @@ class ScanRecord:
     accepted: bool
 
 
+# relative gap allowed between the L-values of two AFE balances
+BALANCE_TOL = 1e-6
+
+
 def _scan_one(spec: LFunctionSpec, t: float, balances: tuple[float, float]) -> ScanRecord:
     contour = _AfeContour(spec, t)
     # fill the cutoff table for both balances in one interpolant pass
@@ -310,7 +314,7 @@ def _scan_one(spec: LFunctionSpec, t: float, balances: tuple[float, float]) -> S
     v2 = central_value(spec, t, balances[1], _contour=contour)
     gap = abs(v1.value - v2.value)
     modulus = abs(v1.value)
-    ok = gap <= 1e-6 * max(1.0, modulus)
+    ok = gap <= BALANCE_TOL * max(1.0, modulus)
     base = max(t, 1e-9)
     return ScanRecord(
         t=t,
@@ -319,7 +323,7 @@ def _scan_one(spec: LFunctionSpec, t: float, balances: tuple[float, float]) -> S
         consistency_gap=gap,
         convexity_ratio=modulus / base**0.5,
         weyl_ratio=modulus / base ** (1.0 / 3.0),
-        accepted=ok,
+        accepted=bool(ok),
     )
 
 

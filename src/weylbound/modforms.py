@@ -97,15 +97,19 @@ def poly_mul(a: list[int], b: list[int], prec: int) -> list[int]:
 
 
 def poly_pow(base: list[int], e: int, prec: int) -> list[int]:
-    result = [1] + [0] * prec
-    acc = base[: prec + 1]
-    while e:
+    """base^e truncated past degree prec, by squaring; the result starts
+    from the first factor, so no product is taken with the polynomial 1."""
+    if e == 0:
+        return [1] + [0] * prec
+    acc = base[: prec + 1] + [0] * (prec + 1 - len(base))
+    result = None
+    while True:
         if e & 1:
-            result = poly_mul(result, acc, prec)
+            result = acc if result is None else poly_mul(result, acc, prec)
         e >>= 1
-        if e:
-            acc = poly_mul(acc, acc, prec)
-    return result
+        if not e:
+            return result
+        acc = poly_mul(acc, acc, prec)
 
 
 def _sigma_list(r: int, prec: int) -> list[int]:
@@ -208,9 +212,9 @@ def victor_miller_basis(k: int, prec: int) -> list[QExpansion]:
         rem = k - 4 * a_exp
         if rem % 6 == 0:
             b_exp = rem // 6
-            monomials.append(
-                poly_mul(poly_pow(e4, a_exp, prec), poly_pow(e6, b_exp, prec), prec)
-            )
+            # a pure power of E4 or E6 is not multiplied by the other's 0th power
+            powers = [poly_pow(g, e, prec) for g, e in ((e4, a_exp), (e6, b_exp)) if e]
+            monomials.append(poly_mul(*powers, prec) if len(powers) == 2 else powers[0])
     assert len(monomials) == d + 1, "monomial count must equal dim M_k"
     rows = [[Fraction(c) for c in m] for m in monomials]
     # eliminate the constant term (every monomial starts with 1)

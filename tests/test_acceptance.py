@@ -14,7 +14,7 @@ from weylbound import acceptance
 
 
 def _report(res):
-    print(f"[{res.status:4s}] {res.name}: {res.detail} ({res.elapsed:.1f}s)")
+    print(res.line())
     return res
 
 
@@ -81,6 +81,13 @@ def test_criterion_9_l_values():
     res = _report(acceptance.criterion_l_values())
     assert res.status == "PASS", res.detail
     assert res.elapsed < 600
+
+
+def test_criterion_9_without_fitted_slope():
+    # three scan records hold one interior peak, too few to fit an exponent
+    res = _report(acceptance.criterion_l_values(scan_step=450.0))
+    assert res.status == "PASS", res.detail
+    assert "3 records, 0 flagged; fitted peak exponent n/a (reported;" in res.detail
 
 
 def test_criterion_10_coefficient_bounds():

@@ -1,10 +1,12 @@
 import json
+import re
 import sys
 
 import pytest
 
 from weylbound.cli import (
     ConfigError,
+    EXIT_CHECK_FAILURE,
     EXIT_PASS,
     EXIT_USAGE,
     build_config,
@@ -173,3 +175,56 @@ def test_scan_rejects_empty_range(t_max, capsys):
     assert "[PASS]" not in captured.out
     assert captured.err.startswith("error: empty scan range")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code, n_lines",
+    [
+        (["charsum", "--c-max", "6", "--cc-max", "4", "--q-max", "5"], EXIT_PASS, 3),
+        (["kloosterman", "--p-exhaustive", "7", "--p-max", "40"], EXIT_PASS, 1),
+        (["petersson", "--k", "12", "--grid", "4"], EXIT_PASS, 1),
+        # the third line is criterion 5b, the deliberate red
+        (["besselsum", "--k-list", "8", "--x-list", "10"], EXIT_CHECK_FAILURE, 3),
+        (["oscint"], EXIT_PASS, 1),
+        (["afe", "--t-list", "0,10"], EXIT_PASS, 1),
+        (["pipeline"], EXIT_PASS, 3),
+        (["scan", "--t-min", "20", "--t-max", "22", "--step", "0.5"], EXIT_PASS, 1),
+    ],
+    ids=["charsum", "kloosterman", "petersson", "besselsum", "oscint", "afe",
+         "pipeline", "scan"],
+)
+def test_every_command_runs(argv, code, n_lines, capsys):
+    assert main(argv) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == n_lines
+    for line in lines:
+        assert re.fullmatch(r"\[(PASS|FAIL)\] [^:]+: .+ \(\d+\.\ds\)", line), line
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    if code == EXIT_PASS:
+        assert not failed
+    else:
+        assert failed == [lines[-1]]
+        assert "sub-threshold suppression" in lines[-1]
+
+
+def test_scan_short_range_writes_csv_and_plot(tmp_path, capsys):
+    # the scan's thread pool, the contour fit and the CSV and plot writers
+    csv = tmp_path / "scan.csv"
+    argv = ["scan", "--t-min", "20", "--t-max", "22", "--step", "0.5",
+            "--parallelism", "2", "--output", str(csv)]
+    assert main(argv) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert "5 records, 0 flagged" in out
+    assert len(csv.read_text().splitlines()) == 2 + 5
+    assert (tmp_path / "scan.csv.plot").exists()
+
+
+def test_scan_json_output(tmp_path):
+    # each record's accepted flag is a plain bool, so the JSON writer takes it
+    out = tmp_path / "scan.json"
+    argv = ["scan", "--t-min", "10", "--t-max", "12", "--step", "0.5",
+            "--prec", "600", "--output", str(out), "--format", "json"]
+    assert main(argv) == EXIT_PASS
+    payload = json.loads(out.read_text())
+    assert payload["summary"]["n_records"] == 5
+    assert [r["accepted"] for r in payload["records"]] == [True] * 5

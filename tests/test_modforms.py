@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylbound import modforms
 from weylbound.arith import divisor_counts
 from weylbound.modforms import (
     coefficient_bound_report,
@@ -134,6 +135,45 @@ def test_vm_rejects_bad_weight():
         victor_miller_basis(11, 10)
     with pytest.raises(ValueError):
         victor_miller_basis(2, 10)
+
+
+def _pow_from_one(base, e, prec):
+    # square-and-multiply from the polynomial 1, with schoolbook products
+    result, acc = [1] + [0] * prec, base[: prec + 1]
+    while e:
+        if e & 1:
+            result = _schoolbook(result, acc, prec)
+        e >>= 1
+        acc = _schoolbook(acc, acc, prec)
+    return result
+
+
+@pytest.mark.parametrize("k, n_products", [(12, 3), (16, 4), (24, 9), (38, 15)])
+def test_vm_basis_takes_no_product_with_one(k, n_products, monkeypatch):
+    # poly_pow starts from its first factor, and a pure power of E4 or E6
+    # is not multiplied by the other's zeroth power
+    calls = []
+
+    def counted(a, b, prec):
+        calls.append((a, b))
+        return poly_mul(a, b, prec)
+
+    monkeypatch.setattr(modforms, "poly_mul", counted)
+    basis = victor_miller_basis(k, 300)
+    assert len(calls) == n_products
+    # same integers as monomials built from 1 with schoolbook products
+    monkeypatch.setattr(modforms, "poly_mul", _schoolbook)
+    monkeypatch.setattr(modforms, "poly_pow", _pow_from_one)
+    assert basis == victor_miller_basis(k, 300)
+
+
+@pytest.mark.parametrize("e", range(6))
+def test_poly_pow_matches_repeated_products(e):
+    base = [3, -1, 0, 7, 2]
+    want = [1] + [0] * 9
+    for _ in range(e):
+        want = _schoolbook(want, base, 9)
+    assert modforms.poly_pow(base, e, 9) == want
 
 
 def test_hecke_consistency_commuting():

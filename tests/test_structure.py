@@ -26,6 +26,19 @@ def test_chebyshev_interpolation_lives_in_special():
     assert _modules_matching(pattern) == ["special"]
 
 
+def test_check_results_are_built_in_acceptance():
+    # the CLI maps its parameters to acceptance checks and decides no verdict
+    assert _modules_matching(r"\bCheckResult\(") == ["acceptance"]
+    assert '"PASS" if' not in (SRC / "cli.py").read_text()
+
+
+def test_balance_tolerance_is_one_lfunc_constant():
+    # criterion 9, the afe check and each scan record's gate read lfunc.BALANCE_TOL
+    assert _modules_matching(r"(?m)^BALANCE_TOL = 1e-6$") == ["lfunc"]
+    assert _modules_matching(r"\b(worst\w*|gap)\s*<=\s*1e-6") == []
+    assert _modules_matching(r"\bBALANCE_TOL\b") == ["acceptance", "lfunc"]
+
+
 def test_package_import_leaves_heavy_modules_unloaded():
     # scipy.interpolate is loaded on the first phi_hat spline; mpmath is test-only
     code = (
