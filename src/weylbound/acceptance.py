@@ -49,15 +49,19 @@ def _timed(fn):
 
 @_timed
 def criterion_charsums(c_max: int = 40, cc_max: int = 12):
-    """Exact closed forms of the two complete character sums."""
+    """Exact closed forms of the two complete character sums, every m
+    mod the modulus at once; an empty case set is a usage error."""
+    if c_max < 1 or cc_max < 1:
+        raise ValueError(
+            f"no character-sum cases: c_max = {c_max}, cc_max = {cc_max} (need >= 1)"
+        )
     worst_grid = 0.0
     for c in range(1, c_max + 1):
         for n in range(1, c + 1):
             if math.gcd(n, c) != 1:
                 continue
-            for m in range(0, c):
-                r = expsums.charsum_grid(m, n, c)
-                worst_grid = max(worst_grid, r.abs_diff)
+            r = expsums.charsum_grid(np.arange(c), n, c)
+            worst_grid = max(worst_grid, float(np.max(r.abs_diff)))
     worst_cong = 0.0
     for c1 in range(1, cc_max + 1):
         for c2 in range(1, cc_max + 1):
@@ -69,9 +73,8 @@ def criterion_charsums(c_max: int = 40, cc_max: int = 12):
                 for n2 in range(1, c2 + 1):
                     if math.gcd(n2, c2) != 1:
                         continue
-                    for m in range(0, c1 * c2):
-                        r = expsums.charsum_congruence(m, n1, n2, c1, c2)
-                        worst_cong = max(worst_cong, r.abs_diff)
+                    r = expsums.charsum_congruence(np.arange(c1 * c2), n1, n2, c1, c2)
+                    worst_cong = max(worst_cong, float(np.max(r.abs_diff)))
     ok = worst_grid < 1e-9 and worst_cong < 1e-9
     return (
         "charsum closed forms",
@@ -109,6 +112,8 @@ def criterion_twisted_factorization(
                         worst_corr = max(worst_corr, rep.diff_lhs_corrected)
                         if rep.diff_lhs_displayed > 1e-9 and len(displayed_fails) < 3:
                             displayed_fails.append((q, c, nu, n, mp_))
+    if not cases:
+        raise ValueError(f"no twisted-factorization cases: primes {primes}, c_max = {c_max}")
     ok = worst_corr < 1e-9 and worst_middle < 1e-9
     detail = (
         f"{cases} cases; lhs=middle worst {worst_middle:.2e}; corrected-final "
@@ -136,6 +141,8 @@ def criterion_psi_average(primes: tuple[int, ...] = (3, 5, 7, 11, 13)):
                         q, c, ell, conv.sign, conv.arg_choice
                     )
                     worst = max(worst, abs(lhs - rhs))
+    if not conventions:
+        raise ValueError(f"no psi-average cases: primes {primes}")
     consistent = len(set(conventions.values())) == 1
     ok = worst < 1e-9 and consistent
     return (

@@ -159,33 +159,53 @@ class GridSumResult:
     abs_diff: float | None
 
 
-def charsum_grid(m: int, n: int, c: int) -> GridSumResult:
+def charsum_grid(m, n: int, c: int) -> GridSumResult:
     """C(m, n, c) = sum over alpha mod c, beta in units mod c of
     e((alpha beta + m betabar + n alpha)/c), by literal double sum.
 
     alpha runs over all residues, beta over units (betabar must exist).
     Compared against the closed form c e(-m nbar / c), which requires
     gcd(n, c) = 1; when that fails the comparison is marked inapplicable
-    and only the brute-force value is returned.
+    and only the brute-force value is returned.  An integer array m
+    gives array fields: one (m, alpha, beta) exponent grid, summed over
+    alpha, then one compensated sum per m.
     """
     if c < 1:
         raise ValueError("modulus must be positive")
+    ms = np.asarray(np.asarray(m) % c, dtype=np.int64)  # m may exceed int64
     if c == 1:
-        return GridSumResult(1.0 + 0j, 1.0 + 0j, 0.0)
+        one = np.ones(ms.shape, dtype=complex)
+        return _grid_result(ms, one, one, np.zeros(ms.shape))
     betas, betabars = units_and_inverses(c)
     roots = unit_roots(c)
     alphas = np.arange(c, dtype=np.int64)
     # exponent grid: alpha*(beta + n) + m*betabar, reduced mod c
-    expo = (np.outer(alphas, (betas + n) % c) + (m % c) * betabars) % c
+    expo = (np.outer(alphas, (betas + n) % c) + ms.reshape(-1, 1, 1) * betabars) % c
     terms = roots[expo]
-    value = complex(
-        math.fsum(terms.real.sum(axis=0)), math.fsum(terms.imag.sum(axis=0))
-    )
+    re_cols, im_cols = terms.real.sum(axis=1), terms.imag.sum(axis=1)
+    value = np.array(
+        [complex(math.fsum(re), math.fsum(im)) for re, im in zip(re_cols, im_cols)]
+    ).reshape(ms.shape)
     nbar = inv_mod(n, c)
     if nbar is None:
-        return GridSumResult(value, None, None)
-    closed = c * complex(roots[(-m % c) * nbar % c])
-    return GridSumResult(value, closed, abs(value - closed))
+        return _grid_result(ms, value, None, None)
+    closed = c * roots[(-ms % c) * nbar % c]
+    return _grid_result(ms, value, closed, _modulus(value - closed))
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # hypot rounds as Python's abs(complex) does; np.abs can differ by an ulp
+    return np.hypot(z.real, z.imag)
+
+
+def _grid_result(ms, value, closed, diff) -> GridSumResult:
+    if np.ndim(ms) == 0:  # scalar m: plain Python numbers
+        return GridSumResult(
+            complex(value),
+            None if closed is None else complex(closed),
+            None if diff is None else float(diff),
+        )
+    return GridSumResult(value, closed, diff)
 
 
 def charsum_grid_collapsed(m: int, n: int, c: int) -> complex:
@@ -211,21 +231,32 @@ class CongruenceSumResult:
     abs_diff: float
 
 
-def charsum_congruence(
-    m: int, n1: int, n2: int, c1: int, c2: int
-) -> CongruenceSumResult:
+@cache
+def _root_sum(cc: int, t: int) -> complex:
+    """The literal sum over beta mod cc of e(beta t / cc), compensated."""
+    terms = unit_roots(cc)[np.arange(cc, dtype=np.int64) * t % cc]
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def charsum_congruence(m, n1: int, n2: int, c1: int, c2: int) -> CongruenceSumResult:
     """sum over beta mod c1 c2 of
     e(-beta n1bar/c1 + beta n2bar/c2 + m beta/(c1 c2)),
     compared against c1 c2 * [n1bar c2 - n2bar c1 = m mod c1 c2].
+
+    The exponent is beta t / (c1 c2) with t = m - n1bar c2 + n2bar c1, so
+    the literal sum depends on t mod c1 c2 alone; each (c1 c2, t) sum is
+    computed once.  An integer array m gives array fields.
     """
     n1b = require_inv(n1, c1) if c1 > 1 else 0
     n2b = require_inv(n2, c2) if c2 > 1 else 0
     cc = c1 * c2
-    roots = unit_roots(cc)
-    # exponent is beta * (m - n1bar c2 + n2bar c1) / (c1 c2)
-    t = (m - n1b * c2 + n2b * c1) % cc
-    terms = roots[np.arange(cc, dtype=np.int64) * t % cc]
-    value = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    t = (np.asarray(m) % cc - n1b * c2 + n2b * c1) % cc
+    if np.ndim(t) == 0:  # scalar m: plain Python numbers
+        value = _root_sum(cc, int(t))
+        fired = bool(t == 0)
+        predicted = complex(cc if fired else 0.0)
+        return CongruenceSumResult(value, fired, predicted, abs(value - predicted))
+    value = np.array([_root_sum(cc, r) for r in t.ravel().tolist()]).reshape(t.shape)
     fired = t == 0
-    predicted = complex(cc if fired else 0.0)
-    return CongruenceSumResult(value, fired, predicted, abs(value - predicted))
+    predicted = np.where(fired, float(cc), 0.0).astype(complex)
+    return CongruenceSumResult(value, fired, predicted, _modulus(value - predicted))

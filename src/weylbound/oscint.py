@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg  # noqa: F401  (see _gl)
 from scipy.special import roots_legendre
 
-from .special import ComplexEstimate, bessel_j, bessel_kernel_ca
+from .special import ComplexEstimate, bessel_j_orders, bessel_kernel_ca
 
 
 @cache
@@ -31,15 +31,20 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return roots_legendre(n)
 
 
-def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Panelled Gauss-Legendre: `order` nodes on each [edges[i], edges[i+1]].
+def panel_rule(
+    edges: np.ndarray, order: int, hi: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Panelled Gauss-Legendre: `order` nodes on each [edges[i], edges[i+1]],
+    or on each [edges[i], hi[i]] when the right ends `hi` are given.
 
-    Returns flat (nodes, weights), panel by panel in edge order; exact for
-    polynomials of degree 2 order - 1 on each panel.
+    Returns flat (nodes, weights), panel by panel in the given order;
+    exact for polynomials of degree 2 order - 1 on each panel.
     """
+    if hi is None:
+        edges, hi = edges[:-1], edges[1:]
     xs, ws = _gl(order)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (hi - edges)
+    mid = 0.5 * (edges + hi)
     nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
     weights = (half[:, None] * ws[None, :]).ravel()
     return nodes, weights
@@ -216,51 +221,44 @@ def oscillatory_quadrature(
 
     Initial panels hold ~9 radians of phase each; every panel is
     accepted only when a GL24/GL12 pair agrees within its share of tol,
-    otherwise it is bisected.  Accepted panels are summed left to right.
+    otherwise it is bisected.  Each generation of pending panels is
+    evaluated in one array call of w and h; accepted panels are summed
+    left to right.
     """
     if tol < 1e-12:
         raise ValueError("tol below the 1e-12 floor")
     a, b = w.support
-    x24, w24 = _gl(24)
-    x12, w12 = _gl(12)
-
-    def panel_pair(lo: float, hi: float) -> tuple[complex, complex]:
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (lo + hi)
-        t24 = mid + half * x24
-        f24 = w(t24) * np.exp(1j * np.asarray(h(t24), dtype=float))
-        t12 = mid + half * x12
-        f12 = w(t12) * np.exp(1j * np.asarray(h(t12), dtype=float))
-        return half * np.dot(w24, f24), half * np.dot(w12, f12)
-
-    edges = _phase_edges(h, a, b, max_panels=max_nodes // 72)
-    todo = [(float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
-    accepted: list[tuple[float, complex, float]] = []
-    nodes = 0
     span = b - a
-    while todo:
-        lo, hi = todo.pop()
-        nodes += 36
+    edges = _phase_edges(h, a, b, max_panels=max_nodes // 72)
+    lo, hi = edges[:-1], edges[1:]
+    kept_lo, kept_val, kept_err = [], [], []
+    nodes = 0
+    while lo.size:
+        # one generation: the GL24/GL12 pair of every pending panel at once
+        nodes += 36 * lo.size
         if nodes > max_nodes:
-            best = sum(v for _, v, _ in accepted)
-            bound = sum(e for _, _, e in accepted) + sum(
-                abs(hi2 - lo2) * w.amp_scale for lo2, hi2 in todo
-            )
-            raise QuadratureError(
-                f"node budget {max_nodes} exhausted", best, bound
-            )
-        i24, i12 = panel_pair(lo, hi)
-        err = abs(i24 - i12)
-        share = tol * max((hi - lo) / span, 1e-6)
-        if err <= share or (hi - lo) < 1e-13 * span:
-            accepted.append((lo, i24, min(err, share)))
-        else:
-            mid = 0.5 * (lo + hi)
-            todo.append((mid, hi))
-            todo.append((lo, mid))
-    accepted.sort(key=lambda p: p[0])
-    value = complex(sum(v for _, v, _ in accepted))
-    bound = float(sum(e for _, _, e in accepted))
+            best = complex(sum(np.sum(v) for v in kept_val))
+            bound = float(sum(np.sum(e) for e in kept_err) + np.sum(hi - lo) * w.amp_scale)
+            raise QuadratureError(f"node budget {max_nodes} exhausted", best, bound)
+        t24, w24 = panel_rule(lo, 24, hi)
+        t12, w12 = panel_rule(lo, 12, hi)
+        t = np.concatenate([t24, t12])
+        f = w(t) * np.exp(1j * np.asarray(h(t), dtype=float))
+        i24 = (w24 * f[: t24.size]).reshape(-1, 24).sum(axis=1)
+        i12 = (w12 * f[t24.size :]).reshape(-1, 12).sum(axis=1)
+        err = np.abs(i24 - i12)
+        share = tol * np.maximum((hi - lo) / span, 1e-6)
+        done = (err <= share) | ((hi - lo) < 1e-13 * span)
+        kept_lo.append(lo[done])
+        kept_val.append(i24[done])
+        kept_err.append(np.minimum(err, share)[done])
+        lo, hi = lo[~done], hi[~done]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    order = np.argsort(np.concatenate(kept_lo))
+    # accepted panels summed left to right
+    value = complex(sum(np.concatenate(kept_val)[order].tolist()))
+    bound = float(sum(np.concatenate(kept_err)[order].tolist()))
     return ComplexEstimate(value, max(bound, 1e-16 * abs(value)), "quadrature")
 
 
@@ -507,6 +505,7 @@ def second_derivative_bound_check(
 
 _PHI_HAT_STEP = 0.02
 _PHI_HAT_MAX = 368.0  # |phi_hat| < 1e-13 beyond this frequency
+_PHI_HAT_ROWS = 1024  # grid rows per block of the phi_hat table
 
 
 @cache
@@ -524,8 +523,12 @@ def _phi_hat_spline():
 
     grid = np.arange(0.0, _PHI_HAT_MAX + 1.0, _PHI_HAT_STEP)
     xs, ws = _gl(560)
-    phi = _canonical_bump(xs)
-    vals = np.cos(np.outer(grid, xs)) @ (phi * ws)
+    phi_w = _canonical_bump(xs) * ws
+    # rows in blocks, so the cosine matrix never holds the whole grid
+    vals = np.concatenate([
+        np.cos(np.outer(grid[i : i + _PHI_HAT_ROWS], xs)) @ phi_w
+        for i in range(0, grid.size, _PHI_HAT_ROWS)
+    ])
     return CubicSpline(grid, vals)
 
 
@@ -566,21 +569,22 @@ def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
     if x <= 0:
         raise ValueError("need x > 0")
     if mode == "direct":
-        total = 0j
-        err = 0.0
-        routes = set()
+        terms = []
         for k in range(K + 1, 2 * K + 2):
             if k % 2 == 0:
                 continue
             u = (k - 1) / K
             wv = float(_canonical_bump(np.array([2.0 * u - 3.0]))[0])
-            if wv == 0.0:
-                continue
-            jv = bessel_j(k - 1, 2 * math.pi * x)
+            if wv != 0.0:
+                terms.append((k, wv))
+        jvs = bessel_j_orders([k - 1 for k, _ in terms], 2 * math.pi * x)
+        total = 0j
+        err = 0.0
+        for (k, wv), jv in zip(terms, jvs):
             total += (1j) ** (-k % 4) * wv * jv.value
             err += wv * jv.abs_error
-            routes.add(jv.method)
-        return ComplexEstimate(total, err + 1e-15, "+".join(sorted(routes)))
+        routes = sorted({jv.method for jv in jvs})
+        return ComplexEstimate(total, err + 1e-15, "+".join(routes))
     if mode == "kernel":
         y = 2 * math.pi * x
         vmax = _PHI_HAT_MAX / (math.pi * K)
@@ -629,18 +633,18 @@ def sum_over_orders_check(
     """
     if a % 2 == 0:
         raise ValueError("this check covers odd residue classes")
-    direct = 0.0 + 0j
+    terms = []
     for u in range(order_range[0], order_range[1] + 1):
         if u % 4 != a % 4:
             continue
         gu = float(g(np.array([float(u)]))[0])
-        if gu == 0.0:
-            continue
-        if u >= 0:
-            ju = bessel_j(u, y).value
-        else:
-            jv = bessel_j(-u, y).value
-            ju = jv if (-u) % 2 == 0 else -jv
+        if gu != 0.0:
+            terms.append((u, gu))
+    jvs = bessel_j_orders([abs(u) for u, _ in terms], y)
+    direct = 0.0 + 0j
+    for (u, gu), jv in zip(terms, jvs):
+        # J_(-u) = (-1)^u J_u
+        ju = -jv.value if u < 0 and u % 2 else jv.value
         direct += 4.0 * gu * ju
     rate = 2 * math.pi * y + 1.0
     panels = int(min(max(rate * 2 * v_max / 10.0, 64), 400_000))

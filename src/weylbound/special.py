@@ -149,34 +149,47 @@ def _bessel_series(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return total, np.where(underflow, math.exp(-700.0), err)  # underflow-level tail
 
 
-def _bessel_miller(n: int, x: float) -> tuple[float, float]:
-    """Backward recurrence from above, normalized by the Neumann sum
-    J_0 + 2 J_2 + 2 J_4 + ... = 1."""
-    start = int(max(n, x) + 16.0 * math.sqrt(max(n, x) + 1.0) + 24)
+def _bessel_miller(orders, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """J_n(x) for every n in `orders` from one backward recurrence.
+
+    The recurrence starts above the largest order and is normalized by
+    the Neumann sum J_0 + 2 J_2 + 2 J_4 + ... = 1 (Gautschi, SIAM Review
+    1967); the value at each requested order is kept as the pass reaches
+    it, and kept values are rescaled with the running ones on overflow.
+    Returns values and error bounds aligned with `orders`.
+    """
+    top = max(max(orders), x)
+    start = int(top + 16.0 * math.sqrt(top + 1.0) + 24)
     if start % 2 == 1:
         start += 1
+    todo = sorted(set(orders))  # pop() gives the next order down
+    nxt = todo.pop()
+    kept = {}
     fp = 0.0  # f_{j+1}
     fc = 1e-290  # f_j at j = start
-    target = 0.0
     neumann = 0.0
     for j in range(start, 0, -1):
         fm = (2.0 * j / x) * fc - fp
         fp = fc
         fc = fm
         jm = j - 1
-        if jm == n:
-            target = fc
+        if jm == nxt:
+            kept[jm] = fc
+            nxt = todo.pop() if todo else -1
         if jm % 2 == 0:
             neumann += fc if jm == 0 else 2.0 * fc
         if abs(fc) > 1e250:
             fc *= 1e-250
             fp *= 1e-250
-            target *= 1e-250
             neumann *= 1e-250
-    value = target / neumann
+            for k in kept:
+                kept[k] *= 1e-250
+    values = np.array([kept[n] / neumann for n in orders])
     # near zeros the error scales with the oscillation envelope, not |J|
-    envelope = math.sqrt(2.0 / (math.pi * x)) if x >= n else abs(value)
-    return value, (abs(value) + envelope) * 5e-14 + 1e-305
+    envelope = np.where(
+        x >= np.asarray(orders), math.sqrt(2.0 / (math.pi * x)), np.abs(values)
+    )
+    return values, (np.abs(values) + envelope) * 5e-14 + 1e-305
 
 
 def _bessel_hankel(n: int, x: float) -> tuple[float, float]:
@@ -207,6 +220,48 @@ def _bessel_hankel(n: int, x: float) -> tuple[float, float]:
     return value, amp * (smallest + 20 * EPS)
 
 
+def _bessel_route(order: int, x: float) -> str:
+    """The method `bessel_j` uses for J_order(x); raises outside every one."""
+    if order < 0 or order > 10**4:
+        raise RangeError(f"order {order} outside [0, 10^4]")
+    if x < 0 or x > 10**8:
+        raise RangeError(f"argument {x} outside [0, 10^8]")
+    if x == 0.0 or x <= 8.5 or x * x <= 2.0 * (order + 1):
+        return "series"
+    if max(order, x) <= 5e5:
+        return "recurrence"
+    if x >= max(1000.0, 1.5 * order * order):
+        return "asymptotic"
+    raise RangeError(
+        f"J_{order}({x}): no certified method (recurrence too long, "
+        "asymptotic out of regime)"
+    )
+
+
+def bessel_j_orders(orders, x: float) -> list[ComplexEstimate]:
+    """J_n(x) for every integer order n in `orders`, in that order.
+
+    Each order takes `bessel_j`'s route; the recurrence orders share one
+    Miller backward pass started above the largest of them.
+    """
+    routes = [_bessel_route(n, x) for n in orders]
+    rec = [n for n, r in zip(orders, routes) if r == "recurrence"]
+    miller = dict(zip(rec, zip(*_bessel_miller(rec, x)))) if rec else {}
+    out = []
+    for n, route in zip(orders, routes):
+        if route == "recurrence":
+            v, err = miller[n]
+        elif x == 0.0:
+            v, err = (1.0 if n == 0 else 0.0), 0.0
+        elif route == "series":
+            vs, errs = _bessel_series(n, np.array([x]))
+            v, err = vs[0], errs[0]
+        else:
+            v, err = _bessel_hankel(n, x)
+        out.append(ComplexEstimate(float(v), float(err), route))
+    return out
+
+
 def bessel_j(order: int, x: float) -> ComplexEstimate:
     """J_order(x) for integer order >= 0 and real x >= 0.
 
@@ -214,25 +269,7 @@ def bessel_j(order: int, x: float) -> ComplexEstimate:
     recurrence in midrange, Hankel expansion when the recurrence would
     be too long and the expansion is in regime; anything else raises.
     """
-    if order < 0 or order > 10**4:
-        raise RangeError(f"order {order} outside [0, 10^4]")
-    if x < 0 or x > 10**8:
-        raise RangeError(f"argument {x} outside [0, 10^8]")
-    if x == 0.0:
-        return ComplexEstimate(1.0 if order == 0 else 0.0, 0.0, "series")
-    if x <= 8.5 or x * x <= 2.0 * (order + 1):
-        v, err = _bessel_series(order, np.array([x]))
-        return ComplexEstimate(float(v[0]), float(err[0]), "series")
-    if max(order, x) <= 5e5:
-        v, err = _bessel_miller(order, x)
-        return ComplexEstimate(v, err, "recurrence")
-    if x >= max(1000.0, 1.5 * order * order):
-        v, err = _bessel_hankel(order, x)
-        return ComplexEstimate(v, err, "asymptotic")
-    raise RangeError(
-        f"J_{order}({x}): no certified method (recurrence too long, "
-        "asymptotic out of regime)"
-    )
+    return bessel_j_orders([order], x)[0]
 
 
 def bessel_j_many(order: int, xs: np.ndarray) -> np.ndarray:

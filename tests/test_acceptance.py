@@ -94,3 +94,19 @@ def test_criterion_10_coefficient_bounds():
     res = _report(acceptance.criterion_coefficient_bounds())
     assert res.status == "PASS", res.detail
     assert res.elapsed < 30
+
+
+@pytest.mark.parametrize(
+    "check, kwargs",
+    [
+        (acceptance.criterion_charsums, {"c_max": 0}),
+        (acceptance.criterion_charsums, {"cc_max": 0}),
+        (acceptance.criterion_twisted_factorization, {"primes": ()}),
+        (acceptance.criterion_twisted_factorization, {"c_max": 0}),
+        (acceptance.criterion_psi_average, {"primes": ()}),
+    ],
+    ids=["no-grid", "no-congruence", "twisted-no-primes", "twisted-no-c", "psi-no-primes"],
+)
+def test_empty_case_sets_raise(check, kwargs):
+    with pytest.raises(ValueError, match="no .* cases"):
+        check(**kwargs)

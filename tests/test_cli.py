@@ -157,8 +157,13 @@ def test_afe_command(capsys):
         (["pipeline", "--t", "100", "--weight-scale", "50"], "need K <= sqrt(t)"),
         (["pipeline", "--q-scale", "200"], "desk-scale limits"),
         (["scan", "--step", "0", "--prec", "600"], "step must be positive"),
+        # an empty case set must not print a passing verdict
+        (["charsum", "--c-max", "0"], "no character-sum cases"),
+        (["charsum", "--cc-max", "0"], "no character-sum cases"),
+        (["charsum", "--q-max", "2"], "no twisted-factorization cases"),
     ],
-    ids=["k-above-sqrt-t", "modulus-past-desk-scale", "zero-step"],
+    ids=["k-above-sqrt-t", "modulus-past-desk-scale", "zero-step",
+         "charsum-no-grid", "charsum-no-congruence", "charsum-no-primes"],
 )
 def test_rejected_parameters_exit_usage(argv, message, capsys):
     # exit 1 is reserved for a failed gate; a rejected input is a usage error

@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weylbound import acceptance, expsums
 from weylbound.arith import inv_mod, primes_up_to
 from weylbound.characters import enumerate_characters, quadratic_character
 from weylbound.expsums import (
@@ -211,6 +213,56 @@ def test_charsum_congruence_sweep():
 def test_charsum_congruence_rejects_noncoprime():
     with pytest.raises(ValueError):
         charsum_congruence(0, 2, 1, 4, 5)
+
+
+def _same(a, b):
+    # bit-for-bit: equal values with equal signs of zero
+    return repr(complex(a)) == repr(complex(b))
+
+
+@pytest.mark.parametrize("n, c", [(1, 1), (1, 5), (3, 8), (2, 8), (7, 30), (11, 40)])
+def test_charsum_grid_array_m_matches_scalar_calls(n, c):
+    ms = np.arange(-c, 2 * c)
+    r = charsum_grid(ms, n, c)
+    for i, m in enumerate(ms.tolist()):
+        one = charsum_grid(m, n, c)
+        assert _same(r.value[i], one.value), m
+        if one.closed_form is None:
+            assert r.closed_form is None and r.abs_diff is None
+        else:
+            assert _same(r.closed_form[i], one.closed_form), m
+            assert float(r.abs_diff[i]) == one.abs_diff, m
+
+
+@pytest.mark.parametrize(
+    "n1, n2, c1, c2", [(1, 1, 1, 1), (1, 1, 3, 5), (2, 3, 5, 7), (5, 7, 12, 11), (3, 1, 4, 9)]
+)
+def test_charsum_congruence_array_m_matches_scalar_calls(n1, n2, c1, c2):
+    ms = np.arange(-3, c1 * c2 + 3)
+    r = charsum_congruence(ms, n1, n2, c1, c2)
+    for i, m in enumerate(ms.tolist()):
+        one = charsum_congruence(m, n1, n2, c1, c2)
+        assert _same(r.value[i], one.value) and _same(r.predicted[i], one.predicted), m
+        assert bool(r.indicator[i]) is one.indicator, m
+        assert float(r.abs_diff[i]) == one.abs_diff, m
+
+
+def test_criterion_1_sums_each_root_sum_once(monkeypatch):
+    calls = 0
+    fsum = math.fsum
+
+    def counted(xs):
+        nonlocal calls
+        calls += 1
+        return fsum(xs)
+
+    expsums._root_sum.cache_clear()
+    monkeypatch.setattr(math, "fsum", counted)
+    res = acceptance.criterion_charsums()
+    # one compensated sum per m of the grid and per (c1 c2, t) of the
+    # congruence sums: 29,554, against 213,814 with one per (m, n1, n2)
+    assert calls < 40_000
+    assert res.detail == "grid worst 1.22e-13, congruence worst 2.56e-14"
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from weylbound import acceptance, oscint, pipeline
 from weylbound.oscint import (
     PhaseSpec,
     QuadratureError,
@@ -425,3 +427,80 @@ def test_sum_over_orders_identity_odd_classes():
         for y in (5.0, 30.0):
             direct, kernel = sum_over_orders_check(a, y, g, g_hat, v_max=1.0)
             assert abs(direct - kernel) < 1e-10, (a, y)
+
+
+def _per_panel_quadrature(w, h, tol):
+    """The panel-at-a-time loop that the generation-batched quadrature
+    replaced: one GL24/GL12 pair per popped panel, bisected on failure."""
+    a, b = w.support
+    x24, w24 = oscint._gl(24)
+    x12, w12 = oscint._gl(12)
+
+    def panel_pair(lo, hi):
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        t24, t12 = mid + half * x24, mid + half * x12
+        f24 = w(t24) * np.exp(1j * np.asarray(h(t24), dtype=float))
+        f12 = w(t12) * np.exp(1j * np.asarray(h(t12), dtype=float))
+        return half * np.dot(w24, f24), half * np.dot(w12, f12)
+
+    edges = oscint._phase_edges(h, a, b, max_panels=3_000_000 // 72)
+    todo = [(float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+    accepted = []
+    span = b - a
+    while todo:
+        lo, hi = todo.pop()
+        i24, i12 = panel_pair(lo, hi)
+        err = abs(i24 - i12)
+        share = tol * max((hi - lo) / span, 1e-6)
+        if err <= share or (hi - lo) < 1e-13 * span:
+            accepted.append((lo, i24))
+        else:
+            mid = 0.5 * (lo + hi)
+            todo.append((mid, hi))
+            todo.append((lo, mid))
+    accepted.sort(key=lambda p: p[0])
+    return complex(sum(v for _, v in accepted))
+
+
+def _quadrature_corpus():
+    p = pipeline.PipelineParams(N=1e4, t=1e3, K=10.0, Q=100.0)
+    cases = [(w, h, 1e-12) for w, h in acceptance._offdiag_phase_cases(p)]
+    cases += [(w, h, tol) for w, h in _regression_corpus() for tol in (2e-9, 1e-12)]
+    log_phase = PhaseSpec(evaluator=lambda t: 4e4 * np.log(t), deriv=lambda t: 4e4 / t)
+    cases += [
+        (bump_weight(1.0, 2.0), ZERO_PHASE, 1e-12),
+        (bump_weight(1.0, 2.0), log_phase, 1e-9),
+        (bump_weight(1.0, 2.0), quadratic_phase(1000.0), 1e-12),
+        (gaussian_weight(0.0, 1.0, 8.0), quadratic_phase(30.0, center=0.0), 1e-12),
+    ]
+    return cases
+
+
+def test_batched_quadrature_matches_per_panel_loop():
+    cases = _quadrature_corpus()
+    assert len(cases) == 12 + 100 + 4
+    for w, h, tol in cases:
+        got = oscillatory_quadrature(w, h, tol=tol).value
+        ref = _per_panel_quadrature(w, h, tol)
+        assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref)), (w.support, tol)
+
+
+def test_phi_hat_table_built_in_row_blocks():
+    # import first, so that the peak measures the build and not the import
+    import scipy.interpolate  # noqa: F401
+
+    oscint._gl(560)
+    tracemalloc.start()
+    try:
+        spline = oscint._phi_hat_spline.__wrapped__()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the one-shot 18401 x 560 cosine matrix alone took two 82 MB arrays
+    assert peak < 20e6, peak
+    grid = np.arange(0.0, oscint._PHI_HAT_MAX + 1.0, oscint._PHI_HAT_STEP)
+    xs, ws = oscint._gl(560)
+    one_shot = np.cos(np.outer(grid, xs)) @ (oscint._canonical_bump(xs) * ws)
+    # the spline's constant coefficients are the table at each left knot
+    assert np.max(np.abs(spline.c[-1] - one_shot[:-1])) <= 1e-16
+    assert abs(spline(grid[-1]) - one_shot[-1]) <= 1e-16

@@ -10,6 +10,7 @@ from weylbound.special import (
     RangeError,
     bessel_j,
     bessel_j_many,
+    bessel_j_orders,
     bessel_kernel_ca,
     chebyshev_degree,
     chebyshev_fit,
@@ -19,6 +20,7 @@ from weylbound.special import (
     log_gamma,
     log_gamma_vec,
 )
+from weylbound import oscint, special
 from weylbound.lfunc import CoefficientSource, LFunctionSpec, _AfeContour
 
 mp.mp.dps = 40
@@ -124,6 +126,91 @@ def test_bessel_many_matches_scalar():
         got = bessel_j_many(n, xs)
         for x, g in zip(xs, got):
             assert abs(g - bessel_j(n, float(x)).value) < 1e-13
+
+
+# the (K, x) pairs of criterion 5a; its direct sums need J_(k-1)(2 pi x), k <= 2K + 1
+_KSUM_PAIRS = [(K, x) for K in (8, 16, 32) for x in (10.0, 100.0, 1000.0, 10000.0)]
+
+
+@pytest.mark.parametrize("K, x", _KSUM_PAIRS)
+def test_bessel_orders_within_claim_at_ksum_pairs(K, x):
+    y = 2 * math.pi * x
+    orders = list(range(2 * K + 2))
+    for n, got in zip(orders, bessel_j_orders(orders, y)):
+        assert got.method == "recurrence"
+        assert abs(got.value - float(mp.besselj(n, mp.mpf(y)))) <= got.abs_error, n
+
+
+@pytest.mark.parametrize(
+    "x, orders",
+    [
+        # oscillatory below n = x, decaying above it
+        (50.0, list(range(121))),
+        # J_600(150) ~ 7e-288 is kept long before the pass ends, so the
+        # overflow rescaling must carry it along
+        (150.0, [0, 1, 75, 150, 300, 600]),
+    ],
+    ids=["straddle-x", "rescaled"],
+)
+def test_bessel_orders_within_claim_across_the_turning_point(x, orders):
+    got = bessel_j_orders(orders, x)
+    assert {r.method for r in got} == {"recurrence"}
+    for n, r in zip(orders, got):
+        assert abs(r.value - ref_j(n, x)) <= r.abs_error, n
+
+
+def test_bessel_orders_route_each_order_like_bessel_j():
+    # series, recurrence and Hankel orders in one call, unsorted and repeated
+    for x, orders in [(3.0, [5, 0, 3, 3]), (30.0, [40, 2, 0, 31, 2]), (1.0e6, [7, 0, 200])]:
+        got = bessel_j_orders(orders, x)
+        for n, r in zip(orders, got):
+            one = bessel_j(n, x)
+            assert r.method == one.method, (n, x)
+            if r.method == "recurrence":
+                assert abs(r.value - one.value) <= r.abs_error + one.abs_error
+            else:
+                assert (r.value, r.abs_error) == (one.value, one.abs_error)
+
+
+def test_bessel_j_is_the_one_order_miller_pass():
+    for n, x in [(0, 9.0), (5, 60.0), (40, 30.0), (150, 100.0), (64, 2e4)]:
+        values, errors = special._bessel_miller([n], x)
+        got = bessel_j(n, x)
+        assert got.method == "recurrence"
+        assert (got.value, got.abs_error) == (values[0], errors[0])
+
+
+@pytest.mark.parametrize(
+    "n, x, value, error, method",
+    [
+        (3, 3.0, "0x1.3c7af031ff036p-2", "0x1.0e2432f048a38p-49", "series"),
+        (40, 30.0, "0x1.7abf853c74027p-12", "0x1.4d267f025f175p-55", "recurrence"),
+        (5, 2 * math.pi * 10, "-0x1.ca5f17f6c1ae6p-5", "0x1.1a2086202f3d3p-47", "recurrence"),
+        (64, 2 * math.pi * 10, "0x1.531223aa91449p-4", "0x1.2a3ff81d79eb0p-47", "recurrence"),
+        (150, 100.0, "0x1.39ede31fcbf67p-52", "0x1.142294fbb5ffbp-95", "recurrence"),
+        (0, 2e4, "0x1.6cc5902fe83f0p-8", "0x1.430b7d4067a13p-51", "recurrence"),
+        (7, 1e6, "0x1.7c9cc1cea17e9p-11", "0x1.05738c7318d3ep-58", "asymptotic"),
+        (200, 1e8, "0x1.0cd193f1a2062p-15", "0x1.a2525133ca1d2p-62", "asymptotic"),
+    ],
+)
+def test_bessel_j_values_pinned(n, x, value, error, method):
+    # bit patterns of the per-order engine that preceded the all-orders pass
+    got = bessel_j(n, x)
+    assert (got.value.hex(), got.abs_error.hex(), got.method) == (value, error, method)
+
+
+def test_ksum_direct_makes_one_miller_pass(monkeypatch):
+    calls = []
+    miller = special._bessel_miller
+
+    def counted(orders, x):
+        calls.append(len(orders))
+        return miller(orders, x)
+
+    monkeypatch.setattr(special, "_bessel_miller", counted)
+    oscint.bessel_weighted_k_sum(32, 1e4, "direct")
+    # one pass for the 15 orders with a nonzero weight, where each order had its own
+    assert calls == [15]
 
 
 def test_log_gamma_factorial():
