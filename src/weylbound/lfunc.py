@@ -15,9 +15,14 @@ thousands of conductors long; the width-3 version reaches 1e-12 by
 u ~ 30 sqrt(C) while still dying superexponentially on the contour.
 
 On the contour u^(-w) = u^(-1) e^(-i tau log u), so V(u) = u^(-1) g(log u)
-with g band-limited (|tau| <= 28).  The AFE sums read V from a Chebyshev
-interpolant of g in log u, built once per t from the dense contour sum;
-the dense sum stays as the fitting kernel and the test oracle.  Each
+with g = sum_j amp_j e^(-i tau_j log u), a finite exponential sum.  The
+AFE sums read V from the Chebyshev series of g in log u, whose
+coefficients are exact by Jacobi-Anger: with log u = m + h y,
+c_k = eps_k (-i)^k sum_j amp_j e^(-i tau_j m) J_k(tau_j h).  The nodes
+tau_j do not depend on t, and the basis range ends on a 1/32 grid in
+log u, so the Bessel table J_k(|tau_j| h) is shared by every t whose
+range ends in the same bucket; each t pays one matrix product.  The
+dense contour sum stays as `afe_weight` and as the test oracle.  Each
 per-t contour also keeps a cutoff table of the V values already read,
 keyed by the exact argument: the arguments n, 2n and n/2 of balances 1
 and 2 share the half-integer grid, so every distinct argument reaches
@@ -27,6 +32,7 @@ factor.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,7 +41,14 @@ import numpy as np
 
 from .modforms import delta_eigenform, hecke_eigenforms
 from .oscint import SmoothWeight, panel_rule
-from .special import ComplexEstimate, chebyshev_fit, log_gamma_vec
+from .special import (
+    ComplexEstimate,
+    bessel_j_table,
+    chebyshev_degree,
+    chebyshev_evaluator,
+    jacobi_anger_coefficients,
+    log_gamma_vec,
+)
 
 MOLLIFIER_WIDTH = 3.0
 CUT_RATIO = 30.0  # V(u) < 5e-12 once u > CUT_RATIO * sqrt(conductor)
@@ -47,6 +60,8 @@ _CONTOUR_SIGMA = 1.0
 _CONTOUR_TMAX = 28.0
 _CONTOUR_PANELS = 40
 _CONTOUR_NODES = 12
+# the interpolant's basis range ends on this grid in log u
+_LOG_U_BUCKETS = 32
 
 
 @dataclass(frozen=True)
@@ -123,6 +138,41 @@ def _log_gamma_factor(spec: LFunctionSpec, s: np.ndarray) -> np.ndarray:
     return -s * math.log(math.pi) + lg[: len(s)] + lg[len(s) :]
 
 
+@functools.lru_cache(maxsize=4)
+def _contour_nodes(panels: int):
+    """The t-independent part of a contour of `panels` panels: the nodes
+    tau, w = sigma + i tau and wts G(w) / (2 pi w), read-only."""
+    tau, wts = panel_rule(
+        np.linspace(-_CONTOUR_TMAX, _CONTOUR_TMAX, panels + 1), _CONTOUR_NODES
+    )
+    w = _CONTOUR_SIGMA + 1j * tau
+    # (1/2 pi i) f(w) dw on the vertical line = (1/2 pi) f dtau
+    base = wts * np.exp((w / MOLLIFIER_WIDTH) ** 2) / w / (2 * math.pi)
+    for a in (tau, w, base):
+        a.flags.writeable = False
+    return tau, w, base
+
+
+@functools.lru_cache(maxsize=2)
+def _jacobi_anger_basis(panels: int, lo: float, hi: float):
+    """The t-independent part of the Chebyshev series of g on the log-u
+    range [lo, hi]: the table J_k(|tau_j| h) (k up to the largest degree
+    any amplitudes can need), the phases e^(-i tau_j m) and the signs of
+    tau_j, read-only.  The scan's t-points walk through buckets in order,
+    so two entries serve it; one entry holds about 0.9 MB at t = 1000.
+    """
+    tau = _contour_nodes(panels)[0]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # |tau_j| <= TMAX bounds every degree the amplitudes can ask for; one
+    # spare order absorbs a rounding tie between the two degree tests
+    kmax = chebyshev_degree(1.0, _CONTOUR_TMAX * half / 2.0) + 1
+    table = bessel_j_table(kmax, np.abs(tau) * half)
+    phase, sign = np.exp(-1j * tau * mid), np.sign(tau)
+    for a in (table, phase, sign):
+        a.flags.writeable = False
+    return table, phase, sign
+
+
 class _AfeContour:
     """Precomputed contour data for V at one (spec, t), and the cutoff
     table of the V values the AFE sums have read.
@@ -136,22 +186,18 @@ class _AfeContour:
     def __init__(self, spec: LFunctionSpec, t: float, panels: int | None = None):
         if panels is None:
             panels = _CONTOUR_PANELS
-        tau, wts = panel_rule(
-            np.linspace(-_CONTOUR_TMAX, _CONTOUR_TMAX, panels + 1), _CONTOUR_NODES
-        )
-        w = _CONTOUR_SIGMA + 1j * tau
+        _, w, base = _contour_nodes(panels)
         s = complex(0.5, t)
         # the gamma factor at s + w, s and 1 - s in one call
         lg = _log_gamma_factor(spec, np.concatenate([s + w, [s, 1 - s]]))
-        log_ratio = lg[:-2] - lg[-2]
         # root factor eps(f) gamma(1 - s) / gamma(s) of the functional equation
         self.root_factor = spec.root_number * np.exp(lg[-1] - lg[-2])
-        G = np.exp((w / MOLLIFIER_WIDTH) ** 2)
-        # (1/2 pi i) f(w) dw on the vertical line = (1/2 pi) f dtau
-        amp = wts * G * np.exp(log_ratio) / w / (2 * math.pi)
+        amp = base * np.exp(lg[:-2] - lg[-2])
         keep = np.abs(amp) > 1e-19 * np.abs(amp).max()
         self.amp = amp[keep]
         self.w = w[keep]
+        self._panels = panels
+        self._node_amp = np.where(keep, amp, 0.0)  # every node, 0 where dropped
         # log u over every argument central_value forms for a balance in
         # [1/4, 4]: n = 1 at balance 1/4 up to afe_lengths' largest n * b
         self._log_u_range = (
@@ -181,17 +227,23 @@ class _AfeContour:
         return out
 
     def interpolated_weight(self, u: np.ndarray) -> np.ndarray:
-        """V(u) = u^(-sigma) g(log u) from the Chebyshev interpolant of g.
+        """V(u) = u^(-sigma) g(log u) from the Chebyshev series of g.
 
-        g = sum amp_j e^(-i tau_j x) is fitted once, by `weight`, on the
-        log-u range of the AFE sums; a log u outside it raises ValueError.
+        The basis range runs from log(1/4) to the end of the AFE sums'
+        log-u range rounded up onto the bucket grid; each t takes its own
+        degree on it, and its coefficients are one product with the
+        bucket's Bessel table.  A log u outside the exact range raises
+        ValueError.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if self._fit is None:
-            self._fit = chebyshev_fit(
-                lambda x: np.exp(_CONTOUR_SIGMA * x) * self.weight(np.exp(x)),
-                *self._log_u_range, self.amp, self.w.imag,
-            )
+            lo, hi = self._log_u_range
+            end = math.ceil(hi * _LOG_U_BUCKETS) / _LOG_U_BUCKETS
+            table, phase, sign = _jacobi_anger_basis(self._panels, lo, end)
+            half = 0.5 * (end - lo)
+            deg = chebyshev_degree(self.amp, np.abs(self.w.imag) * half / 2.0)
+            coef = jacobi_anger_coefficients(table, self._node_amp * phase, sign, deg)
+            self._fit = chebyshev_evaluator(coef, lo, end, self._log_u_range)
         lu = np.log(u)
         return np.exp(-_CONTOUR_SIGMA * lu) * self._fit(lu)
 

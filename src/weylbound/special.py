@@ -33,6 +33,9 @@ _BERNOULLI = [
     8615841276005 / 14322,
 ]
 
+# log k! for k < 4096, read by chebyshev_degree's degree tests
+_LOG_FACTORIAL = np.array([math.lgamma(k + 1) for k in range(4096)])
+
 
 @dataclass(frozen=True)
 class ComplexEstimate:
@@ -76,7 +79,9 @@ def chebyshev_degree(amp, ratio) -> int:
         start, size = 1, 16
         while True:
             degs = np.arange(start, start + size)
-            log_fact = np.array([math.lgamma(d + 1) for d in range(start, start + size)])
+            log_fact = _LOG_FACTORIAL[start : start + size]
+            if len(log_fact) < size:  # past the table: the same lgamma values
+                log_fact = np.array([math.lgamma(d + 1) for d in degs.tolist()])
             terms = log_mag + degs[:, None] * log_ratio - log_fact[:, None]
             below = np.flatnonzero(np.sum(np.exp(terms), axis=1) < floor)
             if below.size:
@@ -84,31 +89,64 @@ def chebyshev_degree(amp, ratio) -> int:
             start, size = start + size, min(2 * size, 64)
 
 
+def jacobi_anger_coefficients(bessel, amp, sign, deg: int) -> np.ndarray:
+    """Chebyshev coefficients c_0..c_deg of g(y) = sum_j amp_j
+    e^(-i sign_j r_j y) on [-1, 1], given bessel[k, j] = J_k(r_j), r_j >= 0.
+
+    By Jacobi-Anger e^(-i z y) = sum_k eps_k (-i)^k J_k(z) T_k(y), with
+    eps_0 = 1 and eps_k = 2, and J_k(-r) = (-1)^k J_k(r).  So the even
+    orders sum the amplitudes and the odd orders the signed amplitudes:
+    one real product of the table's first deg + 1 rows with four columns.
+    The coefficients are exact up to the table's rounding; `deg` comes
+    from `chebyshev_degree`, which bounds the series' tail.
+    """
+    odd = sign * amp
+    columns = np.stack([amp.real, amp.imag, odd.real, odd.imag], axis=1)
+    sums = bessel[: deg + 1] @ columns
+    sums[1::2, :2] = sums[1::2, 2:]
+    factor = 2.0 * (-1j) ** (np.arange(deg + 1) % 4)
+    factor[0] = 1.0
+    return factor * (sums[:, 0] + 1j * sums[:, 1])
+
+
+def chebyshev_evaluator(coef, lo: float, hi: float, valid=None):
+    """Clenshaw evaluator of sum_k coef_k T_k(y), with x = mid + half y
+    mapping [-1, 1] onto [lo, hi].
+
+    Real and imaginary parts run as two real columns.  An argument
+    outside `valid` (a subrange of [lo, hi]; all of it by default)
+    raises ValueError.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    v_lo, v_hi = (lo, hi) if valid is None else valid
+    v_mid, v_half = 0.5 * (v_lo + v_hi), 0.5 * (v_hi - v_lo)
+    columns = np.stack([coef.real, coef.imag], axis=1)
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        # a few ulps of slack for an argument computed at the range end
+        if not np.all(np.abs((x - v_mid) / v_half) <= 1.0 + 1e-12):
+            raise ValueError(
+                f"argument outside the fitted range [{v_lo:.4g}, {v_hi:.4g}]"
+            )
+        re_g, im_g = chebyshev.chebval((x - mid) / half, columns)
+        return re_g + 1j * im_g
+
+    return evaluate
+
+
 def chebyshev_fit(g, lo: float, hi: float, amp, freq):
     """Chebyshev interpolant of g on [lo, hi], returned as an evaluator.
 
     g must be band-limited like sum_j amp_j e^(i freq_j x): on the
     half-width h the degree is `chebyshev_degree(amp, |freq| h / 2)`.  g is
-    sampled once at the first-kind Chebyshev points; the evaluator runs
-    Clenshaw on the real and imaginary parts as two real columns and
-    raises ValueError for an argument outside [lo, hi].
+    sampled once at the first-kind Chebyshev points; the evaluator is
+    `chebyshev_evaluator` on [lo, hi].
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     deg = chebyshev_degree(amp, np.abs(freq) * half / 2.0)
     coef = chebyshev.chebinterpolate(lambda y: g(mid + half * y), deg)
-    columns = np.stack([coef.real, coef.imag], axis=1)
-
-    def evaluate(x):
-        y = (np.asarray(x, dtype=float) - mid) / half
-        # a few ulps of slack for an argument computed at the range end
-        if not np.all(np.abs(y) <= 1.0 + 1e-12):
-            raise ValueError(
-                f"argument outside the fitted range [{lo:.4g}, {hi:.4g}]"
-            )
-        re_g, im_g = chebyshev.chebval(y, columns)
-        return re_g + 1j * im_g
-
-    return evaluate
+    return chebyshev_evaluator(coef, lo, hi)
 
 
 def _reduce_two_pi(x: float) -> float:
@@ -190,6 +228,51 @@ def _bessel_miller(orders, x: float) -> tuple[np.ndarray, np.ndarray]:
         x >= np.asarray(orders), math.sqrt(2.0 / (math.pi * x)), np.abs(values)
     )
     return values, (np.abs(values) + envelope) * 5e-14 + 1e-305
+
+
+def bessel_j_table(kmax: int, xs) -> np.ndarray:
+    """J_0..J_kmax at every positive x of an array: row k holds J_k(xs).
+
+    One Miller backward pass serves every x, vectorized across them.  It
+    starts where `_bessel_miller` would for the largest of kmax and the
+    x's, and each column is normalized by its own Neumann sum.  A column
+    nearing overflow is rescaled alone, together with the values it has
+    kept.  Since |f_(j-1)| <= (2 j / x + 1) max(|f_j|, |f_(j+1)|), the
+    checks can be spaced so the growth between two of them stays below
+    1e50.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or not np.all(xs > 0):
+        raise ValueError("bessel_j_table needs a 1-d array of positive arguments")
+    top = max(kmax, float(xs.max()))
+    start = int(top + 16.0 * math.sqrt(top + 1.0) + 24)
+    start += start % 2
+    every = max(1, int(50.0 / math.log10(2.0 * start / xs.min() + 1.0)))
+    scale = 2.0 / xs
+    table = np.empty((kmax + 1, xs.size))
+    fp = np.zeros_like(xs)  # f_(j+1)
+    fc = np.full_like(xs, 1e-290)  # f_j at j = start
+    evens = np.zeros_like(xs)  # f_0 + f_2 + f_4 + ...
+    for j in range(start, 0, -1):
+        fm = scale * j
+        fm *= fc
+        fm -= fp
+        fp, fc = fc, fm
+        jm = j - 1
+        if jm <= kmax:
+            table[jm] = fc
+        if jm % 2 == 0:
+            evens += fc
+        if j % every == 0:
+            big = (np.abs(fc) > 1e250) | (np.abs(fp) > 1e250) | (np.abs(evens) > 1e250)
+            if big.any():
+                fc[big] *= 1e-250
+                fp[big] *= 1e-250
+                evens[big] *= 1e-250
+                table[jm:, big] *= 1e-250
+    # the Neumann sum J_0 + 2 J_2 + 2 J_4 + ... = 1
+    table /= 2.0 * evens - fc
+    return table
 
 
 def _bessel_hankel(n: int, x: float) -> tuple[float, float]:
@@ -275,17 +358,23 @@ def bessel_j(order: int, x: float) -> ComplexEstimate:
 def bessel_j_many(order: int, xs: np.ndarray) -> np.ndarray:
     """J_order over an array of arguments (values only).
 
-    The series branch runs on every series-regime argument at once; the
-    handful of midrange arguments fall back to `bessel_j`.
+    Each argument takes `bessel_j`'s route: the series runs on every
+    series-regime argument at once, the recurrence-regime arguments share
+    one `bessel_j_table` pass, and the rest go to `bessel_j` one by one.
     """
     xs = np.asarray(xs, dtype=float)
     out = np.empty_like(xs)
     series_mask = (xs <= 8.5) | (xs * xs <= 2.0 * (order + 1))
-    hard = np.nonzero(~series_mask)[0]
     if series_mask.any():
         out[series_mask] = _bessel_series(order, xs[series_mask])[0]
-    for i in hard:
-        out[i] = bessel_j(order, float(xs[i])).value
+    hard = np.flatnonzero(~series_mask)
+    routes = [_bessel_route(order, float(xs[i])) for i in hard]
+    rec = hard[[r == "recurrence" for r in routes]]
+    if rec.size:
+        out[rec] = bessel_j_table(order, xs[rec])[order]
+    for i, route in zip(hard, routes):
+        if route != "recurrence":
+            out[i] = bessel_j(order, float(xs[i])).value
     return out
 
 

@@ -49,10 +49,8 @@ def _tail_log_bound(k: int, A: float, c_max: int) -> float:
     return lg
 
 
-def petersson_delta(
-    k: int, m: int, n: int, tol: float = 1e-12
-) -> PeterssonSide:
-    """Geometric side with the c-sum truncated at certified accuracy."""
+def _truncation(k: int, m: int, n: int, tol: float) -> tuple[float, int]:
+    """A = 4 pi sqrt(mn) and the c_max past which the tail is below tol."""
     if k < 4 or k % 2:
         raise ValueError("weight must be even and >= 4")
     if m < 1 or n < 1 or m * n > 10**6:
@@ -63,8 +61,11 @@ def petersson_delta(
         c_max *= 2
         if c_max > 10**6:
             raise ArithmeticError(f"tail below {tol} needs c beyond 10^6")
-    cs = np.arange(1, c_max + 1, dtype=float)
-    bessel = bessel_j_many(k - 1, A / cs)
+    return A, c_max
+
+
+def _side(k: int, m: int, n: int, A: float, c_max: int, bessel) -> PeterssonSide:
+    """The side from bessel[c - 1] = J_(k-1)(A / c), c <= c_max."""
     re_terms = np.empty(c_max)
     for c in range(1, c_max + 1):
         re_terms[c - 1] = kloosterman(m, n, c).real / c
@@ -80,14 +81,31 @@ def petersson_delta(
     )
 
 
+def petersson_delta(
+    k: int, m: int, n: int, tol: float = 1e-12
+) -> PeterssonSide:
+    """Geometric side with the c-sum truncated at certified accuracy."""
+    A, c_max = _truncation(k, m, n, tol)
+    cs = np.arange(1, c_max + 1, dtype=float)
+    return _side(k, m, n, A, c_max, bessel_j_many(k - 1, A / cs))
+
+
 def petersson_matrix(k: int, size: int, tol: float = 1e-12) -> np.ndarray:
-    """Matrix [Delta_k(m, n)] for 1 <= m, n <= size (symmetric)."""
+    """Matrix [Delta_k(m, n)] for 1 <= m, n <= size (symmetric).
+
+    Every pair's J_(k-1)(A / c) comes from one `bessel_j_many` call, so
+    the midrange arguments of the whole matrix share one Miller pass.
+    """
+    pairs = [(m, n) for m in range(1, size + 1) for n in range(m, size + 1)]
+    cuts = [_truncation(k, m, n, tol) for m, n in pairs]
+    args = [A / np.arange(1, c_max + 1, dtype=float) for A, c_max in cuts]
+    bessel = bessel_j_many(k - 1, np.concatenate(args))
+    ends = np.cumsum([c_max for _, c_max in cuts])
     out = np.zeros((size, size))
-    for m in range(1, size + 1):
-        for n in range(m, size + 1):
-            v = petersson_delta(k, m, n, tol).value
-            out[m - 1, n - 1] = v
-            out[n - 1, m - 1] = v
+    for (m, n), (A, c_max), end in zip(pairs, cuts, ends):
+        v = _side(k, m, n, A, c_max, bessel[end - c_max : end]).value
+        out[m - 1, n - 1] = v
+        out[n - 1, m - 1] = v
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -107,6 +108,23 @@ def test_weight16_central_value_balance_stable():
         assert abs(v - vals[1]) <= 1e-8 * max(1.0, abs(vals[1]))
 
 
+def _bucket_edge_t(spec, k: int) -> float:
+    """A t whose log-u range ends exactly on the bucket edge k / 32, so the
+    basis range and the exact range share their upper end."""
+
+    def end(t):
+        return math.log(CUT_RATIO * conductor_sqrt(spec, t) + 8.0)
+
+    # Delta's conductor: 2 pi sqrt(C) = |6 + it|
+    sqrt_c = (math.exp(k / lfunc._LOG_U_BUCKETS) - 8.0) / CUT_RATIO
+    t = math.sqrt((2 * math.pi * sqrt_c) ** 2 - 36.0)
+    for _ in range(64):  # a few ulps either way if the rounding misses
+        if end(t) * lfunc._LOG_U_BUCKETS == k:
+            return t
+        t = float(np.nextafter(t, np.inf if end(t) * lfunc._LOG_U_BUCKETS < k else -np.inf))
+    raise AssertionError(f"no t ends on bucket edge {k}")
+
+
 def _interp_case(name, request, tmp_path):
     if name == "maass":
         path = tmp_path / "maass.txt"
@@ -114,7 +132,10 @@ def _interp_case(name, request, tmp_path):
         return load_maass_file(str(path))[0], 30.0
     if name == "k16":
         return holomorphic_spec(16, 1000), 20.0
-    return request.getfixturevalue("delta12000"), float(name.split("@")[1])
+    spec = request.getfixturevalue("delta12000")
+    if name == "delta@edge":
+        return spec, _bucket_edge_t(spec, 200)
+    return spec, float(name.split("@")[1])
 
 
 def _dense_central_value(spec, t, balance, contour) -> complex:
@@ -133,11 +154,16 @@ def _dense_central_value(spec, t, balance, contour) -> complex:
 
 @pytest.mark.parametrize(
     "case",
-    ["delta@0", "delta@10", "delta@100", "delta@500", "delta@1000", "delta@-250", "k16", "maass"],
+    [
+        "delta@0", "delta@10", "delta@100", "delta@500", "delta@1000", "delta@-250",
+        "delta@edge", "k16", "maass",
+    ],
 )
 def test_interpolated_weight_against_dense_oracle(case, request, tmp_path):
     spec, t = _interp_case(case, request, tmp_path)
     contour = _AfeContour(spec, t)
+    if case == "delta@edge":
+        assert contour._log_u_range[1] == 200 / lfunc._LOG_U_BUCKETS
     balances = (0.25, 0.5, 1.0, 2.0, 4.0)
     args = []
     for b in balances:
@@ -159,8 +185,8 @@ def test_interpolated_weight_against_dense_oracle(case, request, tmp_path):
 
 
 def test_central_value_dense_weight_work(delta12000, monkeypatch):
-    # the dense sum only fits the interpolant: one call of deg + 1 points
-    # per contour, however many AFE terms the two balances need
+    # the interpolant's coefficients are closed-form: central_value never
+    # calls the dense contour sum, however many AFE terms the balances need
     dense = _AfeContour.weight
     seen = []
 
@@ -172,7 +198,8 @@ def test_central_value_dense_weight_work(delta12000, monkeypatch):
     contour = _AfeContour(delta12000, 1000.0)
     central_value(delta12000, 1000.0, 1.0, _contour=contour)
     central_value(delta12000, 1000.0, 2.0, _contour=contour)
-    assert sum(seen) <= 300
+    central_value(delta12000, 999.0)
+    assert seen == []
 
 
 def test_scan_one_cutoff_work(delta12000, monkeypatch):
@@ -180,11 +207,11 @@ def test_scan_one_cutoff_work(delta12000, monkeypatch):
     # balances to the Chebyshev evaluator once: the 9553 half-integers
     # and integers up to the balance-2 dual length, not the 21492
     # arguments n, n, 2n and n/2 of the four Dirichlet pieces
-    fit, stirling = lfunc.chebyshev_fit, special._stirling
+    build, stirling = lfunc.chebyshev_evaluator, special._stirling
     evaluated, lifted = [], []
 
-    def counted_fit(*args):
-        evaluate = fit(*args)
+    def counted_build(*args):
+        evaluate = build(*args)
 
         def counted(x):
             evaluated.append(np.size(x))
@@ -196,13 +223,40 @@ def test_scan_one_cutoff_work(delta12000, monkeypatch):
         lifted.append(np.size(args[0]))
         return stirling(*args)
 
-    monkeypatch.setattr(lfunc, "chebyshev_fit", counted_fit)
+    monkeypatch.setattr(lfunc, "chebyshev_evaluator", counted_build)
     monkeypatch.setattr(special, "_stirling", counted_stirling)
     rec = lfunc._scan_one(delta12000, 1000.0, (1.0, 2.0))
     assert rec.accepted
     assert sum(evaluated) == 9553
     # one gamma-factor call per contour: s + w, s and 1 - s together
     assert len(lifted) == 1
+
+
+def test_bessel_table_built_once_per_bucket(delta12000, monkeypatch):
+    # t = 1000 and 1000.25 end their log-u ranges in one 1/32 bucket and
+    # share one Bessel table; t = 900 lies in another and builds its own,
+    # and the cache keeps at most two tables
+    built = []
+    table = lfunc.bessel_j_table
+
+    def counted(kmax, xs):
+        built.append(kmax)
+        return table(kmax, xs)
+
+    monkeypatch.setattr(lfunc, "bessel_j_table", counted)
+    lfunc._jacobi_anger_basis.cache_clear()
+    bucket = []
+    for t in (1000.0, 1000.25, 900.0):
+        contour = _AfeContour(delta12000, t)
+        contour.interpolated_weight(np.array([1.0]))
+        bucket.append(math.ceil(contour._log_u_range[1] * lfunc._LOG_U_BUCKETS))
+    assert bucket[0] == bucket[1] != bucket[2]
+    assert len(built) == 2
+    assert lfunc._jacobi_anger_basis.cache_info().currsize == 2
+    for t in (800.0, 700.0, 1000.5):
+        _AfeContour(delta12000, t).interpolated_weight(np.array([1.0]))
+    assert lfunc._jacobi_anger_basis.cache_info().currsize == 2
+    lfunc._jacobi_anger_basis.cache_clear()
 
 
 def test_cutoff_table_is_order_independent(delta12000):
@@ -330,6 +384,22 @@ def test_scan_parallel_matches_serial(delta2000):
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         assert ra == rb
+
+
+def test_scan_threads_share_bessel_tables(delta2000):
+    # four threads on two cores walk t in [20, 24] through six log-u
+    # buckets and share the two-entry table cache; every record must
+    # equal the serial one bit for bit
+    serial = exponent_scan(delta2000, 20.0, 24.0, 0.25, parallelism=1)
+    lfunc._jacobi_anger_basis.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = exponent_scan(delta2000, 20.0, 24.0, 0.25, parallelism=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == serial
+    assert lfunc._jacobi_anger_basis.cache_info().currsize <= 2
 
 
 def test_scan_rejects_bad_grid(delta2000):

@@ -11,9 +11,11 @@ from weylbound.special import (
     bessel_j,
     bessel_j_many,
     bessel_j_orders,
+    bessel_j_table,
     bessel_kernel_ca,
     chebyshev_degree,
     chebyshev_fit,
+    jacobi_anger_coefficients,
     gamma_fn,
     gamma_modulus_asymptotic,
     gamma_ratio_phase,
@@ -126,6 +128,72 @@ def test_bessel_many_matches_scalar():
         got = bessel_j_many(n, xs)
         for x, g in zip(xs, got):
             assert abs(g - bessel_j(n, float(x)).value) < 1e-13
+
+
+def test_bessel_many_one_table_pass_for_recurrence_arguments(monkeypatch):
+    # series arguments go to the vectorized series, the recurrence ones
+    # share one table pass, and only the Hankel argument calls bessel_j
+    xs = np.array([0.5, 3.0, 9.5, 77.0, 1234.5, 40.0, 6.0e5])
+    want = [bessel_j(11, float(x)).value for x in xs]
+    calls = {"table": 0, "miller": 0, "scalar": 0}
+    table, miller, scalar = special.bessel_j_table, special._bessel_miller, special.bessel_j
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(special, "bessel_j_table", counted("table", table))
+    monkeypatch.setattr(special, "_bessel_miller", counted("miller", miller))
+    monkeypatch.setattr(special, "bessel_j", counted("scalar", scalar))
+    got = bessel_j_many(11, xs)
+    assert calls == {"table": 1, "miller": 0, "scalar": 1}
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_bessel_table_against_mpmath():
+    # every order 0..kmax, within the Miller error model of bessel_j.  At
+    # x = 0.01 the column spans J_0 ~ 1 down to J_240 ~ 1e-1000 and grows
+    # by far more than the double range on its way down from the start
+    # value 1e-290, so it must pass through the per-column rescale.
+    kmax = 240
+    xs = np.array([0.01, 0.5, 8.5, 77.0, 138.0])
+    tab = bessel_j_table(kmax, xs)
+    assert tab.shape == (kmax + 1, len(xs))
+    for i, x in enumerate(xs):
+        for k in range(kmax + 1):
+            ref = ref_j(k, x)
+            envelope = math.sqrt(2.0 / (math.pi * x)) if x >= k else abs(ref)
+            claim = (abs(ref) + envelope) * 5e-14 + 1e-305
+            assert abs(tab[k, i] - ref) <= claim, (k, x)
+    # each column is computed as it would be alone
+    for i, x in enumerate(xs):
+        alone = bessel_j_table(kmax, np.array([x]))[:, 0]
+        assert np.max(np.abs(alone - tab[:, i]) / (np.abs(tab[:, i]) + 1e-300)) < 1e-13
+    with pytest.raises(ValueError):
+        bessel_j_table(4, np.array([1.0, 0.0]))
+
+
+def test_jacobi_anger_coefficients_match_dense_interpolation():
+    rng = np.random.default_rng(3)
+    tau = np.concatenate([rng.uniform(-30.0, -0.01, 40), rng.uniform(0.01, 30.0, 40)])
+    amp = (rng.normal(size=80) + 1j * rng.normal(size=80)) * np.exp(-((tau / 12.0) ** 2))
+
+    def g(y):
+        return np.exp(-1j * np.outer(y, tau)) @ amp
+
+    deg = chebyshev_degree(amp, np.abs(tau) / 2.0)
+    coef = jacobi_anger_coefficients(
+        bessel_j_table(deg, np.abs(tau)), amp, np.sign(tau), deg
+    )
+    want = np.polynomial.chebyshev.chebinterpolate(g, deg)
+    assert len(coef) == deg + 1
+    assert np.max(np.abs(coef - want)) <= 1e-13 * np.sum(np.abs(amp))
+    ys = np.linspace(-1.0, 1.0, 501)
+    got = special.chebyshev_evaluator(coef, -1.0, 1.0)(ys)
+    assert np.max(np.abs(got - g(ys))) <= 1e-13 * np.sum(np.abs(amp))
 
 
 # the (K, x) pairs of criterion 5a; its direct sums need J_(k-1)(2 pi x), k <= 2K + 1
