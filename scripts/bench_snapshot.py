@@ -10,10 +10,13 @@ in, because the benchmark does not measure it.
 
 Usage:
     python scripts/bench_snapshot.py --tier1-wall-s 56.1 --out BENCH_8.json \\
-        [--runs DIR ...] [--parent-runs DIR ...]
+        [--runs DIR ...] [--parent-runs DIR ...] [--commit LABEL]
 
 --runs defaults to `.bench_out`.  With --parent-runs the same summary of
-the parent commit's runs is stored under "parent".  Standard library only.
+the parent commit's runs is stored under "parent".  run.py stamps each
+run with the HEAD of its checkout, which for runs of an uncommitted tree
+is its parent; --commit replaces that stamp on the runs' summary.
+Standard library only.
 """
 
 import argparse
@@ -69,11 +72,14 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True)
     ap.add_argument("--runs", nargs="+", default=[".bench_out"])
     ap.add_argument("--parent-runs", nargs="+", default=[])
+    ap.add_argument("--commit", help="commit label of the --runs side")
     args = ap.parse_args(argv)
     if args.tier1_wall_s <= 0:
         ap.error("--tier1-wall-s must be positive")
     snapshot = summarize(args.runs)
     snapshot["tier1_wall_s"] = args.tier1_wall_s
+    if args.commit:
+        snapshot["env"]["commit"] = args.commit
     if args.parent_runs:
         snapshot["parent"] = summarize(args.parent_runs)
     with open(args.out, "w", encoding="utf-8") as fh:

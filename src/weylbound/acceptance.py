@@ -362,11 +362,11 @@ def criterion_j_decay():
 def _balance_spread(spec: lfunc.LFunctionSpec, ts) -> float:
     """Worst relative spread of L(1/2 + it) over the balances 0.5, 1, 2."""
     worst = 0.0
+    balances = (0.5, 1.0, 2.0)
     for t in ts:
-        contour = lfunc._AfeContour(spec, t)
+        contour = lfunc._contour_block(spec, [t], balances)[0]
         vals = [
-            lfunc.central_value(spec, t, b, _contour=contour).value
-            for b in (0.5, 1.0, 2.0)
+            lfunc.central_value(spec, t, b, _contour=contour).value for b in balances
         ]
         worst = max(
             worst, max(abs(v - vals[1]) for v in vals) / max(1.0, abs(vals[1]))

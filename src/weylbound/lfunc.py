@@ -20,20 +20,23 @@ AFE sums read V from the Chebyshev series of g in log u, whose
 coefficients are exact by Jacobi-Anger: with log u = m + h y,
 c_k = eps_k (-i)^k sum_j amp_j e^(-i tau_j m) J_k(tau_j h).  The nodes
 tau_j do not depend on t, and the basis range ends on a 1/32 grid in
-log u, so the Bessel table J_k(|tau_j| h) is shared by every t whose
-range ends in the same bucket; each t pays one matrix product.  The
-dense contour sum stays as `afe_weight` and as the test oracle.  Each
-per-t contour also keeps a cutoff table of the V values already read,
-keyed by the exact argument: the arguments n, 2n and n/2 of balances 1
-and 2 share the half-integer grid, so every distinct argument reaches
-the interpolant once per t, and both balances reuse the contour's root
-factor.
+log u, so t's whose ranges end in one bucket share the Bessel table
+J_k(|tau_j| h), whose height bounds every t's degree, and share the
+AFE arguments n, 2n and n/2 of balances 1 and 2.  The scan therefore
+works in blocks of such t's (`_contour_block`): one gamma-factor call
+for every s + w, s and 1 - s; every t's coefficients from one product
+with the table; and one Chebyshev-basis evaluation, a matrix product,
+over the union of the block's distinct arguments, from whose columns
+each t's contour fills its cutoff table.  A contour or central value
+built alone is a block of one.  The dense contour sum stays as
+`afe_weight` and as the test oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -44,8 +47,8 @@ from .oscint import SmoothWeight, panel_rule
 from .special import (
     ComplexEstimate,
     bessel_j_table,
+    chebyshev_block,
     chebyshev_degree,
-    chebyshev_evaluator,
     jacobi_anger_coefficients,
     log_gamma_vec,
 )
@@ -62,6 +65,13 @@ _CONTOUR_PANELS = 40
 _CONTOUR_NODES = 12
 # the interpolant's basis range ends on this grid in log u
 _LOG_U_BUCKETS = 32
+# a scan block holds at most 16 t-points (its gamma pass keeps about
+# eight arrays of 482 complex values per t alive, 1 MB in all) and 1 MiB
+# of cutoff values: 16 bytes per t and argument, and the arguments of
+# balances 1 and 2 lie on the half-integer grid up to e^end (at t = 1000,
+# six t-points)
+_SCAN_BLOCK = 16
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -73,6 +83,8 @@ class CoefficientSource:
     n_max: int
 
     def __post_init__(self):
+        if len(self.values) < 2:
+            raise ValueError(f"need coefficients to n >= 1, have n_max = {self.n_max}")
         if abs(self.values[1] - 1.0) > 1e-12:
             raise ValueError("coefficients must be normalized with lambda(1) = 1")
 
@@ -131,7 +143,11 @@ def _log_gamma_factor(spec: LFunctionSpec, s: np.ndarray) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if spec.kind == "holomorphic":
         k = spec.gamma_data
-        return -s * math.log(2 * math.pi) + log_gamma_vec(s + (k - 1) / 2.0)
+        # lg - s log(2 pi) in place is -s log(2 pi) + lg to the bit, with
+        # one array fewer alive during a block's Stirling pass
+        lg = log_gamma_vec(s + (k - 1) / 2.0)
+        lg -= s * math.log(2 * math.pi)
+        return lg
     nu = spec.gamma_data
     # one Stirling pass over both shifted arguments
     lg = log_gamma_vec(np.concatenate([(s + 1j * nu) / 2.0, (s - 1j * nu) / 2.0]))
@@ -173,23 +189,49 @@ def _jacobi_anger_basis(panels: int, lo: float, hi: float):
     return table, phase, sign
 
 
+def _log_u_range(spec: LFunctionSpec, t: float) -> tuple[float, float]:
+    """log u over every argument central_value forms for a balance in
+    [1/4, 4]: n = 1 at balance 1/4 up to afe_lengths' largest n * b."""
+    return math.log(0.25), math.log(CUT_RATIO * conductor_sqrt(spec, t) + 8.0)
+
+
+def _basis_end(log_u_end: float) -> float:
+    """The log-u end rounded up onto the bucket grid: t's sharing it share
+    the interpolant's basis range and Bessel table."""
+    return math.ceil(log_u_end * _LOG_U_BUCKETS) / _LOG_U_BUCKETS
+
+
+def _log_gamma_rows(spec: LFunctionSpec, ts, w: np.ndarray) -> np.ndarray:
+    """The gamma factor at s + w, s and 1 - s for every s = 1/2 + it of ts:
+    one row per t, from one call."""
+    s = 0.5 + 1j * np.asarray(ts, dtype=float)[:, None]
+    z = np.concatenate([s + w, s, 1 - s], axis=1)
+    return _log_gamma_factor(spec, z.ravel()).reshape(z.shape)
+
+
 class _AfeContour:
     """Precomputed contour data for V at one (spec, t), and the cutoff
-    table of the V values the AFE sums have read.
+    table of V at the AFE arguments its block was built for.
 
     The default panel count serves the AFE sums, whose arguments stay
     within a few e-folds of the conductor scale (the gamma-ratio drift
     cancels most of the exp(-i tau ln u) oscillation there).  Callers
-    probing extreme arguments pass a denser panelling.
+    probing extreme arguments pass a denser panelling.  A contour built
+    alone is a block of one; `_contour_block` passes each t its row of
+    the block's gamma pass.
     """
 
-    def __init__(self, spec: LFunctionSpec, t: float, panels: int | None = None):
+    def __init__(
+        self,
+        spec: LFunctionSpec,
+        t: float,
+        panels: int | None = None,
+        log_gamma: np.ndarray | None = None,
+    ):
         if panels is None:
             panels = _CONTOUR_PANELS
         _, w, base = _contour_nodes(panels)
-        s = complex(0.5, t)
-        # the gamma factor at s + w, s and 1 - s in one call
-        lg = _log_gamma_factor(spec, np.concatenate([s + w, [s, 1 - s]]))
+        lg = _log_gamma_rows(spec, [t], w)[0] if log_gamma is None else log_gamma
         # root factor eps(f) gamma(1 - s) / gamma(s) of the functional equation
         self.root_factor = spec.root_number * np.exp(lg[-1] - lg[-2])
         amp = base * np.exp(lg[:-2] - lg[-2])
@@ -198,13 +240,8 @@ class _AfeContour:
         self.w = w[keep]
         self._panels = panels
         self._node_amp = np.where(keep, amp, 0.0)  # every node, 0 where dropped
-        # log u over every argument central_value forms for a balance in
-        # [1/4, 4]: n = 1 at balance 1/4 up to afe_lengths' largest n * b
-        self._log_u_range = (
-            math.log(0.25),
-            math.log(CUT_RATIO * conductor_sqrt(spec, t) + 8.0),
-        )
-        self._fit = None
+        self._log_u_range = _log_u_range(spec, t)
+        self._coef = None  # Chebyshev coefficients of g: its block's column
         # cutoff table: sorted distinct arguments and their V values
         self._table_u = np.empty(0)
         self._table_v = np.empty(0, dtype=complex)
@@ -230,38 +267,83 @@ class _AfeContour:
         """V(u) = u^(-sigma) g(log u) from the Chebyshev series of g.
 
         The basis range runs from log(1/4) to the end of the AFE sums'
-        log-u range rounded up onto the bucket grid; each t takes its own
-        degree on it, and its coefficients are one product with the
-        bucket's Bessel table.  A log u outside the exact range raises
-        ValueError.
+        log-u range rounded up onto the bucket grid; the coefficients are
+        one product with the bucket's Bessel table.  A log u outside the
+        exact range raises ValueError.
         """
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        if self._fit is None:
-            lo, hi = self._log_u_range
-            end = math.ceil(hi * _LOG_U_BUCKETS) / _LOG_U_BUCKETS
-            table, phase, sign = _jacobi_anger_basis(self._panels, lo, end)
-            half = 0.5 * (end - lo)
-            deg = chebyshev_degree(self.amp, np.abs(self.w.imag) * half / 2.0)
-            coef = jacobi_anger_coefficients(table, self._node_amp * phase, sign, deg)
-            self._fit = chebyshev_evaluator(coef, lo, end, self._log_u_range)
-        lu = np.log(u)
-        return np.exp(-_CONTOUR_SIGMA * lu) * self._fit(lu)
+        if self._coef is None:
+            _chebyshev_coefficients([self])
+        return _cutoff_values(self._coef[:, None], np.log(u), self._log_u_range)[:, 0]
 
     def cutoff(self, u: np.ndarray) -> np.ndarray:
-        """V(u) from the cutoff table; each distinct argument goes through
-        `interpolated_weight` once per contour, so its range check holds."""
+        """V(u) from the cutoff table; an argument the table lacks goes
+        through `interpolated_weight`, so its range check holds."""
         u = np.asarray(u, dtype=float)
-        pos = np.searchsorted(self._table_u, u)
-        known = pos < len(self._table_u)
-        known[known] = self._table_u[pos[known]] == u[known]
-        if not known.all():
-            new = np.unique(u[~known])
-            vals = self.interpolated_weight(new)
-            at = np.searchsorted(self._table_u, new)
-            self._table_u = np.insert(self._table_u, at, new)
-            self._table_v = np.insert(self._table_v, at, vals)
-            pos = np.searchsorted(self._table_u, u)
-        return self._table_v[pos]
+        if len(self._table_u) == 0:
+            return self.interpolated_weight(u)
+        pos = np.minimum(np.searchsorted(self._table_u, u), len(self._table_u) - 1)
+        known = self._table_u[pos] == u
+        if known.all():
+            return self._table_v[pos]
+        out = np.empty(len(u), dtype=complex)
+        out[known] = self._table_v[pos[known]]
+        out[~known] = self.interpolated_weight(u[~known])
+        return out
+
+
+def _chebyshev_coefficients(contours: list[_AfeContour]) -> np.ndarray:
+    """The (K x B) Chebyshev coefficients of every contour's g on their
+    shared basis range, from one product with the bucket's Bessel table at
+    its full height (which bounds every degree); each contour keeps its
+    column."""
+    lo, hi = contours[0]._log_u_range
+    table, phase, sign = _jacobi_anger_basis(contours[0]._panels, lo, _basis_end(hi))
+    amp = np.stack([c._node_amp for c in contours], axis=1) * phase[:, None]
+    coef = jacobi_anger_coefficients(table, amp, sign)
+    for c, column in zip(contours, coef.T):
+        c._coef = column
+    return coef
+
+
+def _cutoff_values(coef: np.ndarray, lu: np.ndarray, valid) -> np.ndarray:
+    """V = u^(-sigma) g(log u) at every log u of `lu` for every column of
+    `coef`, on the basis range that ends on the bucket edge past valid's
+    end; a log u outside `valid` raises ValueError."""
+    lo, hi = valid
+    v = chebyshev_block(coef, lo, _basis_end(hi), lu, valid)
+    v *= np.exp(-_CONTOUR_SIGMA * lu)[:, None]
+    return v
+
+
+def _contour_block(spec: LFunctionSpec, ts, balances) -> list[_AfeContour]:
+    """Contours for t's whose log-u ranges end in one bucket, each with a
+    cutoff table holding V at every AFE argument of `balances`.
+
+    One gamma-factor call covers s + w, s and 1 - s of every t; every
+    t's coefficients come from one product with the bucket's Bessel
+    table; one basis evaluation over the union of the block's distinct
+    arguments gives every t's values, and each table takes its own
+    column, cut at its own log-u end.
+    """
+    lg = _log_gamma_rows(spec, ts, _contour_nodes(_CONTOUR_PANELS)[1])
+    contours = [_AfeContour(spec, t, log_gamma=row) for t, row in zip(ts, lg)]
+    ends = [c._log_u_range[1] for c in contours]
+    if len({_basis_end(e) for e in ends}) != 1:
+        raise ValueError("a contour block must share one log-u bucket")
+    coef = _chebyshev_coefficients(contours)
+    # each balance's arguments are two progressions, nested in t: the
+    # union is theirs at the block's longest lengths
+    lengths = np.array([[afe_lengths(spec, t, b) for b in balances] for t in ts])
+    u = np.unique(np.concatenate([
+        _afe_arguments(n1, n2, b) for (n1, n2), b in zip(lengths.max(axis=0), balances)
+    ]))
+    lu = np.log(u)
+    v = _cutoff_values(coef, lu, (contours[0]._log_u_range[0], max(ends)))
+    for c, column, end in zip(contours, v.T, ends):
+        n = np.searchsorted(lu, end, side="right")
+        c._table_u, c._table_v = u[:n], column[:n]
+    return contours
 
 
 def afe_weight(y: float, t: float, spec: LFunctionSpec, balance: float) -> complex:
@@ -284,20 +366,21 @@ def afe_weight(y: float, t: float, spec: LFunctionSpec, balance: float) -> compl
 
 def afe_lengths(spec: LFunctionSpec, t: float, balance: float) -> tuple[int, int]:
     """Dirichlet-piece truncation lengths for the two AFE sums."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if not (0.25 <= balance <= 4.0):
+        raise ValueError("balance must lie in [1/4, 4]")
     sc = conductor_sqrt(spec, t)
     n1 = int(math.ceil(CUT_RATIO * sc / balance)) + 1
     n2 = int(math.ceil(CUT_RATIO * sc * balance)) + 1
     return n1, n2
 
 
-def _afe_arguments(spec: LFunctionSpec, t: float, balance: float):
-    """The lengths n1, n2 and the cutoff arguments n * balance (n <= n1)
-    followed by n / balance (n <= n2) of the two AFE pieces."""
-    if not (0.25 <= balance <= 4.0):
-        raise ValueError("balance must lie in [1/4, 4]")
-    n1, n2 = afe_lengths(spec, t, balance)
+def _afe_arguments(n1: int, n2: int, balance: float) -> np.ndarray:
+    """The cutoff arguments n * balance (n <= n1) followed by n / balance
+    (n <= n2) of the two AFE pieces."""
     ns = np.arange(1, max(n1, n2) + 1, dtype=float)
-    return n1, n2, np.concatenate([ns[:n1] * balance, ns[:n2] / balance])
+    return np.concatenate([ns[:n1] * balance, ns[:n2] / balance])
 
 
 def central_value(
@@ -307,17 +390,17 @@ def central_value(
     _contour: "_AfeContour | None" = None,
 ) -> ComplexEstimate:
     """L(1/2 + it) as the two smoothed Dirichlet pieces plus root factor."""
-    n1, n2, u = _afe_arguments(spec, t, balance)
+    n1, n2 = afe_lengths(spec, t, balance)
     n = max(n1, n2)
     if n > spec.coefficients.n_max:
         raise ValueError(f"need coefficients to n = {n}, have {spec.coefficients.n_max}")
-    contour = _contour if _contour is not None else _AfeContour(spec, t)
+    contour = _contour if _contour is not None else _contour_block(spec, [t], [balance])[0]
     # one kernel sum_m lambda(m) m^(-s) V(u_m) for both pieces: lambda is
     # real and s - 1 = -conj(s), so the dual piece is the conjugate of the
     # kernel at the reciprocal balance
     s = complex(0.5, t)
     coef = spec.coefficients.values[1 : n + 1] * np.arange(1, n + 1.0) ** (-s)
-    v = contour.cutoff(u)
+    v = contour.cutoff(_afe_arguments(n1, n2, balance))
     sum1 = complex(np.sum(coef[:n1] * v[:n1]))
     sum2 = complex(np.sum(coef[:n2] * v[n1:])).conjugate()
     value = sum1 + contour.root_factor * sum2
@@ -358,10 +441,17 @@ class ScanRecord:
 BALANCE_TOL = 1e-6
 
 
+# the contours of the block this thread is scanning, keyed by t; set by
+# `_scan_block` for the span of its records, so `_scan_one` keeps the
+# signature (spec, t, balances) that callers wrap and substitute
+_scanning = threading.local()
+
+
 def _scan_one(spec: LFunctionSpec, t: float, balances: tuple[float, float]) -> ScanRecord:
-    contour = _AfeContour(spec, t)
-    # fill the cutoff table for both balances in one interpolant pass
-    contour.cutoff(np.concatenate([_afe_arguments(spec, t, b)[2] for b in balances]))
+    """The record at t, read from its block's contour (a block of one when
+    called outside `_scan_block`)."""
+    contours = getattr(_scanning, "contours", {})
+    contour = contours[t] if t in contours else _contour_block(spec, [t], balances)[0]
     v1 = central_value(spec, t, balances[0], _contour=contour)
     v2 = central_value(spec, t, balances[1], _contour=contour)
     gap = abs(v1.value - v2.value)
@@ -379,6 +469,30 @@ def _scan_one(spec: LFunctionSpec, t: float, balances: tuple[float, float]) -> S
     )
 
 
+def _scan_blocks(spec: LFunctionSpec, ts: list[float]) -> list[list[float]]:
+    """The grid cut into runs of consecutive t's whose log-u ranges end in
+    one bucket, at most `_SCAN_BLOCK` long and within `_BLOCK_BYTES`."""
+    blocks, last = [], None
+    for t in ts:
+        end = _basis_end(_log_u_range(spec, t)[1])
+        size = min(_SCAN_BLOCK, max(1, int(_BLOCK_BYTES // (32.0 * math.exp(end)))))
+        if end != last or len(blocks[-1]) >= size:
+            blocks.append([])
+        blocks[-1].append(t)
+        last = end
+    return blocks
+
+
+def _scan_block(
+    spec: LFunctionSpec, ts: list[float], balances: tuple[float, float]
+) -> list[ScanRecord]:
+    _scanning.contours = dict(zip(ts, _contour_block(spec, ts, balances)))
+    try:
+        return [_scan_one(spec, t, balances) for t in ts]
+    finally:
+        del _scanning.contours
+
+
 def exponent_scan(
     spec: LFunctionSpec,
     t_min: float,
@@ -390,9 +504,14 @@ def exponent_scan(
     """Scan |L(1/2 + it)| over a t-grid with consistency gating.
 
     Grid includes both endpoints when t_min < t_max and is empty when
-    t_min = t_max.  Records are computed independently (optionally in
-    a thread pool) and returned ordered by t.
+    t_min = t_max.  The grid is cut into bucket blocks (`_scan_blocks`)
+    independently of `parallelism`; blocks run in order or in a thread
+    pool, and records are returned ordered by t.
     """
+    if not all(math.isfinite(x) for x in (t_min, t_max, step)):
+        raise ValueError(
+            f"scan grid needs finite t_min, t_max and step, got {t_min}, {t_max}, {step}"
+        )
     if step <= 0:
         raise ValueError("step must be positive")
     if t_max > 5000:
@@ -403,12 +522,13 @@ def exponent_scan(
     ts = [t_min + i * step for i in range(count)]
     if ts[-1] < t_max - 1e-9:
         ts.append(t_max)
+    blocks = _scan_blocks(spec, ts)
     if parallelism > 1:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(lambda t: _scan_one(spec, t, balances), ts))
+            done = list(pool.map(lambda b: _scan_block(spec, b, balances), blocks))
     else:
-        records = [_scan_one(spec, t, balances) for t in ts]
-    return records
+        done = [_scan_block(spec, b, balances) for b in blocks]
+    return [record for block in done for record in block]
 
 
 @dataclass(frozen=True)

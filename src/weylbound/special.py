@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
+from scipy.linalg import blas
 
 EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
@@ -32,6 +33,14 @@ _BERNOULLI = [
     -236364091 / 2730, 8553103 / 6, -23749461029 / 870,
     8615841276005 / 14322,
 ]
+
+# chebyshev_block builds the T_k rows in panels of 8 rows over chunks of
+# at most 16384 arguments (1.3 MB with the two carried rows; the scan's
+# blocks run in threads, and each holds one panel).  Neither size depends
+# on the arguments or the columns of a call, so a value sums its terms in
+# the same order whatever else shares the call
+_PANEL_ROWS = 8
+_BASIS_CHUNK = 1 << 14
 
 # log k! for k < 4096, read by chebyshev_degree's degree tests
 _LOG_FACTORIAL = np.array([math.lgamma(k + 1) for k in range(4096)])
@@ -89,50 +98,88 @@ def chebyshev_degree(amp, ratio) -> int:
             start, size = start + size, min(2 * size, 64)
 
 
-def jacobi_anger_coefficients(bessel, amp, sign, deg: int) -> np.ndarray:
-    """Chebyshev coefficients c_0..c_deg of g(y) = sum_j amp_j
-    e^(-i sign_j r_j y) on [-1, 1], given bessel[k, j] = J_k(r_j), r_j >= 0.
+def jacobi_anger_coefficients(bessel, amp, sign) -> np.ndarray:
+    """Chebyshev coefficients of g_b(y) = sum_j amp[j, b] e^(-i sign_j r_j y)
+    on [-1, 1] for every column b, given bessel[k, j] = J_k(r_j), r_j >= 0:
+    column b of the (K x B) result holds c_0..c_(K-1) of g_b, K the
+    table's height.
 
     By Jacobi-Anger e^(-i z y) = sum_k eps_k (-i)^k J_k(z) T_k(y), with
     eps_0 = 1 and eps_k = 2, and J_k(-r) = (-1)^k J_k(r).  So the even
     orders sum the amplitudes and the odd orders the signed amplitudes:
-    one real product of the table's first deg + 1 rows with four columns.
-    The coefficients are exact up to the table's rounding; `deg` comes
-    from `chebyshev_degree`, which bounds the series' tail.
+    one real product of the table with four columns per b, taken column
+    by column so that a column's coefficients do not depend on the others.
+    The coefficients are exact up to the table's rounding; the height must
+    bound the series' tail (`chebyshev_degree`).
     """
-    odd = sign * amp
-    columns = np.stack([amp.real, amp.imag, odd.real, odd.imag], axis=1)
-    sums = bessel[: deg + 1] @ columns
-    sums[1::2, :2] = sums[1::2, 2:]
-    factor = 2.0 * (-1j) ** (np.arange(deg + 1) % 4)
+    factor = 2.0 * (-1j) ** (np.arange(len(bessel)) % 4)
     factor[0] = 1.0
-    return factor * (sums[:, 0] + 1j * sums[:, 1])
+    coef = np.empty((len(bessel), amp.shape[1]), dtype=complex)
+    for b, a in enumerate(amp.T):
+        odd = sign * a
+        sums = bessel @ np.stack([a.real, a.imag, odd.real, odd.imag], axis=1)
+        sums[1::2, :2] = sums[1::2, 2:]
+        coef[:, b] = factor * (sums[:, 0] + 1j * sums[:, 1])
+    return coef
 
 
-def chebyshev_evaluator(coef, lo: float, hi: float, valid=None):
-    """Clenshaw evaluator of sum_k coef_k T_k(y), with x = mid + half y
-    mapping [-1, 1] onto [lo, hi].
+def chebyshev_block(coef, lo: float, hi: float, x, valid=None) -> np.ndarray:
+    """sum_k coef[k, b] T_k(y) for every column b of a (K x B) complex
+    coefficient matrix at every x of an array, with x = mid + half y
+    mapping [-1, 1] onto [lo, hi]: a (len(x) x B) array.
 
-    Real and imaginary parts run as two real columns.  An argument
-    outside `valid` (a subrange of [lo, hi]; all of it by default)
-    raises ValueError.
+    The rows T_0..T_(K-1) come from the three-term recurrence
+    T_(k+1) = 2 y T_k - T_(k-1) over a chunk of at most `_BASIS_CHUNK`
+    arguments at once, in panels of `_PANEL_ROWS` rows; each panel is one
+    real matrix product with the interleaved real and imaginary columns,
+    added in place to the result (BLAS dgemm with beta = 1).  An argument
+    outside `valid` (a subrange of [lo, hi]; all of it by default) raises
+    ValueError.
     """
+    x = np.asarray(x, dtype=float)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    v_lo, v_hi = (lo, hi) if valid is None else valid
+    _check_range(x, (lo, hi) if valid is None else valid)
+    columns = np.ascontiguousarray(coef).view(np.float64)  # re, im, re, im, ...
+    out = np.zeros((len(x), coef.shape[1]), dtype=complex)
+    for a in range(0, len(x), _BASIS_CHUNK):
+        y = (x[a : a + _BASIS_CHUNK] - mid) / half
+        _basis_product(columns, y, out[a : a + _BASIS_CHUNK].view(np.float64))
+    return out
+
+
+def _basis_product(columns, y, out) -> None:
+    """out += T(y) columns, T(y) the (len(y) x K) Chebyshev basis, built
+    row panel by row panel."""
+    rows = len(columns)
+    two_y = 2.0 * y
+    size = min(rows, _PANEL_ROWS)
+    # rows 0 and 1 carry T_(k-2) and T_(k-1) from one panel to the next
+    panel = np.empty((size + 2, len(y)))
+    for k0 in range(0, rows, size):
+        m = min(size, rows - k0)
+        for j, k in enumerate(range(k0, k0 + m), start=2):
+            if k == 0:
+                panel[j] = 1.0
+            elif k == 1:
+                panel[j] = y
+            else:
+                np.multiply(two_y, panel[j - 1], out=panel[j])
+                panel[j] -= panel[j - 2]
+        # the transposes are Fortran-ordered views, so dgemm writes into out
+        blas.dgemm(
+            1.0, columns[k0 : k0 + m].T, panel[2 : m + 2].T,
+            beta=1.0, c=out.T, trans_b=1, overwrite_c=1,
+        )
+        panel[:2] = panel[m : m + 2]
+
+
+def _check_range(x, valid) -> None:
+    """ValueError unless every x lies in the closed range `valid`."""
+    v_lo, v_hi = valid
     v_mid, v_half = 0.5 * (v_lo + v_hi), 0.5 * (v_hi - v_lo)
-    columns = np.stack([coef.real, coef.imag], axis=1)
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        # a few ulps of slack for an argument computed at the range end
-        if not np.all(np.abs((x - v_mid) / v_half) <= 1.0 + 1e-12):
-            raise ValueError(
-                f"argument outside the fitted range [{v_lo:.4g}, {v_hi:.4g}]"
-            )
-        re_g, im_g = chebyshev.chebval((x - mid) / half, columns)
-        return re_g + 1j * im_g
-
-    return evaluate
+    # a few ulps of slack for an argument computed at the range end
+    if not np.all(np.abs((x - v_mid) / v_half) <= 1.0 + 1e-12):
+        raise ValueError(f"argument outside the fitted range [{v_lo:.4g}, {v_hi:.4g}]")
 
 
 def chebyshev_fit(g, lo: float, hi: float, amp, freq):
@@ -141,12 +188,13 @@ def chebyshev_fit(g, lo: float, hi: float, amp, freq):
     g must be band-limited like sum_j amp_j e^(i freq_j x): on the
     half-width h the degree is `chebyshev_degree(amp, |freq| h / 2)`.  g is
     sampled once at the first-kind Chebyshev points; the evaluator is
-    `chebyshev_evaluator` on [lo, hi].
+    `chebyshev_block` with one column, so an argument outside [lo, hi]
+    raises ValueError.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     deg = chebyshev_degree(amp, np.abs(freq) * half / 2.0)
-    coef = chebyshev.chebinterpolate(lambda y: g(mid + half * y), deg)
-    return chebyshev_evaluator(coef, lo, hi)
+    coef = chebyshev.chebinterpolate(lambda y: g(mid + half * y), deg)[:, None]
+    return lambda x: chebyshev_block(coef, lo, hi, x)[:, 0]
 
 
 def _reduce_two_pi(x: float) -> float:
@@ -407,7 +455,15 @@ def _stirling(z: np.ndarray, terms: int) -> tuple[np.ndarray, int, np.ndarray]:
     for j in range(1, terms + 1):
         tail += (_BERNOULLI[j - 1] / ((2 * j - 1) * (2 * j))) / zpow
         zpow *= zz
-    value = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2 * math.pi) + tail - shift
+    del zz, zpow
+    # (z - 1/2) log z - z + log(2 pi) / 2 + tail - shift, in place: the
+    # scan's blocks pass tens of thousands of arguments
+    value = z - 0.5
+    value *= np.log(z)
+    value -= z
+    value += 0.5 * math.log(2 * math.pi)
+    value += tail
+    value -= shift
     return value, lifts, z
 
 

@@ -161,9 +161,21 @@ def test_afe_command(capsys):
         (["charsum", "--c-max", "0"], "no character-sum cases"),
         (["charsum", "--cc-max", "0"], "no character-sum cases"),
         (["charsum", "--q-max", "2"], "no twisted-factorization cases"),
+        # no coefficients past lambda(0)
+        (["scan", "--prec", "0"], "need coefficients"),
+        (["scan", "--prec", "-5"], "need coefficients"),
+        (["scan", "--form", "holomorphic:16", "--prec", "0"], "need coefficients"),
+        # a non-finite height or step
+        (["afe", "--t-list", "inf"], "t must be finite"),
+        (["scan", "--step", "inf", "--prec", "600"], "finite t_min, t_max and step"),
+        (["scan", "--t-min", "nan", "--prec", "600"], "finite t_min, t_max and step"),
+        (["scan", "--t-max", "nan", "--prec", "600"], "finite t_min, t_max and step"),
+        (["scan", "--step", "nan", "--prec", "600"], "finite t_min, t_max and step"),
     ],
     ids=["k-above-sqrt-t", "modulus-past-desk-scale", "zero-step",
-         "charsum-no-grid", "charsum-no-congruence", "charsum-no-primes"],
+         "charsum-no-grid", "charsum-no-congruence", "charsum-no-primes",
+         "prec-zero", "prec-negative", "k16-prec-zero", "afe-t-inf",
+         "step-inf", "t-min-nan", "t-max-nan", "step-nan"],
 )
 def test_rejected_parameters_exit_usage(argv, message, capsys):
     # exit 1 is reserved for a failed gate; a rejected input is a usage error

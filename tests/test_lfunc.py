@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -152,6 +153,14 @@ def _dense_central_value(spec, t, balance, contour) -> complex:
     return complex(sum1 + spec.root_number * np.exp(lg[1] - lg[0]) * sum2)
 
 
+def _block_around(spec, t):
+    """t and the first two of its neighbours whose log-u ranges end in t's
+    bucket."""
+    end = lfunc._basis_end(lfunc._log_u_range(spec, t)[1])
+    near = [t + d for d in (0.0, -0.1, 0.1, -0.25, 0.25)]
+    return [s for s in near if lfunc._basis_end(lfunc._log_u_range(spec, s)[1]) == end][:3]
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -161,27 +170,38 @@ def _dense_central_value(spec, t, balance, contour) -> complex:
 )
 def test_interpolated_weight_against_dense_oracle(case, request, tmp_path):
     spec, t = _interp_case(case, request, tmp_path)
-    contour = _AfeContour(spec, t)
-    if case == "delta@edge":
-        assert contour._log_u_range[1] == 200 / lfunc._LOG_U_BUCKETS
+    ts = _block_around(spec, t)
+    assert len(ts) >= 3
     balances = (0.25, 0.5, 1.0, 2.0, 4.0)
-    args = []
-    for b in balances:
-        n1, n2 = afe_lengths(spec, t, b)
-        args += [np.arange(1, n1 + 1) * b, np.arange(1, n2 + 1) / b]
-    u = np.unique(np.concatenate(args))
-    assert np.max(np.abs(contour.interpolated_weight(u) - contour.weight(u))) <= 1e-10
+    block = lfunc._contour_block(spec, ts, balances)
+    if case == "delta@edge":
+        assert block[0]._log_u_range[1] == 200 / lfunc._LOG_U_BUCKETS
+    for s, contour in zip(ts, block):
+        args = []
+        for b in balances:
+            n1, n2 = afe_lengths(spec, s, b)
+            args += [np.arange(1, n1 + 1) * b, np.arange(1, n2 + 1) / b]
+        u = np.unique(np.concatenate(args))
+        dense = contour.weight(u)
+        # the block's table holds every argument, read from its own column,
+        # and none past this t's range
+        assert np.isin(u, contour._table_u).all(), s
+        u_max = CUT_RATIO * conductor_sqrt(spec, s) + 8.0
+        assert contour._table_u.max() <= u_max, s
+        assert np.max(np.abs(contour.cutoff(u) - dense)) <= 1e-10, s
+        assert np.max(np.abs(contour.interpolated_weight(u) - dense)) <= 1e-10, s
+        # the fitted range ends at the extreme arguments any balance in [1/4, 4] forms
+        assert u.min() >= 0.25 and u.max() <= u_max
+        for bad in (0.99 * 0.25, 1.01 * u_max):
+            with pytest.raises(ValueError):
+                contour.interpolated_weight(np.array([bad]))
+            with pytest.raises(ValueError):
+                contour.cutoff(np.array([bad]))
     for b in balances:
         if max(afe_lengths(spec, t, b)) > spec.coefficients.n_max:
             continue
-        est = central_value(spec, t, b, _contour=contour)
-        assert abs(est.value - _dense_central_value(spec, t, b, contour)) <= est.abs_error, b
-    # the fitted range ends at the extreme arguments any balance in [1/4, 4] forms
-    u_max = CUT_RATIO * conductor_sqrt(spec, t) + 8.0
-    assert u.min() >= 0.25 and u.max() <= u_max
-    for bad in (0.99 * 0.25, 1.01 * u_max):
-        with pytest.raises(ValueError):
-            contour.interpolated_weight(np.array([bad]))
+        est = central_value(spec, t, b, _contour=block[0])
+        assert abs(est.value - _dense_central_value(spec, t, b, block[0])) <= est.abs_error, b
 
 
 def test_central_value_dense_weight_work(delta12000, monkeypatch):
@@ -203,33 +223,94 @@ def test_central_value_dense_weight_work(delta12000, monkeypatch):
 
 
 def test_scan_one_cutoff_work(delta12000, monkeypatch):
-    # the cutoff table sends each distinct AFE argument of the two
-    # balances to the Chebyshev evaluator once: the 9553 half-integers
-    # and integers up to the balance-2 dual length, not the 21492
-    # arguments n, n, 2n and n/2 of the four Dirichlet pieces
-    build, stirling = lfunc.chebyshev_evaluator, special._stirling
+    # a block sends each distinct AFE argument of the two balances over all
+    # of its t's to one basis evaluation: at t = 1000 alone the 9553
+    # half-integers and integers up to the balance-2 dual length, not the
+    # 21492 arguments n, n, 2n and n/2 of the four Dirichlet pieces
+    block, stirling = lfunc.chebyshev_block, special._stirling
     evaluated, lifted = [], []
 
-    def counted_build(*args):
-        evaluate = build(*args)
-
-        def counted(x):
-            evaluated.append(np.size(x))
-            return evaluate(x)
-
-        return counted
+    def counted_block(coef, lo, hi, x, valid=None):
+        evaluated.append(np.size(x))
+        return block(coef, lo, hi, x, valid)
 
     def counted_stirling(*args):
         lifted.append(np.size(args[0]))
         return stirling(*args)
 
-    monkeypatch.setattr(lfunc, "chebyshev_evaluator", counted_build)
+    monkeypatch.setattr(lfunc, "chebyshev_block", counted_block)
     monkeypatch.setattr(special, "_stirling", counted_stirling)
-    rec = lfunc._scan_one(delta12000, 1000.0, (1.0, 2.0))
+    (rec,) = lfunc._scan_block(delta12000, [1000.0], (1.0, 2.0))
     assert rec.accepted
-    assert sum(evaluated) == 9553
-    # one gamma-factor call per contour: s + w, s and 1 - s together
+    assert evaluated == [9553]
+    # one gamma-factor call per block: s + w, s and 1 - s together
     assert len(lifted) == 1
+    evaluated.clear()
+    lifted.clear()
+    ts = [1000.0, 1000.5, 1001.0, 1001.5]
+    assert lfunc._scan_blocks(delta12000, ts) == [ts]
+    recs = lfunc._scan_block(delta12000, ts, (1.0, 2.0))
+    assert all(r.accepted for r in recs)
+    union = set()
+    for t in ts:
+        for b in (1.0, 2.0):
+            n1, n2 = afe_lengths(delta12000, t, b)
+            union |= set((np.arange(1, n1 + 1) * b).tolist())
+            union |= set((np.arange(1, n2 + 1) / b).tolist())
+    assert evaluated == [len(union)]
+    # s + w at every contour node, s and 1 - s, for each t
+    assert lifted == [len(ts) * (lfunc._CONTOUR_PANELS * lfunc._CONTOUR_NODES + 2)]
+
+
+def test_scan_blocks_match_blocks_of_one(delta12000):
+    # the shared gamma pass, coefficient product and basis evaluation change
+    # nothing but rounding against each t built alone: a t's coefficients
+    # are its own product with the Bessel table, and the basis sums each
+    # value in panels that do not depend on the block's other arguments
+    for lo, hi, step in ((20.0, 23.0, 0.1), (990.0, 1000.0, 0.5)):
+        recs = exponent_scan(delta12000, lo, hi, step)
+        blocks = lfunc._scan_blocks(delta12000, [r.t for r in recs])
+        assert max(len(b) for b in blocks) > 1
+        for rec in recs:
+            (alone,) = lfunc._scan_block(delta12000, [rec.t], (1.0, 2.0))
+            tol = 1e-12 * max(1.0, rec.modulus)
+            assert alone.t == rec.t and alone.accepted == rec.accepted
+            assert abs(alone.modulus - rec.modulus) <= tol
+            assert abs(alone.consistency_gap - rec.consistency_gap) <= tol
+
+
+def test_scan_blocks_follow_buckets(delta12000):
+    # runs of one bucket, at most _SCAN_BLOCK long at low t and within the
+    # byte budget of cutoff values at high t, whatever the pool size
+    for ts, longest in (
+        ([10.0 + 0.002 * i for i in range(400)], lfunc._SCAN_BLOCK),
+        ([1000.0 + 0.1 * i for i in range(40)], 6),
+    ):
+        blocks = lfunc._scan_blocks(delta12000, ts)
+        assert [t for b in blocks for t in b] == ts
+        assert max(len(b) for b in blocks) == longest
+        for b in blocks:
+            ends = {lfunc._basis_end(lfunc._log_u_range(delta12000, t)[1]) for t in b}
+            assert len(ends) == 1
+    table = lfunc._contour_block(delta12000, blocks[0], (1.0, 2.0))[0]._table_v
+    assert len(blocks[0]) * len(table) * 16 <= lfunc._BLOCK_BYTES
+    with pytest.raises(ValueError, match="one log-u bucket"):
+        lfunc._contour_block(delta12000, [10.0, 14.0], (1.0,))
+
+
+def test_contour_block_memory(delta12000):
+    # the T_k rows are built in chunks: ten t's at t = 1000 (9.6k distinct
+    # arguments, 222 rows) allocate less than 8 MB, table build included
+    ts = [1000.0 + 0.25 * i for i in range(10)]
+    lfunc._jacobi_anger_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        lfunc._contour_block(delta12000, ts, (1.0, 2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        lfunc._jacobi_anger_basis.cache_clear()
+    assert peak < 8e6, peak
 
 
 def test_bessel_table_built_once_per_bucket(delta12000, monkeypatch):
@@ -261,28 +342,48 @@ def test_bessel_table_built_once_per_bucket(delta12000, monkeypatch):
 
 def test_cutoff_table_is_order_independent(delta12000):
     t = 1000.0
+    # two bare contours read in opposite balance orders
     forward, backward = _AfeContour(delta12000, t), _AfeContour(delta12000, t)
     f1 = central_value(delta12000, t, 1.0, _contour=forward)
     f2 = central_value(delta12000, t, 2.0, _contour=forward)
     b2 = central_value(delta12000, t, 2.0, _contour=backward)
     b1 = central_value(delta12000, t, 1.0, _contour=backward)
     assert f1 == b1 and f2 == b2
+    # two blocks built for the balances in opposite orders
+    (block12,) = lfunc._contour_block(delta12000, [t], (1.0, 2.0))
+    (block21,) = lfunc._contour_block(delta12000, [t], (2.0, 1.0))
+    assert np.array_equal(block12._table_u, block21._table_u)
+    assert np.array_equal(block12._table_v, block21._table_v)
+    g1 = central_value(delta12000, t, 1.0, _contour=block12)
+    g2 = central_value(delta12000, t, 2.0, _contour=block12)
+    h2 = central_value(delta12000, t, 2.0, _contour=block21)
+    h1 = central_value(delta12000, t, 1.0, _contour=block21)
+    assert g1 == h1 and g2 == h2
+    # the table and a bare contour's direct reads differ at most in rounding
+    for f, g in ((f1, g1), (f2, g2)):
+        assert abs(f.value - g.value) <= 1e-12 * max(1.0, abs(f.value))
     # a repeated argument reads one table entry
     u = np.array([3.0, 1.5, 3.0, 1.5, 3.0])
     v = forward.cutoff(u)
     assert v[0] == v[2] == v[4] and v[1] == v[3]
     assert np.array_equal(v, backward.cutoff(u))
+    w = block12.cutoff(u)
+    assert w[0] == w[2] == w[4] and w[1] == w[3]
+    assert np.array_equal(w, block21.cutoff(u))
+    assert np.max(np.abs(v - w)) <= 2e-13
 
 
 def test_cutoff_out_of_range_raises(delta12000):
     # a contour fitted for t = 10 cannot serve the arguments of t = 1000,
     # and the failed read leaves the table as it was
-    contour = _AfeContour(delta12000, 10.0)
+    (contour,) = lfunc._contour_block(delta12000, [10.0], (1.0,))
+    size = len(contour._table_u)
+    assert size > 0
     with pytest.raises(ValueError, match="outside the fitted range"):
         central_value(delta12000, 1000.0, 1.0, _contour=contour)
     with pytest.raises(ValueError):
         contour.cutoff(np.array([1.0, 0.2]))
-    assert len(contour._table_u) == 0
+    assert len(contour._table_u) == size
 
 
 def _mp_root_factor(spec, t) -> complex:
@@ -387,9 +488,10 @@ def test_scan_parallel_matches_serial(delta2000):
 
 
 def test_scan_threads_share_bessel_tables(delta2000):
-    # four threads on two cores walk t in [20, 24] through six log-u
-    # buckets and share the two-entry table cache; every record must
-    # equal the serial one bit for bit
+    # four threads on two cores take the six bucket blocks of t in
+    # [20, 24] and share the two-entry table cache; the blocks do not
+    # depend on the pool, so every record must equal the serial one bit
+    # for bit
     serial = exponent_scan(delta2000, 20.0, 24.0, 0.25, parallelism=1)
     lfunc._jacobi_anger_basis.cache_clear()
     interval = sys.getswitchinterval()
@@ -402,11 +504,39 @@ def test_scan_threads_share_bessel_tables(delta2000):
     assert lfunc._jacobi_anger_basis.cache_info().currsize <= 2
 
 
+def test_scan_reaches_each_t_through_scan_one(delta2000, monkeypatch):
+    # blocks or not, every t goes through the module-level
+    # _scan_one(spec, t, balances), which reads central_value twice, so a
+    # caller can wrap or substitute either per t
+    seen, values = [], []
+    scan_one, value = lfunc._scan_one, lfunc.central_value
+
+    def wrapped(spec, t, balances):
+        seen.append(t)
+        return scan_one(spec, t, balances)
+
+    def counted(*args, **kwargs):
+        values.append(args[1])
+        return value(*args, **kwargs)
+
+    monkeypatch.setattr(lfunc, "_scan_one", wrapped)
+    monkeypatch.setattr(lfunc, "central_value", counted)
+    recs = exponent_scan(delta2000, 20.0, 24.0, 0.25, parallelism=2)
+    assert sorted(seen) == [r.t for r in recs]
+    assert sorted(values) == sorted(2 * seen)
+
+
 def test_scan_rejects_bad_grid(delta2000):
     with pytest.raises(ValueError):
         exponent_scan(delta2000, 10.0, 20.0, 0.0)
     with pytest.raises(ValueError):
         exponent_scan(delta2000, 10.0, 6000.0, 1.0)
+    for grid in ((10.0, 20.0, math.inf), (math.nan, 20.0, 1.0), (10.0, math.nan, 1.0),
+                 (10.0, 20.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            exponent_scan(delta2000, *grid)
+    with pytest.raises(ValueError, match="finite"):
+        afe_lengths(delta2000, math.inf, 1.0)
 
 
 def _toy_maass_lines(n_max=64, lam2=0.9, bad=None):
@@ -502,6 +632,9 @@ def test_maass_gamma_plumbing_and_gate_catches_fakes(tmp_path):
 def test_coefficient_source_validation():
     with pytest.raises(ValueError):
         CoefficientSource("computed", np.array([0.0, 2.0]), 1)
+    for values in (np.array([0.0]), np.array([])):
+        with pytest.raises(ValueError, match="need coefficients"):
+            CoefficientSource("computed", values, len(values) - 1)
     with pytest.raises(ValueError):
         LFunctionSpec("weird", 1.0, CoefficientSource("computed", np.array([0.0, 1.0]), 1), 1.0)
     with pytest.raises(ValueError):

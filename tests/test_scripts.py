@@ -67,3 +67,12 @@ def test_bench_snapshot_medians(tmp_path):
     assert snap["parent"]["workloads"]["exact"]["metrics"]["wall_s"] == {
         "value": 5.0, "unit": "s"
     }
+    # runs of an uncommitted tree carry a label in place of their parent's HEAD
+    _run_script(
+        "bench_snapshot.py", "--tier1-wall-s", "56.5", "--out", str(out),
+        "--runs", *map(str, runs), "--parent-runs", str(tmp_path / "parent"),
+        "--commit", "abc + tree",
+    )
+    snap = json.loads(out.read_text())
+    assert snap["env"]["commit"] == "abc + tree"
+    assert snap["parent"]["env"]["commit"] == "abc"

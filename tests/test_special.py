@@ -13,6 +13,7 @@ from weylbound.special import (
     bessel_j_orders,
     bessel_j_table,
     bessel_kernel_ca,
+    chebyshev_block,
     chebyshev_degree,
     chebyshev_fit,
     jacobi_anger_coefficients,
@@ -176,24 +177,47 @@ def test_bessel_table_against_mpmath():
         bessel_j_table(4, np.array([1.0, 0.0]))
 
 
-def test_jacobi_anger_coefficients_match_dense_interpolation():
+def test_jacobi_anger_coefficients_match_dense_interpolation(monkeypatch):
     rng = np.random.default_rng(3)
     tau = np.concatenate([rng.uniform(-30.0, -0.01, 40), rng.uniform(0.01, 30.0, 40)])
-    amp = (rng.normal(size=80) + 1j * rng.normal(size=80)) * np.exp(-((tau / 12.0) ** 2))
+    # two columns: a Gaussian envelope and the same reflected in tau
+    amp = (rng.normal(size=(80, 2)) + 1j * rng.normal(size=(80, 2))) * np.exp(
+        -((tau[:, None] * np.array([1.0, -1.0]) / 12.0 - 0.5) ** 2)
+    )
 
     def g(y):
         return np.exp(-1j * np.outer(y, tau)) @ amp
 
-    deg = chebyshev_degree(amp, np.abs(tau) / 2.0)
-    coef = jacobi_anger_coefficients(
-        bessel_j_table(deg, np.abs(tau)), amp, np.sign(tau), deg
-    )
-    want = np.polynomial.chebyshev.chebinterpolate(g, deg)
-    assert len(coef) == deg + 1
-    assert np.max(np.abs(coef - want)) <= 1e-13 * np.sum(np.abs(amp))
-    ys = np.linspace(-1.0, 1.0, 501)
-    got = special.chebyshev_evaluator(coef, -1.0, 1.0)(ys)
-    assert np.max(np.abs(got - g(ys))) <= 1e-13 * np.sum(np.abs(amp))
+    deg = max(chebyshev_degree(a, np.abs(tau) / 2.0) for a in amp.T)
+    coef = jacobi_anger_coefficients(bessel_j_table(deg, np.abs(tau)), amp, np.sign(tau))
+    assert coef.shape == (deg + 1, 2)
+    scale = np.sum(np.abs(amp))
+    for b in range(2):
+        want = np.polynomial.chebyshev.chebinterpolate(lambda y: g(y)[:, b], deg)
+        assert np.max(np.abs(coef[:, b] - want)) <= 1e-13 * scale
+    # the block evaluator matches Clenshaw in its own panels and chunks, and
+    # in panels of seven rows over chunks of 1000 arguments, which carry the
+    # recurrence across panels and leave a short last chunk
+    xs = np.linspace(-1.0, 2.0, 3001)
+    ys = (xs - 0.5) / 1.5
+    for rows, chunk in ((special._PANEL_ROWS, special._BASIS_CHUNK), (7, 1000)):
+        monkeypatch.setattr(special, "_PANEL_ROWS", rows)
+        monkeypatch.setattr(special, "_BASIS_CHUNK", chunk)
+        got = chebyshev_block(coef, -1.0, 2.0, xs)
+        assert got.shape == (len(xs), 2)
+        assert np.max(np.abs(got - g(ys))) <= 1e-13 * scale
+        for b in range(2):
+            want = np.polynomial.chebyshev.chebval(ys, coef[:, b])
+            assert np.max(np.abs(got[:, b] - want)) <= 1e-13 * scale
+        # a value does not depend on the other arguments or columns of the call
+        alone = chebyshev_block(coef[:, 1:], -1.0, 2.0, xs[5::7])
+        assert np.array_equal(alone[:, 0], got[5::7, 1])
+    # a narrower valid range is checked on its own
+    narrow = chebyshev_block(coef, -1.0, 2.0, xs[:9], (-1.0, 0.0))
+    assert np.max(np.abs(narrow - got[:9])) <= 1e-13 * scale
+    for x, valid in ((2.01, None), (0.5, (-1.0, 0.0))):
+        with pytest.raises(ValueError, match="outside the fitted range"):
+            chebyshev_block(coef, -1.0, 2.0, np.array([0.0, x]), valid)
 
 
 # the (K, x) pairs of criterion 5a; its direct sums need J_(k-1)(2 pi x), k <= 2K + 1
