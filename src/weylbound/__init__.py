@@ -4,66 +4,8 @@ Exact character/Kloosterman sums and their closed forms, the level-1
 Petersson trace formula, oscillatory-integral lemmas with a quadrature
 oracle, direct L(1/2 + it) evaluation by smoothed approximate
 functional equation, and the dual off-diagonal transformation chain.
+Import the submodules (`weylbound.lfunc`, `weylbound.acceptance`, ...)
+directly.
 """
-
-from .characters import (
-    DirichletCharacter,
-    discover_average_convention,
-    enumerate_characters,
-    gauss_sum,
-    odd_character_average,
-)
-from .expsums import (
-    charsum_congruence,
-    charsum_grid,
-    kloosterman,
-    twisted_kloosterman,
-    verify_twisted_factorization,
-)
-from .lfunc import (
-    CoefficientSource,
-    LFunctionSpec,
-    ScanRecord,
-    central_value,
-    delta_spec,
-    exponent_scan,
-    load_maass_file,
-    scan_summary,
-    sn_sum,
-)
-from .modforms import (
-    Eigenform,
-    QExpansion,
-    coefficient_bound_report,
-    delta_eigenform,
-    hecke_eigenforms,
-    victor_miller_basis,
-)
-from .oscint import (
-    PhaseSpec,
-    SmoothWeight,
-    bessel_weighted_k_sum,
-    bump_weight,
-    nonstationary_decay_check,
-    oscillatory_quadrature,
-    plateau_weight,
-    second_derivative_bound_check,
-    stationary_phase_eval,
-)
-from .pipeline import (
-    PipelineParams,
-    i_integral,
-    j_integral,
-    offdiagonal_assembly,
-    poisson_check_s5,
-)
-from .special import (
-    ComplexEstimate,
-    bessel_j,
-    bessel_kernel_ca,
-    gamma_ratio_phase,
-    log_gamma,
-)
-from .trace import petersson_delta, trace_consistency
 
 __version__ = "0.1.0"

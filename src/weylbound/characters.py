@@ -211,14 +211,6 @@ def _characters(q: int) -> tuple[DirichletCharacter, ...]:
     return tuple(out)
 
 
-def quadratic_character(p: int) -> DirichletCharacter:
-    """The Legendre-symbol character mod an odd prime p."""
-    for ch in enumerate_characters(p):
-        if ch.order == 2:
-            return ch
-    raise ValueError(f"no quadratic character mod {p}")
-
-
 @dataclass(frozen=True)
 class GaussSumResult:
     """g = sum_a chi(a) e(a/q) together with epsilon = g / sqrt(q).

@@ -105,6 +105,8 @@ def parse_config_file(path: str) -> dict:
 
 def build_config(command: str, file_params: dict, flag_params: dict,
                  output_path, fmt, parallelism, seed) -> RunConfig:
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be at least 1, got {parallelism}")
     schema = _SCHEMAS[command]
     params = {}
     merged = dict(file_params)
@@ -197,9 +199,14 @@ def _spec_for(name: str, prec: int):
 
 def _suite_afe(cfg: RunConfig):
     ts = _list(cfg.params["t_list"], float)
+    if not ts:
+        raise ConfigError("afe needs at least one t in t_list")
+    # afe_lengths rejects a non-finite t; the form is sized only past both checks
     need = max(
         lfunc.afe_lengths(lfunc.delta_spec(100), t, 0.5)[0] for t in ts
     )
+    if max(abs(t) for t in ts) > lfunc.T_MAX:
+        raise ConfigError(f"desk-scale AFE limited to |t| <= {lfunc.T_MAX:g}")
     spec = _spec_for(cfg.params["form"], max(2000, int(need * 1.2)))
     return _unlabelled(
         partial(acceptance.criterion_afe_balance, spec, ts, cfg.params["form"])

@@ -208,21 +208,6 @@ def _grid_result(ms, value, closed, diff) -> GridSumResult:
     return GridSumResult(value, closed, diff)
 
 
-def charsum_grid_collapsed(m: int, n: int, c: int) -> complex:
-    """Fast path: the alpha-sum collapses onto beta = -n.
-
-    sum over alpha of e(alpha (beta + n)/c) is c when beta = -n mod c
-    and 0 otherwise, so the grid reduces to a single term (or to 0 when
-    -n is not a unit).  Tests bit-compare this against charsum_grid.
-    """
-    if c == 1:
-        return 1.0 + 0.0j
-    betabar = inv_mod(-n, c)
-    if betabar is None:
-        return 0.0 + 0.0j
-    return c * complex(unit_roots(c)[(m % c) * betabar % c])
-
-
 @dataclass(frozen=True)
 class CongruenceSumResult:
     value: complex

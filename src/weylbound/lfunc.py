@@ -27,9 +27,9 @@ works in blocks of such t's (`_contour_block`): one gamma-factor call
 for every s + w, s and 1 - s; every t's coefficients from one product
 with the table; and one Chebyshev-basis evaluation, a matrix product,
 over the union of the block's distinct arguments, from whose columns
-each t's contour fills its cutoff table.  A contour or central value
-built alone is a block of one.  The dense contour sum stays as
-`afe_weight` and as the test oracle.
+each t's contour fills its cutoff table.  The sums read V only from
+that table; a central value computed alone is a block of one.  The
+dense contour sum stays as `afe_weight` and as the test oracle.
 """
 
 from __future__ import annotations
@@ -216,9 +216,10 @@ class _AfeContour:
     The default panel count serves the AFE sums, whose arguments stay
     within a few e-folds of the conductor scale (the gamma-ratio drift
     cancels most of the exp(-i tau ln u) oscillation there).  Callers
-    probing extreme arguments pass a denser panelling.  A contour built
-    alone is a block of one; `_contour_block` passes each t its row of
-    the block's gamma pass.
+    probing extreme arguments pass a denser panelling.  Only
+    `_contour_block` fills the table, passing each t its row of the
+    block's gamma pass; a contour built alone serves the dense `weight`
+    and the root factor, and its table is empty.
     """
 
     def __init__(
@@ -238,11 +239,10 @@ class _AfeContour:
         keep = np.abs(amp) > 1e-19 * np.abs(amp).max()
         self.amp = amp[keep]
         self.w = w[keep]
-        self._panels = panels
         self._node_amp = np.where(keep, amp, 0.0)  # every node, 0 where dropped
         self._log_u_range = _log_u_range(spec, t)
-        self._coef = None  # Chebyshev coefficients of g: its block's column
-        # cutoff table: sorted distinct arguments and their V values
+        # cutoff table, filled by the block: sorted distinct arguments and
+        # their V values
         self._table_u = np.empty(0)
         self._table_v = np.empty(0, dtype=complex)
 
@@ -263,57 +263,19 @@ class _AfeContour:
             )
         return out
 
-    def interpolated_weight(self, u: np.ndarray) -> np.ndarray:
-        """V(u) = u^(-sigma) g(log u) from the Chebyshev series of g.
-
-        The basis range runs from log(1/4) to the end of the AFE sums'
-        log-u range rounded up onto the bucket grid; the coefficients are
-        one product with the bucket's Bessel table.  A log u outside the
-        exact range raises ValueError.
-        """
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if self._coef is None:
-            _chebyshev_coefficients([self])
-        return _cutoff_values(self._coef[:, None], np.log(u), self._log_u_range)[:, 0]
-
     def cutoff(self, u: np.ndarray) -> np.ndarray:
-        """V(u) from the cutoff table; an argument the table lacks goes
-        through `interpolated_weight`, so its range check holds."""
+        """V(u) read from the cutoff table its block filled; an argument the
+        table lacks (every argument, for a contour built outside a block)
+        raises ValueError."""
         u = np.asarray(u, dtype=float)
-        if len(self._table_u) == 0:
-            return self.interpolated_weight(u)
-        pos = np.minimum(np.searchsorted(self._table_u, u), len(self._table_u) - 1)
-        known = self._table_u[pos] == u
-        if known.all():
-            return self._table_v[pos]
-        out = np.empty(len(u), dtype=complex)
-        out[known] = self._table_v[pos[known]]
-        out[~known] = self.interpolated_weight(u[~known])
-        return out
-
-
-def _chebyshev_coefficients(contours: list[_AfeContour]) -> np.ndarray:
-    """The (K x B) Chebyshev coefficients of every contour's g on their
-    shared basis range, from one product with the bucket's Bessel table at
-    its full height (which bounds every degree); each contour keeps its
-    column."""
-    lo, hi = contours[0]._log_u_range
-    table, phase, sign = _jacobi_anger_basis(contours[0]._panels, lo, _basis_end(hi))
-    amp = np.stack([c._node_amp for c in contours], axis=1) * phase[:, None]
-    coef = jacobi_anger_coefficients(table, amp, sign)
-    for c, column in zip(contours, coef.T):
-        c._coef = column
-    return coef
-
-
-def _cutoff_values(coef: np.ndarray, lu: np.ndarray, valid) -> np.ndarray:
-    """V = u^(-sigma) g(log u) at every log u of `lu` for every column of
-    `coef`, on the basis range that ends on the bucket edge past valid's
-    end; a log u outside `valid` raises ValueError."""
-    lo, hi = valid
-    v = chebyshev_block(coef, lo, _basis_end(hi), lu, valid)
-    v *= np.exp(-_CONTOUR_SIGMA * lu)[:, None]
-    return v
+        table = self._table_u
+        pos = np.minimum(np.searchsorted(table, u), max(len(table) - 1, 0))
+        if len(table) == 0 or not np.array_equal(table[pos], u):
+            raise ValueError(
+                "cutoff argument outside the contour's table: a contour reads V "
+                "only at the AFE arguments of the balances its block was built for"
+            )
+        return self._table_v[pos]
 
 
 def _contour_block(spec: LFunctionSpec, ts, balances) -> list[_AfeContour]:
@@ -328,10 +290,15 @@ def _contour_block(spec: LFunctionSpec, ts, balances) -> list[_AfeContour]:
     """
     lg = _log_gamma_rows(spec, ts, _contour_nodes(_CONTOUR_PANELS)[1])
     contours = [_AfeContour(spec, t, log_gamma=row) for t, row in zip(ts, lg)]
-    ends = [c._log_u_range[1] for c in contours]
+    lo, ends = contours[0]._log_u_range[0], [c._log_u_range[1] for c in contours]
     if len({_basis_end(e) for e in ends}) != 1:
         raise ValueError("a contour block must share one log-u bucket")
-    coef = _chebyshev_coefficients(contours)
+    hi = _basis_end(ends[0])
+    # one product with the bucket's Bessel table at its full height, which
+    # bounds every degree; column b holds t_b's coefficients
+    table, phase, sign = _jacobi_anger_basis(_CONTOUR_PANELS, lo, hi)
+    amp = np.stack([c._node_amp for c in contours], axis=1) * phase[:, None]
+    coef = jacobi_anger_coefficients(table, amp, sign)
     # each balance's arguments are two progressions, nested in t: the
     # union is theirs at the block's longest lengths
     lengths = np.array([[afe_lengths(spec, t, b) for b in balances] for t in ts])
@@ -339,7 +306,9 @@ def _contour_block(spec: LFunctionSpec, ts, balances) -> list[_AfeContour]:
         _afe_arguments(n1, n2, b) for (n1, n2), b in zip(lengths.max(axis=0), balances)
     ]))
     lu = np.log(u)
-    v = _cutoff_values(coef, lu, (contours[0]._log_u_range[0], max(ends)))
+    # V = u^(-sigma) g(log u); an argument past the block's exact range raises
+    v = chebyshev_block(coef, lo, hi, lu, (lo, max(ends)))
+    v *= np.exp(-_CONTOUR_SIGMA * lu)[:, None]
     for c, column, end in zip(contours, v.T, ends):
         n = np.searchsorted(lu, end, side="right")
         c._table_u, c._table_v = u[:n], column[:n]
@@ -439,6 +408,10 @@ class ScanRecord:
 
 # relative gap allowed between the L-values of two AFE balances
 BALANCE_TOL = 1e-6
+# desk scale: the largest |t| a scan or the `afe` command takes, and the
+# most t-points one scan grid may hold
+T_MAX = 5000.0
+SCAN_POINTS_MAX = 10**6
 
 
 # the contours of the block this thread is scanning, keyed by t; set by
@@ -506,7 +479,9 @@ def exponent_scan(
     Grid includes both endpoints when t_min < t_max and is empty when
     t_min = t_max.  The grid is cut into bucket blocks (`_scan_blocks`)
     independently of `parallelism`; blocks run in order or in a thread
-    pool, and records are returned ordered by t.
+    pool, and records are returned ordered by t.  A grid past |t| =
+    `T_MAX` or of more than `SCAN_POINTS_MAX` points raises ValueError
+    before any point is formed.
     """
     if not all(math.isfinite(x) for x in (t_min, t_max, step)):
         raise ValueError(
@@ -514,11 +489,21 @@ def exponent_scan(
         )
     if step <= 0:
         raise ValueError("step must be positive")
-    if t_max > 5000:
-        raise ValueError("desk-scale scan limited to t <= 5000")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be at least 1, got {parallelism}")
+    if max(abs(t_min), abs(t_max)) > T_MAX:
+        raise ValueError(f"desk-scale scan limited to |t| <= {T_MAX:g}")
     if t_max <= t_min:
         return []
-    count = int(math.floor((t_max - t_min) / step + 1e-9)) + 1
+    # steps + 1 points, one more when t_max falls between two steps; the
+    # quotient is inf for a step that underflows it
+    steps = (t_max - t_min) / step
+    if steps > SCAN_POINTS_MAX - 1:
+        raise ValueError(
+            f"scan grid of {steps + 1:.3g} points exceeds the desk-scale "
+            f"limit of {SCAN_POINTS_MAX}"
+        )
+    count = int(math.floor(steps + 1e-9)) + 1
     ts = [t_min + i * step for i in range(count)]
     if ts[-1] < t_max - 1e-9:
         ts.append(t_max)
@@ -659,17 +644,3 @@ def load_maass_file(path: str) -> tuple[LFunctionSpec, MaassIngestReport]:
         rankin_selberg_ratio=rs_ratio,
     )
     return spec, report
-
-
-def completed_modulus_closure(spec: LFunctionSpec, t: float) -> float:
-    """| |Lambda(1/2+it)| - |Lambda(1/2-it)| | from the computed central value.
-
-    Lambda(s) = gamma(s) L(s); with real coefficients L(1/2 - it) is the
-    conjugate, so the closure defect isolates gamma-factor and AFE error.
-    """
-    v_plus = central_value(spec, t).value
-    v_minus = central_value(spec, -t).value
-    lg_p, lg_m = _log_gamma_factor(spec, np.array([complex(0.5, t), complex(0.5, -t)]))
-    lam_p = abs(np.exp(lg_p)) * abs(v_plus)
-    lam_m = abs(np.exp(lg_m)) * abs(v_minus)
-    return abs(lam_p - lam_m)

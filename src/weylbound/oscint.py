@@ -172,18 +172,6 @@ def plateau_weight(a: float, b: float, c: float, d: float, amp: float = 1.0) -> 
     return SmoothWeight(ev, (a, d), amp_scale=amp, var_scale=min(b - a, d - c))
 
 
-def gaussian_weight(center: float, sigma: float, halfwidth: float) -> SmoothWeight:
-    """Truncated Gaussian; halfwidth must make the cut numerically silent."""
-
-    def ev(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.exp(-(((t - center) / sigma) ** 2))
-
-    return SmoothWeight(
-        ev, (center - halfwidth, center + halfwidth), amp_scale=1.0, var_scale=sigma
-    )
-
-
 # ----------------------------------------------------------------------
 # quadrature oracle
 
@@ -364,11 +352,6 @@ def stationary_phase_eval(
     err = abs(terms[-1]) * ratio + abs(terms[0]) * ratio ** (order + 1)
     err += abs(front) * 1e-9
     return ComplexEstimate(value, float(err), "asymptotic")
-
-
-def fresnel_gaussian_reference(A: float) -> complex:
-    """Closed form of integral exp(i A t^2 - t^2) dt over the real line."""
-    return complex(np.sqrt(np.pi / complex(1.0, -A)))
 
 
 # ----------------------------------------------------------------------

@@ -482,20 +482,6 @@ def log_gamma(s: complex, terms: int = 12) -> ComplexEstimate:
     return ComplexEstimate(val, err, "asymptotic")
 
 
-def gamma_fn(s: complex, terms: int = 12) -> ComplexEstimate:
-    lg = log_gamma(s, terms)
-    v = cmath.exp(lg.value)
-    return ComplexEstimate(v, abs(v) * (lg.abs_error + 2 * EPS), "asymptotic")
-
-
-def gamma_modulus_asymptotic(sigma: float, t: float) -> float:
-    """Leading modulus form sqrt(2 pi) |t|^(sigma - 1/2) e^(-pi |t| / 2)."""
-    at = abs(t)
-    if at == 0:
-        raise ValueError("modulus form needs t != 0")
-    return math.sqrt(2 * math.pi) * at ** (sigma - 0.5) * math.exp(-0.5 * math.pi * at)
-
-
 def log_gamma_vec(z: np.ndarray, terms: int = 12) -> np.ndarray:
     """Vectorized principal log Gamma for complex arrays (values only)."""
     return _stirling(z, terms)[0]

@@ -54,6 +54,17 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["scan", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["scan", "petersson"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_parallelism_below_one_rejected(command, threads, tmp_path, capsys):
+    # refused for every command before any check runs or artifact is written
+    out = tmp_path / "out.json"
+    assert main([command, "--parallelism", threads, "--output", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"configuration error: parallelism must be at least 1, got {threads}\n"
+
+
 def test_petersson_command_exit_zero(capsys):
     assert main(["petersson", "--k", "10", "--grid", "4"]) == EXIT_PASS
     out = capsys.readouterr().out
@@ -171,11 +182,21 @@ def test_afe_command(capsys):
         (["scan", "--t-min", "nan", "--prec", "600"], "finite t_min, t_max and step"),
         (["scan", "--t-max", "nan", "--prec", "600"], "finite t_min, t_max and step"),
         (["scan", "--step", "nan", "--prec", "600"], "finite t_min, t_max and step"),
+        # afe: a height past the desk scale is refused before the form is
+        # sized for it, and an empty list before its largest length is taken
+        (["afe", "--t-list", "1e9"], "desk-scale AFE limited to |t| <= 5000"),
+        (["afe", "--t-list", "-6000"], "desk-scale AFE limited to |t| <= 5000"),
+        (["afe", "--t-list", ""], "afe needs at least one t"),
+        # a 10^12-point grid, refused before the grid is formed
+        (["scan", "--t-min", "10", "--t-max", "11", "--step", "1e-12", "--prec", "600"],
+         "exceeds the desk-scale limit of 1000000"),
     ],
     ids=["k-above-sqrt-t", "modulus-past-desk-scale", "zero-step",
          "charsum-no-grid", "charsum-no-congruence", "charsum-no-primes",
          "prec-zero", "prec-negative", "k16-prec-zero", "afe-t-inf",
-         "step-inf", "t-min-nan", "t-max-nan", "step-nan"],
+         "step-inf", "t-min-nan", "t-max-nan", "step-nan",
+         "afe-t-past-desk-scale", "afe-negative-t-past-desk-scale", "afe-empty-t-list",
+         "scan-grid-too-large"],
 )
 def test_rejected_parameters_exit_usage(argv, message, capsys):
     # exit 1 is reserved for a failed gate; a rejected input is a usage error

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylbound import acceptance, expsums
-from weylbound.arith import inv_mod, primes_up_to
-from weylbound.characters import enumerate_characters, quadratic_character
+from weylbound.arith import inv_mod, primes_up_to, unit_roots
+from weylbound.characters import enumerate_characters
 from weylbound.expsums import (
     charsum_congruence,
     charsum_grid,
-    charsum_grid_collapsed,
     kloosterman,
     kloosterman_crt,
     twisted_kloosterman,
@@ -19,6 +18,12 @@ from weylbound.expsums import (
 )
 
 TOL = 1e-9
+
+
+def quadratic_character(p):
+    """The Legendre-symbol character mod an odd prime p."""
+    (chi,) = [ch for ch in enumerate_characters(p) if ch.order == 2]
+    return chi
 
 
 def test_kloosterman_hand_values():
@@ -171,6 +176,21 @@ def test_charsum_grid_noncoprime_marked_inapplicable():
     r = charsum_grid(3, 2, 8)
     assert r.closed_form is None
     assert abs(r.value) < TOL  # no unit beta matches -n
+
+
+def charsum_grid_collapsed(m: int, n: int, c: int) -> complex:
+    """The grid sum with its alpha-sum collapsed onto beta = -n.
+
+    sum over alpha of e(alpha (beta + n)/c) is c when beta = -n mod c
+    and 0 otherwise, so the grid reduces to a single term (or to 0 when
+    -n is not a unit).
+    """
+    if c == 1:
+        return 1.0 + 0.0j
+    betabar = inv_mod(-n, c)
+    if betabar is None:
+        return 0.0 + 0.0j
+    return c * complex(unit_roots(c)[(m % c) * betabar % c])
 
 
 def test_charsum_collapsed_matches_brute():

@@ -16,9 +16,7 @@ from weylbound.lfunc import (
     afe_lengths,
     afe_weight,
     central_value,
-    completed_modulus_closure,
     conductor_sqrt,
-    delta_spec,
     exponent_scan,
     holomorphic_spec,
     load_maass_file,
@@ -86,8 +84,11 @@ def test_two_balance_agreement_t100(delta12000):
 
 
 def test_functional_equation_closure(delta2000):
+    # real coefficients: L(1/2 - it) is the conjugate of L(1/2 + it)
     for t in (7.0, 30.0):
-        assert completed_modulus_closure(delta2000, t) <= 1e-8
+        vp = central_value(delta2000, t).value
+        vm = central_value(delta2000, -t).value
+        assert abs(vp - np.conj(vm)) <= 1e-9, t
 
 
 def test_insufficient_coefficients_raise(delta2000):
@@ -189,13 +190,12 @@ def test_interpolated_weight_against_dense_oracle(case, request, tmp_path):
         u_max = CUT_RATIO * conductor_sqrt(spec, s) + 8.0
         assert contour._table_u.max() <= u_max, s
         assert np.max(np.abs(contour.cutoff(u) - dense)) <= 1e-10, s
-        assert np.max(np.abs(contour.interpolated_weight(u) - dense)) <= 1e-10, s
         # the fitted range ends at the extreme arguments any balance in [1/4, 4] forms
         assert u.min() >= 0.25 and u.max() <= u_max
-        for bad in (0.99 * 0.25, 1.01 * u_max):
-            with pytest.raises(ValueError):
-                contour.interpolated_weight(np.array([bad]))
-            with pytest.raises(ValueError):
+        # the table is the only read path: an argument it lacks raises, in
+        # the fitted range or past it
+        for bad in (0.99 * 0.25, 1.3, 1.01 * u_max):
+            with pytest.raises(ValueError, match="contour's table"):
                 contour.cutoff(np.array([bad]))
     for b in balances:
         if max(afe_lengths(spec, t, b)) > spec.coefficients.n_max:
@@ -205,8 +205,9 @@ def test_interpolated_weight_against_dense_oracle(case, request, tmp_path):
 
 
 def test_central_value_dense_weight_work(delta12000, monkeypatch):
-    # the interpolant's coefficients are closed-form: central_value never
-    # calls the dense contour sum, however many AFE terms the balances need
+    # the interpolant's coefficients are closed-form: neither a block build
+    # nor central_value calls the dense contour sum, however many AFE terms
+    # the balances need
     dense = _AfeContour.weight
     seen = []
 
@@ -215,7 +216,7 @@ def test_central_value_dense_weight_work(delta12000, monkeypatch):
         return dense(self, u)
 
     monkeypatch.setattr(_AfeContour, "weight", counted)
-    contour = _AfeContour(delta12000, 1000.0)
+    (contour,) = lfunc._contour_block(delta12000, [1000.0], (1.0, 2.0))
     central_value(delta12000, 1000.0, 1.0, _contour=contour)
     central_value(delta12000, 1000.0, 2.0, _contour=contour)
     central_value(delta12000, 999.0)
@@ -328,27 +329,19 @@ def test_bessel_table_built_once_per_bucket(delta12000, monkeypatch):
     lfunc._jacobi_anger_basis.cache_clear()
     bucket = []
     for t in (1000.0, 1000.25, 900.0):
-        contour = _AfeContour(delta12000, t)
-        contour.interpolated_weight(np.array([1.0]))
+        (contour,) = lfunc._contour_block(delta12000, [t], (1.0,))
         bucket.append(math.ceil(contour._log_u_range[1] * lfunc._LOG_U_BUCKETS))
     assert bucket[0] == bucket[1] != bucket[2]
     assert len(built) == 2
     assert lfunc._jacobi_anger_basis.cache_info().currsize == 2
     for t in (800.0, 700.0, 1000.5):
-        _AfeContour(delta12000, t).interpolated_weight(np.array([1.0]))
+        lfunc._contour_block(delta12000, [t], (1.0,))
     assert lfunc._jacobi_anger_basis.cache_info().currsize == 2
     lfunc._jacobi_anger_basis.cache_clear()
 
 
 def test_cutoff_table_is_order_independent(delta12000):
     t = 1000.0
-    # two bare contours read in opposite balance orders
-    forward, backward = _AfeContour(delta12000, t), _AfeContour(delta12000, t)
-    f1 = central_value(delta12000, t, 1.0, _contour=forward)
-    f2 = central_value(delta12000, t, 2.0, _contour=forward)
-    b2 = central_value(delta12000, t, 2.0, _contour=backward)
-    b1 = central_value(delta12000, t, 1.0, _contour=backward)
-    assert f1 == b1 and f2 == b2
     # two blocks built for the balances in opposite orders
     (block12,) = lfunc._contour_block(delta12000, [t], (1.0, 2.0))
     (block21,) = lfunc._contour_block(delta12000, [t], (2.0, 1.0))
@@ -359,18 +352,11 @@ def test_cutoff_table_is_order_independent(delta12000):
     h2 = central_value(delta12000, t, 2.0, _contour=block21)
     h1 = central_value(delta12000, t, 1.0, _contour=block21)
     assert g1 == h1 and g2 == h2
-    # the table and a bare contour's direct reads differ at most in rounding
-    for f, g in ((f1, g1), (f2, g2)):
-        assert abs(f.value - g.value) <= 1e-12 * max(1.0, abs(f.value))
     # a repeated argument reads one table entry
     u = np.array([3.0, 1.5, 3.0, 1.5, 3.0])
-    v = forward.cutoff(u)
-    assert v[0] == v[2] == v[4] and v[1] == v[3]
-    assert np.array_equal(v, backward.cutoff(u))
     w = block12.cutoff(u)
     assert w[0] == w[2] == w[4] and w[1] == w[3]
     assert np.array_equal(w, block21.cutoff(u))
-    assert np.max(np.abs(v - w)) <= 2e-13
 
 
 def test_cutoff_out_of_range_raises(delta12000):
@@ -379,11 +365,23 @@ def test_cutoff_out_of_range_raises(delta12000):
     (contour,) = lfunc._contour_block(delta12000, [10.0], (1.0,))
     size = len(contour._table_u)
     assert size > 0
-    with pytest.raises(ValueError, match="outside the fitted range"):
+    with pytest.raises(ValueError, match="contour's table"):
         central_value(delta12000, 1000.0, 1.0, _contour=contour)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="contour's table"):
         contour.cutoff(np.array([1.0, 0.2]))
     assert len(contour._table_u) == size
+
+
+def test_bare_contour_has_no_cutoff(delta12000):
+    # only _contour_block fills a cutoff table: a contour built alone keeps
+    # the dense weight and the root factor, and every cutoff read raises
+    contour = _AfeContour(delta12000, 10.0)
+    assert len(contour._table_u) == 0
+    with pytest.raises(ValueError, match="contour's table"):
+        central_value(delta12000, 10.0, 1.0, _contour=contour)
+    with pytest.raises(ValueError, match="contour's table"):
+        contour.cutoff(np.array([1.0]))
+    assert abs(contour.weight(np.array([1.0]))[0]) > 0.0
 
 
 def _mp_root_factor(spec, t) -> complex:
@@ -537,6 +535,27 @@ def test_scan_rejects_bad_grid(delta2000):
             exponent_scan(delta2000, *grid)
     with pytest.raises(ValueError, match="finite"):
         afe_lengths(delta2000, math.inf, 1.0)
+
+
+def test_scan_rejects_oversized_grid_and_pool_before_allocating(delta2000):
+    # a grid of 10^12 points, one of 10^6 + 1, a subnormal step, a height
+    # below -T_MAX and a pool of no thread are refused before the grid is
+    # formed
+    tracemalloc.start()
+    try:
+        for grid in ((10.0, 11.0, 1e-12), (0.0, 1.0, 1e-6), (10.0, 11.0, 5e-324)):
+            with pytest.raises(ValueError, match="exceeds the desk-scale limit"):
+                exponent_scan(delta2000, *grid)
+        with pytest.raises(ValueError, match="desk-scale scan"):
+            exponent_scan(delta2000, -lfunc.T_MAX - 1.0, 10.0, 1.0)
+        for threads in (0, -2):
+            with pytest.raises(ValueError, match="parallelism"):
+                exponent_scan(delta2000, 10.0, 11.0, 0.5, parallelism=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    assert lfunc.SCAN_POINTS_MAX == 10**6
 
 
 def _toy_maass_lines(n_max=64, lam2=0.9, bad=None):

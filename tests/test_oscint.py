@@ -14,8 +14,6 @@ from weylbound.oscint import (
     bessel_weighted_k_sum,
     bump_fourier,
     bump_weight,
-    fresnel_gaussian_reference,
-    gaussian_weight,
     nonstationary_decay_check,
     oscillatory_quadrature,
     panel_rule,
@@ -197,6 +195,23 @@ def test_stationary_phase_error_model_envelope():
         s1 = stationary_phase_eval(w, h, order=1).value
         first_corr = abs(s1 - s0)
         assert abs(s0 - ref) <= 5 * first_corr + 1e-12, A
+
+
+def gaussian_weight(center: float, sigma: float, halfwidth: float) -> SmoothWeight:
+    """Truncated Gaussian; halfwidth must make the cut numerically silent."""
+
+    def ev(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return np.exp(-(((t - center) / sigma) ** 2))
+
+    return SmoothWeight(
+        ev, (center - halfwidth, center + halfwidth), amp_scale=1.0, var_scale=sigma
+    )
+
+
+def fresnel_gaussian_reference(A: float) -> complex:
+    """Closed form of integral exp(i A t^2 - t^2) dt over the real line."""
+    return complex(np.sqrt(np.pi / complex(1.0, -A)))
 
 
 def test_fresnel_gaussian_reference_case():

@@ -39,6 +39,11 @@ def test_balance_tolerance_is_one_lfunc_constant():
     assert _modules_matching(r"\bBALANCE_TOL\b") == ["acceptance", "lfunc"]
 
 
+def test_package_reexports_nothing():
+    # callers import the submodules; the package carries only its version
+    assert not re.search(r"(?m)^\s*(from|import)\s", (SRC / "__init__.py").read_text())
+
+
 def test_package_import_leaves_heavy_modules_unloaded():
     # scipy.interpolate is loaded on the first phi_hat spline; mpmath is test-only
     code = (
