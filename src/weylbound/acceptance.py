@@ -386,7 +386,7 @@ def _scan_verdict(summary: lfunc.ScanSummary) -> tuple[str, str]:
 
 
 @_timed
-def criterion_l_values(scan_step: float = 0.5, parallelism: int = 2):
+def criterion_l_values(scan_step: float = 0.5):
     """Balance invariance, conjugate symmetry, and the exponent scan."""
     spec = lfunc.delta_spec(12000)
     worst_balance = _balance_spread(spec, (0.0, 10.0, 100.0, 500.0))
@@ -395,9 +395,7 @@ def criterion_l_values(scan_step: float = 0.5, parallelism: int = 2):
         vp = lfunc.central_value(spec, t).value
         vm = lfunc.central_value(spec, -t).value
         worst_conj = max(worst_conj, abs(vp - np.conj(vm)))
-    records = lfunc.exponent_scan(
-        spec, 100.0, 1000.0, scan_step, parallelism=parallelism
-    )
+    records = lfunc.exponent_scan(spec, 100.0, 1000.0, scan_step)
     scan_status, scan_detail = _scan_verdict(lfunc.scan_summary(records))
     ok = worst_balance <= lfunc.BALANCE_TOL and worst_conj <= 1e-9 and scan_status == "PASS"
     detail = (
@@ -538,12 +536,11 @@ def criterion_afe_balance(spec: lfunc.LFunctionSpec, ts, form: str = "delta"):
 
 @_timed
 def criterion_scan(
-    spec: lfunc.LFunctionSpec, t_min: float, t_max: float, step: float,
-    parallelism: int = 1, write=None,
+    spec: lfunc.LFunctionSpec, t_min: float, t_max: float, step: float, write=None,
 ):
     """The exponent scan, gated by `_scan_verdict`.  `write(records,
     summary)`, when given, saves artifacts and returns their paths."""
-    records = lfunc.exponent_scan(spec, t_min, t_max, step, parallelism=parallelism)
+    records = lfunc.exponent_scan(spec, t_min, t_max, step)
     summary = lfunc.scan_summary(records)
     status, detail = _scan_verdict(summary)
     written = write(records, summary) if write else []

@@ -2,10 +2,12 @@
 acceptance checks, prints one line per result and writes the artifacts;
 every verdict is decided in `acceptance`.
 
-Every run embeds its fully resolved configuration in the output header,
-reductions are fixed-order, and sampled sweeps take their generator
-from the seed, so identical configurations produce byte-identical
-artifacts regardless of parallelism.
+A command takes `--config`, `--output` and its schema's keys, nothing
+else: `seed` only where a check draws samples, `format` only on `scan`.
+Every run embeds its resolved configuration in the output header,
+reductions are fixed-order, sampled sweeps take their generator from
+the seed and the scan runs in one thread, so identical configurations
+produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -36,16 +38,22 @@ COMMANDS = (
     "all",
 )
 
+def _record_format(raw: str) -> str:
+    if raw not in ("csv", "json"):
+        raise ValueError("expected csv or json")
+    return raw
+
+
 # typed parameter schema per command: name -> (type, default)
 _SCHEMAS: dict[str, dict[str, tuple]] = {
     "charsum": {"c_max": (int, 40), "cc_max": (int, 12), "q_max": (int, 13)},
-    "kloosterman": {"p_exhaustive": (int, 50), "p_max": (int, 499)},
+    "kloosterman": {"p_exhaustive": (int, 50), "p_max": (int, 499), "seed": (int, 20240801)},
     "petersson": {"k": (int, 12), "grid": (int, 8), "tol": (float, 1e-6)},
     "besselsum": {
         "k_list": (str, "8,16,32"),
         "x_list": (str, "10,100,1000,10000"),
     },
-    "oscint": {},
+    "oscint": {"seed": (int, 20240801)},
     "afe": {"form": (str, "delta"), "t_list": (str, "0,10,100")},
     "scan": {
         "form": (str, "delta"),
@@ -53,6 +61,7 @@ _SCHEMAS: dict[str, dict[str, tuple]] = {
         "t_max": (float, 50.0),
         "step": (float, 0.25),
         "prec": (int, 12000),
+        "format": (_record_format, "csv"),
     },
     "pipeline": {
         "n_len": (float, 2500.0),
@@ -69,18 +78,12 @@ class RunConfig:
     command: str
     params: dict = field(default_factory=dict)
     output_path: str | None = None
-    format: str = "csv"
-    parallelism: int = 1
-    seed: int = 20240801
 
     def resolved(self) -> dict:
         return {
             "command": self.command,
             "params": dict(sorted(self.params.items())),
             "output_path": self.output_path,
-            "format": self.format,
-            "parallelism": self.parallelism,
-            "seed": self.seed,
         }
 
 
@@ -104,9 +107,7 @@ def parse_config_file(path: str) -> dict:
 
 
 def build_config(command: str, file_params: dict, flag_params: dict,
-                 output_path, fmt, parallelism, seed) -> RunConfig:
-    if parallelism < 1:
-        raise ConfigError(f"parallelism must be at least 1, got {parallelism}")
+                 output_path) -> RunConfig:
     schema = _SCHEMAS[command]
     params = {}
     merged = dict(file_params)
@@ -124,14 +125,7 @@ def build_config(command: str, file_params: dict, flag_params: dict,
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
     for key, (typ, default) in schema.items():
         params.setdefault(key, default)
-    return RunConfig(
-        command=command,
-        params=params,
-        output_path=output_path,
-        format=fmt,
-        parallelism=parallelism,
-        seed=seed,
-    )
+    return RunConfig(command=command, params=params, output_path=output_path)
 
 
 def _list(text: str, typ) -> list:
@@ -161,7 +155,7 @@ def _suite_charsum(cfg: RunConfig):
 def _suite_kloosterman(cfg: RunConfig):
     return _unlabelled(partial(
         acceptance.criterion_kloosterman,
-        cfg.params["p_exhaustive"], cfg.params["p_max"], cfg.seed,
+        cfg.params["p_exhaustive"], cfg.params["p_max"], cfg.params["seed"],
     ))
 
 
@@ -183,7 +177,7 @@ def _suite_besselsum(cfg: RunConfig):
 
 
 def _suite_oscint(cfg: RunConfig):
-    return _unlabelled(partial(acceptance.criterion_stationary_phase, cfg.seed))
+    return _unlabelled(partial(acceptance.criterion_stationary_phase, cfg.params["seed"]))
 
 
 def _spec_for(name: str, prec: int):
@@ -257,7 +251,7 @@ def _write_scan(cfg: RunConfig, records, summary) -> list[str]:
     if not cfg.output_path:
         return []
     with open(cfg.output_path, "w", encoding="utf-8") as fh:
-        if cfg.format == "csv":
+        if cfg.params["format"] == "csv":
             fh.write(format_scan_csv(records, cfg))
         else:
             payload = {
@@ -280,7 +274,7 @@ def _suite_scan(cfg: RunConfig):
     return _unlabelled(partial(
         acceptance.criterion_scan,
         spec, cfg.params["t_min"], cfg.params["t_max"], cfg.params["step"],
-        cfg.parallelism, write=partial(_write_scan, cfg),
+        write=partial(_write_scan, cfg),
     ))
 
 
@@ -347,9 +341,6 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--output", help="artifact path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--parallelism", type=int, default=1)
-        p.add_argument("--seed", type=int, default=20240801)
         for key, (typ, default) in _SCHEMAS[command].items():
             p.add_argument(
                 f"--{key.replace('_', '-')}",
@@ -371,21 +362,14 @@ def main(argv=None) -> int:
             for k, v in vars(args).items()
             if k.startswith("param_")
         }
-        cfg = build_config(
-            args.command,
-            file_params,
-            flag_params,
-            args.output,
-            args.format,
-            args.parallelism,
-            args.seed,
-        )
+        cfg = build_config(args.command, file_params, flag_params, args.output)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return run(cfg)
-    except ValueError as exc:  # out-of-range parameters the suites reject
+    except (ValueError, OSError) as exc:
+        # out-of-range parameters, an unreadable form file, an unwritable artifact
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

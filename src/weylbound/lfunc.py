@@ -37,12 +37,11 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .modforms import delta_eigenform, hecke_eigenforms
+from .modforms import delta_eigenform, dim_cusp, hecke_eigenforms
 from .oscint import SmoothWeight, panel_rule
 from .special import (
     ComplexEstimate,
@@ -118,7 +117,11 @@ def delta_spec(prec: int = 11000) -> LFunctionSpec:
 
 
 def holomorphic_spec(k: int, prec: int, index: int = 0) -> LFunctionSpec:
-    """Eigenform L-function of weight k; root number i^k."""
+    """Eigenform L-function of weight k; root number i^k.  Weights whose
+    cusp space is empty or of dimension above 2 raise ValueError."""
+    dim = dim_cusp(k)
+    if not 1 <= dim <= 2:
+        raise ValueError(f"weight {k} needs 1 <= dim S_k <= 2, got dim S_{k} = {dim}")
     f = hecke_eigenforms(k, prec)[index]
     vals = np.array(f.normalized)
     return LFunctionSpec(
@@ -477,11 +480,14 @@ def exponent_scan(
     """Scan |L(1/2 + it)| over a t-grid with consistency gating.
 
     Grid includes both endpoints when t_min < t_max and is empty when
-    t_min = t_max.  The grid is cut into bucket blocks (`_scan_blocks`)
-    independently of `parallelism`; blocks run in order or in a thread
-    pool, and records are returned ordered by t.  A grid past |t| =
-    `T_MAX` or of more than `SCAN_POINTS_MAX` points raises ValueError
-    before any point is formed.
+    t_min = t_max.  The grid is cut into bucket blocks (`_scan_blocks`),
+    which run in order in the calling thread, so records come ordered by
+    t.  A grid past |t| = `T_MAX` or of more than `SCAN_POINTS_MAX`
+    points raises ValueError before any point is formed.
+
+    `parallelism` changes no work, since the scan has no thread pool.  It
+    is still taken, and still refused below 1, because existing callers
+    pass it.
     """
     if not all(math.isfinite(x) for x in (t_min, t_max, step)):
         raise ValueError(
@@ -508,12 +514,7 @@ def exponent_scan(
     if ts[-1] < t_max - 1e-9:
         ts.append(t_max)
     blocks = _scan_blocks(spec, ts)
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            done = list(pool.map(lambda b: _scan_block(spec, b, balances), blocks))
-    else:
-        done = [_scan_block(spec, b, balances) for b in blocks]
-    return [record for block in done for record in block]
+    return [r for block in blocks for r in _scan_block(spec, block, balances)]
 
 
 @dataclass(frozen=True)
@@ -609,6 +610,8 @@ def load_maass_file(path: str) -> tuple[LFunctionSpec, MaassIngestReport]:
         raise ValueError("missing or bad '# parity = ...' header")
     if epsilon is None:
         epsilon = 1.0 if parity == "even" else -1.0
+    if not rows:
+        raise ValueError("no coefficient rows: expected 'n,lambda_n' lines from n = 1")
     n_max = max(rows)
     if set(rows) != set(range(1, n_max + 1)):
         raise ValueError("coefficient rows must cover n = 1..n_max")

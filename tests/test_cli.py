@@ -5,13 +5,16 @@ import sys
 import pytest
 
 from weylbound.cli import (
+    COMMANDS,
     ConfigError,
     EXIT_CHECK_FAILURE,
     EXIT_PASS,
     EXIT_USAGE,
+    _SCHEMAS,
     build_config,
     emit_plotdata,
     main,
+    make_parser,
     parse_config_file,
 )
 from weylbound.lfunc import ScanRecord
@@ -33,18 +36,16 @@ def test_config_file_diagnostics(tmp_path):
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
-        build_config("scan", {"bogus": "1"}, {}, None, "csv", 1, 0)
+        build_config("scan", {"bogus": "1"}, {}, None)
 
 
 def test_bad_value_rejected():
     with pytest.raises(ConfigError, match="bad value"):
-        build_config("scan", {"t_min": "abc"}, {}, None, "csv", 1, 0)
+        build_config("scan", {"t_min": "abc"}, {}, None)
 
 
 def test_flags_override_file():
-    cfg = build_config(
-        "scan", {"t_min": "5.0"}, {"t_min": "7.0"}, None, "csv", 1, 0
-    )
+    cfg = build_config("scan", {"t_min": "5.0"}, {"t_min": "7.0"}, None)
     assert cfg.params["t_min"] == 7.0
     # defaults fill the rest
     assert cfg.params["step"] == 0.25
@@ -54,15 +55,52 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["scan", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("command", ["scan", "petersson"])
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_parallelism_below_one_rejected(command, threads, tmp_path, capsys):
-    # refused for every command before any check runs or artifact is written
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--parallelism", "2"],
+        ["all", "--seed", "7"],
+        ["petersson", "--format", "json"],
+    ],
+    ids=["scan-parallelism", "all-seed", "petersson-format"],
+)
+def test_removed_options_refused(argv, tmp_path, capsys):
+    # argparse refuses a flag the command's schema lacks before any check
+    # runs or artifact is written
     out = tmp_path / "out.json"
-    assert main([command, "--parallelism", threads, "--output", str(out)]) == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(out)])
+    assert exc.value.code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err == f"configuration error: parallelism must be at least 1, got {threads}\n"
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in captured.err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_takes_only_schema_options(command):
+    # no global option a command's checks ignore: only --config, --output
+    # and the command's own schema keys
+    sub = make_parser()._subparsers._group_actions[0].choices[command]
+    options = {opt for action in sub._actions for opt in action.option_strings}
+    keys = {f"--{key.replace('_', '-')}" for key in _SCHEMAS[command]}
+    assert options == {"-h", "--help", "--config", "--output"} | keys
+
+
+def test_seed_and_format_belong_to_their_commands(tmp_path, capsys):
+    assert [c for c in COMMANDS if "seed" in _SCHEMAS[c]] == ["kloosterman", "oscint"]
+    assert [c for c in COMMANDS if "format" in _SCHEMAS[c]] == ["scan"]
+    cfg_file = tmp_path / "seed.cfg"
+    cfg_file.write_text("seed = 7\n")
+    file_params = parse_config_file(str(cfg_file))
+    assert build_config("oscint", file_params, {}, None).params["seed"] == 7
+    assert build_config("oscint", {}, {}, None).params["seed"] == 20240801
+    out = tmp_path / "pet.json"
+    assert main(["petersson", "--config", str(cfg_file), "--output", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("configuration error: unknown key 'seed'")
+    assert main(["scan", "--format", "xml"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("configuration error: bad value for 'format'")
 
 
 def test_petersson_command_exit_zero(capsys):
@@ -78,16 +116,19 @@ def test_petersson_dim2_runs_without_mpmath(monkeypatch, capsys):
     assert "[PASS] Petersson k=24: dim 2" in capsys.readouterr().out
 
 
-def test_scan_determinism_across_parallelism(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    args = ["scan", "--t-min", "10", "--t-max", "12", "--step", "0.5",
-            "--prec", "600"]
-    assert main(args + ["--output", str(a), "--parallelism", "1"]) == EXIT_PASS
-    assert main(args + ["--output", str(b), "--parallelism", "2"]) == EXIT_PASS
-    ca, cb = a.read_bytes(), b.read_bytes()
-    # records identical; headers differ only in the parallelism field
-    assert ca.split(b"\n", 1)[1] == cb.split(b"\n", 1)[1]
+def test_scan_determinism_across_runs(tmp_path):
+    # one configuration, run twice, writes the same bytes: header, records
+    # and plot data
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--t-min", "10", "--t-max", "12", "--step", "0.5",
+            "--prec", "600", "--output", str(out)]
+    assert main(argv) == EXIT_PASS
+    first = out.read_bytes(), (tmp_path / "scan.csv.plot").read_bytes()
+    assert main(argv) == EXIT_PASS
+    assert (out.read_bytes(), (tmp_path / "scan.csv.plot").read_bytes()) == first
+    header = json.loads(first[0].split(b"\n", 1)[0][len(b"# config: "):])
+    assert sorted(header) == ["command", "output_path", "params"]
+    assert header["params"]["format"] == "csv"
 
 
 def test_scan_csv_roundtrip(tmp_path):
@@ -151,9 +192,14 @@ def test_emit_plotdata_excludes_flagged(tmp_path):
 def test_json_output_embeds_config(tmp_path):
     out = tmp_path / "pet.json"
     assert main(["petersson", "--k", "10", "--grid", "3",
-                 "--output", str(out), "--format", "json"]) == EXIT_PASS
+                 "--output", str(out)]) == EXIT_PASS
     payload = json.loads(out.read_text())
-    assert payload["config"]["command"] == "petersson"
+    # the header records only what the command reads
+    assert payload["config"] == {
+        "command": "petersson",
+        "params": {"grid": 3, "k": 10, "tol": 1e-6},
+        "output_path": str(out),
+    }
     assert payload["results"][0]["status"] == "PASS"
 
 
@@ -190,13 +236,24 @@ def test_afe_command(capsys):
         # a 10^12-point grid, refused before the grid is formed
         (["scan", "--t-min", "10", "--t-max", "11", "--step", "1e-12", "--prec", "600"],
          "exceeds the desk-scale limit of 1000000"),
+        # a missing form file; an artifact path in a missing directory,
+        # refused after the check has printed
+        (["scan", "--form", "maass:/nonexistent/maass.txt"], "No such file or directory"),
+        (["petersson", "--output", "/nonexistent/dir/x.json"], "No such file or directory"),
+        # an empty cusp space, and one past the dim <= 2 eigenforms
+        (["scan", "--form", "holomorphic:10"], "got dim S_10 = 0"),
+        (["scan", "--form", "holomorphic:13"], "got dim S_13 = 0"),
+        (["scan", "--form", "holomorphic:14"], "got dim S_14 = 0"),
+        (["scan", "--form", "holomorphic:36"], "got dim S_36 = 3"),
     ],
     ids=["k-above-sqrt-t", "modulus-past-desk-scale", "zero-step",
          "charsum-no-grid", "charsum-no-congruence", "charsum-no-primes",
          "prec-zero", "prec-negative", "k16-prec-zero", "afe-t-inf",
          "step-inf", "t-min-nan", "t-max-nan", "step-nan",
          "afe-t-past-desk-scale", "afe-negative-t-past-desk-scale", "afe-empty-t-list",
-         "scan-grid-too-large"],
+         "scan-grid-too-large", "maass-file-missing", "output-dir-missing",
+         "holomorphic-k10-empty", "holomorphic-k13-odd", "holomorphic-k14-empty",
+         "holomorphic-k36-dim3"],
 )
 def test_rejected_parameters_exit_usage(argv, message, capsys):
     # exit 1 is reserved for a failed gate; a rejected input is a usage error
@@ -246,10 +303,10 @@ def test_every_command_runs(argv, code, n_lines, capsys):
 
 
 def test_scan_short_range_writes_csv_and_plot(tmp_path, capsys):
-    # the scan's thread pool, the contour fit and the CSV and plot writers
+    # the scan's blocks, the contour fit and the CSV and plot writers
     csv = tmp_path / "scan.csv"
     argv = ["scan", "--t-min", "20", "--t-max", "22", "--step", "0.5",
-            "--parallelism", "2", "--output", str(csv)]
+            "--output", str(csv)]
     assert main(argv) == EXIT_PASS
     out = capsys.readouterr().out
     assert "5 records, 0 flagged" in out
