@@ -28,10 +28,6 @@ class CheckResult:
     detail: str
     elapsed: float
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "FAIL"
-
     def line(self, label: str | None = None) -> str:
         """One report line: status, label (the name by default), detail, time."""
         name = label or self.name

@@ -13,7 +13,9 @@ produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -26,51 +28,11 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 
-COMMANDS = (
-    "charsum",
-    "kloosterman",
-    "petersson",
-    "besselsum",
-    "oscint",
-    "afe",
-    "scan",
-    "pipeline",
-    "all",
-)
 
 def _record_format(raw: str) -> str:
     if raw not in ("csv", "json"):
         raise ValueError("expected csv or json")
     return raw
-
-
-# typed parameter schema per command: name -> (type, default)
-_SCHEMAS: dict[str, dict[str, tuple]] = {
-    "charsum": {"c_max": (int, 40), "cc_max": (int, 12), "q_max": (int, 13)},
-    "kloosterman": {"p_exhaustive": (int, 50), "p_max": (int, 499), "seed": (int, 20240801)},
-    "petersson": {"k": (int, 12), "grid": (int, 8), "tol": (float, 1e-6)},
-    "besselsum": {
-        "k_list": (str, "8,16,32"),
-        "x_list": (str, "10,100,1000,10000"),
-    },
-    "oscint": {"seed": (int, 20240801)},
-    "afe": {"form": (str, "delta"), "t_list": (str, "0,10,100")},
-    "scan": {
-        "form": (str, "delta"),
-        "t_min": (float, 10.0),
-        "t_max": (float, 50.0),
-        "step": (float, 0.25),
-        "prec": (int, 12000),
-        "format": (_record_format, "csv"),
-    },
-    "pipeline": {
-        "n_len": (float, 2500.0),
-        "t": (float, 400.0),
-        "weight_scale": (float, 10.0),
-        "q_scale": (float, 25.0),
-    },
-    "all": {},
-}
 
 
 @dataclass
@@ -108,7 +70,7 @@ def parse_config_file(path: str) -> dict:
 
 def build_config(command: str, file_params: dict, flag_params: dict,
                  output_path) -> RunConfig:
-    schema = _SCHEMAS[command]
+    schema = _COMMAND_TABLE[command][0]
     params = {}
     merged = dict(file_params)
     merged.update({k: v for k, v in flag_params.items() if v is not None})
@@ -294,24 +256,56 @@ def _suite_all(cfg: RunConfig):
     return acceptance.ALL_CRITERIA
 
 
-_SUITES = {
-    "charsum": _suite_charsum,
-    "kloosterman": _suite_kloosterman,
-    "petersson": _suite_petersson,
-    "besselsum": _suite_besselsum,
-    "oscint": _suite_oscint,
-    "afe": _suite_afe,
-    "scan": _suite_scan,
-    "pipeline": _suite_pipeline,
-    "all": _suite_all,
+# command -> (typed parameter schema: name -> (type, default), suite)
+_COMMAND_TABLE = {
+    "charsum": ({"c_max": (int, 40), "cc_max": (int, 12), "q_max": (int, 13)}, _suite_charsum),
+    "kloosterman": (
+        {"p_exhaustive": (int, 50), "p_max": (int, 499), "seed": (int, 20240801)},
+        _suite_kloosterman,
+    ),
+    "petersson": ({"k": (int, 12), "grid": (int, 8), "tol": (float, 1e-6)}, _suite_petersson),
+    "besselsum": (
+        {"k_list": (str, "8,16,32"), "x_list": (str, "10,100,1000,10000")},
+        _suite_besselsum,
+    ),
+    "oscint": ({"seed": (int, 20240801)}, _suite_oscint),
+    "afe": ({"form": (str, "delta"), "t_list": (str, "0,10,100")}, _suite_afe),
+    "scan": (
+        {
+            "form": (str, "delta"),
+            "t_min": (float, 10.0),
+            "t_max": (float, 50.0),
+            "step": (float, 0.25),
+            "prec": (int, 12000),
+            "format": (_record_format, "csv"),
+        },
+        _suite_scan,
+    ),
+    "pipeline": (
+        {
+            "n_len": (float, 2500.0),
+            "t": (float, 400.0),
+            "weight_scale": (float, 10.0),
+            "q_scale": (float, 25.0),
+        },
+        _suite_pipeline,
+    ),
+    "all": ({}, _suite_all),
 }
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute the configured suite; 0 iff every gated check passes."""
-    results = acceptance.run_all(
-        _SUITES[cfg.command](cfg), emit=lambda line: print(line, flush=True)
-    )
+    """Execute the configured suite; 0 iff every gated check passes.
+
+    A missing artifact directory is refused before any check runs.
+    """
+    if cfg.output_path:
+        out_dir = os.path.dirname(cfg.output_path) or "."
+        if not os.path.isdir(out_dir):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
+    suite = _COMMAND_TABLE[cfg.command][1]
+    results = acceptance.run_all(suite(cfg), emit=lambda line: print(line, flush=True))
     n_inconclusive = sum(1 for r in results if r.status == "INCONCLUSIVE")
     failed = [r for r in results if r.status == "FAIL"]
     if cfg.output_path and cfg.command != "scan":
@@ -341,7 +335,7 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--output", help="artifact path")
-        for key, (typ, default) in _SCHEMAS[command].items():
+        for key, (typ, default) in _COMMAND_TABLE[command][0].items():
             p.add_argument(
                 f"--{key.replace('_', '-')}",
                 dest=f"param_{key}",

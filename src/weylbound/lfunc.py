@@ -53,7 +53,9 @@ from .special import (
 )
 
 MOLLIFIER_WIDTH = 3.0
-CUT_RATIO = 30.0  # V(u) < 5e-12 once u > CUT_RATIO * sqrt(conductor)
+# the sums stop at u = CUT_RATIO * sqrt(conductor), where V(u) < 5e-12:
+# that bounds one V value, not the tail of the sum past the cut
+CUT_RATIO = 30.0
 # Re w = 1 keeps the series absolutely convergent while the integrand
 # only reaches conductor^(1/2), limiting cancellation noise
 _CONTOUR_SIGMA = 1.0
@@ -183,8 +185,8 @@ def _jacobi_anger_basis(panels: int, lo: float, hi: float):
     tau = _contour_nodes(panels)[0]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # |tau_j| <= TMAX bounds every degree the amplitudes can ask for; one
-    # spare order absorbs a rounding tie between the two degree tests
-    kmax = chebyshev_degree(1.0, _CONTOUR_TMAX * half / 2.0) + 1
+    # spare order past it is kept as a margin
+    kmax = chebyshev_degree(_CONTOUR_TMAX * half / 2.0) + 1
     table = bessel_j_table(kmax, np.abs(tau) * half)
     phase, sign = np.exp(-1j * tau * mid), np.sign(tau)
     for a in (table, phase, sign):

@@ -17,7 +17,6 @@ from functools import cache
 from typing import Callable
 
 import numpy as np
-import scipy.linalg  # noqa: F401  (see _gl)
 from scipy.special import roots_legendre
 
 from .special import ComplexEstimate, bessel_j_orders, bessel_kernel_ca
@@ -25,9 +24,6 @@ from .special import ComplexEstimate, bessel_j_orders, bessel_kernel_ca
 
 @cache
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # roots_legendre solves a banded eigenproblem and imports scipy.linalg
-    # on its first call; the import at the top keeps that cost in the
-    # package import instead of the first contour or panel build.
     return roots_legendre(n)
 
 
@@ -78,23 +74,6 @@ class SmoothWeight:
 
     def __call__(self, t):
         return self.evaluator(np.asarray(t, dtype=float))
-
-    def endpoint_defect(self) -> float:
-        """Largest sampled |w|, |w'|, |w''| at the support endpoints."""
-        a, b = self.support
-        h = 1e-4 * (b - a)
-        worst = 0.0
-        for x0 in (a, b):
-            pts = np.array([x0 - h, x0, x0 + h])
-            inside = np.clip(pts, a, b)
-            vals = self.evaluator(inside)
-            # one-sided values outside the support are zero by definition
-            vals = np.where((pts >= a) & (pts <= b), vals, 0.0)
-            w0 = vals[1]
-            w1 = (vals[2] - vals[0]) / (2 * h)
-            w2 = (vals[2] - 2 * vals[1] + vals[0]) / (h * h)
-            worst = max(worst, abs(w0), abs(w1) * h, abs(w2) * h * h)
-        return worst
 
 
 @dataclass
@@ -487,7 +466,10 @@ def second_derivative_bound_check(
 # Bessel-weighted sum over the odd weight grid
 
 _PHI_HAT_STEP = 0.02
-_PHI_HAT_MAX = 368.0  # |phi_hat| < 1e-13 beyond this frequency
+# the phi_hat table's range, past which phi_hat is taken as zero; it is not
+# negligible there (30-digit quadrature): phi_hat(368) = -1.649e-10, and
+# phi_hat(480) = -3.65e-12
+_PHI_HAT_MAX = 368.0
 _PHI_HAT_ROWS = 1024  # grid rows per block of the phi_hat table
 
 
@@ -497,10 +479,10 @@ def _phi_hat_spline():
 
     phi is even, so phi_hat is real and even.  The rule must resolve the
     full 2*xi radians of phase at the top of the grid, hence the large
-    node count; past _PHI_HAT_MAX the transform is below 1e-13 and is
-    treated as zero by callers.  scipy.interpolate is imported here, on
-    first use, because only the Bessel-weighted k-sum needs it and it
-    adds about 0.4 s to every import of the package.
+    node count; past _PHI_HAT_MAX callers treat the transform as zero.
+    scipy.interpolate is imported here, on first use, because only the
+    Bessel-weighted k-sum needs it and it adds about 0.4 s to every
+    import of the package.
     """
     from scipy.interpolate import CubicSpline
 
@@ -525,12 +507,6 @@ def _phi_hat(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump_fourier(v: np.ndarray) -> np.ndarray:
-    """Fourier transform of the canonical [1,2] bump: int W(u) e(uv) du."""
-    v = np.asarray(v, dtype=float)
-    return 0.5 * np.exp(3j * math.pi * v) * _phi_hat(v * math.pi)
-
-
 def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
     """S1 = sum over odd weights k of i^(-k) W((k-1)/K) J_{k-1}(2 pi x).
 
@@ -543,7 +519,8 @@ def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
     kernel      the sum-over-orders identity: combining the mod-4
                 kernels over the even order classes collapses to
                 -i int_R K What(K v) cos(2 pi x cos 2 pi v) dv,
-                evaluated by panelled quadrature (What via bump_fourier);
+                evaluated by panelled quadrature, with What(K v) =
+                e^(3 pi i K v) phi_hat(pi K v) / 2;
     asymptotic  leading stationary term with the u-integral folded in:
                 -i K w0 cos(2 pi x - pi/4) / (2 pi sqrt(x)), w0 = int W.
     """

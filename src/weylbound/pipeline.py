@@ -29,7 +29,7 @@ import numpy as np
 from .arith import inv_mod
 from .expsums import charsum_congruence, kloosterman
 from .oscint import _canonical_bump, panel_rule, plateau_weight
-from .special import ComplexEstimate, chebyshev_fit
+from .special import chebyshev_fit
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -58,22 +58,18 @@ class PipelineParams:
     def N_dual(self) -> float:
         return self.Q**2 * self.K**4 / self.N
 
-    @property
-    def C(self) -> float:
-        return self.Q
 
-
-def _inner_nodes(m_max: float, n: int, c: int, p: PipelineParams,
-                 rad_per_panel: float = 13.0, order: int = 20):
+def _inner_nodes(m_max: float, n: int, c: int, p: PipelineParams):
     """Fixed Gauss-Legendre grid on [1, 2] resolving the worst-case
-    phase of the I-integrand over first arguments up to m_max."""
+    phase of the I-integrand over first arguments up to m_max: 20 nodes
+    per 13 rad of phase."""
     rate = (
         p.t
         + (TWO_PI / c) * (0.5 * math.sqrt(max(m_max, 1.0) * p.N))
         + (TWO_PI / c) * abs(n) * p.N
     )
-    panels = int(min(max(rate * 1.0 / rad_per_panel, 24), 600_000))
-    return panel_rule(np.linspace(1.0, 2.0, panels + 1), order)
+    panels = int(min(max(rate / 13.0, 24), 600_000))
+    return panel_rule(np.linspace(1.0, 2.0, panels + 1), 20)
 
 
 def i_integral_batch(
@@ -114,7 +110,7 @@ def _i_profile(ms: np.ndarray, n: int, c: int, p: PipelineParams) -> np.ndarray:
     beta = root_n * (SQRT2 - 1.0) / 2.0
     fit = chebyshev_fit(
         lambda xs: np.exp(-1j * omega0 * xs) * i_integral_batch(xs * xs, n, c, p),
-        float(x.min()), float(x.max()), 1.0, beta,
+        float(x.min()), float(x.max()), beta,
     )
     return np.exp(1j * omega0 * x) * fit(x)
 
@@ -159,28 +155,6 @@ def i_integral_window(
         out[k] = acc.sum()
         acc *= step
     return out
-
-
-@dataclass(frozen=True)
-class IBoundReport:
-    value: complex
-    bound: float
-    r: float
-    status: str
-
-
-def i_integral(m: float, n: int, c: int, p: PipelineParams) -> IBoundReport:
-    """One I value with the second-derivative bound check.
-
-    The phase curvature is dominated by -t/v^2, so r = t/(8 pi) in the
-    e(x) normalization and |I| <= 8 max W / sqrt(r) whenever t > 0.
-    """
-    val = complex(i_integral_batch(np.array([m]), n, c, p)[0])
-    if p.t <= 0:
-        return IBoundReport(val, float("inf"), 0.0, "INCONCLUSIVE")
-    r = p.t / (8.0 * math.pi)
-    bound = 8.0 / math.sqrt(r)
-    return IBoundReport(val, bound, r, "PASS" if abs(val) <= bound else "FAIL")
 
 
 @dataclass(frozen=True)
@@ -264,12 +238,14 @@ def poisson_check_s5(
 
 
 def _outer_nodes(m_max: float, n1: int, c1: int, n2: int, c2: int,
-                 p: PipelineParams, rad_per_panel: float = 10.0, order: int = 16):
+                 p: PipelineParams):
+    """Fixed Gauss-Legendre grid on [0.5, 3] resolving the phase of the
+    J-integrand up to frequency m_max: 16 nodes per 10 rad of phase."""
     rate = TWO_PI * abs(m_max) + TWO_PI * math.sqrt(p.N * p.N_dual) * math.sqrt(
         2.0 / 0.5
     ) * (1.0 / c1 + 1.0 / c2)
-    panels = int(min(max(rate * 2.5 / rad_per_panel, 32), 400_000))
-    return panel_rule(np.linspace(0.5, 3.0, panels + 1), order)
+    panels = int(min(max(rate * 2.5 / 10.0, 32), 400_000))
+    return panel_rule(np.linspace(0.5, 3.0, panels + 1), 16)
 
 
 def j_integral_batch(
@@ -301,13 +277,6 @@ def j_integral_batch(
     return out
 
 
-def j_integral(
-    m: int, n1: int, c1: int, n2: int, c2: int, p: PipelineParams
-) -> ComplexEstimate:
-    val = complex(j_integral_batch(np.array([m]), n1, c1, n2, c2, p)[0])
-    return ComplexEstimate(val, 1e-10 + 1e-8 * abs(val), "quadrature")
-
-
 @dataclass(frozen=True)
 class JDecayReport:
     j0: float
@@ -319,14 +288,11 @@ class JDecayReport:
     status: str
 
 
-def j_decay_report(
-    p: PipelineParams,
-    n: int,
-    c: int,
-    fit_ms: tuple[int, ...] = (1, 2, 4, 8),
-) -> JDecayReport:
-    """Fit |J(0)| t and |J(m)| t K constants and measure the collapse
-    past m = 16 N / K^2, all on one (n, c; n, c) profile family."""
+def j_decay_report(p: PipelineParams, n: int, c: int) -> JDecayReport:
+    """Fit |J(0)| t and |J(m)| t K constants, the latter over
+    m = 1, 2, 4, 8, and measure the collapse past m = 16 N / K^2, all on
+    one (n, c; n, c) profile family."""
+    fit_ms = (1, 2, 4, 8)
     m_big = int(16 * p.N / p.K**2)
     octaves = []
     mm = max(2 * int(p.N / p.K**2), 4)

@@ -26,6 +26,8 @@ _CW2 = 0.0019353071693331003
 _CW3 = 1.0253376489868793e-11
 _CW4 = 1.1650928224373424e-19
 
+# the Stirling terms log_gamma_vec takes, and log_gamma by default
+_STIRLING_TERMS = 12
 # B_{2j} for the Stirling tail, j = 1..15
 _BERNOULLI = [
     1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
@@ -35,15 +37,12 @@ _BERNOULLI = [
 ]
 
 # chebyshev_block builds the T_k rows in panels of 8 rows over chunks of
-# at most 16384 arguments (1.3 MB with the two carried rows; the scan's
-# blocks run in threads, and each holds one panel).  Neither size depends
-# on the arguments or the columns of a call, so a value sums its terms in
-# the same order whatever else shares the call
+# at most 16384 arguments (one panel, 1.3 MB with the two carried rows,
+# is alive at a time).  Neither size depends on the arguments or the
+# columns of a call, so a value sums its terms in the same order whatever
+# else shares the call
 _PANEL_ROWS = 8
 _BASIS_CHUNK = 1 << 14
-
-# log k! for k < 4096, read by chebyshev_degree's degree tests
-_LOG_FACTORIAL = np.array([math.lgamma(k + 1) for k in range(4096)])
 
 
 @dataclass(frozen=True)
@@ -69,33 +68,21 @@ class RangeError(ValueError):
     """Input outside the range any implemented method can certify."""
 
 
-def chebyshev_degree(amp, ratio) -> int:
-    """Interpolation degree for sum_j amp_j e^(i tau_j y) on [-1, 1].
+def chebyshev_degree(ratio: float) -> int:
+    """Interpolation degree for e^(i tau y) on [-1, 1], ratio = |tau| / 2.
 
     The k-th Chebyshev coefficient of e^(i tau y) is 2 i^k J_k(tau), and
-    |J_k(tau)| <= (|tau| / 2)^k / k!.  With ratio_j = |tau_j| / 2 this
-    returns the smallest k at which sum_j 2 |amp_j| ratio_j^k / k! falls
-    below the rounding floor 2^(-52) sum_j |amp_j| of the sum itself.
-    The terms are formed in logarithms, so a large ratio cannot overflow.
-    Degrees are tested in chunks, one row of terms per degree, with the
-    same arithmetic per degree as a one-degree-at-a-time search.
+    |J_k(tau)| <= ratio^k / k!.  This returns the smallest k >= 1 at which
+    2 ratio^k / k! falls below the rounding floor 2^(-52) of the unit
+    amplitude.  The terms are formed in logarithms, so a large ratio
+    cannot overflow.
     """
-    amp = np.abs(np.ravel(amp))
-    mag = 2.0 * amp
-    floor = 2.0**-52 * np.sum(amp)
     with np.errstate(divide="ignore", over="ignore"):
-        log_mag, log_ratio = np.log(mag), np.log(np.ravel(ratio))
-        start, size = 1, 16
-        while True:
-            degs = np.arange(start, start + size)
-            log_fact = _LOG_FACTORIAL[start : start + size]
-            if len(log_fact) < size:  # past the table: the same lgamma values
-                log_fact = np.array([math.lgamma(d + 1) for d in degs.tolist()])
-            terms = log_mag + degs[:, None] * log_ratio - log_fact[:, None]
-            below = np.flatnonzero(np.sum(np.exp(terms), axis=1) < floor)
-            if below.size:
-                return start + int(below[0])
-            start, size = start + size, min(2 * size, 64)
+        log_mag, log_ratio = np.log(2.0), np.log(ratio)
+        deg = 1
+        while np.exp(log_mag + deg * log_ratio - math.lgamma(deg + 1)) >= 2.0**-52:
+            deg += 1
+    return deg
 
 
 def jacobi_anger_coefficients(bessel, amp, sign) -> np.ndarray:
@@ -110,7 +97,7 @@ def jacobi_anger_coefficients(bessel, amp, sign) -> np.ndarray:
     one real product of the table with four columns per b, taken column
     by column so that a column's coefficients do not depend on the others.
     The coefficients are exact up to the table's rounding; the height must
-    bound the series' tail (`chebyshev_degree`).
+    bound the series' tail (`chebyshev_degree` of the largest r_j / 2).
     """
     factor = 2.0 * (-1j) ** (np.arange(len(bessel)) % 4)
     factor[0] = 1.0
@@ -182,17 +169,17 @@ def _check_range(x, valid) -> None:
         raise ValueError(f"argument outside the fitted range [{v_lo:.4g}, {v_hi:.4g}]")
 
 
-def chebyshev_fit(g, lo: float, hi: float, amp, freq):
+def chebyshev_fit(g, lo: float, hi: float, freq: float):
     """Chebyshev interpolant of g on [lo, hi], returned as an evaluator.
 
-    g must be band-limited like sum_j amp_j e^(i freq_j x): on the
-    half-width h the degree is `chebyshev_degree(amp, |freq| h / 2)`.  g is
+    g must be band-limited like a unit-amplitude e^(i freq x): on the
+    half-width h the degree is `chebyshev_degree(|freq| h / 2)`.  g is
     sampled once at the first-kind Chebyshev points; the evaluator is
     `chebyshev_block` with one column, so an argument outside [lo, hi]
     raises ValueError.
     """
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    deg = chebyshev_degree(amp, np.abs(freq) * half / 2.0)
+    deg = chebyshev_degree(abs(freq) * half / 2.0)
     coef = chebyshev.chebinterpolate(lambda y: g(mid + half * y), deg)[:, None]
     return lambda x: chebyshev_block(coef, lo, hi, x)[:, 0]
 
@@ -467,7 +454,7 @@ def _stirling(z: np.ndarray, terms: int) -> tuple[np.ndarray, int, np.ndarray]:
     return value, lifts, z
 
 
-def log_gamma(s: complex, terms: int = 12) -> ComplexEstimate:
+def log_gamma(s: complex, terms: int = _STIRLING_TERMS) -> ComplexEstimate:
     """Principal-branch log Gamma(s) by Stirling with recursion lift.
 
     The claimed error is the first omitted Bernoulli term at the lifted
@@ -482,9 +469,9 @@ def log_gamma(s: complex, terms: int = 12) -> ComplexEstimate:
     return ComplexEstimate(val, err, "asymptotic")
 
 
-def log_gamma_vec(z: np.ndarray, terms: int = 12) -> np.ndarray:
+def log_gamma_vec(z: np.ndarray) -> np.ndarray:
     """Vectorized principal log Gamma for complex arrays (values only)."""
-    return _stirling(z, terms)[0]
+    return _stirling(z, _STIRLING_TERMS)[0]
 
 
 @dataclass(frozen=True)

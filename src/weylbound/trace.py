@@ -90,14 +90,15 @@ def petersson_delta(
     return _side(k, m, n, A, c_max, bessel_j_many(k - 1, A / cs))
 
 
-def petersson_matrix(k: int, size: int, tol: float = 1e-12) -> np.ndarray:
-    """Matrix [Delta_k(m, n)] for 1 <= m, n <= size (symmetric).
+def petersson_matrix(k: int, size: int) -> np.ndarray:
+    """Matrix [Delta_k(m, n)] for 1 <= m, n <= size (symmetric), each
+    c-sum truncated at tail 1e-12.
 
     Every pair's J_(k-1)(A / c) comes from one `bessel_j_many` call, so
     the midrange arguments of the whole matrix share one Miller pass.
     """
     pairs = [(m, n) for m in range(1, size + 1) for n in range(m, size + 1)]
-    cuts = [_truncation(k, m, n, tol) for m, n in pairs]
+    cuts = [_truncation(k, m, n, 1e-12) for m, n in pairs]
     args = [A / np.arange(1, c_max + 1, dtype=float) for A, c_max in cuts]
     bessel = bessel_j_many(k - 1, np.concatenate(args))
     ends = np.cumsum([c_max for _, c_max in cuts])

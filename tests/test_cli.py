@@ -4,13 +4,14 @@ import sys
 
 import pytest
 
+from weylbound import acceptance
 from weylbound.cli import (
     COMMANDS,
     ConfigError,
     EXIT_CHECK_FAILURE,
     EXIT_PASS,
     EXIT_USAGE,
-    _SCHEMAS,
+    _COMMAND_TABLE,
     build_config,
     emit_plotdata,
     main,
@@ -82,13 +83,14 @@ def test_parser_takes_only_schema_options(command):
     # and the command's own schema keys
     sub = make_parser()._subparsers._group_actions[0].choices[command]
     options = {opt for action in sub._actions for opt in action.option_strings}
-    keys = {f"--{key.replace('_', '-')}" for key in _SCHEMAS[command]}
+    keys = {f"--{key.replace('_', '-')}" for key in _COMMAND_TABLE[command][0]}
     assert options == {"-h", "--help", "--config", "--output"} | keys
 
 
 def test_seed_and_format_belong_to_their_commands(tmp_path, capsys):
-    assert [c for c in COMMANDS if "seed" in _SCHEMAS[c]] == ["kloosterman", "oscint"]
-    assert [c for c in COMMANDS if "format" in _SCHEMAS[c]] == ["scan"]
+    schemas = {c: schema for c, (schema, _) in _COMMAND_TABLE.items()}
+    assert [c for c in COMMANDS if "seed" in schemas[c]] == ["kloosterman", "oscint"]
+    assert [c for c in COMMANDS if "format" in schemas[c]] == ["scan"]
     cfg_file = tmp_path / "seed.cfg"
     cfg_file.write_text("seed = 7\n")
     file_params = parse_config_file(str(cfg_file))
@@ -237,7 +239,7 @@ def test_afe_command(capsys):
         (["scan", "--t-min", "10", "--t-max", "11", "--step", "1e-12", "--prec", "600"],
          "exceeds the desk-scale limit of 1000000"),
         # a missing form file; an artifact path in a missing directory,
-        # refused after the check has printed
+        # refused before any check runs
         (["scan", "--form", "maass:/nonexistent/maass.txt"], "No such file or directory"),
         (["petersson", "--output", "/nonexistent/dir/x.json"], "No such file or directory"),
         # an empty cusp space, and one past the dim <= 2 eigenforms
@@ -261,6 +263,19 @@ def test_rejected_parameters_exit_usage(argv, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["petersson", "all"])
+def test_missing_output_directory_refused_before_any_check(command, monkeypatch, capsys):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(acceptance, "run_all", no_check)
+    assert main([command, "--output", "/nonexistent/dir/x.json"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "No such file or directory" in captured.err
 
 
 @pytest.mark.parametrize("t_max", ["10", "50"], ids=["reversed", "empty"])
