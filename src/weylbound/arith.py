@@ -7,7 +7,6 @@ sums never re-reduce large arguments through floating point.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -69,13 +68,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n):
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -110,12 +102,10 @@ def divisor_counts(n: int) -> np.ndarray:
 
 
 def primitive_root(q: int) -> int:
-    """Smallest primitive root modulo q; q must be 2, 4, p^e or 2p^e."""
-    phi = euler_phi(q)
+    """Smallest primitive root modulo the odd prime q."""
+    phi = q - 1
     prime_factors = [p for p, _ in factorize(phi)]
     for g in range(2, q):
-        if math.gcd(g, q) != 1:
-            continue
         if all(pow(g, phi // p, q) != 1 for p in prime_factors):
             return g
     raise ValueError(f"no primitive root modulo {q}")

@@ -106,6 +106,10 @@ def _suite_charsum(cfg: RunConfig):
     from .arith import primes_up_to
 
     primes = tuple(p for p in primes_up_to(cfg.params["q_max"]) if p >= 3)
+    if not primes:
+        raise ConfigError(
+            f"charsum needs an odd prime q <= q_max, got q_max = {cfg.params['q_max']}"
+        )
     c_max, cc_max = cfg.params["c_max"], cfg.params["cc_max"]
     return _unlabelled(
         partial(acceptance.criterion_charsums, c_max, cc_max),

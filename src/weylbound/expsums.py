@@ -46,13 +46,11 @@ def kloosterman(m: int, n: int, c: int) -> complex:
 def twisted_kloosterman(
     chi: DirichletCharacter, m: int, n: int, c: int
 ) -> complex:
-    """S_chi(m, n; c) with chi of modulus dividing c."""
+    """S_chi(m, n; c) with chi of modulus dividing c (so c >= 3)."""
     if c % chi.modulus != 0:
         raise ValueError(
             f"character modulus {chi.modulus} does not divide c = {c}"
         )
-    if c == 1:
-        return 1.0 + 0.0j
     xs, invs = units_and_inverses(c)
     idx = (m % c * xs + n % c * invs) % c
     roots = unit_roots(c)

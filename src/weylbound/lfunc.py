@@ -118,13 +118,14 @@ def delta_spec(prec: int = 11000) -> LFunctionSpec:
     )
 
 
-def holomorphic_spec(k: int, prec: int, index: int = 0) -> LFunctionSpec:
-    """Eigenform L-function of weight k; root number i^k.  Weights whose
-    cusp space is empty or of dimension above 2 raise ValueError."""
+def holomorphic_spec(k: int, prec: int) -> LFunctionSpec:
+    """L-function of the first eigenform `hecke_eigenforms` gives at
+    weight k; root number i^k.  Weights whose cusp space is empty or of
+    dimension above 2 raise ValueError."""
     dim = dim_cusp(k)
     if not 1 <= dim <= 2:
         raise ValueError(f"weight {k} needs 1 <= dim S_k <= 2, got dim S_{k} = {dim}")
-    f = hecke_eigenforms(k, prec)[index]
+    f = hecke_eigenforms(k, prec)[0]
     vals = np.array(f.normalized)
     return LFunctionSpec(
         kind="holomorphic",
@@ -175,14 +176,14 @@ def _contour_nodes(panels: int):
 
 
 @functools.lru_cache(maxsize=2)
-def _jacobi_anger_basis(panels: int, lo: float, hi: float):
+def _jacobi_anger_basis(lo: float, hi: float):
     """The t-independent part of the Chebyshev series of g on the log-u
     range [lo, hi]: the table J_k(|tau_j| h) (k up to the largest degree
     any amplitudes can need), the phases e^(-i tau_j m) and the signs of
     tau_j, read-only.  The scan's t-points walk through buckets in order,
     so two entries serve it; one entry holds about 0.9 MB at t = 1000.
     """
-    tau = _contour_nodes(panels)[0]
+    tau = _contour_nodes(_CONTOUR_PANELS)[0]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     # |tau_j| <= TMAX bounds every degree the amplitudes can ask for; one
     # spare order past it is kept as a margin
@@ -301,7 +302,7 @@ def _contour_block(spec: LFunctionSpec, ts, balances) -> list[_AfeContour]:
     hi = _basis_end(ends[0])
     # one product with the bucket's Bessel table at its full height, which
     # bounds every degree; column b holds t_b's coefficients
-    table, phase, sign = _jacobi_anger_basis(_CONTOUR_PANELS, lo, hi)
+    table, phase, sign = _jacobi_anger_basis(lo, hi)
     amp = np.stack([c._node_amp for c in contours], axis=1) * phase[:, None]
     coef = jacobi_anger_coefficients(table, amp, sign)
     # each balance's arguments are two progressions, nested in t: the
@@ -413,6 +414,8 @@ class ScanRecord:
 
 # relative gap allowed between the L-values of two AFE balances
 BALANCE_TOL = 1e-6
+# the two balances a scan compares at each t
+_SCAN_BALANCES = (1.0, 2.0)
 # desk scale: the largest |t| a scan or the `afe` command takes, and the
 # most t-points one scan grid may hold
 T_MAX = 5000.0
@@ -476,10 +479,10 @@ def exponent_scan(
     t_min: float,
     t_max: float,
     step: float,
-    balances: tuple[float, float] = (1.0, 2.0),
     parallelism: int = 1,
 ) -> list[ScanRecord]:
-    """Scan |L(1/2 + it)| over a t-grid with consistency gating.
+    """Scan |L(1/2 + it)| over a t-grid, gated by the gap between the
+    values at balances 1 and 2.
 
     Grid includes both endpoints when t_min < t_max and is empty when
     t_min = t_max.  The grid is cut into bucket blocks (`_scan_blocks`),
@@ -516,7 +519,7 @@ def exponent_scan(
     if ts[-1] < t_max - 1e-9:
         ts.append(t_max)
     blocks = _scan_blocks(spec, ts)
-    return [r for block in blocks for r in _scan_block(spec, block, balances)]
+    return [r for block in blocks for r in _scan_block(spec, block, _SCAN_BALANCES)]
 
 
 @dataclass(frozen=True)

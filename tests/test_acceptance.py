@@ -10,7 +10,7 @@ docstring of criterion_bessel_sum_suppression for the analysis).
 
 import pytest
 
-from weylbound import acceptance
+from weylbound import acceptance, pipeline
 
 
 def _report(res):
@@ -110,3 +110,33 @@ def test_criterion_10_coefficient_bounds():
 def test_empty_case_sets_raise(check, kwargs):
     with pytest.raises(ValueError, match="no .* cases"):
         check(**kwargs)
+
+
+# the `pipeline` command's S5 and J-decay checks gate as criteria 7 and 8 do
+_PIPELINE_PARAMS = pipeline.PipelineParams(N=2500.0, t=400.0, K=10.0, Q=25.0)
+
+
+def test_pipeline_j_decay_check_gates_octave_trend(monkeypatch):
+    rep = pipeline.JDecayReport(
+        j0=1e-3, a0=0.4, worst_a1=4.0, decay_threshold=400, decay_ratio=1e-15,
+        octave_trend_ok=False, status="PASS",
+    )
+    monkeypatch.setattr(pipeline, "j_decay_report", lambda p, n, c: rep)
+    res = acceptance.pipeline_checks(_PIPELINE_PARAMS)[1]()
+    assert res.status == "FAIL"
+    assert res.detail.endswith("; octave trend broken")
+    assert acceptance.criterion_j_decay().status == "FAIL"
+
+
+def test_pipeline_s5_check_gates_fat_tail(monkeypatch):
+    # |dual| is the trivial bound, and all of it lies past the cutoff
+    rep = pipeline.S5Report(
+        m=1, c=12, direct=1.0, dual=1.0, abs_diff=0.0, rel_diff=0.0,
+        trivial_bound=1.0, n_window=(-6, 20), nonpositive_mass=0.0,
+        tail_mass=1.0, tail_cutoff=10, status="PASS",
+    )
+    monkeypatch.setattr(pipeline, "poisson_check_s5", lambda m, c, p, tol: rep)
+    res = acceptance.pipeline_checks(_PIPELINE_PARAMS)[0]()
+    assert res.status == "FAIL"
+    assert res.detail.endswith("; fat tail")
+    assert acceptance.criterion_poisson_s5(t_list=(0.0,)).status == "FAIL"

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylbound.arith import euler_phi
+from weylbound.arith import primes_up_to
 from weylbound.characters import (
     closed_form_candidate,
     discover_average_convention,
@@ -13,18 +14,20 @@ from weylbound.characters import (
 )
 
 TOL = 1e-9
+ODD_PRIMES = [p for p in primes_up_to(100) if p > 2]
 
 
 def quadratic_character(p):
-    """The Legendre-symbol character mod an odd prime p."""
-    (chi,) = [ch for ch in enumerate_characters(p) if ch.order == 2]
+    """The Legendre-symbol character mod an odd prime p, picked out by
+    Euler's criterion: chi(x) = x^((p-1)/2) mod p, read as +-1."""
+    def legendre(x):
+        return 1.0 if pow(x, (p - 1) // 2, p) == 1 else -1.0
+
+    (chi,) = [
+        ch for ch in enumerate_characters(p)
+        if all(abs(ch.value(x) - legendre(x)) < 1e-12 for x in range(1, p))
+    ]
     return chi
-
-
-def test_enumerate_q1():
-    chars = enumerate_characters(1)
-    assert len(chars) == 1
-    assert chars[0].value(0) == 1.0
 
 
 def test_enumerate_q3():
@@ -34,56 +37,45 @@ def test_enumerate_q3():
     assert len(principal) == 1
     assert principal[0].parity == "even"
     other = [c for c in chars if not c.is_principal][0]
-    assert other.order == 2
     assert abs(other.value(2) - (-1.0)) < 1e-15
     assert other.parity == "odd"
 
 
-def test_enumerate_q8_parities():
-    chars = enumerate_characters(8)
-    assert len(chars) == 4
-    odd = sum(1 for c in chars if c.is_odd)
-    assert odd == 2
+@pytest.mark.parametrize("q", [1, 2, 4, 9, 15])
+def test_enumerate_refuses_other_moduli(q):
+    with pytest.raises(ValueError, match="odd prime"):
+        enumerate_characters(q)
 
 
-@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 24, 36, 45])
+@pytest.mark.parametrize("q", ODD_PRIMES)
 def test_enumeration_invariants(q):
     chars = enumerate_characters(q)
-    assert len(chars) == euler_phi(q)
+    assert len(chars) == q - 1
+    assert chars[0].is_principal
     assert sum(1 for c in chars if c.is_principal) == 1
-    if q > 2:
-        # -1 is not 1 mod q, so characters split evenly by parity
-        assert sum(1 for c in chars if c.is_odd) == euler_phi(q) // 2
+    # -1 is not 1 mod q, so characters split evenly by parity
+    assert sum(1 for c in chars if c.is_odd) == (q - 1) // 2
+    # no two characters share a value table
+    assert len({c.exponents for c in chars}) == q - 1
+    units = np.arange(1, q)
     for ch in chars:
-        # values vanish exactly off the units
-        for n in range(q):
-            if math.gcd(n, q) > 1:
-                assert ch.value(n) == 0.0
+        # values vanish exactly at 0 mod q
+        assert ch.exponents[0] is None and ch.value(q) == 0.0
         # complete multiplicativity is exact on the exponent tables
         den = ch.exponent_den
-        for a in range(1, q):
-            if ch.exponents[a] is None:
-                continue
-            for b in range(1, q):
-                if ch.exponents[b] is None:
-                    continue
-                lhs = ch.exponents[a * b % q]
-                assert (lhs - ch.exponents[a] - ch.exponents[b]) % den == 0
-        # order divides phi(q) and matches the value table
-        assert euler_phi(q) % ch.order == 0
-        if q > 1:
-            assert ch.order >= 1
+        assert den == q - 1
+        table = np.array([0, *ch.exponents[1:]], dtype=np.int64)
+        e = table[1:]
+        prod = np.outer(units, units) % q
+        assert np.all((table[prod] - e[:, None] - e[None, :]) % den == 0)
 
 
-@pytest.mark.parametrize("q", range(1, 51))
+@pytest.mark.parametrize("q", ODD_PRIMES)
 def test_orthogonality(q):
     chars = enumerate_characters(q)
-    phi = euler_phi(q)
-    for a in range(1, q + 1):
-        if math.gcd(a, q) != 1:
-            continue
+    for a in range(1, q):
         s = sum(ch.value(a) for ch in chars)
-        expected = phi if a % q == 1 % q else 0.0
+        expected = q - 1 if a == 1 else 0.0
         assert abs(s - expected) < 1e-12
 
 
@@ -108,27 +100,10 @@ def test_gauss_sum_principal_prime(p):
 
 
 def test_gauss_modulus_primitive_up_to_100():
-    for q in range(3, 101):
+    for q in ODD_PRIMES:
         for ch in enumerate_characters(q):
             if ch.primitive:
                 assert gauss_sum(ch).abs_defect < 1e-9, (q, ch.exponents)
-
-
-def test_conductor_induced_character():
-    # the mod-3 quadratic character induced to mod 9 is not primitive
-    chars9 = enumerate_characters(9)
-    quad3 = quadratic_character(3)
-    induced = [
-        ch for ch in chars9
-        if not ch.is_principal
-        and all(
-            abs(ch.value(n) - quad3.value(n)) < 1e-12
-            for n in range(9) if math.gcd(n, 9) == 1
-        )
-    ]
-    assert len(induced) == 1
-    assert induced[0].conductor == 3
-    assert not induced[0].primitive
 
 
 def test_odd_average_mod3():
@@ -178,7 +153,7 @@ def test_mprime_invariance(q):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    q=st.sampled_from([3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16]),
+    q=st.sampled_from([3, 5, 7, 11, 13, 17, 19]),
     a=st.integers(min_value=1, max_value=10**6),
     b=st.integers(min_value=1, max_value=10**6),
 )
@@ -188,10 +163,3 @@ def test_multiplicativity_of_values(q, a, b):
         va, vb, vab = ch.value(a), ch.value(b), ch.value(a * b)
         assert abs(vab - va * vb) < 1e-12
 
-
-def test_conj_character():
-    for q in (5, 7, 12):
-        for ch in enumerate_characters(q):
-            cc = ch.conj()
-            for n in range(q):
-                assert abs(cc.value(n) - ch.value(n).conjugate()) < 1e-15

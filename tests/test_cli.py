@@ -219,7 +219,7 @@ def test_afe_command(capsys):
         # an empty case set must not print a passing verdict
         (["charsum", "--c-max", "0"], "no character-sum cases"),
         (["charsum", "--cc-max", "0"], "no character-sum cases"),
-        (["charsum", "--q-max", "2"], "no twisted-factorization cases"),
+        (["charsum", "--q-max", "2"], "charsum needs an odd prime q <= q_max"),
         # no coefficients past lambda(0)
         (["scan", "--prec", "0"], "need coefficients"),
         (["scan", "--prec", "-5"], "need coefficients"),
@@ -276,6 +276,17 @@ def test_missing_output_directory_refused_before_any_check(command, monkeypatch,
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "No such file or directory" in captured.err
+
+
+def test_charsum_without_odd_prime_refused_before_any_check(monkeypatch, capsys):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(acceptance, "run_all", no_check)
+    assert main(["charsum", "--q-max", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: charsum needs an odd prime q <= q_max, got q_max = 2\n"
 
 
 @pytest.mark.parametrize("t_max", ["10", "50"], ids=["reversed", "empty"])

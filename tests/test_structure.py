@@ -40,6 +40,20 @@ def test_balance_tolerance_is_one_lfunc_constant():
     assert _modules_matching(r"\bBALANCE_TOL\b") == ["acceptance", "lfunc"]
 
 
+def test_characters_are_built_only_in_characters():
+    # characters exist only for odd prime moduli, where every non-principal
+    # one is primitive; a character built elsewhere could break that
+    root = SRC.parents[1]
+    files = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"),
+             *(root / "scripts").glob("*.py"), *(root / "benchmark").glob("*.py")]
+    builders = sorted(
+        path.relative_to(root).as_posix()
+        for path in files
+        if re.search(r"\bDirichletCharacter\(", path.read_text())
+    )
+    assert builders == ["src/weylbound/characters.py"]
+
+
 def test_package_reexports_nothing():
     # callers import the submodules; the package carries only its version
     assert not re.search(r"(?m)^\s*(from|import)\s", (SRC / "__init__.py").read_text())
