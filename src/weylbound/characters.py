@@ -143,20 +143,28 @@ def odd_character_average(q: int, c: int, ell: int, mprime: int) -> complex:
     exactly the odd characters; the psi(mprime) factors cancel, which is
     asserted separately as the m'-invariance property.
     """
-    psis = [psi for psi in enumerate_characters(q) if psi.is_odd]
+    odd = _odd_weights(q)
     for name, v in (("c", c), ("ell", ell), ("mprime", mprime)):
         if math.gcd(v, q) != 1:
             raise ValueError(f"{name} = {v} must be coprime to q = {q}")
     cbar = inv_mod(c, q)
     total = 0.0 + 0.0j
-    for psi in psis:
-        eps = gauss_sum(psi).epsilon
-        total += (
-            eps * eps * eps.conjugate()
-            * psi.value(mprime * cbar)
-            * psi.value(mprime * ell).conjugate()
-        )
+    for psi, weight in odd:
+        total += weight * psi.value(mprime * cbar) * psi.value(mprime * ell).conjugate()
     return total
+
+
+@cache
+def _odd_weights(q: int) -> tuple:
+    """(psi, eps_psi^2 conj(eps_psi)) for each odd character psi mod q, in
+    enumeration order: `odd_character_average` runs over them up to
+    8 (q - 1)^2 times per q while a convention is sought."""
+    out = []
+    for psi in enumerate_characters(q):
+        if psi.is_odd:
+            eps = gauss_sum(psi).epsilon
+            out.append((psi, eps * eps * eps.conjugate()))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

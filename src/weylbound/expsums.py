@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .arith import inv_mod, is_prime, require_inv, unit_roots
+from .arith import inv_mod, require_inv, unit_roots
 from .characters import DirichletCharacter, gauss_sum
 
 
@@ -114,14 +114,13 @@ def verify_twisted_factorization(
 ) -> FactorizationReport:
     """Evaluate both sides of the twisted Kloosterman factorization.
 
-    Preconditions: q prime, chi primitive and odd, gcd(c, q) = 1,
-    gcd(m', q) = 1, nu >= 0.
+    Preconditions: chi odd, gcd(c, q) = 1, gcd(m', q) = 1, nu >= 0.
+    Characters are built only mod odd primes q, where an odd character
+    is non-principal and so primitive.
     """
     q = chi.modulus
-    if not is_prime(q):
-        raise ValueError("modulus of the twist must be prime")
-    if not (chi.primitive and chi.is_odd):
-        raise ValueError("twist must be primitive and odd")
+    if not chi.is_odd:
+        raise ValueError("twist must be odd")
     if math.gcd(c, q) != 1 or math.gcd(mprime, q) != 1:
         raise ValueError("c and m' must be coprime to q")
     if nu < 0:

@@ -26,10 +26,14 @@ AFE arguments n, 2n and n/2 of balances 1 and 2.  The scan therefore
 works in blocks of such t's (`_contour_block`): one gamma-factor call
 for every s + w, s and 1 - s; every t's coefficients from one product
 with the table; and one Chebyshev-basis evaluation, a matrix product,
-over the union of the block's distinct arguments, from whose columns
-each t's contour fills its cutoff table.  The sums read V only from
-that table; a central value computed alone is a block of one.  The
-dense contour sum stays as `afe_weight` and as the test oracle.
+over the union of the block's distinct arguments, whose columns are the
+t's cutoff tables.  `np.unique` also gives, for each balance, the
+positions in the union of its two argument progressions, so a sum reads
+V with one `take` at those positions cut to its own lengths.  Each t's
+Dirichlet coefficients lambda(n) n^(-s) do not depend on the balance:
+its contour forms them once, at its longest length, and both balances
+slice that column.  A central value computed alone is a block of one.
+The dense contour sum stays as `afe_weight` and as the test oracle.
 """
 
 from __future__ import annotations
@@ -216,16 +220,19 @@ def _log_gamma_rows(spec: LFunctionSpec, ts, w: np.ndarray) -> np.ndarray:
 
 
 class _AfeContour:
-    """Precomputed contour data for V at one (spec, t), and the cutoff
-    table of V at the AFE arguments its block was built for.
+    """Precomputed contour data for V at one (spec, t), the cutoff table
+    of V at the AFE arguments its block was built for, and the t's
+    Dirichlet coefficients.
 
     The default panel count serves the AFE sums, whose arguments stay
     within a few e-folds of the conductor scale (the gamma-ratio drift
     cancels most of the exp(-i tau ln u) oscillation there).  Callers
     probing extreme arguments pass a denser panelling.  Only
     `_contour_block` fills the table, passing each t its row of the
-    block's gamma pass; a contour built alone serves the dense `weight`
-    and the root factor, and its table is empty.
+    block's gamma pass: the t's column of V over the block's distinct
+    arguments, and each balance's positions in them.  A contour built
+    alone serves the dense `weight` and the root factor, and its table
+    is empty.
     """
 
     def __init__(
@@ -247,10 +254,15 @@ class _AfeContour:
         self.w = w[keep]
         self._node_amp = np.where(keep, amp, 0.0)  # every node, 0 where dropped
         self._log_u_range = _log_u_range(spec, t)
-        # cutoff table, filled by the block: sorted distinct arguments and
-        # their V values
-        self._table_u = np.empty(0)
+        self.t = t
+        self._lam = spec.coefficients.values
+        # filled by the block: V at its sorted distinct arguments, each
+        # balance's positions there of its pieces' arguments at the block's
+        # longest lengths, and this t's longest Dirichlet length
         self._table_v = np.empty(0, dtype=complex)
+        self._positions: dict = {}
+        self._dirichlet_length = 0
+        self._dirichlet = None
 
     def weight(self, u: np.ndarray) -> np.ndarray:
         """V(u) for an array of positive cutoff arguments."""
@@ -269,19 +281,29 @@ class _AfeContour:
             )
         return out
 
-    def cutoff(self, u: np.ndarray) -> np.ndarray:
-        """V(u) read from the cutoff table its block filled; an argument the
-        table lacks (every argument, for a contour built outside a block)
-        raises ValueError."""
-        u = np.asarray(u, dtype=float)
-        table = self._table_u
-        pos = np.minimum(np.searchsorted(table, u), max(len(table) - 1, 0))
-        if len(table) == 0 or not np.array_equal(table[pos], u):
+    def cutoff(self, t: float, balance: float, n1: int, n2: int) -> np.ndarray:
+        """V at the AFE arguments n * balance (n <= n1) followed by n /
+        balance (n <= n2) of the sums at t, read by position from the table
+        its block filled.  A t other than the contour's, a balance the block
+        was not built for, or lengths past the block's raise ValueError, and
+        so does every read from a contour built outside a block."""
+        pos = self._positions.get(balance)
+        if t != self.t or pos is None or n1 > len(pos[0]) or n2 > len(pos[1]):
             raise ValueError(
-                "cutoff argument outside the contour's table: a contour reads V "
-                "only at the AFE arguments of the balances its block was built for"
+                "cutoff read outside the contour's table: a contour reads V only "
+                "at its own t, at the AFE arguments of the balances its block "
+                "was built for"
             )
-        return self._table_v[pos]
+        return self._table_v.take(np.concatenate((pos[0][:n1], pos[1][:n2])))
+
+    def dirichlet(self, n: int) -> np.ndarray:
+        """lambda(m) m^(-s) for m = 1..n: a slice of one column, formed on
+        first use at the t's longest length over its block's balances."""
+        if self._dirichlet is None:
+            m = self._dirichlet_length
+            s = complex(0.5, self.t)
+            self._dirichlet = self._lam[1 : m + 1] * np.arange(1, m + 1.0) ** (-s)
+        return self._dirichlet[:n]
 
 
 def _contour_block(spec: LFunctionSpec, ts, balances) -> list[_AfeContour]:
@@ -308,16 +330,24 @@ def _contour_block(spec: LFunctionSpec, ts, balances) -> list[_AfeContour]:
     # each balance's arguments are two progressions, nested in t: the
     # union is theirs at the block's longest lengths
     lengths = np.array([[afe_lengths(spec, t, b) for b in balances] for t in ts])
-    u = np.unique(np.concatenate([
-        _afe_arguments(n1, n2, b) for (n1, n2), b in zip(lengths.max(axis=0), balances)
-    ]))
+    longest = lengths.max(axis=0)
+    u, inverse = np.unique(
+        np.concatenate([_afe_arguments(n1, n2, b) for (n1, n2), b in zip(longest, balances)]),
+        return_inverse=True,
+    )
+    # a t's pieces read the prefixes of its balance's two position runs
+    positions, start = {}, 0
+    for (n1, n2), b in zip(longest, balances):
+        positions[b] = (inverse[start : start + n1], inverse[start + n1 : start + n1 + n2])
+        start += n1 + n2
     lu = np.log(u)
     # V = u^(-sigma) g(log u); an argument past the block's exact range raises
     v = chebyshev_block(coef, lo, hi, lu, (lo, max(ends)))
     v *= np.exp(-_CONTOUR_SIGMA * lu)[:, None]
-    for c, column, end in zip(contours, v.T, ends):
-        n = np.searchsorted(lu, end, side="right")
-        c._table_u, c._table_v = u[:n], column[:n]
+    n_max = spec.coefficients.n_max
+    for c, column, n in zip(contours, v.T, lengths.max(axis=(1, 2))):
+        c._table_v, c._positions = column, positions
+        c._dirichlet_length = min(int(n), n_max)
     return contours
 
 
@@ -373,9 +403,8 @@ def central_value(
     # one kernel sum_m lambda(m) m^(-s) V(u_m) for both pieces: lambda is
     # real and s - 1 = -conj(s), so the dual piece is the conjugate of the
     # kernel at the reciprocal balance
-    s = complex(0.5, t)
-    coef = spec.coefficients.values[1 : n + 1] * np.arange(1, n + 1.0) ** (-s)
-    v = contour.cutoff(_afe_arguments(n1, n2, balance))
+    v = contour.cutoff(t, balance, n1, n2)
+    coef = contour.dirichlet(n)
     sum1 = complex(np.sum(coef[:n1] * v[:n1]))
     sum2 = complex(np.sum(coef[:n2] * v[n1:])).conjugate()
     value = sum1 + contour.root_factor * sum2
@@ -424,15 +453,19 @@ SCAN_POINTS_MAX = 10**6
 
 # the contours of the block this thread is scanning, keyed by t; set by
 # `_scan_block` for the span of its records, so `_scan_one` keeps the
-# signature (spec, t, balances) that callers wrap and substitute
+# signature (spec, t, balances) that callers wrap and substitute, and
+# popped by `_scan_one` as it reads each
 _scanning = threading.local()
 
 
 def _scan_one(spec: LFunctionSpec, t: float, balances: tuple[float, float]) -> ScanRecord:
     """The record at t, read from its block's contour (a block of one when
     called outside `_scan_block`)."""
-    contours = getattr(_scanning, "contours", {})
-    contour = contours[t] if t in contours else _contour_block(spec, [t], balances)[0]
+    # popped, so a block keeps a t's Dirichlet column only while its record
+    # is made
+    contour = getattr(_scanning, "contours", {}).pop(t, None)
+    if contour is None:
+        contour = _contour_block(spec, [t], balances)[0]
     v1 = central_value(spec, t, balances[0], _contour=contour)
     v2 = central_value(spec, t, balances[1], _contour=contour)
     gap = abs(v1.value - v2.value)

@@ -176,26 +176,34 @@ def test_interpolated_weight_against_dense_oracle(case, request, tmp_path):
     block = lfunc._contour_block(spec, ts, balances)
     if case == "delta@edge":
         assert block[0]._log_u_range[1] == 200 / lfunc._LOG_U_BUCKETS
-    for s, contour in zip(ts, block):
-        args = []
-        for b in balances:
-            n1, n2 = afe_lengths(spec, s, b)
-            args += [np.arange(1, n1 + 1) * b, np.arange(1, n2 + 1) / b]
-        u = np.unique(np.concatenate(args))
+    longest = np.max([[afe_lengths(spec, s, b) for b in balances] for s in ts], axis=0)
+    for i, (s, contour) in enumerate(zip(ts, block)):
+        lengths = {b: afe_lengths(spec, s, b) for b in balances}
+        args = {
+            b: np.concatenate([np.arange(1, n1 + 1) * b, np.arange(1, n2 + 1) / b])
+            for b, (n1, n2) in lengths.items()
+        }
+        u = np.unique(np.concatenate(list(args.values())))
         dense = contour.weight(u)
-        # the block's table holds every argument, read from its own column,
-        # and none past this t's range
-        assert np.isin(u, contour._table_u).all(), s
         u_max = CUT_RATIO * conductor_sqrt(spec, s) + 8.0
-        assert contour._table_u.max() <= u_max, s
-        assert np.max(np.abs(contour.cutoff(u) - dense)) <= 1e-10, s
         # the fitted range ends at the extreme arguments any balance in [1/4, 4] forms
         assert u.min() >= 0.25 and u.max() <= u_max
-        # the table is the only read path: an argument it lacks raises, in
-        # the fitted range or past it
-        for bad in (0.99 * 0.25, 1.3, 1.01 * u_max):
+        for b, (n1, n2) in lengths.items():
+            # the positional read gives V at this t's own arguments of b, in
+            # the block's table, from this t's column
+            want = dense[np.searchsorted(u, args[b])]
+            assert np.max(np.abs(contour.cutoff(s, b, n1, n2) - want)) <= 1e-10, (s, b)
+        # the positions are the only read path: a balance the block was not
+        # built for (in the fitted range or below it), lengths past the
+        # block's longest and another t of the same block all raise
+        n1, n2 = lengths[1.0]
+        other = ts[(i + 1) % len(ts)]
+        bad_reads = [(s, 0.99 * 0.25, n1, n2), (s, 1.3, n1, n2), (other, 1.0, n1, n2)]
+        for b, (m1, m2) in zip(balances, longest):
+            bad_reads += [(s, b, m1 + 1, m2), (s, b, m1, m2 + 1)]
+        for bad in bad_reads:
             with pytest.raises(ValueError, match="contour's table"):
-                contour.cutoff(np.array([bad]))
+                contour.cutoff(*bad)
     for b in balances:
         if max(afe_lengths(spec, t, b)) > spec.coefficients.n_max:
             continue
@@ -344,43 +352,121 @@ def test_cutoff_table_is_order_independent(delta12000):
     # two blocks built for the balances in opposite orders
     (block12,) = lfunc._contour_block(delta12000, [t], (1.0, 2.0))
     (block21,) = lfunc._contour_block(delta12000, [t], (2.0, 1.0))
-    assert np.array_equal(block12._table_u, block21._table_u)
     assert np.array_equal(block12._table_v, block21._table_v)
+    for b in (1.0, 2.0):
+        n1, n2 = afe_lengths(delta12000, t, b)
+        assert np.array_equal(block12.cutoff(t, b, n1, n2), block21.cutoff(t, b, n1, n2))
     g1 = central_value(delta12000, t, 1.0, _contour=block12)
     g2 = central_value(delta12000, t, 2.0, _contour=block12)
     h2 = central_value(delta12000, t, 2.0, _contour=block21)
     h1 = central_value(delta12000, t, 1.0, _contour=block21)
     assert g1 == h1 and g2 == h2
-    # a repeated argument reads one table entry
-    u = np.array([3.0, 1.5, 3.0, 1.5, 3.0])
-    w = block12.cutoff(u)
-    assert w[0] == w[2] == w[4] and w[1] == w[3]
-    assert np.array_equal(w, block21.cutoff(u))
+    # an argument shared by several pieces reads one table entry: balance
+    # 1's two pieces both run over the integers, and balance 2's first
+    # piece over the even ones
+    p1, p2 = block12._positions[1.0]
+    assert np.array_equal(p1, p2)
+    n1, n2 = afe_lengths(delta12000, t, 1.0)
+    w = block12.cutoff(t, 1.0, n1, n2)
+    assert n1 == n2 and np.array_equal(w[:n1], w[n1:])
+    q1 = block12._positions[2.0][0]
+    k = min(len(q1), len(p1) // 2)
+    assert k > 1000 and np.array_equal(q1[:k], p1[1 : 2 * k : 2])
 
 
 def test_cutoff_out_of_range_raises(delta12000):
-    # a contour fitted for t = 10 cannot serve the arguments of t = 1000,
-    # and the failed read leaves the table as it was
+    # a contour fitted for t = 10 at balance 1 serves neither another t,
+    # even one whose lengths fit, nor another balance, nor longer lengths;
+    # a failed read leaves the table as it was and forms no coefficients
     (contour,) = lfunc._contour_block(delta12000, [10.0], (1.0,))
-    size = len(contour._table_u)
-    assert size > 0
-    with pytest.raises(ValueError, match="contour's table"):
-        central_value(delta12000, 1000.0, 1.0, _contour=contour)
-    with pytest.raises(ValueError, match="contour's table"):
-        contour.cutoff(np.array([1.0, 0.2]))
-    assert len(contour._table_u) == size
+    table = contour._table_v.copy()
+    assert len(table) > 0
+    n1, n2 = afe_lengths(delta12000, 10.0, 1.0)
+    assert all(m <= n for m, n in zip(afe_lengths(delta12000, 9.9, 1.0), (n1, n2)))
+    for t, b in ((1000.0, 1.0), (9.9, 1.0), (10.0, 2.0)):
+        with pytest.raises(ValueError, match="contour's table"):
+            central_value(delta12000, t, b, _contour=contour)
+    for bad in ((9.9, 1.0, n1, n2), (10.0, 1.0, n1 + 1, n2), (10.0, 1.0, n1, n2 + 1)):
+        with pytest.raises(ValueError, match="contour's table"):
+            contour.cutoff(*bad)
+    assert np.array_equal(contour._table_v, table)
+    assert contour._dirichlet is None
 
 
 def test_bare_contour_has_no_cutoff(delta12000):
     # only _contour_block fills a cutoff table: a contour built alone keeps
     # the dense weight and the root factor, and every cutoff read raises
     contour = _AfeContour(delta12000, 10.0)
-    assert len(contour._table_u) == 0
+    assert len(contour._table_v) == 0 and contour._positions == {}
     with pytest.raises(ValueError, match="contour's table"):
         central_value(delta12000, 10.0, 1.0, _contour=contour)
-    with pytest.raises(ValueError, match="contour's table"):
-        contour.cutoff(np.array([1.0]))
+    n1, n2 = afe_lengths(delta12000, 10.0, 1.0)
+    for m1, m2 in ((n1, n2), (1, 1), (0, 0)):
+        with pytest.raises(ValueError, match="contour's table"):
+            contour.cutoff(10.0, 1.0, m1, m2)
     assert abs(contour.weight(np.array([1.0]))[0]) > 0.0
+
+
+@pytest.mark.parametrize(
+    "ts, balances",
+    [([10.1, 10.2, 10.3], (1.0, 2.0)), ([1000.0, 1000.5, 1001.0], (1.0, 2.0, 4.0))],
+    ids=["t10", "t1000"],
+)
+def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances):
+    # a block's central values equal, bit for bit, a per-call power
+    # lambda(n) n^(-s) and a searchsorted lookup in the same block's table;
+    # the balances of one t slice one Dirichlet column, formed once at the
+    # t's longest length (capped at n_max: balance 4 passes it at t = 1000)
+    spec = delta12000
+    lam, n_max = spec.coefficients.values, spec.coefficients.n_max
+    assert lfunc._scan_blocks(spec, ts) == [ts]
+    block = lfunc._contour_block(spec, ts, balances)
+    longest = np.max([[afe_lengths(spec, t, b) for b in balances] for t in ts], axis=0)
+    u = np.unique(np.concatenate([
+        lfunc._afe_arguments(n1, n2, b) for (n1, n2), b in zip(longest, balances)
+    ]))
+    for t, contour in zip(ts, block):
+        assert contour._dirichlet is None
+        s = complex(0.5, t)
+        columns = []
+        for b in balances:
+            n1, n2 = afe_lengths(spec, t, b)
+            n = max(n1, n2)
+            if n > n_max:
+                continue
+            coef = lam[1 : n + 1] * np.arange(1, n + 1.0) ** (-s)
+            args = np.concatenate([np.arange(1, n1 + 1.0) * b, np.arange(1, n2 + 1.0) / b])
+            pos = np.searchsorted(u, args)
+            assert np.array_equal(u[pos], args)
+            v = contour._table_v[pos]
+            sum1 = complex(np.sum(coef[:n1] * v[:n1]))
+            sum2 = complex(np.sum(coef[:n2] * v[n1:])).conjugate()
+            got = central_value(spec, t, b, _contour=contour)
+            assert got.value == sum1 + contour.root_factor * sum2, (t, b)
+            columns.append(contour._dirichlet)
+        assert len(columns) >= 2 and all(c is columns[0] for c in columns)
+        longest_t = max(max(afe_lengths(spec, t, b)) for b in balances)
+        assert len(columns[0]) == min(longest_t, n_max)
+    if max(balances) == 4.0:
+        assert longest_t > n_max
+
+
+def test_scan_block_releases_each_contour(delta2000, monkeypatch):
+    # _scan_one pops its t's contour, so a block holds each t's Dirichlet
+    # column only while that t's record is made
+    left = []
+    scan_one = lfunc._scan_one
+
+    def wrapped(spec, t, balances):
+        left.append(sorted(lfunc._scanning.contours))
+        return scan_one(spec, t, balances)
+
+    monkeypatch.setattr(lfunc, "_scan_one", wrapped)
+    ts = [20.25, 20.5, 20.75]
+    assert lfunc._scan_blocks(delta2000, ts) == [ts]
+    recs = lfunc._scan_block(delta2000, ts, (1.0, 2.0))
+    assert [r.t for r in recs] == ts
+    assert left == [ts, ts[1:], ts[2:]]
 
 
 def _mp_root_factor(spec, t) -> complex:
