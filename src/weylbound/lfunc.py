@@ -30,9 +30,11 @@ over the union of the block's distinct arguments, whose columns are the
 t's cutoff tables.  `np.unique` also gives, for each balance, the
 positions in the union of its two argument progressions, so a sum reads
 V with one `take` at those positions cut to its own lengths.  Each t's
-Dirichlet coefficients lambda(n) n^(-s) do not depend on the balance:
-its contour forms them once, at its longest length, and both balances
-slice that column.  A central value computed alone is a block of one.
+Dirichlet coefficients lambda(n) n^(-s) = lambda(n) n^(-1/2) e^(-i t log n)
+do not depend on the balance: the block forms log n and lambda(n) n^(-1/2)
+once, to its longest length; each contour forms its column from their
+prefixes once, at its t's longest length, and both balances slice that
+column.  A central value computed alone is a block of one.
 The dense contour sum stays as `afe_weight` and as the test oracle.
 """
 
@@ -71,12 +73,12 @@ _CONTOUR_NODES = 12
 # the interpolant's basis range ends on this grid in log u
 _LOG_U_BUCKETS = 32
 # a scan block holds at most 16 t-points (its gamma pass keeps about
-# eight arrays of 482 complex values per t alive, 1 MB in all) and 1 MiB
+# eight arrays of 482 complex values per t alive, 1 MB in all) and 2 MiB
 # of cutoff values: 16 bytes per t and argument, and the arguments of
 # balances 1 and 2 lie on the half-integer grid up to e^end (at t = 1000,
-# six t-points)
+# thirteen t-points, which share one basis evaluation)
 _SCAN_BLOCK = 16
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -189,9 +191,8 @@ def _jacobi_anger_basis(lo: float, hi: float):
     """
     tau = _contour_nodes(_CONTOUR_PANELS)[0]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # |tau_j| <= TMAX bounds every degree the amplitudes can ask for; one
-    # spare order past it is kept as a margin
-    kmax = chebyshev_degree(_CONTOUR_TMAX * half / 2.0) + 1
+    # |tau_j| <= TMAX bounds every degree the amplitudes can ask for
+    kmax = chebyshev_degree(_CONTOUR_TMAX * half / 2.0)
     table = bessel_j_table(kmax, np.abs(tau) * half)
     phase, sign = np.exp(-1j * tau * mid), np.sign(tau)
     for a in (table, phase, sign):
@@ -255,13 +256,13 @@ class _AfeContour:
         self._node_amp = np.where(keep, amp, 0.0)  # every node, 0 where dropped
         self._log_u_range = _log_u_range(spec, t)
         self.t = t
-        self._lam = spec.coefficients.values
         # filled by the block: V at its sorted distinct arguments, each
         # balance's positions there of its pieces' arguments at the block's
-        # longest lengths, and this t's longest Dirichlet length
+        # longest lengths, and log n and lambda(n) n^(-1/2) up to this t's
+        # longest Dirichlet length
         self._table_v = np.empty(0, dtype=complex)
         self._positions: dict = {}
-        self._dirichlet_length = 0
+        self._log_n = self._lam_root = np.empty(0)
         self._dirichlet = None
 
     def weight(self, u: np.ndarray) -> np.ndarray:
@@ -297,12 +298,11 @@ class _AfeContour:
         return self._table_v.take(np.concatenate((pos[0][:n1], pos[1][:n2])))
 
     def dirichlet(self, n: int) -> np.ndarray:
-        """lambda(m) m^(-s) for m = 1..n: a slice of one column, formed on
-        first use at the t's longest length over its block's balances."""
+        """lambda(m) m^(-s) = lambda(m) m^(-1/2) e^(-i t log m) for m = 1..n:
+        a slice of one column, formed on first use at the t's longest
+        length over its block's balances."""
         if self._dirichlet is None:
-            m = self._dirichlet_length
-            s = complex(0.5, self.t)
-            self._dirichlet = self._lam[1 : m + 1] * np.arange(1, m + 1.0) ** (-s)
+            self._dirichlet = self._lam_root * np.exp(-1j * self.t * self._log_n)
         return self._dirichlet[:n]
 
 
@@ -344,10 +344,14 @@ def _contour_block(spec: LFunctionSpec, ts, balances) -> list[_AfeContour]:
     # V = u^(-sigma) g(log u); an argument past the block's exact range raises
     v = chebyshev_block(coef, lo, hi, lu, (lo, max(ends)))
     v *= np.exp(-_CONTOUR_SIGMA * lu)[:, None]
-    n_max = spec.coefficients.n_max
-    for c, column, n in zip(contours, v.T, lengths.max(axis=(1, 2))):
+    # log n and lambda(n) n^(-1/2) once, to the block's longest length; each
+    # t slices them at its own
+    n_t = np.minimum(lengths.max(axis=(1, 2)), spec.coefficients.n_max)
+    ns = np.arange(1, n_t.max() + 1.0)
+    log_n, lam_root = np.log(ns), spec.coefficients.values[1 : len(ns) + 1] / np.sqrt(ns)
+    for c, column, n in zip(contours, v.T, n_t):
         c._table_v, c._positions = column, positions
-        c._dirichlet_length = min(int(n), n_max)
+        c._log_n, c._lam_root = log_n[:n], lam_root[:n]
     return contours
 
 

@@ -17,14 +17,48 @@ from functools import cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .special import ComplexEstimate, bessel_j_orders, bessel_kernel_ca
 
 
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_(n-1)(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x.copy()
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1, p0
+
+
 @cache
 def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return roots_legendre(n)
+    """Gauss-Legendre nodes (ascending) and weights of order n on [-1, 1].
+
+    Newton's method on P_n, evaluated by its three-term recurrence, from
+    Tricomi's initial guesses (Hale & Townsend, SIAM J. Sci. Comput. 35,
+    2013), for the nonnegative nodes; the rest are their mirror images,
+    and an odd n has a node at exactly 0.  The weight 2 / ((1 - x^2)
+    P_n'(x)^2) is taken at the last point of evaluation and moved to
+    first order by the last Newton step dx, a relative 2 x dx / (1 - x^2)
+    that reaches 1e-12 at the end nodes of n = 560.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    theta = (4 * k - 1) * math.pi / (4 * n + 2)
+    x = np.cos(theta) * (
+        1 - (n - 1) / (8.0 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384.0 * n**4)
+    )
+    if n % 2:
+        x[-1] = 0.0
+    for _ in range(20):
+        pn, pm = _legendre_pair(n, x)
+        one = (1 - x) * (1 + x)
+        dp = n * (pm - x * pn) / one
+        step = pn / dp
+        x, last = x - step, x
+        if np.all(np.abs(step) <= 1e-15):
+            break
+    w = 2.0 / (one * dp * dp) * (1 + 2 * last * step / one)
+    half = n // 2  # the positive nodes, mirrored
+    return np.concatenate([-x, x[:half][::-1]]), np.concatenate([w, w[:half][::-1]])
 
 
 def panel_rule(
@@ -474,36 +508,47 @@ _PHI_HAT_ROWS = 1024  # grid rows per block of the phi_hat table
 
 
 @cache
-def _phi_hat_spline():
-    """Spline of phi_hat(xi) = int_{-1}^{1} exp(1 - 1/(1-s^2)) e^{i xi s} ds.
+def _phi_hat_table() -> tuple[np.ndarray, ...]:
+    """Cubic Hermite table of phi_hat(xi) = int_{-1}^{1} exp(1 - 1/(1-s^2))
+    e^{i xi s} ds on the grid of step _PHI_HAT_STEP from 0.
 
-    phi is even, so phi_hat is real and even.  The rule must resolve the
-    full 2*xi radians of phase at the top of the grid, hence the large
-    node count; past _PHI_HAT_MAX callers treat the transform as zero.
-    scipy.interpolate is imported here, on first use, because only the
-    Bessel-weighted k-sum needs it and it adds about 0.4 s to every
-    import of the package.
+    phi is even, so phi_hat is real and even, and its derivative is
+    -int s phi(s) sin(xi s) ds; both come from one GL-560 rule, which must
+    resolve the full 2*xi radians of phase at the top of the grid, folded
+    onto its positive nodes.  Piece i holds c0 + c1 d + c2 d^2 + c3 d^3
+    in d = xi - i * step; the four coefficient arrays are returned
+    separately, each contiguous.
     """
-    from scipy.interpolate import CubicSpline
-
     grid = np.arange(0.0, _PHI_HAT_MAX + 1.0, _PHI_HAT_STEP)
     xs, ws = _gl(560)
+    xs, ws = xs[xs > 0], 2.0 * ws[xs > 0]  # each node s > 0 stands for +-s
     phi_w = _canonical_bump(xs) * ws
-    # rows in blocks, so the cosine matrix never holds the whole grid
-    vals = np.concatenate([
-        np.cos(np.outer(grid[i : i + _PHI_HAT_ROWS], xs)) @ phi_w
-        for i in range(0, grid.size, _PHI_HAT_ROWS)
-    ])
-    return CubicSpline(grid, vals)
+    vals, ders = [], []
+    # rows in blocks, so the cosine and sine matrices never hold the whole grid
+    for i in range(0, grid.size, _PHI_HAT_ROWS):
+        arg = np.outer(grid[i : i + _PHI_HAT_ROWS], xs)
+        vals.append(np.cos(arg) @ phi_w)
+        ders.append(np.sin(arg) @ (-xs * phi_w))
+    f, d = np.concatenate(vals), np.concatenate(ders)
+    h = _PHI_HAT_STEP
+    slope = np.diff(f) / h
+    c2 = (3.0 * slope - 2.0 * d[:-1] - d[1:]) / h
+    c3 = (d[:-1] + d[1:] - 2.0 * slope) / (h * h)
+    return f[:-1], d[:-1], c2, c3
 
 
 def _phi_hat(xi: np.ndarray) -> np.ndarray:
     """phi_hat at |xi|, zero past the certified range."""
     xi = np.abs(np.asarray(xi, dtype=float))
-    sp = _phi_hat_spline()
-    out = np.zeros_like(xi)
-    m = xi <= _PHI_HAT_MAX
-    out[m] = sp(xi[m])
+    c0, c1, c2, c3 = _phi_hat_table()
+    i = np.minimum(xi * (1.0 / _PHI_HAT_STEP), len(c0) - 1).astype(np.intp)
+    d = xi - i * _PHI_HAT_STEP
+    # Horner's rule, one gather per coefficient
+    out = c3.take(i)
+    for c in (c2, c1, c0):
+        out *= d
+        out += c.take(i)
+    out[xi > _PHI_HAT_MAX] = 0.0
     return out
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.linalg import blas
 
 EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
@@ -36,13 +35,13 @@ _BERNOULLI = [
     8615841276005 / 14322,
 ]
 
-# chebyshev_block builds the T_k rows in panels of 8 rows over chunks of
-# at most 16384 arguments (one panel, 1.3 MB with the two carried rows,
-# is alive at a time).  Neither size depends on the arguments or the
-# columns of a call, so a value sums its terms in the same order whatever
-# else shares the call
-_PANEL_ROWS = 8
-_BASIS_CHUNK = 1 << 14
+# chebyshev_block builds the T_k rows in panels of 16 rows over chunks of
+# at most 2048 arguments (three panels, 0.8 MB, are alive at a time, and
+# a panel step is two numpy calls).  Neither size depends on the arguments
+# or the columns of a call, so a value sums its terms in the same order
+# whatever else shares the call
+_PANEL_ROWS = 16
+_BASIS_CHUNK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -115,19 +114,21 @@ def chebyshev_block(coef, lo: float, hi: float, x, valid=None) -> np.ndarray:
     coefficient matrix at every x of an array, with x = mid + half y
     mapping [-1, 1] onto [lo, hi]: a (len(x) x B) array.
 
-    The rows T_0..T_(K-1) come from the three-term recurrence
-    T_(k+1) = 2 y T_k - T_(k-1) over a chunk of at most `_BASIS_CHUNK`
-    arguments at once, in panels of `_PANEL_ROWS` rows; each panel is one
-    real matrix product with the interleaved real and imaginary columns,
-    added in place to the result (BLAS dgemm with beta = 1).  An argument
-    outside `valid` (a subrange of [lo, hi]; all of it by default) raises
+    The rows T_0..T_(K-1) are built over a chunk of at most
+    `_BASIS_CHUNK` arguments at once, in panels of p = `_PANEL_ROWS` rows:
+    the first by the three-term recurrence T_(k+1) = 2 y T_k - T_(k-1),
+    each later one from the two before it by T_(k+p) = 2 T_p T_k -
+    T_(k-p).  Each panel is one real matrix product with the interleaved
+    real and imaginary columns: the first writes the result, each later
+    one goes to a scratch array added in place.  An argument outside
+    `valid` (a subrange of [lo, hi]; all of it by default) raises
     ValueError.
     """
     x = np.asarray(x, dtype=float)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     _check_range(x, (lo, hi) if valid is None else valid)
     columns = np.ascontiguousarray(coef).view(np.float64)  # re, im, re, im, ...
-    out = np.zeros((len(x), coef.shape[1]), dtype=complex)
+    out = np.empty((len(x), coef.shape[1]), dtype=complex)
     for a in range(0, len(x), _BASIS_CHUNK):
         y = (x[a : a + _BASIS_CHUNK] - mid) / half
         _basis_product(columns, y, out[a : a + _BASIS_CHUNK].view(np.float64))
@@ -135,29 +136,35 @@ def chebyshev_block(coef, lo: float, hi: float, x, valid=None) -> np.ndarray:
 
 
 def _basis_product(columns, y, out) -> None:
-    """out += T(y) columns, T(y) the (len(y) x K) Chebyshev basis, built
+    """out = T(y) columns, T(y) the (len(y) x K) Chebyshev basis, built
     row panel by row panel."""
     rows = len(columns)
-    two_y = 2.0 * y
     size = min(rows, _PANEL_ROWS)
-    # rows 0 and 1 carry T_(k-2) and T_(k-1) from one panel to the next
-    panel = np.empty((size + 2, len(y)))
+    # the first panel and T_size by the three-term recurrence
+    first = np.empty((size + 1, len(y)))
+    first[0] = 1.0
+    first[1] = y
+    two_y = 2.0 * y
+    for k in range(2, size + 1):
+        np.multiply(two_y, first[k - 1], out=first[k])
+        first[k] -= first[k - 2]
+    # every later panel from the two before it: T_(k+size) = 2 T_size T_k -
+    # T_(k-size), with the rows before the first T_(-k) = T_k
+    cur, prev = first[:size], first[size:0:-1].copy()
+    two_t = 2.0 * first[size]
+    nxt = np.empty_like(prev)
+    scratch = np.empty_like(out)
     for k0 in range(0, rows, size):
         m = min(size, rows - k0)
-        for j, k in enumerate(range(k0, k0 + m), start=2):
-            if k == 0:
-                panel[j] = 1.0
-            elif k == 1:
-                panel[j] = y
-            else:
-                np.multiply(two_y, panel[j - 1], out=panel[j])
-                panel[j] -= panel[j - 2]
-        # the transposes are Fortran-ordered views, so dgemm writes into out
-        blas.dgemm(
-            1.0, columns[k0 : k0 + m].T, panel[2 : m + 2].T,
-            beta=1.0, c=out.T, trans_b=1, overwrite_c=1,
-        )
-        panel[:2] = panel[m : m + 2]
+        if k0 == 0:
+            np.matmul(cur[:m].T, columns[:m], out=out)
+        else:
+            np.matmul(cur[:m].T, columns[k0 : k0 + m], out=scratch)
+            out += scratch
+        if k0 + size < rows:
+            np.multiply(two_t, cur, out=nxt)
+            nxt -= prev
+            prev, cur, nxt = cur, nxt, prev
 
 
 def _check_range(x, valid) -> None:

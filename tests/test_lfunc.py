@@ -292,7 +292,7 @@ def test_scan_blocks_follow_buckets(delta12000):
     # byte budget of cutoff values at high t, whatever the pool size
     for ts, longest in (
         ([10.0 + 0.002 * i for i in range(400)], lfunc._SCAN_BLOCK),
-        ([1000.0 + 0.1 * i for i in range(40)], 6),
+        ([1000.0 + 0.1 * i for i in range(40)], 13),
     ):
         blocks = lfunc._scan_blocks(delta12000, ts)
         assert [t for b in blocks for t in b] == ts
@@ -308,7 +308,7 @@ def test_scan_blocks_follow_buckets(delta12000):
 
 def test_contour_block_memory(delta12000):
     # the T_k rows are built in chunks: ten t's at t = 1000 (9.6k distinct
-    # arguments, 222 rows) allocate less than 8 MB, table build included
+    # arguments, 220 rows) allocate less than 8 MB, table build included
     ts = [1000.0 + 0.25 * i for i in range(10)]
     lfunc._jacobi_anger_basis.cache_clear()
     tracemalloc.start()
@@ -413,10 +413,11 @@ def test_bare_contour_has_no_cutoff(delta12000):
     ids=["t10", "t1000"],
 )
 def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances):
-    # a block's central values equal, bit for bit, a per-call power
-    # lambda(n) n^(-s) and a searchsorted lookup in the same block's table;
-    # the balances of one t slice one Dirichlet column, formed once at the
-    # t's longest length (capped at n_max: balance 4 passes it at t = 1000)
+    # a block's central values equal, bit for bit, a per-call column
+    # lambda(n) n^(-1/2) e^(-i t log n) and a searchsorted lookup in the same
+    # block's table; the balances of one t slice one Dirichlet column,
+    # formed once at the t's longest length (capped at n_max: balance 4
+    # passes it at t = 1000)
     spec = delta12000
     lam, n_max = spec.coefficients.values, spec.coefficients.n_max
     assert lfunc._scan_blocks(spec, ts) == [ts]
@@ -427,14 +428,14 @@ def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances
     ]))
     for t, contour in zip(ts, block):
         assert contour._dirichlet is None
-        s = complex(0.5, t)
         columns = []
         for b in balances:
             n1, n2 = afe_lengths(spec, t, b)
             n = max(n1, n2)
             if n > n_max:
                 continue
-            coef = lam[1 : n + 1] * np.arange(1, n + 1.0) ** (-s)
+            ns = np.arange(1, n + 1.0)
+            coef = lam[1 : n + 1] / np.sqrt(ns) * np.exp(-1j * t * np.log(ns))
             args = np.concatenate([np.arange(1, n1 + 1.0) * b, np.arange(1, n2 + 1.0) / b])
             pos = np.searchsorted(u, args)
             assert np.array_equal(u[pos], args)
@@ -449,6 +450,25 @@ def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances
         assert len(columns[0]) == min(longest_t, n_max)
     if max(balances) == 4.0:
         assert longest_t > n_max
+
+
+@pytest.mark.parametrize("t", [0.0, 10.0, 1000.0])
+def test_dirichlet_column_against_mpmath(delta12000, t):
+    # lambda(n) n^(-1/2) e^(-i t log n) against n^(-s) in 30 digits, at 300
+    # n up to the column's length (n_max at t = 1000, balance 4)
+    spec = delta12000
+    (contour,) = lfunc._contour_block(spec, [t], (1.0, 2.0, 4.0))
+    n = min(max(afe_lengths(spec, t, 4.0)), spec.coefficients.n_max)
+    column = contour.dirichlet(n)
+    assert len(column) == n
+    lam = spec.coefficients.values
+    worst = 0.0
+    with mp.workdps(30):
+        s = mp.mpc(0.5, t)
+        for m in np.unique(np.linspace(1, n, 300).astype(int)):
+            want = mp.mpf(float(lam[m])) * mp.power(m, -s)
+            worst = max(worst, float(abs(want - column[m - 1]) / abs(want)))
+    assert worst <= 2e-12, worst
 
 
 def test_scan_block_releases_each_contour(delta2000, monkeypatch):

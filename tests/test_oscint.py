@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -524,21 +525,98 @@ def test_batched_quadrature_matches_per_panel_loop():
 
 
 def test_phi_hat_table_built_in_row_blocks():
-    # import first, so that the peak measures the build and not the import
-    import scipy.interpolate  # noqa: F401
-
     oscint._gl(560)
     tracemalloc.start()
     try:
-        spline = oscint._phi_hat_spline.__wrapped__()
+        c0, c1, c2, c3 = oscint._phi_hat_table.__wrapped__()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the one-shot 18401 x 560 cosine matrix alone took two 82 MB arrays
+    # the one-shot 18450 x 280 cosine and sine matrices alone take 41 MB each
     assert peak < 20e6, peak
     grid = np.arange(0.0, oscint._PHI_HAT_MAX + 1.0, oscint._PHI_HAT_STEP)
     xs, ws = oscint._gl(560)
-    one_shot = np.cos(np.outer(grid, xs)) @ (oscint._canonical_bump(xs) * ws)
-    # the spline's constant coefficients are the table at each left knot
-    assert np.max(np.abs(spline.c[-1] - one_shot[:-1])) <= 1e-16
-    assert abs(spline(grid[-1]) - one_shot[-1]) <= 1e-16
+    s, ws = xs[xs > 0], 2.0 * ws[xs > 0]
+    phi_w = oscint._canonical_bump(s) * ws
+    one_shot = np.cos(np.outer(grid, s)) @ phi_w
+    one_shot_d = np.sin(np.outer(grid, s)) @ (-s * phi_w)
+    # each piece starts at the table's value and slope at its left knot
+    assert np.max(np.abs(c0 - one_shot[:-1])) <= 1e-16
+    assert np.max(np.abs(c1 - one_shot_d[:-1])) <= 1e-16
+    # and ends at the next knot's value and slope
+    h = oscint._PHI_HAT_STEP
+    assert np.max(np.abs(c0 + h * (c1 + h * (c2 + h * c3)) - one_shot[1:])) <= 1e-15
+    assert np.max(np.abs(c1 + h * (2 * c2 + 3 * h * c3) - one_shot_d[1:])) <= 1e-15
+    # phi_hat is even, and zero past the cut although the grid runs on
+    xi = np.array([367.99, 368.0, 368.01, 368.5, 500.0])
+    got = oscint._phi_hat(np.concatenate([xi, -xi]))
+    assert np.array_equal(got[:5], got[5:])
+    assert np.all(got[:2] != 0.0) and np.all(got[2:5] == 0.0)
+
+
+@pytest.mark.parametrize("K", [8, 16, 32])
+def test_phi_hat_table_matches_direct_quadrature_at_kernel_nodes(K, monkeypatch):
+    # the kernel nodes of criterion 5a's k-sums at x = 10 and 100 reach
+    # xi = pi K v up to the table's range; every seventh and each one below
+    # 0.1, where a spline's end condition would show, against the GL-560
+    # quadrature of phi_hat itself
+    seen = []
+    table = oscint._phi_hat
+
+    def recorded(xi):
+        seen.append(np.array(xi))
+        return table(xi)
+
+    monkeypatch.setattr(oscint, "_phi_hat", recorded)
+    for x in (10.0, 100.0):
+        bessel_weighted_k_sum(K, x, "kernel")
+    xi = np.concatenate(seen)
+    xi = np.concatenate([xi[::7], xi[xi < 0.1]])
+    assert np.sum(xi < 0.1) >= 10 and xi.max() > oscint._PHI_HAT_MAX - 1.0
+    xs, ws = oscint._gl(560)
+    phi_w = oscint._canonical_bump(xs) * ws
+    direct = np.concatenate(
+        [np.cos(np.outer(xi[i : i + 2048], xs)) @ phi_w for i in range(0, len(xi), 2048)]
+    )
+    direct[xi > oscint._PHI_HAT_MAX] = 0.0
+    assert np.max(np.abs(table(xi) - direct)) <= 5e-11
+
+
+def _mp_gauss_legendre(n, x0):
+    """The Gauss-Legendre node of order n near x0 and its weight, by
+    Newton's method in the current mpmath precision."""
+    x = mp.mpf(x0)
+    for _ in range(10):
+        p0, p1 = mp.mpf(1), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        step = p1 * (1 - x * x) / (n * (p0 - x * p1))
+        x -= step
+        if abs(step) < mp.mpf(10) ** (5 - mp.mp.dps):
+            break
+    p0, p1 = mp.mpf(1), x
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return x, 2 * (1 - x * x) / (n * p0) ** 2
+
+
+@pytest.mark.parametrize("n", [12, 24, 64, 560])
+def test_gauss_legendre_rule_against_mpmath(n):
+    xs, ws = oscint._gl(n)
+    assert xs.shape == ws.shape == (n,)
+    assert np.all(np.diff(xs) > 0) and np.array_equal(xs, -xs[::-1])
+    # every node of the small rules; at n = 560 the four at each end, where
+    # the weights are hardest, and every ninth
+    idx = range(n) if n <= 64 else sorted({*range(4), *range(0, n, 9), *range(n - 4, n)})
+    with mp.workdps(30):
+        for i in idx:
+            x, w = _mp_gauss_legendre(n, xs[i])
+            assert abs(float(x - xs[i])) <= 2e-16, (n, i)
+            assert abs(float((w - ws[i]) / w)) <= 1e-12, (n, i)
+
+
+def test_gauss_legendre_odd_rule_has_zero_node():
+    for n in (1, 3, 25):
+        xs, ws = oscint._gl(n)
+        assert xs[n // 2] == 0.0 and abs(np.sum(ws) - 2.0) <= 1e-14
+    assert oscint._gl(1)[1][0] == 2.0

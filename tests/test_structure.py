@@ -17,8 +17,10 @@ def _modules_matching(pattern):
 
 
 def test_gauss_legendre_nodes_come_from_oscint():
-    # every other module builds its panels with oscint.panel_rule
-    assert _modules_matching(r"\broots_legendre\b") == ["oscint"]
+    # oscint builds the rules (Newton on the Legendre recurrence); every
+    # other module builds its panels with oscint.panel_rule
+    assert _modules_matching(r"\b_gl\(|\b_legendre_pair\b") == ["oscint"]
+    assert _modules_matching(r"\broots_legendre\b|\bleggauss\b") == []
 
 
 def test_chebyshev_interpolation_lives_in_special():
@@ -59,20 +61,41 @@ def test_package_reexports_nothing():
     assert not re.search(r"(?m)^\s*(from|import)\s", (SRC / "__init__.py").read_text())
 
 
-def test_package_import_leaves_heavy_modules_unloaded():
-    # scipy.interpolate is loaded on the first phi_hat spline; mpmath is test-only
-    code = (
-        "import sys, weylbound, weylbound.cli; "
-        "print(sorted(m for m in ('scipy.interpolate', 'mpmath') if m in sys.modules))"
-    )
+def _run_python(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
     ))
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_package_import_leaves_heavy_modules_unloaded():
+    # the runtime needs numpy alone; scipy and mpmath are test-only
+    code = (
+        "import sys, weylbound, weylbound.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"
+    )
+    run = _run_python(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_commands_run_without_scipy():
+    # an install with only the declared dependencies: any scipy import
+    # raises, and each command and the kernel k-sum still run
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from weylbound import cli, oscint\n"
+        "for argv in (['afe', '--t-list', '0,10'], "
+        "['scan', '--t-min', '10', '--t-max', '11', '--step', '0.5', '--prec', '2000'], "
+        "['oscint']):\n"
+        "    code = cli.main(argv)\n"
+        "    assert code == 0, (argv, code)\n"
+        "oscint.bessel_weighted_k_sum(8, 10.0, 'kernel')\n"
+    )
+    run = _run_python(code)
+    assert run.returncode == 0, run.stderr
 
 
 # top-level functions and classes that no other code in src/ names; each
