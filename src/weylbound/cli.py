@@ -236,6 +236,11 @@ def _suite_scan(cfg: RunConfig):
             f"empty scan range: t_max {cfg.params['t_max']} <= "
             f"t_min {cfg.params['t_min']}"
         )
+    if cfg.params["prec"] > lfunc.PREC_MAX:
+        raise ConfigError(
+            f"desk-scale scan limited to prec <= {lfunc.PREC_MAX}, "
+            f"got {cfg.params['prec']}"
+        )
     spec = _spec_for(cfg.params["form"], cfg.params["prec"])
     return _unlabelled(partial(
         acceptance.criterion_scan,

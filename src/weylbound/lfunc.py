@@ -112,7 +112,7 @@ class LFunctionSpec:
             raise ValueError("root number must be unimodular")
 
 
-def delta_spec(prec: int = 11000) -> LFunctionSpec:
+def delta_spec(prec: int) -> LFunctionSpec:
     """The weight-12 level-1 form with coefficients from the eta product."""
     f = delta_eigenform(prec)
     vals = np.array(f.normalized)
@@ -453,6 +453,10 @@ _SCAN_BALANCES = (1.0, 2.0)
 # most t-points one scan grid may hold
 T_MAX = 5000.0
 SCAN_POINTS_MAX = 10**6
+# the most coefficients a scan's form is built with: at |t| = T_MAX the
+# longest AFE piece over `_SCAN_BALANCES` is n = 47748 for every weight
+# with 1 <= dim S_k <= 2 (balance 2)
+PREC_MAX = 50000
 
 
 # the contours of the block this thread is scanning, keyed by t; set by

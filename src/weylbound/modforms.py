@@ -6,11 +6,11 @@ sparse series, and three squarings raise it to the 24th power.  Every
 weight-k cusp space is echelonized from monomials in the Eisenstein
 series E4 and E6 (the Victor-Miller basis), which for k = 12 is the
 independent check on tau.  All coefficient arithmetic is exact big
-integers: a polynomial product is one big-integer product by signed
-Kronecker substitution, so CPython's subquadratic integer multiply does
-the convolution.  The dim-2 Hecke eigenvalues live in a real quadratic
-field and are rounded to 50 digits with the standard-library decimal
-module.  Floating point enters only at the final normalization
+integers: a polynomial product is an FFT convolution of base-256 digit
+rows, bounded before the transform and checked near integers after it.
+The dim-2 Hecke eigenvalues live in a real quadratic field and are
+rounded to 50 digits with the standard-library decimal module.
+Floating point enters only at the final normalization
 lambda(n) = a(n) / n^((k-1)/2).
 """
 
@@ -29,71 +29,70 @@ from .arith import divisor_counts
 # ----------------------------------------------------------------------
 # integer polynomial arithmetic (coefficient lists, index = q-power)
 
-def _encode(coeffs: list[int], width: int) -> int:
-    chunks = b"".join(
-        c.to_bytes(width, "little", signed=False) for c in coeffs
-    )
-    return int.from_bytes(chunks, "little")
+# digit-row convolution entries stay below this, where float64 FFT error is
+# far under 1/2 (Percival, Math. Comp. 72, 2003); past it a product is refused
+_CONV_LIMIT = 2**40
 
 
-def _encode_signed(coeffs: list[int], width: int) -> int:
-    """sum c_i B^i for B = 2^(8 width): positive part minus negative part."""
-    pos = _encode([c if c > 0 else 0 for c in coeffs], width)
-    neg = _encode([-c if c < 0 else 0 for c in coeffs], width)
-    return pos - neg
+def _digit_spectra(coeffs: list[int], width: int, size: int) -> np.ndarray:
+    """Length-size real FFTs of the rows of two's-complement base-256
+    digits of coeffs: 0..255 below the top row, -128..127 in it."""
+    raw = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
+    digits = np.frombuffer(raw, dtype=np.uint8).reshape(len(coeffs), width)
+    spectra = np.empty((width, size // 2 + 1), dtype=complex)
+    for r in range(width):  # one padded row alive at a time
+        row = digits[:, r].view(np.int8) if r == width - 1 else digits[:, r]
+        spectra[r] = np.fft.rfft(row, size)
+    return spectra
 
 
-def _decode_signed(value: int, width: int, count: int) -> list[int]:
-    """The first count balanced base-B digits of value, B = 2^(8 width).
-
-    Every digit must lie in (-B/2, B/2).  The low bytes of the two's
-    complement of value are the digits of value mod B^count, so a
-    negative value needs no separate branch; each raw digit at or above
-    B/2 stands for itself minus B and carries one into the next digit.
-    """
-    nbytes = max(value.bit_length() // 8 + 1, width * count)
-    raw = value.to_bytes(nbytes, "little", signed=True)
-    base = 1 << (8 * width)
-    half = base >> 1
-    out = []
-    carry = 0
-    for i in range(count):
-        digit = int.from_bytes(raw[i * width : (i + 1) * width], "little") + carry
-        carry = digit >= half
-        out.append(digit - base if carry else digit)
-    return out
+def _conv_bound(width_a: int, width_b: int, len_a: int, len_b: int) -> int:
+    """Bound on an output digit row: min(width) row pairs of min(len) digit products."""
+    return min(width_a, width_b) * min(len_a, len_b) * 255**2
 
 
 def poly_mul(a: list[int], b: list[int], prec: int) -> list[int]:
-    """Product of integer polynomials truncated past degree prec.
-
-    Signed Kronecker substitution (Harvey, J. Symbolic Comput. 44,
-    2009): each side is packed into one big integer evaluated at
-    B = 2^(8 width), with B/2 above every product coefficient, so one
-    integer product (a square when a is b) carries the whole
-    convolution and the balanced base-B digits of the result are the
-    coefficients.  Exact for arbitrarily large coefficients.
-    """
-    square = a is b
-    a = a[: prec + 1]
+    """Product of integer polynomials truncated past degree prec, exact
+    for arbitrarily large coefficients: output digit row j is the inverse
+    FFT of sum_i A_i B_(j-i) over the spectra of each side's base-256
+    digit rows (shared when a is b), and carries run up the rows.
+    ValueError when `_conv_bound` passes `_CONV_LIMIT`, before any
+    transform; ArithmeticError when an entry lies more than 1/8 from an
+    integer after it, so a wrong integer is never returned."""
+    square, a = a is b, a[: prec + 1]
     b = a if square else b[: prec + 1]
-    if not a or not b:
+    if not any(a) or not any(b):
         return [0] * (prec + 1)
     max_a = max(map(abs, a))
     max_b = max_a if square else max(map(abs, b))
-    if max_a == 0 or max_b == 0:
-        return [0] * (prec + 1)
-    bound = max_a * max_b * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1
-    packed_a = _encode_signed(a, width)
-    if square:
-        product = packed_a * packed_a
-    else:
-        product = packed_a * _encode_signed(b, width)
-    n_out = min(len(a) + len(b) - 1, prec + 1)
-    out = _decode_signed(product, width, n_out)
-    out += [0] * (prec + 1 - len(out))
-    return out
+    width_a, width_b = max_a.bit_length() // 8 + 1, max_b.bit_length() // 8 + 1
+    if _conv_bound(width_a, width_b, len(a), len(b)) > _CONV_LIMIT:
+        raise ValueError("digit convolution past the exact limit 2^40")
+    n_full, n_out = len(a) + len(b) - 1, min(len(a) + len(b) - 1, prec + 1)
+    size = 1 << (n_full - 1).bit_length()  # no wrap-around
+    size = size * 3 // 4 if size * 3 // 4 >= n_full else size
+    spec_a = _digit_spectra(a, width_a, size)
+    spec_b = spec_a if square else _digit_spectra(b, width_b, size)
+    # bytes for every coefficient, so the carry out of the top row is 0 or -1
+    n_rows = (max_a * max_b * min(len(a), len(b))).bit_length() // 8 + 1
+    digits = np.empty((max(width_a + width_b - 1, n_rows), n_out), dtype=np.uint8)
+    carry = np.zeros(n_out, dtype=np.int64)
+    for j in range(len(digits)):  # one output spectrum alive at a time
+        if j < width_a + width_b - 1:
+            lo, hi = max(0, j - width_b + 1), min(j, width_a - 1)
+            acc = spec_a[lo] * spec_b[j - lo]
+            for i in range(lo + 1, hi + 1):
+                acc += spec_a[i] * spec_b[j - i]
+            row = np.fft.irfft(acc, size)[:n_out]
+            exact = np.rint(row)
+            if not np.abs(row - exact).max() <= 0.125:
+                raise ArithmeticError(f"digit row {j} of a product is not near integers")
+            carry += exact.astype(np.int64)
+        digits[j] = carry & 255
+        carry >>= 8
+    raw, w = digits.T.tobytes(), len(digits)
+    out = [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, len(raw), w)]
+    return out + [0] * (prec + 1 - n_out)
 
 
 def poly_pow(base: list[int], e: int, prec: int) -> list[int]:

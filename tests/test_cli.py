@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from weylbound import acceptance
+from weylbound import acceptance, lfunc
 from weylbound.cli import (
     COMMANDS,
     ConfigError,
@@ -224,6 +224,8 @@ def test_afe_command(capsys):
         (["scan", "--prec", "0"], "need coefficients"),
         (["scan", "--prec", "-5"], "need coefficients"),
         (["scan", "--form", "holomorphic:16", "--prec", "0"], "need coefficients"),
+        # a form longer than any desk-scale scan needs, refused before it is built
+        (["scan", "--prec", "50001"], "desk-scale scan limited to prec <= 50000"),
         # a non-finite height or step
         (["afe", "--t-list", "inf"], "t must be finite"),
         (["scan", "--step", "inf", "--prec", "600"], "finite t_min, t_max and step"),
@@ -250,7 +252,8 @@ def test_afe_command(capsys):
     ],
     ids=["k-above-sqrt-t", "modulus-past-desk-scale", "zero-step",
          "charsum-no-grid", "charsum-no-congruence", "charsum-no-primes",
-         "prec-zero", "prec-negative", "k16-prec-zero", "afe-t-inf",
+         "prec-zero", "prec-negative", "k16-prec-zero", "prec-past-desk-scale",
+         "afe-t-inf",
          "step-inf", "t-min-nan", "t-max-nan", "step-nan",
          "afe-t-past-desk-scale", "afe-negative-t-past-desk-scale", "afe-empty-t-list",
          "scan-grid-too-large", "maass-file-missing", "output-dir-missing",
@@ -287,6 +290,21 @@ def test_charsum_without_odd_prime_refused_before_any_check(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: charsum needs an odd prime q <= q_max, got q_max = 2\n"
+
+
+@pytest.mark.parametrize("form", ["delta", "holomorphic:24"])
+def test_scan_prec_past_desk_scale_refused_before_any_coefficient(form, monkeypatch, capsys):
+    def no_form(*args, **kwargs):
+        raise AssertionError("a form was built")
+
+    monkeypatch.setattr(lfunc, "delta_spec", no_form)
+    monkeypatch.setattr(lfunc, "holomorphic_spec", no_form)
+    assert main(["scan", "--form", form, "--prec", "10000000000"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: desk-scale scan limited to prec <= 50000, got 10000000000\n"
+    )
 
 
 @pytest.mark.parametrize("t_max", ["10", "50"], ids=["reversed", "empty"])

@@ -22,7 +22,7 @@ from weylbound.lfunc import (
     scan_summary,
     sn_sum,
 )
-from weylbound.modforms import delta_qexp
+from weylbound.modforms import delta_qexp, dim_cusp
 from weylbound.oscint import bump_weight
 
 
@@ -657,6 +657,23 @@ def test_scan_rejects_oversized_grid_and_pool_before_allocating(delta2000):
         tracemalloc.stop()
     assert peak < 1e6, peak
     assert lfunc.SCAN_POINTS_MAX == 10**6
+
+
+def test_prec_max_covers_every_scan_at_t_max():
+    # the CLI's ceiling on a scan's coefficients is the longest AFE piece a
+    # scan at |t| <= T_MAX needs, for every form `holomorphic_spec` takes
+    need = 0
+    for k in range(12, 60, 2):
+        if not 1 <= dim_cusp(k) <= 2:
+            continue
+        spec = lfunc.LFunctionSpec(
+            "holomorphic", float(k), lfunc.CoefficientSource("computed", np.ones(2), 1), 1.0
+        )
+        for t in (-lfunc.T_MAX, lfunc.T_MAX):
+            for balance in lfunc._SCAN_BALANCES:
+                need = max(need, *afe_lengths(spec, t, balance))
+    assert need == 47748
+    assert need <= lfunc.PREC_MAX < 1.1 * need
 
 
 def _toy_maass_lines(n_max=64, lam2=0.9, bad=None):

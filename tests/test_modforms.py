@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -71,6 +72,127 @@ def test_poly_mul_matches_schoolbook(a, b, prec, square):
 def test_poly_mul_edge_cases(a, b, prec):
     assert poly_mul(a, b, prec) == _schoolbook(a, b, prec)
     assert poly_mul(a, a, prec) == _schoolbook(a, a, prec)
+
+
+def _kronecker(a, b, prec):
+    """Oracle independent of the FFT: signed Kronecker substitution
+    (Harvey, J. Symbolic Comput. 44, 2009).  Each side is packed into one
+    integer at B = 2^(8 width), B/2 above every product coefficient, and
+    CPython's integer multiply does the convolution; the product's
+    balanced base-B digits are the coefficients."""
+    a, b = a[: prec + 1], b[: prec + 1]
+    if not any(a) or not any(b):
+        return [0] * (prec + 1)
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
+    base = 1 << (8 * width)
+
+    def pack(coeffs):
+        # the positive part's bytes minus the negative part's
+        def unsigned(cs):
+            return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
+
+        return unsigned([max(c, 0) for c in coeffs]) - unsigned([max(-c, 0) for c in coeffs])
+
+    value = pack(a) * pack(b)
+    n_out = min(len(a) + len(b) - 1, prec + 1)
+    raw = value.to_bytes(max(value.bit_length() // 8 + 1, width * n_out), "little", signed=True)
+    out, carry = [], 0
+    for i in range(n_out):
+        digit = int.from_bytes(raw[i * width : (i + 1) * width], "little") + carry
+        carry = digit >= base >> 1
+        out.append(digit - base if carry else digit)
+    return out + [0] * (prec + 1 - n_out)
+
+
+def test_kronecker_oracle_matches_schoolbook():
+    rng = random.Random(3)
+    for _ in range(50):
+        a = [rng.randint(-10**20, 10**20) for _ in range(rng.randint(1, 12))]
+        b = [rng.randint(-10**20, 10**20) for _ in range(rng.randint(1, 12))]
+        prec = rng.randint(0, 25)
+        assert _kronecker(a, b, prec) == _schoolbook(a, b, prec)
+
+
+def test_eta_squarings_match_kronecker_oracle():
+    # each of the three squarings eta^3 -> eta^24 at the prec delta_qexp(12000) uses
+    prec = 11999
+    power = [0] * (prec + 1)
+    m = 0
+    while m * (m + 1) // 2 <= prec:
+        power[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
+        m += 1
+    for _ in range(3):
+        got = poly_mul(power, power, prec)
+        assert got == _kronecker(power, power, prec)
+        power = got
+    assert power == modforms.eta_power24(prec)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_poly_mul_matches_kronecker_oracle_on_long_lists(seed):
+    # signed coefficients of 1..40 bytes, up to 3000 terms a side, squares
+    # and distinct sides, whole and truncated (a prefix of the whole)
+    rng = random.Random(seed)
+
+    def signed_list():
+        top = 1 << (8 * rng.randint(1, 40) - 1)
+        return [rng.randint(-top, top - 1) for _ in range(rng.randint(1, 3000))]
+
+    for _ in range(3):
+        a, b = signed_list(), signed_list()
+        for x, y in ((a, b), (a, a)):
+            whole = len(x) + len(y) - 2
+            want = _kronecker(x, y, whole)
+            assert poly_mul(x, y, whole) == want
+            cut = rng.randint(0, whole)
+            assert poly_mul(x, y, cut) == want[: cut + 1]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 16])
+def test_poly_mul_at_digit_boundaries(width):
+    # coefficients whose top byte flips sign: -2^(8w-1) fits w bytes and
+    # 2^(8w-1), -2^(8w-1) - 1 need one more; 255 * 256^k has a full byte
+    # under zero bytes, and zeros sit between them
+    top = 1 << (8 * width - 1)
+    edge = [top, -top, top - 1, -top - 1, 0, 1, -1]
+    edge += [255 * 256**k for k in range(width)] + [-255 * 256**k for k in range(width)]
+    rng = random.Random(width)
+    a = edge * 20
+    b = [rng.choice(edge) for _ in range(97)]
+    for prec in (len(a) + len(b), 50, 0):
+        assert poly_mul(a, b, prec) == _kronecker(a, b, prec)
+        assert poly_mul(a, a, prec) == _kronecker(a, a, prec)
+    for c in edge:
+        assert poly_mul([c], [c], 0) == [c * c]
+        assert poly_mul([c, 0], [-1, c], 1) == [-c, c * c]
+
+
+def test_poly_mul_refuses_products_past_the_exact_bound(monkeypatch):
+    # 17001-byte coefficients on 2000 terms: the a-priori entry bound is
+    # past the limit, so ValueError comes before any transform
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a transform ran")
+
+    monkeypatch.setattr(np.fft, "rfft", no_transform)
+    monkeypatch.setattr(np.fft, "irfft", no_transform)
+    a = [1 << 136000] * 2000
+    assert modforms._conv_bound(17001, 17001, 2000, 2000) > modforms._CONV_LIMIT
+    assert modforms._conv_bound(17001, 17001, 900, 900) < modforms._CONV_LIMIT
+    with pytest.raises(ValueError, match="exact limit"):
+        poly_mul(a, a, 3999)
+    with pytest.raises(ValueError, match="exact limit"):
+        poly_mul(a, list(a), 3999)
+
+
+def test_poly_mul_refuses_an_inexact_transform(monkeypatch):
+    # an inverse transform off integers by 0.3 raises, never rounds
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: irfft(*args, **kwargs) + 0.3)
+    with pytest.raises(ArithmeticError):
+        poly_mul([1, 2, 3], [4, -5], 3)
+    with pytest.raises(ArithmeticError):
+        modforms.delta_qexp(100)
 
 
 def test_dimension_formula():
