@@ -505,6 +505,8 @@ _PHI_HAT_STEP = 0.02
 # phi_hat(480) = -3.65e-12
 _PHI_HAT_MAX = 368.0
 _PHI_HAT_ROWS = 1024  # grid rows per block of the phi_hat table
+_KERNEL_PANELS = 2_000_000  # the k-sum kernel's panel budget on [0, 1/2]
+_KERNEL_CHUNK = 1024  # kernel panels per pass, keeping the node arrays in cache
 
 
 @cache
@@ -564,8 +566,17 @@ def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
     kernel      the sum-over-orders identity: combining the mod-4
                 kernels over the even order classes collapses to
                 -i int_R K What(K v) cos(2 pi x cos 2 pi v) dv,
-                evaluated by panelled quadrature, with What(K v) =
-                e^(3 pi i K v) phi_hat(pi K v) / 2;
+                with What(K v) = e^(3 pi i K v) phi_hat(pi K v) / 2.
+                The integrand is even in v and G(v) = cos(2 pi x cos
+                2 pi v) has period 1/2, so the integral folds onto one
+                half-period: -i K int_0^(1/2) G(u) sum_j cos(3 pi K
+                (u + j/2)) phi_hat(pi K (u + j/2)) du, over the images
+                j up to the phi_hat cut.  For integer K, cos(3 pi K j/2)
+                and sin(3 pi K j/2) are 0 or +-1, so each GL-24 node of
+                [0, 1/2] costs one G, one cosine and sine of 3 pi K u
+                and a phi_hat lookup per image; no Bessel value enters.
+                A quadrature needing more than _KERNEL_PANELS panels
+                raises ValueError before any node is built;
     asymptotic  leading stationary term with the u-integral folded in:
                 -i K w0 cos(2 pi x - pi/4) / (2 pi sqrt(x)), w0 = int W.
     """
@@ -592,23 +603,36 @@ def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
         return ComplexEstimate(total, err + 1e-15, "+".join(routes))
     if mode == "kernel":
         y = 2 * math.pi * x
-        vmax = _PHI_HAT_MAX / (math.pi * K)
         # weight factor oscillates at ~4 pi K, the kernel at <= 2 pi y
         rate = 2 * math.pi * y + 4 * math.pi * K
-        panels = int(min(max(rate * vmax / 11.0, 64), 2_000_000))
-        edges = np.linspace(0.0, vmax, panels + 1)
-        total = 0.0
-        chunk = 4096  # panels per pass, bounding the node arrays
-        for i0 in range(0, panels, chunk):
-            v, wt = panel_rule(edges[i0 : i0 + chunk + 1], 24)
-            f = (
-                (K / 2.0)
-                * np.cos(3 * math.pi * K * v)
-                * _phi_hat(math.pi * K * v)
-                * np.cos(y * np.cos(2 * math.pi * v))
+        panels = int(rate / 22.0)
+        if panels > _KERNEL_PANELS:
+            raise ValueError(
+                f"kernel quadrature at K = {K}, x = {x:g} needs {panels} panels "
+                f"on [0, 1/2], over the budget of {_KERNEL_PANELS}"
             )
+        # images v = u + j/2 up to the phi_hat cut at v = _PHI_HAT_MAX / (pi K)
+        images = math.ceil(2 * _PHI_HAT_MAX / (math.pi * K))
+        # e^(3 pi i K j / 2) = i^(3 K j): each image adds phi_hat to the
+        # cos(3 pi K u) or the sin(3 pi K u) part, with a sign
+        turns = [3 * K * j % 4 for j in range(images)]
+        edges = np.linspace(0.0, 0.5, panels + 1)
+        total = 0.0
+        for i0 in range(0, panels, _KERNEL_CHUNK):
+            u, wt = panel_rule(edges[i0 : i0 + _KERNEL_CHUNK + 1], 24)
+            xi = math.pi * K * u
+            parts = np.zeros((2, u.size))  # the cos and the sin part
+            for j, turn in enumerate(turns):
+                p = _phi_hat(xi + 0.5 * math.pi * K * j)
+                if turn < 2:
+                    parts[turn] += p
+                else:
+                    parts[turn - 2] -= p
+            theta = 3 * math.pi * K * u
+            f = np.cos(theta) * parts[0] - np.sin(theta) * parts[1]
+            f *= np.cos(y * np.cos(2 * math.pi * u))
             total += float(f @ wt)
-        value = -2j * total
+        value = -1j * K * total
         return ComplexEstimate(value, 2e-9 + abs(value) * 1e-10, "quadrature")
     if mode == "asymptotic":
         xs, ws = _gl(64)

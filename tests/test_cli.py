@@ -292,6 +292,18 @@ def test_charsum_without_odd_prime_refused_before_any_check(monkeypatch, capsys)
     assert captured.err == "error: charsum needs an odd prime q <= q_max, got q_max = 2\n"
 
 
+def test_besselsum_past_kernel_budget_exits_usage(capsys):
+    # the direct side at x = 1e7 takes the asymptotic route; the kernel
+    # side refuses instead of reporting a clipped quadrature as a FAIL
+    assert main(["besselsum", "--k-list", "8", "--x-list", "10000000"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: kernel quadrature at K = 8, x = 1e+07 needs 17944739 panels "
+        "on [0, 1/2], over the budget of 2000000\n"
+    )
+
+
 @pytest.mark.parametrize("form", ["delta", "holomorphic:24"])
 def test_scan_prec_past_desk_scale_refused_before_any_coefficient(form, monkeypatch, capsys):
     def no_form(*args, **kwargs):

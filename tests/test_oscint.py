@@ -406,10 +406,58 @@ def test_bump_fourier_inversion_sanity():
 
 
 def test_ksum_identity_direct_vs_kernel_small():
-    for K, x in [(8, 10.0), (8, 100.0), (16, 10.0), (16, 100.0), (32, 10.0)]:
+    for K, x in [(8, 10.0), (8, 100.0), (16, 10.0), (16, 100.0), (32, 10.0),
+                 (9, 10.0), (9, 100.0), (10, 10.0), (10, 100.0), (11, 10.0),
+                 (11, 100.0)]:
         d = bessel_weighted_k_sum(K, x, "direct")
         k = bessel_weighted_k_sum(K, x, "kernel")
         assert abs(d.value - k.value) <= 1e-8, (K, x)
+
+
+def _unfolded_kernel(K, x):
+    """-i int_R K What(K v) cos(2 pi x cos 2 pi v) dv as twice the even
+    integrand's integral over [0, vmax], vmax at the phi_hat cut: the
+    kernel quadrature before its fold onto one half-period, GL-24 panels
+    at rate / 11 per unit v, in passes of 4096 panels."""
+    y = 2 * math.pi * x
+    vmax = oscint._PHI_HAT_MAX / (math.pi * K)
+    rate = 2 * math.pi * y + 4 * math.pi * K
+    panels = int(max(rate * vmax / 11.0, 64))
+    edges = np.linspace(0.0, vmax, panels + 1)
+    total = 0.0
+    for i0 in range(0, panels, 4096):
+        v, wt = panel_rule(edges[i0 : i0 + 4097], 24)
+        f = (
+            (K / 2.0)
+            * np.cos(3 * math.pi * K * v)
+            * oscint._phi_hat(math.pi * K * v)
+            * np.cos(y * np.cos(2 * math.pi * v))
+        )
+        total += float(f @ wt)
+    return -2j * total
+
+
+@pytest.mark.parametrize("x", [10.0, 100.0, 1000.0])
+@pytest.mark.parametrize("K", [8, 9, 10, 11])
+def test_folded_kernel_matches_unfolded_integral(K, x):
+    # K runs over every residue mod 4, so each image's rotation
+    # e^(3 pi i K j / 2) takes all four values
+    got = bessel_weighted_k_sum(K, x, "kernel").value
+    assert abs(got - _unfolded_kernel(K, x)) <= 1e-12, (K, x)
+
+
+def test_kernel_past_panel_budget_refused_before_any_node(monkeypatch):
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("a node was built")
+
+    monkeypatch.setattr(oscint, "panel_rule", no_nodes)
+    monkeypatch.setattr(oscint, "_phi_hat", no_nodes)
+    with pytest.raises(ValueError) as exc:
+        bessel_weighted_k_sum(8, 1e7, "kernel")
+    assert str(exc.value) == (
+        "kernel quadrature at K = 8, x = 1e+07 needs 17944739 panels "
+        "on [0, 1/2], over the budget of 2000000"
+    )
 
 
 def test_ksum_direct_reports_bessel_routes():
@@ -556,10 +604,10 @@ def test_phi_hat_table_built_in_row_blocks():
 
 @pytest.mark.parametrize("K", [8, 16, 32])
 def test_phi_hat_table_matches_direct_quadrature_at_kernel_nodes(K, monkeypatch):
-    # the kernel nodes of criterion 5a's k-sums at x = 10 and 100 reach
-    # xi = pi K v up to the table's range; every seventh and each one below
-    # 0.1, where a spline's end condition would show, against the GL-560
-    # quadrature of phi_hat itself
+    # the kernel's images pi K (u + j/2) of criterion 5a's k-sums at x = 10
+    # and 100 reach past the table's range, where phi_hat reads 0; of those
+    # inside it, every seventh and each one below 0.1, where a spline's end
+    # condition would show, against the GL-560 quadrature of phi_hat itself
     seen = []
     table = oscint._phi_hat
 
@@ -571,6 +619,7 @@ def test_phi_hat_table_matches_direct_quadrature_at_kernel_nodes(K, monkeypatch)
     for x in (10.0, 100.0):
         bessel_weighted_k_sum(K, x, "kernel")
     xi = np.concatenate(seen)
+    xi = xi[xi <= oscint._PHI_HAT_MAX]
     xi = np.concatenate([xi[::7], xi[xi < 0.1]])
     assert np.sum(xi < 0.1) >= 10 and xi.max() > oscint._PHI_HAT_MAX - 1.0
     xs, ws = oscint._gl(560)
@@ -578,7 +627,6 @@ def test_phi_hat_table_matches_direct_quadrature_at_kernel_nodes(K, monkeypatch)
     direct = np.concatenate(
         [np.cos(np.outer(xi[i : i + 2048], xs)) @ phi_w for i in range(0, len(xi), 2048)]
     )
-    direct[xi > oscint._PHI_HAT_MAX] = 0.0
     assert np.max(np.abs(table(xi) - direct)) <= 5e-11
 
 
