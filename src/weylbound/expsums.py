@@ -52,14 +52,20 @@ def twisted_kloosterman(
             f"character modulus {chi.modulus} does not divide c = {c}"
         )
     xs, invs = units_and_inverses(c)
-    idx = (m % c * xs + n % c * invs) % c
-    roots = unit_roots(c)
-    re, im = [], []
-    for x, j in zip(xs, idx):
-        w = roots[j] * chi.value(int(x))
-        re.append(w.real)
-        im.append(w.imag)
+    a = unit_roots(c)[(m % c * xs + n % c * invs) % c]
+    b = unit_roots(chi.exponent_den)[_exponent_table(chi.exponents)[xs % chi.modulus]]
+    # the product's parts as Python's complex product forms them
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
     return complex(math.fsum(re), math.fsum(im))
+
+
+@cache
+def _exponent_table(exponents: tuple) -> np.ndarray:
+    """A character's exponents as an integer array.  The entry at 0 (chi
+    vanishes there) is set to 0; a unit mod c is never 0 mod q when q
+    divides c, so that entry is never read."""
+    return np.array([0 if a is None else a for a in exponents], dtype=np.int64)
 
 
 def kloosterman_crt(m: int, n: int, c1: int, c2: int) -> complex:

@@ -15,8 +15,11 @@ band-limited in x = sqrt(m).  The J integrals and the assembly read their
 profiles over the outer grid from a Chebyshev interpolant in x, fitted
 once per (n, c) by the dense I kernel; the dense kernel stays as the
 fitting kernel, the point evaluator and the test oracle.  The S5 dual
-side reads its whole window of n from one node grid per (m, c) by
-stepping the e(-n N v / c) phase.
+side reads its whole window of n from one node grid per (m, c), folded
+onto one period c/N of the e(-N v / c) factor: the rest of the integrand
+is summed over the periods once, and only one period's nodes (and the
+leftover piece's) step the phase from n to n + 1.  The S5 direct side
+reads S(n, m; c) from one Kloosterman sum per residue class n mod c.
 """
 
 from __future__ import annotations
@@ -59,17 +62,21 @@ class PipelineParams:
         return self.Q**2 * self.K**4 / self.N
 
 
-def _inner_nodes(m_max: float, n: int, c: int, p: PipelineParams):
-    """Fixed Gauss-Legendre grid on [1, 2] resolving the worst-case
-    phase of the I-integrand over first arguments up to m_max: 20 nodes
-    per 13 rad of phase."""
+def _panel_density(m_max: float, n: int, c: int, p: PipelineParams) -> int:
+    """Panels per unit v resolving the worst-case phase of the I-integrand
+    over first arguments up to m_max and second arguments up to |n|: 20
+    Gauss-Legendre nodes per 13 rad of phase."""
     rate = (
         p.t
         + (TWO_PI / c) * (0.5 * math.sqrt(max(m_max, 1.0) * p.N))
         + (TWO_PI / c) * abs(n) * p.N
     )
-    panels = int(min(max(rate / 13.0, 24), 600_000))
-    return panel_rule(np.linspace(1.0, 2.0, panels + 1), 20)
+    return int(min(max(rate / 13.0, 24), 600_000))
+
+
+def _inner_nodes(m_max: float, n: int, c: int, p: PipelineParams):
+    """Fixed Gauss-Legendre grid on [1, 2] at `_panel_density` panels."""
+    return panel_rule(np.linspace(1.0, 2.0, _panel_density(m_max, n, c, p) + 1), 20)
 
 
 def i_integral_batch(
@@ -122,33 +129,71 @@ def _split(a):
     return hi, a - hi
 
 
+def _window_nodes(m: float, n: int, c: int, p: PipelineParams):
+    """Gauss-Legendre grid on [1, 2] cut at the periods c/N of z(v) = e(-N v/c).
+
+    Returns (rows, wt, tail, tail_wt).  rows[k] holds period k's nodes,
+    rows[0] + k c/N, for the floor(N/c) whole periods from v = 1; the
+    weights wt are shared by every row.  tail and tail_wt are the nodes and
+    weights of the leftover piece [1 + floor(N/c) c/N, 2], which is all
+    of [1, 2] when N < c.  Both pieces take the panels of `_panel_density`
+    rounded up to a whole number per piece, so no panel is wider than
+    the `_inner_nodes` grid's, and the grid's outer edges are exactly 1
+    and 2.
+    """
+    density = _panel_density(m, n, c, p)
+    period = c / p.N
+    periods = math.floor(p.N / c)
+    rows = np.empty((0, 0))
+    wt = np.empty(0)
+    if periods:
+        per_period = math.ceil(density * period)
+        u, wt = panel_rule(np.linspace(1.0, 1.0 + period, per_period + 1), 20)
+        rows = u + period * np.arange(periods)[:, None]
+    rest = p.N - periods * c  # what is left of [1, 2], in units of 1/N
+    start = 1.0 + periods * period
+    tail_panels = math.ceil(density * rest / p.N) if rest > 0 else 0
+    tail, tail_wt = panel_rule(np.linspace(start, 2.0, tail_panels + 1), 20)
+    return rows, wt, tail, tail_wt
+
+
 def i_integral_window(
     m: float, n_lo: int, n_hi: int, c: int, p: PipelineParams
 ) -> np.ndarray:
     """I(m, n, c) for every integer n in [n_lo, n_hi], from one node grid.
 
     For fixed (m, c) the integrand is h(v) z(v)^n with h(v) = v^{it} W(v)
-    e(sqrt(m N v)/c) and z(v) = e(-N v/c), so the window shares the grid
-    `_inner_nodes` gives the widest |n| (at least as fine as each n's own)
-    and one h; moving from n to n + 1 multiplies by z, one complex product
-    per node.  The step's N v / c cycles are reduced mod 1 with no rounding
-    loss (N v = nv + nv_err exactly by Dekker's two-product, and nv mod c
-    is exact), so after n steps the phase is off by about n ulps of a cycle,
-    far under the n (2 pi N v / c) 2^-53 rad at which the dense kernel's
-    argument rounds.  No re-seeding is needed.
+    e(sqrt(m N v)/c) and z(v) = e(-N v/c).  z has period c/N, so on the
+    `_window_nodes` grid the whole periods fold onto the first: h is
+    summed over the periods at each of its nodes, once, and only those
+    nodes and the leftover piece's are stepped from n to n + 1, one
+    complex product per node and n.  The step's N v / c cycles are
+    reduced mod 1 with no rounding loss (N v = nv + nv_err exactly by
+    Dekker's two-product, and nv mod c is exact), so after n steps the
+    phase is off by about n ulps of a cycle, far under the
+    n (2 pi N v / c) 2^-53 rad at which the dense kernel's argument
+    rounds.  No re-seeding is needed.
     """
     if m < 0:
         raise ValueError("first argument must be nonnegative")
-    v, wt = _inner_nodes(float(m), max(abs(n_lo), abs(n_hi)), c, p)
-    w_v = _canonical_bump(2.0 * v - 3.0)
-    keep = w_v != 0.0
-    v = v[keep]
+    rows, wt, tail, tail_wt = _window_nodes(
+        float(m), max(abs(n_lo), abs(n_hi)), c, p
+    )
+    root_m = (TWO_PI / c) * math.sqrt(m * p.N)
+
+    def h(v):
+        return _canonical_bump(2.0 * v - 3.0) * np.exp(
+            1j * (p.t * np.log(v) + root_m * np.sqrt(v))
+        )
+
+    # period-0 nodes carry the folded h; the leftover nodes their own
+    v = np.concatenate([rows[:1].ravel(), tail])
+    acc = np.concatenate([wt * h(rows).sum(axis=0), tail_wt * h(tail)])
     nv = p.N * v
     (nh, nl), (vh, vl) = _split(p.N), _split(v)
     nv_err = ((nh * vh - nv) + nh * vl + nl * vh) + nl * vl
     cycles = ((nv - c * np.floor(nv / c)) + nv_err) / c
-    phase = p.t * np.log(v) + (TWO_PI / c) * math.sqrt(m * p.N) * np.sqrt(v)
-    acc = wt[keep] * w_v[keep] * np.exp(1j * (phase - TWO_PI * n_lo * cycles))
+    acc *= np.exp(-1j * TWO_PI * n_lo * cycles)
     step = np.exp(-1j * TWO_PI * cycles)
     out = np.empty(n_hi - n_lo + 1, dtype=complex)
     for k in range(len(out)):
@@ -189,19 +234,18 @@ def poisson_check_s5(
     if c > 50 or p.N > 1e5 or p.t > 2000:
         raise ValueError("desk-scale limits: c <= 50, N <= 1e5, t <= 2000")
     N = p.N
-    n_lo, n_hi = int(math.floor(N)), int(math.ceil(2 * N))
-    re, im = [], []
-    trivial = 0.0
-    bump = _canonical_bump(2.0 * np.arange(n_lo, n_hi + 1) / N - 3.0)
-    for n, wv in zip(range(n_lo, n_hi + 1), bump.tolist()):
-        if wv == 0.0:
-            continue
-        s = kloosterman(n, m, c).real
-        trivial += wv * abs(s)
-        term = wv * s * np.exp(1j * (p.t * math.log(n) + TWO_PI * math.sqrt(n * m) / c))
-        re.append(term.real)
-        im.append(term.imag)
-    direct = complex(math.fsum(re), math.fsum(im))
+    ns = np.arange(int(math.floor(N)), int(math.ceil(2 * N)) + 1)
+    bump = _canonical_bump(2.0 * ns / N - 3.0)
+    keep = bump != 0.0
+    ns, bump = ns[keep], bump[keep]
+    # S(n, m; c) depends on n mod c alone
+    s = np.array([kloosterman(r, m, c).real for r in range(c)])[ns % c]
+    # math.log, not np.log: the SIMD log can differ by an ulp
+    logs = np.array([math.log(n) for n in ns.tolist()])
+    terms = bump * s * np.exp(1j * (p.t * logs + TWO_PI * np.sqrt(ns * m) / c))
+    direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    # a running total in n order, as a per-n loop would sum it
+    trivial = float(np.cumsum(bump * np.abs(s))[-1]) if ns.size else 0.0
 
     cutoff = int(math.ceil(8.0 * c * max(p.t, 1.0) / N))
     n_win_hi = cutoff + max(6, cutoff)

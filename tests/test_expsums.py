@@ -104,6 +104,31 @@ def test_twisted_quadratic_mod5_gauss_structure():
     assert abs(val - brute) < 1e-12
 
 
+def _twisted_loop(chi, m, n, c):
+    # oracle: one chi.value call and one complex product per unit
+    xs, invs = expsums.units_and_inverses(c)
+    idx = (m % c * xs + n % c * invs) % c
+    roots = unit_roots(c)
+    re, im = [], []
+    for x, j in zip(xs, idx):
+        w = roots[j] * chi.value(int(x))
+        re.append(w.real)
+        im.append(w.imag)
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def test_twisted_tables_match_unit_loop_bitwise():
+    # every character mod q <= 13, every multiple c <= 20 q of q
+    cases = 0
+    for q in (3, 5, 7, 11, 13):
+        for chi in enumerate_characters(q):
+            for c in range(q, 20 * q + 1, q):
+                for m, n in ((0, 1), (1, 1), (2, q - 1), (q, 3)):
+                    assert twisted_kloosterman(chi, m, n, c) == _twisted_loop(chi, m, n, c)
+                    cases += 1
+    assert cases == 2720
+
+
 def test_twisted_modulus_mismatch():
     chi = quadratic_character(5)
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from weylbound import pipeline
+from weylbound.expsums import kloosterman
 from weylbound.oscint import _canonical_bump
 from weylbound.pipeline import (
     PipelineParams,
@@ -215,11 +216,19 @@ def _crit7_params(t):
         (_crit7_params(100.0), 1, 7),
         (_crit7_params(0.0), 2, 5),
         (PipelineParams(N=600.0, t=300.0, K=17.0, Q=25.0), 1, 13),
+        (_crit7_params(500.0), 1, 1),
+        (PipelineParams(N=40.0, t=20.0, K=2.0, Q=10.0), 2, 47),
     ],
-    ids=["t500-m1-c10", "t500-m3-c7", "t100-m1-c7", "t0-m2-c5", "stationary-c13"],
+    ids=[
+        "t500-m1-c10", "t500-m3-c7", "t100-m1-c7", "t0-m2-c5", "stationary-c13",
+        "t500-m1-c1", "n-below-c47",
+    ],
 )
 def test_i_window_against_dense_oracle(p, m, c):
-    # the whole S5 dual window, one dense one-point call per n as oracle
+    # the whole S5 dual window, one dense one-point call per n as oracle.
+    # c = 7 and 13 leave a leftover piece after the whole periods c/N;
+    # (500, 1, 1) is criterion 7's widest window (600 periods); at
+    # N = 40 < c = 47 there is no whole period, only the leftover piece
     n_lo, n_hi = poisson_check_s5(m, c, p).n_window
     got = i_integral_window(m, n_lo, n_hi, c, p)
     dense = np.array([
@@ -231,45 +240,99 @@ def test_i_window_against_dense_oracle(p, m, c):
 
 
 def test_poisson_dual_window_work(monkeypatch):
-    # the dual side builds one node grid and makes no dense one-point calls
-    calls = {"batch": 0, "nodes": 0}
-    batch, nodes = pipeline.i_integral_batch, pipeline._inner_nodes
+    # the dual side builds one folded node grid and makes no dense
+    # one-point calls
+    calls = {"batch": 0, "inner": 0, "window": 0}
+    batch, inner, window = (
+        pipeline.i_integral_batch, pipeline._inner_nodes, pipeline._window_nodes
+    )
 
-    def counted_batch(*args):
-        calls["batch"] += 1
-        return batch(*args)
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_nodes(*args):
-        calls["nodes"] += 1
-        return nodes(*args)
-
-    monkeypatch.setattr(pipeline, "i_integral_batch", counted_batch)
-    monkeypatch.setattr(pipeline, "_inner_nodes", counted_nodes)
+    monkeypatch.setattr(pipeline, "i_integral_batch", counted("batch", batch))
+    monkeypatch.setattr(pipeline, "_inner_nodes", counted("inner", inner))
+    monkeypatch.setattr(pipeline, "_window_nodes", counted("window", window))
     rep = poisson_check_s5(1, 10, _crit7_params(500.0))
     assert rep.status == "PASS"
-    assert calls == {"batch": 0, "nodes": 1}
+    assert calls == {"batch": 0, "inner": 0, "window": 1}
+
+
+def test_window_nodes_fold_layout():
+    # whole periods c/N from v = 1, then the leftover piece up to 2, no
+    # panel wider than the dense grid's; with no whole period the grid is
+    # the dense one
+    p = _crit7_params(100.0)
+    for c, periods in ((5, 120), (7, 85)):
+        rows, wt, tail, tail_wt = pipeline._window_nodes(1.0, 20, c, p)
+        density = pipeline._panel_density(1.0, 20, c, p)
+        assert rows.shape == (periods, wt.size) and 1.0 < rows[0, 0]
+        assert np.allclose(np.diff(rows, axis=0), c / p.N, rtol=0, atol=1e-14)
+        assert wt.sum() == pytest.approx(c / p.N)
+        assert wt.size / 20 >= density * c / p.N  # panels per period
+        rest = 1.0 - periods * c / p.N
+        assert (tail.size == 0) == (p.N % c == 0)
+        assert tail_wt.sum() == pytest.approx(rest, abs=1e-15)
+        assert tail.size / 20 >= density * rest and np.all(tail < 2.0)
+    q = PipelineParams(N=40.0, t=20.0, K=2.0, Q=10.0)
+    rows, wt, tail, tail_wt = pipeline._window_nodes(2.0, 400, 47, q)
+    dense_v, dense_wt = pipeline._inner_nodes(2.0, 400, 47, q)
+    assert rows.size == 0
+    assert np.array_equal(tail, dense_v) and np.array_equal(tail_wt, dense_wt)
 
 
 def test_i_window_stepped_phase_at_ulp_level():
     # the stepped phase stays at the level of the node sum's own rounding
-    # (~1e-16), well under the dense kernel's floor (~5e-15 on this cell):
-    # a 30-digit sum on the same nodes is the reference
-    p, m, c = _crit7_params(100.0), 1, 5
+    # (~1e-16): a 30-digit sum over the folded grid's own nodes, stepped
+    # at 30 digits, is the reference at every n of the window.  z(v)^n = e(-n N v / c) has
+    # period c/N, so period k's nodes take their z-phase at their period-0
+    # node, exactly; h is taken at the stored nodes.  At t ~ 0 the folded
+    # sums are coherent: a step of plain rounded phase (N / c) v errs by
+    # 9e-15 TRIVIAL_I here, one without the two-product's low part by
+    # 1.7e-15.  The cell has 85 whole periods and a leftover piece
+    p, m, c = _crit7_params(0.0), 1, 7
     n_lo, n_hi = poisson_check_s5(m, c, p).n_window
     got = i_integral_window(m, n_lo, n_hi, c, p)
-    v, wt = pipeline._inner_nodes(float(m), max(abs(n_lo), abs(n_hi)), c, p)
-    w_v = _canonical_bump(2.0 * v - 3.0)
-    keep = w_v != 0.0
+    rows, wt, tail, tail_wt = pipeline._window_nodes(
+        float(m), max(abs(n_lo), abs(n_hi)), c, p
+    )
+    assert len(rows) == 85 and tail.size
+    nodes = np.concatenate([rows.ravel(), tail])
+    z_nodes = np.concatenate([np.tile(rows[0], len(rows)), tail])
+    weights = np.concatenate([np.tile(wt, len(rows)), tail_wt])
+    weights *= _canonical_bump(2.0 * nodes - 3.0)
     with mp.workdps(30):
         two_pi = 2 * mp.pi
-        nodes = [mp.mpf(float(x)) for x in v[keep]]
-        weights = [mp.mpf(float(x)) for x in (wt * w_v)[keep]]
-        base = [
-            p.t * mp.log(x) + two_pi / c * mp.sqrt(m * p.N * x) for x in nodes
-        ]
-        for n in (n_lo, n_hi):
-            ref = mp.fsum(
-                w * mp.expj(b - two_pi * n * p.N * x / c)
-                for w, b, x in zip(weights, base, nodes)
-            )
-            assert abs(got[n - n_lo] - complex(ref)) <= 1e-15 * TRIVIAL_I
+        terms, steps = [], []
+        for w, x, z in zip(weights.tolist(), nodes.tolist(), z_nodes.tolist()):
+            x, z = mp.mpf(x), mp.mpf(z)
+            phase = p.t * mp.log(x) + two_pi / c * mp.sqrt(m * p.N * x)
+            terms.append(w * mp.expj(phase - two_pi * n_lo * p.N * z / c))
+            steps.append(mp.expj(-two_pi * p.N * z / c))
+        for n in range(n_lo, n_hi + 1):
+            ref = complex(mp.fsum(terms))
+            assert abs(got[n - n_lo] - ref) <= 1e-15 * TRIVIAL_I
+            terms = [a * b for a, b in zip(terms, steps)]
+
+
+def test_poisson_direct_side_against_per_n_loop():
+    # S(n, m; c) read by residue class gives the per-n loop's terms bit for
+    # bit; N / c = 600 / 7 is not an integer
+    p, m, c = _crit7_params(500.0), 3, 7
+    rep = poisson_check_s5(m, c, p)
+    re, im = [], []
+    trivial = 0.0
+    ns = range(600, 1201)
+    for n, wv in zip(ns, _canonical_bump(2.0 * np.array(ns) / p.N - 3.0).tolist()):
+        if wv == 0.0:
+            continue
+        s = kloosterman(n, m, c).real
+        trivial += wv * abs(s)
+        term = wv * s * np.exp(1j * (p.t * math.log(n) + 2 * math.pi * math.sqrt(n * m) / c))
+        re.append(term.real)
+        im.append(term.imag)
+    assert rep.direct == complex(math.fsum(re), math.fsum(im))
+    assert abs(rep.trivial_bound - trivial) <= 1e-14 * trivial
