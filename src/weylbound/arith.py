@@ -12,33 +12,16 @@ from functools import lru_cache
 import numpy as np
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def inv_mod(a: int, c: int) -> int | None:
-    """Inverse of a modulo c, or None when gcd(a, c) > 1.
+    """Inverse of a modulo c >= 1, or None when gcd(a, c) > 1.
 
     Nonexistence is signalled, not raised: callers' preconditions are
     exactly statements about which inverses exist.
     """
-    if c == 1:
-        return 0
-    g, x, _ = egcd(a % c, c)
-    if g != 1:
+    try:
+        return pow(a, -1, c)
+    except ValueError:
         return None
-    return x % c
 
 
 def require_inv(a: int, c: int) -> int:

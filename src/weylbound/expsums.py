@@ -21,13 +21,8 @@ from .characters import DirichletCharacter, gauss_sum
 @cache
 def units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     """Units mod c and their inverses, as parallel integer arrays."""
-    xs = []
-    invs = []
-    for x in range(c):
-        xinv = inv_mod(x, c)
-        if xinv is not None:
-            xs.append(x)
-            invs.append(xinv)
+    xs = [x for x in range(c) if math.gcd(x, c) == 1]
+    invs = [pow(x, -1, c) for x in xs]
     return np.array(xs, dtype=np.int64), np.array(invs, dtype=np.int64)
 
 

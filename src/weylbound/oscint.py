@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -504,9 +504,34 @@ _PHI_HAT_STEP = 0.02
 # negligible there (30-digit quadrature): phi_hat(368) = -1.649e-10, and
 # phi_hat(480) = -3.65e-12
 _PHI_HAT_MAX = 368.0
-_PHI_HAT_ROWS = 1024  # grid rows per block of the phi_hat table
+_PHI_HAT_ROWS = 128  # grid rows per block of the phi_hat table
+_IMAGE_STEP = 0.0025  # knot step of the k-sum kernel's folded image table
 _KERNEL_PANELS = 2_000_000  # the k-sum kernel's panel budget on [0, 1/2]
 _KERNEL_CHUNK = 1024  # kernel panels per pass, keeping the node arrays in cache
+_IMAGE_ROWS = 4096  # image table rows gathered at a time
+
+
+def _split(a):
+    """Dekker's split: a = hi + lo, each half of at most 26 significant bits."""
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """Dekker's two-product: a b = p + e exactly, p the rounded product."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _hermite(f: np.ndarray, d: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
+    """Cubic Hermite pieces from values f and slopes d on knots of step h:
+    piece i is c0 + c1 t + c2 t^2 + c3 t^3 in t = xi - i h."""
+    slope = np.diff(f, axis=-1) / h
+    c2 = (3.0 * slope - 2.0 * d[..., :-1] - d[..., 1:]) / h
+    c3 = (d[..., :-1] + d[..., 1:] - 2.0 * slope) / (h * h)
+    return f[..., :-1], d[..., :-1], c2, c3
 
 
 @cache
@@ -517,40 +542,129 @@ def _phi_hat_table() -> tuple[np.ndarray, ...]:
     phi is even, so phi_hat is real and even, and its derivative is
     -int s phi(s) sin(xi s) ds; both come from one GL-560 rule, which must
     resolve the full 2*xi radians of phase at the top of the grid, folded
-    onto its positive nodes.  Piece i holds c0 + c1 d + c2 d^2 + c3 d^3
-    in d = xi - i * step; the four coefficient arrays are returned
-    separately, each contiguous.
+    onto its positive nodes.  Grid point i = b R + r (R = _PHI_HAT_ROWS)
+    is split into a block offset b R h and a row offset r h, so cos and
+    sin of i h s follow by angle addition from those of r h s and of
+    b R h s, and the table is four (R x 280) @ (280 x blocks) products.
+    Each angle k h s is formed exactly, as k times h s in double-double,
+    and its cosine and sine are corrected to first order in the low part,
+    so the table is the GL-560 rule evaluated to within rounding.  The
+    nodes run from s = 1 down, smallest terms first, which keeps the
+    sums' rounding off phi_hat(0).  The four coefficient arrays of the
+    pieces (see `_hermite`) are returned separately, each contiguous.
     """
-    grid = np.arange(0.0, _PHI_HAT_MAX + 1.0, _PHI_HAT_STEP)
+    h, rows = _PHI_HAT_STEP, _PHI_HAT_ROWS
+    n = math.ceil((_PHI_HAT_MAX + 1.0) / h)
     xs, ws = _gl(560)
-    xs, ws = xs[xs > 0], 2.0 * ws[xs > 0]  # each node s > 0 stands for +-s
-    phi_w = _canonical_bump(xs) * ws
-    vals, ders = [], []
-    # rows in blocks, so the cosine and sine matrices never hold the whole grid
-    for i in range(0, grid.size, _PHI_HAT_ROWS):
-        arg = np.outer(grid[i : i + _PHI_HAT_ROWS], xs)
-        vals.append(np.cos(arg) @ phi_w)
-        ders.append(np.sin(arg) @ (-xs * phi_w))
-    f, d = np.concatenate(vals), np.concatenate(ders)
-    h = _PHI_HAT_STEP
-    slope = np.diff(f) / h
-    c2 = (3.0 * slope - 2.0 * d[:-1] - d[1:]) / h
-    c3 = (d[:-1] + d[1:] - 2.0 * slope) / (h * h)
-    return f[:-1], d[:-1], c2, c3
+    s, ws = xs[xs > 0][::-1], 2.0 * ws[xs > 0][::-1]  # each s > 0 stands for +-s
+    phi_w = (_canonical_bump(s) * ws)[:, None]
+    slope_w = -s[:, None] * phi_w
+    hs, hs_lo = _two_product(h, s)
+
+    def cos_sin(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of k h s, one row per integer k."""
+        a, e = _two_product(k[:, None], hs)
+        e += k[:, None] * hs_lo
+        c, sn = np.cos(a), np.sin(a)
+        return c - sn * e, sn + c * e
+
+    c_row, s_row = cos_sin(np.arange(rows, dtype=float))
+    c_blk, s_blk = cos_sin(rows * np.arange(-(-n // rows), dtype=float))
+    c_blk, s_blk = c_blk.T, s_blk.T
+    f = c_row @ (phi_w * c_blk) - s_row @ (phi_w * s_blk)
+    d = s_row @ (slope_w * c_blk) + c_row @ (slope_w * s_blk)
+    # column b holds grid points b R .. b R + R - 1
+    return _hermite(f.T.ravel()[:n], d.T.ravel()[:n], h)
+
+
+def _phi_hat_pieces(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi_hat and its slope at xi >= 0 from the table's cubic pieces,
+    with no cut."""
+    c0, c1, c2, c3 = _phi_hat_table()
+    i = np.minimum(xi * (1.0 / _PHI_HAT_STEP), len(c0) - 1).astype(np.intp)
+    d = xi - i * _PHI_HAT_STEP
+    a1, a2, a3 = c1.take(i), c2.take(i), c3.take(i)
+    # Horner's rule
+    return ((a3 * d + a2) * d + a1) * d + c0.take(i), (3.0 * a3 * d + 2.0 * a2) * d + a1
 
 
 def _phi_hat(xi: np.ndarray) -> np.ndarray:
     """phi_hat at |xi|, zero past the certified range."""
     xi = np.abs(np.asarray(xi, dtype=float))
-    c0, c1, c2, c3 = _phi_hat_table()
-    i = np.minimum(xi * (1.0 / _PHI_HAT_STEP), len(c0) - 1).astype(np.intp)
-    d = xi - i * _PHI_HAT_STEP
-    # Horner's rule, one gather per coefficient
-    out = c3.take(i)
-    for c in (c2, c1, c0):
-        out *= d
-        out += c.take(i)
+    out = _phi_hat_pieces(xi)[0]
     out[xi > _PHI_HAT_MAX] = 0.0
+    return out
+
+
+@lru_cache(maxsize=4)
+def _image_table(K: int) -> tuple[np.ndarray, float, int]:
+    """The k-sum kernel's image sums at weight scale K, folded onto
+    xi = pi K u in [0, pi K / 2].
+
+    Image j adds phi_hat(xi + pi K j / 2) to the cosine part P_c or the
+    sine part P_s of the kernel, with the sign of i^(3 K j), up to the
+    phi_hat cut; for even K that sign is real, P_s is zero and only P_c
+    is kept.  Only the last image reaches the cut, at xi = cut, the
+    least float with cut + pi K (images - 1) / 2 > _PHI_HAT_MAX, so the
+    test xi >= cut at a node is the cut of the per-image sum exactly.
+    The parts are cubic Hermite tables of step _IMAGE_STEP from the
+    values and slopes of phi_hat's own pieces; the piece holding the cut
+    is tabulated twice, with the last image and without it.  Returns the
+    rows (n, 4 p) for p parts, holding c3, c2, c1 and c0 of each part in
+    turn, in t = xi - i _IMAGE_STEP; the cut; and the last uniform piece
+    index.  Row i is piece i below the cut and row i + 1 is piece i
+    from it on.  Past the cut with one image the parts vanish, so the
+    table stops at the cut's piece and a zero row.
+    """
+    h = _IMAGE_STEP
+    images = math.ceil(2 * _PHI_HAT_MAX / (math.pi * K))
+    shifts = [0.5 * math.pi * K * j for j in range(images)]
+    last = shifts[-1]
+    cut = _PHI_HAT_MAX - last
+    while cut + last > _PHI_HAT_MAX:
+        cut = math.nextafter(cut, -math.inf)
+    while not cut + last > _PHI_HAT_MAX:
+        cut = math.nextafter(cut, math.inf)
+    split = int(cut * (1.0 / h))
+    pieces = math.ceil(0.5 * math.pi * K / h) if images > 1 else split + 1
+    knots = np.arange(pieces + 1) * h
+
+    def add(parts: np.ndarray, j: int) -> None:
+        # e^(3 pi i K j / 2) = i^(3 K j): turn 0..3 adds to +P_c, +P_s, -P_c, -P_s
+        turn = 3 * K * j % 4
+        value_slope = np.stack(_phi_hat_pieces(knots[: parts.shape[-1]] + shifts[j]))
+        parts[turn % 2] += value_slope if turn < 2 else -value_slope
+
+    n = 1 + K % 2  # (P_c) or (P_c, P_s)
+    parts = np.zeros((n, 2, pieces + 1))  # part x (value, slope) at the knots
+    for j in range(images - 1):
+        add(parts, j)
+    with_last = parts[:, :, : split + 2].copy()
+    add(with_last, images - 1)
+    table = np.empty((pieces + 1, 4 * n))
+    for rows, f, first in ((table[: split + 1], with_last, 0), (table[split + 1 :], parts, split)):
+        for col, c in zip((3 * n, 2 * n, n, 0), _hermite(f[:, 0], f[:, 1], h)):
+            rows[:, col : col + n] = c[:, first:].T
+    return table, cut, pieces - 1
+
+
+def _image_sums(K: int, xi: np.ndarray) -> np.ndarray:
+    """(P_c,) for even K, else (P_c, P_s), of `_image_table(K)` at the
+    nodes xi in [0, pi K / 2]: one table row per node, gathered
+    _IMAGE_ROWS at a time, and Horner's rule on each part."""
+    table, cut, last = _image_table(K)
+    n = table.shape[1] // 4
+    out = np.empty((n, xi.size))
+    for s in range(0, xi.size, _IMAGE_ROWS):
+        x, p = xi[s : s + _IMAGE_ROWS], out[:, s : s + _IMAGE_ROWS]
+        i = np.minimum((x * (1.0 / _IMAGE_STEP)).astype(np.intp), last)
+        t = x - i * _IMAGE_STEP
+        c = table.take(i + (x >= cut), axis=0).T  # c3, c2, c1, c0 of each part
+        np.multiply(c[:n], t, out=p)
+        for k in (n, 2 * n):
+            p += c[k : k + n]
+            p *= t
+        p += c[3 * n :]
     return out
 
 
@@ -572,9 +686,12 @@ def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
                 half-period: -i K int_0^(1/2) G(u) sum_j cos(3 pi K
                 (u + j/2)) phi_hat(pi K (u + j/2)) du, over the images
                 j up to the phi_hat cut.  For integer K, cos(3 pi K j/2)
-                and sin(3 pi K j/2) are 0 or +-1, so each GL-24 node of
-                [0, 1/2] costs one G, one cosine and sine of 3 pi K u
-                and a phi_hat lookup per image; no Bessel value enters.
+                and sin(3 pi K j/2) are 0 or +-1, so the images add up
+                to a cosine part P_c and a sine part P_s of xi = pi K u
+                (P_s = 0 for even K), tabulated once per K
+                (`_image_table`), and each GL-24 node of [0, 1/2] costs
+                one G, one cosine (and for odd K one sine) of 3 xi and
+                one table row; no Bessel value enters.
                 A quadrature needing more than _KERNEL_PANELS panels
                 raises ValueError before any node is built;
     asymptotic  leading stationary term with the u-integral folded in:
@@ -611,25 +728,15 @@ def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
                 f"kernel quadrature at K = {K}, x = {x:g} needs {panels} panels "
                 f"on [0, 1/2], over the budget of {_KERNEL_PANELS}"
             )
-        # images v = u + j/2 up to the phi_hat cut at v = _PHI_HAT_MAX / (pi K)
-        images = math.ceil(2 * _PHI_HAT_MAX / (math.pi * K))
-        # e^(3 pi i K j / 2) = i^(3 K j): each image adds phi_hat to the
-        # cos(3 pi K u) or the sin(3 pi K u) part, with a sign
-        turns = [3 * K * j % 4 for j in range(images)]
         edges = np.linspace(0.0, 0.5, panels + 1)
         total = 0.0
         for i0 in range(0, panels, _KERNEL_CHUNK):
             u, wt = panel_rule(edges[i0 : i0 + _KERNEL_CHUNK + 1], 24)
-            xi = math.pi * K * u
-            parts = np.zeros((2, u.size))  # the cos and the sin part
-            for j, turn in enumerate(turns):
-                p = _phi_hat(xi + 0.5 * math.pi * K * j)
-                if turn < 2:
-                    parts[turn] += p
-                else:
-                    parts[turn - 2] -= p
+            parts = _image_sums(K, math.pi * K * u)
             theta = 3 * math.pi * K * u
-            f = np.cos(theta) * parts[0] - np.sin(theta) * parts[1]
+            f = np.cos(theta) * parts[0]
+            if len(parts) == 2:
+                f -= np.sin(theta) * parts[1]
             f *= np.cos(y * np.cos(2 * math.pi * u))
             total += float(f @ wt)
         value = -1j * K * total

@@ -31,7 +31,7 @@ import numpy as np
 
 from .arith import inv_mod
 from .expsums import charsum_congruence, kloosterman
-from .oscint import _canonical_bump, panel_rule, plateau_weight
+from .oscint import _canonical_bump, _two_product, panel_rule, plateau_weight
 from .special import chebyshev_fit
 
 TWO_PI = 2.0 * math.pi
@@ -122,13 +122,6 @@ def _i_profile(ms: np.ndarray, n: int, c: int, p: PipelineParams) -> np.ndarray:
     return np.exp(1j * omega0 * x) * fit(x)
 
 
-def _split(a):
-    """Dekker's split: a = hi + lo, each half of at most 26 significant bits."""
-    t = 134217729.0 * a  # 2^27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
-
-
 def _window_nodes(m: float, n: int, c: int, p: PipelineParams):
     """Gauss-Legendre grid on [1, 2] cut at the periods c/N of z(v) = e(-N v/c).
 
@@ -189,9 +182,7 @@ def i_integral_window(
     # period-0 nodes carry the folded h; the leftover nodes their own
     v = np.concatenate([rows[:1].ravel(), tail])
     acc = np.concatenate([wt * h(rows).sum(axis=0), tail_wt * h(tail)])
-    nv = p.N * v
-    (nh, nl), (vh, vl) = _split(p.N), _split(v)
-    nv_err = ((nh * vh - nv) + nh * vl + nl * vh) + nl * vl
+    nv, nv_err = _two_product(p.N, v)
     cycles = ((nv - c * np.floor(nv / c)) + nv_err) / c
     acc *= np.exp(-1j * TWO_PI * n_lo * cycles)
     step = np.exp(-1j * TWO_PI * cycles)

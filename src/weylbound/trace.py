@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,11 +65,24 @@ def _truncation(k: int, m: int, n: int, tol: float) -> tuple[float, int]:
     return A, c_max
 
 
+@lru_cache(maxsize=1 << 15)
+def _kloosterman_real(a: int, b: int, c: int) -> float:
+    """Re S(a, b; c) for residues a <= b < c, computed once per triple.
+
+    S(m, n; c) depends on m and n only through their residues mod c, and
+    S(m, n; c) = S(n, m; c) sums the same terms in another order, which
+    the exactly rounded fsum of `kloosterman` does not see, so every
+    pair (m, n) reads the value its own call would give, bit for bit.
+    """
+    return kloosterman(a, b, c).real
+
+
 def _side(k: int, m: int, n: int, A: float, c_max: int, bessel) -> PeterssonSide:
     """The side from bessel[c - 1] = J_(k-1)(A / c), c <= c_max."""
     re_terms = np.empty(c_max)
     for c in range(1, c_max + 1):
-        re_terms[c - 1] = kloosterman(m, n, c).real / c
+        a, b = sorted((m % c, n % c))
+        re_terms[c - 1] = _kloosterman_real(a, b, c) / c
     total = float(np.dot(re_terms, bessel))
     return PeterssonSide(
         k=k,

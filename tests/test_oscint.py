@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import mpmath as mp
+from mpmath.calculus.quadrature import GaussLegendre
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -572,6 +573,31 @@ def test_batched_quadrature_matches_per_panel_loop():
         assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref)), (w.support, tol)
 
 
+def _mp_phi_hat(xi, nodes):
+    """phi_hat(xi) and phi_hat'(xi) from a composite 30-digit rule."""
+    xi = mp.mpf(xi)
+    value = mp.fsum(w * mp.cos(xi * s) for s, w in nodes)
+    slope = -mp.fsum(w * s * mp.sin(xi * s) for s, w in nodes)
+    return value, slope
+
+
+def _mp_phi_hat_nodes():
+    """Gauss-Legendre, 24 nodes a panel, on panels of [0, 0.995] that
+    narrow toward s = 1 where the bump falls off; each node stands for
+    +-s.  Past 0.995 the bump is below 1e-43.  At 48 nodes a panel the
+    values and slopes at the knots below move by under 1e-30."""
+    edges = [mp.mpf(k) / 20 for k in range(19)] + [
+        mp.mpf(e) for e in ("0.95", "0.97", "0.98", "0.985", "0.99", "0.9925", "0.995")
+    ]
+    rule = GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)
+    nodes = []
+    for a, b in zip(edges, edges[1:]):
+        for x, w in rule:
+            s = (a + b) / 2 + (b - a) / 2 * x
+            nodes.append((s, (b - a) * w * mp.exp(1 - 1 / (1 - s * s))))
+    return nodes
+
+
 def test_phi_hat_table_built_in_row_blocks():
     oscint._gl(560)
     tracemalloc.start()
@@ -582,19 +608,22 @@ def test_phi_hat_table_built_in_row_blocks():
         tracemalloc.stop()
     # the one-shot 18450 x 280 cosine and sine matrices alone take 41 MB each
     assert peak < 20e6, peak
-    grid = np.arange(0.0, oscint._PHI_HAT_MAX + 1.0, oscint._PHI_HAT_STEP)
-    xs, ws = oscint._gl(560)
-    s, ws = xs[xs > 0], 2.0 * ws[xs > 0]
-    phi_w = oscint._canonical_bump(s) * ws
-    one_shot = np.cos(np.outer(grid, s)) @ phi_w
-    one_shot_d = np.sin(np.outer(grid, s)) @ (-s * phi_w)
-    # each piece starts at the table's value and slope at its left knot
-    assert np.max(np.abs(c0 - one_shot[:-1])) <= 1e-16
-    assert np.max(np.abs(c1 - one_shot_d[:-1])) <= 1e-16
-    # and ends at the next knot's value and slope
+    # each piece starts at phi_hat and its slope at its left knot: at 26
+    # knots from 0 to 367.98 against 30-digit quadrature, the worst errors
+    # are 4.4e-16 (value) and 3.6e-16 (slope), at the GL-560 rule's own
+    # floor; the one-shot cosine build of the rule was off by 4.9e-16 and
+    # 2.8e-16 there, so the bound is that build's worst
     h = oscint._PHI_HAT_STEP
-    assert np.max(np.abs(c0 + h * (c1 + h * (c2 + h * c3)) - one_shot[1:])) <= 1e-15
-    assert np.max(np.abs(c1 + h * (2 * c2 + 3 * h * c3) - one_shot_d[1:])) <= 1e-15
+    knots = [*range(0, 18400, 766), 18399]
+    with mp.workdps(30):
+        nodes = _mp_phi_hat_nodes()
+        for i in knots:
+            value, slope = _mp_phi_hat(i * mp.mpf(h), nodes)
+            assert abs(c0[i] - value) <= 4.9e-16, (i, c0[i] - value)
+            assert abs(c1[i] - slope) <= 4.9e-16, (i, c1[i] - slope)
+    # and ends at the next knot's value and slope
+    assert np.max(np.abs(c0[:-1] + h * (c1[:-1] + h * (c2[:-1] + h * c3[:-1])) - c0[1:])) <= 1e-15
+    assert np.max(np.abs(c1[:-1] + h * (2 * c2[:-1] + 3 * h * c3[:-1]) - c1[1:])) <= 1e-15
     # phi_hat is even, and zero past the cut although the grid runs on
     xi = np.array([367.99, 368.0, 368.01, 368.5, 500.0])
     got = oscint._phi_hat(np.concatenate([xi, -xi]))
@@ -602,32 +631,44 @@ def test_phi_hat_table_built_in_row_blocks():
     assert np.all(got[:2] != 0.0) and np.all(got[2:5] == 0.0)
 
 
-@pytest.mark.parametrize("K", [8, 16, 32])
+@pytest.mark.parametrize("K", [8, 16, 32, 11])
 def test_phi_hat_table_matches_direct_quadrature_at_kernel_nodes(K, monkeypatch):
-    # the kernel's images pi K (u + j/2) of criterion 5a's k-sums at x = 10
-    # and 100 reach past the table's range, where phi_hat reads 0; of those
-    # inside it, every seventh and each one below 0.1, where a spline's end
-    # condition would show, against the GL-560 quadrature of phi_hat itself
+    # the folded image sums P_c, P_s at the kernel's own nodes xi = pi K u
+    # of criterion 5a's k-sums at x = 10 and 100, and of K = 11, whose
+    # images take all four signs +-1, +-i: every seventh node, each
+    # one below 0.1, where a spline's end condition would show, and each
+    # one within 0.05 of the cut, against the image sums of the GL-560
+    # quadrature of phi_hat itself, each image cut where it passes 368
     seen = []
-    table = oscint._phi_hat
+    sums = oscint._image_sums
 
-    def recorded(xi):
+    def recorded(k, xi):
         seen.append(np.array(xi))
-        return table(xi)
+        return sums(k, xi)
 
-    monkeypatch.setattr(oscint, "_phi_hat", recorded)
+    monkeypatch.setattr(oscint, "_image_sums", recorded)
     for x in (10.0, 100.0):
         bessel_weighted_k_sum(K, x, "kernel")
     xi = np.concatenate(seen)
-    xi = xi[xi <= oscint._PHI_HAT_MAX]
-    xi = np.concatenate([xi[::7], xi[xi < 0.1]])
-    assert np.sum(xi < 0.1) >= 10 and xi.max() > oscint._PHI_HAT_MAX - 1.0
+    _, cut, _ = oscint._image_table(K)
+    xi = np.concatenate([xi[::7], xi[xi < 0.1], xi[np.abs(xi - cut) < 0.05]])
+    assert np.sum(xi < 0.1) >= 10
+    assert np.any((xi > cut - 0.05) & (xi < cut)) and np.any((xi >= cut) & (xi < cut + 0.05))
     xs, ws = oscint._gl(560)
     phi_w = oscint._canonical_bump(xs) * ws
-    direct = np.concatenate(
-        [np.cos(np.outer(xi[i : i + 2048], xs)) @ phi_w for i in range(0, len(xi), 2048)]
-    )
-    assert np.max(np.abs(table(xi) - direct)) <= 5e-11
+    images = math.ceil(2 * oscint._PHI_HAT_MAX / (math.pi * K))
+    direct = np.zeros((2, len(xi)))
+    for j in range(images):
+        arg = xi + 0.5 * math.pi * K * j
+        value = np.cos(np.outer(arg, xs)) @ phi_w
+        value[arg > oscint._PHI_HAT_MAX] = 0.0
+        turn = 3 * K * j % 4
+        direct[turn % 2] += value if turn < 2 else -value
+    got = sums(K, xi)
+    # for even K every image's sign is real: the sine part is zero and
+    # only the cosine part is tabulated
+    assert len(got) == 1 + K % 2 and np.all(direct[len(got) :] == 0.0)
+    assert np.max(np.abs(got - direct[: len(got)])) <= 5e-11
 
 
 def _mp_gauss_legendre(n, x0):

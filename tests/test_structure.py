@@ -103,6 +103,7 @@ def test_commands_run_without_scipy():
 UNNAMED_ALLOWED = {
     "lfunc.afe_weight": "the dense V oracle the cutoff table is tested against",
     "lfunc.sn_sum": "the paper's S(N) sum, checked against its trivial bound",
+    "oscint._phi_hat": "phi_hat with its cut, the oracle of the folded kernel's tests",
     "oscint.nonstationary_decay_check": "the nonstationary decay lemma's check",
     "oscint.sum_over_orders_check": "the mod-4 sum-over-orders identity, both sides",
     "special.gamma_ratio_phase": "the paper's Gamma-ratio phase and its two slips",

@@ -1,6 +1,12 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from weylbound import acceptance, trace
+from weylbound.expsums import kloosterman
+from weylbound.special import bessel_j_many
 from weylbound.trace import (
     petersson_delta,
     petersson_matrix,
@@ -95,3 +101,58 @@ def test_petersson_rejects_bad_input():
         petersson_delta(12, 0, 1)
     with pytest.raises(ValueError):
         petersson_delta(12, 2000, 2000)
+
+
+# the weights and grid sizes of criterion 4's nine matrix builds
+CRITERION_4_MATRICES = [(10, 5), *((k, 8) for k in (12, 16, 18, 20, 22, 26)), (12, 8), (24, 6)]
+
+
+def _per_triple_matrix(k, size):
+    """petersson_matrix with S(m, n; c) from one `kloosterman` call per
+    (m, n, c), on the same Bessel values."""
+    pairs = [(m, n) for m in range(1, size + 1) for n in range(m, size + 1)]
+    cuts = [trace._truncation(k, m, n, 1e-12) for m, n in pairs]
+    bessel = bessel_j_many(
+        k - 1, np.concatenate([A / np.arange(1, c_max + 1, dtype=float) for A, c_max in cuts])
+    )
+    out = np.zeros((size, size))
+    end = 0
+    for (m, n), (A, c_max) in zip(pairs, cuts):
+        re_terms = np.array([kloosterman(m, n, c).real / c for c in range(1, c_max + 1)])
+        total = float(np.dot(re_terms, bessel[end : end + c_max]))
+        end += c_max
+        sign = -1.0 if (k // 2) % 2 else 1.0
+        out[m - 1, n - 1] = out[n - 1, m - 1] = (m == n) + 2.0 * math.pi * sign * total
+    return out
+
+
+def test_petersson_matrix_equals_per_triple_kloosterman_loop():
+    trace._kloosterman_real.cache_clear()
+    for k, size in CRITERION_4_MATRICES:
+        # a first build fills the cache and a second reads it
+        for _ in range(2):
+            assert np.array_equal(petersson_matrix(k, size), _per_triple_matrix(k, size)), k
+
+
+def test_criterion_4_computes_each_residue_triple_once(monkeypatch):
+    computed = Counter()
+
+    def counted(m, n, c):
+        computed[m, n, c] += 1
+        return kloosterman(m, n, c)
+
+    monkeypatch.setattr(trace, "kloosterman", counted)
+    trace._kloosterman_real.cache_clear()
+    acceptance.criterion_petersson()
+    lookups = 0
+    triples = set()
+    for k, size in CRITERION_4_MATRICES:
+        for m in range(1, size + 1):
+            for n in range(m, size + 1):
+                c_max = trace._truncation(k, m, n, 1e-12)[1]
+                lookups += c_max
+                triples.update(
+                    (min(m % c, n % c), max(m % c, n % c), c) for c in range(1, c_max + 1)
+                )
+    assert set(computed) == triples and max(computed.values()) == 1
+    assert len(triples) < lookups / 2, (len(triples), lookups)
