@@ -668,6 +668,33 @@ def _image_sums(K: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _direct_k_sums(Ks, x: float) -> list[ComplexEstimate]:
+    """`bessel_weighted_k_sum(K, x, "direct")` for every K of Ks, from one
+    `bessel_j_orders` call (one Miller pass) over the union of their
+    orders; each sum adds its own terms in weight order."""
+    if min(Ks) < 8:
+        raise ValueError("need K >= 8")
+    if x <= 0:
+        raise ValueError("need x > 0")
+    terms = []  # per K, its odd weights k with W((k - 1)/K) != 0
+    for K in Ks:
+        ks = range((K + 1) | 1, 2 * K + 2, 2)
+        ws = [float(_canonical_bump(np.array([2.0 * ((k - 1) / K) - 3.0]))[0]) for k in ks]
+        terms.append([(k, w) for k, w in zip(ks, ws) if w != 0.0])
+    orders = sorted({k - 1 for ts in terms for k, _ in ts})
+    jvs = dict(zip(orders, bessel_j_orders(orders, 2 * math.pi * x)))
+    out = []
+    for ts in terms:
+        total = 0j
+        err = 0.0
+        for k, wv in ts:
+            total += (1j) ** (-k % 4) * wv * jvs[k - 1].value
+            err += wv * jvs[k - 1].abs_error
+        routes = sorted({jvs[k - 1].method for k, _ in ts})
+        out.append(ComplexEstimate(total, err + 1e-15, "+".join(routes)))
+    return out
+
+
 def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
     """S1 = sum over odd weights k of i^(-k) W((k-1)/K) J_{k-1}(2 pi x).
 
@@ -702,22 +729,7 @@ def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
     if x <= 0:
         raise ValueError("need x > 0")
     if mode == "direct":
-        terms = []
-        for k in range(K + 1, 2 * K + 2):
-            if k % 2 == 0:
-                continue
-            u = (k - 1) / K
-            wv = float(_canonical_bump(np.array([2.0 * u - 3.0]))[0])
-            if wv != 0.0:
-                terms.append((k, wv))
-        jvs = bessel_j_orders([k - 1 for k, _ in terms], 2 * math.pi * x)
-        total = 0j
-        err = 0.0
-        for (k, wv), jv in zip(terms, jvs):
-            total += (1j) ** (-k % 4) * wv * jv.value
-            err += wv * jv.abs_error
-        routes = sorted({jv.method for jv in jvs})
-        return ComplexEstimate(total, err + 1e-15, "+".join(routes))
+        return _direct_k_sums((K,), x)[0]
     if mode == "kernel":
         y = 2 * math.pi * x
         # weight factor oscillates at ~4 pi K, the kernel at <= 2 pi y

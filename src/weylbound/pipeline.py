@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import inv_mod
-from .expsums import charsum_congruence, kloosterman
+from .expsums import charsum_congruence, kloosterman_reals
 from .oscint import _canonical_bump, _two_product, panel_rule, plateau_weight
 from .special import chebyshev_fit
 
@@ -230,7 +230,7 @@ def poisson_check_s5(
     keep = bump != 0.0
     ns, bump = ns[keep], bump[keep]
     # S(n, m; c) depends on n mod c alone
-    s = np.array([kloosterman(r, m, c).real for r in range(c)])[ns % c]
+    s = kloosterman_reals(np.arange(c), m, c)[ns % c]
     # math.log, not np.log: the SIMD log can differ by an ulp
     logs = np.array([math.log(n) for n in ns.tolist()])
     terms = bump * s * np.exp(1j * (p.t * logs + TWO_PI * np.sqrt(ns * m) / c))

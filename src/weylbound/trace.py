@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expsums import kloosterman
+from .expsums import kloosterman_reals
 from .modforms import dim_cusp, hecke_eigenforms
 from .special import bessel_j_many
 
@@ -65,24 +65,41 @@ def _truncation(k: int, m: int, n: int, tol: float) -> tuple[float, int]:
     return A, c_max
 
 
-@lru_cache(maxsize=1 << 15)
-def _kloosterman_real(a: int, b: int, c: int) -> float:
-    """Re S(a, b; c) for residues a <= b < c, computed once per triple.
+@lru_cache(maxsize=1 << 12)
+def _kloosterman_real(c: int) -> dict[tuple[int, int], float]:
+    """Re S(a, b; c) by residue pair a <= b < c, filled by `_kloosterman_terms`.
 
     S(m, n; c) depends on m and n only through their residues mod c, and
     S(m, n; c) = S(n, m; c) sums the same terms in another order, which
-    the exactly rounded fsum of `kloosterman` does not see, so every
-    pair (m, n) reads the value its own call would give, bit for bit.
+    the exactly rounded sums of `expsums` do not see, so every pair
+    (m, n) reads the value its own `kloosterman` call would give, bit
+    for bit.
     """
-    return kloosterman(a, b, c).real
+    return {}
 
 
-def _side(k: int, m: int, n: int, A: float, c_max: int, bessel) -> PeterssonSide:
-    """The side from bessel[c - 1] = J_(k-1)(A / c), c <= c_max."""
-    re_terms = np.empty(c_max)
-    for c in range(1, c_max + 1):
-        a, b = sorted((m % c, n % c))
-        re_terms[c - 1] = _kloosterman_real(a, b, c) / c
+def _kloosterman_terms(pairs: list[tuple[int, int]], c_maxes: list[int]) -> list[np.ndarray]:
+    """Re S(m, n; c) / c for c = 1..c_max, per pair (m, n).  At each c the
+    residue pairs that no earlier call computed go to one
+    `kloosterman_reals` batch."""
+    terms = [np.empty(c_max) for c_max in c_maxes]
+    for c in range(1, max(c_maxes) + 1):
+        table = _kloosterman_real(c)
+        live = [i for i, c_max in enumerate(c_maxes) if c_max >= c]
+        keys = [tuple(sorted((pairs[i][0] % c, pairs[i][1] % c))) for i in live]
+        new = sorted(set(keys).difference(table))
+        if new:
+            a, b = np.array(new).T
+            table.update(zip(new, kloosterman_reals(a, b, c).tolist()))
+        for i, key in zip(live, keys):
+            terms[i][c - 1] = table[key] / c
+    return terms
+
+
+def _side(k: int, m: int, n: int, A: float, re_terms, bessel) -> PeterssonSide:
+    """The side from re_terms[c - 1] = Re S(m, n; c) / c and bessel[c - 1]
+    = J_(k-1)(A / c), c <= c_max."""
+    c_max = len(re_terms)
     total = float(np.dot(re_terms, bessel))
     return PeterssonSide(
         k=k,
@@ -101,7 +118,8 @@ def petersson_delta(
     """Geometric side with the c-sum truncated at certified accuracy."""
     A, c_max = _truncation(k, m, n, tol)
     cs = np.arange(1, c_max + 1, dtype=float)
-    return _side(k, m, n, A, c_max, bessel_j_many(k - 1, A / cs))
+    (re_terms,) = _kloosterman_terms([(m, n)], [c_max])
+    return _side(k, m, n, A, re_terms, bessel_j_many(k - 1, A / cs))
 
 
 def petersson_matrix(k: int, size: int) -> np.ndarray:
@@ -115,10 +133,12 @@ def petersson_matrix(k: int, size: int) -> np.ndarray:
     cuts = [_truncation(k, m, n, 1e-12) for m, n in pairs]
     args = [A / np.arange(1, c_max + 1, dtype=float) for A, c_max in cuts]
     bessel = bessel_j_many(k - 1, np.concatenate(args))
-    ends = np.cumsum([c_max for _, c_max in cuts])
+    c_maxes = [c_max for _, c_max in cuts]
+    ends = np.cumsum(c_maxes)
+    kloos = _kloosterman_terms(pairs, c_maxes)
     out = np.zeros((size, size))
-    for (m, n), (A, c_max), end in zip(pairs, cuts, ends):
-        v = _side(k, m, n, A, c_max, bessel[end - c_max : end]).value
+    for (m, n), (A, c_max), end, re_terms in zip(pairs, cuts, ends, kloos):
+        v = _side(k, m, n, A, re_terms, bessel[end - c_max : end]).value
         out[m - 1, n - 1] = v
         out[n - 1, m - 1] = v
     return out

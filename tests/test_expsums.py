@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -299,21 +300,85 @@ def test_charsum_congruence_array_m_matches_scalar_calls(n1, n2, c1, c2):
 
 
 def test_criterion_1_sums_each_root_sum_once(monkeypatch):
-    calls = 0
-    fsum = math.fsum
+    rows = Counter()
+    kernel = expsums._root_count_sums
 
-    def counted(xs):
-        nonlocal calls
-        calls += 1
-        return fsum(xs)
+    def counted(counts, c, imag=False):
+        rows[c] += len(counts)
+        return kernel(counts, c, imag)
 
-    expsums._root_sum.cache_clear()
-    monkeypatch.setattr(math, "fsum", counted)
+    expsums._root_sums.cache_clear()
+    monkeypatch.setattr(expsums, "_root_count_sums", counted)
     res = acceptance.criterion_charsums()
-    # one compensated sum per m of the grid and per (c1 c2, t) of the
-    # congruence sums: 29,554, against 213,814 with one per (m, n1, n2)
-    assert calls < 40_000
-    assert res.detail == "grid worst 1.22e-13, congruence worst 2.56e-14"
+    # one count row per m of each (c, n) grid, and one per (c1 c2, t) of
+    # the congruence sums, however many (n1, n2) read it
+    units = lambda c: sum(math.gcd(n, c) == 1 for n in range(1, c + 1))
+    grid = sum(c * units(c) for c in range(1, 41))
+    moduli = {c1 * c2 for c1 in range(1, 13) for c2 in range(1, 13) if math.gcd(c1, c2) == 1}
+    assert sum(rows.values()) == grid + sum(moduli) == 14_778
+    # the grid values are exactly rounded, so only the closed forms' own
+    # rounding remains
+    assert res.detail == "grid worst 8.79e-14, congruence worst 2.56e-14"
+
+
+def _expanded_sum(counts, roots):
+    """math.fsum of the expanded terms: N_r copies of each root.  Past
+    10^4 copies a root enters as its exact multiples 2^b root, one per
+    set bit b of N_r; they add up exactly to the same total, and fsum
+    rounds that total once either way."""
+    terms = []
+    for r, n in enumerate(counts.tolist()):
+        if n <= 10_000:
+            terms += [roots[r]] * n
+        else:
+            terms += [roots[r] * 2.0**b for b in range(n.bit_length()) if n >> b & 1]
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+def test_root_count_sums_equal_fsum_of_expanded_terms():
+    rng = np.random.default_rng(7)
+    limit = expsums.COUNT_LIMIT
+    for c in range(1, 401):
+        roots = unit_roots(c).tolist()
+        counts = np.zeros((3, c), dtype=np.int64)
+        counts[0] = rng.integers(0, 4, c)
+        counts[1, rng.integers(0, c, 3)] = rng.integers(1, 50, 3)
+        # row 2 stays zero
+        # a batch at the limit: spread over every residue, or 2^33 copies
+        # of 1, where the limb GEMM reaches 2^53
+        spread = rng.multinomial(limit, np.full(c, 1.0 / c)).reshape(1, c)
+        ones = np.zeros((1, c), dtype=np.int64)
+        ones[0, 0] = limit
+        for batch in (counts, spread, ones):
+            got = expsums._root_count_sums(batch, c, imag=True)
+            re = expsums._root_count_sums(batch, c)
+            for i, row in enumerate(batch):
+                want = _expanded_sum(row, roots)
+                assert repr(complex(got[i])) == repr(want), (c, i)
+                assert repr(float(re[i])) == repr(want.real), (c, i)
+
+
+def test_root_count_sums_refuse_batches_past_the_limit():
+    counts = np.zeros((2, 7), dtype=np.int64)
+    counts[0, 3] = expsums.COUNT_LIMIT - 1
+    counts[1, 5] = 1
+    expsums._root_count_sums(counts, 7)  # at the limit: accepted
+    counts[1, 5] = 2
+    with pytest.raises(ValueError, match=r"8589934592 = 2\^33"):
+        expsums._root_count_sums(counts, 7)
+
+
+@pytest.mark.parametrize("c", [1, 2, 7, 12, 60])
+def test_kloosterman_reals_equal_scalar_calls(c):
+    a = np.arange(-c, 2 * c)
+    for b in (0, 1, c - 1, 5 * c + 3):
+        got = expsums.kloosterman_reals(a, b, c)
+        assert got.shape == a.shape
+        for i, m in enumerate(a.tolist()):
+            assert repr(float(got[i])) == repr(kloosterman(m, b, c).real), (m, b)
+    grid = expsums.kloosterman_reals(a.reshape(-1, 1), a.reshape(1, -1), c)
+    assert grid.shape == (a.size, a.size)
+    assert np.array_equal(grid, grid.T)  # S(m, n; c) = S(n, m; c), bit for bit
 
 
 @settings(max_examples=80, deadline=None)

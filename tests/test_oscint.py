@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from weylbound import acceptance, oscint, pipeline
+from weylbound import acceptance, oscint, pipeline, special
 from weylbound.oscint import (
     PhaseSpec,
     QuadratureError,
@@ -465,6 +465,37 @@ def test_ksum_direct_reports_bessel_routes():
     # 2 pi x = 2 pi 1e4 sits in the recurrence regime for every order
     assert bessel_weighted_k_sum(32, 1e4, "direct").method == "recurrence"
     assert bessel_weighted_k_sum(8, 1.0, "direct").method == "series"
+
+
+def _direct_sum_by_definition(K, x):
+    """S1 by its definition: one Miller pass over this K's orders alone."""
+    ks = [k for k in range(K + 1, 2 * K + 2) if k % 2 == 1]
+    ws = [float(oscint._canonical_bump(np.array([2.0 * ((k - 1) / K) - 3.0]))[0]) for k in ks]
+    jvs = special.bessel_j_orders([k - 1 for k, w in zip(ks, ws) if w != 0.0], 2 * math.pi * x)
+    terms = [(k, w) for k, w in zip(ks, ws) if w != 0.0]
+    return sum(((1j) ** (-k % 4) * w * jv.value for (k, w), jv in zip(terms, jvs)), 0j)
+
+
+def test_criterion_5a_direct_sums_share_one_miller_pass_per_x(monkeypatch):
+    passes = []
+    miller = special._bessel_miller
+
+    def counted(orders, x):
+        passes.append(x)
+        return miller(orders, x)
+
+    monkeypatch.setattr(special, "_bessel_miller", counted)
+    res = acceptance.criterion_bessel_sum_identity()
+    assert len(passes) == len(set(passes)) == 4
+    assert res.detail == "worst |direct - kernel| 1.55e-10 over 12 pairs"
+    monkeypatch.undo()
+    # the shared pass starts above every order of the union; where 2 pi x
+    # sets the start, the values are those of a pass per K
+    for x in (10.0, 100.0, 1000.0):
+        for K, d in zip((8, 9, 16, 32), oscint._direct_k_sums((8, 9, 16, 32), x)):
+            want = _direct_sum_by_definition(K, x)
+            assert bessel_weighted_k_sum(K, x, "direct").value == want, (K, x)
+            assert abs(d.value - want) <= (0.0 if x >= 100 else 1e-15), (K, x)
 
 
 @pytest.mark.parametrize("order", [1, 3, 12, 24])

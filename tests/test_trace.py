@@ -136,12 +136,14 @@ def test_petersson_matrix_equals_per_triple_kloosterman_loop():
 
 def test_criterion_4_computes_each_residue_triple_once(monkeypatch):
     computed = Counter()
+    kernel = trace.kloosterman_reals
 
-    def counted(m, n, c):
-        computed[m, n, c] += 1
-        return kloosterman(m, n, c)
+    def counted(a, b, c):
+        # one kernel row per (a, b) pair
+        computed.update((int(x), int(y), c) for x, y in zip(a, b))
+        return kernel(a, b, c)
 
-    monkeypatch.setattr(trace, "kloosterman", counted)
+    monkeypatch.setattr(trace, "kloosterman_reals", counted)
     trace._kloosterman_real.cache_clear()
     acceptance.criterion_petersson()
     lookups = 0
