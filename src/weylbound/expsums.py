@@ -109,6 +109,18 @@ def units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, invs % c
 
 
+def _kloosterman_rows(a, b, c: int, imag: bool) -> np.ndarray:
+    """S(a, b; c) for integer arrays a and b (broadcast together), one
+    count row per pair and one `_root_count_sums` call for them all: the
+    real parts, or with imag the complex values, each exactly rounded."""
+    if c < 1:
+        raise ValueError("modulus must be positive")
+    a, b = np.broadcast_arrays(np.asarray(a) % c, np.asarray(b) % c)
+    xs, invs = units_and_inverses(c)
+    expo = (a.reshape(-1, 1) * xs + b.reshape(-1, 1) * invs) % c
+    return _root_count_sums(_count_rows(expo, c), c, imag).reshape(a.shape)
+
+
 def kloosterman(m: int, n: int, c: int) -> complex:
     """S(m, n; c) = sum over units x mod c of e((m x + n xbar)/c)."""
     if c < 1:
@@ -121,12 +133,7 @@ def kloosterman(m: int, n: int, c: int) -> complex:
 def kloosterman_reals(a, b, c: int) -> np.ndarray:
     """Re S(a, b; c) for integer arrays a and b (broadcast together),
     one count row per pair: each value is `kloosterman(a, b, c).real`."""
-    if c < 1:
-        raise ValueError("modulus must be positive")
-    a, b = np.broadcast_arrays(np.asarray(a) % c, np.asarray(b) % c)
-    xs, invs = units_and_inverses(c)
-    expo = (a.reshape(-1, 1) * xs + b.reshape(-1, 1) * invs) % c
-    return _root_count_sums(_count_rows(expo, c), c).reshape(a.shape)
+    return _kloosterman_rows(a, b, c, imag=False)
 
 
 def twisted_kloosterman(
@@ -222,17 +229,14 @@ def verify_twisted_factorization(
 
     cbar_q = require_inv(c, q)
     qbar_c = require_inv(q, c) if c > 1 else 0
-    middle = twisted_kloosterman(chi, 0, mprime * cbar_q, q) * kloosterman(
-        n * q ** (1 + nu), mprime * qbar_c, c
-    )
+    # both plain sums mod c as two count rows of one call
+    a = [n * q ** (1 + nu) % c, n % c]
+    b = [mprime * qbar_c % c, mprime * q**nu % c]
+    s_middle, s_displayed = _kloosterman_rows(a, b, c, imag=True).tolist()
+    middle = twisted_kloosterman(chi, 0, mprime * cbar_q, q) * s_middle
 
     eps = gauss_sum(chi).epsilon
-    displayed = (
-        math.sqrt(q)
-        * eps.conjugate()
-        * chi.value(mprime * cbar_q)
-        * kloosterman(n, mprime * q**nu, c)
-    )
+    displayed = math.sqrt(q) * eps.conjugate() * chi.value(mprime * cbar_q) * s_displayed
     corrected = chi.value(q - 1) * displayed
 
     return FactorizationReport(

@@ -27,13 +27,46 @@ _CW4 = 1.1650928224373424e-19
 
 # the Stirling terms log_gamma_vec takes, and log_gamma by default
 _STIRLING_TERMS = 12
-# B_{2j} for the Stirling tail, j = 1..15
+# B_{2j} for the Stirling tail, j = 1..16: the 16th bounds a 15-term tail
 _BERNOULLI = [
     1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
     -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
     -236364091 / 2730, 8553103 / 6, -23749461029 / 870,
-    8615841276005 / 14322,
+    8615841276005 / 14322, -7709321041217 / 510,
 ]
+
+
+def _stirling_remainder(terms: int, z: complex) -> float:
+    """Bound on Stirling's log Gamma remainder after `terms` terms at z,
+    Re z > 0: the first omitted term |B_2n| / (2n (2n - 1) |z|^(2n - 1)),
+    n = terms + 1, times the sector factor sec^(2n)(arg z / 2) (DLMF
+    5.11(ii)), with sec^2(arg z / 2) = 2 |z| / (|z| + Re z)."""
+    n = terms + 1
+    r = abs(z)
+    sector = (2.0 * r / (r + z.real)) ** n
+    return abs(_BERNOULLI[n - 1]) / (2 * n * (2 * n - 1) * r ** (2 * n - 1)) * sector
+
+
+def _stirling_radius(terms: int, angle: float) -> int:
+    """The least integer R at which `terms` Stirling terms are good to
+    2^(-56) over |z| >= R, Re z >= R cos(angle), angle <= pi / 2.  There
+    the bound, |z|^(-2n + 1) sec^(2n)(arg z / 2) = |z|^(-n + 1) (2 / (|z|
+    + Re z))^n, is largest at z = R e^(i angle)."""
+    corner = cmath.exp(1j * angle)
+    radius = 1
+    while _stirling_remainder(terms, radius * corner) > 2.0**-56:
+        radius += 1
+    return radius
+
+
+# log_gamma_vec lifts every argument to |z| >= 8 with Re z >= 4, where its
+# 12 terms are good to 2.4e-18, or to |z| >= 10 with Re z >= 0 (1.8e-18):
+# the second region spares the lifts of arguments near the imaginary axis
+# (the Maass shifts (s +- i nu) / 2 have Re z = 1/4 and 3/4)
+_STIRLING_RADIUS = _stirling_radius(_STIRLING_TERMS, math.pi / 3)
+_STIRLING_RADIUS_AXIS = _stirling_radius(_STIRLING_TERMS, math.pi / 2)
+# B_2j / (2j (2j - 1)), the Stirling tail's coefficients in powers 1/z^(2j-1)
+_STIRLING_COEF = [b / ((2 * j + 1) * (2 * j + 2)) for j, b in enumerate(_BERNOULLI)]
 
 # chebyshev_block builds the T_k rows in panels of 16 rows over chunks of
 # at most 2048 arguments (three panels, 0.8 MB, are alive at a time, and
@@ -93,20 +126,19 @@ def jacobi_anger_coefficients(bessel, amp, sign) -> np.ndarray:
     By Jacobi-Anger e^(-i z y) = sum_k eps_k (-i)^k J_k(z) T_k(y), with
     eps_0 = 1 and eps_k = 2, and J_k(-r) = (-1)^k J_k(r).  So the even
     orders sum the amplitudes and the odd orders the signed amplitudes:
-    one real product of the table with four columns per b, taken column
-    by column so that a column's coefficients do not depend on the others.
-    The coefficients are exact up to the table's rounding; the height must
+    one real product of the table with four columns per b.  The products
+    are one batched `np.matmul` over a (B x J x 4) stack, a GEMM per b,
+    so that a column's coefficients do not depend on the others.  The
+    coefficients are exact up to the table's rounding; the height must
     bound the series' tail (`chebyshev_degree` of the largest r_j / 2).
     """
     factor = 2.0 * (-1j) ** (np.arange(len(bessel)) % 4)
     factor[0] = 1.0
-    coef = np.empty((len(bessel), amp.shape[1]), dtype=complex)
-    for b, a in enumerate(amp.T):
-        odd = sign * a
-        sums = bessel @ np.stack([a.real, a.imag, odd.real, odd.imag], axis=1)
-        sums[1::2, :2] = sums[1::2, 2:]
-        coef[:, b] = factor * (sums[:, 0] + 1j * sums[:, 1])
-    return coef
+    a = amp.T
+    odd = sign * a
+    sums = np.matmul(bessel, np.stack([a.real, a.imag, odd.real, odd.imag], axis=-1))
+    sums[:, 1::2, :2] = sums[:, 1::2, 2:]
+    return (factor * (sums[..., 0] + 1j * sums[..., 1])).T
 
 
 def chebyshev_block(coef, lo: float, hi: float, x, valid=None) -> np.ndarray:
@@ -428,28 +460,33 @@ def _stirling(z: np.ndarray, terms: int) -> tuple[np.ndarray, int, np.ndarray]:
     """Principal log Gamma over a complex array by Stirling with recursion lift.
 
     Each element is lifted by Gamma(z) = Gamma(z+m)/(z...(z+m-1)) until
-    |z+m| >= 18 and Re(z+m) >= 1, at most 400 times.  Returns the values,
-    the largest lift count m and the lifted arguments.
+    |z+m| >= R and Re(z+m) >= R/2, R = `_STIRLING_RADIUS`, or |z+m| >=
+    `_STIRLING_RADIUS_AXIS` and Re(z+m) >= 0, at most 400 times.  The tail sum_j c_j z^(1-2j) is summed by Horner's rule in
+    1/z^2.  Returns the values, the largest lift count m and the lifted
+    arguments.
     """
     if terms < 1 or terms > 15:
         raise ValueError("terms must be in 1..15")
     z = np.asarray(z, dtype=complex).copy()
     shift = np.zeros_like(z)
     for lifts in range(401):
-        mask = (np.abs(z) < 18.0) | (z.real < 1.0)
+        r = np.abs(z)
+        mask = (r < _STIRLING_RADIUS) | (z.real < 0.0)
+        mask |= (z.real < 0.5 * _STIRLING_RADIUS) & (r < _STIRLING_RADIUS_AXIS)
         if not mask.any():
             break
         if lifts == 400:
             raise RangeError("recursion lift did not reach Stirling regime")
         shift[mask] += np.log(z[mask])
         z[mask] += 1
-    tail = np.zeros_like(z)
-    zz = z * z
-    zpow = z.copy()
-    for j in range(1, terms + 1):
-        tail += (_BERNOULLI[j - 1] / ((2 * j - 1) * (2 * j))) / zpow
-        zpow *= zz
-    del zz, zpow
+    inv = 1.0 / z
+    inv_sq = inv * inv
+    tail = np.full_like(z, _STIRLING_COEF[terms - 1])
+    for c in reversed(_STIRLING_COEF[: terms - 1]):
+        tail *= inv_sq
+        tail += c
+    tail *= inv
+    del inv, inv_sq
     # (z - 1/2) log z - z + log(2 pi) / 2 + tail - shift, in place: the
     # scan's blocks pass tens of thousands of arguments
     value = z - 0.5
@@ -465,14 +502,13 @@ def log_gamma(s: complex, terms: int = _STIRLING_TERMS) -> ComplexEstimate:
     """Principal-branch log Gamma(s) by Stirling with recursion lift.
 
     The claimed error is the first omitted Bernoulli term at the lifted
-    argument plus lift rounding.
+    argument, with its sector factor, plus lift rounding.
     """
     if s.imag == 0 and s.real <= 0 and s.real == int(s.real):
         raise ZeroDivisionError(f"Gamma pole at s = {s}")
     value, m, z = _stirling(np.array([s]), terms)
-    val, zl = complex(value[0]), complex(z[0])
-    nxt = abs(_BERNOULLI[min(terms, 14)] / ((2 * terms + 1) * (2 * terms + 2)))
-    err = nxt / abs(zl) ** (2 * terms + 1) + (m + 4) * EPS * (abs(val) + 1.0)
+    val = complex(value[0])
+    err = _stirling_remainder(terms, complex(z[0])) + (m + 4) * EPS * (abs(val) + 1.0)
     return ComplexEstimate(val, err, "asymptotic")
 
 

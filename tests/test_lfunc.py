@@ -110,8 +110,9 @@ def test_weight16_central_value_balance_stable():
 
 
 def _bucket_edge_t(spec, k: int) -> float:
-    """A t whose log-u range ends exactly on the bucket edge k / 32, so the
-    basis range and the exact range share their upper end."""
+    """A t whose log-u range ends exactly on the bucket edge
+    k / _LOG_U_BUCKETS, so the basis range and the exact range share their
+    upper end."""
 
     def end(t):
         return math.log(CUT_RATIO * conductor_sqrt(spec, t) + 8.0)
@@ -135,7 +136,7 @@ def _interp_case(name, request, tmp_path):
         return holomorphic_spec(16, 1000), 20.0
     spec = request.getfixturevalue("delta12000")
     if name == "delta@edge":
-        return spec, _bucket_edge_t(spec, 200)
+        return spec, _bucket_edge_t(spec, 25)
     return spec, float(name.split("@")[1])
 
 
@@ -175,7 +176,7 @@ def test_interpolated_weight_against_dense_oracle(case, request, tmp_path):
     balances = (0.25, 0.5, 1.0, 2.0, 4.0)
     block = lfunc._contour_block(spec, ts, balances)
     if case == "delta@edge":
-        assert block[0]._log_u_range[1] == 200 / lfunc._LOG_U_BUCKETS
+        assert block[0]._log_u_range[1] == 25 / lfunc._LOG_U_BUCKETS
     longest = np.max([[afe_lengths(spec, s, b) for b in balances] for s in ts], axis=0)
     for i, (s, contour) in enumerate(zip(ts, block)):
         lengths = {b: afe_lengths(spec, s, b) for b in balances}
@@ -322,8 +323,8 @@ def test_contour_block_memory(delta12000):
 
 
 def test_bessel_table_built_once_per_bucket(delta12000, monkeypatch):
-    # t = 1000 and 1000.25 end their log-u ranges in one 1/32 bucket and
-    # share one Bessel table; t = 900 lies in another and builds its own,
+    # t = 1000 and 1000.25 end their log-u ranges in one 1/4 bucket and
+    # share one Bessel table; t = 700 lies in another and builds its own,
     # and the cache keeps at most two tables
     built = []
     table = lfunc.bessel_j_table
@@ -335,13 +336,13 @@ def test_bessel_table_built_once_per_bucket(delta12000, monkeypatch):
     monkeypatch.setattr(lfunc, "bessel_j_table", counted)
     lfunc._jacobi_anger_basis.cache_clear()
     bucket = []
-    for t in (1000.0, 1000.25, 900.0):
+    for t in (1000.0, 1000.25, 700.0):
         (contour,) = lfunc._contour_block(delta12000, [t], (1.0,))
         bucket.append(math.ceil(contour._log_u_range[1] * lfunc._LOG_U_BUCKETS))
     assert bucket[0] == bucket[1] != bucket[2]
     assert len(built) == 2
     assert lfunc._jacobi_anger_basis.cache_info().currsize == 2
-    for t in (800.0, 700.0, 1000.5):
+    for t in (500.0, 700.0, 1000.5):
         lfunc._contour_block(delta12000, [t], (1.0,))
     assert lfunc._jacobi_anger_basis.cache_info().currsize == 2
     lfunc._jacobi_anger_basis.cache_clear()
