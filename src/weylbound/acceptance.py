@@ -371,10 +371,8 @@ def _balance_spread(spec: lfunc.LFunctionSpec, ts) -> float:
     worst = 0.0
     balances = (0.5, 1.0, 2.0)
     for t in ts:
-        contour = lfunc._contour_block(spec, [t], balances)[0]
-        vals = [
-            lfunc.central_value(spec, t, b, _contour=contour).value for b in balances
-        ]
+        row = lfunc._block_values(spec, [t], balances)[0]
+        vals = [lfunc.central_value(spec, t, b, _row=row).value for b in balances]
         worst = max(
             worst, max(abs(v - vals[1]) for v in vals) / max(1.0, abs(vals[1]))
         )

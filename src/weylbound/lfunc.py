@@ -25,19 +25,22 @@ J_k(|tau_j| h), whose height bounds every t's degree, and share the
 AFE arguments n, 2n and n/2 of balances 1 and 2.  (Rounding the end up
 by at most 1/4 raises a degree by at most 3.4 % on [0, 1000]; a scan
 over t in [10, 50] builds 7 tables.)  The scan therefore works in
-blocks of such t's (`_contour_block`): one gamma-factor call for every
-s + w, s and 1 - s; every t's coefficients from one batched product
-with the table; and one Chebyshev-basis evaluation, a matrix product,
-over the union of the block's distinct arguments, whose columns are the
-t's cutoff tables.  `np.unique` also gives, for each balance, the
+blocks of such t's.  `_cutoff_table` makes one gamma-factor call for
+every s + w, s and 1 - s, which gives every t's amplitudes as one row
+and its root factor; forms every t's coefficients from one batched
+product with the table; and evaluates the Chebyshev basis once, a
+matrix product, over the union of the block's distinct arguments, one
+column of V per t.  `np.unique` also gives, for each balance, the
 positions in the union of its two argument progressions, so a sum reads
-V with one `take` at those positions cut to its own lengths.  Each t's
-Dirichlet coefficients lambda(n) n^(-s) = lambda(n) n^(-1/2) e^(-i t log n)
-do not depend on the balance: the block forms log n and lambda(n) n^(-1/2)
-once, to its longest length; each contour forms its column from their
-prefixes once, at its t's longest length, and both balances slice that
-column.  A central value computed alone is a block of one.
-The dense contour sum stays as `afe_weight` and as the test oracle.
+V with one `take` at those positions cut to its own lengths.
+`_block_values` turns the table into every central value of the block,
+one row per t.  Each t's Dirichlet coefficients lambda(n) n^(-s) =
+lambda(n) n^(-1/2) e^(-i t log n) do not depend on the balance: the
+block forms log n and lambda(n) n^(-1/2) once, to its longest length,
+each t forms its column from their prefixes once, at its longest
+length, and every balance slices that column.  A central value computed
+alone is a block of one.  The dense contour sum (`_AfeContour`) stays
+as `afe_weight` and as the test oracle.
 """
 
 from __future__ import annotations
@@ -102,16 +105,21 @@ class CoefficientSource:
 
 @dataclass(frozen=True)
 class LFunctionSpec:
-    """Degree-2 L-function data: gamma factor kind, coefficients, root number."""
+    """Degree-2 L-function data: gamma factor kind, coefficients, root
+    number, and a Maass form's parity delta (0 even, 1 odd), which shifts
+    its gamma factor to gamma((s + delta +- i nu) / 2)."""
 
     kind: str  # holomorphic | maass
     gamma_data: float  # weight k, or spectral parameter nu
     coefficients: CoefficientSource
     root_number: complex
+    parity: int = 0
 
     def __post_init__(self):
         if self.kind not in ("holomorphic", "maass"):
             raise ValueError("kind must be holomorphic or maass")
+        if self.parity not in ((0, 1) if self.kind == "maass" else (0,)):
+            raise ValueError("parity must be 0 or 1, and 0 for a holomorphic form")
         if abs(abs(self.root_number) - 1.0) > 1e-9:
             raise ValueError("root number must be unimodular")
 
@@ -150,8 +158,8 @@ def conductor_sqrt(spec: LFunctionSpec, t: float) -> float:
     s = complex(0.5, t)
     if spec.kind == "holomorphic":
         return abs(s + (spec.gamma_data - 1) / 2.0) / (2 * math.pi)
-    nu = spec.gamma_data
-    return math.sqrt(abs(s * s + nu * nu)) / (2 * math.pi)
+    nu, z = spec.gamma_data, s + spec.parity
+    return math.sqrt(abs(z * z + nu * nu)) / (2 * math.pi)
 
 
 def _log_gamma_factor(spec: LFunctionSpec, s: np.ndarray) -> np.ndarray:
@@ -164,9 +172,9 @@ def _log_gamma_factor(spec: LFunctionSpec, s: np.ndarray) -> np.ndarray:
         lg = log_gamma_vec(s + (k - 1) / 2.0)
         lg -= s * math.log(2 * math.pi)
         return lg
-    nu = spec.gamma_data
+    up, down = spec.parity + 1j * spec.gamma_data, spec.parity - 1j * spec.gamma_data
     # one Stirling pass over both shifted arguments
-    lg = log_gamma_vec(np.concatenate([(s + 1j * nu) / 2.0, (s - 1j * nu) / 2.0]))
+    lg = log_gamma_vec(np.concatenate([(s + up) / 2.0, (s + down) / 2.0]))
     return -s * math.log(math.pi) + lg[: len(s)] + lg[len(s) :]
 
 
@@ -216,58 +224,39 @@ def _basis_end(log_u_end: float) -> float:
     return math.ceil(log_u_end * _LOG_U_BUCKETS) / _LOG_U_BUCKETS
 
 
-def _log_gamma_rows(spec: LFunctionSpec, ts, w: np.ndarray) -> np.ndarray:
-    """The gamma factor at s + w, s and 1 - s for every s = 1/2 + it of ts:
-    one row per t, from one call."""
+def _amplitudes(spec: LFunctionSpec, ts, panels: int = _CONTOUR_PANELS):
+    """The contour amplitudes G(w) gamma(s + w) / (2 pi w gamma(s)) at every
+    node, 0 where negligible against a t's largest, as one row per t, and
+    the root factors eps(f) gamma(1 - s) / gamma(s) of the functional
+    equation, for every s = 1/2 + it of ts."""
+    _, w, base = _contour_nodes(panels)
+    # one gamma-factor call for s + w, s and 1 - s of every t
     s = 0.5 + 1j * np.asarray(ts, dtype=float)[:, None]
     z = np.concatenate([s + w, s, 1 - s], axis=1)
-    return _log_gamma_factor(spec, z.ravel()).reshape(z.shape)
+    lg = _log_gamma_factor(spec, z.ravel()).reshape(z.shape)
+    root = spec.root_number * np.exp(lg[:, -1] - lg[:, -2])
+    amp = base * np.exp(lg[:, :-2] - lg[:, -2:-1])
+    keep = np.abs(amp) > 1e-19 * np.abs(amp).max(axis=1, keepdims=True)
+    return np.where(keep, amp, 0.0), root
 
 
 class _AfeContour:
-    """Precomputed contour data for V at one (spec, t), the cutoff table
-    of V at the AFE arguments its block was built for, and the t's
-    Dirichlet coefficients.
+    """The dense contour sum for V at one (spec, t), and its root factor.
 
     The default panel count serves the AFE sums, whose arguments stay
     within a few e-folds of the conductor scale (the gamma-ratio drift
     cancels most of the exp(-i tau ln u) oscillation there).  Callers
-    probing extreme arguments pass a denser panelling.  Only
-    `_contour_block` fills the table, passing each t its row of the
-    block's gamma pass: the t's column of V over the block's distinct
-    arguments, and each balance's positions in them.  A contour built
-    alone serves the dense `weight` and the root factor, and its table
-    is empty.
+    probing extreme arguments pass a denser panelling.  The sums read V
+    from a block's cutoff table (`_cutoff_table`); this sum serves
+    `afe_weight` and the tests as their oracle.
     """
 
-    def __init__(
-        self,
-        spec: LFunctionSpec,
-        t: float,
-        panels: int | None = None,
-        log_gamma: np.ndarray | None = None,
-    ):
-        if panels is None:
-            panels = _CONTOUR_PANELS
-        _, w, base = _contour_nodes(panels)
-        lg = _log_gamma_rows(spec, [t], w)[0] if log_gamma is None else log_gamma
-        # root factor eps(f) gamma(1 - s) / gamma(s) of the functional equation
-        self.root_factor = spec.root_number * np.exp(lg[-1] - lg[-2])
-        amp = base * np.exp(lg[:-2] - lg[-2])
-        keep = np.abs(amp) > 1e-19 * np.abs(amp).max()
-        self.amp = amp[keep]
-        self.w = w[keep]
-        self._node_amp = np.where(keep, amp, 0.0)  # every node, 0 where dropped
-        self._log_u_range = _log_u_range(spec, t)
-        self.t = t
-        # filled by the block: V at its sorted distinct arguments, each
-        # balance's positions there of its pieces' arguments at the block's
-        # longest lengths, and log n and lambda(n) n^(-1/2) up to this t's
-        # longest Dirichlet length
-        self._table_v = np.empty(0, dtype=complex)
-        self._positions: dict = {}
-        self._log_n = self._lam_root = np.empty(0)
-        self._dirichlet = None
+    def __init__(self, spec: LFunctionSpec, t: float, panels: int = _CONTOUR_PANELS):
+        amp, root = _amplitudes(spec, [t], panels)
+        keep = amp[0] != 0
+        self.root_factor = root[0]
+        self.amp = amp[0, keep]
+        self.w = _contour_nodes(panels)[1][keep]
 
     def weight(self, u: np.ndarray) -> np.ndarray:
         """V(u) for an array of positive cutoff arguments."""
@@ -286,55 +275,33 @@ class _AfeContour:
             )
         return out
 
-    def cutoff(self, t: float, balance: float, n1: int, n2: int) -> np.ndarray:
-        """V at the AFE arguments n * balance (n <= n1) followed by n /
-        balance (n <= n2) of the sums at t, read by position from the table
-        its block filled.  A t other than the contour's, a balance the block
-        was not built for, or lengths past the block's raise ValueError, and
-        so does every read from a contour built outside a block."""
-        pos = self._positions.get(balance)
-        if t != self.t or pos is None or n1 > len(pos[0]) or n2 > len(pos[1]):
-            raise ValueError(
-                "cutoff read outside the contour's table: a contour reads V only "
-                "at its own t, at the AFE arguments of the balances its block "
-                "was built for"
-            )
-        return self._table_v.take(np.concatenate((pos[0][:n1], pos[1][:n2])))
 
-    def dirichlet(self, n: int) -> np.ndarray:
-        """lambda(m) m^(-s) = lambda(m) m^(-1/2) e^(-i t log m) for m = 1..n:
-        a slice of one column, formed on first use at the t's longest
-        length over its block's balances."""
-        if self._dirichlet is None:
-            self._dirichlet = self._lam_root * np.exp(-1j * self.t * self._log_n)
-        return self._dirichlet[:n]
-
-
-def _contour_block(spec: LFunctionSpec, ts, balances) -> list[_AfeContour]:
-    """Contours for t's whose log-u ranges end in one bucket, each with a
-    cutoff table holding V at every AFE argument of `balances`.
+def _cutoff_table(spec: LFunctionSpec, ts, balances):
+    """V at every AFE argument of `balances` for t's whose log-u ranges end
+    in one bucket: the (U x B) table over the block's U distinct
+    arguments, column b for t_b; each balance's two position runs in it at
+    the block's longest lengths; every (t, balance)'s lengths (n1, n2);
+    and every t's root factor.
 
     One gamma-factor call covers s + w, s and 1 - s of every t; every
     t's coefficients come from one product with the bucket's Bessel
     table; one basis evaluation over the union of the block's distinct
-    arguments gives every t's values, and each table takes its own
-    column, cut at its own log-u end.
+    arguments gives every t's values, each column cut at its own log-u
+    end.
     """
-    lg = _log_gamma_rows(spec, ts, _contour_nodes(_CONTOUR_PANELS)[1])
-    contours = [_AfeContour(spec, t, log_gamma=row) for t, row in zip(ts, lg)]
-    lo, ends = contours[0]._log_u_range[0], [c._log_u_range[1] for c in contours]
+    lengths = [[afe_lengths(spec, t, b) for b in balances] for t in ts]
+    lo, ends = _log_u_range(spec, ts[0])[0], [_log_u_range(spec, t)[1] for t in ts]
     if len({_basis_end(e) for e in ends}) != 1:
         raise ValueError("a contour block must share one log-u bucket")
     hi = _basis_end(ends[0])
+    amp, root = _amplitudes(spec, ts)
     # one product with the bucket's Bessel table at its full height, which
     # bounds every degree; column b holds t_b's coefficients
     table, phase, sign = _jacobi_anger_basis(lo, hi)
-    amp = np.stack([c._node_amp for c in contours], axis=1) * phase[:, None]
-    coef = jacobi_anger_coefficients(table, amp, sign)
+    coef = jacobi_anger_coefficients(table, (amp * phase).T, sign)
     # each balance's arguments are two progressions, nested in t: the
     # union is theirs at the block's longest lengths
-    lengths = np.array([[afe_lengths(spec, t, b) for b in balances] for t in ts])
-    longest = lengths.max(axis=0)
+    longest = np.max(lengths, axis=0)
     u, inverse = np.unique(
         np.concatenate([_afe_arguments(n1, n2, b) for (n1, n2), b in zip(longest, balances)]),
         return_inverse=True,
@@ -348,15 +315,60 @@ def _contour_block(spec: LFunctionSpec, ts, balances) -> list[_AfeContour]:
     # V = u^(-sigma) g(log u); an argument past the block's exact range raises
     v = chebyshev_block(coef, lo, hi, lu, (lo, max(ends)))
     v *= np.exp(-_CONTOUR_SIGMA * lu)[:, None]
-    # log n and lambda(n) n^(-1/2) once, to the block's longest length; each
-    # t slices them at its own
-    n_t = np.minimum(lengths.max(axis=(1, 2)), spec.coefficients.n_max)
+    return v, positions, lengths, root
+
+
+def _dirichlet_column(t: float, log_n: np.ndarray, lam_root: np.ndarray) -> np.ndarray:
+    """lambda(n) n^(-s) = lambda(n) n^(-1/2) e^(-i t log n) at s = 1/2 + it."""
+    return lam_root * np.exp(-1j * t * log_n)
+
+
+@dataclass(frozen=True)
+class _Row:
+    """The central values of one t of a block: `values` maps each balance
+    whose sums fit in the form's coefficients to its estimate, `lengths`
+    maps every balance of the block to its Dirichlet lengths (n1, n2)."""
+
+    t: float
+    values: dict
+    lengths: dict
+
+
+def _block_values(spec: LFunctionSpec, ts, balances) -> list[_Row]:
+    """Every central value of a block (`_cutoff_table`): one row per t.
+
+    The block forms log n and lambda(n) n^(-1/2) once, to its longest
+    length; each t forms its Dirichlet column from their prefixes once, at
+    its longest length over the balances (capped at n_max), and each
+    balance's two sums slice it.
+    """
+    v, positions, lengths, root = _cutoff_table(spec, ts, balances)
+    n_max = spec.coefficients.n_max
+    n_t = np.minimum(np.max(lengths, axis=(1, 2)), n_max)
     ns = np.arange(1, n_t.max() + 1.0)
     log_n, lam_root = np.log(ns), spec.coefficients.values[1 : len(ns) + 1] / np.sqrt(ns)
-    for c, column, n in zip(contours, v.T, n_t):
-        c._table_v, c._positions = column, positions
-        c._log_n, c._lam_root = log_n[:n], lam_root[:n]
-    return contours
+    # truncation model: the log-normal mollifier tail past the cut,
+    # summed against a divisor-weighted n^(-1/2) envelope
+    v_cut = math.exp(-((MOLLIFIER_WIDTH * math.log(CUT_RATIO) / 2.0) ** 2))
+    rows = []
+    for t, column, omega, n, t_lengths in zip(ts, v.T, root, n_t, lengths):
+        coef = _dirichlet_column(t, log_n[:n], lam_root[:n])
+        values = {}
+        for b, (n1, n2) in zip(balances, t_lengths):
+            if max(n1, n2) > n_max:
+                continue
+            # one kernel sum_m lambda(m) m^(-s) V(u_m) for both pieces: lambda
+            # is real and s - 1 = -conj(s), so the dual piece is the conjugate
+            # of the kernel at the reciprocal balance
+            pos = positions[b]
+            cut = column.take(np.concatenate((pos[0][:n1], pos[1][:n2])))
+            sum1 = complex(np.sum(coef[:n1] * cut[:n1]))
+            sum2 = complex(np.sum(coef[:n2] * cut[n1:])).conjugate()
+            value = sum1 + omega * sum2
+            tail = v_cut * 35.0 * (1.0 + (math.sqrt(n1) + math.sqrt(n2)) / 30.0)
+            values[b] = ComplexEstimate(value, tail + 1e-12 * abs(value), "quadrature")
+        rows.append(_Row(t, values, dict(zip(balances, t_lengths))))
+    return rows
 
 
 def afe_weight(y: float, t: float, spec: LFunctionSpec, balance: float) -> complex:
@@ -397,30 +409,19 @@ def _afe_arguments(n1: int, n2: int, balance: float) -> np.ndarray:
 
 
 def central_value(
-    spec: LFunctionSpec,
-    t: float,
-    balance: float = 1.0,
-    _contour: "_AfeContour | None" = None,
+    spec: LFunctionSpec, t: float, balance: float = 1.0, _row: _Row | None = None
 ) -> ComplexEstimate:
-    """L(1/2 + it) as the two smoothed Dirichlet pieces plus root factor."""
-    n1, n2 = afe_lengths(spec, t, balance)
-    n = max(n1, n2)
-    if n > spec.coefficients.n_max:
-        raise ValueError(f"need coefficients to n = {n}, have {spec.coefficients.n_max}")
-    contour = _contour if _contour is not None else _contour_block(spec, [t], [balance])[0]
-    # one kernel sum_m lambda(m) m^(-s) V(u_m) for both pieces: lambda is
-    # real and s - 1 = -conj(s), so the dual piece is the conjugate of the
-    # kernel at the reciprocal balance
-    v = contour.cutoff(t, balance, n1, n2)
-    coef = contour.dirichlet(n)
-    sum1 = complex(np.sum(coef[:n1] * v[:n1]))
-    sum2 = complex(np.sum(coef[:n2] * v[n1:])).conjugate()
-    value = sum1 + contour.root_factor * sum2
-    # truncation model: the log-normal mollifier tail past the cut,
-    # summed against a divisor-weighted n^(-1/2) envelope
-    v_cut = math.exp(-((MOLLIFIER_WIDTH * math.log(CUT_RATIO) / 2.0) ** 2))
-    tail = v_cut * 35.0 * (1.0 + (math.sqrt(n1) + math.sqrt(n2)) / 30.0)
-    return ComplexEstimate(value, tail + 1e-12 * abs(value), "quadrature")
+    """L(1/2 + it) as the two smoothed Dirichlet pieces plus root factor:
+    read from t's row of a block (`_block_values`), a block of one by
+    default.  Another t than the row's or a balance its block was not
+    built for raises ValueError, and so do sums past the form's n_max."""
+    row = _row if _row is not None else _block_values(spec, [t], [balance])[0]
+    if row.t != t or balance not in row.lengths:
+        raise ValueError("a row holds the central values of its own t at its block's balances")
+    if balance not in row.values:
+        n, n_max = max(row.lengths[balance]), spec.coefficients.n_max
+        raise ValueError(f"need coefficients to n = {n}, have {n_max}")
+    return row.values[balance]
 
 
 def sn_sum(
@@ -463,7 +464,7 @@ SCAN_POINTS_MAX = 10**6
 PREC_MAX = 50000
 
 
-# the contours of the block this thread is scanning, keyed by t; set by
+# the rows of the block this thread is scanning, keyed by t; set by
 # `_scan_block` for the span of its records, so `_scan_one` keeps the
 # signature (spec, t, balances) that callers wrap and substitute, and
 # popped by `_scan_one` as it reads each
@@ -471,15 +472,13 @@ _scanning = threading.local()
 
 
 def _scan_one(spec: LFunctionSpec, t: float, balances: tuple[float, float]) -> ScanRecord:
-    """The record at t, read from its block's contour (a block of one when
+    """The record at t, read from its block's row (a block of one when
     called outside `_scan_block`)."""
-    # popped, so a block keeps a t's Dirichlet column only while its record
-    # is made
-    contour = getattr(_scanning, "contours", {}).pop(t, None)
-    if contour is None:
-        contour = _contour_block(spec, [t], balances)[0]
-    v1 = central_value(spec, t, balances[0], _contour=contour)
-    v2 = central_value(spec, t, balances[1], _contour=contour)
+    row = getattr(_scanning, "rows", {}).pop(t, None)
+    if row is None:
+        row = _block_values(spec, [t], balances)[0]
+    v1 = central_value(spec, t, balances[0], _row=row)
+    v2 = central_value(spec, t, balances[1], _row=row)
     gap = abs(v1.value - v2.value)
     modulus = abs(v1.value)
     ok = gap <= BALANCE_TOL * max(1.0, modulus)
@@ -487,7 +486,7 @@ def _scan_one(spec: LFunctionSpec, t: float, balances: tuple[float, float]) -> S
     return ScanRecord(
         t=t,
         modulus=modulus,
-        afe_length=max(afe_lengths(spec, t, balances[0])),
+        afe_length=max(row.lengths[balances[0]]),
         consistency_gap=gap,
         convexity_ratio=modulus / base**0.5,
         weyl_ratio=modulus / base ** (1.0 / 3.0),
@@ -512,11 +511,11 @@ def _scan_blocks(spec: LFunctionSpec, ts: list[float]) -> list[list[float]]:
 def _scan_block(
     spec: LFunctionSpec, ts: list[float], balances: tuple[float, float]
 ) -> list[ScanRecord]:
-    _scanning.contours = dict(zip(ts, _contour_block(spec, ts, balances)))
+    _scanning.rows = {row.t: row for row in _block_values(spec, ts, balances)}
     try:
         return [_scan_one(spec, t, balances) for t in ts]
     finally:
-        del _scanning.contours
+        del _scanning.rows
 
 
 def exponent_scan(
@@ -687,6 +686,7 @@ def load_maass_file(path: str) -> tuple[LFunctionSpec, MaassIngestReport]:
         gamma_data=nu,
         coefficients=CoefficientSource("ingested", vals, n_max),
         root_number=complex(epsilon),
+        parity=int(parity == "odd"),
     )
     report = MaassIngestReport(
         nu=nu,

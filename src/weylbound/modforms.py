@@ -214,7 +214,8 @@ def victor_miller_basis(k: int, prec: int) -> list[QExpansion]:
             # a pure power of E4 or E6 is not multiplied by the other's 0th power
             powers = [poly_pow(g, e, prec) for g, e in ((e4, a_exp), (e6, b_exp)) if e]
             monomials.append(poly_mul(*powers, prec) if len(powers) == 2 else powers[0])
-    assert len(monomials) == d + 1, "monomial count must equal dim M_k"
+    if len(monomials) != d + 1:
+        raise ArithmeticError(f"{len(monomials)} monomials at weight {k}, but dim M_k = {d + 1}")
     rows = [[Fraction(c) for c in m] for m in monomials]
     # eliminate the constant term (every monomial starts with 1)
     head = rows[0]

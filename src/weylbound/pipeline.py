@@ -433,7 +433,11 @@ def offdiagonal_assembly(
     # sample cross-check of the indicator against the brute-force sum
     for m, n1, c1, n2, c2, _ in hits[:5]:
         r = charsum_congruence(m, n1, n2, c1, c2)
-        assert r.indicator and r.abs_diff < 1e-6
+        if not (r.indicator and r.abs_diff < 1e-6):
+            raise ArithmeticError(
+                f"congruence indicator disagrees with the character sum at "
+                f"(m, n1, c1, n2, c2) = {(m, n1, c1, n2, c2)}"
+            )
     # shared outer grid sized for the largest |m| among hits
     m_max = max((abs(h[0]) for h in hits), default=1)
     cmin = min(c_values)

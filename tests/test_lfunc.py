@@ -128,9 +128,9 @@ def _bucket_edge_t(spec, k: int) -> float:
 
 
 def _interp_case(name, request, tmp_path):
-    if name == "maass":
+    if name in ("maass", "maass-odd"):
         path = tmp_path / "maass.txt"
-        path.write_text(_toy_maass_lines(n_max=2000))
+        path.write_text(_toy_maass_lines(n_max=2000, parity=name[6:] or "even"))
         return load_maass_file(str(path))[0], 30.0
     if name == "k16":
         return holomorphic_spec(16, 1000), 20.0
@@ -140,9 +140,10 @@ def _interp_case(name, request, tmp_path):
     return spec, float(name.split("@")[1])
 
 
-def _dense_central_value(spec, t, balance, contour) -> complex:
+def _dense_central_value(spec, t, balance) -> complex:
     """central_value's two Dirichlet pieces and root factor, with every V
     from the dense contour sum."""
+    contour = _AfeContour(spec, t)
     n1, n2 = afe_lengths(spec, t, balance)
     lam = spec.coefficients.values
     s = complex(0.5, t)
@@ -162,6 +163,15 @@ def _block_around(spec, t):
     return [s for s in near if lfunc._basis_end(lfunc._log_u_range(spec, s)[1]) == end][:3]
 
 
+def _cutoff_read(table, t_index, balance):
+    """V at the AFE arguments of `balance` at one t of a `_cutoff_table`:
+    the t's column read at its balance's positions, cut to its lengths."""
+    v, positions, lengths, _ = table
+    n1, n2 = dict(zip(positions, lengths[t_index]))[balance]
+    pos = positions[balance]
+    return v[:, t_index].take(np.concatenate((pos[0][:n1], pos[1][:n2])))
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -174,42 +184,39 @@ def test_interpolated_weight_against_dense_oracle(case, request, tmp_path):
     ts = _block_around(spec, t)
     assert len(ts) >= 3
     balances = (0.25, 0.5, 1.0, 2.0, 4.0)
-    block = lfunc._contour_block(spec, ts, balances)
+    table = lfunc._cutoff_table(spec, ts, balances)
+    lengths = table[2]
     if case == "delta@edge":
-        assert block[0]._log_u_range[1] == 25 / lfunc._LOG_U_BUCKETS
-    longest = np.max([[afe_lengths(spec, s, b) for b in balances] for s in ts], axis=0)
-    for i, (s, contour) in enumerate(zip(ts, block)):
-        lengths = {b: afe_lengths(spec, s, b) for b in balances}
+        assert lfunc._log_u_range(spec, ts[0])[1] == 25 / lfunc._LOG_U_BUCKETS
+    rows = lfunc._block_values(spec, ts, balances)
+    for i, (s, row) in enumerate(zip(ts, rows)):
+        assert lengths[i] == [afe_lengths(spec, s, b) for b in balances]
         args = {
             b: np.concatenate([np.arange(1, n1 + 1) * b, np.arange(1, n2 + 1) / b])
-            for b, (n1, n2) in lengths.items()
+            for b, (n1, n2) in zip(balances, lengths[i])
         }
         u = np.unique(np.concatenate(list(args.values())))
-        dense = contour.weight(u)
+        dense = _AfeContour(spec, s).weight(u)
         u_max = CUT_RATIO * conductor_sqrt(spec, s) + 8.0
         # the fitted range ends at the extreme arguments any balance in [1/4, 4] forms
         assert u.min() >= 0.25 and u.max() <= u_max
-        for b, (n1, n2) in lengths.items():
+        for b in balances:
             # the positional read gives V at this t's own arguments of b, in
             # the block's table, from this t's column
             want = dense[np.searchsorted(u, args[b])]
-            assert np.max(np.abs(contour.cutoff(s, b, n1, n2) - want)) <= 1e-10, (s, b)
-        # the positions are the only read path: a balance the block was not
-        # built for (in the fitted range or below it), lengths past the
-        # block's longest and another t of the same block all raise
-        n1, n2 = lengths[1.0]
+            assert np.max(np.abs(_cutoff_read(table, i, b) - want)) <= 1e-10, (s, b)
+        # a row holds its own t's values at the block's balances alone: a
+        # balance the block was not built for (in the fitted range or below
+        # it) and another t of the same block both raise
         other = ts[(i + 1) % len(ts)]
-        bad_reads = [(s, 0.99 * 0.25, n1, n2), (s, 1.3, n1, n2), (other, 1.0, n1, n2)]
-        for b, (m1, m2) in zip(balances, longest):
-            bad_reads += [(s, b, m1 + 1, m2), (s, b, m1, m2 + 1)]
-        for bad in bad_reads:
-            with pytest.raises(ValueError, match="contour's table"):
-                contour.cutoff(*bad)
+        for bad in ((s, 0.99 * 0.25), (s, 1.3), (other, 1.0)):
+            with pytest.raises(ValueError, match="row holds"):
+                central_value(spec, *bad, _row=row)
     for b in balances:
         if max(afe_lengths(spec, t, b)) > spec.coefficients.n_max:
             continue
-        est = central_value(spec, t, b, _contour=block[0])
-        assert abs(est.value - _dense_central_value(spec, t, b, block[0])) <= est.abs_error, b
+        est = central_value(spec, t, b, _row=rows[0])
+        assert abs(est.value - _dense_central_value(spec, t, b)) <= est.abs_error, b
 
 
 def test_central_value_dense_weight_work(delta12000, monkeypatch):
@@ -224,9 +231,9 @@ def test_central_value_dense_weight_work(delta12000, monkeypatch):
         return dense(self, u)
 
     monkeypatch.setattr(_AfeContour, "weight", counted)
-    (contour,) = lfunc._contour_block(delta12000, [1000.0], (1.0, 2.0))
-    central_value(delta12000, 1000.0, 1.0, _contour=contour)
-    central_value(delta12000, 1000.0, 2.0, _contour=contour)
+    (row,) = lfunc._block_values(delta12000, [1000.0], (1.0, 2.0))
+    central_value(delta12000, 1000.0, 1.0, _row=row)
+    central_value(delta12000, 1000.0, 2.0, _row=row)
     central_value(delta12000, 999.0)
     assert seen == []
 
@@ -301,20 +308,21 @@ def test_scan_blocks_follow_buckets(delta12000):
         for b in blocks:
             ends = {lfunc._basis_end(lfunc._log_u_range(delta12000, t)[1]) for t in b}
             assert len(ends) == 1
-    table = lfunc._contour_block(delta12000, blocks[0], (1.0, 2.0))[0]._table_v
-    assert len(blocks[0]) * len(table) * 16 <= lfunc._BLOCK_BYTES
+    table = lfunc._cutoff_table(delta12000, blocks[0], (1.0, 2.0))[0]
+    assert table.shape[1] == len(blocks[0]) and table.nbytes <= lfunc._BLOCK_BYTES
     with pytest.raises(ValueError, match="one log-u bucket"):
-        lfunc._contour_block(delta12000, [10.0, 14.0], (1.0,))
+        lfunc._cutoff_table(delta12000, [10.0, 14.0], (1.0,))
 
 
 def test_contour_block_memory(delta12000):
     # the T_k rows are built in chunks: ten t's at t = 1000 (9.6k distinct
-    # arguments, 220 rows) allocate less than 8 MB, table build included
+    # arguments, 220 rows) allocate less than 8 MB, table build and
+    # Dirichlet columns included
     ts = [1000.0 + 0.25 * i for i in range(10)]
     lfunc._jacobi_anger_basis.cache_clear()
     tracemalloc.start()
     try:
-        lfunc._contour_block(delta12000, ts, (1.0, 2.0))
+        lfunc._block_values(delta12000, ts, (1.0, 2.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,13 +345,13 @@ def test_bessel_table_built_once_per_bucket(delta12000, monkeypatch):
     lfunc._jacobi_anger_basis.cache_clear()
     bucket = []
     for t in (1000.0, 1000.25, 700.0):
-        (contour,) = lfunc._contour_block(delta12000, [t], (1.0,))
-        bucket.append(math.ceil(contour._log_u_range[1] * lfunc._LOG_U_BUCKETS))
+        lfunc._cutoff_table(delta12000, [t], (1.0,))
+        bucket.append(math.ceil(lfunc._log_u_range(delta12000, t)[1] * lfunc._LOG_U_BUCKETS))
     assert bucket[0] == bucket[1] != bucket[2]
     assert len(built) == 2
     assert lfunc._jacobi_anger_basis.cache_info().currsize == 2
     for t in (500.0, 700.0, 1000.5):
-        lfunc._contour_block(delta12000, [t], (1.0,))
+        lfunc._cutoff_table(delta12000, [t], (1.0,))
     assert lfunc._jacobi_anger_basis.cache_info().currsize == 2
     lfunc._jacobi_anger_basis.cache_clear()
 
@@ -351,60 +359,52 @@ def test_bessel_table_built_once_per_bucket(delta12000, monkeypatch):
 def test_cutoff_table_is_order_independent(delta12000):
     t = 1000.0
     # two blocks built for the balances in opposite orders
-    (block12,) = lfunc._contour_block(delta12000, [t], (1.0, 2.0))
-    (block21,) = lfunc._contour_block(delta12000, [t], (2.0, 1.0))
-    assert np.array_equal(block12._table_v, block21._table_v)
+    table12 = lfunc._cutoff_table(delta12000, [t], (1.0, 2.0))
+    table21 = lfunc._cutoff_table(delta12000, [t], (2.0, 1.0))
+    assert np.array_equal(table12[0], table21[0])
     for b in (1.0, 2.0):
-        n1, n2 = afe_lengths(delta12000, t, b)
-        assert np.array_equal(block12.cutoff(t, b, n1, n2), block21.cutoff(t, b, n1, n2))
-    g1 = central_value(delta12000, t, 1.0, _contour=block12)
-    g2 = central_value(delta12000, t, 2.0, _contour=block12)
-    h2 = central_value(delta12000, t, 2.0, _contour=block21)
-    h1 = central_value(delta12000, t, 1.0, _contour=block21)
+        assert np.array_equal(_cutoff_read(table12, 0, b), _cutoff_read(table21, 0, b))
+    (row12,) = lfunc._block_values(delta12000, [t], (1.0, 2.0))
+    (row21,) = lfunc._block_values(delta12000, [t], (2.0, 1.0))
+    g1 = central_value(delta12000, t, 1.0, _row=row12)
+    g2 = central_value(delta12000, t, 2.0, _row=row12)
+    h2 = central_value(delta12000, t, 2.0, _row=row21)
+    h1 = central_value(delta12000, t, 1.0, _row=row21)
     assert g1 == h1 and g2 == h2
     # an argument shared by several pieces reads one table entry: balance
     # 1's two pieces both run over the integers, and balance 2's first
     # piece over the even ones
-    p1, p2 = block12._positions[1.0]
+    positions = table12[1]
+    p1, p2 = positions[1.0]
     assert np.array_equal(p1, p2)
     n1, n2 = afe_lengths(delta12000, t, 1.0)
-    w = block12.cutoff(t, 1.0, n1, n2)
+    w = _cutoff_read(table12, 0, 1.0)
     assert n1 == n2 and np.array_equal(w[:n1], w[n1:])
-    q1 = block12._positions[2.0][0]
+    q1 = positions[2.0][0]
     k = min(len(q1), len(p1) // 2)
     assert k > 1000 and np.array_equal(q1[:k], p1[1 : 2 * k : 2])
 
 
 def test_cutoff_out_of_range_raises(delta12000):
-    # a contour fitted for t = 10 at balance 1 serves neither another t,
-    # even one whose lengths fit, nor another balance, nor longer lengths;
-    # a failed read leaves the table as it was and forms no coefficients
-    (contour,) = lfunc._contour_block(delta12000, [10.0], (1.0,))
-    table = contour._table_v.copy()
-    assert len(table) > 0
-    n1, n2 = afe_lengths(delta12000, 10.0, 1.0)
-    assert all(m <= n for m, n in zip(afe_lengths(delta12000, 9.9, 1.0), (n1, n2)))
+    # a row made for t = 10 at balance 1 serves neither another t, even one
+    # whose lengths fit, nor another balance; a failed read leaves the row
+    # as it was
+    (row,) = lfunc._block_values(delta12000, [10.0], (1.0,))
+    value = central_value(delta12000, 10.0, 1.0, _row=row)
+    assert all(m <= n for m, n in zip(afe_lengths(delta12000, 9.9, 1.0), row.lengths[1.0]))
     for t, b in ((1000.0, 1.0), (9.9, 1.0), (10.0, 2.0)):
-        with pytest.raises(ValueError, match="contour's table"):
-            central_value(delta12000, t, b, _contour=contour)
-    for bad in ((9.9, 1.0, n1, n2), (10.0, 1.0, n1 + 1, n2), (10.0, 1.0, n1, n2 + 1)):
-        with pytest.raises(ValueError, match="contour's table"):
-            contour.cutoff(*bad)
-    assert np.array_equal(contour._table_v, table)
-    assert contour._dirichlet is None
+        with pytest.raises(ValueError, match="row holds"):
+            central_value(delta12000, t, b, _row=row)
+    assert central_value(delta12000, 10.0, 1.0, _row=row) is value
+    assert row.lengths == {1.0: afe_lengths(delta12000, 10.0, 1.0)}
 
 
 def test_bare_contour_has_no_cutoff(delta12000):
-    # only _contour_block fills a cutoff table: a contour built alone keeps
-    # the dense weight and the root factor, and every cutoff read raises
+    # a contour is the dense oracle alone: it holds the kept amplitudes,
+    # their nodes and the root factor, which is the block's to the bit
     contour = _AfeContour(delta12000, 10.0)
-    assert len(contour._table_v) == 0 and contour._positions == {}
-    with pytest.raises(ValueError, match="contour's table"):
-        central_value(delta12000, 10.0, 1.0, _contour=contour)
-    n1, n2 = afe_lengths(delta12000, 10.0, 1.0)
-    for m1, m2 in ((n1, n2), (1, 1), (0, 0)):
-        with pytest.raises(ValueError, match="contour's table"):
-            contour.cutoff(10.0, 1.0, m1, m2)
+    assert set(vars(contour)) == {"amp", "w", "root_factor"}
+    assert contour.root_factor == lfunc._cutoff_table(delta12000, [10.0], (1.0,))[3][0]
     assert abs(contour.weight(np.array([1.0]))[0]) > 0.0
 
 
@@ -413,7 +413,7 @@ def test_bare_contour_has_no_cutoff(delta12000):
     [([10.1, 10.2, 10.3], (1.0, 2.0)), ([1000.0, 1000.5, 1001.0], (1.0, 2.0, 4.0))],
     ids=["t10", "t1000"],
 )
-def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances):
+def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances, monkeypatch):
     # a block's central values equal, bit for bit, a per-call column
     # lambda(n) n^(-1/2) e^(-i t log n) and a searchsorted lookup in the same
     # block's table; the balances of one t slice one Dirichlet column,
@@ -422,45 +422,62 @@ def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances
     spec = delta12000
     lam, n_max = spec.coefficients.values, spec.coefficients.n_max
     assert lfunc._scan_blocks(spec, ts) == [ts]
-    block = lfunc._contour_block(spec, ts, balances)
+    table, _, _, root = lfunc._cutoff_table(spec, ts, balances)
     longest = np.max([[afe_lengths(spec, t, b) for b in balances] for t in ts], axis=0)
     u = np.unique(np.concatenate([
         lfunc._afe_arguments(n1, n2, b) for (n1, n2), b in zip(longest, balances)
     ]))
-    for t, contour in zip(ts, block):
-        assert contour._dirichlet is None
-        columns = []
+    columns, column = [], lfunc._dirichlet_column
+
+    def kept(*args):
+        columns.append(column(*args))
+        return columns[-1]
+
+    monkeypatch.setattr(lfunc, "_dirichlet_column", kept)
+    rows = lfunc._block_values(spec, ts, balances)
+    assert len(columns) == len(ts)
+    for i, (t, row) in enumerate(zip(ts, rows)):
+        assert row.t == t
         for b in balances:
             n1, n2 = afe_lengths(spec, t, b)
+            assert row.lengths[b] == (n1, n2)
             n = max(n1, n2)
             if n > n_max:
+                with pytest.raises(ValueError, match=f"need coefficients to n = {n}"):
+                    central_value(spec, t, b, _row=row)
                 continue
             ns = np.arange(1, n + 1.0)
             coef = lam[1 : n + 1] / np.sqrt(ns) * np.exp(-1j * t * np.log(ns))
             args = np.concatenate([np.arange(1, n1 + 1.0) * b, np.arange(1, n2 + 1.0) / b])
             pos = np.searchsorted(u, args)
             assert np.array_equal(u[pos], args)
-            v = contour._table_v[pos]
+            v = table[pos, i]
             sum1 = complex(np.sum(coef[:n1] * v[:n1]))
             sum2 = complex(np.sum(coef[:n2] * v[n1:])).conjugate()
-            got = central_value(spec, t, b, _contour=contour)
-            assert got.value == sum1 + contour.root_factor * sum2, (t, b)
-            columns.append(contour._dirichlet)
-        assert len(columns) >= 2 and all(c is columns[0] for c in columns)
+            got = central_value(spec, t, b, _row=row)
+            assert got.value == sum1 + root[i] * sum2, (t, b)
         longest_t = max(max(afe_lengths(spec, t, b)) for b in balances)
-        assert len(columns[0]) == min(longest_t, n_max)
+        assert len(columns[i]) == min(longest_t, n_max)
     if max(balances) == 4.0:
         assert longest_t > n_max
 
 
 @pytest.mark.parametrize("t", [0.0, 10.0, 1000.0])
-def test_dirichlet_column_against_mpmath(delta12000, t):
+def test_dirichlet_column_against_mpmath(delta12000, t, monkeypatch):
     # lambda(n) n^(-1/2) e^(-i t log n) against n^(-s) in 30 digits, at 300
-    # n up to the column's length (n_max at t = 1000, balance 4)
+    # n up to the length of the column the block forms (n_max at t = 1000,
+    # balance 4)
     spec = delta12000
-    (contour,) = lfunc._contour_block(spec, [t], (1.0, 2.0, 4.0))
+    columns, column = [], lfunc._dirichlet_column
+
+    def kept(*args):
+        columns.append(column(*args))
+        return columns[-1]
+
+    monkeypatch.setattr(lfunc, "_dirichlet_column", kept)
+    lfunc._block_values(spec, [t], (1.0, 2.0, 4.0))
+    (column,) = columns
     n = min(max(afe_lengths(spec, t, 4.0)), spec.coefficients.n_max)
-    column = contour.dirichlet(n)
     assert len(column) == n
     lam = spec.coefficients.values
     worst = 0.0
@@ -472,14 +489,36 @@ def test_dirichlet_column_against_mpmath(delta12000, t):
     assert worst <= 2e-12, worst
 
 
+def test_scan_builds_no_contour_and_one_length_pair_per_balance(delta2000, monkeypatch):
+    # a scan reads every L-value from its blocks' rows: no dense contour is
+    # built, and afe_lengths runs once per (t, balance), in the block
+    built, sized = [], []
+    init, lengths = _AfeContour.__init__, lfunc.afe_lengths
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_lengths(*args):
+        sized.append(args[1:])
+        return lengths(*args)
+
+    monkeypatch.setattr(_AfeContour, "__init__", counted_init)
+    monkeypatch.setattr(lfunc, "afe_lengths", counted_lengths)
+    recs = exponent_scan(delta2000, 20.0, 24.0, 0.25)
+    assert len(recs) == 17
+    assert built == []
+    assert sorted(sized) == sorted((r.t, b) for r in recs for b in lfunc._SCAN_BALANCES)
+
+
 def test_scan_block_releases_each_contour(delta2000, monkeypatch):
-    # _scan_one pops its t's contour, so a block holds each t's Dirichlet
-    # column only while that t's record is made
+    # _scan_one pops its t's row, so each t's values are read once, by
+    # that t's record
     left = []
     scan_one = lfunc._scan_one
 
     def wrapped(spec, t, balances):
-        left.append(sorted(lfunc._scanning.contours))
+        left.append(sorted(lfunc._scanning.rows))
         return scan_one(spec, t, balances)
 
     monkeypatch.setattr(lfunc, "_scan_one", wrapped)
@@ -501,15 +540,19 @@ def _mp_root_factor(spec, t) -> complex:
                 return (2 * mp.pi) ** (-z) * mp.gamma(z + shift)
 
         else:
-            nu = mp.mpf(spec.gamma_data)
+            nu, delta = mp.mpf(spec.gamma_data), spec.parity
 
             def gamma_factor(z):
-                return mp.pi ** (-z) * mp.gamma((z + 1j * nu) / 2) * mp.gamma((z - 1j * nu) / 2)
+                return (
+                    mp.pi ** (-z)
+                    * mp.gamma((z + delta + 1j * nu) / 2)
+                    * mp.gamma((z + delta - 1j * nu) / 2)
+                )
 
         return complex(spec.root_number * gamma_factor(1 - s) / gamma_factor(s))
 
 
-@pytest.mark.parametrize("case", ["delta", "k16", "maass"])
+@pytest.mark.parametrize("case", ["delta", "k16", "maass", "maass-odd"])
 def test_contour_root_factor_against_mpmath(case, request, tmp_path):
     spec = _interp_case(case if case != "delta" else "delta@0", request, tmp_path)[0]
     for t in (0.0, 10.0, 1000.0, -250.0):
@@ -677,7 +720,7 @@ def test_prec_max_covers_every_scan_at_t_max():
     assert need <= lfunc.PREC_MAX < 1.1 * need
 
 
-def _toy_maass_lines(n_max=64, lam2=0.9, bad=None):
+def _toy_maass_lines(n_max=64, lam2=0.9, bad=None, parity="even"):
     # multiplicative toy coefficients inside the twice-7/64 envelope
     import sympy
 
@@ -703,7 +746,8 @@ def _toy_maass_lines(n_max=64, lam2=0.9, bad=None):
         vals.append(v)
     if bad:
         vals[bad[0]] = bad[1]
-    lines = ["# nu = 9.5336952613536", "# epsilon = +1", "# parity = even"]
+    sign = "+1" if parity == "even" else "-1"
+    lines = ["# nu = 9.5336952613536", f"# epsilon = {sign}", f"# parity = {parity}"]
     lines += [f"{n},{vals[n]!r}" for n in range(1, n_max + 1)]
     return "\n".join(lines) + "\n"
 
@@ -714,9 +758,17 @@ def test_maass_ingestion_roundtrip(tmp_path):
     spec, report = load_maass_file(str(path))
     assert spec.kind == "maass"
     assert abs(spec.gamma_data - 9.5336952613536) < 1e-12
-    assert spec.root_number == 1.0
+    assert spec.root_number == 1.0 and spec.parity == 0
     assert report.kim_sarnak_violations == ()
     assert 0.05 <= report.rankin_selberg_ratio <= 20
+    # an odd form carries delta = 1 into its gamma factor and conductor:
+    # gamma((s + 1 +- i nu) / 2), and |(s + 1)^2 + nu^2| in place of |s^2 + nu^2|
+    path.write_text(_toy_maass_lines(parity="odd").replace("# epsilon = -1\n", ""))
+    odd, report = load_maass_file(str(path))
+    assert odd.parity == 1 and odd.root_number == -1.0 and report.parity == "odd"
+    s, nu = complex(0.5, 30.0), odd.gamma_data
+    assert conductor_sqrt(odd, 30.0) == math.sqrt(abs((s + 1) ** 2 + nu**2)) / (2 * math.pi)
+    assert conductor_sqrt(spec, 30.0) == math.sqrt(abs(s**2 + nu**2)) / (2 * math.pi)
 
 
 def test_maass_violations_reported(tmp_path):
@@ -783,3 +835,7 @@ def test_coefficient_source_validation():
         LFunctionSpec(
             "maass", 1.0, CoefficientSource("computed", np.array([0.0, 1.0]), 1), 3.0
         )
+    source = CoefficientSource("computed", np.array([0.0, 1.0]), 1)
+    for kind, parity in (("maass", 2), ("maass", -1), ("holomorphic", 1)):
+        with pytest.raises(ValueError, match="parity"):
+            LFunctionSpec(kind, 12.0, source, 1.0, parity)

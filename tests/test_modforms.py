@@ -252,6 +252,13 @@ def test_vm_basis_echelon_exact_all_weights():
                 assert f.a(j) == (1 if j == i + 1 else 0), (k, i, j)
 
 
+def test_vm_refuses_a_monomial_count_off_the_dimension(monkeypatch):
+    # the count check raises, not asserts, so it holds under python -O too
+    monkeypatch.setattr(modforms, "dim_cusp", lambda k: 2)
+    with pytest.raises(ArithmeticError, match="monomials at weight 12"):
+        victor_miller_basis(12, 10)
+
+
 def test_vm_rejects_bad_weight():
     with pytest.raises(ValueError):
         victor_miller_basis(11, 10)

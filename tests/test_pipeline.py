@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -141,6 +142,18 @@ def test_assembly_small_grid():
     assert rep.offdiag_constant <= 100.0
     assert 1 / 3 <= rep.sparsity_ratio <= 3
     assert rep.offdiag_constant_alt == rep.offdiag_constant / SMALL.Q**2
+
+
+def test_assembly_refuses_a_congruence_indicator_the_character_sum_denies(monkeypatch):
+    # the cross-check raises, not asserts, so it holds under python -O too
+    congruence = pipeline.charsum_congruence
+
+    def denied(*args):
+        return dataclasses.replace(congruence(*args), indicator=False)
+
+    monkeypatch.setattr(pipeline, "charsum_congruence", denied)
+    with pytest.raises(ArithmeticError, match="congruence indicator"):
+        offdiagonal_assembly(SMALL, (23, 24, 25, 26), n_half_width=2, m_window=60)
 
 
 def test_assembly_rejects_tiny_grid():
