@@ -16,10 +16,13 @@ profiles over the outer grid from a Chebyshev interpolant in x, fitted
 once per (n, c) by the dense I kernel; the dense kernel stays as the
 fitting kernel, the point evaluator and the test oracle.  The S5 dual
 side reads its whole window of n from one node grid per (m, c), folded
-onto one period c/N of the e(-N v / c) factor: the rest of the integrand
-is summed over the periods once, and only one period's nodes (and the
-leftover piece's) step the phase from n to n + 1.  The S5 direct side
-reads S(n, m; c) from one Kloosterman sum per residue class n mod c.
+onto one period c/N of the e(-N v / c) factor: the rest of the integrand,
+summed over the periods, is one smooth function on that period, read at
+the period's nodes from a Chebyshev interpolant, and only one period's
+nodes (and the leftover piece's) step the phase from n to n + 1.  The
+dual terms are assembled as one array pass over the window.  The S5
+direct side reads S(n, m; c) from one Kloosterman sum per residue class
+n mod c and forms its phases in long double.
 """
 
 from __future__ import annotations
@@ -30,12 +33,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import inv_mod
-from .expsums import charsum_congruence, kloosterman_reals
+from .expsums import charsum_congruence, kloosterman_reals, units_and_inverses
 from .oscint import _canonical_bump, _two_product, panel_rule, plateau_weight
 from .special import chebyshev_fit
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
+# 2 pi in long double (only double where long double is)
+TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
+# The fold's degree above its phase's, per unit sqrt(c/N).  Period 0's
+# bump is e exp(-1/(4w)) to leading order at w = v - 1 <= c/N (the last
+# period's mirrors it at v = 2): flat to all orders at w = 0, so not
+# analytic there, and by a saddle-point estimate its Chebyshev
+# coefficients on [0, c/N] fall like exp(-3 (b k^2 / 4)^(1/3)),
+# b = N / (4c), past 2^-52 near k = 83 / sqrt(b).  Measured, the edge
+# period alone needs degree 13, 19, 23, 28 and 37 at c/N = 1/120, 1/80,
+# 1/60, 13/600 and 1/30; 200 sqrt(c/N) = 100 / sqrt(b) covers each (26
+# at criterion 7's widest period, 1/60).  The phase's degree adds to
+# it, since the fold is the edge times the phase
+_FOLD_EDGE_RATE = 200.0
 
 
 @dataclass(frozen=True)
@@ -157,13 +173,19 @@ def i_integral_window(
 
     For fixed (m, c) the integrand is h(v) z(v)^n with h(v) = v^{it} W(v)
     e(sqrt(m N v)/c) and z(v) = e(-N v/c).  z has period c/N, so on the
-    `_window_nodes` grid the whole periods fold onto the first: h is
-    summed over the periods at each of its nodes, once, and only those
-    nodes and the leftover piece's are stepped from n to n + 1, one
-    complex product per node and n.  The step's N v / c cycles are
-    reduced mod 1 with no rounding loss (N v = nv + nv_err exactly by
-    Dekker's two-product, and nv mod c is exact), so after n steps the
-    phase is off by about n ulps of a cycle, far under the
+    `_window_nodes` grid the whole periods fold onto the first: the fold
+    H(u) = sum_k h(u + k c/N) is one smooth function on [1, 1 + c/N].
+    `chebyshev_fit` samples it at d + 1 first-kind Chebyshev points,
+    periods (d + 1) evaluations of h, and reads it at period 0's nodes;
+    d is `chebyshev_degree` of the phase's half-width, whose rate is at
+    most t + sqrt(m N) pi / c on [1, 2], plus `_FOLD_EDGE_RATE` sqrt(c/N)
+    for the bump's flat edges.  The leftover piece's nodes take h
+    directly, and with N < c (no whole period) they are the whole grid.
+    Only period 0's nodes and the leftover piece's are stepped from n to
+    n + 1, one complex product per node and n.  The step's N v / c
+    cycles are reduced mod 1 with no rounding loss (N v = nv + nv_err
+    exactly by Dekker's two-product, and nv mod c is exact), so after n
+    steps the phase is off by about n ulps of a cycle, far under the
     n (2 pi N v / c) 2^-53 rad at which the dense kernel's argument
     rounds.  No re-seeding is needed.
     """
@@ -179,9 +201,18 @@ def i_integral_window(
             1j * (p.t * np.log(v) + root_m * np.sqrt(v))
         )
 
+    folded = np.empty(0, dtype=complex)
+    if len(rows):
+        period = c / p.N
+        shifts = period * np.arange(len(rows))[:, None]
+        fold = chebyshev_fit(
+            lambda u: h(u + shifts).sum(axis=0), 1.0, 1.0 + period,
+            p.t + 0.5 * root_m, math.ceil(_FOLD_EDGE_RATE * math.sqrt(period)),
+        )
+        folded = fold(rows[0])
     # period-0 nodes carry the folded h; the leftover nodes their own
     v = np.concatenate([rows[:1].ravel(), tail])
-    acc = np.concatenate([wt * h(rows).sum(axis=0), tail_wt * h(tail)])
+    acc = np.concatenate([wt * folded, tail_wt * h(tail)])
     nv, nv_err = _two_product(p.N, v)
     cycles = ((nv - c * np.floor(nv / c)) + nv_err) / c
     acc *= np.exp(-1j * TWO_PI * n_lo * cycles)
@@ -215,12 +246,15 @@ def poisson_check_s5(
     """Both sides of the Poisson identity for S5.
 
     direct: sum over n in [N, 2N] of n^{it} e(sqrt(nm)/c) S(n, m; c)
-    W(n/N).  dual: N^{1+it} sum over gcd(n, c) = 1 of e(-m nbar / c)
-    I(m, n, c), with the n-window extended well past the nominal
-    c t / N cutoff and through zero into negative frequencies whose
-    mass is reported.  The identity is exact; PASS demands agreement at
-    tol times max(|direct|, 1e-3 trivial bound), the floor covering
-    regimes where S5 itself cancels to exponentially small size.
+    W(n/N).  Its phases t log n + 2 pi sqrt(nm) / c are formed and
+    reduced mod 2 pi in `np.longdouble` before they round to double;
+    where long double is only double, the same code runs at the accuracy
+    of double phases.  dual: N^{1+it} sum over gcd(n, c) = 1 of
+    e(-m nbar / c) I(m, n, c), with the n-window extended well past the
+    nominal c t / N cutoff and through zero into negative frequencies
+    whose mass is reported.  The identity is exact; PASS demands
+    agreement at tol times max(|direct|, 1e-3 trivial bound), the floor
+    covering regimes where S5 itself cancels to exponentially small size.
     """
     if c > 50 or p.N > 1e5 or p.t > 2000:
         raise ValueError("desk-scale limits: c <= 50, N <= 1e5, t <= 2000")
@@ -231,9 +265,9 @@ def poisson_check_s5(
     ns, bump = ns[keep], bump[keep]
     # S(n, m; c) depends on n mod c alone
     s = kloosterman_reals(np.arange(c), m, c)[ns % c]
-    # math.log, not np.log: the SIMD log can differ by an ulp
-    logs = np.array([math.log(n) for n in ns.tolist()])
-    terms = bump * s * np.exp(1j * (p.t * logs + TWO_PI * np.sqrt(ns * m) / c))
+    n_ld = ns.astype(np.longdouble)
+    phase = p.t * np.log(n_ld) + TWO_PI_LD * np.sqrt(n_ld * m) / c
+    terms = bump * s * np.exp(1j * (phase % TWO_PI_LD).astype(float))
     direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
     # a running total in n order, as a per-n loop would sum it
     trivial = float(np.cumsum(bump * np.abs(s))[-1]) if ns.size else 0.0
@@ -243,19 +277,19 @@ def poisson_check_s5(
     n_win_lo = -max(6, cutoff // 2)
     ivals = i_integral_window(m, n_win_lo, n_win_hi, c, p)
     prefac = N * np.exp(1j * p.t * math.log(N))
-    total = 0j
-    nonpos = 0.0
-    tail = 0.0
-    for n, ival in zip(range(n_win_lo, n_win_hi + 1), ivals.tolist()):
-        if math.gcd(n, c) != 1:
-            continue
-        nbar = inv_mod(n, c)
-        term = np.exp(-2j * math.pi * ((m % c) * nbar % c) / c) * ival
-        total += term
-        if n <= 0:
-            nonpos += abs(term)
-        if n > cutoff:
-            tail += abs(term)
+    # nbar by n mod c; -1 marks the non-units
+    units, inverses = units_and_inverses(c)
+    nbar_of = np.full(c, -1)
+    nbar_of[units] = inverses
+    window = np.arange(n_win_lo, n_win_hi + 1)
+    nbar = nbar_of[window % c]
+    unit = nbar >= 0
+    window = window[unit]
+    dual_terms = np.exp(-2j * math.pi * ((m % c) * nbar[unit] % c) / c) * ivals[unit]
+    total = complex(math.fsum(dual_terms.real), math.fsum(dual_terms.imag))
+    mass = np.abs(dual_terms)
+    nonpos = math.fsum(mass[window <= 0])
+    tail = math.fsum(mass[window > cutoff])
     dual = complex(prefac * total)
     diff = abs(direct - dual)
     rel = diff / max(abs(direct), 1e-300)

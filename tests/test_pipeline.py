@@ -254,11 +254,15 @@ def test_i_window_against_dense_oracle(p, m, c):
 
 def test_poisson_dual_window_work(monkeypatch):
     # the dual side builds one folded node grid and makes no dense
-    # one-point calls
+    # one-point calls; the fold samples h at its Chebyshev points, so the
+    # whole check (the direct side's 601 included) evaluates the bump at
+    # no more than an eighth of the grid's nodes
     calls = {"batch": 0, "inner": 0, "window": 0}
-    batch, inner, window = (
-        pipeline.i_integral_batch, pipeline._inner_nodes, pipeline._window_nodes
+    batch, inner, window, bump = (
+        pipeline.i_integral_batch, pipeline._inner_nodes, pipeline._window_nodes,
+        pipeline._canonical_bump,
     )
+    grid, bumped = [], []
 
     def counted(key, fn):
         def wrapper(*args):
@@ -266,12 +270,23 @@ def test_poisson_dual_window_work(monkeypatch):
             return fn(*args)
         return wrapper
 
+    def counted_window(*args):
+        rows, wt, tail, tail_wt = window(*args)
+        grid.append(rows.size + tail.size)
+        return rows, wt, tail, tail_wt
+
+    def counted_bump(s):
+        bumped.append(np.size(s))
+        return bump(s)
+
     monkeypatch.setattr(pipeline, "i_integral_batch", counted("batch", batch))
     monkeypatch.setattr(pipeline, "_inner_nodes", counted("inner", inner))
-    monkeypatch.setattr(pipeline, "_window_nodes", counted("window", window))
+    monkeypatch.setattr(pipeline, "_window_nodes", counted("window", counted_window))
+    monkeypatch.setattr(pipeline, "_canonical_bump", counted_bump)
     rep = poisson_check_s5(1, 10, _crit7_params(500.0))
     assert rep.status == "PASS"
     assert calls == {"batch": 0, "inner": 0, "window": 1}
+    assert 0 < sum(bumped) <= grid[0] / 8
 
 
 def test_window_nodes_fold_layout():
@@ -299,13 +314,15 @@ def test_window_nodes_fold_layout():
 
 def test_i_window_stepped_phase_at_ulp_level():
     # the stepped phase stays at the level of the node sum's own rounding
-    # (~1e-16): a 30-digit sum over the folded grid's own nodes, stepped
-    # at 30 digits, is the reference at every n of the window.  z(v)^n = e(-n N v / c) has
+    # (~1e-16): the folded grid's own sum, stepped at 30 digits, is the
+    # reference at every n of the window.  z(v)^n = e(-n N v / c) has
     # period c/N, so period k's nodes take their z-phase at their period-0
-    # node, exactly; h is taken at the stored nodes.  At t ~ 0 the folded
-    # sums are coherent: a step of plain rounded phase (N / c) v errs by
-    # 9e-15 TRIVIAL_I here, one without the two-product's low part by
-    # 1.7e-15.  The cell has 85 whole periods and a leftover piece
+    # node, exactly: the sum is, at each period-0 node, the weight times
+    # the 30-digit h summed over the periods at the stored nodes, and only
+    # those nodes and the leftover piece's are stepped.  At t ~ 0 the
+    # folded sums are coherent: a step of plain rounded phase (N / c) v
+    # errs by 9e-15 TRIVIAL_I here, one without the two-product's low part
+    # by 1.7e-15.  The cell has 85 whole periods and a leftover piece
     p, m, c = _crit7_params(0.0), 1, 7
     n_lo, n_hi = poisson_check_s5(m, c, p).n_window
     got = i_integral_window(m, n_lo, n_hi, c, p)
@@ -313,17 +330,25 @@ def test_i_window_stepped_phase_at_ulp_level():
         float(m), max(abs(n_lo), abs(n_hi)), c, p
     )
     assert len(rows) == 85 and tail.size
-    nodes = np.concatenate([rows.ravel(), tail])
-    z_nodes = np.concatenate([np.tile(rows[0], len(rows)), tail])
-    weights = np.concatenate([np.tile(wt, len(rows)), tail_wt])
-    weights *= _canonical_bump(2.0 * nodes - 3.0)
+    bump_rows = _canonical_bump(2.0 * rows - 3.0)
+    bump_tail = _canonical_bump(2.0 * tail - 3.0)
     with mp.workdps(30):
         two_pi = 2 * mp.pi
+
+        def h(w, x):
+            x = mp.mpf(x)
+            return w * mp.expj(p.t * mp.log(x) + two_pi / c * mp.sqrt(m * p.N * x))
+
+        folded = [
+            mp.fsum(h(w, x) for w, x in zip(ws, xs))
+            for ws, xs in zip(bump_rows.T.tolist(), rows.T.tolist())
+        ]
+        sums = folded + [h(w, x) for w, x in zip(bump_tail.tolist(), tail.tolist())]
+        weights = wt.tolist() + tail_wt.tolist()
         terms, steps = [], []
-        for w, x, z in zip(weights.tolist(), nodes.tolist(), z_nodes.tolist()):
-            x, z = mp.mpf(x), mp.mpf(z)
-            phase = p.t * mp.log(x) + two_pi / c * mp.sqrt(m * p.N * x)
-            terms.append(w * mp.expj(phase - two_pi * n_lo * p.N * z / c))
+        for w, f, z in zip(weights, sums, rows[0].tolist() + tail.tolist()):
+            z = mp.mpf(z)
+            terms.append(w * f * mp.expj(-two_pi * n_lo * p.N * z / c))
             steps.append(mp.expj(-two_pi * p.N * z / c))
         for n in range(n_lo, n_hi + 1):
             ref = complex(mp.fsum(terms))
@@ -332,10 +357,12 @@ def test_i_window_stepped_phase_at_ulp_level():
 
 
 def test_poisson_direct_side_against_per_n_loop():
-    # S(n, m; c) read by residue class gives the per-n loop's terms bit for
-    # bit; N / c = 600 / 7 is not an integer
+    # S(n, m; c) read by residue class, and each phase formed and reduced
+    # mod 2 pi in long double, give the per-n loop's terms bit for bit;
+    # N / c = 600 / 7 is not an integer
     p, m, c = _crit7_params(500.0), 3, 7
     rep = poisson_check_s5(m, c, p)
+    two_pi = 8 * np.arctan(np.longdouble(1))
     re, im = [], []
     trivial = 0.0
     ns = range(600, 1201)
@@ -344,8 +371,96 @@ def test_poisson_direct_side_against_per_n_loop():
             continue
         s = kloosterman(n, m, c).real
         trivial += wv * abs(s)
-        term = wv * s * np.exp(1j * (p.t * math.log(n) + 2 * math.pi * math.sqrt(n * m) / c))
+        n_ld = np.longdouble(n)
+        phase = p.t * np.log(n_ld) + two_pi * np.sqrt(n_ld * m) / c
+        term = wv * s * np.exp(1j * float(phase % two_pi))
         re.append(term.real)
         im.append(term.imag)
     assert rep.direct == complex(math.fsum(re), math.fsum(im))
     assert abs(rep.trivial_bound - trivial) <= 1e-14 * trivial
+
+
+@pytest.mark.parametrize("t, m, c", [(500.0, 3, 7), (100.0, 2, 10), (0.0, 1, 1)])
+def test_poisson_dual_assembly_against_per_n_loop(t, m, c):
+    # the array pass over the window against a per-n loop over the same
+    # I values: gcd filter, nbar by inv_mod, and the nonpositive and tail
+    # masses cut at n <= 0 and n > cutoff
+    p = _crit7_params(t)
+    rep = poisson_check_s5(m, c, p)
+    n_lo, n_hi = rep.n_window
+    ivals = i_integral_window(m, n_lo, n_hi, c, p)
+    total, nonpos, tail = 0j, 0.0, 0.0
+    for n, ival in zip(range(n_lo, n_hi + 1), ivals.tolist()):
+        if math.gcd(n, c) != 1:
+            continue
+        term = np.exp(-2j * math.pi * ((m % c) * pow(n, -1, c) % c) / c) * ival
+        total += term
+        nonpos += abs(term) if n <= 0 else 0.0
+        tail += abs(term) if n > rep.tail_cutoff else 0.0
+    prefac = p.N * np.exp(1j * p.t * math.log(p.N))
+    assert abs(rep.dual - prefac * total) <= 1e-14 * p.N * np.sum(np.abs(ivals))
+    assert abs(rep.nonpositive_mass - p.N * nonpos) <= 1e-13 * p.N * nonpos
+    assert abs(rep.tail_mass - p.N * tail) <= 1e-13 * p.N * tail
+
+
+# criterion 7's cells: (500, 2, 2), where the dual side's rounding
+# peaks, (500, 3, 5), where the double-phase direct side erred most, a
+# leftover piece (c = 7), the widest period (c = 10) and t = 0 at c = 1
+S5_CELLS = [(500.0, 2, 2), (500.0, 3, 5), (500.0, 1, 7), (500.0, 1, 10), (0.0, 1, 1)]
+
+
+@pytest.mark.parametrize("t, m, c", S5_CELLS)
+def test_poisson_dual_side_against_long_double_dense_sum(t, m, c):
+    # the folded, interpolated, stepped dual side against the same grid
+    # summed node by node in long double: h at every stored node, z^n at
+    # its period-0 node (the same function there) stepped in long double,
+    # e(-m nbar / c) by n.  The interpolant's rounding, a smooth error
+    # across the period, sets the new side's floor: worst 2.0e-12 of
+    # scale over criterion 7's 54 cells, against 1.4e-12 for the node sum
+    p = _crit7_params(t)
+    rep = poisson_check_s5(m, c, p)
+    n_lo, n_hi = rep.n_window
+    rows, wt, tail, tail_wt = pipeline._window_nodes(
+        float(m), max(abs(n_lo), abs(n_hi)), c, p
+    )
+    ld = np.longdouble
+    two_pi = 8 * np.arctan(ld(1))
+    v = np.concatenate([rows.ravel(), tail]).astype(ld)
+    z = np.concatenate([np.tile(rows[0], len(rows)), tail])
+    w = np.concatenate([np.tile(wt, len(rows)), tail_wt]).astype(ld)
+    s = 2 * v - 3
+    amp = w * np.exp(1 - 1 / (1 - s * s))
+    phase = p.t * np.log(v) + two_pi / c * np.sqrt(ld(m) * ld(p.N) * v)
+    cycles = (ld(p.N) * z.astype(ld) / c) % 1
+    acc = amp * (np.cos(phase) + 1j * np.sin(phase))
+    step = np.cos(two_pi * cycles) - 1j * np.sin(two_pi * cycles)
+    acc *= step ** n_lo
+    total = np.clongdouble(0)
+    for n in range(n_lo, n_hi + 1):
+        if math.gcd(n, c) == 1:
+            char = two_pi * ld((m % c) * pow(n, -1, c) % c) / c
+            total += (np.cos(char) - 1j * np.sin(char)) * acc.sum()
+        acc *= step
+    log_n = p.t * np.log(ld(p.N)) % two_pi
+    dense = p.N * (np.cos(log_n) + 1j * np.sin(log_n)) * total
+    scale = max(abs(rep.direct), 1e-3 * rep.trivial_bound)
+    assert abs(rep.dual - complex(dense)) <= 5e-12 * scale
+
+
+@pytest.mark.parametrize("t, m, c", S5_CELLS)
+def test_poisson_direct_side_against_mpmath(t, m, c):
+    # the long-double phases leave the direct side at its terms' own
+    # rounding; in double they erred by up to 1.8e-11 of scale
+    p = _crit7_params(t)
+    rep = poisson_check_s5(m, c, p)
+    ns = np.arange(600, 1201)
+    with mp.workdps(30):
+        two_pi = 2 * mp.pi
+        ref = mp.fsum(
+            wv * kloosterman(n, m, c).real
+            * mp.expj(p.t * mp.log(n) + two_pi * mp.sqrt(n * m) / c)
+            for n, wv in zip(ns.tolist(), _canonical_bump(2.0 * ns / p.N - 3.0).tolist())
+            if wv != 0.0
+        )
+    scale = max(abs(rep.direct), 1e-3 * rep.trivial_bound)
+    assert abs(rep.direct - complex(ref)) <= 1e-13 * scale

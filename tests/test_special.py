@@ -454,6 +454,27 @@ def test_chebyshev_fit_band_limited_and_range():
             fit(np.array([bad]))
 
 
+def test_chebyshev_fit_extra_degree_for_a_flat_edge():
+    # e^(i 40 x) times the canonical bump's flat edge e^(1 - 1/(4x)) on
+    # [0, 1/60], as the S5 fold meets it: the band's degree alone misses
+    # the edge by 1.5e-11, 26 more degrees by under 1e-20
+    def g(x):
+        return np.exp(1.0 - 1.0 / np.maximum(4.0 * x, 1e-300) + 40j * x)
+
+    sampled = []
+
+    def counted(x):
+        sampled.append(np.size(x))
+        return g(x)
+
+    xs = np.linspace(0.0, 1.0 / 60.0, 1001)
+    bare = chebyshev_fit(g, 0.0, 1.0 / 60.0, 40.0)
+    fit = chebyshev_fit(counted, 0.0, 1.0 / 60.0, 40.0, 26)
+    assert sampled == [chebyshev_degree(40.0 / 240.0) + 27]
+    assert np.max(np.abs(bare(xs) - g(xs))) > 1e-12
+    assert np.max(np.abs(fit(xs) - g(xs))) < 1e-17
+
+
 def test_gamma_ratio_tau_zero():
     r = gamma_ratio_phase(100.0, 0.0)
     assert abs(r.ratio.value - 1.0) < 1e-14
