@@ -4,9 +4,11 @@ A brute-force adaptive quadrature is the ground truth: panels are sized
 so each carries a bounded amount of phase, Gauss-Legendre pairs give a
 per-panel error estimate, and accepted panels are summed in interval
 order so results do not depend on refinement scheduling.  On top of it
-sit the stationary-phase evaluation with finite-difference correction
-terms, nonstationary decay and second-derivative bound checks, and the
-Bessel-weighted sum over weights with its integral-kernel identity.
+sit the leading-order stationary-phase evaluation, nonstationary decay
+and second-derivative bound checks, and the Bessel-weighted sum over
+weights with its integral-kernel identity.  Phases carry their first
+two derivatives as exact callables; nothing here differentiates
+numerically.
 """
 
 from __future__ import annotations
@@ -112,38 +114,22 @@ class SmoothWeight:
 
 @dataclass
 class PhaseSpec:
-    """A smooth phase h (radians) with scale metadata.
+    """A smooth phase h (radians), its first two derivatives and scale
+    metadata.
 
     h^(j) << Y Q^(-j) and, where relevant, h'' >> Y Q^(-2); R is an
     optional lower bound for |h'| used by the nonstationary check.
-    Derivatives default to central differences at step eps^(1/3) Q.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray] | None = None
-    deriv2: Callable[[np.ndarray], np.ndarray] | None = None
+    deriv: Callable[[np.ndarray], np.ndarray]
+    deriv2: Callable[[np.ndarray], np.ndarray]
     Y: float = 1.0
     Q: float = 1.0
     R: float | None = None
 
     def __call__(self, t):
         return self.evaluator(np.asarray(t, dtype=float))
-
-    def d1(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.deriv is not None:
-            return self.deriv(t)
-        step = 6e-6 * max(self.Q, 1e-12)
-        return (self.evaluator(t + step) - self.evaluator(t - step)) / (2 * step)
-
-    def d2(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.deriv2 is not None:
-            return self.deriv2(t)
-        step = 2e-4 * max(self.Q, 1e-12)
-        return (
-            self.evaluator(t + step) - 2 * self.evaluator(t) + self.evaluator(t - step)
-        ) / (step * step)
 
 
 def _canonical_bump(s: np.ndarray) -> np.ndarray:
@@ -273,7 +259,7 @@ class StationaryPointError(RuntimeError):
 
 def _find_stationary_point(h: PhaseSpec, a: float, b: float) -> float:
     ts = np.linspace(a, b, 257)
-    d = np.asarray(h.d1(ts), dtype=float)
+    d = np.asarray(h.deriv(ts), dtype=float)
     sgn = np.sign(d)
     exact = [i for i in range(1, len(ts) - 1) if sgn[i] == 0]
     flips = [
@@ -291,10 +277,10 @@ def _find_stationary_point(h: PhaseSpec, a: float, b: float) -> float:
         lo, hi = float(ts[i - 1]), float(ts[i + 1])
     else:
         lo, hi = float(ts[flips[0]]), float(ts[flips[0] + 1])
-    flo = float(h.d1(np.array([lo]))[0])
+    flo = float(h.deriv(np.array([lo]))[0])
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        fm = float(h.d1(np.array([mid]))[0])
+        fm = float(h.deriv(np.array([mid]))[0])
         if flo * fm <= 0:
             hi = mid
         else:
@@ -303,8 +289,8 @@ def _find_stationary_point(h: PhaseSpec, a: float, b: float) -> float:
             break
     t0 = 0.5 * (lo + hi)
     for _ in range(4):  # Newton polish
-        d1 = float(h.d1(np.array([t0]))[0])
-        d2 = float(h.d2(np.array([t0]))[0])
+        d1 = float(h.deriv(np.array([t0]))[0])
+        d2 = float(h.deriv2(np.array([t0]))[0])
         if d2 == 0:
             break
         step = d1 / d2
@@ -317,53 +303,30 @@ def _find_stationary_point(h: PhaseSpec, a: float, b: float) -> float:
     return t0
 
 
-def stationary_phase_eval(
-    w: SmoothWeight, h: PhaseSpec, order: int = 0
-) -> ComplexEstimate:
-    """Stationary-phase expansion of integral w exp(i h) at a unique
-    interior critical point.
+def stationary_phase_eval(w: SmoothWeight, h: PhaseSpec) -> ComplexEstimate:
+    """Leading term of the stationary-phase expansion of integral w exp(i h)
+    at a unique interior critical point t0:
+    w(t0) sqrt(2 pi / |h''(t0)|) exp(i (h(t0) +- pi/4)).
 
-    Correction term n uses the 2n-th derivative at t0 of
-    G(t) = w(t) exp(i (h(t) - h(t0) - h''(t0) (t-t0)^2 / 2)), computed
-    by central differences; orders above 2 are out of scope.
+    The claimed error is heuristic: twice the leading term times the
+    expansion's ratio 1 / max(V^2 |h''|, (|h''| Q^2)^(1/3), 1.0001) from
+    the weight's and the phase's scales, plus 1e-9 of the front factor.
     """
-    if order < 0 or order > 2:
-        raise ValueError("correction order limited to 0..2")
     a, b = w.support
     t0 = _find_stationary_point(h, a, b)
     h0 = float(h(np.array([t0]))[0])
-    h2 = float(h.d2(np.array([t0]))[0])
+    h2 = float(h.deriv2(np.array([t0]))[0])
     if h2 == 0.0:
         raise StationaryPointError("degenerate stationary point (h'' = 0)")
     sgn = 1.0 if h2 > 0 else -1.0
     rot = complex(math.cos(sgn * math.pi / 4), math.sin(sgn * math.pi / 4))
-
-    def g_fn(ts: np.ndarray) -> np.ndarray:
-        hv = np.asarray(h(ts), dtype=float)
-        quad = h0 + 0.5 * h2 * (ts - t0) ** 2
-        return np.asarray(w(ts), dtype=float) * np.exp(1j * (hv - quad))
-
     front = math.sqrt(2 * math.pi) * rot * complex(math.cos(h0), math.sin(h0))
     front /= math.sqrt(abs(h2))
-    w0 = float(w(np.array([t0]))[0])
-    terms = [front * w0]
-    scale = min(w.var_scale, h.Q)
-    if order >= 1:
-        delta = scale * 3e-3
-        pts = t0 + delta * np.arange(-2, 3)
-        gv = g_fn(pts)
-        g2 = (gv[3] - 2 * gv[2] + gv[1]) / (delta**2)
-        terms.append(front * (1j * sgn / (2 * abs(h2))) * g2)
-        if order >= 2:
-            g4 = (gv[0] - 4 * gv[1] + 6 * gv[2] - 4 * gv[3] + gv[4]) / (delta**4)
-            terms.append(front * 0.5 * (1j * sgn / (2 * abs(h2))) ** 2 * g4)
-    value = sum(terms)
-    # error model: geometric decay of the expansion plus FD noise
+    value = front * float(w(np.array([t0]))[0])
     ratio = 1.0 / max(
         (w.var_scale**2 * abs(h2)), (abs(h2) * h.Q**2) ** (1.0 / 3.0), 1.0001
     )
-    err = abs(terms[-1]) * ratio + abs(terms[0]) * ratio ** (order + 1)
-    err += abs(front) * 1e-9
+    err = 2 * abs(value) * ratio + abs(front) * 1e-9
     return ComplexEstimate(value, float(err), "asymptotic")
 
 
@@ -382,13 +345,14 @@ class DecayReport:
     note: str = ""
 
 
-def nonstationary_decay_check(
-    w: SmoothWeight,
-    h: PhaseSpec,
-    ladder: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-    A: float = 3.0,
-    slack: float = 4.0,
-) -> DecayReport:
+# the decay check's phase scales, the bound's decay exponent A, and the
+# factor by which an observed drop may fall short of the bound's
+_DECAY_LADDER = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+_DECAY_A = 3.0
+_DECAY_SLACK = 4.0
+
+
+def nonstationary_decay_check(w: SmoothWeight, h: PhaseSpec) -> DecayReport:
     """Scale the phase by s along a geometric ladder and compare decay.
 
     With h_s = s h the first-derivative floor R and the size Y both
@@ -401,42 +365,39 @@ def nonstationary_decay_check(
         raise ValueError("phase must carry a positive lower bound R on |h'|")
     base = h.evaluator
     mags, bounds = [], []
-    for s in ladder:
+    for s in _DECAY_LADDER:
         hs = PhaseSpec(
             evaluator=lambda t, s=s: s * np.asarray(base(t), dtype=float),
-            deriv=(lambda t, s=s: s * np.asarray(h.deriv(t), dtype=float))
-            if h.deriv
-            else None,
+            deriv=lambda t, s=s: s * np.asarray(h.deriv(t), dtype=float),
+            deriv2=lambda t, s=s: s * np.asarray(h.deriv2(t), dtype=float),
             Y=s * h.Y,
             Q=h.Q,
             R=s * h.R,
         )
         val = oscillatory_quadrature(w, hs, tol=1e-12)
         mags.append(abs(val.value))
-        b1 = (h.Q * s * h.R / math.sqrt(s * h.Y)) ** (-A)
-        b2 = (s * h.R * w.var_scale) ** (-A)
+        b1 = (h.Q * s * h.R / math.sqrt(s * h.Y)) ** (-_DECAY_A)
+        b2 = (s * h.R * w.var_scale) ** (-_DECAY_A)
         bounds.append(w.var_scale * w.amp_scale * (b1 + b2))
     threshold = 10.0 * max(math.sqrt(h.Y) / h.Q, 1.0 / w.var_scale)
-    past = [i for i, s in enumerate(ladder) if s * h.R >= threshold]
+    past = [i for i, s in enumerate(_DECAY_LADDER) if s * h.R >= threshold]
     if len(past) < 2:
         return DecayReport(
-            "INCONCLUSIVE", list(ladder), mags, bounds, [], None,
+            "INCONCLUSIVE", list(_DECAY_LADDER), mags, bounds, [], None,
             note="fewer than two rungs past the decay threshold",
         )
-    obs, brat = [], []
+    obs = []
     ok = True
     i0 = past[0]
     floor = 1e-15 * max(mags)
     for i in past[1:]:
         o = mags[i] / max(mags[i0], 1e-300)
-        r = bounds[i] / bounds[i0]
         obs.append(o)
-        brat.append(r)
-        if mags[i] > floor and o > slack * r:
+        if mags[i] > floor and o > _DECAY_SLACK * bounds[i] / bounds[i0]:
             ok = False
     return DecayReport(
         "PASS" if ok else "FAIL",
-        list(ladder), mags, bounds, obs, ladder[i0],
+        list(_DECAY_LADDER), mags, bounds, obs, _DECAY_LADDER[i0],
     )
 
 
@@ -448,7 +409,6 @@ class SecondDerivativeReport:
     r: float
     M: float
     monotone_ok: bool
-    sign_constant: bool
 
 
 def second_derivative_bound_check(
@@ -462,13 +422,12 @@ def second_derivative_bound_check(
     """
     a, b = g.support
     ts = np.linspace(a + 1e-9, b - 1e-9, 1025)
-    f2 = np.asarray(f.d2(ts), dtype=float)
-    sign_constant = bool(np.all(f2 > 0) or np.all(f2 < 0))
-    if not sign_constant:
+    f2 = np.asarray(f.deriv2(ts), dtype=float)
+    if not (np.all(f2 > 0) or np.all(f2 < 0)):
         raise ValueError("f'' changes sign on the support")
     r = float(np.min(np.abs(f2)))
     M = float(np.max(np.abs(np.asarray(g(ts), dtype=float))))
-    f1 = np.asarray(f.d1(ts), dtype=float)
+    f1 = np.asarray(f.deriv(ts), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.asarray(g(ts), dtype=float) / f1
     finite = np.isfinite(ratio)
@@ -476,9 +435,8 @@ def second_derivative_bound_check(
     monotone_ok = bool(np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12))
     phase = PhaseSpec(
         evaluator=lambda t: 2 * math.pi * np.asarray(f.evaluator(t), dtype=float),
-        deriv=(lambda t: 2 * math.pi * np.asarray(f.deriv(t), dtype=float))
-        if f.deriv
-        else None,
+        deriv=lambda t: 2 * math.pi * np.asarray(f.deriv(t), dtype=float),
+        deriv2=lambda t: 2 * math.pi * np.asarray(f.deriv2(t), dtype=float),
         Y=2 * math.pi * f.Y,
         Q=f.Q,
     )
@@ -492,7 +450,6 @@ def second_derivative_bound_check(
         r=r,
         M=M,
         monotone_ok=monotone_ok,
-        sign_constant=sign_constant,
     )
 
 

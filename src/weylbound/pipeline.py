@@ -240,9 +240,12 @@ class S5Report:
     status: str
 
 
-def poisson_check_s5(
-    m: int, c: int, p: PipelineParams, tol: float = 1e-6
-) -> S5Report:
+# the two sides of the S5 Poisson identity agree to this fraction of
+# max(|direct|, 1e-3 trivial bound)
+S5_TOL = 1e-6
+
+
+def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
     """Both sides of the Poisson identity for S5.
 
     direct: sum over n in [N, 2N] of n^{it} e(sqrt(nm)/c) S(n, m; c)
@@ -253,7 +256,7 @@ def poisson_check_s5(
     e(-m nbar / c) I(m, n, c), with the n-window extended well past the
     nominal c t / N cutoff and through zero into negative frequencies
     whose mass is reported.  The identity is exact; PASS demands
-    agreement at tol times max(|direct|, 1e-3 trivial bound), the floor
+    agreement at S5_TOL times max(|direct|, 1e-3 trivial bound), the floor
     covering regimes where S5 itself cancels to exponentially small size.
     """
     if c > 50 or p.N > 1e5 or p.t > 2000:
@@ -302,7 +305,7 @@ def poisson_check_s5(
         nonpositive_mass=abs(prefac) * nonpos,
         tail_mass=abs(prefac) * tail,
         tail_cutoff=cutoff,
-        status="PASS" if diff <= tol * scale else "FAIL",
+        status="PASS" if diff <= S5_TOL * scale else "FAIL",
     )
 
 
@@ -419,11 +422,14 @@ def stationary_dual_index(p: PipelineParams, c: int) -> int:
     return max(1, round(n_star))
 
 
+# the assembly's dual indices per modulus: the stationary index +- this
+_N_HALF_WIDTH = 2
+# the assembly's frequencies m: -_M_WINDOW .. _M_WINDOW
+_M_WINDOW = 60
+
+
 def offdiagonal_assembly(
-    p: PipelineParams,
-    c_values: tuple[int, ...],
-    n_half_width: int = 2,
-    m_window: int = 60,
+    p: PipelineParams, c_values: tuple[int, ...]
 ) -> AssemblyReport:
     """Assemble the dual off-diagonal second moment from measured J
     values and the congruence indicator, split diagonal from
@@ -436,17 +442,14 @@ def offdiagonal_assembly(
     expected-hit density 1/(c1 c2) is a statement about generic tuples,
     so structurally forced diagonal hits are counted separately.
     """
-    if len(c_values) < 2 or n_half_width < 1:
-        raise ValueError("need at least a 2 x 2 grid of moduli and offsets")
+    if len(c_values) < 2:
+        raise ValueError("need at least a 2 x 2 grid of moduli")
     ntil = p.N_dual
 
     def n_window(c: int) -> list[int]:
         center = stationary_dual_index(p, c)
-        return [
-            n
-            for n in range(max(1, center - n_half_width), center + n_half_width + 1)
-            if math.gcd(n, c) == 1
-        ]
+        lo, hi = max(1, center - _N_HALF_WIDTH), center + _N_HALF_WIDTH
+        return [n for n in range(lo, hi + 1) if math.gcd(n, c) == 1]
 
     hits = []
     expected = 0.0
@@ -459,9 +462,9 @@ def offdiagonal_assembly(
                     n2b = inv_mod(n2, c2) if c2 > 1 else 0
                     diag_tuple = c1 == c2 and n1 == n2
                     if not diag_tuple:
-                        expected += (2 * m_window + 1) / cc
+                        expected += (2 * _M_WINDOW + 1) / cc
                     base = (n1b * c2 - n2b * c1) % cc
-                    for m in range(-m_window, m_window + 1):
+                    for m in range(-_M_WINDOW, _M_WINDOW + 1):
                         if (m - base) % cc == 0:
                             hits.append((m, n1, c1, n2, c2, diag_tuple))
     # sample cross-check of the indicator against the brute-force sum

@@ -135,7 +135,7 @@ def test_pipeline_s5_check_gates_fat_tail(monkeypatch):
         trivial_bound=1.0, n_window=(-6, 20), nonpositive_mass=0.0,
         tail_mass=1.0, tail_cutoff=10, status="PASS",
     )
-    monkeypatch.setattr(pipeline, "poisson_check_s5", lambda m, c, p, tol: rep)
+    monkeypatch.setattr(pipeline, "poisson_check_s5", lambda m, c, p: rep)
     res = acceptance.pipeline_checks(_PIPELINE_PARAMS)[0]()
     assert res.status == "FAIL"
     assert res.detail.endswith("; fat tail")

@@ -67,7 +67,7 @@ def test_i_integral_t_zero_finite():
 def test_poisson_identity_stationary_regime():
     # c t / (2 pi N) ~ 1: the dual sum carries genuine stationary mass
     p = PipelineParams(N=600.0, t=300.0, K=17.0, Q=25.0)
-    rep = poisson_check_s5(1, 13, p, tol=1e-6)
+    rep = poisson_check_s5(1, 13, p)
     assert rep.status == "PASS"
     assert abs(rep.direct) > 1e-4  # healthy size
     assert rep.rel_diff <= 1e-6
@@ -79,20 +79,20 @@ def test_poisson_identity_cancelling_regime():
     # sub-stationary: S5 collapses; agreement is still required at the
     # trivial-bound floor
     p = PipelineParams(N=500.0, t=100.0, K=9.0, Q=30.0)
-    rep = poisson_check_s5(1, 3, p, tol=1e-6)
+    rep = poisson_check_s5(1, 3, p)
     assert rep.status == "PASS"
     assert rep.abs_diff <= 1e-6 * max(abs(rep.direct), 1e-3 * rep.trivial_bound)
 
 
 def test_poisson_identity_degenerate_modulus():
     p = PipelineParams(N=400.0, t=1.0, K=1.0, Q=10.0)
-    rep = poisson_check_s5(1, 1, p, tol=1e-6)
+    rep = poisson_check_s5(1, 1, p)
     assert rep.status == "PASS"
 
 
 def test_poisson_identity_t_zero():
     p = PipelineParams(N=400.0, t=1e-12, K=1e-7, Q=10.0)
-    rep = poisson_check_s5(2, 5, p, tol=1e-6)
+    rep = poisson_check_s5(2, 5, p)
     assert rep.status == "PASS"
 
 
@@ -136,7 +136,7 @@ def test_j_batch_matches_scalar():
 
 
 def test_assembly_small_grid():
-    rep = offdiagonal_assembly(SMALL, (23, 24, 25, 26), n_half_width=2, m_window=60)
+    rep = offdiagonal_assembly(SMALL, (23, 24, 25, 26))
     assert rep.status == "PASS"
     assert rep.diag_constant <= 100.0
     assert rep.offdiag_constant <= 100.0
@@ -153,12 +153,12 @@ def test_assembly_refuses_a_congruence_indicator_the_character_sum_denies(monkey
 
     monkeypatch.setattr(pipeline, "charsum_congruence", denied)
     with pytest.raises(ArithmeticError, match="congruence indicator"):
-        offdiagonal_assembly(SMALL, (23, 24, 25, 26), n_half_width=2, m_window=60)
+        offdiagonal_assembly(SMALL, (23, 24, 25, 26))
 
 
 def test_assembly_rejects_tiny_grid():
     with pytest.raises(ValueError):
-        offdiagonal_assembly(SMALL, (25,), n_half_width=1)
+        offdiagonal_assembly(SMALL, (25,))
 
 
 CRIT8 = PipelineParams(N=1e4, t=1e3, K=10.0, Q=100.0)

@@ -42,6 +42,13 @@ def test_balance_tolerance_is_one_lfunc_constant():
     assert _modules_matching(r"\bBALANCE_TOL\b") == ["acceptance", "lfunc"]
 
 
+def test_s5_tolerance_is_one_pipeline_constant():
+    # criterion 7 and the CLI's S5 check read the verdict poisson_check_s5
+    # takes at pipeline.S5_TOL; no caller carries a tolerance of its own
+    assert _modules_matching(r"(?m)^S5_TOL = 1e-6$") == ["pipeline"]
+    assert _modules_matching(r"\w*S5_TOL\b") == ["pipeline"]
+
+
 def test_characters_are_built_only_in_characters():
     # characters exist only for odd prime moduli, where every non-principal
     # one is primitive; a character built elsewhere could break that
