@@ -32,6 +32,13 @@ def require_inv(a: int, c: int) -> int:
     return v
 
 
+def complex_abs(z):
+    """|z| for a complex number or array; an array's moduli come from
+    hypot, which rounds as Python's abs(complex) does (np.abs can differ
+    by an ulp)."""
+    return abs(z) if isinstance(z, complex) else np.hypot(z.real, z.imag)
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization [(p, e), ...] by trial division (n <= ~10^12)."""
     if n < 1:

@@ -6,7 +6,10 @@ so characters are built only for odd prime moduli, each from one
 discrete-log table to a primitive root g: chi_m(g^j) = e(m j / (q - 1)).
 A character stores one exact exponent per residue, so that
 multiplicativity and parity checks are integer arithmetic; complex
-values are materialized only at evaluation time.
+values are materialized only at evaluation time.  The odd-character
+average and its closed forms take integer arrays of arguments: each
+odd character's values mod q form one table, read at every case at
+once, with each complex product rounded as Python's.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .arith import inv_mod, is_prime, primitive_root, unit_roots
+import numpy as np
+
+from .arith import complex_abs, inv_mod, is_prime, primitive_root, unit_roots
 
 # a closed-form convention must match the brute-force average this well
 _CONVENTION_TOL = 1e-9
@@ -133,7 +138,7 @@ def gauss_sum(chi: DirichletCharacter) -> GaussSumResult:
     return GaussSumResult(g=g, epsilon=eps, abs_defect=abs(abs(g) - math.sqrt(q)))
 
 
-def odd_character_average(q: int, c: int, ell: int, mprime: int) -> complex:
+def odd_character_average(q: int, c, ell, mprime):
     """Brute-force average over odd characters mod the odd prime q.
 
     Computes (1/2) * sum over all psi mod q of
@@ -141,30 +146,52 @@ def odd_character_average(q: int, c: int, ell: int, mprime: int) -> complex:
         * conj(psi(mprime * ell)),
     with eps_psi = g_psi / sqrt(q).  The (1 - psi(-1))/2 projector keeps
     exactly the odd characters; the psi(mprime) factors cancel, which is
-    asserted separately as the m'-invariance property.
+    asserted separately as the m'-invariance property.  Integer arrays
+    c, ell, mprime (broadcast together) give an array: the odd
+    characters' value tables are read at every case at once and added
+    in enumeration order, each product rounded as Python's complex
+    product rounds it.
     """
-    odd = _odd_weights(q)
-    for name, v in (("c", c), ("ell", ell), ("mprime", mprime)):
-        if math.gcd(v, q) != 1:
-            raise ValueError(f"{name} = {v} must be coprime to q = {q}")
-    cbar = inv_mod(c, q)
-    total = 0.0 + 0.0j
-    for psi, weight in odd:
-        total += weight * psi.value(mprime * cbar) * psi.value(mprime * ell).conjugate()
-    return total
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (c, ell, mprime)))
+    for name, v in zip(("c", "ell", "mprime"), args):
+        bad = np.gcd(v, q) != 1
+        if np.any(bad):
+            raise ValueError(f"{name} = {v[bad].flat[0]} must be coprime to q = {q}")
+    c, ell, mprime = (v % q for v in args)
+    re, im, weights, inverse = _odd_tables(q)
+    at = mprime * inverse[c] % q  # psi is read at m' cbar ...
+    conj_at = mprime * ell % q  # ... and conjugated at m' ell
+    tot_re = np.zeros(c.shape)
+    tot_im = np.zeros(c.shape)
+    for j, w in enumerate(weights):
+        ar, ai = re[j][at], im[j][at]
+        br, bi = re[j][conj_at], -im[j][conj_at]
+        # (w * psi(m' cbar)) * conj(psi(m' ell)), as Python forms each part
+        pr, pi = w.real * ar - w.imag * ai, w.real * ai + w.imag * ar
+        tot_re = tot_re + (pr * br - pi * bi)
+        tot_im = tot_im + (pr * bi + pi * br)
+    if tot_re.ndim == 0:
+        return complex(tot_re, tot_im)
+    out = np.empty(c.shape, dtype=complex)
+    out.real, out.imag = tot_re, tot_im
+    return out
 
 
 @cache
-def _odd_weights(q: int) -> tuple:
-    """(psi, eps_psi^2 conj(eps_psi)) for each odd character psi mod q, in
-    enumeration order: `odd_character_average` runs over them up to
-    8 (q - 1)^2 times per q while a convention is sought."""
-    out = []
+def _odd_tables(q: int) -> tuple:
+    """The odd characters mod q in enumeration order, as value tables
+    (real and imaginary parts, one row per character, indexed by the
+    residue, 0 at x = 0), their weights eps_psi^2 conj(eps_psi) as
+    Python complex numbers, and the table of inverses mod q."""
+    rows, weights = [], []
     for psi in enumerate_characters(q):
         if psi.is_odd:
+            rows.append([psi.value(x) for x in range(q)])
             eps = gauss_sum(psi).epsilon
-            out.append((psi, eps * eps * eps.conjugate()))
-    return tuple(out)
+            weights.append(eps * eps * eps.conjugate())
+    values = np.array(rows, dtype=complex).reshape(len(rows), q)
+    inverse = np.array([0] + [inv_mod(x, q) for x in range(1, q)], dtype=np.int64)
+    return values.real.copy(), values.imag.copy(), weights, inverse
 
 
 @dataclass(frozen=True)
@@ -183,42 +210,47 @@ class AverageConvention:
     cases: int
 
 
-def closed_form_candidate(q: int, c: int, ell: int, sign: int, arg_choice: str) -> complex:
-    x = c * ell % q
-    if arg_choice == "inverse":
-        x = inv_mod(x, q)
-    val = cmath.exp(2j * math.pi * x / q) - cmath.exp(-2j * math.pi * x / q)
-    return sign * (q - 1) / (2.0 * math.sqrt(q)) * val
+def closed_form_candidate(q: int, c, ell, sign: int, arg_choice: str):
+    """The candidate closed form at x = c ell mod q (or its inverse);
+    integer arrays c and ell give an array, each value formed once per
+    distinct x by cmath."""
+    x = np.asarray(c) * np.asarray(ell) % q
+    table = _closed_forms(q, sign, arg_choice)
+    if x.ndim == 0:
+        return table[int(x)]
+    return np.array(table, dtype=complex)[x]
+
+
+@lru_cache(maxsize=64)
+def _closed_forms(q: int, sign: int, arg_choice: str) -> tuple:
+    """The candidate at each residue x mod q (at x = 0, where the inverse
+    is undefined, 0)."""
+    out = [0j]
+    for x in range(1, q):
+        if arg_choice == "inverse":
+            x = inv_mod(x, q)
+        val = cmath.exp(2j * math.pi * x / q) - cmath.exp(-2j * math.pi * x / q)
+        out.append(sign * (q - 1) / (2.0 * math.sqrt(q)) * val)
+    return tuple(out)
 
 
 def discover_average_convention(q: int) -> AverageConvention:
     """Try all four (sign, argument) conventions against brute force.
 
-    A convention must hold for every admissible (c, ell, mprime) with a
-    single fixed choice; the first that does is returned.  Raises if
-    none survives, so a failure is loud rather than a silent pick.
+    A convention must hold for every admissible (c, ell, mprime) with
+    mprime in {1, 2} and a single fixed choice; the first that does is
+    returned.  The brute-force averages are one array call, shared by
+    the four candidates.  Raises if none survives, so a failure is loud
+    rather than a silent pick.
     """
-    units = range(1, q)
-    cases = [(c, l, m) for c in units for l in units for m in units[:2]]
-    best = None
+    units = np.arange(1, q)
+    c, ell, mprime = (v.ravel() for v in np.meshgrid(units, units, units[:2], indexing="ij"))
+    lhs = odd_character_average(q, c, ell, mprime)
     for sign in (+1, -1):
         for arg_choice in ("product", "inverse"):
-            worst = 0.0
-            ok = True
-            for c, l, m in cases:
-                lhs = odd_character_average(q, c, l, m)
-                rhs = closed_form_candidate(q, c, l, sign, arg_choice)
-                err = abs(lhs - rhs)
-                worst = max(worst, err)
-                if err > _CONVENTION_TOL:
-                    ok = False
-                    break
-            if ok:
-                conv = AverageConvention(q, sign, arg_choice, worst, len(cases))
-                if best is None:
-                    best = conv
-    if best is None:
-        raise ArithmeticError(
-            f"no (sign, argument) convention matches the odd average mod {q}"
-        )
-    return best
+            err = complex_abs(lhs - closed_form_candidate(q, c, ell, sign, arg_choice))
+            if np.all(err <= _CONVENTION_TOL):
+                return AverageConvention(q, sign, arg_choice, float(np.max(err)), c.size)
+    raise ArithmeticError(
+        f"no (sign, argument) convention matches the odd average mod {q}"
+    )

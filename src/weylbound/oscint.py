@@ -3,12 +3,15 @@
 A brute-force adaptive quadrature is the ground truth: panels are sized
 so each carries a bounded amount of phase, Gauss-Legendre pairs give a
 per-panel error estimate, and accepted panels are summed in interval
-order so results do not depend on refinement scheduling.  On top of it
-sit the leading-order stationary-phase evaluation, nonstationary decay
-and second-derivative bound checks, and the Bessel-weighted sum over
-weights with its integral-kernel identity.  Phases carry their first
-two derivatives as exact callables; nothing here differentiates
-numerically.
+order so results do not depend on refinement scheduling.  It integrates
+a family of cases at once: a `WeightFamily` and a `PhaseFamily` take
+flat arrays of points and case indices, so every panel generation of
+every case is one evaluator call per chunk, and a single weight and
+phase are a family of one.  On top of it sit the leading-order
+stationary-phase evaluation, nonstationary decay and second-derivative
+bound checks, and the Bessel-weighted sum over weights with its
+integral-kernel identity.  Phases carry their first two derivatives as
+exact callables; nothing here differentiates numerically.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -140,113 +143,255 @@ def _canonical_bump(s: np.ndarray) -> np.ndarray:
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        g0 = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        g1 = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return g0 / (g0 + g1)
+    """C-infinity step: 0 for t <= 0, 1 for t >= 1, and
+    g(t) / (g(t) + g(1 - t)) with g(t) = exp(-1/t) in between, where
+    alone the exponentials are formed."""
+    out = (t >= 1.0).astype(float)
+    inside = ~((t <= 0.0) | (t >= 1.0))
+    s = t[inside]
+    g0 = np.exp(-1.0 / np.maximum(s, 1e-300))
+    g1 = np.exp(-1.0 / np.maximum(1.0 - s, 1e-300))
+    out[inside] = g0 / (g0 + g1)
+    return out
 
 
-def bump_weight(a: float, b: float, amp: float = 1.0) -> SmoothWeight:
-    """Canonical bump exp(1 - 1/(1-s^2)) mapped onto [a, b], peak = amp."""
+@dataclass
+class WeightFamily:
+    """B smooth weights as one evaluator: evaluator(t, k) is w_k(t) at
+    parallel flat arrays of points t and case indices k, each point in
+    its case's support supports[k]; amp_scales[k] is case k's X."""
+
+    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    supports: np.ndarray  # (B, 2)
+    amp_scales: np.ndarray  # (B,)
+
+    @classmethod
+    def stack(cls, members: Sequence[SmoothWeight | WeightFamily]) -> WeightFamily:
+        """The members' cases in turn; a SmoothWeight is one case."""
+        members = [
+            m if isinstance(m, WeightFamily)
+            else cls(lambda t, k, w=m: w(t), np.array([m.support], dtype=float),
+                     np.array([m.amp_scale], dtype=float))
+            for m in members
+        ]
+        return cls(
+            _stacked([m.evaluator for m in members], [len(m.supports) for m in members]),
+            np.concatenate([m.supports for m in members]),
+            np.concatenate([m.amp_scales for m in members]),
+        )
+
+
+@dataclass
+class PhaseFamily:
+    """B phases as one evaluator, with their first two derivatives:
+    each takes parallel flat arrays of points t and case indices k."""
+
+    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    deriv: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    deriv2: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+    @classmethod
+    def stack(cls, members: Sequence[PhaseSpec]) -> PhaseFamily:
+        """The phases in turn, one case each."""
+        sizes = [1] * len(members)
+        return cls(*(
+            _stacked([lambda t, k, f=getattr(h, name): f(t) for h in members], sizes)
+            for name in ("evaluator", "deriv", "deriv2")
+        ))
+
+
+def _stacked(evaluators, sizes):
+    """One (t, k) evaluator over members of the given case counts: member
+    j sees its own points with its own case numbers."""
+    if len(evaluators) == 1:
+        only = evaluators[0]
+        return lambda t, k: np.asarray(only(t, k), dtype=float)
+    offsets = np.cumsum([0, *sizes])
+
+    def ev(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        order = np.argsort(k, kind="stable")
+        cuts = np.searchsorted(k[order], offsets)
+        out = np.empty(t.shape)
+        for j, f in enumerate(evaluators):
+            idx = order[cuts[j] : cuts[j + 1]]
+            if idx.size:
+                out[idx] = f(t[idx], k[idx] - offsets[j])
+        return out
+
+    return ev
+
+
+def _bump(t, mid, half, amp):
+    return amp * _canonical_bump((t - mid) / half)
+
+
+def bump_weight(a, b, amp=1.0) -> SmoothWeight | WeightFamily:
+    """Canonical bump exp(1 - 1/(1-s^2)) mapped onto [a, b], peak = amp.
+
+    Arrays a, b, amp (broadcast together) give a WeightFamily, case k on
+    [a_k, b_k] with peak amp_k.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
+    if np.ndim(a) == np.ndim(b) == np.ndim(amp) == 0:
+        return SmoothWeight(
+            lambda t: _bump(np.asarray(t, dtype=float), mid, half, amp),
+            (a, b), amp_scale=amp, var_scale=half,
+        )
+    a, b, mid, half, amp = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, mid, half, amp))
+    )
+    return WeightFamily(
+        lambda t, k: _bump(t, mid[k], half[k], amp[k]), np.stack([a, b], axis=1), amp
+    )
 
-    def ev(t: np.ndarray) -> np.ndarray:
-        return amp * _canonical_bump((np.asarray(t, dtype=float) - mid) / half)
 
-    return SmoothWeight(ev, (a, b), amp_scale=amp, var_scale=half)
+def _plateau(t, a, rise, d, fall, amp):
+    return amp * _smooth_step((t - a) / rise) * _smooth_step((d - t) / fall)
 
 
-def plateau_weight(a: float, b: float, c: float, d: float, amp: float = 1.0) -> SmoothWeight:
-    """Smoothed-step pair: rises on [a, b], flat at amp on [b, c], falls on [c, d]."""
-    if not (a < b <= c < d):
+def plateau_weight(a, b, c, d, amp=1.0) -> SmoothWeight | WeightFamily:
+    """Smoothed-step pair: rises on [a, b], flat at amp on [b, c], falls on
+    [c, d].  Array arguments (broadcast together) give a WeightFamily."""
+    if not np.all(np.less(a, b) & np.less_equal(b, c) & np.less(c, d)):
         raise ValueError("need a < b <= c < d")
-
-    def ev(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return amp * _smooth_step((t - a) / (b - a)) * _smooth_step((d - t) / (d - c))
-
-    return SmoothWeight(ev, (a, d), amp_scale=amp, var_scale=min(b - a, d - c))
+    rise, fall = b - a, d - c
+    if all(np.ndim(v) == 0 for v in (a, b, c, d, amp)):
+        return SmoothWeight(
+            lambda t: _plateau(np.asarray(t, dtype=float), a, rise, d, fall, amp),
+            (a, d), amp_scale=amp, var_scale=min(rise, fall),
+        )
+    a, rise, d, fall, amp = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, rise, d, fall, amp))
+    )
+    return WeightFamily(
+        lambda t, k: _plateau(t, a[k], rise[k], d[k], fall[k], amp[k]),
+        np.stack([a, d], axis=1), amp,
+    )
 
 
 # ----------------------------------------------------------------------
 # quadrature oracle
 
 _PHASE_PER_PANEL = 9.0
+_CHUNK_NODES = 1 << 14  # evaluator points per call, keeping the arrays small
 
 
-def _phase_edges(h: PhaseSpec, a: float, b: float, max_panels: int) -> np.ndarray:
-    """Panel edges at roughly equal phase increments."""
-    n = 1025
-    for _ in range(2):
-        ts = np.linspace(a, b, n)
-        hv = np.asarray(h(ts), dtype=float)
-        total = float(np.sum(np.abs(np.diff(hv))))
-        need = int(min(max(total / 2.0, 1024), 4_000_000))
-        if need <= n:
-            break
-        n = need + 1
-    if total > 1.2e7:
-        raise ValueError(f"total phase variation {total:.3g} exceeds the 1e7 budget")
-    cum = np.concatenate([[0.0], np.cumsum(np.abs(np.diff(hv)))])
-    panels = int(min(max(total / _PHASE_PER_PANEL, 8), max_panels))
-    targets = np.linspace(0.0, cum[-1], panels + 1)
-    edges = np.interp(targets, cum, ts)
-    edges[0], edges[-1] = a, b
-    return np.unique(edges)
+def _phase_edges(h: PhaseFamily, supports: np.ndarray, max_panels: int) -> list[np.ndarray]:
+    """Each case's panel edges at roughly equal phase increments.
+
+    The phase is sampled at 1025 points of each support (more where its
+    variation needs them), the cases' first samples in calls of at most
+    _CHUNK_NODES points.
+    """
+    n0 = 1025
+    per_call = max(1, _CHUNK_NODES // n0)
+    edges = []
+    for s in range(0, len(supports), per_call):
+        part = supports[s : s + per_call]
+        k = np.repeat(np.arange(s, s + len(part)), n0)
+        ts = np.linspace(part[:, 0], part[:, 1], n0, axis=1)
+        hv = np.asarray(h.evaluator(ts.ravel(), k), dtype=float).reshape(ts.shape)
+        steps = np.abs(np.diff(hv, axis=1))
+        totals = steps.sum(axis=1)
+        for i, (a, b) in enumerate(part.tolist()):
+            t_i, step, total = ts[i], steps[i], float(totals[i])
+            need = int(min(max(total / 2.0, 1024), 4_000_000))
+            if need > n0:  # one resampling, as finely as the first samples ask
+                n = need + 1
+                t_i = np.linspace(a, b, n)
+                hv_i = np.asarray(h.evaluator(t_i, np.full(n, s + i)), dtype=float)
+                step = np.abs(np.diff(hv_i))
+                total = float(np.sum(step))
+            if total > 1.2e7:
+                raise ValueError(f"total phase variation {total:.3g} exceeds the 1e7 budget")
+            cum = np.concatenate([[0.0], np.cumsum(step)])
+            panels = int(min(max(total / _PHASE_PER_PANEL, 8), max_panels))
+            e = np.interp(np.linspace(0.0, cum[-1], panels + 1), cum, t_i)
+            e[0], e[-1] = a, b
+            e.sort()
+            edges.append(e[np.concatenate([[True], e[1:] != e[:-1]])])  # no repeats
+    return edges
 
 
-def oscillatory_quadrature(
-    w: SmoothWeight,
-    h: PhaseSpec,
-    tol: float = 1e-10,
-    max_nodes: int = 3_000_000,
-) -> ComplexEstimate:
+def oscillatory_quadrature(w, h, tol: float = 1e-10, max_nodes: int = 3_000_000):
     """integral of w(t) exp(i h(t)) dt over the support of w.
 
-    Initial panels hold ~9 radians of phase each; every panel is
-    accepted only when a GL24/GL12 pair agrees within its share of tol,
-    otherwise it is bisected.  Each generation of pending panels is
-    evaluated in one array call of w and h; accepted panels are summed
-    left to right.
+    w and h are a SmoothWeight and a PhaseSpec, giving one
+    ComplexEstimate, or a WeightFamily and a PhaseFamily of B cases,
+    giving a list of B; each case is integrated as if alone.  Initial
+    panels hold ~9 radians of phase each; every panel is accepted only
+    when a GL24/GL12 pair agrees within its share of tol, otherwise it
+    is bisected.  Each generation of pending panels, of every case, is
+    evaluated in calls of w and h of at most _CHUNK_NODES points; each
+    case's accepted panels are summed left to right.  A case past
+    max_nodes raises QuadratureError with its partial value.
     """
     if tol < 1e-12:
         raise ValueError("tol below the 1e-12 floor")
-    a, b = w.support
-    span = b - a
-    edges = _phase_edges(h, a, b, max_panels=max_nodes // 72)
-    lo, hi = edges[:-1], edges[1:]
-    kept_lo, kept_val, kept_err = [], [], []
-    nodes = 0
+    single = isinstance(w, SmoothWeight)
+    if single:
+        w, h = WeightFamily.stack([w]), PhaseFamily.stack([h])
+    n_cases = len(w.supports)
+    span = w.supports[:, 1] - w.supports[:, 0]
+    edges = _phase_edges(h, w.supports, max_panels=max_nodes // 72)
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    case = np.repeat(np.arange(n_cases), [e.size - 1 for e in edges])
+    # per generation: case, lo, value and error of the accepted panels
+    kept = [(case[:0], lo[:0], np.zeros(0, dtype=complex), lo[:0])]
+    nodes = np.zeros(n_cases, dtype=np.int64)
+    (x24, w24), (x12, w12) = _gl(24), _gl(12)
+    xs = np.concatenate([x24, x12])  # a panel's 36 nodes: GL24, then GL12
+    chunk = _CHUNK_NODES // xs.size
     while lo.size:
-        # one generation: the GL24/GL12 pair of every pending panel at once
-        nodes += 36 * lo.size
-        if nodes > max_nodes:
-            best = complex(sum(np.sum(v) for v in kept_val))
-            bound = float(sum(np.sum(e) for e in kept_err) + np.sum(hi - lo) * w.amp_scale)
-            raise QuadratureError(f"node budget {max_nodes} exhausted", best, bound)
-        t24, w24 = panel_rule(lo, 24, hi)
-        t12, w12 = panel_rule(lo, 12, hi)
-        t = np.concatenate([t24, t12])
-        f = w(t) * np.exp(1j * np.asarray(h(t), dtype=float))
-        i24 = (w24 * f[: t24.size]).reshape(-1, 24).sum(axis=1)
-        i12 = (w12 * f[t24.size :]).reshape(-1, 12).sum(axis=1)
+        # one generation: the GL24/GL12 pair of every pending panel
+        nodes += xs.size * np.bincount(case, minlength=n_cases)
+        if np.any(nodes > max_nodes):
+            k = int(np.argmax(nodes > max_nodes))
+            best, bound = _left_to_right(kept, n_cases)
+            pending = float(np.sum((hi - lo)[case == k]) * w.amp_scales[k])
+            raise QuadratureError(
+                f"node budget {max_nodes} exhausted", best[k], bound[k] + pending
+            )
+        i24 = np.empty(lo.size, dtype=complex)
+        i12 = np.empty(lo.size, dtype=complex)
+        for s in range(0, lo.size, chunk):
+            sl = slice(s, s + chunk)
+            half = 0.5 * (hi[sl] - lo[sl])
+            mid = 0.5 * (lo[sl] + hi[sl])
+            t = (mid[:, None] + half[:, None] * xs).ravel()
+            k = np.repeat(case[sl], xs.size)
+            f = w.evaluator(t, k) * np.exp(1j * np.asarray(h.evaluator(t, k), dtype=float))
+            f = f.reshape(-1, xs.size)
+            i24[sl] = ((half[:, None] * w24) * f[:, :24]).sum(axis=1)
+            i12[sl] = ((half[:, None] * w12) * f[:, 24:]).sum(axis=1)
         err = np.abs(i24 - i12)
-        share = tol * np.maximum((hi - lo) / span, 1e-6)
-        done = (err <= share) | ((hi - lo) < 1e-13 * span)
-        kept_lo.append(lo[done])
-        kept_val.append(i24[done])
-        kept_err.append(np.minimum(err, share)[done])
-        lo, hi = lo[~done], hi[~done]
+        share = tol * np.maximum((hi - lo) / span[case], 1e-6)
+        done = (err <= share) | ((hi - lo) < 1e-13 * span[case])
+        kept.append((case[done], lo[done], i24[done], np.minimum(err, share)[done]))
+        lo, hi, case = lo[~done], hi[~done], case[~done]
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    order = np.argsort(np.concatenate(kept_lo))
-    # accepted panels summed left to right
-    value = complex(sum(np.concatenate(kept_val)[order].tolist()))
-    bound = float(sum(np.concatenate(kept_err)[order].tolist()))
-    return ComplexEstimate(value, max(bound, 1e-16 * abs(value)), "quadrature")
+        case = np.concatenate([case, case])
+    values, bounds = _left_to_right(kept, n_cases)
+    out = [
+        ComplexEstimate(v, max(b, 1e-16 * abs(v)), "quadrature")
+        for v, b in zip(values, bounds)
+    ]
+    return out[0] if single else out
+
+
+def _left_to_right(kept, n_cases: int) -> tuple[list[complex], list[float]]:
+    """Each case's accepted panels summed left to right: values and
+    error bounds."""
+    case, lo, val, err = (np.concatenate(parts) for parts in zip(*kept))
+    order = np.lexsort((lo, case))
+    cuts = np.concatenate([[0], np.cumsum(np.bincount(case, minlength=n_cases))]).tolist()
+    val, err = val[order].tolist(), err[order].tolist()
+    values = [complex(sum(val[a:b])) for a, b in zip(cuts, cuts[1:])]
+    bounds = [float(sum(err[a:b])) for a, b in zip(cuts, cuts[1:])]
+    return values, bounds
 
 
 # ----------------------------------------------------------------------
@@ -336,11 +481,18 @@ def stationary_phase_eval(w: SmoothWeight, h: PhaseSpec) -> ComplexEstimate:
 
 @dataclass
 class DecayReport:
+    """The decay ladder: per rung its scale s, |I| and bound value; per
+    rung past the first one beyond the threshold, the observed ratio
+    |I_s| / |I_s0| and the bound's ratio at those rungs, which the
+    verdict compares (observed <= _DECAY_SLACK x bound, or |I_s| at the
+    1e-15 floor)."""
+
     status: str  # PASS | FAIL | INCONCLUSIVE
     scales: list[float]
     magnitudes: list[float]
-    bound_ratios: list[float]
+    bounds: list[float]
     observed_ratios: list[float]
+    bound_ratios: list[float]
     threshold_scale: float | None
     note: str = ""
 
@@ -360,22 +512,19 @@ def nonstationary_decay_check(w: SmoothWeight, h: PhaseSpec) -> DecayReport:
     (Q s R / sqrt(s Y))^-A + (s R V)^-A.  PASS requires the observed
     |I| to fall at least as fast (within a fixed slack) between
     consecutive rungs past the threshold R_s >= 10 max(sqrt(Y_s)/Q, 1/V).
+    The rungs' integrals are one quadrature family.
     """
     if h.R is None or h.R <= 0:
         raise ValueError("phase must carry a positive lower bound R on |h'|")
-    base = h.evaluator
-    mags, bounds = [], []
+    scale = np.array(_DECAY_LADDER)
+    ws = WeightFamily.stack([w] * len(scale))
+    hs = PhaseFamily(*(
+        lambda t, k, f=f: scale[k] * np.asarray(f(t), dtype=float)
+        for f in (h.evaluator, h.deriv, h.deriv2)
+    ))
+    mags = [abs(v.value) for v in oscillatory_quadrature(ws, hs, tol=1e-12)]
+    bounds = []
     for s in _DECAY_LADDER:
-        hs = PhaseSpec(
-            evaluator=lambda t, s=s: s * np.asarray(base(t), dtype=float),
-            deriv=lambda t, s=s: s * np.asarray(h.deriv(t), dtype=float),
-            deriv2=lambda t, s=s: s * np.asarray(h.deriv2(t), dtype=float),
-            Y=s * h.Y,
-            Q=h.Q,
-            R=s * h.R,
-        )
-        val = oscillatory_quadrature(w, hs, tol=1e-12)
-        mags.append(abs(val.value))
         b1 = (h.Q * s * h.R / math.sqrt(s * h.Y)) ** (-_DECAY_A)
         b2 = (s * h.R * w.var_scale) ** (-_DECAY_A)
         bounds.append(w.var_scale * w.amp_scale * (b1 + b2))
@@ -383,21 +532,19 @@ def nonstationary_decay_check(w: SmoothWeight, h: PhaseSpec) -> DecayReport:
     past = [i for i, s in enumerate(_DECAY_LADDER) if s * h.R >= threshold]
     if len(past) < 2:
         return DecayReport(
-            "INCONCLUSIVE", list(_DECAY_LADDER), mags, bounds, [], None,
+            "INCONCLUSIVE", list(_DECAY_LADDER), mags, bounds, [], [], None,
             note="fewer than two rungs past the decay threshold",
         )
-    obs = []
-    ok = True
     i0 = past[0]
     floor = 1e-15 * max(mags)
-    for i in past[1:]:
-        o = mags[i] / max(mags[i0], 1e-300)
-        obs.append(o)
-        if mags[i] > floor and o > _DECAY_SLACK * bounds[i] / bounds[i0]:
-            ok = False
+    obs = [mags[i] / max(mags[i0], 1e-300) for i in past[1:]]
+    ratios = [bounds[i] / bounds[i0] for i in past[1:]]
+    ok = all(
+        mags[i] <= floor or o <= _DECAY_SLACK * r for i, o, r in zip(past[1:], obs, ratios)
+    )
     return DecayReport(
         "PASS" if ok else "FAIL",
-        list(_DECAY_LADDER), mags, bounds, obs, _DECAY_LADDER[i0],
+        list(_DECAY_LADDER), mags, bounds, obs, ratios, _DECAY_LADDER[i0],
     )
 
 
@@ -411,46 +558,50 @@ class SecondDerivativeReport:
     monotone_ok: bool
 
 
-def second_derivative_bound_check(
-    g: SmoothWeight, f: PhaseSpec
-) -> SecondDerivativeReport:
+def second_derivative_bound_check(g, f):
     """Check |integral g e(f)| <= 8 M / sqrt(r) for f'' of constant sign.
 
-    r = min |f''| and M = max |g| come from a grid scan; monotonicity of
-    g/f' is scanned as a precondition flag.  The integrand uses the
-    e(x) = exp(2 pi i x) convention of the bound.
+    g and f are a SmoothWeight and a PhaseSpec, giving one report, or a
+    WeightFamily and a PhaseFamily, giving one report per case from one
+    quadrature family.  r = min |f''| and M = max |g| come from a scan
+    of 1025 points per support; monotonicity of g/f' is scanned as a
+    precondition flag.  Raises ValueError if f'' changes sign on any
+    case's support.  The integrand uses the e(x) = exp(2 pi i x)
+    convention of the bound.
     """
-    a, b = g.support
-    ts = np.linspace(a + 1e-9, b - 1e-9, 1025)
-    f2 = np.asarray(f.deriv2(ts), dtype=float)
-    if not (np.all(f2 > 0) or np.all(f2 < 0)):
-        raise ValueError("f'' changes sign on the support")
-    r = float(np.min(np.abs(f2)))
-    M = float(np.max(np.abs(np.asarray(g(ts), dtype=float))))
-    f1 = np.asarray(f.deriv(ts), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.asarray(g(ts), dtype=float) / f1
-    finite = np.isfinite(ratio)
-    diffs = np.diff(ratio[finite])
-    monotone_ok = bool(np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12))
-    phase = PhaseSpec(
-        evaluator=lambda t: 2 * math.pi * np.asarray(f.evaluator(t), dtype=float),
-        deriv=lambda t: 2 * math.pi * np.asarray(f.deriv(t), dtype=float),
-        deriv2=lambda t: 2 * math.pi * np.asarray(f.deriv2(t), dtype=float),
-        Y=2 * math.pi * f.Y,
-        Q=f.Q,
-    )
-    val = oscillatory_quadrature(g, phase, tol=1e-11)
-    bound = 8.0 * M / math.sqrt(r)
-    status = "PASS" if abs(val.value) <= bound else "FAIL"
-    return SecondDerivativeReport(
-        status=status,
-        integral=val.value,
-        bound=bound,
-        r=r,
-        M=M,
-        monotone_ok=monotone_ok,
-    )
+    single = isinstance(g, SmoothWeight)
+    if single:
+        g, f = WeightFamily.stack([g]), PhaseFamily.stack([f])
+    n = 1025
+    per_call = max(1, _CHUNK_NODES // n)
+    scans = []  # r, M, monotone_ok per case
+    for s in range(0, len(g.supports), per_call):
+        part = g.supports[s : s + per_call]
+        ts = np.linspace(part[:, 0] + 1e-9, part[:, 1] - 1e-9, n, axis=1).ravel()
+        k = np.repeat(np.arange(s, s + len(part)), n)
+        f2 = np.asarray(f.deriv2(ts, k), dtype=float).reshape(-1, n)
+        if not np.all(np.all(f2 > 0, axis=1) | np.all(f2 < 0, axis=1)):
+            raise ValueError("f'' changes sign on the support")
+        gv = np.asarray(g.evaluator(ts, k), dtype=float).reshape(-1, n)
+        f1 = np.asarray(f.deriv(ts, k), dtype=float).reshape(-1, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = gv / f1
+        for r, M, row in zip(np.min(np.abs(f2), axis=1).tolist(),
+                             np.max(np.abs(gv), axis=1).tolist(), ratio):
+            diffs = np.diff(row[np.isfinite(row)])
+            scans.append((r, M, bool(np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12))))
+    phase = PhaseFamily(*(
+        lambda t, k, d=d: 2 * math.pi * np.asarray(d(t, k), dtype=float)
+        for d in (f.evaluator, f.deriv, f.deriv2)
+    ))
+    out = []
+    for val, (r, M, monotone_ok) in zip(oscillatory_quadrature(g, phase, tol=1e-11), scans):
+        bound = 8.0 * M / math.sqrt(r)
+        out.append(SecondDerivativeReport(
+            status="PASS" if abs(val.value) <= bound else "FAIL",
+            integral=val.value, bound=bound, r=r, M=M, monotone_ok=monotone_ok,
+        ))
+    return out[0] if single else out
 
 
 # ----------------------------------------------------------------------

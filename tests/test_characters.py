@@ -164,3 +164,48 @@ def test_multiplicativity_of_values(q, a, b):
         va, vb, vab = ch.value(a), ch.value(b), ch.value(a * b)
         assert abs(vab - va * vb) < 1e-12
 
+
+
+def _odd_average_by_definition(q, c, ell, mprime):
+    """(1/2) sum over all psi mod q of (1 - psi(-1)) eps^2 conj(eps)
+    psi(m' cbar) conj(psi(m' ell)): the projector keeps the odd
+    characters, added in enumeration order by Python complex arithmetic."""
+    cbar = pow(c, -1, q)
+    total = 0.0 + 0.0j
+    for psi in enumerate_characters(q):
+        if psi.value(q - 1) == 1:
+            continue
+        eps = gauss_sum(psi).epsilon
+        weight = eps * eps * eps.conjugate()
+        total += weight * psi.value(mprime * cbar) * psi.value(mprime * ell).conjugate()
+    return total
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+def test_odd_average_arrays_equal_the_definition(q):
+    units = np.arange(1, q)
+    c, ell, mp_ = np.meshgrid(units, units, units[:3] + q, indexing="ij")
+    got = odd_character_average(q, c, ell, mp_)
+    assert got.shape == c.shape
+    for idx in np.ndindex(c.shape):
+        args = (int(c[idx]), int(ell[idx]), int(mp_[idx]))
+        want = _odd_average_by_definition(q, *args)
+        assert repr(complex(got[idx])) == repr(want), args
+        assert repr(odd_character_average(q, *args)) == repr(want), args
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_closed_form_arrays_equal_scalar_calls(q):
+    units = np.arange(1, q)
+    c, ell = np.meshgrid(units, units, indexing="ij")
+    for sign in (1, -1):
+        for arg in ("product", "inverse"):
+            got = closed_form_candidate(q, c, ell, sign, arg)
+            for idx in np.ndindex(c.shape):
+                one = closed_form_candidate(q, int(c[idx]), int(ell[idx]), sign, arg)
+                assert repr(complex(got[idx])) == repr(one)
+
+
+def test_odd_average_array_rejects_a_noncoprime_entry():
+    with pytest.raises(ValueError, match="ell = 10 must be coprime"):
+        odd_character_average(5, 1, np.array([1, 10]), 1)

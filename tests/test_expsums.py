@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylbound import acceptance, expsums
 from weylbound.arith import inv_mod, primes_up_to, unit_roots
-from weylbound.characters import enumerate_characters
+from weylbound.characters import enumerate_characters, gauss_sum
 from weylbound.expsums import (
     charsum_congruence,
     charsum_grid,
@@ -390,3 +390,111 @@ def test_kloosterman_reals_equal_scalar_calls(c):
 def test_kloosterman_shift_invariance(m, n, c):
     # S(m, n; c) depends only on m, n mod c
     assert abs(kloosterman(m, n, c) - kloosterman(m + c, n - 3 * c, c)) < 1e-12
+
+
+@pytest.mark.parametrize("c", [1, 2, 8, 30, 37])
+def test_charsum_grid_array_n_matches_scalar_calls(c):
+    # every unit n with every m as one call, batched over count rows
+    ns = np.array([n for n in range(1, c + 1) if math.gcd(n, c) == 1])
+    ms = np.arange(-1, c + 1)
+    r = charsum_grid(ms[None, :], ns[:, None], c)
+    assert r.value.shape == (ns.size, ms.size)
+    for i, n in enumerate(ns.tolist()):
+        for j, m in enumerate(ms.tolist()):
+            one = charsum_grid(m, n, c)
+            assert _same(r.value[i, j], one.value), (m, n)
+            assert _same(r.closed_form[i, j], one.closed_form), (m, n)
+            assert float(r.abs_diff[i, j]) == one.abs_diff, (m, n)
+
+
+def test_charsum_grid_array_n_with_a_nonunit_is_inapplicable():
+    r = charsum_grid(np.arange(8), np.array([[1], [2]]), 8)
+    assert r.closed_form is None and r.abs_diff is None
+    assert _same(r.value[1, 3], charsum_grid(3, 2, 8).value)
+
+
+@pytest.mark.parametrize("c1, c2", [(1, 1), (1, 7), (3, 5), (4, 9), (12, 11)])
+def test_charsum_congruence_array_n_matches_scalar_calls(c1, c2):
+    n1 = np.array([n for n in range(1, c1 + 1) if math.gcd(n, c1) == 1])
+    n2 = np.array([n for n in range(1, c2 + 1) if math.gcd(n, c2) == 1])
+    ms = np.arange(-2, c1 * c2 + 2)
+    r = charsum_congruence(ms, n1[:, None, None], n2[:, None], c1, c2)
+    assert r.value.shape == (n1.size, n2.size, ms.size)
+    for i, a in enumerate(n1.tolist()):
+        for j, b in enumerate(n2.tolist()):
+            for k, m in enumerate(ms.tolist()):
+                one = charsum_congruence(m, a, b, c1, c2)
+                assert _same(r.value[i, j, k], one.value), (m, a, b)
+                assert _same(r.predicted[i, j, k], one.predicted), (m, a, b)
+                assert bool(r.indicator[i, j, k]) is one.indicator
+                assert float(r.abs_diff[i, j, k]) == one.abs_diff, (m, a, b)
+
+
+def test_charsum_congruence_array_rejects_a_noninvertible_n():
+    with pytest.raises(ValueError, match="not invertible modulo 4"):
+        charsum_congruence(0, np.array([1, 2]), 1, 4, 5)
+
+
+def _fsum_of(terms):
+    """The correctly rounded sum of complex terms, part by part."""
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+def _factorization_by_expanded_terms(chi, n, mprime, nu, c):
+    """(lhs, middle, displayed, corrected) from fsum over the expanded
+    terms of each sum and one Python complex product per factor."""
+    q = chi.modulus
+
+    def twisted(m_, n_, cc):
+        return _fsum_of([
+            complex(unit_roots(cc)[(m_ * x + n_ * inv_mod(x, cc)) % cc]) * chi.value(x)
+            for x in range(1, cc) if math.gcd(x, cc) == 1
+        ])
+
+    def plain(a, b):
+        return _fsum_of([
+            complex(unit_roots(c)[(a * x + b * inv_mod(x, c)) % c])
+            for x in range(c) if math.gcd(x, c) == 1
+        ])
+
+    cbar = inv_mod(c, q)
+    qbar = inv_mod(q, c) if c > 1 else 0
+    lhs = twisted(n * q ** (2 + nu), mprime, c * q)
+    middle = twisted(0, mprime * cbar, q) * plain(n * q ** (1 + nu), mprime * qbar)
+    eps = gauss_sum(chi).epsilon
+    front = math.sqrt(q) * eps.conjugate() * chi.value(mprime * cbar)
+    displayed = front * plain(n, mprime * q**nu)
+    return lhs, middle, displayed, chi.value(q - 1) * displayed
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_factorization_arrays_equal_expanded_terms(q):
+    # every odd character mod q as one call per c, over (nu, n, m') rows
+    psis = _primitive_odd(q)
+    ns, mps, nus = [1, 2, 5, 1], [1, q - 1, 2, q + 1], [0, 0, 1, 2]
+    for c in (1, 2, 6, 9, 10):
+        if math.gcd(c, q) != 1:
+            continue
+        rep = verify_twisted_factorization(psis, n=ns, mprime=mps, nu=nus, c=c)
+        assert rep.lhs.shape == (len(psis), len(ns))
+        for j, chi in enumerate(psis):
+            for i in range(len(ns)):
+                want = _factorization_by_expanded_terms(chi, ns[i], mps[i], nus[i], c)
+                got = (rep.lhs[j, i], rep.middle[j, i], rep.displayed[j, i], rep.corrected[j, i])
+                assert all(map(_same, got, want)), (q, j, c, i)
+                assert float(rep.diff_lhs_middle[j, i]) == abs(want[0] - want[1])
+                assert float(rep.diff_lhs_corrected[j, i]) == abs(want[0] - want[3])
+                one = verify_twisted_factorization(chi, n=ns[i], mprime=mps[i], nu=nus[i], c=c)
+                assert all(map(_same, (one.lhs, one.middle, one.displayed, one.corrected), want))
+
+
+def test_twisted_kloosterman_arrays_equal_scalar_calls():
+    chars13 = enumerate_characters(13)
+    ms = np.array([0, 1, 5, 12, 40])
+    got = twisted_kloosterman(chars13, ms, 3, 26)
+    assert got.shape == (len(chars13), ms.size)
+    for j, chi in enumerate(chars13):
+        for i, m in enumerate(ms.tolist()):
+            assert _same(got[j, i], twisted_kloosterman(chi, m, 3, 26))
+    with pytest.raises(ValueError):
+        twisted_kloosterman(chars13 + enumerate_characters(5), 1, 1, 65)

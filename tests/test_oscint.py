@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from weylbound import acceptance, oscint, pipeline, special
 from weylbound.oscint import (
+    PhaseFamily,
     PhaseSpec,
     QuadratureError,
     SmoothWeight,
@@ -289,6 +290,60 @@ def test_nonstationary_linear_phase_ladder():
     assert drop < (rep.scales[-1] / rep.scales[0]) ** (-3)
 
 
+def _decay_status(rep):
+    """The verdict rebuilt from the report's fields alone."""
+    if rep.threshold_scale is None:
+        return "INCONCLUSIVE"
+    past = [i for i, s in enumerate(rep.scales) if s >= rep.threshold_scale][1:]
+    floor = 1e-15 * max(rep.magnitudes)
+    assert len(past) == len(rep.observed_ratios) == len(rep.bound_ratios)
+    ok = all(
+        rep.magnitudes[i] <= floor or o <= oscint._DECAY_SLACK * r
+        for i, o, r in zip(past, rep.observed_ratios, rep.bound_ratios)
+    )
+    return "PASS" if ok else "FAIL"
+
+
+@pytest.mark.parametrize(
+    "w, R0, status",
+    [
+        (bump_weight(1.0, 2.0), 40.0, "PASS"),
+        (bump_weight(1.0, 2.0), 1e-3, "INCONCLUSIVE"),
+        # a weight that does not vanish at its ends decays only like 1/R
+        (SmoothWeight(lambda t: np.ones_like(t), (1.0, 2.0), var_scale=0.5), 40.0, "FAIL"),
+    ],
+)
+def test_decay_report_rebuilds_its_status(w, R0, status):
+    h = PhaseSpec(
+        evaluator=lambda t: R0 * t, deriv=lambda t: R0 * np.ones_like(t),
+        deriv2=np.zeros_like, Y=R0, Q=1.0, R=R0,
+    )
+    rep = nonstationary_decay_check(w, h)
+    assert rep.status == _decay_status(rep) == status
+    # bounds are the per-rung bound values; bound_ratios their ratios to
+    # the first rung past the threshold, parallel to observed_ratios
+    assert len(rep.bounds) == len(rep.scales) == len(rep.magnitudes)
+    if rep.threshold_scale is not None:
+        i0 = rep.scales.index(rep.threshold_scale)
+        assert rep.bound_ratios == [b / rep.bounds[i0] for b in rep.bounds[i0 + 1 :]]
+        assert rep.observed_ratios == [m / rep.magnitudes[i0] for m in rep.magnitudes[i0 + 1 :]]
+
+
+def test_decay_ladder_is_one_family_of_single_integrals():
+    # each rung's |I| is the single quadrature of the scaled phase
+    w = bump_weight(1.0, 2.0)
+    h = PhaseSpec(
+        evaluator=lambda t: 5.0 * t**2, deriv=lambda t: 10.0 * t,
+        deriv2=lambda t: 10.0 * np.ones_like(t), Y=20.0, Q=1.0, R=10.0,
+    )
+    rep = nonstationary_decay_check(w, h)
+    for s, mag in zip(rep.scales, rep.magnitudes):
+        hs = PhaseSpec(
+            evaluator=lambda t, s=s: s * np.asarray(h(t)), deriv=h.deriv, deriv2=h.deriv2
+        )
+        assert mag == abs(oscillatory_quadrature(w, hs, tol=1e-12).value), s
+
+
 def test_nonstationary_below_threshold_inconclusive():
     w = bump_weight(1.0, 2.0)
     h = PhaseSpec(
@@ -552,7 +607,9 @@ def _per_panel_quadrature(w, h, tol):
         f12 = w(t12) * np.exp(1j * np.asarray(h(t12), dtype=float))
         return half * np.dot(w24, f24), half * np.dot(w12, f12)
 
-    edges = oscint._phase_edges(h, a, b, max_panels=3_000_000 // 72)
+    edges = oscint._phase_edges(
+        PhaseFamily.stack([h]), np.array([[a, b]], dtype=float), max_panels=3_000_000 // 72
+    )[0]
     todo = [(float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
     accepted = []
     span = b - a
@@ -733,3 +790,97 @@ def test_gauss_legendre_odd_rule_has_zero_node():
         xs, ws = oscint._gl(n)
         assert xs[n // 2] == 0.0 and abs(np.sum(ws) - 2.0) <= 1e-14
     assert oscint._gl(1)[1][0] == 2.0
+
+
+def _same_estimate(a, b):
+    return [repr(a.value), repr(a.abs_error), a.method] == [
+        repr(b.value), repr(b.abs_error), b.method
+    ]
+
+
+@pytest.mark.parametrize("tol", [2e-9, 1e-12])
+def test_family_quadrature_equals_single_calls_on_regression_corpus(tol):
+    # bit for bit: the family's edges, acceptance and left-to-right sums
+    # are each case's own
+    cases = _regression_corpus()
+    family = oscillatory_quadrature(
+        oscint.WeightFamily.stack([w for w, _ in cases]),
+        PhaseFamily.stack([h for _, h in cases]),
+        tol=tol,
+    )
+    assert len(family) == len(cases)
+    for (w, h), got in zip(cases, family):
+        assert _same_estimate(got, oscillatory_quadrature(w, h, tol=tol)), w.support
+
+
+def test_family_quadrature_equals_single_calls_on_criterion_6():
+    p = pipeline.PipelineParams(N=1e4, t=1e3, K=10.0, Q=100.0)
+    cases = acceptance._offdiag_phase_cases(p)
+    family = oscillatory_quadrature(
+        oscint.WeightFamily.stack([w for w, _ in cases]),
+        PhaseFamily.stack([h for _, h in cases]),
+        tol=1e-12,
+    )
+    for (w, h), got in zip(cases, family):
+        assert _same_estimate(got, oscillatory_quadrature(w, h, tol=1e-12))
+    g, f, draws = acceptance._vdc_corpus(20240801)
+    assert len(draws) == len(g.supports) == 200
+    reports = second_derivative_bound_check(g, f)
+    for (kind, a, b, d, amp), got in zip(draws, reports):
+        w = bump_weight(1.0, 2.0, amp) if kind == 0 else plateau_weight(1.0, 1.25, 1.75, 2.0, amp)
+        h = PhaseSpec(
+            evaluator=lambda x, a=a, b=b, d=d: a * x**2 + b * x + d * np.log(x),
+            deriv=lambda x, a=a, b=b, d=d: 2 * a * x + b + d / x,
+            deriv2=lambda x, a=a, d=d: 2 * a - d / x**2,
+        )
+        one = second_derivative_bound_check(w, h)
+        assert repr(got) == repr(one), (kind, a, b, d, amp)
+
+
+def _nodes_used(w, h, tol):
+    """The quadrature nodes one case evaluates, counted at its weight,
+    and its number of initial panels."""
+    seen = []
+    counted = SmoothWeight(
+        lambda t: (seen.append(t.size), w(t))[1], w.support, w.amp_scale, w.var_scale
+    )
+    oscillatory_quadrature(counted, h, tol=tol)
+    edges = oscint._phase_edges(PhaseFamily.stack([h]), np.array([w.support]), 10**9)[0]
+    return sum(seen), edges.size - 1
+
+
+def test_family_quadrature_chunks_and_budgets_per_case(monkeypatch):
+    # a generation split over many evaluator calls gives the same bits,
+    # and the node budget holds per case: a family whose cases together
+    # need more than max_nodes runs when each case fits
+    cases = [
+        (w, h) for w, h in _regression_corpus(n_cases=6) if _nodes_used(w, h, 1e-12)[0] < 2000
+    ]
+    needs, panels = zip(*(_nodes_used(w, h, 1e-12) for w, h in cases))
+    budget = max(needs)
+    assert len(cases) >= 3 and sum(needs) > budget and max(panels) <= (budget - 1) // 72
+    w = oscint.WeightFamily.stack([w for w, _ in cases])
+    h = PhaseFamily.stack([h for _, h in cases])
+    whole = oscillatory_quadrature(w, h, tol=1e-12)
+    assert all(map(_same_estimate, whole, oscillatory_quadrature(w, h, 1e-12, max_nodes=budget)))
+    monkeypatch.setattr(oscint, "_CHUNK_NODES", 1000)
+    assert all(map(_same_estimate, whole, oscillatory_quadrature(w, h, tol=1e-12)))
+    with pytest.raises(QuadratureError) as exc:
+        oscillatory_quadrature(w, h, tol=1e-12, max_nodes=budget - 1)
+    assert exc.value.achieved_bound > 0
+
+
+def test_weight_families_equal_their_members():
+    t = np.linspace(0.9, 2.1, 301)
+    amps = np.array([0.5, 1.0, 2.5])
+    bumps = bump_weight(np.array([1.0, 1.2, 0.95]), 2.0, amps)
+    plateaus = plateau_weight(1.0, 1.25, 1.75, 2.0, amps)
+    for j, amp in enumerate(amps.tolist()):
+        k = np.full(t.size, j)
+        inside = (t >= bumps.supports[j, 0]) & (t <= bumps.supports[j, 1])
+        one = bump_weight(float(bumps.supports[j, 0]), 2.0, amp)
+        assert np.array_equal(bumps.evaluator(t[inside], k[inside]), one(t[inside]))
+        one = plateau_weight(1.0, 1.25, 1.75, 2.0, amp)
+        assert np.array_equal(plateaus.evaluator(t, k), one(t))
+    with pytest.raises(ValueError):
+        plateau_weight(np.array([1.0, 1.5]), 1.25, 1.75, 2.0)

@@ -88,6 +88,22 @@ def test_package_import_leaves_heavy_modules_unloaded():
     assert run.stdout.strip() == "[]"
 
 
+def test_exact_criteria_leave_numpy_ma_unloaded():
+    # criteria 1-3 and 6 never reach np.unique, whose first call imports
+    # numpy.ma (about 13 ms of a fresh process)
+    code = (
+        "import sys\n"
+        "from weylbound import acceptance as a\n"
+        "for check in (a.criterion_charsums, a.criterion_twisted_factorization,\n"
+        "              a.criterion_psi_average, a.criterion_stationary_phase):\n"
+        "    assert check().status == 'PASS'\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    run = _run_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
 def test_commands_run_without_scipy():
     # an install with only the declared dependencies: any scipy import
     # raises, and each command and the kernel k-sum still run
