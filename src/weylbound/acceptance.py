@@ -464,27 +464,37 @@ def criterion_kloosterman(
 ):
     """Weil's bound and real values at every (m, n) mod p <= p_exhaustive,
     Weil's bound at seeded pairs for sampled primes up to p_max, and the
-    CRT twisted multiplicativity."""
+    CRT twisted multiplicativity: one array call per modulus.  An empty
+    Weil set is a usage error."""
+    exhaustive = arith.primes_up_to(p_exhaustive)
+    sampled = [p for p in arith.primes_up_to(p_max) if p > p_exhaustive]
+    sampled = sampled[:: max(1, len(sampled) // 12)]
+    if not exhaustive and not sampled:
+        raise ValueError(
+            f"no Kloosterman cases: no prime <= p_exhaustive = {p_exhaustive} "
+            f"or p_max = {p_max}"
+        )
+
+    def weil_ratio(s, p):
+        return float(np.max(arith.complex_abs(s) / (2 * math.sqrt(p))))
+
     worst_weil = 0.0
     worst_imag = 0.0
-    for p in arith.primes_up_to(p_exhaustive):
-        for m in range(1, p):
-            for n in range(1, p):
-                s = expsums.kloosterman(m, n, p)
-                worst_weil = max(worst_weil, abs(s) / (2 * math.sqrt(p)))
-                worst_imag = max(worst_imag, abs(s.imag))
+    for p in exhaustive:
+        r = np.arange(1, p)
+        s = expsums.kloosterman(r[:, None], r, p)
+        worst_weil = max(worst_weil, weil_ratio(s, p))
+        worst_imag = max(worst_imag, float(np.max(np.abs(s.imag))))
     rng = np.random.default_rng(seed)
-    sampled = [p for p in arith.primes_up_to(p_max) if p > p_exhaustive]
-    for p in sampled[:: max(1, len(sampled) // 12)]:
-        for _ in range(6):
-            m = int(rng.integers(1, p))
-            n = int(rng.integers(1, p))
-            s = expsums.kloosterman(m, n, p)
-            worst_weil = max(worst_weil, abs(s) / (2 * math.sqrt(p)))
+    for p in sampled:
+        m, n = np.array([(rng.integers(1, p), rng.integers(1, p)) for _ in range(6)]).T
+        worst_weil = max(worst_weil, weil_ratio(expsums.kloosterman(m, n, p), p))
+    ms, ns = [1, 2, 0], [1, 5, 1]
     worst_crt = max(
-        abs(expsums.kloosterman(m, n, c1 * c2) - expsums.kloosterman_crt(m, n, c1, c2))
+        float(np.max(arith.complex_abs(
+            expsums.kloosterman(ms, ns, c1 * c2) - expsums.kloosterman_crt(ms, ns, c1, c2)
+        )))
         for c1, c2 in [(3, 4), (5, 6), (7, 9), (8, 15), (16, 27), (25, 29)]
-        for m, n in [(1, 1), (2, 5), (0, 1)]
     )
     ok = worst_weil <= 1.0 + 1e-12 and worst_imag < 1e-9 and worst_crt < 1e-9
     return (

@@ -138,7 +138,7 @@ def gauss_sum(chi: DirichletCharacter) -> GaussSumResult:
     return GaussSumResult(g=g, epsilon=eps, abs_defect=abs(abs(g) - math.sqrt(q)))
 
 
-def odd_character_average(q: int, c, ell, mprime):
+def odd_character_average(q: int, c, ell, mprime) -> np.ndarray:
     """Brute-force average over odd characters mod the odd prime q.
 
     Computes (1/2) * sum over all psi mod q of
@@ -147,9 +147,9 @@ def odd_character_average(q: int, c, ell, mprime):
     with eps_psi = g_psi / sqrt(q).  The (1 - psi(-1))/2 projector keeps
     exactly the odd characters; the psi(mprime) factors cancel, which is
     asserted separately as the m'-invariance property.  Integer arrays
-    c, ell, mprime (broadcast together) give an array: the odd
-    characters' value tables are read at every case at once and added
-    in enumeration order, each product rounded as Python's complex
+    c, ell, mprime (broadcast together) give an array of their shape:
+    the odd characters' value tables are read at every case at once and
+    added in enumeration order, each product rounded as Python's complex
     product rounds it.
     """
     args = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (c, ell, mprime)))
@@ -170,8 +170,6 @@ def odd_character_average(q: int, c, ell, mprime):
         pr, pi = w.real * ar - w.imag * ai, w.real * ai + w.imag * ar
         tot_re = tot_re + (pr * br - pi * bi)
         tot_im = tot_im + (pr * bi + pi * br)
-    if tot_re.ndim == 0:
-        return complex(tot_re, tot_im)
     out = np.empty(c.shape, dtype=complex)
     out.real, out.imag = tot_re, tot_im
     return out
@@ -210,15 +208,12 @@ class AverageConvention:
     cases: int
 
 
-def closed_form_candidate(q: int, c, ell, sign: int, arg_choice: str):
-    """The candidate closed form at x = c ell mod q (or its inverse);
-    integer arrays c and ell give an array, each value formed once per
-    distinct x by cmath."""
+def closed_form_candidate(q: int, c, ell, sign: int, arg_choice: str) -> np.ndarray:
+    """The candidate closed form at x = c ell mod q (or its inverse), for
+    integer arrays c and ell (broadcast together), each value formed
+    once per distinct x by cmath."""
     x = np.asarray(c) * np.asarray(ell) % q
-    table = _closed_forms(q, sign, arg_choice)
-    if x.ndim == 0:
-        return table[int(x)]
-    return np.array(table, dtype=complex)[x]
+    return np.asarray(np.array(_closed_forms(q, sign, arg_choice), dtype=complex)[x])
 
 
 @lru_cache(maxsize=64)

@@ -135,6 +135,8 @@ def _suite_petersson(cfg: RunConfig):
 def _suite_besselsum(cfg: RunConfig):
     ks = tuple(_list(cfg.params["k_list"], int))
     xs = tuple(_list(cfg.params["x_list"], float))
+    if not ks or not xs:
+        raise ConfigError("besselsum needs at least one K in k_list and one x in x_list")
     return _unlabelled(
         partial(acceptance.criterion_bessel_sum_identity, ks, xs),
         partial(acceptance.criterion_ksum_asymptotic_scale, ks),

@@ -11,9 +11,11 @@ returns.  Closed forms are always checked against these sums, never
 substituted for them.
 
 The sums take integer arrays for their parameters (broadcast together)
-and return arrays, one count row or term row per parameter set, so a
-caller's whole family of cases at one modulus is one call; scalar
-parameters give plain Python numbers from the same code.
+and return arrays of that shape (0-d for scalar parameters), one count
+row or term row per parameter set, so a caller's whole family of cases
+at one modulus is one call.  The twisted sums take a sequence of
+characters of one modulus and add a leading axis, one entry per
+character.
 """
 
 from __future__ import annotations
@@ -125,19 +127,16 @@ def _kloosterman_rows(a, b, c: int, imag: bool) -> np.ndarray:
     real parts, or with imag the complex values, each exactly rounded."""
     if c < 1:
         raise ValueError("modulus must be positive")
-    a, b = np.broadcast_arrays(np.asarray(a) % c, np.asarray(b) % c)
+    a, b = np.broadcast_arrays(_residues(a, c), _residues(b, c))
     xs, invs = units_and_inverses(c)
     expo = (a.reshape(-1, 1) * xs + b.reshape(-1, 1) * invs) % c
     return _root_count_sums(_count_rows(expo, c), c, imag).reshape(a.shape)
 
 
-def kloosterman(m: int, n: int, c: int) -> complex:
-    """S(m, n; c) = sum over units x mod c of e((m x + n xbar)/c)."""
-    if c < 1:
-        raise ValueError("modulus must be positive")
-    xs, invs = units_and_inverses(c)
-    counts = np.bincount((m % c * xs + n % c * invs) % c, minlength=c)
-    return complex(_root_count_sums(counts.reshape(1, c), c, imag=True)[0])
+def kloosterman(m, n, c: int) -> np.ndarray:
+    """S(m, n; c) = sum over units x mod c of e((m x + n xbar)/c), for
+    integer arrays m and n (broadcast together), one count row per pair."""
+    return _kloosterman_rows(m, n, c, imag=True)
 
 
 def kloosterman_reals(a, b, c: int) -> np.ndarray:
@@ -162,32 +161,24 @@ def _product(a, b) -> np.ndarray:
     return out
 
 
-def _plain(value):
-    """A 0-d result as a plain Python number."""
-    return value.item() if isinstance(value, np.ndarray) and value.ndim == 0 else value
-
-
-def _characters_of(chi) -> tuple[list[DirichletCharacter], bool]:
-    """A character or a sequence of characters of one modulus, as a
-    list, and whether it was a sequence."""
-    if isinstance(chi, DirichletCharacter):
-        return [chi], False
-    chis = list(chi)
+def _characters_of(chis) -> list[DirichletCharacter]:
+    """A sequence of characters of one modulus, as a list."""
+    chis = list(chis)
     if not chis or len({ch.modulus for ch in chis}) != 1:
         raise ValueError("need one or more characters of one modulus")
-    return chis, True
+    return chis
 
 
-def twisted_kloosterman(chi, m, n, c: int):
-    """S_chi(m, n; c) with chi of modulus dividing c (so c >= 3).
+def twisted_kloosterman(chis, m, n, c: int) -> np.ndarray:
+    """S_chi(m, n; c) for each chi of a sequence of characters of one
+    modulus dividing c (so c >= 3).
 
-    Integer arrays m and n (broadcast together) give an array: one row
-    of terms e((m x + n xbar)/c) chi(x) per pair, each term the Python
-    complex product of its two roots, and one `math.fsum` per part of a
-    row.  A sequence of characters of one modulus adds a leading axis,
-    one entry per character.
+    Integer arrays m and n (broadcast together) give one row of terms
+    e((m x + n xbar)/c) chi(x) per pair, each term the Python complex
+    product of its two roots, and one `math.fsum` per part of a row;
+    the result has a leading axis, one entry per character.
     """
-    chis, many = _characters_of(chi)
+    chis = _characters_of(chis)
     q = chis[0].modulus
     if c % q != 0:
         raise ValueError(f"character modulus {q} does not divide c = {c}")
@@ -198,8 +189,7 @@ def twisted_kloosterman(chi, m, n, c: int):
         unit_roots(ch.exponent_den)[_exponent_table(ch.exponents)[xs % q]] for ch in chis
     ])
     terms = _product(a, b[:, None, :]).reshape(-1, xs.size)
-    out = _complex(terms.real, terms.imag).reshape(len(chis), *m.shape)
-    return out if many else _plain(out[0])
+    return _complex(terms.real, terms.imag).reshape(len(chis), *m.shape)
 
 
 @cache
@@ -210,18 +200,21 @@ def _exponent_table(exponents: tuple) -> np.ndarray:
     return np.array([0 if a is None else a for a in exponents], dtype=np.int64)
 
 
-def kloosterman_crt(m: int, n: int, c1: int, c2: int) -> complex:
+def kloosterman_crt(m, n, c1: int, c2: int) -> np.ndarray:
     """S(m, n; c1 c2) assembled from the coprime factorization.
 
     S(m, n; c1 c2) = S(m c2bar, n c2bar; c1) * S(m c1bar, n c1bar; c2)
-    where c2bar inverts c2 mod c1 and vice versa.  Used only as a fast
-    path cross-checked against the brute-force definition.
+    where c2bar inverts c2 mod c1 and vice versa, for integer arrays m
+    and n (broadcast together); each product is rounded as Python's
+    complex product.  Used only as a fast path cross-checked against the
+    brute-force definition.
     """
     if math.gcd(c1, c2) != 1:
         raise ValueError("factors must be coprime")
     c2b = require_inv(c2, c1) if c1 > 1 else 0
     c1b = require_inv(c1, c2) if c2 > 1 else 0
-    return kloosterman(m * c2b, n * c2b, c1) * kloosterman(m * c1b, n * c1b, c2)
+    m, n = _residues(m, c1 * c2), _residues(n, c1 * c2)
+    return _product(kloosterman(m * c2b, n * c2b, c1), kloosterman(m * c1b, n * c1b, c2))
 
 
 @dataclass
@@ -235,21 +228,22 @@ class FactorizationReport:
 
     The lhs/middle equality is an exact CRT splitting.  The displayed
     final form drops a psi(-1); for odd psi that is a sign flip, which
-    the corrected variant restores.  Array parameters give array fields.
+    the corrected variant restores.  The sums and differences have one
+    entry per (psi, n, m', nu).
     """
 
     q: int
     c: int
-    n: int | np.ndarray
-    mprime: int | np.ndarray
-    nu: int | np.ndarray
-    lhs: complex | np.ndarray
-    middle: complex | np.ndarray
-    displayed: complex | np.ndarray
-    corrected: complex | np.ndarray
-    diff_lhs_middle: float | np.ndarray = field(init=False)
-    diff_lhs_displayed: float | np.ndarray = field(init=False)
-    diff_lhs_corrected: float | np.ndarray = field(init=False)
+    n: np.ndarray
+    mprime: np.ndarray
+    nu: np.ndarray
+    lhs: np.ndarray
+    middle: np.ndarray
+    displayed: np.ndarray
+    corrected: np.ndarray
+    diff_lhs_middle: np.ndarray = field(init=False)
+    diff_lhs_displayed: np.ndarray = field(init=False)
+    diff_lhs_corrected: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.diff_lhs_middle = complex_abs(self.lhs - self.middle)
@@ -257,21 +251,21 @@ class FactorizationReport:
         self.diff_lhs_corrected = complex_abs(self.lhs - self.corrected)
 
 
-def verify_twisted_factorization(chi, n, mprime, nu, c: int) -> FactorizationReport:
+def verify_twisted_factorization(chis, n, mprime, nu, c: int) -> FactorizationReport:
     """Evaluate both sides of the twisted Kloosterman factorization.
 
-    Preconditions: chi odd, gcd(c, q) = 1, gcd(m', q) = 1, nu >= 0.
+    Preconditions: each chi odd, gcd(c, q) = 1, gcd(m', q) = 1, nu >= 0.
     Characters are built only mod odd primes q, where an odd character
     is non-principal and so primitive.  Integer arrays n, m', nu
-    (broadcast together) give one row per triple, and a sequence of odd
-    characters mod q a leading axis of them: every twisted sum is a row
-    of one `twisted_kloosterman` call, the plain sums mod c (the same
-    for every character) are rows of one `_kloosterman_rows` call, and
-    the twisted factor and the front of the displayed form are formed
-    once per (psi, m' cbar); the products keep Python's complex-product
-    rounding.
+    (broadcast together) give one row per triple, and the sequence of
+    odd characters mod q a leading axis of them: every twisted sum is a
+    row of one `twisted_kloosterman` call, the plain sums mod c (the
+    same for every character) are rows of one `_kloosterman_rows` call,
+    and the twisted factor and the front of the displayed form are
+    formed once per (psi, m' cbar); the products keep Python's
+    complex-product rounding.
     """
-    chis, many = _characters_of(chi)
+    chis = _characters_of(chis)
     q = chis[0].modulus
     if not all(ch.is_odd for ch in chis):
         raise ValueError("twist must be odd")
@@ -306,22 +300,19 @@ def verify_twisted_factorization(chi, n, mprime, nu, c: int) -> FactorizationRep
     displayed = _product(front, s_displayed)
     corrected = _product(np.array([[ch.value(q - 1)] for ch in chis]), displayed)
 
-    def shaped(v):
-        v = v.reshape(len(chis), *n.shape)
-        return v if many else _plain(v[0])
-
+    shape = (len(chis), *n.shape)
     return FactorizationReport(
-        q=q, c=c, n=_plain(n), mprime=_plain(mprime), nu=_plain(nu),
-        lhs=shaped(lhs), middle=shaped(middle),
-        displayed=shaped(displayed), corrected=shaped(corrected),
+        q=q, c=c, n=n, mprime=mprime, nu=nu,
+        lhs=lhs.reshape(shape), middle=middle.reshape(shape),
+        displayed=displayed.reshape(shape), corrected=corrected.reshape(shape),
     )
 
 
 @dataclass(frozen=True)
 class GridSumResult:
-    value: complex
-    closed_form: complex | None
-    abs_diff: float | None
+    value: np.ndarray
+    closed_form: np.ndarray | None
+    abs_diff: np.ndarray | None
 
 
 def _inverses(v, c: int) -> np.ndarray:
@@ -349,9 +340,9 @@ def charsum_grid(m, n, c: int) -> GridSumResult:
     counts over alpha, for each residue pair (k, j) = (beta + n,
     m betabar), are those of the c^2 literal products alpha k (one
     `np.bincount`) turned by j, and the residue row of (m, n) adds the
-    rows of its betas.  Integer arrays
-    m and n (broadcast together) give array fields, one residue row per
-    pair, in batches of at most 2^16 row entries.
+    rows of its betas.  Integer arrays m and n (broadcast together) give
+    fields of their shape, one residue row per pair, in batches of at
+    most 2^16 row entries.
     """
     if c < 1:
         raise ValueError("modulus must be positive")
@@ -373,29 +364,19 @@ def charsum_grid(m, n, c: int) -> GridSumResult:
         for col in pairs.T[1:]:
             counts += alpha_counts[col]
         value[s : s + step] = _root_count_sums(counts, c, imag=True)
-    value = value.reshape(ms.shape)
-    if np.any(np.gcd(ns, c) != 1):
-        return _grid_result(value, None, None)
-    closed = c * unit_roots(c)[(-ms % c) * _inverses(ns, c) % c]
-    return _grid_result(value, closed, complex_abs(value - closed))
-
-
-def _grid_result(value, closed, diff) -> GridSumResult:
-    if np.ndim(value) == 0:  # scalar m and n: plain Python numbers
-        return GridSumResult(
-            complex(value),
-            None if closed is None else complex(closed),
-            None if diff is None else float(diff),
-        )
-    return GridSumResult(value, closed, diff)
+    if np.any(np.gcd(nf, c) != 1):
+        return GridSumResult(value.reshape(ms.shape), None, None)
+    closed = c * unit_roots(c)[(-mf % c) * _inverses(nf, c) % c]
+    diff = complex_abs(value - closed)
+    return GridSumResult(*(v.reshape(ms.shape) for v in (value, closed, diff)))
 
 
 @dataclass(frozen=True)
 class CongruenceSumResult:
-    value: complex
-    indicator: bool
-    predicted: complex
-    abs_diff: float
+    value: np.ndarray
+    indicator: np.ndarray
+    predicted: np.ndarray
+    abs_diff: np.ndarray
 
 
 @lru_cache(maxsize=256)
@@ -415,12 +396,14 @@ def charsum_congruence(m, n1, n2, c1: int, c2: int) -> CongruenceSumResult:
     the literal sum depends on t mod c1 c2 alone; each (c1 c2, t) sum is
     computed once, the missing t's of a call in count batches of at most
     2^20 entries.  Integer arrays m, n1 and n2 (broadcast together) give
-    array fields, so one call covers every case of a pair (c1, c2).
+    fields of their shape, so one call covers every case of a pair
+    (c1, c2).
     """
     n1b = _inverses(n1, c1)
     n2b = _inverses(n2, c2)
     cc = c1 * c2
     t = (_residues(m, cc) - n1b * c2 + n2b * c1) % cc  # m may exceed int64
+    shape, t = np.shape(t), np.ravel(t)
     sums, filled = _root_sums(cc)
     missing = ~filled[t]
     if missing.any():
@@ -434,9 +417,6 @@ def charsum_congruence(m, n1, n2, c1: int, c2: int) -> CongruenceSumResult:
         filled[new] = True
     value = sums[t]
     fired = t == 0
-    if np.ndim(t) == 0:  # scalar parameters: plain Python numbers
-        value, fired = complex(value), bool(fired)
-        predicted = complex(cc if fired else 0.0)
-        return CongruenceSumResult(value, fired, predicted, abs(value - predicted))
     predicted = np.where(fired, float(cc), 0.0).astype(complex)
-    return CongruenceSumResult(value, fired, predicted, complex_abs(value - predicted))
+    diff = complex_abs(value - predicted)
+    return CongruenceSumResult(*(v.reshape(shape) for v in (value, fired, predicted, diff)))

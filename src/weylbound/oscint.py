@@ -6,11 +6,12 @@ per-panel error estimate, and accepted panels are summed in interval
 order so results do not depend on refinement scheduling.  It integrates
 a family of cases at once: a `WeightFamily` and a `PhaseFamily` take
 flat arrays of points and case indices, so every panel generation of
-every case is one evaluator call per chunk, and a single weight and
-phase are a family of one.  On top of it sit the leading-order
-stationary-phase evaluation, nonstationary decay and second-derivative
-bound checks, and the Bessel-weighted sum over weights with its
-integral-kernel identity.  Phases carry their first two derivatives as
+every case is one evaluator call per chunk, and one estimate comes back
+per case.  `WeightFamily.stack` and `PhaseFamily.stack` make a family
+of single `SmoothWeight`s and `PhaseSpec`s.  On top of it sit the
+leading-order stationary-phase evaluation, nonstationary decay and
+second-derivative bound checks, and the Bessel-weighted sum over weights
+with its integral-kernel identity.  Phases carry their first two derivatives as
 exact callables; nothing here differentiates numerically.
 """
 
@@ -66,20 +67,15 @@ def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x, x[:half][::-1]]), np.concatenate([w, w[:half][::-1]])
 
 
-def panel_rule(
-    edges: np.ndarray, order: int, hi: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Panelled Gauss-Legendre: `order` nodes on each [edges[i], edges[i+1]],
-    or on each [edges[i], hi[i]] when the right ends `hi` are given.
+def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Panelled Gauss-Legendre: `order` nodes on each [edges[i], edges[i+1]].
 
     Returns flat (nodes, weights), panel by panel in the given order;
     exact for polynomials of degree 2 order - 1 on each panel.
     """
-    if hi is None:
-        edges, hi = edges[:-1], edges[1:]
     xs, ws = _gl(order)
-    half = 0.5 * (hi - edges)
-    mid = 0.5 * (edges + hi)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
     weights = (half[:, None] * ws[None, :]).ravel()
     return nodes, weights
@@ -203,9 +199,6 @@ class PhaseFamily:
 def _stacked(evaluators, sizes):
     """One (t, k) evaluator over members of the given case counts: member
     j sees its own points with its own case numbers."""
-    if len(evaluators) == 1:
-        only = evaluators[0]
-        return lambda t, k: np.asarray(only(t, k), dtype=float)
     offsets = np.cumsum([0, *sizes])
 
     def ev(t: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -317,21 +310,17 @@ def _phase_edges(h: PhaseFamily, supports: np.ndarray, max_panels: int) -> list[
 def oscillatory_quadrature(w, h, tol: float = 1e-10, max_nodes: int = 3_000_000):
     """integral of w(t) exp(i h(t)) dt over the support of w.
 
-    w and h are a SmoothWeight and a PhaseSpec, giving one
-    ComplexEstimate, or a WeightFamily and a PhaseFamily of B cases,
-    giving a list of B; each case is integrated as if alone.  Initial
-    panels hold ~9 radians of phase each; every panel is accepted only
-    when a GL24/GL12 pair agrees within its share of tol, otherwise it
-    is bisected.  Each generation of pending panels, of every case, is
+    w and h are a WeightFamily and a PhaseFamily of B cases, giving a
+    list of B ComplexEstimates; each case is integrated as if alone.
+    Initial panels hold ~9 radians of phase each; every panel is accepted
+    only when a GL24/GL12 pair agrees within its share of tol, otherwise
+    it is bisected.  Each generation of pending panels, of every case, is
     evaluated in calls of w and h of at most _CHUNK_NODES points; each
     case's accepted panels are summed left to right.  A case past
     max_nodes raises QuadratureError with its partial value.
     """
     if tol < 1e-12:
         raise ValueError("tol below the 1e-12 floor")
-    single = isinstance(w, SmoothWeight)
-    if single:
-        w, h = WeightFamily.stack([w]), PhaseFamily.stack([h])
     n_cases = len(w.supports)
     span = w.supports[:, 1] - w.supports[:, 0]
     edges = _phase_edges(h, w.supports, max_panels=max_nodes // 72)
@@ -375,11 +364,10 @@ def oscillatory_quadrature(w, h, tol: float = 1e-10, max_nodes: int = 3_000_000)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         case = np.concatenate([case, case])
     values, bounds = _left_to_right(kept, n_cases)
-    out = [
+    return [
         ComplexEstimate(v, max(b, 1e-16 * abs(v)), "quadrature")
         for v, b in zip(values, bounds)
     ]
-    return out[0] if single else out
 
 
 def _left_to_right(kept, n_cases: int) -> tuple[list[complex], list[float]]:
@@ -561,17 +549,13 @@ class SecondDerivativeReport:
 def second_derivative_bound_check(g, f):
     """Check |integral g e(f)| <= 8 M / sqrt(r) for f'' of constant sign.
 
-    g and f are a SmoothWeight and a PhaseSpec, giving one report, or a
-    WeightFamily and a PhaseFamily, giving one report per case from one
-    quadrature family.  r = min |f''| and M = max |g| come from a scan
-    of 1025 points per support; monotonicity of g/f' is scanned as a
-    precondition flag.  Raises ValueError if f'' changes sign on any
-    case's support.  The integrand uses the e(x) = exp(2 pi i x)
-    convention of the bound.
+    g and f are a WeightFamily and a PhaseFamily, giving one report per
+    case from one quadrature family.  r = min |f''| and M = max |g| come
+    from a scan of 1025 points per support; monotonicity of g/f' is
+    scanned as a precondition flag.  Raises ValueError if f'' changes
+    sign on any case's support.  The integrand uses the
+    e(x) = exp(2 pi i x) convention of the bound.
     """
-    single = isinstance(g, SmoothWeight)
-    if single:
-        g, f = WeightFamily.stack([g]), PhaseFamily.stack([f])
     n = 1025
     per_call = max(1, _CHUNK_NODES // n)
     scans = []  # r, M, monotone_ok per case
@@ -601,7 +585,7 @@ def second_derivative_bound_check(g, f):
             status="PASS" if abs(val.value) <= bound else "FAIL",
             integral=val.value, bound=bound, r=r, M=M, monotone_ok=monotone_ok,
         ))
-    return out[0] if single else out
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -13,16 +13,16 @@ scaling claims are fitted, never assumed.
 W lives on [1, 2], so I(x^2, n, c) is e^(i omega0 x) times a function
 band-limited in x = sqrt(m).  The J integrals and the assembly read their
 profiles over the outer grid from a Chebyshev interpolant in x, fitted
-once per (n, c) by the dense I kernel; the dense kernel stays as the
-fitting kernel, the point evaluator and the test oracle.  The S5 dual
-side reads its whole window of n from one node grid per (m, c), folded
-onto one period c/N of the e(-N v / c) factor: the rest of the integrand,
-summed over the periods, is one smooth function on that period, read at
-the period's nodes from a Chebyshev interpolant, and only one period's
-nodes (and the leftover piece's) step the phase from n to n + 1.  The
-dual terms are assembled as one array pass over the window.  The S5
-direct side reads S(n, m; c) from one Kloosterman sum per residue class
-n mod c and forms its phases in long double.
+once per (n, c) by the dense I kernel `i_integral_batch`, which is also
+the test oracle.  The S5 dual side reads its whole window of n from one
+node grid per (m, c), folded onto one period c/N of the e(-N v / c)
+factor: the rest of the integrand, summed over the periods, is one
+smooth function on that period, read at the period's nodes from a
+Chebyshev interpolant, and only one period's nodes (and the leftover
+piece's) step the phase from n to n + 1.  The dual terms are assembled
+as one array pass over the window.  The S5 direct side reads S(n, m; c)
+from one Kloosterman sum per residue class n mod c and forms its phases
+in long double.
 """
 
 from __future__ import annotations

@@ -166,11 +166,15 @@ def trace_consistency(
     dim 0: all Delta vanish.  dim 1: Delta is rank one and recovers the
     eigenform's lambda values.  dim 2: the two harmonic weights are
     solved from (1,1) and (2,1), must be positive, and must predict the
-    rest of the grid.
+    rest of the grid.  A grid of fewer than one pair, or of fewer than
+    two where dim >= 1 reads Delta(2, 1), and dim > 2 raise ValueError.
     """
     d = dim_cusp(k)
     if d > 2:
-        raise NotImplementedError("dim S_k > 2 out of scope")
+        raise ValueError(f"the trace check covers dim S_k <= 2, got dim S_{k} = {d}")
+    need = 2 if d else 1
+    if grid_size < need:
+        raise ValueError(f"need grid >= {need} at dim S_{k} = {d}, got grid = {grid_size}")
     mat = petersson_matrix(k, grid_size)
     if d == 0:
         worst = float(np.max(np.abs(mat)))

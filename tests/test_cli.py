@@ -220,6 +220,15 @@ def test_afe_command(capsys):
         (["charsum", "--c-max", "0"], "no character-sum cases"),
         (["charsum", "--cc-max", "0"], "no character-sum cases"),
         (["charsum", "--q-max", "2"], "charsum needs an odd prime q <= q_max"),
+        (["kloosterman", "--p-exhaustive", "1", "--p-max", "1"], "no Kloosterman cases"),
+        (["besselsum", "--x-list", ""], "besselsum needs at least one K"),
+        (["besselsum", "--k-list", ""], "besselsum needs at least one K"),
+        # petersson: past the dim <= 2 eigenforms, and grids too small to read
+        (["petersson", "--k", "36"], "got dim S_36 = 3"),
+        (["petersson", "--grid", "1"], "need grid >= 2 at dim S_12 = 1"),
+        (["petersson", "--k", "24", "--grid", "1"], "need grid >= 2 at dim S_24 = 2"),
+        (["petersson", "--grid", "0"], "need grid >= 2 at dim S_12 = 1"),
+        (["petersson", "--k", "10", "--grid", "0"], "need grid >= 1 at dim S_10 = 0"),
         # no coefficients past lambda(0)
         (["scan", "--prec", "0"], "need coefficients"),
         (["scan", "--prec", "-5"], "need coefficients"),
@@ -252,6 +261,9 @@ def test_afe_command(capsys):
     ],
     ids=["k-above-sqrt-t", "modulus-past-desk-scale", "zero-step",
          "charsum-no-grid", "charsum-no-congruence", "charsum-no-primes",
+         "kloosterman-no-primes", "besselsum-empty-x-list", "besselsum-empty-k-list",
+         "petersson-k36-dim3", "petersson-k12-grid-1", "petersson-k24-grid-1",
+         "petersson-grid-0", "petersson-k10-grid-0",
          "prec-zero", "prec-negative", "k16-prec-zero", "prec-past-desk-scale",
          "afe-t-inf",
          "step-inf", "t-min-nan", "t-max-nan", "step-nan",
@@ -334,6 +346,8 @@ def test_scan_rejects_empty_range(t_max, capsys):
         (["charsum", "--c-max", "6", "--cc-max", "4", "--q-max", "5"], EXIT_PASS, 3),
         (["kloosterman", "--p-exhaustive", "7", "--p-max", "40"], EXIT_PASS, 1),
         (["petersson", "--k", "12", "--grid", "4"], EXIT_PASS, 1),
+        # dim S_10 = 0: a single pair is enough to see Delta vanish
+        (["petersson", "--k", "10", "--grid", "1"], EXIT_PASS, 1),
         # the third line is criterion 5b, the deliberate red
         (["besselsum", "--k-list", "8", "--x-list", "10"], EXIT_CHECK_FAILURE, 3),
         (["oscint"], EXIT_PASS, 1),
@@ -341,8 +355,8 @@ def test_scan_rejects_empty_range(t_max, capsys):
         (["pipeline"], EXIT_PASS, 3),
         (["scan", "--t-min", "20", "--t-max", "22", "--step", "0.5"], EXIT_PASS, 1),
     ],
-    ids=["charsum", "kloosterman", "petersson", "besselsum", "oscint", "afe",
-         "pipeline", "scan"],
+    ids=["charsum", "kloosterman", "petersson", "petersson-k10-grid-1", "besselsum",
+         "oscint", "afe", "pipeline", "scan"],
 )
 def test_every_command_runs(argv, code, n_lines, capsys):
     assert main(argv) == code

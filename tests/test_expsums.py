@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from collections import Counter
 
@@ -8,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from weylbound import acceptance, expsums
 from weylbound.arith import inv_mod, primes_up_to, unit_roots
-from weylbound.characters import enumerate_characters, gauss_sum
+from weylbound.characters import (
+    closed_form_candidate,
+    enumerate_characters,
+    gauss_sum,
+    odd_character_average,
+)
 from weylbound.expsums import (
     charsum_congruence,
     charsum_grid,
@@ -82,13 +88,13 @@ def test_twisted_reduces_to_untwisted():
     for c in (3, 6, 12, 15):
         for m, n in [(1, 1), (2, 3)]:
             assert abs(
-                twisted_kloosterman(principal3, m, n, c) - kloosterman(m, n, c)
+                twisted_kloosterman([principal3], m, n, c)[0] - kloosterman(m, n, c)
             ) < 1e-12
 
 
 def test_twisted_hand_value_mod3():
     chi = quadratic_character(3)
-    val = twisted_kloosterman(chi, 1, 1, 3)
+    (val,) = twisted_kloosterman([chi], 1, 1, 3)
     expect = cmath.exp(4j * math.pi / 3) - cmath.exp(8j * math.pi / 3)
     assert abs(val - expect) < 1e-12
     assert abs(val - (-1j * math.sqrt(3))) < 1e-12
@@ -96,7 +102,7 @@ def test_twisted_hand_value_mod3():
 
 def test_twisted_quadratic_mod5_gauss_structure():
     chi = quadratic_character(5)
-    val = twisted_kloosterman(chi, 0, 2, 5)
+    (val,) = twisted_kloosterman([chi], 0, 2, 5)
     # S_chi(0, 2; 5) = sum chi(x) e(2 xbar/5) = conj(chi)(2bar)... brute check
     brute = sum(
         chi.value(x) * cmath.exp(2j * math.pi * (2 * inv_mod(x, 5)) / 5)
@@ -119,13 +125,18 @@ def _twisted_loop(chi, m, n, c):
 
 
 def test_twisted_tables_match_unit_loop_bitwise():
-    # every character mod q <= 13, every multiple c <= 20 q of q
+    # every character mod q <= 13, every multiple c <= 20 q of q: one
+    # call per (q, c) over the characters and the (m, n) pairs
     cases = 0
     for q in (3, 5, 7, 11, 13):
-        for chi in enumerate_characters(q):
-            for c in range(q, 20 * q + 1, q):
-                for m, n in ((0, 1), (1, 1), (2, q - 1), (q, 3)):
-                    assert twisted_kloosterman(chi, m, n, c) == _twisted_loop(chi, m, n, c)
+        chars = enumerate_characters(q)
+        pairs = ((0, 1), (1, 1), (2, q - 1), (q, 3))
+        ms, ns = zip(*pairs)
+        for c in range(q, 20 * q + 1, q):
+            got = twisted_kloosterman(chars, ms, ns, c)
+            for j, chi in enumerate(chars):
+                for i, (m, n) in enumerate(pairs):
+                    assert got[j, i] == _twisted_loop(chi, m, n, c)
                     cases += 1
     assert cases == 2720
 
@@ -133,7 +144,7 @@ def test_twisted_tables_match_unit_loop_bitwise():
 def test_twisted_modulus_mismatch():
     chi = quadratic_character(5)
     with pytest.raises(ValueError):
-        twisted_kloosterman(chi, 1, 1, 12)
+        twisted_kloosterman([chi], 1, 1, 12)
 
 
 def _primitive_odd(q):
@@ -141,43 +152,42 @@ def _primitive_odd(q):
 
 
 def test_factorization_exact_middle_q3():
-    chi = _primitive_odd(3)[0]
-    rep = verify_twisted_factorization(chi, n=1, mprime=1, nu=0, c=2)
-    assert rep.diff_lhs_middle < TOL
-    assert rep.diff_lhs_corrected < TOL
+    rep = verify_twisted_factorization(_primitive_odd(3), n=1, mprime=1, nu=0, c=2)
+    assert rep.lhs.shape == (1,)
+    assert rep.diff_lhs_middle[0] < TOL
+    assert rep.diff_lhs_corrected[0] < TOL
     # displayed final form misses psi(-1) = -1: off by a sign here
-    assert rep.diff_lhs_displayed > 1.0
+    assert rep.diff_lhs_displayed[0] > 1.0
 
 
 def test_factorization_degenerate_c1():
-    chi = _primitive_odd(3)[0]
-    rep = verify_twisted_factorization(chi, n=2, mprime=1, nu=1, c=1)
-    assert rep.diff_lhs_middle < TOL
-    assert rep.diff_lhs_corrected < TOL
+    rep = verify_twisted_factorization(_primitive_odd(3), n=2, mprime=1, nu=1, c=1)
+    assert rep.diff_lhs_middle[0] < TOL
+    assert rep.diff_lhs_corrected[0] < TOL
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_factorization_sweep_small(q):
     mprime = 3 if q != 3 else 2
-    for chi in _primitive_odd(q):
-        for c in [1, 2, 4, 5, 6]:
-            if math.gcd(c, q) != 1:
-                continue
-            for nu in (0, 1):
-                rep = verify_twisted_factorization(chi, n=2, mprime=mprime, nu=nu, c=c)
-                assert rep.diff_lhs_middle < TOL, (q, c, nu)
-                assert rep.diff_lhs_corrected < TOL, (q, c, nu)
+    psis = _primitive_odd(q)
+    for c in [1, 2, 4, 5, 6]:
+        if math.gcd(c, q) != 1:
+            continue
+        rep = verify_twisted_factorization(psis, n=2, mprime=mprime, nu=[0, 1], c=c)
+        assert rep.lhs.shape == (len(psis), 2)
+        assert np.all(rep.diff_lhs_middle < TOL), (q, c)
+        assert np.all(rep.diff_lhs_corrected < TOL), (q, c)
 
 
 def test_factorization_rejects_bad_args():
-    chi = _primitive_odd(5)[0]
+    psis = _primitive_odd(5)
     with pytest.raises(ValueError):
-        verify_twisted_factorization(chi, n=1, mprime=1, nu=0, c=10)
+        verify_twisted_factorization(psis, n=1, mprime=1, nu=0, c=10)
     with pytest.raises(ValueError):
-        verify_twisted_factorization(chi, n=1, mprime=5, nu=0, c=2)
+        verify_twisted_factorization(psis, n=1, mprime=5, nu=0, c=2)
     even = [c for c in enumerate_characters(5) if c.primitive and not c.is_odd]
     with pytest.raises(ValueError):
-        verify_twisted_factorization(even[0], n=1, mprime=1, nu=0, c=2)
+        verify_twisted_factorization(even[:1], n=1, mprime=1, nu=0, c=2)
 
 
 def test_charsum_grid_hand_values():
@@ -195,13 +205,12 @@ def test_charsum_grid_hand_values():
 
 
 def test_charsum_grid_closed_form_sweep():
+    # every m mod c with every unit n, one call per c
     for c in range(1, 41):
-        for n in range(1, c + 1):
-            if math.gcd(n, c) != 1:
-                continue
-            for m in range(0, c):
-                r = charsum_grid(m, n, c)
-                assert r.abs_diff is not None and r.abs_diff < TOL, (m, n, c)
+        units = np.array([n for n in range(1, c + 1) if math.gcd(n, c) == 1])
+        r = charsum_grid(np.arange(c), units[:, None], c)
+        assert r.abs_diff is not None and r.abs_diff.shape == (units.size, c)
+        assert np.all(r.abs_diff < TOL), c
 
 
 def test_charsum_grid_noncoprime_marked_inapplicable():
@@ -247,19 +256,17 @@ def test_charsum_congruence_hand_values():
 
 
 def test_charsum_congruence_sweep():
+    # every unit pair (n1, n2) with sampled m, one call per (c1, c2)
     for c1 in range(1, 13):
         for c2 in range(1, 13):
             if math.gcd(c1, c2) != 1:
                 continue
-            for n1 in range(1, c1 + 1):
-                if math.gcd(n1, c1) != 1:
-                    continue
-                for n2 in range(1, c2 + 1):
-                    if math.gcd(n2, c2) != 1:
-                        continue
-                    for m in range(0, c1 * c2, max(1, c1 * c2 // 3)):
-                        r = charsum_congruence(m, n1, n2, c1, c2)
-                        assert r.abs_diff < TOL, (m, n1, n2, c1, c2)
+            n1 = np.array([n for n in range(1, c1 + 1) if math.gcd(n, c1) == 1])
+            n2 = np.array([n for n in range(1, c2 + 1) if math.gcd(n, c2) == 1])
+            ms = np.arange(0, c1 * c2, max(1, c1 * c2 // 3))
+            r = charsum_congruence(ms, n1[:, None, None], n2[:, None], c1, c2)
+            assert r.abs_diff.shape == (n1.size, n2.size, ms.size)
+            assert np.all(r.abs_diff < TOL), (c1, c2)
 
 
 def test_charsum_congruence_rejects_noncoprime():
@@ -277,13 +284,13 @@ def test_charsum_grid_array_m_matches_scalar_calls(n, c):
     ms = np.arange(-c, 2 * c)
     r = charsum_grid(ms, n, c)
     for i, m in enumerate(ms.tolist()):
-        one = charsum_grid(m, n, c)
-        assert _same(r.value[i], one.value), m
+        one = charsum_grid([m], n, c)
+        assert _same(r.value[i], one.value[0]), m
         if one.closed_form is None:
             assert r.closed_form is None and r.abs_diff is None
         else:
-            assert _same(r.closed_form[i], one.closed_form), m
-            assert float(r.abs_diff[i]) == one.abs_diff, m
+            assert _same(r.closed_form[i], one.closed_form[0]), m
+            assert r.abs_diff[i] == one.abs_diff[0], m
 
 
 @pytest.mark.parametrize(
@@ -293,10 +300,10 @@ def test_charsum_congruence_array_m_matches_scalar_calls(n1, n2, c1, c2):
     ms = np.arange(-3, c1 * c2 + 3)
     r = charsum_congruence(ms, n1, n2, c1, c2)
     for i, m in enumerate(ms.tolist()):
-        one = charsum_congruence(m, n1, n2, c1, c2)
-        assert _same(r.value[i], one.value) and _same(r.predicted[i], one.predicted), m
-        assert bool(r.indicator[i]) is one.indicator, m
-        assert float(r.abs_diff[i]) == one.abs_diff, m
+        one = charsum_congruence([m], n1, n2, c1, c2)
+        assert _same(r.value[i], one.value[0]) and _same(r.predicted[i], one.predicted[0]), m
+        assert r.indicator[i] == one.indicator[0], m
+        assert r.abs_diff[i] == one.abs_diff[0], m
 
 
 def test_criterion_1_sums_each_root_sum_once(monkeypatch):
@@ -375,7 +382,8 @@ def test_kloosterman_reals_equal_scalar_calls(c):
         got = expsums.kloosterman_reals(a, b, c)
         assert got.shape == a.shape
         for i, m in enumerate(a.tolist()):
-            assert repr(float(got[i])) == repr(kloosterman(m, b, c).real), (m, b)
+            (one,) = kloosterman([m], b, c)
+            assert repr(float(got[i])) == repr(float(one.real)), (m, b)
     grid = expsums.kloosterman_reals(a.reshape(-1, 1), a.reshape(1, -1), c)
     assert grid.shape == (a.size, a.size)
     assert np.array_equal(grid, grid.T)  # S(m, n; c) = S(n, m; c), bit for bit
@@ -401,10 +409,10 @@ def test_charsum_grid_array_n_matches_scalar_calls(c):
     assert r.value.shape == (ns.size, ms.size)
     for i, n in enumerate(ns.tolist()):
         for j, m in enumerate(ms.tolist()):
-            one = charsum_grid(m, n, c)
-            assert _same(r.value[i, j], one.value), (m, n)
-            assert _same(r.closed_form[i, j], one.closed_form), (m, n)
-            assert float(r.abs_diff[i, j]) == one.abs_diff, (m, n)
+            one = charsum_grid([m], [n], c)
+            assert _same(r.value[i, j], one.value[0]), (m, n)
+            assert _same(r.closed_form[i, j], one.closed_form[0]), (m, n)
+            assert r.abs_diff[i, j] == one.abs_diff[0], (m, n)
 
 
 def test_charsum_grid_array_n_with_a_nonunit_is_inapplicable():
@@ -423,11 +431,11 @@ def test_charsum_congruence_array_n_matches_scalar_calls(c1, c2):
     for i, a in enumerate(n1.tolist()):
         for j, b in enumerate(n2.tolist()):
             for k, m in enumerate(ms.tolist()):
-                one = charsum_congruence(m, a, b, c1, c2)
-                assert _same(r.value[i, j, k], one.value), (m, a, b)
-                assert _same(r.predicted[i, j, k], one.predicted), (m, a, b)
-                assert bool(r.indicator[i, j, k]) is one.indicator
-                assert float(r.abs_diff[i, j, k]) == one.abs_diff, (m, a, b)
+                one = charsum_congruence([m], [a], [b], c1, c2)
+                assert _same(r.value[i, j, k], one.value[0]), (m, a, b)
+                assert _same(r.predicted[i, j, k], one.predicted[0]), (m, a, b)
+                assert r.indicator[i, j, k] == one.indicator[0]
+                assert r.abs_diff[i, j, k] == one.abs_diff[0], (m, a, b)
 
 
 def test_charsum_congruence_array_rejects_a_noninvertible_n():
@@ -484,8 +492,11 @@ def test_factorization_arrays_equal_expanded_terms(q):
                 assert all(map(_same, got, want)), (q, j, c, i)
                 assert float(rep.diff_lhs_middle[j, i]) == abs(want[0] - want[1])
                 assert float(rep.diff_lhs_corrected[j, i]) == abs(want[0] - want[3])
-                one = verify_twisted_factorization(chi, n=ns[i], mprime=mps[i], nu=nus[i], c=c)
-                assert all(map(_same, (one.lhs, one.middle, one.displayed, one.corrected), want))
+                one = verify_twisted_factorization(
+                    [chi], n=[ns[i]], mprime=[mps[i]], nu=[nus[i]], c=c
+                )
+                got = (one.lhs[0, 0], one.middle[0, 0], one.displayed[0, 0], one.corrected[0, 0])
+                assert all(map(_same, got, want))
 
 
 def test_twisted_kloosterman_arrays_equal_scalar_calls():
@@ -495,6 +506,30 @@ def test_twisted_kloosterman_arrays_equal_scalar_calls():
     assert got.shape == (len(chars13), ms.size)
     for j, chi in enumerate(chars13):
         for i, m in enumerate(ms.tolist()):
-            assert _same(got[j, i], twisted_kloosterman(chi, m, 3, 26))
+            assert _same(got[j, i], twisted_kloosterman([chi], [m], 3, 26)[0, 0])
     with pytest.raises(ValueError):
         twisted_kloosterman(chars13 + enumerate_characters(5), 1, 1, 65)
+
+
+def _zero_d_is_row_0(scalar, batch):
+    assert isinstance(scalar, np.ndarray) and scalar.shape == ()
+    assert batch.shape == (1,) and scalar == batch[0]
+
+
+def test_scalar_parameters_give_0d_arrays_equal_to_a_batch_of_one():
+    # one call form: scalar parameters are a batch of shape (), and every
+    # field equals row 0 of the shape-(1,) call
+    for one, batch in [
+        (charsum_grid(7, 3, 8), charsum_grid([7], [3], 8)),
+        (charsum_congruence(-4, 2, 3, 5, 7), charsum_congruence([-4], [2], [3], 5, 7)),
+    ]:
+        for f in dataclasses.fields(one):
+            _zero_d_is_row_0(getattr(one, f.name), getattr(batch, f.name))
+    _zero_d_is_row_0(kloosterman(2, 5, 12), kloosterman([2], [5], 12))
+    _zero_d_is_row_0(
+        odd_character_average(7, 2, 3, 4), odd_character_average(7, [2], [3], [4])
+    )
+    _zero_d_is_row_0(
+        closed_form_candidate(7, 2, 3, 1, "product"),
+        closed_form_candidate(7, [2], [3], 1, "product"),
+    )

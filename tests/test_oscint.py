@@ -31,6 +31,22 @@ ZERO_PHASE = PhaseSpec(
 )
 
 
+def quadrature(w, h, tol=1e-10, max_nodes=3_000_000):
+    """One weight and phase as a quadrature family of one."""
+    (est,) = oscillatory_quadrature(
+        oscint.WeightFamily.stack([w]), PhaseFamily.stack([h]), tol, max_nodes
+    )
+    return est
+
+
+def second_derivative_report(g, f):
+    """One weight and phase as a second-derivative check family of one."""
+    (rep,) = second_derivative_bound_check(
+        oscint.WeightFamily.stack([g]), PhaseFamily.stack([f])
+    )
+    return rep
+
+
 def quadratic_phase(A, center=1.5):
     return PhaseSpec(
         evaluator=lambda t: A * (t - center) ** 2,
@@ -77,7 +93,7 @@ def test_plateau_is_flat_on_middle():
 
 def test_quadrature_no_oscillation():
     w = bump_weight(1.0, 2.0)
-    r = oscillatory_quadrature(w, ZERO_PHASE, tol=1e-12)
+    r = quadrature(w, ZERO_PHASE, tol=1e-12)
     ref = quad(lambda t: w(np.array([t]))[0], 1, 2, epsabs=1e-14)[0]
     assert abs(r.value - ref) < 1e-12
 
@@ -90,8 +106,8 @@ def test_quadrature_self_consistency():
         deriv2=lambda t: -40000.0 / t**2,
         Y=4e4, Q=1.5,
     )
-    r1 = oscillatory_quadrature(w, h, tol=1e-9)
-    r2 = oscillatory_quadrature(w, h, tol=1e-12)
+    r1 = quadrature(w, h, tol=1e-9)
+    r2 = quadrature(w, h, tol=1e-12)
     assert abs(r1.value - r2.value) <= max(r1.abs_error, 1e-12)
 
 
@@ -132,8 +148,8 @@ def _regression_corpus(n_cases=50, seed=11):
 def test_quadrature_regression_corpus_halving():
     # halving tol moves the result by less than the claimed bound
     for w, h in _regression_corpus():
-        r1 = oscillatory_quadrature(w, h, tol=2e-9)
-        r2 = oscillatory_quadrature(w, h, tol=1e-9)
+        r1 = quadrature(w, h, tol=2e-9)
+        r2 = quadrature(w, h, tol=1e-9)
         assert abs(r1.value - r2.value) <= max(r1.abs_error, r2.abs_error, 1e-13)
 
 
@@ -147,7 +163,7 @@ def test_stationary_error_model_on_corpus():
             s0 = stationary_phase_eval(w, h)
         except StationaryPointError:
             continue
-        ref = oscillatory_quadrature(w, h, tol=1e-12)
+        ref = quadrature(w, h, tol=1e-12)
         assert abs(s0.value - ref.value) <= 2 * s0.abs_error
         checked += 1
     assert checked == 28
@@ -160,7 +176,7 @@ def test_quadrature_phase_budget():
         deriv2=np.zeros_like,
     )
     with pytest.raises(ValueError):
-        oscillatory_quadrature(w, h, tol=1e-9)
+        quadrature(w, h, tol=1e-9)
 
 
 def test_quadrature_node_budget_reports_partial():
@@ -170,7 +186,7 @@ def test_quadrature_node_budget_reports_partial():
         deriv2=np.zeros_like,
     )
     with pytest.raises(QuadratureError) as exc:
-        oscillatory_quadrature(w, h, tol=1e-12, max_nodes=500)
+        quadrature(w, h, tol=1e-12, max_nodes=500)
     assert exc.value.achieved_bound > 0
 
 
@@ -180,14 +196,14 @@ def test_stationary_phase_quadratic_leading():
     got = stationary_phase_eval(w, quadratic_phase(A))
     lead = math.sqrt(math.pi / A) * np.exp(1j * math.pi / 4) * w(np.array([1.5]))[0]
     assert abs(got.value - lead) < 1e-14
-    ref = oscillatory_quadrature(w, quadratic_phase(A), tol=1e-12)
+    ref = quadrature(w, quadratic_phase(A), tol=1e-12)
     assert abs(got.value - ref.value) <= 0.02 * abs(ref.value)
 
 
 def test_stationary_phase_negative_curvature():
     w = bump_weight(1.0, 2.0)
     h = quadratic_phase(-700.0)
-    ref = oscillatory_quadrature(w, h, tol=1e-12).value
+    ref = quadrature(w, h, tol=1e-12).value
     got = stationary_phase_eval(w, h)
     assert abs(got.value - ref) <= 2 * got.abs_error
 
@@ -196,7 +212,7 @@ def test_stationary_phase_error_model_envelope():
     w = bump_weight(1.0, 2.0)
     for A in (200.0, 1000.0, 5000.0):
         h = quadratic_phase(A)
-        ref = oscillatory_quadrature(w, h, tol=1e-12).value
+        ref = quadrature(w, h, tol=1e-12).value
         s0 = stationary_phase_eval(w, h)
         assert abs(s0.value - ref) <= 2 * s0.abs_error, A
 
@@ -225,7 +241,7 @@ def test_fresnel_gaussian_reference_case():
         evaluator=lambda t: A * t**2, deriv=lambda t: 2 * A * t,
         deriv2=lambda t: 2 * A * np.ones_like(t), Q=1.0,
     )
-    got = oscillatory_quadrature(wg, h, tol=1e-12)
+    got = quadrature(wg, h, tol=1e-12)
     assert abs(got.value - fresnel_gaussian_reference(A)) < 1e-11
 
 
@@ -251,7 +267,7 @@ def test_offdiag_dual_phase_curvature_scale():
     x0 = _find_stationary_point(h, 0.8, 1.6)
     curv = abs(float(h.deriv2(np.array([x0]))[0]))
     assert t / 4 <= curv <= 4 * t
-    ref = oscillatory_quadrature(w, h, tol=1e-12)
+    ref = quadrature(w, h, tol=1e-12)
     assert abs(got.value - ref.value) <= 0.02 * abs(ref.value)
 
 
@@ -341,7 +357,7 @@ def test_decay_ladder_is_one_family_of_single_integrals():
         hs = PhaseSpec(
             evaluator=lambda t, s=s: s * np.asarray(h(t)), deriv=h.deriv, deriv2=h.deriv2
         )
-        assert mag == abs(oscillatory_quadrature(w, hs, tol=1e-12).value), s
+        assert mag == abs(quadrature(w, hs, tol=1e-12).value), s
 
 
 def test_nonstationary_below_threshold_inconclusive():
@@ -378,8 +394,8 @@ def test_plus_sign_phase_is_negligible():
         deriv=lambda v: two_pi * (u - 2 * coef * v),
         deriv2=lambda v: -two_pi * 2 * coef * np.ones_like(v),
     )
-    ip = oscillatory_quadrature(w, h_plus, tol=1e-12)
-    im = oscillatory_quadrature(w, h_minus, tol=1e-12)
+    ip = quadrature(w, h_plus, tol=1e-12)
+    im = quadrature(w, h_minus, tol=1e-12)
     assert abs(im.value) >= 1e3 * abs(ip.value)
 
 
@@ -389,7 +405,7 @@ def test_second_derivative_bound_square_phase():
         evaluator=lambda x: x**2, deriv=lambda x: 2 * x,
         deriv2=lambda x: 2 * np.ones_like(x), Y=4.0, Q=1.0,
     )
-    rep = second_derivative_bound_check(g, f)
+    rep = second_derivative_report(g, f)
     assert rep.status == "PASS"
     assert abs(rep.r - 2.0) < 1e-6
     assert rep.bound >= abs(rep.integral)
@@ -405,7 +421,7 @@ def test_second_derivative_bound_log_phase():
         deriv2=lambda x: -(t / (2 * math.pi)) / x**2,
         Y=t, Q=1.0,
     )
-    rep = second_derivative_bound_check(g, f)
+    rep = second_derivative_report(g, f)
     assert rep.status == "PASS"
     assert abs(rep.r - t / (8 * math.pi)) < 0.05 * rep.r
     assert abs(rep.integral) <= 8.0 / math.sqrt(t / (8 * math.pi))
@@ -417,7 +433,7 @@ def test_second_derivative_bound_zero_weight():
         evaluator=lambda x: x**2, deriv=lambda x: 2 * x,
         deriv2=lambda x: 2 * np.ones_like(x),
     )
-    rep = second_derivative_bound_check(g, f)
+    rep = second_derivative_report(g, f)
     assert rep.status == "PASS"
     assert abs(rep.integral) < 1e-12
 
@@ -429,7 +445,7 @@ def test_second_derivative_sign_change_rejected():
         deriv2=lambda x: 6 * x,
     )
     with pytest.raises(ValueError):
-        second_derivative_bound_check(g, f)
+        second_derivative_report(g, f)
 
 
 def bump_fourier(v: np.ndarray) -> np.ndarray:
@@ -649,7 +665,7 @@ def test_batched_quadrature_matches_per_panel_loop():
     cases = _quadrature_corpus()
     assert len(cases) == 12 + 100 + 4
     for w, h, tol in cases:
-        got = oscillatory_quadrature(w, h, tol=tol).value
+        got = quadrature(w, h, tol=tol).value
         ref = _per_panel_quadrature(w, h, tol)
         assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref)), (w.support, tol)
 
@@ -810,7 +826,7 @@ def test_family_quadrature_equals_single_calls_on_regression_corpus(tol):
     )
     assert len(family) == len(cases)
     for (w, h), got in zip(cases, family):
-        assert _same_estimate(got, oscillatory_quadrature(w, h, tol=tol)), w.support
+        assert _same_estimate(got, quadrature(w, h, tol=tol)), w.support
 
 
 def test_family_quadrature_equals_single_calls_on_criterion_6():
@@ -822,7 +838,7 @@ def test_family_quadrature_equals_single_calls_on_criterion_6():
         tol=1e-12,
     )
     for (w, h), got in zip(cases, family):
-        assert _same_estimate(got, oscillatory_quadrature(w, h, tol=1e-12))
+        assert _same_estimate(got, quadrature(w, h, tol=1e-12))
     g, f, draws = acceptance._vdc_corpus(20240801)
     assert len(draws) == len(g.supports) == 200
     reports = second_derivative_bound_check(g, f)
@@ -833,7 +849,7 @@ def test_family_quadrature_equals_single_calls_on_criterion_6():
             deriv=lambda x, a=a, b=b, d=d: 2 * a * x + b + d / x,
             deriv2=lambda x, a=a, d=d: 2 * a - d / x**2,
         )
-        one = second_derivative_bound_check(w, h)
+        one = second_derivative_report(w, h)
         assert repr(got) == repr(one), (kind, a, b, d, amp)
 
 
@@ -844,7 +860,7 @@ def _nodes_used(w, h, tol):
     counted = SmoothWeight(
         lambda t: (seen.append(t.size), w(t))[1], w.support, w.amp_scale, w.var_scale
     )
-    oscillatory_quadrature(counted, h, tol=tol)
+    quadrature(counted, h, tol=tol)
     edges = oscint._phase_edges(PhaseFamily.stack([h]), np.array([w.support]), 10**9)[0]
     return sum(seen), edges.size - 1
 
