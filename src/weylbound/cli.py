@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -137,6 +138,9 @@ def _suite_besselsum(cfg: RunConfig):
     xs = tuple(_list(cfg.params["x_list"], float))
     if not ks or not xs:
         raise ConfigError("besselsum needs at least one K in k_list and one x in x_list")
+    for x in xs:
+        if not math.isfinite(x):
+            raise ConfigError(f"x must be finite, got {x}")
     return _unlabelled(
         partial(acceptance.criterion_bessel_sum_identity, ks, xs),
         partial(acceptance.criterion_ksum_asymptotic_scale, ks),

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modforms import delta_eigenform, dim_cusp, hecke_eigenforms
-from .oscint import SmoothWeight, panel_rule
+from .oscint import WeightFamily, panel_rule
 from .special import (
     ComplexEstimate,
     bessel_j_table,
@@ -425,18 +425,21 @@ def central_value(
 
 
 def sn_sum(
-    coeffs: CoefficientSource, N: int, t: float, W: SmoothWeight
-) -> complex:
-    """sum of lambda(n) n^{it} W(n/N) over the support of W, compensated."""
-    lo, hi = W.support
-    n_lo = max(1, int(math.floor(lo * N)))
-    n_hi = int(math.ceil(hi * N))
-    if n_hi > coeffs.n_max:
-        raise ValueError(f"need coefficients to n = {n_hi}, have {coeffs.n_max}")
-    ns = np.arange(n_lo, n_hi + 1, dtype=float)
-    wv = W(ns / N)
-    terms = coeffs.values[n_lo : n_hi + 1] * wv * np.exp(1j * t * np.log(ns))
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    coeffs: CoefficientSource, N: int, t: float, W: WeightFamily
+) -> list[complex]:
+    """sum of lambda(n) n^{it} W_k(n/N) over the support of each case W_k
+    of the family W, compensated: one sum per case."""
+    out = []
+    for k, (lo, hi) in enumerate(W.supports.tolist()):
+        n_lo = max(1, int(math.floor(lo * N)))
+        n_hi = int(math.ceil(hi * N))
+        if n_hi > coeffs.n_max:
+            raise ValueError(f"need coefficients to n = {n_hi}, have {coeffs.n_max}")
+        ns = np.arange(n_lo, n_hi + 1, dtype=float)
+        wv = W.evaluator(ns / N, np.full(ns.size, k))
+        terms = coeffs.values[n_lo : n_hi + 1] * wv * np.exp(1j * t * np.log(ns))
+        out.append(complex(math.fsum(terms.real), math.fsum(terms.imag)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,16 @@ A brute-force adaptive quadrature is the ground truth: panels are sized
 so each carries a bounded amount of phase, Gauss-Legendre pairs give a
 per-panel error estimate, and accepted panels are summed in interval
 order so results do not depend on refinement scheduling.  It integrates
-a family of cases at once: a `WeightFamily` and a `PhaseFamily` take
-flat arrays of points and case indices, so every panel generation of
-every case is one evaluator call per chunk, and one estimate comes back
-per case.  `WeightFamily.stack` and `PhaseFamily.stack` make a family
-of single `SmoothWeight`s and `PhaseSpec`s.  On top of it sit the
-leading-order stationary-phase evaluation, nonstationary decay and
-second-derivative bound checks, and the Bessel-weighted sum over weights
-with its integral-kernel identity.  Phases carry their first two derivatives as
-exact callables; nothing here differentiates numerically.
+a family of cases at once: a `WeightFamily` and a `PhaseFamily` are the
+only weight and phase types, and take flat arrays of points and case
+indices, so every panel generation of every case is one evaluator call
+per chunk, and one estimate comes back per case; a single weight is a
+family of one.  On top of it sit the leading-order stationary-phase
+evaluation, nonstationary decay and second-derivative bound checks,
+each over a family with one result per case, and the Bessel-weighted
+sum over weights with its integral-kernel identity.  Phases carry their
+first two derivatives as exact callables; nothing here differentiates
+numerically.
 """
 
 from __future__ import annotations
@@ -94,43 +95,6 @@ class QuadratureError(RuntimeError):
 # weights and phases
 
 
-@dataclass
-class SmoothWeight:
-    """A smooth weight w with compact support [a, b].
-
-    amp_scale and var_scale are the X and V of the derivative model
-    w^(j) << X V^(-j); they gauge error heuristics, not correctness.
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
-    amp_scale: float = 1.0
-    var_scale: float = 1.0
-
-    def __call__(self, t):
-        return self.evaluator(np.asarray(t, dtype=float))
-
-
-@dataclass
-class PhaseSpec:
-    """A smooth phase h (radians), its first two derivatives and scale
-    metadata.
-
-    h^(j) << Y Q^(-j) and, where relevant, h'' >> Y Q^(-2); R is an
-    optional lower bound for |h'| used by the nonstationary check.
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-    deriv2: Callable[[np.ndarray], np.ndarray]
-    Y: float = 1.0
-    Q: float = 1.0
-    R: float | None = None
-
-    def __call__(self, t):
-        return self.evaluator(np.asarray(t, dtype=float))
-
-
 def _canonical_bump(s: np.ndarray) -> np.ndarray:
     out = np.zeros_like(s)
     m = np.abs(s) < 1.0
@@ -155,45 +119,48 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
 class WeightFamily:
     """B smooth weights as one evaluator: evaluator(t, k) is w_k(t) at
     parallel flat arrays of points t and case indices k, each point in
-    its case's support supports[k]; amp_scales[k] is case k's X."""
+    its case's support supports[k].  amp_scales[k] and var_scales[k] are
+    case k's X and V of the derivative model w^(j) << X V^(-j); they
+    gauge error heuristics, not correctness."""
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     supports: np.ndarray  # (B, 2)
     amp_scales: np.ndarray  # (B,)
+    var_scales: np.ndarray  # (B,)
 
     @classmethod
-    def stack(cls, members: Sequence[SmoothWeight | WeightFamily]) -> WeightFamily:
-        """The members' cases in turn; a SmoothWeight is one case."""
-        members = [
-            m if isinstance(m, WeightFamily)
-            else cls(lambda t, k, w=m: w(t), np.array([m.support], dtype=float),
-                     np.array([m.amp_scale], dtype=float))
-            for m in members
-        ]
+    def stack(cls, members: Sequence[WeightFamily]) -> WeightFamily:
+        """The members' cases in turn."""
         return cls(
             _stacked([m.evaluator for m in members], [len(m.supports) for m in members]),
-            np.concatenate([m.supports for m in members]),
-            np.concatenate([m.amp_scales for m in members]),
+            *(np.concatenate([getattr(m, name) for m in members])
+              for name in ("supports", "amp_scales", "var_scales")),
         )
 
 
 @dataclass
 class PhaseFamily:
-    """B phases as one evaluator, with their first two derivatives:
-    each takes parallel flat arrays of points t and case indices k."""
+    """B phases (radians) as one evaluator, with their first two
+    derivatives: each takes parallel flat arrays of points t and case
+    indices k.
+
+    Y and Q are each case's scales in h^(j) << Y Q^(-j) and, where
+    relevant, h'' >> Y Q^(-2); R is a lower bound for |h'|, which the
+    nonstationary check needs.  Each is an array of B values or one
+    value for every case.
+    """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray, np.ndarray], np.ndarray]
     deriv2: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    Y: np.ndarray | float = 1.0
+    Q: np.ndarray | float = 1.0
+    R: np.ndarray | float | None = None
 
-    @classmethod
-    def stack(cls, members: Sequence[PhaseSpec]) -> PhaseFamily:
-        """The phases in turn, one case each."""
-        sizes = [1] * len(members)
-        return cls(*(
-            _stacked([lambda t, k, f=getattr(h, name): f(t) for h in members], sizes)
-            for name in ("evaluator", "deriv", "deriv2")
-        ))
+
+def _per_case(value, n_cases: int) -> list[float]:
+    """A per-case scale, or one for every case, as n_cases floats."""
+    return np.broadcast_to(np.asarray(value, dtype=float), (n_cases,)).tolist()
 
 
 def _stacked(evaluators, sizes):
@@ -214,52 +181,39 @@ def _stacked(evaluators, sizes):
     return ev
 
 
-def _bump(t, mid, half, amp):
-    return amp * _canonical_bump((t - mid) / half)
+def _cases(*values) -> tuple[np.ndarray, ...]:
+    """Scalars or arrays broadcast together, as 1-d float arrays."""
+    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in values))
 
 
-def bump_weight(a, b, amp=1.0) -> SmoothWeight | WeightFamily:
+def bump_weight(a, b, amp=1.0) -> WeightFamily:
     """Canonical bump exp(1 - 1/(1-s^2)) mapped onto [a, b], peak = amp.
 
-    Arrays a, b, amp (broadcast together) give a WeightFamily, case k on
-    [a_k, b_k] with peak amp_k.
+    a, b and amp broadcast together, case k on [a_k, b_k] with peak
+    amp_k; scalars give a family of one.
     """
+    a, b, amp = _cases(a, b, amp)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    if np.ndim(a) == np.ndim(b) == np.ndim(amp) == 0:
-        return SmoothWeight(
-            lambda t: _bump(np.asarray(t, dtype=float), mid, half, amp),
-            (a, b), amp_scale=amp, var_scale=half,
-        )
-    a, b, mid, half, amp = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a, b, mid, half, amp))
-    )
     return WeightFamily(
-        lambda t, k: _bump(t, mid[k], half[k], amp[k]), np.stack([a, b], axis=1), amp
+        lambda t, k: amp[k] * _canonical_bump((t - mid[k]) / half[k]),
+        np.stack([a, b], axis=1), amp, half,
     )
 
 
-def _plateau(t, a, rise, d, fall, amp):
-    return amp * _smooth_step((t - a) / rise) * _smooth_step((d - t) / fall)
-
-
-def plateau_weight(a, b, c, d, amp=1.0) -> SmoothWeight | WeightFamily:
+def plateau_weight(a, b, c, d, amp=1.0) -> WeightFamily:
     """Smoothed-step pair: rises on [a, b], flat at amp on [b, c], falls on
-    [c, d].  Array arguments (broadcast together) give a WeightFamily."""
-    if not np.all(np.less(a, b) & np.less_equal(b, c) & np.less(c, d)):
+    [c, d].  The arguments broadcast together, one case per entry;
+    scalars give a family of one."""
+    a, b, c, d, amp = _cases(a, b, c, d, amp)
+    if not np.all((a < b) & (b <= c) & (c < d)):
         raise ValueError("need a < b <= c < d")
     rise, fall = b - a, d - c
-    if all(np.ndim(v) == 0 for v in (a, b, c, d, amp)):
-        return SmoothWeight(
-            lambda t: _plateau(np.asarray(t, dtype=float), a, rise, d, fall, amp),
-            (a, d), amp_scale=amp, var_scale=min(rise, fall),
-        )
-    a, rise, d, fall, amp = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a, rise, d, fall, amp))
-    )
     return WeightFamily(
-        lambda t, k: _plateau(t, a[k], rise[k], d[k], fall[k], amp[k]),
-        np.stack([a, d], axis=1), amp,
+        lambda t, k: (
+            amp[k] * _smooth_step((t - a[k]) / rise[k]) * _smooth_step((d[k] - t) / fall[k])
+        ),
+        np.stack([a, d], axis=1), amp, np.minimum(rise, fall),
     )
 
 
@@ -390,77 +344,94 @@ class StationaryPointError(RuntimeError):
     pass
 
 
-def _find_stationary_point(h: PhaseSpec, a: float, b: float) -> float:
-    ts = np.linspace(a, b, 257)
-    d = np.asarray(h.deriv(ts), dtype=float)
-    sgn = np.sign(d)
-    exact = [i for i in range(1, len(ts) - 1) if sgn[i] == 0]
-    flips = [
-        i for i in range(len(ts) - 1)
-        if sgn[i] * sgn[i + 1] < 0
-    ]
-    if len(exact) + len(flips) == 0:
+def _find_stationary_points(h: PhaseFamily, supports: np.ndarray) -> np.ndarray:
+    """Each case's unique interior zero of h', in lockstep.
+
+    One scan of 257 points per support brackets the sign change; every
+    case then bisects and is Newton-polished by itself, as if alone, with
+    one h' (and h'') call per step over the cases still running.
+    """
+    n_cases = len(supports)
+    a, b = supports[:, 0], supports[:, 1]
+    ts = np.linspace(a, b, 257, axis=1)
+    cases = np.arange(n_cases)
+    d = np.asarray(h.deriv(ts.ravel(), np.repeat(cases, 257)), dtype=float)
+    sgn = np.sign(d).reshape(ts.shape)
+    exact = sgn[:, 1:-1] == 0
+    flips = sgn[:, :-1] * sgn[:, 1:] < 0
+    found = exact.sum(axis=1) + flips.sum(axis=1)
+    if np.any(found != 1):
+        k = int(np.argmax(found != 1))
         raise StationaryPointError(
-            "no interior sign change of h'; use nonstationary_decay_check"
+            f"case {k}: no interior sign change of h'; use nonstationary_decay_check"
+            if found[k] == 0 else f"case {k}: multiple stationary points in support"
         )
-    if len(exact) + len(flips) > 1:
-        raise StationaryPointError("multiple stationary points in support")
-    if exact:
-        i = exact[0]
-        lo, hi = float(ts[i - 1]), float(ts[i + 1])
-    else:
-        lo, hi = float(ts[flips[0]]), float(ts[flips[0] + 1])
-    flo = float(h.deriv(np.array([lo]))[0])
+    # an interior zero at i + 1 brackets [i, i + 2], a sign change at i [i, i + 1]
+    zero = exact.any(axis=1)
+    i = np.where(zero, np.argmax(exact, axis=1), np.argmax(flips, axis=1))
+    lo, hi = ts[cases, i], ts[cases, i + 1 + zero]
+    flo = np.asarray(h.deriv(lo, cases), dtype=float)
+    run = cases
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = float(h.deriv(np.array([mid]))[0])
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-15 * max(abs(lo), abs(hi), 1.0):
+        mid = 0.5 * (lo[run] + hi[run])
+        fm = np.asarray(h.deriv(mid, run), dtype=float)
+        left = flo[run] * fm <= 0
+        hi[run[left]] = mid[left]
+        lo[run[~left]], flo[run[~left]] = mid[~left], fm[~left]
+        lo_r, hi_r = lo[run], hi[run]
+        run = run[~(hi_r - lo_r < 1e-15 * np.maximum(np.maximum(abs(lo_r), abs(hi_r)), 1.0))]
+        if not run.size:
             break
     t0 = 0.5 * (lo + hi)
+    run = cases
     for _ in range(4):  # Newton polish
-        d1 = float(h.deriv(np.array([t0]))[0])
-        d2 = float(h.deriv2(np.array([t0]))[0])
-        if d2 == 0:
-            break
-        step = d1 / d2
-        t0n = t0 - step
-        if not (a < t0n < b):
-            break
-        t0 = t0n
-        if abs(step) < 1e-14 * max(abs(t0), 1.0):
+        d1 = np.asarray(h.deriv(t0[run], run), dtype=float)
+        d2 = np.asarray(h.deriv2(t0[run], run), dtype=float)
+        step = d1 / np.where(d2 == 0, 1.0, d2)
+        t0n = t0[run] - step
+        moved = (d2 != 0) & (a[run] < t0n) & (t0n < b[run])
+        run, step, t0n = run[moved], step[moved], t0n[moved]
+        t0[run] = t0n
+        run = run[~(abs(step) < 1e-14 * np.maximum(abs(t0n), 1.0))]
+        if not run.size:
             break
     return t0
 
 
-def stationary_phase_eval(w: SmoothWeight, h: PhaseSpec) -> ComplexEstimate:
+def stationary_phase_eval(w: WeightFamily, h: PhaseFamily) -> list[ComplexEstimate]:
     """Leading term of the stationary-phase expansion of integral w exp(i h)
-    at a unique interior critical point t0:
+    at each case's unique interior critical point t0:
     w(t0) sqrt(2 pi / |h''(t0)|) exp(i (h(t0) +- pi/4)).
 
-    The claimed error is heuristic: twice the leading term times the
+    w and h are a WeightFamily and a PhaseFamily of B cases, giving a
+    list of B ComplexEstimates; each case's critical point is found as
+    if alone.  A case without a unique interior critical point, or with
+    h''(t0) = 0, raises StationaryPointError naming its index.  The
+    claimed error is heuristic: twice the leading term times the
     expansion's ratio 1 / max(V^2 |h''|, (|h''| Q^2)^(1/3), 1.0001) from
     the weight's and the phase's scales, plus 1e-9 of the front factor.
     """
-    a, b = w.support
-    t0 = _find_stationary_point(h, a, b)
-    h0 = float(h(np.array([t0]))[0])
-    h2 = float(h.deriv2(np.array([t0]))[0])
-    if h2 == 0.0:
-        raise StationaryPointError("degenerate stationary point (h'' = 0)")
-    sgn = 1.0 if h2 > 0 else -1.0
-    rot = complex(math.cos(sgn * math.pi / 4), math.sin(sgn * math.pi / 4))
-    front = math.sqrt(2 * math.pi) * rot * complex(math.cos(h0), math.sin(h0))
-    front /= math.sqrt(abs(h2))
-    value = front * float(w(np.array([t0]))[0])
-    ratio = 1.0 / max(
-        (w.var_scale**2 * abs(h2)), (abs(h2) * h.Q**2) ** (1.0 / 3.0), 1.0001
-    )
-    err = 2 * abs(value) * ratio + abs(front) * 1e-9
-    return ComplexEstimate(value, float(err), "asymptotic")
+    n_cases = len(w.supports)
+    cases = np.arange(n_cases)
+    t0 = _find_stationary_points(h, w.supports)
+    h0s = np.asarray(h.evaluator(t0, cases), dtype=float).tolist()
+    h2s = np.asarray(h.deriv2(t0, cases), dtype=float).tolist()
+    ws = np.asarray(w.evaluator(t0, cases), dtype=float).tolist()
+    out = []
+    for k, (h0, h2, wv, V, Q) in enumerate(
+        zip(h0s, h2s, ws, w.var_scales.tolist(), _per_case(h.Q, n_cases))
+    ):
+        if h2 == 0.0:
+            raise StationaryPointError(f"case {k}: degenerate stationary point (h'' = 0)")
+        sgn = 1.0 if h2 > 0 else -1.0
+        rot = complex(math.cos(sgn * math.pi / 4), math.sin(sgn * math.pi / 4))
+        front = math.sqrt(2 * math.pi) * rot * complex(math.cos(h0), math.sin(h0))
+        front /= math.sqrt(abs(h2))
+        value = front * wv
+        ratio = 1.0 / max((V**2 * abs(h2)), (abs(h2) * Q**2) ** (1.0 / 3.0), 1.0001)
+        err = 2 * abs(value) * ratio + abs(front) * 1e-9
+        out.append(ComplexEstimate(value, float(err), "asymptotic"))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -492,7 +463,7 @@ _DECAY_A = 3.0
 _DECAY_SLACK = 4.0
 
 
-def nonstationary_decay_check(w: SmoothWeight, h: PhaseSpec) -> DecayReport:
+def nonstationary_decay_check(w: WeightFamily, h: PhaseFamily) -> list[DecayReport]:
     """Scale the phase by s along a geometric ladder and compare decay.
 
     With h_s = s h the first-derivative floor R and the size Y both
@@ -500,40 +471,54 @@ def nonstationary_decay_check(w: SmoothWeight, h: PhaseSpec) -> DecayReport:
     (Q s R / sqrt(s Y))^-A + (s R V)^-A.  PASS requires the observed
     |I| to fall at least as fast (within a fixed slack) between
     consecutive rungs past the threshold R_s >= 10 max(sqrt(Y_s)/Q, 1/V).
-    The rungs' integrals are one quadrature family.
+    w and h are a WeightFamily and a PhaseFamily of B cases, giving one
+    report per case; every case's rungs are one quadrature family.
     """
-    if h.R is None or h.R <= 0:
+    n_cases = len(w.supports)
+    if h.R is None or not np.all(np.asarray(h.R) > 0):
         raise ValueError("phase must carry a positive lower bound R on |h'|")
     scale = np.array(_DECAY_LADDER)
-    ws = WeightFamily.stack([w] * len(scale))
+    rungs = len(scale)
+    ws = WeightFamily(
+        lambda t, k: w.evaluator(t, k // rungs),
+        *(np.repeat(getattr(w, name), rungs, axis=0)
+          for name in ("supports", "amp_scales", "var_scales")),
+    )
     hs = PhaseFamily(*(
-        lambda t, k, f=f: scale[k] * np.asarray(f(t), dtype=float)
+        lambda t, k, f=f: scale[k % rungs] * np.asarray(f(t, k // rungs), dtype=float)
         for f in (h.evaluator, h.deriv, h.deriv2)
     ))
     mags = [abs(v.value) for v in oscillatory_quadrature(ws, hs, tol=1e-12)]
-    bounds = []
-    for s in _DECAY_LADDER:
-        b1 = (h.Q * s * h.R / math.sqrt(s * h.Y)) ** (-_DECAY_A)
-        b2 = (s * h.R * w.var_scale) ** (-_DECAY_A)
-        bounds.append(w.var_scale * w.amp_scale * (b1 + b2))
-    threshold = 10.0 * max(math.sqrt(h.Y) / h.Q, 1.0 / w.var_scale)
-    past = [i for i, s in enumerate(_DECAY_LADDER) if s * h.R >= threshold]
-    if len(past) < 2:
-        return DecayReport(
-            "INCONCLUSIVE", list(_DECAY_LADDER), mags, bounds, [], [], None,
-            note="fewer than two rungs past the decay threshold",
+    reports = []
+    for k, (V, X, Y, Q, R) in enumerate(zip(
+        w.var_scales.tolist(), w.amp_scales.tolist(),
+        *(_per_case(v, n_cases) for v in (h.Y, h.Q, h.R)),
+    )):
+        m = mags[k * rungs : (k + 1) * rungs]
+        bounds = [
+            V * X * ((Q * s * R / math.sqrt(s * Y)) ** (-_DECAY_A) + (s * R * V) ** (-_DECAY_A))
+            for s in _DECAY_LADDER
+        ]
+        threshold = 10.0 * max(math.sqrt(Y) / Q, 1.0 / V)
+        past = [i for i, s in enumerate(_DECAY_LADDER) if s * R >= threshold]
+        if len(past) < 2:
+            reports.append(DecayReport(
+                "INCONCLUSIVE", list(_DECAY_LADDER), m, bounds, [], [], None,
+                note="fewer than two rungs past the decay threshold",
+            ))
+            continue
+        i0 = past[0]
+        obs = [m[i] / max(m[i0], 1e-300) for i in past[1:]]
+        ratios = [bounds[i] / bounds[i0] for i in past[1:]]
+        ok = all(
+            m[i] <= 1e-15 * max(m) or o <= _DECAY_SLACK * r
+            for i, o, r in zip(past[1:], obs, ratios)
         )
-    i0 = past[0]
-    floor = 1e-15 * max(mags)
-    obs = [mags[i] / max(mags[i0], 1e-300) for i in past[1:]]
-    ratios = [bounds[i] / bounds[i0] for i in past[1:]]
-    ok = all(
-        mags[i] <= floor or o <= _DECAY_SLACK * r for i, o, r in zip(past[1:], obs, ratios)
-    )
-    return DecayReport(
-        "PASS" if ok else "FAIL",
-        list(_DECAY_LADDER), mags, bounds, obs, ratios, _DECAY_LADDER[i0],
-    )
+        reports.append(DecayReport(
+            "PASS" if ok else "FAIL",
+            list(_DECAY_LADDER), m, bounds, obs, ratios, _DECAY_LADDER[i0],
+        ))
+    return reports
 
 
 @dataclass

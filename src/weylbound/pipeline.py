@@ -52,6 +52,8 @@ TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
 # at criterion 7's widest period, 1/60).  The phase's degree adds to
 # it, since the fold is the edge times the phase
 _FOLD_EDGE_RATE = 200.0
+# U(v), the J integrals' plateau: rising on [0.5, 1], 1 on [1, 2], falling on [2, 3]
+_U = plateau_weight(0.5, 1.0, 2.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,10 @@ class PipelineParams:
     Q: float
 
     def __post_init__(self):
+        for name in ("N", "t", "K", "Q"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if min(self.N, self.t, self.K, self.Q) <= 0:
             raise ValueError("all parameters must be positive")
         if self.K > math.sqrt(self.t) + 1e-12:
@@ -337,10 +343,9 @@ def j_integral_batch(
     """
     ms = np.asarray(ms, dtype=float)
     v, wt = _outer_nodes(float(np.max(np.abs(ms), initial=0.0)), n1, c1, n2, c2, p)
-    u_plateau = plateau_weight(0.5, 1.0, 2.0, 3.0)
     prof1 = _i_profile(v * p.N_dual, n1, c1, p)
     prof2 = prof1 if (n1, c1) == (n2, c2) else _i_profile(v * p.N_dual, n2, c2, p)
-    core = wt * prof1 * np.conj(prof2) * u_plateau(v)
+    core = wt * prof1 * np.conj(prof2) * _U.evaluator(v, np.zeros(v.size, dtype=np.intp))
     out = np.empty(len(ms), dtype=complex)
     block = max(1, int(4_000_000 // max(len(v), 1)))
     for i in range(0, len(ms), block):
@@ -479,8 +484,7 @@ def offdiagonal_assembly(
     m_max = max((abs(h[0]) for h in hits), default=1)
     cmin = min(c_values)
     v, wt = _outer_nodes(float(m_max), 1, cmin, 1, cmin, p)
-    u_plateau = plateau_weight(0.5, 1.0, 2.0, 3.0)
-    uw = wt * u_plateau(v)
+    uw = wt * _U.evaluator(v, np.zeros(v.size, dtype=np.intp))
     profiles: dict[tuple[int, int], np.ndarray] = {}
 
     def profile(n: int, c: int) -> np.ndarray:

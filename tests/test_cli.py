@@ -229,6 +229,22 @@ def test_afe_command(capsys):
         (["petersson", "--k", "24", "--grid", "1"], "need grid >= 2 at dim S_24 = 2"),
         (["petersson", "--grid", "0"], "need grid >= 2 at dim S_12 = 1"),
         (["petersson", "--k", "10", "--grid", "0"], "need grid >= 1 at dim S_10 = 0"),
+        # a tolerance no comparison can use, and a grid past the desk scale,
+        # refused before any matrix is built
+        (["petersson", "--tol", "nan"], "tol must be finite and positive, got nan"),
+        (["petersson", "--tol", "inf"], "tol must be finite and positive, got inf"),
+        (["petersson", "--tol", "-1"], "tol must be finite and positive, got -1.0"),
+        (["petersson", "--tol", "0"], "tol must be finite and positive, got 0.0"),
+        (["petersson", "--grid", "100000"],
+         "desk-scale trace check limited to grid <= 64, got grid = 100000"),
+        # non-finite scales and Bessel arguments, named
+        (["pipeline", "--weight-scale", "nan"], "K must be finite, got nan"),
+        (["pipeline", "--n-len", "nan"], "N must be finite, got nan"),
+        (["pipeline", "--q-scale", "inf"], "Q must be finite, got inf"),
+        (["pipeline", "--q-scale", "nan"], "Q must be finite, got nan"),
+        (["pipeline", "--t", "inf"], "t must be finite, got inf"),
+        (["besselsum", "--x-list", "nan"], "x must be finite, got nan"),
+        (["besselsum", "--x-list", "10,inf"], "x must be finite, got inf"),
         # no coefficients past lambda(0)
         (["scan", "--prec", "0"], "need coefficients"),
         (["scan", "--prec", "-5"], "need coefficients"),
@@ -264,6 +280,10 @@ def test_afe_command(capsys):
          "kloosterman-no-primes", "besselsum-empty-x-list", "besselsum-empty-k-list",
          "petersson-k36-dim3", "petersson-k12-grid-1", "petersson-k24-grid-1",
          "petersson-grid-0", "petersson-k10-grid-0",
+         "petersson-tol-nan", "petersson-tol-inf", "petersson-tol-negative",
+         "petersson-tol-zero", "petersson-grid-past-desk-scale",
+         "pipeline-weight-scale-nan", "pipeline-n-len-nan", "pipeline-q-scale-inf",
+         "pipeline-q-scale-nan", "pipeline-t-inf", "besselsum-x-nan", "besselsum-x-inf",
          "prec-zero", "prec-negative", "k16-prec-zero", "prec-past-desk-scale",
          "afe-t-inf",
          "step-inf", "t-min-nan", "t-max-nan", "step-nan",
@@ -275,9 +295,11 @@ def test_afe_command(capsys):
 def test_rejected_parameters_exit_usage(argv, message, capsys):
     # exit 1 is reserved for a failed gate; a rejected input is a usage error
     assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    # refused before any check printed a verdict
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", ["petersson", "all"])

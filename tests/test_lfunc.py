@@ -566,12 +566,17 @@ def test_contour_root_factor_against_mpmath(case, request, tmp_path):
         assert abs(abs(omega) - 1.0) <= 1e-12, t
 
 
+def _weight_at(W, x):
+    """A weight family of one at the point x."""
+    return W.evaluator(np.array([x]), np.zeros(1, dtype=np.intp))[0]
+
+
 def test_sn_sum_matches_naive(delta2000):
     W = bump_weight(1.0, 2.0)
     N = 500
-    got = sn_sum(delta2000.coefficients, N, 0.0, W)
+    (got,) = sn_sum(delta2000.coefficients, N, 0.0, W)
     naive = sum(
-        delta2000.coefficients.values[n] * float(W(np.array([n / N]))[0])
+        delta2000.coefficients.values[n] * float(_weight_at(W, n / N))
         for n in range(1, 3 * N)
         if n <= delta2000.coefficients.n_max
     )
@@ -580,17 +585,17 @@ def test_sn_sum_matches_naive(delta2000):
 
 def test_sn_sum_support_single_term(delta2000):
     W = bump_weight(1.0, 2.0)
-    got = sn_sum(delta2000.coefficients, 1, 0.0, W)
+    (got,) = sn_sum(delta2000.coefficients, 1, 0.0, W)
     # only n in [1, 2] contribute; W vanishes at both endpoints
-    expect = delta2000.coefficients.values[1] * float(W(np.array([1.0]))[0])
-    expect += delta2000.coefficients.values[2] * float(W(np.array([2.0]))[0])
+    expect = delta2000.coefficients.values[1] * float(_weight_at(W, 1.0))
+    expect += delta2000.coefficients.values[2] * float(_weight_at(W, 2.0))
     assert abs(got - expect) < 1e-15
 
 
 def test_sn_sum_trivial_bound(delta2000):
     W = bump_weight(1.0, 2.0)
     for N, t in [(100, 0.0), (400, 250.0), (600, 1000.0)]:
-        s = sn_sum(delta2000.coefficients, N, t, W)
+        (s,) = sn_sum(delta2000.coefficients, N, t, W)
         triv = np.sum(np.abs(delta2000.coefficients.values[1 : 3 * N]))
         assert abs(s) <= triv
 
@@ -601,11 +606,19 @@ def test_sn_sum_needs_coefficients(delta2000):
         sn_sum(delta2000.coefficients, 1500, 0.0, W)
 
 
+def test_sn_sum_one_sum_per_case(delta2000):
+    # a family's sums are its cases' own
+    W = bump_weight(np.array([1.0, 0.5]), np.array([2.0, 1.5]), np.array([1.0, 3.0]))
+    got = sn_sum(delta2000.coefficients, 400, 250.0, W)
+    for j, (a, b, amp) in enumerate([(1.0, 2.0, 1.0), (0.5, 1.5, 3.0)]):
+        assert got[j] == sn_sum(delta2000.coefficients, 400, 250.0, bump_weight(a, b, amp))[0]
+
+
 def test_sn_sum_empirical_size(delta12000):
     # harness threshold 10 sqrt(N) t^(1/3) log t at sampled (N, t) pairs
     W = bump_weight(1.0, 2.0)
     for N, t in [(100, 2.0), (400, 250.0), (1000, 1000.0), (3000, 500.0)]:
-        s = sn_sum(delta12000.coefficients, N, t, W)
+        (s,) = sn_sum(delta12000.coefficients, N, t, W)
         bound = 10 * math.sqrt(N) * t ** (1 / 3) * math.log(t)
         assert abs(s) <= bound, (N, t, abs(s), bound)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,10 +11,9 @@ from scipy.integrate import quad
 from weylbound import acceptance, oscint, pipeline, special
 from weylbound.oscint import (
     PhaseFamily,
-    PhaseSpec,
     QuadratureError,
-    SmoothWeight,
     StationaryPointError,
+    WeightFamily,
     bessel_weighted_k_sum,
     bump_weight,
     nonstationary_decay_check,
@@ -25,47 +25,104 @@ from weylbound.oscint import (
     sum_over_orders_check,
 )
 
-ZERO_PHASE = PhaseSpec(
-    evaluator=lambda t: np.zeros_like(t), deriv=lambda t: np.zeros_like(t),
-    deriv2=lambda t: np.zeros_like(t),
-)
+
+def weight(evaluator, support, var_scale=1.0):
+    """A weight w(t) on `support` as a family of one, of amplitude scale 1."""
+    return WeightFamily(
+        lambda t, k: evaluator(t), np.array([support], dtype=float), np.ones(1),
+        np.array([var_scale]),
+    )
+
+
+def phase(evaluator, deriv, deriv2, **scales):
+    """A phase h(t) with its two derivatives as a family of one."""
+    return PhaseFamily(
+        lambda t, k: evaluator(t), lambda t, k: deriv(t), lambda t, k: deriv2(t), **scales
+    )
+
+
+def values(f, t):
+    """A family of one's evaluator at the points t."""
+    t = np.asarray(t, dtype=float)
+    return f(t, np.zeros(t.size, dtype=np.intp))
+
+
+def members(w, h):
+    """Each case of a weight family and a phase family as families of one."""
+    n = len(w.supports)
+    scales = [
+        [None] * n if v is None else oscint._per_case(v, n) for v in (h.Y, h.Q, h.R)
+    ]
+    return [
+        (
+            WeightFamily(
+                lambda t, k, j=j: w.evaluator(t, k + j), w.supports[j : j + 1],
+                w.amp_scales[j : j + 1], w.var_scales[j : j + 1],
+            ),
+            PhaseFamily(
+                *(lambda t, k, f=f, j=j: f(t, k + j) for f in (h.evaluator, h.deriv, h.deriv2)),
+                *(v[j] for v in scales),
+            ),
+        )
+        for j in range(n)
+    ]
+
+
+def stack_phases(hs):
+    """Phase families of one as one family for the quadrature, the cases
+    in turn; the quadrature reads no scales, so none are carried."""
+    return PhaseFamily(*(
+        oscint._stacked([getattr(h, name) for h in hs], [1] * len(hs))
+        for name in ("evaluator", "deriv", "deriv2")
+    ))
+
+
+ZERO_PHASE = phase(np.zeros_like, np.zeros_like, np.zeros_like)
 
 
 def quadrature(w, h, tol=1e-10, max_nodes=3_000_000):
-    """One weight and phase as a quadrature family of one."""
-    (est,) = oscillatory_quadrature(
-        oscint.WeightFamily.stack([w]), PhaseFamily.stack([h]), tol, max_nodes
-    )
+    """The estimate of a weight and a phase family of one."""
+    (est,) = oscillatory_quadrature(w, h, tol, max_nodes)
     return est
 
 
+def stationary(w, h):
+    """The stationary-phase estimate of a weight and a phase family of one."""
+    (est,) = stationary_phase_eval(w, h)
+    return est
+
+
+def decay_report(w, h):
+    """The decay report of a weight and a phase family of one."""
+    (rep,) = nonstationary_decay_check(w, h)
+    return rep
+
+
 def second_derivative_report(g, f):
-    """One weight and phase as a second-derivative check family of one."""
-    (rep,) = second_derivative_bound_check(
-        oscint.WeightFamily.stack([g]), PhaseFamily.stack([f])
-    )
+    """The second-derivative report of a weight and a phase family of one."""
+    (rep,) = second_derivative_bound_check(g, f)
     return rep
 
 
 def quadratic_phase(A, center=1.5):
-    return PhaseSpec(
-        evaluator=lambda t: A * (t - center) ** 2,
-        deriv=lambda t: 2 * A * (t - center),
-        deriv2=lambda t: 2 * A * np.ones_like(t),
+    return phase(
+        lambda t: A * (t - center) ** 2,
+        lambda t: 2 * A * (t - center),
+        lambda t: 2 * A * np.ones_like(t),
         Y=abs(A) / 4,
         Q=0.5,
     )
 
 
-def endpoint_defect(w: SmoothWeight) -> float:
+def endpoint_defect(w) -> float:
     """Largest sampled |w|, |w'|, |w''| at the support endpoints."""
-    a, b = w.support
+    a, b = w.supports[0]
     h = 1e-4 * (b - a)
     worst = 0.0
     for x0 in (a, b):
         pts = np.array([x0 - h, x0, x0 + h])
         inside = np.clip(pts, a, b)
-        vals = w.evaluator(inside)
+        vals = values(w.evaluator, inside)
         # one-sided values outside the support are zero by definition
         vals = np.where((pts >= a) & (pts <= b), vals, 0.0)
         w0 = vals[1]
@@ -81,29 +138,29 @@ def test_weights_vanish_at_endpoints():
 
 
 def test_nonvanishing_weight_flagged():
-    w = SmoothWeight(lambda t: np.cos(t), (0.0, 1.0))
+    w = weight(np.cos, (0.0, 1.0))
     assert endpoint_defect(w) > 1e-3
 
 
 def test_plateau_is_flat_on_middle():
     u = plateau_weight(0.5, 1.0, 2.0, 3.0)
     ts = np.linspace(1.0, 2.0, 50)
-    assert np.max(np.abs(u(ts) - 1.0)) < 1e-12
+    assert np.max(np.abs(values(u.evaluator, ts) - 1.0)) < 1e-12
 
 
 def test_quadrature_no_oscillation():
     w = bump_weight(1.0, 2.0)
     r = quadrature(w, ZERO_PHASE, tol=1e-12)
-    ref = quad(lambda t: w(np.array([t]))[0], 1, 2, epsabs=1e-14)[0]
+    ref = quad(lambda t: values(w.evaluator, [t])[0], 1, 2, epsabs=1e-14)[0]
     assert abs(r.value - ref) < 1e-12
 
 
 def test_quadrature_self_consistency():
     w = bump_weight(1.0, 2.0)
-    h = PhaseSpec(
-        evaluator=lambda t: 1000.0 * np.log(t) * 40.0,
-        deriv=lambda t: 40000.0 / t,
-        deriv2=lambda t: -40000.0 / t**2,
+    h = phase(
+        lambda t: 1000.0 * np.log(t) * 40.0,
+        lambda t: 40000.0 / t,
+        lambda t: -40000.0 / t**2,
         Y=4e4, Q=1.5,
     )
     r1 = quadrature(w, h, tol=1e-9)
@@ -128,17 +185,17 @@ def _regression_corpus(n_cases=50, seed=11):
         c0 = float(rng.uniform(a + 0.2 * (b - a), b - 0.2 * (b - a)))
         style = int(rng.integers(0, 2))
         if style == 0:
-            h = PhaseSpec(
-                evaluator=lambda t, A=amp, c=c0: A * (t - c) ** 2,
-                deriv=lambda t, A=amp, c=c0: 2 * A * (t - c),
-                deriv2=lambda t, A=amp: 2 * A * np.ones_like(t),
+            h = phase(
+                lambda t, A=amp, c=c0: A * (t - c) ** 2,
+                lambda t, A=amp, c=c0: 2 * A * (t - c),
+                lambda t, A=amp: 2 * A * np.ones_like(t),
                 Y=amp, Q=(b - a) / 2,
             )
         else:
-            h = PhaseSpec(
-                evaluator=lambda t, A=amp: A * np.log(t),
-                deriv=lambda t, A=amp: A / t,
-                deriv2=lambda t, A=amp: -A / t**2,
+            h = phase(
+                lambda t, A=amp: A * np.log(t),
+                lambda t, A=amp: A / t,
+                lambda t, A=amp: -A / t**2,
                 Y=amp, Q=a,
             )
         cases.append((w, h))
@@ -160,7 +217,7 @@ def test_stationary_error_model_on_corpus():
     checked = 0
     for w, h in _regression_corpus():
         try:
-            s0 = stationary_phase_eval(w, h)
+            s0 = stationary(w, h)
         except StationaryPointError:
             continue
         ref = quadrature(w, h, tol=1e-12)
@@ -171,20 +228,14 @@ def test_stationary_error_model_on_corpus():
 
 def test_quadrature_phase_budget():
     w = bump_weight(0.0, 1.0)
-    h = PhaseSpec(
-        evaluator=lambda t: 2e7 * t, deriv=lambda t: 2e7 * np.ones_like(t),
-        deriv2=np.zeros_like,
-    )
+    h = phase(lambda t: 2e7 * t, lambda t: 2e7 * np.ones_like(t), np.zeros_like)
     with pytest.raises(ValueError):
         quadrature(w, h, tol=1e-9)
 
 
 def test_quadrature_node_budget_reports_partial():
     w = bump_weight(1.0, 2.0)
-    h = PhaseSpec(
-        evaluator=lambda t: 3e5 * t, deriv=lambda t: 3e5 * np.ones_like(t),
-        deriv2=np.zeros_like,
-    )
+    h = phase(lambda t: 3e5 * t, lambda t: 3e5 * np.ones_like(t), np.zeros_like)
     with pytest.raises(QuadratureError) as exc:
         quadrature(w, h, tol=1e-12, max_nodes=500)
     assert exc.value.achieved_bound > 0
@@ -193,8 +244,8 @@ def test_quadrature_node_budget_reports_partial():
 def test_stationary_phase_quadratic_leading():
     w = bump_weight(1.0, 2.0)
     A = 1000.0
-    got = stationary_phase_eval(w, quadratic_phase(A))
-    lead = math.sqrt(math.pi / A) * np.exp(1j * math.pi / 4) * w(np.array([1.5]))[0]
+    got = stationary(w, quadratic_phase(A))
+    lead = math.sqrt(math.pi / A) * np.exp(1j * math.pi / 4) * values(w.evaluator, [1.5])[0]
     assert abs(got.value - lead) < 1e-14
     ref = quadrature(w, quadratic_phase(A), tol=1e-12)
     assert abs(got.value - ref.value) <= 0.02 * abs(ref.value)
@@ -204,7 +255,7 @@ def test_stationary_phase_negative_curvature():
     w = bump_weight(1.0, 2.0)
     h = quadratic_phase(-700.0)
     ref = quadrature(w, h, tol=1e-12).value
-    got = stationary_phase_eval(w, h)
+    got = stationary(w, h)
     assert abs(got.value - ref) <= 2 * got.abs_error
 
 
@@ -213,19 +264,15 @@ def test_stationary_phase_error_model_envelope():
     for A in (200.0, 1000.0, 5000.0):
         h = quadratic_phase(A)
         ref = quadrature(w, h, tol=1e-12).value
-        s0 = stationary_phase_eval(w, h)
+        s0 = stationary(w, h)
         assert abs(s0.value - ref) <= 2 * s0.abs_error, A
 
 
-def gaussian_weight(center: float, sigma: float, halfwidth: float) -> SmoothWeight:
+def gaussian_weight(center: float, sigma: float, halfwidth: float) -> WeightFamily:
     """Truncated Gaussian; halfwidth must make the cut numerically silent."""
-
-    def ev(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.exp(-(((t - center) / sigma) ** 2))
-
-    return SmoothWeight(
-        ev, (center - halfwidth, center + halfwidth), amp_scale=1.0, var_scale=sigma
+    return weight(
+        lambda t: np.exp(-(((t - center) / sigma) ** 2)),
+        (center - halfwidth, center + halfwidth), var_scale=sigma,
     )
 
 
@@ -237,9 +284,8 @@ def fresnel_gaussian_reference(A: float) -> complex:
 def test_fresnel_gaussian_reference_case():
     wg = gaussian_weight(0.0, 1.0, 9.0)
     A = 7.0
-    h = PhaseSpec(
-        evaluator=lambda t: A * t**2, deriv=lambda t: 2 * A * t,
-        deriv2=lambda t: 2 * A * np.ones_like(t), Q=1.0,
+    h = phase(
+        lambda t: A * t**2, lambda t: 2 * A * t, lambda t: 2 * A * np.ones_like(t), Q=1.0,
     )
     got = quadrature(wg, h, tol=1e-12)
     assert abs(got.value - fresnel_gaussian_reference(A)) < 1e-11
@@ -253,19 +299,17 @@ def test_offdiag_dual_phase_curvature_scale():
     c1, n1, x3 = 100.0, 9.0, 1.2
     a = N * n1 / c1
     b = math.sqrt(N * ntil) / c1
-    h = PhaseSpec(
-        evaluator=lambda x: 2 * t * np.log(x) - a * x**2 - b * x * x3,
-        deriv=lambda x: 2 * t / x - 2 * a * x - b * x3,
-        deriv2=lambda x: -2 * t / x**2 - 2 * a * np.ones_like(x),
+    h = phase(
+        lambda x: 2 * t * np.log(x) - a * x**2 - b * x * x3,
+        lambda x: 2 * t / x - 2 * a * x - b * x3,
+        lambda x: -2 * t / x**2 - 2 * a * np.ones_like(x),
         Y=t, Q=1.0,
     )
     w = bump_weight(0.8, 1.6)
-    got = stationary_phase_eval(w, h)
+    got = stationary(w, h)
     # curvature check at the located point
-    from weylbound.oscint import _find_stationary_point
-
-    x0 = _find_stationary_point(h, 0.8, 1.6)
-    curv = abs(float(h.deriv2(np.array([x0]))[0]))
+    (x0,) = oscint._find_stationary_points(h, np.array([[0.8, 1.6]]))
+    curv = abs(float(values(h.deriv2, [x0])[0]))
     assert t / 4 <= curv <= 4 * t
     ref = quadrature(w, h, tol=1e-12)
     assert abs(got.value - ref.value) <= 0.02 * abs(ref.value)
@@ -273,33 +317,27 @@ def test_offdiag_dual_phase_curvature_scale():
 
 def test_stationary_point_absence_detected():
     w = bump_weight(1.0, 2.0)
-    h = PhaseSpec(
-        evaluator=lambda t: 50.0 * t, deriv=lambda t: 50.0 * np.ones_like(t),
-        deriv2=np.zeros_like,
-    )
-    with pytest.raises(StationaryPointError):
+    h = phase(lambda t: 50.0 * t, lambda t: 50.0 * np.ones_like(t), np.zeros_like)
+    with pytest.raises(StationaryPointError, match="^case 0: no interior sign change"):
         stationary_phase_eval(w, h)
 
 
 def test_multiple_stationary_points_error():
     w = bump_weight(-1.0, 1.0)
-    h = PhaseSpec(
-        evaluator=lambda t: 100.0 * np.sin(8 * t),
-        deriv=lambda t: 800.0 * np.cos(8 * t),
-        deriv2=lambda t: -6400.0 * np.sin(8 * t),
+    h = phase(
+        lambda t: 100.0 * np.sin(8 * t),
+        lambda t: 800.0 * np.cos(8 * t),
+        lambda t: -6400.0 * np.sin(8 * t),
     )
-    with pytest.raises(StationaryPointError):
+    with pytest.raises(StationaryPointError, match="^case 0: multiple stationary points"):
         stationary_phase_eval(w, h)
 
 
 def test_nonstationary_linear_phase_ladder():
     w = bump_weight(1.0, 2.0)
     R0 = 40.0
-    h = PhaseSpec(
-        evaluator=lambda t: R0 * t, deriv=lambda t: R0 * np.ones_like(t),
-        deriv2=np.zeros_like, Y=R0, Q=1.0, R=R0,
-    )
-    rep = nonstationary_decay_check(w, h)
+    h = phase(lambda t: R0 * t, lambda t: R0 * np.ones_like(t), np.zeros_like, Y=R0, Q=1.0, R=R0)
+    rep = decay_report(w, h)
     assert rep.status == "PASS"
     # raw magnitudes fall much faster than R^-3 across the ladder
     drop = rep.magnitudes[-1] / rep.magnitudes[0]
@@ -326,15 +364,12 @@ def _decay_status(rep):
         (bump_weight(1.0, 2.0), 40.0, "PASS"),
         (bump_weight(1.0, 2.0), 1e-3, "INCONCLUSIVE"),
         # a weight that does not vanish at its ends decays only like 1/R
-        (SmoothWeight(lambda t: np.ones_like(t), (1.0, 2.0), var_scale=0.5), 40.0, "FAIL"),
+        (weight(np.ones_like, (1.0, 2.0), var_scale=0.5), 40.0, "FAIL"),
     ],
 )
 def test_decay_report_rebuilds_its_status(w, R0, status):
-    h = PhaseSpec(
-        evaluator=lambda t: R0 * t, deriv=lambda t: R0 * np.ones_like(t),
-        deriv2=np.zeros_like, Y=R0, Q=1.0, R=R0,
-    )
-    rep = nonstationary_decay_check(w, h)
+    h = phase(lambda t: R0 * t, lambda t: R0 * np.ones_like(t), np.zeros_like, Y=R0, Q=1.0, R=R0)
+    rep = decay_report(w, h)
     assert rep.status == _decay_status(rep) == status
     # bounds are the per-rung bound values; bound_ratios their ratios to
     # the first rung past the threshold, parallel to observed_ratios
@@ -348,31 +383,31 @@ def test_decay_report_rebuilds_its_status(w, R0, status):
 def test_decay_ladder_is_one_family_of_single_integrals():
     # each rung's |I| is the single quadrature of the scaled phase
     w = bump_weight(1.0, 2.0)
-    h = PhaseSpec(
-        evaluator=lambda t: 5.0 * t**2, deriv=lambda t: 10.0 * t,
-        deriv2=lambda t: 10.0 * np.ones_like(t), Y=20.0, Q=1.0, R=10.0,
+    h = phase(
+        lambda t: 5.0 * t**2, lambda t: 10.0 * t, lambda t: 10.0 * np.ones_like(t),
+        Y=20.0, Q=1.0, R=10.0,
     )
-    rep = nonstationary_decay_check(w, h)
+    rep = decay_report(w, h)
     for s, mag in zip(rep.scales, rep.magnitudes):
-        hs = PhaseSpec(
-            evaluator=lambda t, s=s: s * np.asarray(h(t)), deriv=h.deriv, deriv2=h.deriv2
+        hs = PhaseFamily(
+            lambda t, k, s=s: s * np.asarray(h.evaluator(t, k)), h.deriv, h.deriv2
         )
         assert mag == abs(quadrature(w, hs, tol=1e-12).value), s
 
 
 def test_nonstationary_below_threshold_inconclusive():
     w = bump_weight(1.0, 2.0)
-    h = PhaseSpec(
-        evaluator=lambda t: 1e-3 * t, deriv=lambda t: 1e-3 * np.ones_like(t),
-        deriv2=np.zeros_like, Y=1e-3, Q=1.0, R=1e-3,
+    h = phase(
+        lambda t: 1e-3 * t, lambda t: 1e-3 * np.ones_like(t), np.zeros_like,
+        Y=1e-3, Q=1.0, R=1e-3,
     )
-    rep = nonstationary_decay_check(w, h)
+    rep = decay_report(w, h)
     assert rep.status == "INCONCLUSIVE"
 
 
 def test_nonstationary_requires_R():
     w = bump_weight(1.0, 2.0)
-    h = PhaseSpec(evaluator=lambda t: t, deriv=np.ones_like, deriv2=np.zeros_like)
+    h = phase(lambda t: t, np.ones_like, np.zeros_like)
     with pytest.raises(ValueError):
         nonstationary_decay_check(w, h)
 
@@ -384,15 +419,15 @@ def test_plus_sign_phase_is_negligible():
     coef = u / 2.0  # makes the minus-phase critical point sit at v = 1
     w = bump_weight(0.4, 1.8)
     two_pi = 2 * math.pi
-    h_plus = PhaseSpec(
-        evaluator=lambda v: two_pi * (u * v + coef * v**2),
-        deriv=lambda v: two_pi * (u + 2 * coef * v),
-        deriv2=lambda v: two_pi * 2 * coef * np.ones_like(v),
+    h_plus = phase(
+        lambda v: two_pi * (u * v + coef * v**2),
+        lambda v: two_pi * (u + 2 * coef * v),
+        lambda v: two_pi * 2 * coef * np.ones_like(v),
     )
-    h_minus = PhaseSpec(
-        evaluator=lambda v: two_pi * (u * v - coef * v**2),
-        deriv=lambda v: two_pi * (u - 2 * coef * v),
-        deriv2=lambda v: -two_pi * 2 * coef * np.ones_like(v),
+    h_minus = phase(
+        lambda v: two_pi * (u * v - coef * v**2),
+        lambda v: two_pi * (u - 2 * coef * v),
+        lambda v: -two_pi * 2 * coef * np.ones_like(v),
     )
     ip = quadrature(w, h_plus, tol=1e-12)
     im = quadrature(w, h_minus, tol=1e-12)
@@ -401,10 +436,7 @@ def test_plus_sign_phase_is_negligible():
 
 def test_second_derivative_bound_square_phase():
     g = bump_weight(1.0, 2.0)
-    f = PhaseSpec(
-        evaluator=lambda x: x**2, deriv=lambda x: 2 * x,
-        deriv2=lambda x: 2 * np.ones_like(x), Y=4.0, Q=1.0,
-    )
+    f = phase(lambda x: x**2, lambda x: 2 * x, lambda x: 2 * np.ones_like(x), Y=4.0, Q=1.0)
     rep = second_derivative_report(g, f)
     assert rep.status == "PASS"
     assert abs(rep.r - 2.0) < 1e-6
@@ -415,10 +447,10 @@ def test_second_derivative_bound_log_phase():
     # f = (t / 2 pi) log x on [1, 2]: r ~ t / (8 pi), the 1/sqrt(t) mechanism
     t = 500.0
     g = bump_weight(1.0, 2.0)
-    f = PhaseSpec(
-        evaluator=lambda x: (t / (2 * math.pi)) * np.log(x),
-        deriv=lambda x: (t / (2 * math.pi)) / x,
-        deriv2=lambda x: -(t / (2 * math.pi)) / x**2,
+    f = phase(
+        lambda x: (t / (2 * math.pi)) * np.log(x),
+        lambda x: (t / (2 * math.pi)) / x,
+        lambda x: -(t / (2 * math.pi)) / x**2,
         Y=t, Q=1.0,
     )
     rep = second_derivative_report(g, f)
@@ -428,11 +460,8 @@ def test_second_derivative_bound_log_phase():
 
 
 def test_second_derivative_bound_zero_weight():
-    g = SmoothWeight(lambda t: np.zeros_like(t), (1.0, 2.0))
-    f = PhaseSpec(
-        evaluator=lambda x: x**2, deriv=lambda x: 2 * x,
-        deriv2=lambda x: 2 * np.ones_like(x),
-    )
+    g = weight(np.zeros_like, (1.0, 2.0))
+    f = phase(lambda x: x**2, lambda x: 2 * x, lambda x: 2 * np.ones_like(x))
     rep = second_derivative_report(g, f)
     assert rep.status == "PASS"
     assert abs(rep.integral) < 1e-12
@@ -440,10 +469,7 @@ def test_second_derivative_bound_zero_weight():
 
 def test_second_derivative_sign_change_rejected():
     g = bump_weight(-1.0, 1.0)
-    f = PhaseSpec(
-        evaluator=lambda x: x**3, deriv=lambda x: 3 * x**2,
-        deriv2=lambda x: 6 * x,
-    )
+    f = phase(lambda x: x**3, lambda x: 3 * x**2, lambda x: 6 * x)
     with pytest.raises(ValueError):
         second_derivative_report(g, f)
 
@@ -464,7 +490,7 @@ def test_bump_fourier_inversion_sanity():
         -40, 40, limit=4000,
     )[0]
     w = bump_weight(1.0, 2.0)
-    assert abs(re - w(np.array([u0]))[0]) < 1e-6
+    assert abs(re - values(w.evaluator, [u0])[0]) < 1e-6
 
 
 def test_ksum_identity_direct_vs_kernel_small():
@@ -612,20 +638,18 @@ def test_sum_over_orders_identity_odd_classes():
 def _per_panel_quadrature(w, h, tol):
     """The panel-at-a-time loop that the generation-batched quadrature
     replaced: one GL24/GL12 pair per popped panel, bisected on failure."""
-    a, b = w.support
+    a, b = w.supports[0]
     x24, w24 = oscint._gl(24)
     x12, w12 = oscint._gl(12)
 
     def panel_pair(lo, hi):
         half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
         t24, t12 = mid + half * x24, mid + half * x12
-        f24 = w(t24) * np.exp(1j * np.asarray(h(t24), dtype=float))
-        f12 = w(t12) * np.exp(1j * np.asarray(h(t12), dtype=float))
+        f24 = values(w.evaluator, t24) * np.exp(1j * values(h.evaluator, t24))
+        f12 = values(w.evaluator, t12) * np.exp(1j * values(h.evaluator, t12))
         return half * np.dot(w24, f24), half * np.dot(w12, f12)
 
-    edges = oscint._phase_edges(
-        PhaseFamily.stack([h]), np.array([[a, b]], dtype=float), max_panels=3_000_000 // 72
-    )[0]
+    edges = oscint._phase_edges(h, w.supports, max_panels=3_000_000 // 72)[0]
     todo = [(float(lo), float(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
     accepted = []
     span = b - a
@@ -646,12 +670,9 @@ def _per_panel_quadrature(w, h, tol):
 
 def _quadrature_corpus():
     p = pipeline.PipelineParams(N=1e4, t=1e3, K=10.0, Q=100.0)
-    cases = [(w, h, 1e-12) for w, h in acceptance._offdiag_phase_cases(p)]
+    cases = [(w, h, 1e-12) for w, h in members(*acceptance._offdiag_phase_cases(p))]
     cases += [(w, h, tol) for w, h in _regression_corpus() for tol in (2e-9, 1e-12)]
-    log_phase = PhaseSpec(
-        evaluator=lambda t: 4e4 * np.log(t), deriv=lambda t: 4e4 / t,
-        deriv2=lambda t: -4e4 / t**2,
-    )
+    log_phase = phase(lambda t: 4e4 * np.log(t), lambda t: 4e4 / t, lambda t: -4e4 / t**2)
     cases += [
         (bump_weight(1.0, 2.0), ZERO_PHASE, 1e-12),
         (bump_weight(1.0, 2.0), log_phase, 1e-9),
@@ -667,7 +688,7 @@ def test_batched_quadrature_matches_per_panel_loop():
     for w, h, tol in cases:
         got = quadrature(w, h, tol=tol).value
         ref = _per_panel_quadrature(w, h, tol)
-        assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref)), (w.support, tol)
+        assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref)), (w.supports, tol)
 
 
 def _mp_phi_hat(xi, nodes):
@@ -820,48 +841,146 @@ def test_family_quadrature_equals_single_calls_on_regression_corpus(tol):
     # are each case's own
     cases = _regression_corpus()
     family = oscillatory_quadrature(
-        oscint.WeightFamily.stack([w for w, _ in cases]),
-        PhaseFamily.stack([h for _, h in cases]),
-        tol=tol,
+        WeightFamily.stack([w for w, _ in cases]), stack_phases([h for _, h in cases]), tol=tol
     )
     assert len(family) == len(cases)
     for (w, h), got in zip(cases, family):
-        assert _same_estimate(got, quadrature(w, h, tol=tol)), w.support
+        assert _same_estimate(got, quadrature(w, h, tol=tol)), w.supports
 
 
 def test_family_quadrature_equals_single_calls_on_criterion_6():
     p = pipeline.PipelineParams(N=1e4, t=1e3, K=10.0, Q=100.0)
-    cases = acceptance._offdiag_phase_cases(p)
-    family = oscillatory_quadrature(
-        oscint.WeightFamily.stack([w for w, _ in cases]),
-        PhaseFamily.stack([h for _, h in cases]),
-        tol=1e-12,
-    )
-    for (w, h), got in zip(cases, family):
-        assert _same_estimate(got, quadrature(w, h, tol=1e-12))
+    w, h = acceptance._offdiag_phase_cases(p)
+    family = oscillatory_quadrature(w, h, tol=1e-12)
+    for (wj, hj), got in zip(members(w, h), family, strict=True):
+        assert _same_estimate(got, quadrature(wj, hj, tol=1e-12))
     g, f, draws = acceptance._vdc_corpus(20240801)
     assert len(draws) == len(g.supports) == 200
     reports = second_derivative_bound_check(g, f)
     for (kind, a, b, d, amp), got in zip(draws, reports):
         w = bump_weight(1.0, 2.0, amp) if kind == 0 else plateau_weight(1.0, 1.25, 1.75, 2.0, amp)
-        h = PhaseSpec(
-            evaluator=lambda x, a=a, b=b, d=d: a * x**2 + b * x + d * np.log(x),
-            deriv=lambda x, a=a, b=b, d=d: 2 * a * x + b + d / x,
-            deriv2=lambda x, a=a, d=d: 2 * a - d / x**2,
+        h = phase(
+            lambda x, a=a, b=b, d=d: a * x**2 + b * x + d * np.log(x),
+            lambda x, a=a, b=b, d=d: 2 * a * x + b + d / x,
+            lambda x, a=a, d=d: 2 * a - d / x**2,
         )
         one = second_derivative_report(w, h)
         assert repr(got) == repr(one), (kind, a, b, d, amp)
+
+
+def test_criterion_6_phases_take_their_own_x3():
+    # case k's critical point is the root of 2 t / x - 2 a x - b x3 for
+    # its own (c1, x3, n1), inside its own bump
+    p = pipeline.PipelineParams(N=1e4, t=1e3, K=10.0, Q=100.0)
+    w, h = acceptance._offdiag_phase_cases(p)
+    t0 = oscint._find_stationary_points(h, w.supports)
+    grid = [(c1, x3, n1) for c1 in (90, 100, 120) for x3 in (1.0, 1.2) for n1 in (8, 9)]
+    assert len(t0) == len(grid)
+    for k, (c1, x3, n1) in enumerate(grid):
+        a, b = p.N * n1 / c1, math.sqrt(p.N * p.N_dual) / c1
+        root = (math.sqrt((b * x3) ** 2 + 16 * a * p.t) - b * x3) / (4 * a)
+        assert abs(t0[k] - root) <= 1e-12, k
+        assert w.supports[k, 0] + 0.1 < root < w.supports[k, 1] - 0.1, k
+
+
+def _stationary_point_loop(deriv, deriv2, a, b):
+    """One case's critical point by the scalar loop that the lockstep
+    search replaced: scan, bisect, then Newton-polish on one point at a
+    time."""
+    ts = np.linspace(a, b, 257)
+    sgn = np.sign(deriv(ts))
+    exact = [i for i in range(1, len(ts) - 1) if sgn[i] == 0]
+    flips = [i for i in range(len(ts) - 1) if sgn[i] * sgn[i + 1] < 0]
+    assert len(exact) + len(flips) == 1
+    lo, hi = (ts[exact[0] - 1], ts[exact[0] + 1]) if exact else (ts[flips[0]], ts[flips[0] + 1])
+    lo, hi = float(lo), float(hi)
+    flo = float(deriv(np.array([lo]))[0])
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = float(deriv(np.array([mid]))[0])
+        if flo * fm <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+        if hi - lo < 1e-15 * max(abs(lo), abs(hi), 1.0):
+            break
+    t0 = 0.5 * (lo + hi)
+    for _ in range(4):
+        d1 = float(deriv(np.array([t0]))[0])
+        d2 = float(deriv2(np.array([t0]))[0])
+        if d2 == 0:
+            break
+        step = d1 / d2
+        if not (a < t0 - step < b):
+            break
+        t0 -= step
+        if abs(step) < 1e-14 * max(abs(t0), 1.0):
+            break
+    return t0
+
+
+def test_stationary_family_equals_single_cases_on_criterion_6():
+    # bit for bit: each case's critical point is that of the one-point
+    # loop, and each estimate that of its family of one, while the
+    # family's bisection and Newton steps share their h' calls
+    p = pipeline.PipelineParams(N=1e4, t=1e3, K=10.0, Q=100.0)
+    w, h = acceptance._offdiag_phase_cases(p)
+    calls = []
+
+    def counted(t, k):
+        calls.append(t.size)
+        return h.deriv(t, k)
+
+    family = stationary_phase_eval(w, dataclasses.replace(h, deriv=counted))
+    assert len(family) == 12 and len(calls) <= 60, len(calls)
+    for (wj, hj), got in zip(members(w, h), family, strict=True):
+        assert _same_estimate(got, stationary(wj, hj))
+    t0 = oscint._find_stationary_points(h, w.supports)
+    for j, (_, hj) in enumerate(members(w, h)):
+        loop = _stationary_point_loop(
+            lambda t: values(hj.deriv, t), lambda t: values(hj.deriv2, t), *w.supports[j]
+        )
+        assert t0[j] == loop, j
+
+
+def test_stationary_point_error_names_its_case():
+    w = bump_weight(1.0, 2.0, np.ones(3))
+    # case 1's phase has no critical point on [1, 2]
+    centers = np.array([1.5, 3.0, 1.4])
+    h = PhaseFamily(
+        lambda t, k: 50.0 * (t - centers[k]) ** 2,
+        lambda t, k: 100.0 * (t - centers[k]),
+        lambda t, k: 100.0 * np.ones_like(t),
+    )
+    with pytest.raises(StationaryPointError, match="^case 1: no interior sign change"):
+        stationary_phase_eval(w, h)
+
+
+def test_decay_family_equals_single_cases():
+    # every case's rungs in one quadrature family; each report is the
+    # case's own, its scales read per case
+    R0 = np.array([40.0, 1e-3, 25.0])
+    w = bump_weight(1.0, np.array([2.0, 2.0, 1.8]))
+    h = PhaseFamily(
+        lambda t, k: R0[k] * t, lambda t, k: R0[k] * np.ones_like(t),
+        lambda t, k: np.zeros_like(t), Y=R0, Q=1.0, R=R0,
+    )
+    family = nonstationary_decay_check(w, h)
+    assert [rep.status for rep in family] == ["PASS", "INCONCLUSIVE", "PASS"]
+    for (wj, hj), got in zip(members(w, h), family, strict=True):
+        assert repr(got) == repr(decay_report(wj, hj))
 
 
 def _nodes_used(w, h, tol):
     """The quadrature nodes one case evaluates, counted at its weight,
     and its number of initial panels."""
     seen = []
-    counted = SmoothWeight(
-        lambda t: (seen.append(t.size), w(t))[1], w.support, w.amp_scale, w.var_scale
+    counted = WeightFamily(
+        lambda t, k: (seen.append(t.size), w.evaluator(t, k))[1],
+        w.supports, w.amp_scales, w.var_scales,
     )
     quadrature(counted, h, tol=tol)
-    edges = oscint._phase_edges(PhaseFamily.stack([h]), np.array([w.support]), 10**9)[0]
+    edges = oscint._phase_edges(h, w.supports, 10**9)[0]
     return sum(seen), edges.size - 1
 
 
@@ -875,8 +994,8 @@ def test_family_quadrature_chunks_and_budgets_per_case(monkeypatch):
     needs, panels = zip(*(_nodes_used(w, h, 1e-12) for w, h in cases))
     budget = max(needs)
     assert len(cases) >= 3 and sum(needs) > budget and max(panels) <= (budget - 1) // 72
-    w = oscint.WeightFamily.stack([w for w, _ in cases])
-    h = PhaseFamily.stack([h for _, h in cases])
+    w = WeightFamily.stack([w for w, _ in cases])
+    h = stack_phases([h for _, h in cases])
     whole = oscillatory_quadrature(w, h, tol=1e-12)
     assert all(map(_same_estimate, whole, oscillatory_quadrature(w, h, 1e-12, max_nodes=budget)))
     monkeypatch.setattr(oscint, "_CHUNK_NODES", 1000)
@@ -895,8 +1014,16 @@ def test_weight_families_equal_their_members():
         k = np.full(t.size, j)
         inside = (t >= bumps.supports[j, 0]) & (t <= bumps.supports[j, 1])
         one = bump_weight(float(bumps.supports[j, 0]), 2.0, amp)
-        assert np.array_equal(bumps.evaluator(t[inside], k[inside]), one(t[inside]))
+        assert np.array_equal(
+            bumps.evaluator(t[inside], k[inside]), values(one.evaluator, t[inside])
+        )
         one = plateau_weight(1.0, 1.25, 1.75, 2.0, amp)
-        assert np.array_equal(plateaus.evaluator(t, k), one(t))
+        assert np.array_equal(plateaus.evaluator(t, k), values(one.evaluator, t))
     with pytest.raises(ValueError):
         plateau_weight(np.array([1.0, 1.5]), 1.25, 1.75, 2.0)
+    # scalars give a family of one; V is the bump's half-width and the
+    # plateau's shorter ramp
+    bump, plateau = bump_weight(1.0, 2.5, 2.0), plateau_weight(0.5, 1.0, 2.0, 3.0)
+    assert bump.supports.tolist() == [[1.0, 2.5]] and plateau.supports.tolist() == [[0.5, 3.0]]
+    assert bump.amp_scales.tolist() == [2.0] and plateau.amp_scales.tolist() == [1.0]
+    assert bump.var_scales.tolist() == [0.75] and plateau.var_scales.tolist() == [0.5]
