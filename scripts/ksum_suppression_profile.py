@@ -26,11 +26,12 @@ def main() -> int:
         K / 100.0, K / 25.0, K / (2 * 3.14159), K / 2.0, K * 1.0,
         K * K / 16.0, K * K / 4.0, float(K * K), 4.0 * K * K,
     ]
-    ref = abs(bessel_weighted_k_sum(K, 4.0 * K * K, "direct").value)
+    # one call over the ladder, whose last rung x = 4K^2 is the reference
+    sums = [abs(s.value) for s in bessel_weighted_k_sum(K, ladder, "direct")]
+    ref = sums[-1]
     print(f"K = {K}; reference |S1(4K^2)| = {ref:.6e}")
     print(f"{'x':>12} {'|S1(x)|':>14} {'vs reference':>14}")
-    for x in ladder:
-        v = abs(bessel_weighted_k_sum(K, x, "direct").value)
+    for x, v in zip(ladder, sums):
         print(f"{x:12.4f} {v:14.6e} {v / ref:14.6e}")
     return 0
 

@@ -191,8 +191,8 @@ def format_scan_csv(records, cfg: RunConfig) -> str:
 
 
 def emit_plotdata(records, path: str, cfg: RunConfig | None = None) -> None:
-    """Two-column scan data plus fitted reference curves c t^(1/3) and
-    c t^(1/2); flagged records are excluded and counted in the header."""
+    """Two-column scan data plus fitted reference curves c |t|^(1/3) and
+    c |t|^(1/2); flagged records are excluded and counted in the header."""
     if not records:
         raise ValueError("no records to plot")
     ok = [r for r in records if r.accepted]
@@ -204,14 +204,14 @@ def emit_plotdata(records, path: str, cfg: RunConfig | None = None) -> None:
     for r in ok:
         lines.append(f"{r.t:.6f} {r.modulus:.12e}")
     if len(ok) >= 2:
-        ts = np.array([r.t for r in ok])
+        ts = np.abs([r.t for r in ok])
         ms = np.array([r.modulus for r in ok])
         for label, expo in (("t^(1/3)", 1.0 / 3.0), ("t^(1/2)", 0.5)):
             basis = ts**expo
             c = float(np.dot(ms, basis) / np.dot(basis, basis))
             lines.append(f"# reference curve c*{label}, c = {c:.6e}")
             for r in ok:
-                lines.append(f"{r.t:.6f} {c * r.t**expo:.12e}")
+                lines.append(f"{r.t:.6f} {c * abs(r.t) ** expo:.12e}")
     else:
         lines.append("# fit skipped: fewer than two accepted records")
     with open(path, "w", encoding="utf-8") as fh:

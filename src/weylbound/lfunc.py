@@ -485,7 +485,7 @@ def _scan_one(spec: LFunctionSpec, t: float, balances: tuple[float, float]) -> S
     gap = abs(v1.value - v2.value)
     modulus = abs(v1.value)
     ok = gap <= BALANCE_TOL * max(1.0, modulus)
-    base = max(t, 1e-9)
+    base = max(abs(t), 1e-9)
     return ScanRecord(
         t=t,
         modulus=modulus,
@@ -581,10 +581,11 @@ class ScanSummary:
 
 
 def scan_summary(records: list[ScanRecord]) -> ScanSummary:
-    """Max ratios plus a least-squares fit of log |L| peaks against log t.
+    """Max ratios plus a least-squares fit of log |L| peaks against log |t|.
 
     Peaks are interior local maxima of |L| among accepted records; the
-    fitted slope is the empirical growth exponent.
+    fitted slope is the empirical growth exponent.  A peak at t = 0 is
+    counted but left out of the fit.
     """
     ok = [r for r in records if r.accepted]
     flagged = len(records) - len(ok)
@@ -598,9 +599,10 @@ def scan_summary(records: list[ScanRecord]) -> ScanSummary:
         and r.modulus > 0
     ]
     slope = intercept = None
-    if len(peaks) >= 2:
-        xs = np.log([r.t for r in peaks])
-        ys = np.log([r.modulus for r in peaks])
+    fitted = [r for r in peaks if r.t != 0]
+    if len(fitted) >= 2:
+        xs = np.log([abs(r.t) for r in fitted])
+        ys = np.log([r.modulus for r in fitted])
         slope_f, intercept_f = np.polyfit(xs, ys, 1)
         slope, intercept = float(slope_f), float(intercept_f)
     return ScanSummary(

@@ -11,7 +11,8 @@ per chunk, and one estimate comes back per case; a single weight is a
 family of one.  On top of it sit the leading-order stationary-phase
 evaluation, nonstationary decay and second-derivative bound checks,
 each over a family with one result per case, and the Bessel-weighted
-sum over weights with its integral-kernel identity.  Phases carry their
+sum over weights with its integral-kernel identity, one estimate per
+(K, x) pair of its broadcast arguments.  Phases carry their
 first two derivatives as exact callables; nothing here differentiates
 numerically.
 """
@@ -528,7 +529,6 @@ class SecondDerivativeReport:
     bound: float
     r: float
     M: float
-    monotone_ok: bool
 
 
 def second_derivative_bound_check(g, f):
@@ -536,14 +536,18 @@ def second_derivative_bound_check(g, f):
 
     g and f are a WeightFamily and a PhaseFamily, giving one report per
     case from one quadrature family.  r = min |f''| and M = max |g| come
-    from a scan of 1025 points per support; monotonicity of g/f' is
-    scanned as a precondition flag.  Raises ValueError if f'' changes
-    sign on any case's support.  The integrand uses the
+    from a scan of 1025 points per support.  Raises ValueError if f''
+    changes sign on any case's support.  The integrand uses the
     e(x) = exp(2 pi i x) convention of the bound.
+
+    Titchmarsh's Lemma 4.5 also asks g / f' to be monotone, which a
+    compactly supported bump or plateau is not: g / f' rises and then
+    falls.  So the check tests 8 M / sqrt(r) empirically, on weights
+    outside that hypothesis.
     """
     n = 1025
     per_call = max(1, _CHUNK_NODES // n)
-    scans = []  # r, M, monotone_ok per case
+    scans = []  # r, M per case
     for s in range(0, len(g.supports), per_call):
         part = g.supports[s : s + per_call]
         ts = np.linspace(part[:, 0] + 1e-9, part[:, 1] - 1e-9, n, axis=1).ravel()
@@ -552,23 +556,17 @@ def second_derivative_bound_check(g, f):
         if not np.all(np.all(f2 > 0, axis=1) | np.all(f2 < 0, axis=1)):
             raise ValueError("f'' changes sign on the support")
         gv = np.asarray(g.evaluator(ts, k), dtype=float).reshape(-1, n)
-        f1 = np.asarray(f.deriv(ts, k), dtype=float).reshape(-1, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = gv / f1
-        for r, M, row in zip(np.min(np.abs(f2), axis=1).tolist(),
-                             np.max(np.abs(gv), axis=1).tolist(), ratio):
-            diffs = np.diff(row[np.isfinite(row)])
-            scans.append((r, M, bool(np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12))))
+        scans += zip(np.min(np.abs(f2), axis=1).tolist(), np.max(np.abs(gv), axis=1).tolist())
     phase = PhaseFamily(*(
         lambda t, k, d=d: 2 * math.pi * np.asarray(d(t, k), dtype=float)
         for d in (f.evaluator, f.deriv, f.deriv2)
     ))
     out = []
-    for val, (r, M, monotone_ok) in zip(oscillatory_quadrature(g, phase, tol=1e-11), scans):
+    for val, (r, M) in zip(oscillatory_quadrature(g, phase, tol=1e-11), scans):
         bound = 8.0 * M / math.sqrt(r)
         out.append(SecondDerivativeReport(
             status="PASS" if abs(val.value) <= bound else "FAIL",
-            integral=val.value, bound=bound, r=r, M=M, monotone_ok=monotone_ok,
+            integral=val.value, bound=bound, r=r, M=M,
         ))
     return out
 
@@ -745,45 +743,22 @@ def _image_sums(K: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _direct_k_sums(Ks, x: float) -> list[ComplexEstimate]:
-    """`bessel_weighted_k_sum(K, x, "direct")` for every K of Ks, from one
-    `bessel_j_orders` call (one Miller pass) over the union of their
-    orders; each sum adds its own terms in weight order."""
-    if min(Ks) < 8:
-        raise ValueError("need K >= 8")
-    if x <= 0:
-        raise ValueError("need x > 0")
-    terms = []  # per K, its odd weights k with W((k - 1)/K) != 0
-    for K in Ks:
-        ks = range((K + 1) | 1, 2 * K + 2, 2)
-        ws = [float(_canonical_bump(np.array([2.0 * ((k - 1) / K) - 3.0]))[0]) for k in ks]
-        terms.append([(k, w) for k, w in zip(ks, ws) if w != 0.0])
-    orders = sorted({k - 1 for ts in terms for k, _ in ts})
-    jvs = dict(zip(orders, bessel_j_orders(orders, 2 * math.pi * x)))
-    out = []
-    for ts in terms:
-        total = 0j
-        err = 0.0
-        for k, wv in ts:
-            total += (1j) ** (-k % 4) * wv * jvs[k - 1].value
-            err += wv * jvs[k - 1].abs_error
-        routes = sorted({jvs[k - 1].method for k, _ in ts})
-        out.append(ComplexEstimate(total, err + 1e-15, "+".join(routes)))
-    return out
-
-
-def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
+def bessel_weighted_k_sum(K, x, mode: str) -> list[ComplexEstimate]:
     """S1 = sum over odd weights k of i^(-k) W((k-1)/K) J_{k-1}(2 pi x).
 
-    The sum runs over the odd weight grid (the parity attached to odd
-    nebentypus in the trace formula), with W the canonical bump on
-    [1, 2].  Modes:
+    K and x broadcast together, and one estimate comes back per (K, x)
+    pair, in C order; scalars give a list of one.  The sum runs over the
+    odd weight grid (the parity attached to odd nebentypus in the trace
+    formula), with W the canonical bump on [1, 2].  Modes:
 
-    direct      brute-force sum of Bessel values; the method names the
-                Bessel routes that ran, sorted and joined by "+";
-    kernel      the sum-over-orders identity: combining the mod-4
-                kernels over the even order classes collapses to
-                -i int_R K What(K v) cos(2 pi x cos 2 pi v) dv,
+    direct      brute-force sum of Bessel values: the pairs at one x
+                share one `bessel_j_orders` call (one Miller pass) over
+                the union of their orders, and each sum adds its own
+                terms in weight order; the method names the Bessel
+                routes that ran, sorted and joined by "+";
+    kernel      the sum-over-orders identity, pair by pair: combining
+                the mod-4 kernels over the even order classes collapses
+                to -i int_R K What(K v) cos(2 pi x cos 2 pi v) dv,
                 with What(K v) = e^(3 pi i K v) phi_hat(pi K v) / 2.
                 The integrand is even in v and G(v) = cos(2 pi x cos
                 2 pi v) has period 1/2, so the integral folds onto one
@@ -796,50 +771,73 @@ def bessel_weighted_k_sum(K: int, x: float, mode: str) -> ComplexEstimate:
                 (`_image_table`), and each GL-24 node of [0, 1/2] costs
                 one G, one cosine (and for odd K one sine) of 3 xi and
                 one table row; no Bessel value enters.
-                A quadrature needing more than _KERNEL_PANELS panels
-                raises ValueError before any node is built;
-    asymptotic  leading stationary term with the u-integral folded in:
-                -i K w0 cos(2 pi x - pi/4) / (2 pi sqrt(x)), w0 = int W.
+                A pair needing more than _KERNEL_PANELS panels raises
+                ValueError before any node of any pair is built;
+    asymptotic  leading stationary term with the u-integral folded in,
+                pair by pair: -i K w0 cos(2 pi x - pi/4) / (2 pi
+                sqrt(x)), w0 = int W.
     """
-    if K < 8:
+    pairs = list(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(K, x))))
+    if min(K for K, _ in pairs) < 8:
         raise ValueError("need K >= 8")
-    if x <= 0:
+    if min(x for _, x in pairs) <= 0:
         raise ValueError("need x > 0")
     if mode == "direct":
-        return _direct_k_sums((K,), x)[0]
+        terms, orders = {}, {}  # per K, its (k, W) with W((k - 1)/K) != 0; per x, its orders
+        for K, x in pairs:
+            if K not in terms:
+                ks = range((K + 1) | 1, 2 * K + 2, 2)
+                ws = [float(_canonical_bump(np.array([2.0 * ((k - 1) / K) - 3.0]))[0]) for k in ks]
+                terms[K] = [(k, w) for k, w in zip(ks, ws) if w != 0.0]
+            orders.setdefault(x, set()).update(k - 1 for k, _ in terms[K])
+        jvs = {x: dict(zip(sorted(o), bessel_j_orders(sorted(o), 2 * math.pi * x)))
+               for x, o in orders.items()}
+        out = []
+        for K, x in pairs:
+            total, err = 0j, 0.0
+            for k, wv in terms[K]:
+                jv = jvs[x][k - 1]
+                total += (1j) ** (-k % 4) * wv * jv.value
+                err += wv * jv.abs_error
+            routes = sorted({jvs[x][k - 1].method for k, _ in terms[K]})
+            out.append(ComplexEstimate(total, err + 1e-15, "+".join(routes)))
+        return out
     if mode == "kernel":
-        y = 2 * math.pi * x
-        # weight factor oscillates at ~4 pi K, the kernel at <= 2 pi y
-        rate = 2 * math.pi * y + 4 * math.pi * K
-        panels = int(rate / 22.0)
-        if panels > _KERNEL_PANELS:
-            raise ValueError(
-                f"kernel quadrature at K = {K}, x = {x:g} needs {panels} panels "
-                f"on [0, 1/2], over the budget of {_KERNEL_PANELS}"
-            )
-        edges = np.linspace(0.0, 0.5, panels + 1)
-        total = 0.0
-        for i0 in range(0, panels, _KERNEL_CHUNK):
-            u, wt = panel_rule(edges[i0 : i0 + _KERNEL_CHUNK + 1], 24)
-            parts = _image_sums(K, math.pi * K * u)
-            theta = 3 * math.pi * K * u
-            f = np.cos(theta) * parts[0]
-            if len(parts) == 2:
-                f -= np.sin(theta) * parts[1]
-            f *= np.cos(y * np.cos(2 * math.pi * u))
-            total += float(f @ wt)
-        value = -1j * K * total
-        return ComplexEstimate(value, 2e-9 + abs(value) * 1e-10, "quadrature")
+        # weight factor oscillates at ~4 pi K, the kernel at <= 2 pi (2 pi x)
+        panels = [int((2 * math.pi * (2 * math.pi * x) + 4 * math.pi * K) / 22.0)
+                  for K, x in pairs]
+        for (K, x), n in zip(pairs, panels):
+            if n > _KERNEL_PANELS:
+                raise ValueError(
+                    f"kernel quadrature at K = {K}, x = {x:g} needs {n} panels "
+                    f"on [0, 1/2], over the budget of {_KERNEL_PANELS}"
+                )
+        out = []
+        for (K, x), n in zip(pairs, panels):
+            edges = np.linspace(0.0, 0.5, n + 1)
+            total = 0.0
+            for i0 in range(0, n, _KERNEL_CHUNK):
+                u, wt = panel_rule(edges[i0 : i0 + _KERNEL_CHUNK + 1], 24)
+                parts = _image_sums(K, math.pi * K * u)
+                theta = 3 * math.pi * K * u
+                f = np.cos(theta) * parts[0]
+                if len(parts) == 2:
+                    f -= np.sin(theta) * parts[1]
+                f *= np.cos(2 * math.pi * x * np.cos(2 * math.pi * u))
+                total += float(f @ wt)
+            value = -1j * K * total
+            out.append(ComplexEstimate(value, 2e-9 + abs(value) * 1e-10, "quadrature"))
+        return out
     if mode == "asymptotic":
         xs, ws = _gl(64)
         w0 = float(np.dot(_canonical_bump(xs), ws)) * 0.5
-        lead = -1j * K * w0 * math.cos(2 * math.pi * x - math.pi / 4) / (
-            2 * math.pi * math.sqrt(x)
-        )
-        err = abs(K * w0 / (2 * math.pi * math.sqrt(x))) * min(
-            1.0, 2.0 * K * K / x
-        )
-        return ComplexEstimate(lead, err, "asymptotic")
+        out = []
+        for K, x in pairs:
+            scale = 2 * math.pi * math.sqrt(x)
+            lead = -1j * K * w0 * math.cos(2 * math.pi * x - math.pi / 4) / scale
+            err = abs(K * w0 / scale) * min(1.0, 2.0 * K * K / x)
+            out.append(ComplexEstimate(lead, err, "asymptotic"))
+        return out
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -62,6 +62,7 @@ class PipelineParams:
 
     The dual length is always recomputed as Q^2 K^4 / N; it is a
     property, not a field, so inconsistent inputs cannot be expressed.
+    Scales whose dual length underflows to 0 or overflows are refused.
     """
 
     N: float
@@ -78,6 +79,13 @@ class PipelineParams:
             raise ValueError("all parameters must be positive")
         if self.K > math.sqrt(self.t) + 1e-12:
             raise ValueError("need K <= sqrt(t)")
+        try:
+            in_range = 0.0 < self.N_dual < math.inf
+        except OverflowError:  # a float ** raises where a product gives inf
+            in_range = False
+        if not in_range:
+            raise ValueError(f"dual length Q^2 K^4 / N underflows or overflows "
+                             f"at N = {self.N:g}, K = {self.K:g}, Q = {self.Q:g}")
 
     @property
     def N_dual(self) -> float:
@@ -249,6 +257,9 @@ class S5Report:
 # the two sides of the S5 Poisson identity agree to this fraction of
 # max(|direct|, 1e-3 trivial bound)
 S5_TOL = 1e-6
+# desk scale: the largest nominal cutoff 8 c max(t, 1) / N of the S5 dual window,
+# which holds 2.5 times as many terms (4001 and 20001 take 0.15 and 9 s on x86)
+S5_CUTOFF_MAX = 4000
 
 
 def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
@@ -267,6 +278,10 @@ def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
     """
     if c > 50 or p.N > 1e5 or p.t > 2000:
         raise ValueError("desk-scale limits: c <= 50, N <= 1e5, t <= 2000")
+    reach = 8.0 * c * max(p.t, 1.0) / p.N
+    if not reach <= S5_CUTOFF_MAX:
+        raise ValueError(f"desk-scale S5 dual window limited to 8 c max(t, 1) / N <= "
+                         f"{S5_CUTOFF_MAX}, got {reach:.3g} at N = {p.N:g}, t = {p.t:g}, c = {c}")
     N = p.N
     ns = np.arange(int(math.floor(N)), int(math.ceil(2 * N)) + 1)
     bump = _canonical_bump(2.0 * ns / N - 3.0)
@@ -281,7 +296,7 @@ def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
     # a running total in n order, as a per-n loop would sum it
     trivial = float(np.cumsum(bump * np.abs(s))[-1]) if ns.size else 0.0
 
-    cutoff = int(math.ceil(8.0 * c * max(p.t, 1.0) / N))
+    cutoff = int(math.ceil(reach))
     n_win_hi = cutoff + max(6, cutoff)
     n_win_lo = -max(6, cutoff // 2)
     ivals = i_integral_window(m, n_win_lo, n_win_hi, c, p)

@@ -96,51 +96,36 @@ def _kloosterman_terms(pairs: list[tuple[int, int]], c_maxes: list[int]) -> list
     return terms
 
 
-def _side(k: int, m: int, n: int, A: float, re_terms, bessel) -> PeterssonSide:
-    """The side from re_terms[c - 1] = Re S(m, n; c) / c and bessel[c - 1]
-    = J_(k-1)(A / c), c <= c_max."""
-    c_max = len(re_terms)
-    total = float(np.dot(re_terms, bessel))
-    return PeterssonSide(
-        k=k,
-        m=m,
-        n=n,
-        delta_term=1 if m == n else 0,
-        kloosterman_sum_value=total,
-        tail_bound=math.exp(_tail_log_bound(k, A, c_max)),
-        c_max=c_max,
-    )
+def petersson_delta(k: int, m, n, tol: float = 1e-12) -> list[PeterssonSide]:
+    """Geometric side with each c-sum truncated at certified accuracy.
 
-
-def petersson_delta(
-    k: int, m: int, n: int, tol: float = 1e-12
-) -> PeterssonSide:
-    """Geometric side with the c-sum truncated at certified accuracy."""
-    A, c_max = _truncation(k, m, n, tol)
-    cs = np.arange(1, c_max + 1, dtype=float)
-    (re_terms,) = _kloosterman_terms([(m, n)], [c_max])
-    return _side(k, m, n, A, re_terms, bessel_j_many(k - 1, A / cs))
+    m and n broadcast together, and one side comes back per (m, n) pair,
+    in C order; scalars give a list of one.  Every pair is truncated
+    before any sum is formed.  The J_(k-1)(A / c) of all pairs come from
+    one `bessel_j_many` call, so the midrange arguments share one Miller
+    pass, and their Re S(m, n; c) / c from one `_kloosterman_terms` call.
+    """
+    pairs = list(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(m, n))))
+    cuts = [_truncation(k, mm, nn, tol) for mm, nn in pairs]
+    c_maxes = [c_max for _, c_max in cuts]
+    args = [A / np.arange(1, c_max + 1, dtype=float) for A, c_max in cuts]
+    bessel = bessel_j_many(k - 1, np.concatenate(args))
+    kloos = _kloosterman_terms(pairs, c_maxes)
+    out = []
+    for (mm, nn), (A, c_max), end, terms in zip(pairs, cuts, np.cumsum(c_maxes), kloos):
+        total = float(np.dot(terms, bessel[end - c_max : end]))
+        tail = math.exp(_tail_log_bound(k, A, c_max))
+        out.append(PeterssonSide(k, mm, nn, int(mm == nn), total, tail, c_max))
+    return out
 
 
 def petersson_matrix(k: int, size: int) -> np.ndarray:
-    """Matrix [Delta_k(m, n)] for 1 <= m, n <= size (symmetric), each
-    c-sum truncated at tail 1e-12.
-
-    Every pair's J_(k-1)(A / c) comes from one `bessel_j_many` call, so
-    the midrange arguments of the whole matrix share one Miller pass.
-    """
-    pairs = [(m, n) for m in range(1, size + 1) for n in range(m, size + 1)]
-    cuts = [_truncation(k, m, n, 1e-12) for m, n in pairs]
-    args = [A / np.arange(1, c_max + 1, dtype=float) for A, c_max in cuts]
-    bessel = bessel_j_many(k - 1, np.concatenate(args))
-    c_maxes = [c_max for _, c_max in cuts]
-    ends = np.cumsum(c_maxes)
-    kloos = _kloosterman_terms(pairs, c_maxes)
+    """Matrix [Delta_k(m, n)] for 1 <= m, n <= size (symmetric): one
+    `petersson_delta` call over the upper triangle, each c-sum truncated
+    at tail 1e-12."""
+    m, n = np.triu_indices(size)
     out = np.zeros((size, size))
-    for (m, n), (A, c_max), end, re_terms in zip(pairs, cuts, ends, kloos):
-        v = _side(k, m, n, A, re_terms, bessel[end - c_max : end]).value
-        out[m - 1, n - 1] = v
-        out[n - 1, m - 1] = v
+    out[m, n] = out[n, m] = [side.value for side in petersson_delta(k, m + 1, n + 1, 1e-12)]
     return out
 
 

@@ -8,6 +8,10 @@ orders of magnitude away from the demanded 1e6 (see README and the
 docstring of criterion_bessel_sum_suppression for the analysis).
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from weylbound import acceptance, pipeline
@@ -18,33 +22,59 @@ def _report(res):
     return res
 
 
+def _benchmark_parsers():
+    """The `exact` workload's detail parser per criterion, from
+    benchmark/workloads.py, loaded read-only under a private name."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_exact_workload_parsers", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return {name: parser for name, _, parser in module.EXACT_CRITERIA}
+
+
+_PARSERS = _benchmark_parsers()
+
+
+def _gates_pass(name, res):
+    """The detail parses as the benchmark's `exact` workload parses it, and
+    every parsed gate passes."""
+    gates, _ = _PARSERS[name](res.detail)
+    assert gates and all(gate.ok for gate in gates), (res.detail, gates)
+
+
 def test_criterion_1_charsums():
     res = _report(acceptance.criterion_charsums())
     assert res.status == "PASS", res.detail
+    _gates_pass("criterion_charsums", res)
     assert res.elapsed < 60
 
 
 def test_criterion_2_twisted_factorization():
     res = _report(acceptance.criterion_twisted_factorization())
     assert res.status == "PASS", res.detail
+    _gates_pass("criterion_twisted_factorization", res)
     assert res.elapsed < 120
 
 
 def test_criterion_3_psi_average():
     res = _report(acceptance.criterion_psi_average())
     assert res.status == "PASS", res.detail
+    _gates_pass("criterion_psi_average", res)
     assert res.elapsed < 60
 
 
 def test_criterion_4_petersson():
     res = _report(acceptance.criterion_petersson())
     assert res.status == "PASS", res.detail
+    _gates_pass("criterion_petersson", res)
     assert res.elapsed < 120
 
 
 def test_criterion_5a_bessel_sum_identity():
     res = _report(acceptance.criterion_bessel_sum_identity())
     assert res.status == "PASS", res.detail
+    _gates_pass("criterion_bessel_sum_identity", res)
     assert res.elapsed < 60
 
 
@@ -62,6 +92,7 @@ def test_criterion_5b_bessel_sum_suppression():
 def test_criterion_6_stationary_phase():
     res = _report(acceptance.criterion_stationary_phase())
     assert res.status == "PASS", res.detail
+    _gates_pass("criterion_stationary_phase", res)
     assert res.elapsed < 120
 
 
@@ -93,6 +124,7 @@ def test_criterion_9_without_fitted_slope():
 def test_criterion_10_coefficient_bounds():
     res = _report(acceptance.criterion_coefficient_bounds())
     assert res.status == "PASS", res.detail
+    _gates_pass("criterion_coefficient_bounds", res)
     assert res.elapsed < 30
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import sys
@@ -179,6 +180,34 @@ def test_emit_plotdata_blocks(tmp_path):
     assert "# records: 10 (excluded: 0)" in text
 
 
+def test_emit_plotdata_mirrors_negative_t(tmp_path):
+    # the reference curves take |t|, so a scan at negative t plots its
+    # mirror image's curves, with the same fitted constants
+    pos = _fake_records(10)
+    neg = [dataclasses.replace(r, t=-r.t) for r in reversed(pos)]
+    text = {}
+    for name, records in (("pos", pos), ("neg", neg)):
+        emit_plotdata(records, str(tmp_path / name))
+        text[name] = (tmp_path / name).read_text().splitlines()
+    headers = {name: [line for line in lines if line.startswith("#")]
+               for name, lines in text.items()}
+    assert headers["neg"] == headers["pos"] and len(headers["pos"]) == 3
+    rows = {name: [line.split() for line in lines if not line.startswith("#")]
+            for name, lines in text.items()}
+    # the data and the two curves, ten rows each, reversed and negated
+    for block in range(0, 30, 10):
+        want = [[f"{-float(t):.6f}", v] for t, v in rows["pos"][block : block + 10][::-1]]
+        assert rows["neg"][block : block + 10] == want
+
+
+def test_scan_over_negative_t_passes(tmp_path, capsys):
+    out = tmp_path / "neg.csv"
+    argv = ["scan", "--t-min=-20", "--t-max=-10", "--step", "0.5", "--prec", "2000"]
+    assert main([*argv, "--output", str(out)]) == EXIT_PASS
+    assert "21 records, 0 flagged" in capsys.readouterr().out
+    assert "nan" not in (tmp_path / "neg.csv.plot").read_text()
+
+
 def test_emit_plotdata_single_record_flagged(tmp_path):
     path = tmp_path / "plot.dat"
     emit_plotdata(_fake_records(1), str(path))
@@ -243,6 +272,18 @@ def test_afe_command(capsys):
         (["pipeline", "--q-scale", "inf"], "Q must be finite, got inf"),
         (["pipeline", "--q-scale", "nan"], "Q must be finite, got nan"),
         (["pipeline", "--t", "inf"], "t must be finite, got inf"),
+        # moduli down to int(Q) - 2 = 0, a dual length that underflows to 0 or
+        # overflows, and an S5 dual window of 10^305 terms, each refused
+        # before any check
+        (["pipeline", "--q-scale", "2.9"], "need Q >= 3, got Q = 2.9"),
+        (["pipeline", "--q-scale", "1.5"], "need Q >= 3, got Q = 1.5"),
+        (["pipeline", "--q-scale", "0.5"], "need Q >= 3, got Q = 0.5"),
+        (["pipeline", "--t", "1e-300", "--weight-scale", "1e-151"],
+         "dual length Q^2 K^4 / N underflows or overflows at N = 2500, K = 1e-151, Q = 25"),
+        (["pipeline", "--q-scale", "1e200"],
+         "dual length Q^2 K^4 / N underflows or overflows at N = 2500, K = 10, Q = 1e+200"),
+        (["pipeline", "--n-len", "1e-300"],
+         "S5 dual window limited to 8 c max(t, 1) / N <= 4000, got 3.84e+304 at N = 1e-300"),
         (["besselsum", "--x-list", "nan"], "x must be finite, got nan"),
         (["besselsum", "--x-list", "10,inf"], "x must be finite, got inf"),
         # no coefficients past lambda(0)
@@ -283,7 +324,11 @@ def test_afe_command(capsys):
          "petersson-tol-nan", "petersson-tol-inf", "petersson-tol-negative",
          "petersson-tol-zero", "petersson-grid-past-desk-scale",
          "pipeline-weight-scale-nan", "pipeline-n-len-nan", "pipeline-q-scale-inf",
-         "pipeline-q-scale-nan", "pipeline-t-inf", "besselsum-x-nan", "besselsum-x-inf",
+         "pipeline-q-scale-nan", "pipeline-t-inf",
+         "pipeline-q-scale-2.9", "pipeline-q-scale-1.5", "pipeline-q-scale-0.5",
+         "pipeline-dual-length-underflow", "pipeline-dual-length-overflow",
+         "pipeline-s5-window-past-desk-scale",
+         "besselsum-x-nan", "besselsum-x-inf",
          "prec-zero", "prec-negative", "k16-prec-zero", "prec-past-desk-scale",
          "afe-t-inf",
          "step-inf", "t-min-nan", "t-max-nan", "step-nan",

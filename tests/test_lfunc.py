@@ -639,6 +639,37 @@ def test_scan_grid_and_gates(delta2000):
     assert summ.fit_slope is not None
 
 
+def test_scan_over_negative_t_mirrors_positive_t(delta2000):
+    # |L(1/2 - it)| = |L(1/2 + it)| for Delta, so the ratios and the peak
+    # fit take |t|: the scan over [-20, -10] is the one over [10, 20]
+    # reversed, up to the rounding of the two central values
+    neg = exponent_scan(delta2000, -20.0, -10.0, 0.5)
+    pos = exponent_scan(delta2000, 10.0, 20.0, 0.5)[::-1]
+    assert [r.t for r in neg] == [-r.t for r in pos]
+    for a, b in zip(neg, pos, strict=True):
+        assert (a.afe_length, a.accepted) == (b.afe_length, b.accepted)
+        for name in ("modulus", "convexity_ratio", "weyl_ratio"):
+            assert math.isclose(getattr(a, name), getattr(b, name), rel_tol=1e-12), (a.t, name)
+    sn, sp = scan_summary(neg), scan_summary(pos)
+    for name in ("n_records", "n_flagged", "peak_count"):
+        assert getattr(sn, name) == getattr(sp, name), name
+    assert sp.peak_count >= 2
+    for name in ("max_convexity_ratio", "max_weyl_ratio", "fit_slope", "fit_intercept"):
+        assert math.isclose(getattr(sn, name), getattr(sp, name), rel_tol=1e-9), name
+
+
+def test_scan_fit_leaves_out_a_peak_at_t_zero():
+    def record(t, modulus):
+        return lfunc.ScanRecord(t, modulus, 1, 0.0, 0.0, 0.0, True)
+
+    ladder = [(-3.0, 1.0), (-2.0, 2.0), (-1.0, 1.0), (0.0, 3.0), (1.0, 1.0), (3.0, 2.5), (4.0, 1.0)]
+    summary = scan_summary([record(t, m) for t, m in ladder])
+    assert summary.peak_count == 3
+    # the fit runs through (log 2, log 2) and (log 3, log 2.5) alone
+    want = math.log(2.5 / 2.0) / math.log(3.0 / 2.0)
+    assert math.isclose(summary.fit_slope, want, rel_tol=1e-12)
+
+
 def test_scan_parallel_matches_serial(delta2000):
     # a scan run twice gives equal records, bit for bit, and the
     # `parallelism` argument existing callers pass changes no work

@@ -497,8 +497,8 @@ def test_ksum_identity_direct_vs_kernel_small():
     for K, x in [(8, 10.0), (8, 100.0), (16, 10.0), (16, 100.0), (32, 10.0),
                  (9, 10.0), (9, 100.0), (10, 10.0), (10, 100.0), (11, 10.0),
                  (11, 100.0)]:
-        d = bessel_weighted_k_sum(K, x, "direct")
-        k = bessel_weighted_k_sum(K, x, "kernel")
+        (d,) = bessel_weighted_k_sum(K, x, "direct")
+        (k,) = bessel_weighted_k_sum(K, x, "kernel")
         assert abs(d.value - k.value) <= 1e-8, (K, x)
 
 
@@ -530,7 +530,7 @@ def _unfolded_kernel(K, x):
 def test_folded_kernel_matches_unfolded_integral(K, x):
     # K runs over every residue mod 4, so each image's rotation
     # e^(3 pi i K j / 2) takes all four values
-    got = bessel_weighted_k_sum(K, x, "kernel").value
+    got = bessel_weighted_k_sum(K, x, "kernel")[0].value
     assert abs(got - _unfolded_kernel(K, x)) <= 1e-12, (K, x)
 
 
@@ -550,8 +550,8 @@ def test_kernel_past_panel_budget_refused_before_any_node(monkeypatch):
 
 def test_ksum_direct_reports_bessel_routes():
     # 2 pi x = 2 pi 1e4 sits in the recurrence regime for every order
-    assert bessel_weighted_k_sum(32, 1e4, "direct").method == "recurrence"
-    assert bessel_weighted_k_sum(8, 1.0, "direct").method == "series"
+    assert bessel_weighted_k_sum(32, 1e4, "direct")[0].method == "recurrence"
+    assert bessel_weighted_k_sum(8, 1.0, "direct")[0].method == "series"
 
 
 def _direct_sum_by_definition(K, x):
@@ -571,18 +571,65 @@ def test_criterion_5a_direct_sums_share_one_miller_pass_per_x(monkeypatch):
         passes.append(x)
         return miller(orders, x)
 
+    modes = []
+    k_sum = oscint.bessel_weighted_k_sum
+
+    def recorded(K, x, mode):
+        modes.append(mode)
+        return k_sum(K, x, mode)
+
     monkeypatch.setattr(special, "_bessel_miller", counted)
+    monkeypatch.setattr(oscint, "bessel_weighted_k_sum", recorded)
     res = acceptance.criterion_bessel_sum_identity()
+    # one call per mode over the 12 pairs, and one Miller pass per x
+    assert modes == ["direct", "kernel"]
     assert len(passes) == len(set(passes)) == 4
     assert res.detail == "worst |direct - kernel| 1.55e-10 over 12 pairs"
     monkeypatch.undo()
     # the shared pass starts above every order of the union; where 2 pi x
     # sets the start, the values are those of a pass per K
     for x in (10.0, 100.0, 1000.0):
-        for K, d in zip((8, 9, 16, 32), oscint._direct_k_sums((8, 9, 16, 32), x)):
+        shared = bessel_weighted_k_sum((8, 9, 16, 32), x, "direct")
+        for K, d in zip((8, 9, 16, 32), shared, strict=True):
             want = _direct_sum_by_definition(K, x)
-            assert bessel_weighted_k_sum(K, x, "direct").value == want, (K, x)
+            assert bessel_weighted_k_sum(K, x, "direct")[0].value == want, (K, x)
             assert abs(d.value - want) <= (0.0 if x >= 100 else 1e-15), (K, x)
+
+
+def _same(a, b):
+    return (a.value, a.abs_error, a.method) == (b.value, b.abs_error, b.method)
+
+
+@pytest.mark.parametrize(
+    "K, x, mode",
+    [
+        # criterion 5a: the 4 x's by the 3 K's
+        ((8, 16, 32), np.array([10.0, 100.0, 1000.0, 10000.0])[:, None], "direct"),
+        ((8, 16, 32), np.array([10.0, 100.0, 1000.0, 10000.0])[:, None], "kernel"),
+        # criterion 5b: x = 4 K^2, then x = K^2 / 16
+        ([8, 16, 32] * 2, [256.0, 1024.0, 4096.0, 4.0, 16.0, 64.0], "direct"),
+        # the asymptotic-scale check at x = 4 K^2
+        ((8, 16, 32), [256.0, 1024.0, 4096.0], "direct"),
+        ((8, 16, 32), [256.0, 1024.0, 4096.0], "asymptotic"),
+    ],
+    ids=["5a-direct", "5a-kernel", "5b-direct", "scale-direct", "scale-asymptotic"],
+)
+def test_ksum_pair_list_equals_one_pair_calls(K, x, mode):
+    got = bessel_weighted_k_sum(K, x, mode)
+    Ks, xs = np.broadcast_arrays(K, x)
+    assert len(got) == Ks.size
+    for g, k1, x1 in zip(got, Ks.ravel().tolist(), xs.ravel().tolist(), strict=True):
+        (one,) = bessel_weighted_k_sum(k1, x1, mode)
+        assert _same(g, one), (k1, x1)
+
+
+def test_ksum_kernel_budget_checked_for_every_pair_first(monkeypatch):
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("a node was built")
+
+    monkeypatch.setattr(oscint, "panel_rule", no_nodes)
+    with pytest.raises(ValueError, match="K = 8, x = 1e\\+07"):
+        bessel_weighted_k_sum(8, [10.0, 1e7], "kernel")
 
 
 @pytest.mark.parametrize("order", [1, 3, 12, 24])
@@ -601,8 +648,8 @@ def test_panel_rule_exact_to_degree(order):
 def test_ksum_asymptotic_scale():
     for K in (8, 16, 32):
         x = float(4 * K * K)
-        d = bessel_weighted_k_sum(K, x, "direct")
-        a = bessel_weighted_k_sum(K, x, "asymptotic")
+        (d,) = bessel_weighted_k_sum(K, x, "direct")
+        (a,) = bessel_weighted_k_sum(K, x, "asymptotic")
         assert abs(a.value - d.value) <= 0.10 * abs(d.value), K
 
 

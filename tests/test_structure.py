@@ -130,7 +130,6 @@ UNNAMED_ALLOWED = {
     "oscint.nonstationary_decay_check": "the nonstationary decay lemma's check",
     "oscint.sum_over_orders_check": "the mod-4 sum-over-orders identity, both sides",
     "special.gamma_ratio_phase": "the paper's Gamma-ratio phase and its two slips",
-    "trace.petersson_delta": "one trace-formula entry, timed by the benchmark",
 }
 
 

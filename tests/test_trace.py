@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -17,35 +18,35 @@ from weylbound.trace import (
 def test_empty_space_cancellation():
     # dim S_10 = 0: delta term and Kloosterman side must cancel exactly
     for m, n in [(1, 1), (2, 3), (1, 4), (5, 5)]:
-        side = petersson_delta(10, m, n)
+        (side,) = petersson_delta(10, m, n)
         assert abs(side.value) <= 1e-8, (m, n)
 
 
 def test_delta_positive_at_weight12():
-    side = petersson_delta(12, 1, 1)
+    (side,) = petersson_delta(12, 1, 1)
     assert side.value > 0
     assert side.tail_bound < 1e-12 * max(1.0, abs(side.value))
 
 
 def test_dim1_factorization():
-    d11 = petersson_delta(12, 1, 1).value
-    d23 = petersson_delta(12, 2, 3).value
-    d21 = petersson_delta(12, 2, 1).value
-    d13 = petersson_delta(12, 1, 3).value
+    d11 = petersson_delta(12, 1, 1)[0].value
+    d23 = petersson_delta(12, 2, 3)[0].value
+    d21 = petersson_delta(12, 2, 1)[0].value
+    d13 = petersson_delta(12, 1, 3)[0].value
     assert abs(d23 * d11 - d21 * d13) <= 1e-8 * max(abs(d23 * d11), 1.0)
 
 
 def test_symmetry():
     for k in (10, 12):
         for m, n in [(2, 3), (1, 5), (4, 7)]:
-            a = petersson_delta(k, m, n).value
-            b = petersson_delta(k, n, m).value
+            a = petersson_delta(k, m, n)[0].value
+            b = petersson_delta(k, n, m)[0].value
             assert abs(a - b) < 1e-10
 
 
 def test_truncation_soundness():
-    side = petersson_delta(12, 2, 3, tol=1e-12)
-    refined = petersson_delta(12, 2, 3, tol=1e-14)
+    (side,) = petersson_delta(12, 2, 3, tol=1e-12)
+    (refined,) = petersson_delta(12, 2, 3, tol=1e-14)
     assert abs(side.value - refined.value) <= side.tail_bound + 1e-13
 
 
@@ -103,8 +104,8 @@ def test_petersson_rejects_bad_input():
         petersson_delta(12, 2000, 2000)
 
 
-# the weights and grid sizes of criterion 4's nine matrix builds
-CRITERION_4_MATRICES = [(10, 5), *((k, 8) for k in (12, 16, 18, 20, 22, 26)), (12, 8), (24, 6)]
+# the weights and grid sizes of criterion 4's eight matrix builds
+CRITERION_4_MATRICES = [(10, 5), *((k, 8) for k in (12, 16, 18, 20, 22, 26)), (24, 6)]
 
 
 def _per_triple_matrix(k, size):
@@ -158,3 +159,42 @@ def test_criterion_4_computes_each_residue_triple_once(monkeypatch):
                 )
     assert set(computed) == triples and max(computed.values()) == 1
     assert len(triples) < lookups / 2, (len(triples), lookups)
+
+
+def test_petersson_pair_list_matches_one_pair_calls():
+    # every side of criterion 4's matrices, from one call per matrix; the
+    # shared Miller pass starts above the largest A / c of the batch, so
+    # a sum moves from its one-pair call in the last bits (3.1e-16 at
+    # most), and reads the per-matrix oracle's Bessel values exactly
+    for k, size in CRITERION_4_MATRICES:
+        m, n = np.triu_indices(size)
+        sides = petersson_delta(k, m + 1, n + 1)
+        oracle = _per_triple_matrix(k, size)
+        assert len(sides) == len(m)
+        for side in sides:
+            (one,) = petersson_delta(k, side.m, side.n)
+            assert dataclasses.replace(side, kloosterman_sum_value=0.0) == dataclasses.replace(
+                one, kloosterman_sum_value=0.0
+            ), (k, side.m, side.n)
+            assert abs(side.kloosterman_sum_value - one.kloosterman_sum_value) <= 1e-15
+            assert side.value == oracle[side.m - 1, side.n - 1], (k, side.m, side.n)
+
+
+def test_petersson_broadcasts_and_scalars_give_a_list_of_one():
+    sides = petersson_delta(12, [[1], [2]], [1, 2, 3])
+    assert [(s.m, s.n) for s in sides] == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+    (side,) = petersson_delta(12, 2, 3)
+    assert isinstance(side, trace.PeterssonSide)
+
+
+def test_petersson_matrix_is_one_petersson_delta_call(monkeypatch):
+    calls = []
+    delta = trace.petersson_delta
+
+    def counted(k, m, n, tol=1e-12):
+        calls.append((k, len(m), tol))
+        return delta(k, m, n, tol)
+
+    monkeypatch.setattr(trace, "petersson_delta", counted)
+    petersson_matrix(12, 8)
+    assert calls == [(12, 36, 1e-12)]
