@@ -545,8 +545,7 @@ def criterion_scan(
 
 
 @_timed
-def _s5_check(p: pipeline.PipelineParams):
-    c = max(2, int(p.Q // 2))
+def _s5_check(p: pipeline.PipelineParams, c: int):
     rep = pipeline.poisson_check_s5(1, c, p)
     scaled = rep.abs_diff / max(abs(rep.direct), 1e-3 * rep.trivial_bound)
     fat = _s5_fat_tail(rep)
@@ -573,8 +572,7 @@ def _j_decay_check(p: pipeline.PipelineParams):
 
 
 @_timed
-def _assembly_check(p: pipeline.PipelineParams):
-    cs = tuple(int(p.Q) + d for d in (-2, -1, 0, 1))
+def _assembly_check(p: pipeline.PipelineParams, cs: tuple[int, ...]):
     asm = pipeline.offdiagonal_assembly(p, cs)
     return (
         "off-diagonal assembly",
@@ -590,10 +588,18 @@ def pipeline_checks(p: pipeline.PipelineParams) -> list:
     checks run in order: the S5 Poisson identity at m = 1,
     c = max(2, Q // 2); the J-decay fits at the stationary dual index for
     c = Q; the assembled second moment over c near Q.  Q < 3, where the
-    assembly's moduli int(Q) - 2 ... reach 0, is refused before any check."""
+    assembly's moduli int(Q) - 2 ... reach 0, scales past the S5 check's
+    desk-scale limits, and an assembly whose predicted work passes
+    `pipeline.ASSEMBLY_WORK_MAX` are refused before any check."""
     if p.Q < 3:
         raise ValueError(f"the pipeline checks need Q >= 3, got Q = {p.Q:g}")
-    return [
-        functools.partial(check, p)
-        for check in (_s5_check, _j_decay_check, _assembly_check)
-    ]
+    c, cs = max(2, int(p.Q // 2)), tuple(int(p.Q) + d for d in (-2, -1, 0, 1))
+    # the S5 limits bound t, N and Q, and so the assembly's plan
+    pipeline.s5_cutoff(c, p)
+    work = pipeline.assembly_work(p, cs)
+    if work > pipeline.ASSEMBLY_WORK_MAX:
+        raise ValueError(f"desk-scale off-diagonal assembly limited to "
+                         f"{pipeline.ASSEMBLY_WORK_MAX:.0e} units of work, "
+                         f"got {work:.2e} at N = {p.N:g}, Q = {p.Q:g}")
+    return [functools.partial(_s5_check, p, c), functools.partial(_j_decay_check, p),
+            functools.partial(_assembly_check, p, cs)]

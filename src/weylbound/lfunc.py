@@ -3,9 +3,11 @@ equation, the weighted coefficient sums S(N), and the exponent scan.
 
 The AFE splits L into two Dirichlet pieces of complementary lengths
 around sqrt(analytic conductor), linked by the root factor
-eps(f) gamma(1-s)/gamma(s).  Correctness is certified internally: the
-split point ("balance") is mathematically irrelevant, so disagreement
-between two balance choices measures every error source at once.
+eps(f) gamma(1-s)/gamma(s), where gamma and the conductor read only the
+Gamma_R and Gamma_C shifts of `LFunctionSpec`, whatever the form.
+Correctness is certified internally: the split point ("balance") is
+mathematically irrelevant, so disagreement between two balance choices
+measures every error source at once.
 
 The smoothing is V(u) = (1/2 pi i) int G(w) (gamma(s+w)/gamma(s))
 u^(-w) dw / w on Re w = 1 with the widened Gaussian G(w) =
@@ -45,6 +47,7 @@ as `afe_weight` and as the test oracle.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import threading
@@ -105,77 +108,81 @@ class CoefficientSource:
 
 @dataclass(frozen=True)
 class LFunctionSpec:
-    """Degree-2 L-function data: gamma factor kind, coefficients, root
-    number, and a Maass form's parity delta (0 even, 1 odd), which shifts
-    its gamma factor to gamma((s + delta +- i nu) / 2)."""
+    """Degree-2 L-function data: coefficients, root number and the gamma
+    factor as shifts, prod Gamma_R(s + mu) over gamma_r times prod
+    Gamma_C(s + nu) over gamma_c, where Gamma_R(z) = pi^(-z/2) Gamma(z/2)
+    and Gamma_C(z) = 2 (2 pi)^(-z) Gamma(z).  A weight-k form has gamma_c
+    = ((k - 1)/2,); a Maass form of spectral parameter nu and parity delta
+    (0 even, 1 odd) has gamma_r = (delta + i nu, delta - i nu)."""
 
-    kind: str  # holomorphic | maass
-    gamma_data: float  # weight k, or spectral parameter nu
+    gamma_r: tuple[complex, ...]
+    gamma_c: tuple[float, ...]
     coefficients: CoefficientSource
     root_number: complex
-    parity: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("holomorphic", "maass"):
-            raise ValueError("kind must be holomorphic or maass")
-        if self.parity not in ((0, 1) if self.kind == "maass" else (0,)):
-            raise ValueError("parity must be 0 or 1, and 0 for a holomorphic form")
-        if abs(abs(self.root_number) - 1.0) > 1e-9:
-            raise ValueError("root number must be unimodular")
+        if len(self.gamma_r) + 2 * len(self.gamma_c) != 2:
+            raise ValueError(f"need a gamma factor of degree 2, got {self.gamma_r} {self.gamma_c}")
+        if not all(map(cmath.isfinite, (*self.gamma_r, *self.gamma_c))):
+            raise ValueError(f"gamma shifts must be finite, got {self.gamma_r} {self.gamma_c}")
+        if not abs(abs(self.root_number) - 1.0) <= 1e-9:  # so a NaN fails it
+            raise ValueError(f"root number must be finite and unimodular, got {self.root_number}")
+
+
+def _holomorphic(k: int, normalized, prec: int) -> LFunctionSpec:
+    """A weight-k level-1 form's spec: gamma_c = ((k - 1)/2,), root number i^k."""
+    coefficients = CoefficientSource("computed", np.array(normalized), prec)
+    return LFunctionSpec((), ((k - 1) / 2.0,), coefficients, complex((1j) ** (k % 4)))
 
 
 def delta_spec(prec: int) -> LFunctionSpec:
     """The weight-12 level-1 form with coefficients from the eta product."""
-    f = delta_eigenform(prec)
-    vals = np.array(f.normalized)
-    return LFunctionSpec(
-        kind="holomorphic",
-        gamma_data=12.0,
-        coefficients=CoefficientSource("computed", vals, prec),
-        root_number=complex((1j) ** 12),
-    )
+    return _holomorphic(12, delta_eigenform(prec).normalized, prec)
 
 
 def holomorphic_spec(k: int, prec: int) -> LFunctionSpec:
     """L-function of the first eigenform `hecke_eigenforms` gives at
-    weight k; root number i^k.  Weights whose cusp space is empty or of
-    dimension above 2 raise ValueError."""
+    weight k.  Weights whose cusp space is empty or of dimension above 2
+    raise ValueError."""
     dim = dim_cusp(k)
     if not 1 <= dim <= 2:
         raise ValueError(f"weight {k} needs 1 <= dim S_k <= 2, got dim S_{k} = {dim}")
-    f = hecke_eigenforms(k, prec)[0]
-    vals = np.array(f.normalized)
-    return LFunctionSpec(
-        kind="holomorphic",
-        gamma_data=float(k),
-        coefficients=CoefficientSource("computed", vals, prec),
-        root_number=complex((1j) ** (k % 4)),
-    )
+    return _holomorphic(k, hecke_eigenforms(k, prec)[0].normalized, prec)
 
 
 def conductor_sqrt(spec: LFunctionSpec, t: float) -> float:
-    """sqrt of the analytic conductor at height t (gamma-factor scale)."""
+    """sqrt of the analytic conductor at height t: prod |s + nu| over
+    gamma_c times sqrt(prod |s + mu|) over gamma_r, over 2 pi."""
     s = complex(0.5, t)
-    if spec.kind == "holomorphic":
-        return abs(s + (spec.gamma_data - 1) / 2.0) / (2 * math.pi)
-    nu, z = spec.gamma_data, s + spec.parity
-    return math.sqrt(abs(z * z + nu * nu)) / (2 * math.pi)
+    # plain loops, not math.prod over generators: a scan asks for the
+    # conductor about five times per t
+    prod_c = prod_r = 1.0
+    for nu in spec.gamma_c:
+        prod_c *= abs(s + nu)
+    for mu in spec.gamma_r:
+        prod_r *= abs(s + mu)
+    return prod_c * math.sqrt(prod_r) / (2 * math.pi)
 
 
 def _log_gamma_factor(spec: LFunctionSpec, s: np.ndarray) -> np.ndarray:
-    """log of the completed gamma factor, vectorized over s."""
+    """log of the completed gamma factor, vectorized over s, up to its
+    constant factors (they cancel in every ratio): one Stirling pass over
+    (s + mu)/2 for each mu and s + nu for each nu."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
-    if spec.kind == "holomorphic":
-        k = spec.gamma_data
-        # lg - s log(2 pi) in place is -s log(2 pi) + lg to the bit, with
-        # one array fewer alive during a block's Stirling pass
-        lg = log_gamma_vec(s + (k - 1) / 2.0)
-        lg -= s * math.log(2 * math.pi)
-        return lg
-    up, down = spec.parity + 1j * spec.gamma_data, spec.parity - 1j * spec.gamma_data
-    # one Stirling pass over both shifted arguments
-    lg = log_gamma_vec(np.concatenate([(s + up) / 2.0, (s + down) / 2.0]))
-    return -s * math.log(math.pi) + lg[: len(s)] + lg[len(s) :]
+    r, c = len(spec.gamma_r), len(spec.gamma_c)
+    z = np.empty((r + c, len(s)), dtype=complex)
+    for row, shift in zip(z, (*spec.gamma_r, *spec.gamma_c)):
+        np.add(s, shift, out=row)
+    z[:r] /= 2.0
+    lg = log_gamma_vec(z)
+    # the first piece minus s times the constants, in place, is the
+    # constants' term plus that piece to the bit, with one array fewer
+    # alive during a block's Stirling pass
+    out = lg[0]
+    out -= s * (0.5 * r * math.log(math.pi) + c * math.log(2 * math.pi))
+    for piece in lg[1:]:
+        out += piece
+    return out
 
 
 @functools.lru_cache(maxsize=4)
@@ -629,41 +636,38 @@ class MaassIngestReport:
 def load_maass_file(path: str) -> tuple[LFunctionSpec, MaassIngestReport]:
     """Read a Maass coefficient file and run its admission checks.
 
-    Header: '# nu = <decimal>', '# epsilon = <+1|-1>',
-    '# parity = <even|odd>'; then 'n,lambda_n' rows from n = 1 with
-    lambda(1) = 1.  The Rankin-Selberg mean-square ratio must land in
-    [0.05, 20] or the file is rejected; coefficients breaching twice
-    the 7/64 bound are reported but tolerated.
+    Header: '# nu = <decimal>' with |nu| <= `T_MAX` (nu enters the
+    conductor as t does), '# epsilon = <+1|-1>', '# parity = <even|odd>';
+    then 'n,lambda_n' rows from n = 1 with lambda(1) = 1, each n once.
+    The Rankin-Selberg mean-square ratio must land in [0.05, 20] or the
+    file is rejected; coefficients breaching twice the 7/64 bound are
+    reported but tolerated.  The gamma factor is Gamma_R(s + delta +- i nu),
+    delta = 0 for an even form and 1 for an odd one.
     """
-    nu = epsilon = None
-    parity = None
+    headers: dict[str, str] = {}
     rows: dict[int, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
+        for line in map(str.strip, fh):
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    key = key.strip().lower()
-                    val = val.strip()
-                    if key == "nu":
-                        nu = float(val)
-                    elif key == "epsilon":
-                        epsilon = float(val)
-                    elif key == "parity":
-                        parity = val
-                continue
-            n_str, _, lam_str = line.partition(",")
-            rows[int(n_str)] = float(lam_str)
-    if nu is None:
+                key, eq, val = line[1:].partition("=")
+                if eq:
+                    headers[key.strip().lower()] = val.strip()
+            elif line:
+                n_str, _, lam_str = line.partition(",")
+                if int(n_str) in rows:
+                    raise ValueError(f"repeated coefficient row '{line}'")
+                rows[int(n_str)] = float(lam_str)
+    if "nu" not in headers:
         raise ValueError("missing '# nu = ...' header")
+    nu = float(headers["nu"])
+    if not abs(nu) <= T_MAX:
+        raise ValueError(f"bad '# nu = {headers['nu']}' header: need finite |nu| <= {T_MAX:g}")
+    parity = headers.get("parity")
     if parity not in ("even", "odd"):
         raise ValueError("missing or bad '# parity = ...' header")
-    if epsilon is None:
-        epsilon = 1.0 if parity == "even" else -1.0
+    epsilon = float(headers.get("epsilon", 1.0 if parity == "even" else -1.0))
+    if epsilon not in (1.0, -1.0):
+        raise ValueError(f"bad '# epsilon = {headers['epsilon']}' header: need +1 or -1")
     if not rows:
         raise ValueError("no coefficient rows: expected 'n,lambda_n' lines from n = 1")
     n_max = max(rows)
@@ -686,12 +690,12 @@ def load_maass_file(path: str) -> tuple[LFunctionSpec, MaassIngestReport]:
             f"Rankin-Selberg mean-square ratio {rs_ratio:.4g} outside [0.05, 20]; "
             "file looks corrupted or misnormalized"
         )
+    delta = int(parity == "odd")
     spec = LFunctionSpec(
-        kind="maass",
-        gamma_data=nu,
+        gamma_r=(complex(delta, nu), complex(delta, -nu)),
+        gamma_c=(),
         coefficients=CoefficientSource("ingested", vals, n_max),
         root_number=complex(epsilon),
-        parity=int(parity == "odd"),
     )
     report = MaassIngestReport(
         nu=nu,

@@ -35,7 +35,7 @@ import numpy as np
 from .arith import inv_mod
 from .expsums import charsum_congruence, kloosterman_reals, units_and_inverses
 from .oscint import _canonical_bump, _two_product, panel_rule, plateau_weight
-from .special import chebyshev_fit
+from .special import chebyshev_degree, chebyshev_fit
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -131,6 +131,13 @@ def i_integral_batch(
     return out
 
 
+def _profile_band(c: int, p: PipelineParams) -> tuple[float, float]:
+    """Centre frequency omega0 and half-width beta of x -> I(x^2, n, c):
+    omega = (2 pi / c) sqrt(N v) over v in [1, 2]."""
+    root_n = (TWO_PI / c) * math.sqrt(p.N)
+    return root_n * (1.0 + SQRT2) / 2.0, root_n * (SQRT2 - 1.0) / 2.0
+
+
 def _i_profile(ms: np.ndarray, n: int, c: int, p: PipelineParams) -> np.ndarray:
     """I(m, n, c) on an array of first arguments, read from one Chebyshev
     interpolant in x = sqrt(m).
@@ -142,9 +149,7 @@ def _i_profile(ms: np.ndarray, n: int, c: int, p: PipelineParams) -> np.ndarray:
     `i_integral_batch`, as one band of unit amplitude and frequency beta.
     """
     x = np.sqrt(np.asarray(ms, dtype=float))
-    root_n = (TWO_PI / c) * math.sqrt(p.N)
-    omega0 = root_n * (1.0 + SQRT2) / 2.0
-    beta = root_n * (SQRT2 - 1.0) / 2.0
+    omega0, beta = _profile_band(c, p)
     fit = chebyshev_fit(
         lambda xs: np.exp(-1j * omega0 * xs) * i_integral_batch(xs * xs, n, c, p),
         float(x.min()), float(x.max()), beta,
@@ -262,6 +267,18 @@ S5_TOL = 1e-6
 S5_CUTOFF_MAX = 4000
 
 
+def s5_cutoff(c: int, p: PipelineParams) -> float:
+    """The nominal dual cutoff 8 c max(t, 1) / N of the S5 window at
+    modulus c; ValueError past the desk-scale limits."""
+    if c > 50 or p.N > 1e5 or p.t > 2000:
+        raise ValueError("desk-scale limits: c <= 50, N <= 1e5, t <= 2000")
+    reach = 8.0 * c * max(p.t, 1.0) / p.N
+    if not reach <= S5_CUTOFF_MAX:
+        raise ValueError(f"desk-scale S5 dual window limited to 8 c max(t, 1) / N <= "
+                         f"{S5_CUTOFF_MAX}, got {reach:.3g} at N = {p.N:g}, t = {p.t:g}, c = {c}")
+    return reach
+
+
 def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
     """Both sides of the Poisson identity for S5.
 
@@ -276,12 +293,7 @@ def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
     agreement at S5_TOL times max(|direct|, 1e-3 trivial bound), the floor
     covering regimes where S5 itself cancels to exponentially small size.
     """
-    if c > 50 or p.N > 1e5 or p.t > 2000:
-        raise ValueError("desk-scale limits: c <= 50, N <= 1e5, t <= 2000")
-    reach = 8.0 * c * max(p.t, 1.0) / p.N
-    if not reach <= S5_CUTOFF_MAX:
-        raise ValueError(f"desk-scale S5 dual window limited to 8 c max(t, 1) / N <= "
-                         f"{S5_CUTOFF_MAX}, got {reach:.3g} at N = {p.N:g}, t = {p.t:g}, c = {c}")
+    reach = s5_cutoff(c, p)
     N = p.N
     ns = np.arange(int(math.floor(N)), int(math.ceil(2 * N)) + 1)
     bump = _canonical_bump(2.0 * ns / N - 3.0)
@@ -448,23 +460,13 @@ _N_HALF_WIDTH = 2
 _M_WINDOW = 60
 
 
-def offdiagonal_assembly(
-    p: PipelineParams, c_values: tuple[int, ...]
-) -> AssemblyReport:
-    """Assemble the dual off-diagonal second moment from measured J
-    values and the congruence indicator, split diagonal from
-    off-diagonal, and compare both against their predicted scales.
-
-    The off-diagonal constant is fitted with the written double
-    1/(c1 c2) chain (offdiag_constant); the alternative single-factor
-    reading is reported alongside (offdiag_constant_alt).  Profiles
-    I(v Ntil, n, c) are shared across every pair they appear in.  The
-    expected-hit density 1/(c1 c2) is a statement about generic tuples,
-    so structurally forced diagonal hits are counted separately.
-    """
+def _assembly_plan(p: PipelineParams, c_values: tuple[int, ...]):
+    """The assembly's congruence hits (m, n1, c1, n2, c2, diagonal tuple),
+    the expected count of generic hits, the outer grid (v, wt) every J
+    value shares, sized for the largest |m| among the hits, and the set
+    of profiles (n, c) the hits read."""
     if len(c_values) < 2:
         raise ValueError("need at least a 2 x 2 grid of moduli")
-    ntil = p.N_dual
 
     def n_window(c: int) -> list[int]:
         center = stationary_dual_index(p, c)
@@ -487,6 +489,47 @@ def offdiagonal_assembly(
                     for m in range(-_M_WINDOW, _M_WINDOW + 1):
                         if (m - base) % cc == 0:
                             hits.append((m, n1, c1, n2, c2, diag_tuple))
+    m_max = max((abs(h[0]) for h in hits), default=1)
+    cmin = min(c_values)
+    v, wt = _outer_nodes(float(m_max), 1, cmin, 1, cmin, p)
+    return hits, expected, v, wt, {key for h in hits for key in (h[1:3], h[3:5])}
+
+
+# desk scale: the largest `assembly_work`, about 8 s at 4e-8 s per unit on
+# x86: the CLI defaults' 4.0e6 takes 0.3 s and N = 2500, Q = 3's 1.6e8 6.6 s;
+# N = 1e4 and 1e5 at Q = 3 would take 13 and 164 s at 3.4e8 and 2.4e9
+ASSEMBLY_WORK_MAX = 2 * 10**8
+
+
+def assembly_work(p: PipelineParams, c_values: tuple[int, ...]) -> int:
+    """Predicted work of `offdiagonal_assembly`: hits x outer nodes, plus
+    each profile's Chebyshev samples x the inner nodes that fit them."""
+    hits, _, v, _, keys = _assembly_plan(p, c_values)
+    x_lo, x_hi = math.sqrt(v.min() * p.N_dual), math.sqrt(v.max() * p.N_dual)
+    work = len(hits) * len(v)
+    for n, c in keys:
+        samples = chebyshev_degree(_profile_band(c, p)[1] * (x_hi - x_lo) / 4.0) + 1
+        # `_inner_nodes` puts 20 nodes on each panel of [1, 2], counted, not built
+        work += samples * 20 * _panel_density(x_hi * x_hi, n, c, p)
+    return work
+
+
+def offdiagonal_assembly(
+    p: PipelineParams, c_values: tuple[int, ...]
+) -> AssemblyReport:
+    """Assemble the dual off-diagonal second moment from measured J
+    values and the congruence indicator, split diagonal from
+    off-diagonal, and compare both against their predicted scales.
+
+    The off-diagonal constant is fitted with the written double
+    1/(c1 c2) chain (offdiag_constant); the alternative single-factor
+    reading is reported alongside (offdiag_constant_alt).  Profiles
+    I(v Ntil, n, c) are shared across every pair they appear in.  The
+    expected-hit density 1/(c1 c2) is a statement about generic tuples,
+    so structurally forced diagonal hits are counted separately.
+    """
+    ntil = p.N_dual
+    hits, expected, v, wt, keys = _assembly_plan(p, c_values)
     # sample cross-check of the indicator against the brute-force sum
     for m, n1, c1, n2, c2, _ in hits[:5]:
         r = charsum_congruence(m, n1, n2, c1, c2)
@@ -495,24 +538,13 @@ def offdiagonal_assembly(
                 f"congruence indicator disagrees with the character sum at "
                 f"(m, n1, c1, n2, c2) = {(m, n1, c1, n2, c2)}"
             )
-    # shared outer grid sized for the largest |m| among hits
-    m_max = max((abs(h[0]) for h in hits), default=1)
-    cmin = min(c_values)
-    v, wt = _outer_nodes(float(m_max), 1, cmin, 1, cmin, p)
     uw = wt * _U.evaluator(v, np.zeros(v.size, dtype=np.intp))
-    profiles: dict[tuple[int, int], np.ndarray] = {}
-
-    def profile(n: int, c: int) -> np.ndarray:
-        key = (n, c)
-        if key not in profiles:
-            profiles[key] = _i_profile(v * ntil, n, c, p)
-        return profiles[key]
-
+    profiles = {(n, c): _i_profile(v * ntil, n, c, p) for n, c in keys}
     diag = 0.0
     off = 0.0
     generic_hits = 0
     for m, n1, c1, n2, c2, diag_tuple in hits:
-        core = profile(n1, c1) * np.conj(profile(n2, c2)) * uw
+        core = profiles[n1, c1] * np.conj(profiles[n2, c2]) * uw
         jv = complex(np.exp(-2j * math.pi * m * v) @ core)
         if diag_tuple and m == 0:
             diag += jv.real / (c1 * c2)

@@ -239,6 +239,17 @@ def test_afe_command(capsys):
     assert "[PASS]" in capsys.readouterr().out
 
 
+_MAASS_ROWS = "1,1.0\n2,0.5\n"
+# Maass files `test_rejected_parameters_exit_usage` names by {tmp}/<key>
+_BAD_MAASS = {
+    "nu-inf": "# nu = inf\n# parity = even\n" + _MAASS_ROWS,
+    "nu-1e300": "# nu = 1e300\n# parity = even\n" + _MAASS_ROWS,
+    "nu-nan": "# nu = nan\n# parity = even\n" + _MAASS_ROWS,
+    "epsilon-nan": "# nu = 5.0\n# epsilon = nan\n# parity = even\n" + _MAASS_ROWS,
+    "repeated-row": "# nu = 5.0\n# parity = even\n" + _MAASS_ROWS + "2,0.5\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -315,6 +326,23 @@ def test_afe_command(capsys):
         (["scan", "--form", "holomorphic:13"], "got dim S_13 = 0"),
         (["scan", "--form", "holomorphic:14"], "got dim S_14 = 0"),
         (["scan", "--form", "holomorphic:36"], "got dim S_36 = 3"),
+        # Maass files (`_BAD_MAASS`) with a header or row that no form has
+        (["afe", "--form", "maass:{tmp}/nu-inf", "--t-list", "0,10"],
+         "bad '# nu = inf' header: need finite |nu| <= 5000"),
+        (["scan", "--form", "maass:{tmp}/nu-inf"],
+         "bad '# nu = inf' header: need finite |nu| <= 5000"),
+        (["afe", "--form", "maass:{tmp}/nu-1e300", "--t-list", "0,10"],
+         "bad '# nu = 1e300' header: need finite |nu| <= 5000"),
+        (["afe", "--form", "maass:{tmp}/nu-nan", "--t-list", "0,10"],
+         "bad '# nu = nan' header: need finite |nu| <= 5000"),
+        (["afe", "--form", "maass:{tmp}/epsilon-nan", "--t-list", "0,10"],
+         "bad '# epsilon = nan' header: need +1 or -1"),
+        (["afe", "--form", "maass:{tmp}/repeated-row", "--t-list", "0,10"],
+         "repeated coefficient row '2,0.5'"),
+        # an off-diagonal assembly of 2.4e9 predicted work (164 s), refused
+        # before any check
+        (["pipeline", "--n-len", "1e5", "--q-scale", "3"],
+         "assembly limited to 2e+08 units of work, got 2.41e+09 at N = 100000"),
     ],
     ids=["k-above-sqrt-t", "modulus-past-desk-scale", "zero-step",
          "charsum-no-grid", "charsum-no-congruence", "charsum-no-primes",
@@ -335,9 +363,14 @@ def test_afe_command(capsys):
          "afe-t-past-desk-scale", "afe-negative-t-past-desk-scale", "afe-empty-t-list",
          "scan-grid-too-large", "maass-file-missing", "output-dir-missing",
          "holomorphic-k10-empty", "holomorphic-k13-odd", "holomorphic-k14-empty",
-         "holomorphic-k36-dim3"],
+         "holomorphic-k36-dim3",
+         "maass-nu-inf", "scan-maass-nu-inf", "maass-nu-1e300", "maass-nu-nan",
+         "maass-epsilon-nan", "maass-repeated-row", "pipeline-assembly-past-desk-scale"],
 )
-def test_rejected_parameters_exit_usage(argv, message, capsys):
+def test_rejected_parameters_exit_usage(argv, message, tmp_path, capsys):
+    for name, text in _BAD_MAASS.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     # exit 1 is reserved for a failed gate; a rejected input is a usage error
     assert main(argv) == EXIT_USAGE
     out, err = capsys.readouterr()

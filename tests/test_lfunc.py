@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from weylbound import lfunc, special
+from weylbound.arith import is_prime
 from weylbound.lfunc import (
     CUT_RATIO,
     CoefficientSource,
@@ -16,6 +17,7 @@ from weylbound.lfunc import (
     afe_weight,
     central_value,
     conductor_sqrt,
+    delta_spec,
     exponent_scan,
     holomorphic_spec,
     load_maass_file,
@@ -530,24 +532,19 @@ def test_scan_block_releases_each_contour(delta2000, monkeypatch):
 
 
 def _mp_root_factor(spec, t) -> complex:
-    """eps(f) gamma(1 - s) / gamma(s) of the completed L-function in mpmath."""
+    """eps(f) gamma(1 - s) / gamma(s) of the completed L-function in
+    mpmath, with the gamma factor built from the spec's shifts:
+    Gamma_R(z) = pi^(-z/2) Gamma(z/2) and Gamma_C(z) = 2 (2 pi)^(-z) Gamma(z)."""
     with mp.workdps(40):
         s = mp.mpc(0.5, t)
-        if spec.kind == "holomorphic":
-            shift = mp.mpf(spec.gamma_data - 1) / 2
 
-            def gamma_factor(z):
-                return (2 * mp.pi) ** (-z) * mp.gamma(z + shift)
-
-        else:
-            nu, delta = mp.mpf(spec.gamma_data), spec.parity
-
-            def gamma_factor(z):
-                return (
-                    mp.pi ** (-z)
-                    * mp.gamma((z + delta + 1j * nu) / 2)
-                    * mp.gamma((z + delta - 1j * nu) / 2)
-                )
+        def gamma_factor(z):
+            out = mp.mpf(1)
+            for mu in spec.gamma_r:
+                out *= mp.pi ** (-(z + mu) / 2) * mp.gamma((z + mu) / 2)
+            for nu in spec.gamma_c:
+                out *= 2 * (2 * mp.pi) ** (-(z + nu)) * mp.gamma(z + nu)
+            return out
 
         return complex(spec.root_number * gamma_factor(1 - s) / gamma_factor(s))
 
@@ -754,9 +751,8 @@ def test_prec_max_covers_every_scan_at_t_max():
     for k in range(12, 60, 2):
         if not 1 <= dim_cusp(k) <= 2:
             continue
-        spec = lfunc.LFunctionSpec(
-            "holomorphic", float(k), lfunc.CoefficientSource("computed", np.ones(2), 1), 1.0
-        )
+        source = lfunc.CoefficientSource("computed", np.ones(2), 1)
+        spec = lfunc.LFunctionSpec((), ((k - 1) / 2.0,), source, 1.0)
         for t in (-lfunc.T_MAX, lfunc.T_MAX):
             for balance in lfunc._SCAN_BALANCES:
                 need = max(need, *afe_lengths(spec, t, balance))
@@ -766,12 +762,10 @@ def test_prec_max_covers_every_scan_at_t_max():
 
 def _toy_maass_lines(n_max=64, lam2=0.9, bad=None, parity="even"):
     # multiplicative toy coefficients inside the twice-7/64 envelope
-    import sympy
-
     lam = {1: 1.0}
     angles = {}
     for p in range(2, n_max + 1):
-        if sympy.isprime(p):
+        if is_prime(p):
             angles[p] = math.cos(p) * 1.2
     def lam_pk(p, k):
         theta = math.acos(max(-1.0, min(1.0, angles[p] / 2.0)))
@@ -800,19 +794,25 @@ def test_maass_ingestion_roundtrip(tmp_path):
     path = tmp_path / "maass.txt"
     path.write_text(_toy_maass_lines())
     spec, report = load_maass_file(str(path))
-    assert spec.kind == "maass"
-    assert abs(spec.gamma_data - 9.5336952613536) < 1e-12
-    assert spec.root_number == 1.0 and spec.parity == 0
+    nu = 9.5336952613536
+    assert spec.gamma_r == (complex(0, nu), complex(0, -nu)) and spec.gamma_c == ()
+    assert spec.root_number == 1.0
     assert report.kim_sarnak_violations == ()
     assert 0.05 <= report.rankin_selberg_ratio <= 20
     # an odd form carries delta = 1 into its gamma factor and conductor:
-    # gamma((s + 1 +- i nu) / 2), and |(s + 1)^2 + nu^2| in place of |s^2 + nu^2|
+    # Gamma_R(s + 1 +- i nu), and sqrt(|s + 1 + i nu| |s + 1 - i nu|) / 2 pi
+    # in place of sqrt(|s + i nu| |s - i nu|) / 2 pi
     path.write_text(_toy_maass_lines(parity="odd").replace("# epsilon = -1\n", ""))
     odd, report = load_maass_file(str(path))
-    assert odd.parity == 1 and odd.root_number == -1.0 and report.parity == "odd"
-    s, nu = complex(0.5, 30.0), odd.gamma_data
-    assert conductor_sqrt(odd, 30.0) == math.sqrt(abs((s + 1) ** 2 + nu**2)) / (2 * math.pi)
-    assert conductor_sqrt(spec, 30.0) == math.sqrt(abs(s**2 + nu**2)) / (2 * math.pi)
+    assert odd.gamma_r == (complex(1, nu), complex(1, -nu)) and odd.gamma_c == ()
+    assert odd.root_number == -1.0 and report.parity == "odd"
+    s = complex(0.5, 30.0)
+    assert conductor_sqrt(odd, 30.0) == math.sqrt(
+        abs(s + complex(1, nu)) * abs(s + complex(1, -nu))
+    ) / (2 * math.pi)
+    assert conductor_sqrt(spec, 30.0) == math.sqrt(
+        abs(s + complex(0, nu)) * abs(s + complex(0, -nu))
+    ) / (2 * math.pi)
 
 
 def test_maass_violations_reported(tmp_path):
@@ -873,13 +873,116 @@ def test_coefficient_source_validation():
     for values in (np.array([0.0]), np.array([])):
         with pytest.raises(ValueError, match="need coefficients"):
             CoefficientSource("computed", values, len(values) - 1)
-    with pytest.raises(ValueError):
-        LFunctionSpec("weird", 1.0, CoefficientSource("computed", np.array([0.0, 1.0]), 1), 1.0)
-    with pytest.raises(ValueError):
-        LFunctionSpec(
-            "maass", 1.0, CoefficientSource("computed", np.array([0.0, 1.0]), 1), 3.0
-        )
     source = CoefficientSource("computed", np.array([0.0, 1.0]), 1)
-    for kind, parity in (("maass", 2), ("maass", -1), ("holomorphic", 1)):
-        with pytest.raises(ValueError, match="parity"):
-            LFunctionSpec(kind, 12.0, source, 1.0, parity)
+    for root_number in (3.0, math.nan, complex(math.nan, 1.0), math.inf):
+        with pytest.raises(ValueError, match="finite and unimodular"):
+            LFunctionSpec((1j, -1j), (), source, root_number)
+
+
+@pytest.mark.parametrize(
+    "gamma_r, gamma_c",
+    # degree 3 (sym^2 of a weight-k form), 1, 4 and 0
+    [((1.0,), (5.5,)), ((0.0,), ()), ((), (5.5, 6.5)), ((), ())],
+)
+def test_spec_of_degree_other_than_two_refused(gamma_r, gamma_c):
+    source = CoefficientSource("computed", np.array([0.0, 1.0]), 1)
+    with pytest.raises(ValueError, match="of degree 2"):
+        LFunctionSpec(gamma_r, gamma_c, source, 1.0)
+
+
+@pytest.mark.parametrize(
+    "gamma_r, gamma_c",
+    [((), (math.inf,)), ((), (math.nan,)), ((complex(0, math.inf), 1j), ()),
+     ((complex(math.nan, 0), 0.0), ())],
+)
+def test_spec_with_non_finite_shift_refused(gamma_r, gamma_c):
+    source = CoefficientSource("computed", np.array([0.0, 1.0]), 1)
+    with pytest.raises(ValueError, match="shifts must be finite"):
+        LFunctionSpec(gamma_r, gamma_c, source, 1.0)
+
+
+# the toy Maass form's spectral parameter
+_TOY_NU = 9.5336952613536
+
+
+def _per_form_cases(tmp_path):
+    """Delta, k = 16 and the toy Maass form of each parity, each with its
+    data as its kind of form reads it: (holomorphic, k) or (maass, nu,
+    delta)."""
+    forms = [(delta_spec(10), ("holomorphic", 12.0)),
+             (holomorphic_spec(16, 10), ("holomorphic", 16.0))]
+    for parity, delta in (("even", 0), ("odd", 1)):
+        path = tmp_path / f"{parity}.txt"
+        path.write_text(_toy_maass_lines(parity=parity))
+        forms.append((load_maass_file(str(path))[0], ("maass", _TOY_NU, delta)))
+    return forms
+
+
+def _per_form_log_gamma_factor(data, s):
+    """Each kind of form's log gamma factor written out, in the operation
+    order the shifts must reproduce: a weight-k form's gamma(s + (k - 1)/2)
+    (2 pi)^(-s), and a Maass form's pi^(-s) gamma((s + delta +- i nu)/2)."""
+    if data[0] == "holomorphic":
+        lg = special.log_gamma_vec(s + (data[1] - 1) / 2.0)
+        lg -= s * math.log(2 * math.pi)
+        return lg
+    _, nu, delta = data
+    up, down = delta + 1j * nu, delta - 1j * nu
+    lg = special.log_gamma_vec(np.concatenate([(s + up) / 2.0, (s + down) / 2.0]))
+    return -s * math.log(math.pi) + lg[: len(s)] + lg[len(s) :]
+
+
+def _per_form_conductor_sqrt(data, t):
+    """Each kind of form's sqrt conductor written out: |s + (k - 1)/2| / 2 pi,
+    or sqrt(|(s + delta)^2 + nu^2|) / 2 pi."""
+    s = complex(0.5, t)
+    if data[0] == "holomorphic":
+        return abs(s + (data[1] - 1) / 2.0) / (2 * math.pi)
+    _, nu, delta = data
+    z = s + delta
+    return math.sqrt(abs(z * z + nu * nu)) / (2 * math.pi)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+def test_gamma_shifts_reproduce_per_form_formulas_bitwise(tmp_path):
+    # every argument a block's gamma call takes (s + w, s and 1 - s) over
+    # 16-t blocks spanning [-T_MAX, T_MAX]
+    w = lfunc._contour_nodes(lfunc._CONTOUR_PANELS)[1]
+    ts = np.linspace(-lfunc.T_MAX, lfunc.T_MAX, 1357)
+    grid = np.arange(-4 * lfunc.T_MAX, 4 * lfunc.T_MAX + 1) / 4
+    for spec, data in _per_form_cases(tmp_path):
+        for i in range(0, len(ts), 16):
+            s = 0.5 + 1j * ts[i : i + 16, None]
+            z = np.concatenate([s + w, s, 1 - s], axis=1).ravel()
+            got, want = _log_gamma_factor(spec, z), _per_form_log_gamma_factor(data, z)
+            assert np.array_equal(_bits(got), _bits(want)), (data, ts[i])
+        if data[0] == "holomorphic":
+            # |s + nu| times sqrt(1) is |s + nu| to the bit
+            got = [conductor_sqrt(spec, t) for t in grid]
+            assert got == [_per_form_conductor_sqrt(data, t) for t in grid], data
+
+
+def test_gamma_shifts_keep_lengths_and_buckets(tmp_path, monkeypatch):
+    # the Maass conductor moves in its last bits, as a product of two
+    # moduli in place of the modulus of a product; no AFE length and no
+    # basis-bucket end moves on the t grid of step 1/4 over [-T_MAX, T_MAX].
+    # Both read the conductor alone, and the holomorphic conductors are
+    # equal to the bit on this grid (the test above), so the Maass forms
+    # are the ones that could move
+    grid = np.arange(-4 * lfunc.T_MAX, 4 * lfunc.T_MAX + 1) / 4
+
+    def lengths_and_ends(spec):
+        return [
+            (*(afe_lengths(spec, t, b) for b in (0.5, 1.0, 2.0)),
+             lfunc._basis_end(lfunc._log_u_range(spec, t)[1]))
+            for t in grid
+        ]
+
+    for spec, data in _per_form_cases(tmp_path)[2:]:
+        got = lengths_and_ends(spec)
+        with monkeypatch.context() as m:
+            m.setattr(lfunc, "conductor_sqrt", lambda spec, t: _per_form_conductor_sqrt(data, t))
+            assert got == lengths_and_ends(spec), data

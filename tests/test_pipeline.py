@@ -12,6 +12,7 @@ from weylbound.pipeline import (
     PipelineParams,
     _i_profile,
     _outer_nodes,
+    assembly_work,
     i_integral_batch,
     i_integral_window,
     j_decay_report,
@@ -154,6 +155,33 @@ def test_assembly_refuses_a_congruence_indicator_the_character_sum_denies(monkey
     monkeypatch.setattr(pipeline, "charsum_congruence", denied)
     with pytest.raises(ArithmeticError, match="congruence indicator"):
         offdiagonal_assembly(SMALL, (23, 24, 25, 26))
+
+
+def test_assembly_work_predicts_the_profile_fits(monkeypatch):
+    # past the hits x outer nodes of the J values, the prediction is the
+    # samples x inner nodes the dense kernel spends fitting each profile
+    dense = pipeline.i_integral_batch
+    spent = []
+
+    def counted(ms, n, c, p):
+        spent.append(np.size(ms) * len(pipeline._inner_nodes(float(np.max(ms)), n, c, p)[0]))
+        return dense(ms, n, c, p)
+
+    monkeypatch.setattr(pipeline, "i_integral_batch", counted)
+    cs = (23, 24, 25, 26)
+    offdiagonal_assembly(SMALL, cs)
+    hits, _, v, _, _ = pipeline._assembly_plan(SMALL, cs)
+    profile_work = assembly_work(SMALL, cs) - len(hits) * len(v)
+    assert sum(spent) <= profile_work <= 1.1 * sum(spent)
+
+
+def test_assembly_work_cap_admits_the_checked_scales():
+    # the CLI defaults (SMALL) and criterion 8's point sit far below the
+    # cap; N = 1e5 at Q = 3, whose assembly takes 164 s, sits above it
+    for p, cs in ((SMALL, (23, 24, 25, 26)), (CRIT8, (98, 99, 100, 101))):
+        assert assembly_work(p, cs) < pipeline.ASSEMBLY_WORK_MAX / 10
+    far = PipelineParams(N=1e5, t=400.0, K=10.0, Q=3.0)
+    assert assembly_work(far, (1, 2, 3, 4)) > pipeline.ASSEMBLY_WORK_MAX
 
 
 def test_assembly_rejects_tiny_grid():

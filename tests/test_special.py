@@ -542,11 +542,12 @@ def test_chebyshev_degree_is_smallest_below_floor_on_contours():
     # chebyshev_degree(TMAX h / 2) at each bucket end its log-u ranges
     # reach, here every bucket of Delta, k = 16 and the Maass form for t in
     # [0, 1000]
-    forms = (("holomorphic", 12.0), ("holomorphic", 16.0), ("maass", 9.5336952613536))
+    nu = 9.5336952613536
+    forms = (((), (5.5,)), ((), (7.5,)), ((complex(0, nu), complex(0, -nu)), ()))
     coeffs = CoefficientSource("computed", np.array([0.0, 1.0]), 1)
     buckets = set()
-    for kind, gamma_data in forms:
-        spec = LFunctionSpec(kind, gamma_data, coeffs, 1.0)
+    for gamma_r, gamma_c in forms:
+        spec = LFunctionSpec(gamma_r, gamma_c, coeffs, 1.0)
         # the log-u end is continuous in t, so it passes every bucket
         # between its extremes (the Maass form's lies near t = nu)
         ends = [lfunc._log_u_range(spec, t)[1] for t in np.arange(0.0, 1000.25, 0.25)]

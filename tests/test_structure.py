@@ -163,3 +163,39 @@ def test_unnamed_definitions_are_allowlisted():
         and not any(stmt.name in names for j, names in enumerate(named) if j != i)
     ]
     assert sorted(unnamed) == sorted(UNNAMED_ALLOWED)
+
+
+def _declared_test_extras():
+    """The import names of the `test` extra in pyproject.toml."""
+    text = (SRC.parents[1] / "pyproject.toml").read_text()
+    block = re.search(r"(?ms)^test = \[(.*?)^\]", text).group(1)
+    return set(re.findall(r'(?m)^\s*"([A-Za-z0-9_]+)', block))
+
+
+def test_tests_and_scripts_import_only_declared_packages():
+    # a clean `.[test]` install runs every test and script: each import is
+    # the standard library, numpy, weylbound or a declared test extra, and
+    # the one module loaded from a file is benchmark/workloads.py
+    root = SRC.parents[1]
+    extras = _declared_test_extras()
+    assert {"pytest", "hypothesis", "mpmath", "scipy"} <= extras
+    allowed = set(sys.stdlib_module_names) | {"numpy", "weylbound"} | extras
+    undeclared, file_loads = [], []
+    for path in sorted([*(root / "tests").glob("*.py"), *(root / "scripts").glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                if isinstance(node, ast.Attribute) and node.attr == "spec_from_file_location":
+                    file_loads.append(path.relative_to(root).as_posix())
+                continue
+            undeclared += [
+                f"{path.name}: {name}" for name in names if name.split(".")[0] not in allowed
+            ]
+    assert undeclared == []
+    assert file_loads == ["tests/test_acceptance.py"]
+    source = (root / "tests" / "test_acceptance.py").read_text()
+    assert '/ "benchmark" / "workloads.py"' in source
