@@ -633,6 +633,14 @@ class MaassIngestReport:
     rankin_selberg_ratio: float
 
 
+def _parsed(typ, text: str, where: str):
+    """typ(text), or a ValueError that names `where`, the header or row."""
+    try:
+        return typ(text)
+    except ValueError:
+        raise ValueError(f"bad {where}: cannot read {text!r} as {typ.__name__}") from None
+
+
 def load_maass_file(path: str) -> tuple[LFunctionSpec, MaassIngestReport]:
     """Read a Maass coefficient file and run its admission checks.
 
@@ -654,18 +662,20 @@ def load_maass_file(path: str) -> tuple[LFunctionSpec, MaassIngestReport]:
                     headers[key.strip().lower()] = val.strip()
             elif line:
                 n_str, _, lam_str = line.partition(",")
-                if int(n_str) in rows:
+                n = _parsed(int, n_str, f"coefficient row '{line}'")
+                if n in rows:
                     raise ValueError(f"repeated coefficient row '{line}'")
-                rows[int(n_str)] = float(lam_str)
+                rows[n] = _parsed(float, lam_str, f"coefficient row '{line}'")
     if "nu" not in headers:
         raise ValueError("missing '# nu = ...' header")
-    nu = float(headers["nu"])
+    nu = _parsed(float, headers["nu"], f"'# nu = {headers['nu']}' header")
     if not abs(nu) <= T_MAX:
         raise ValueError(f"bad '# nu = {headers['nu']}' header: need finite |nu| <= {T_MAX:g}")
     parity = headers.get("parity")
     if parity not in ("even", "odd"):
         raise ValueError("missing or bad '# parity = ...' header")
-    epsilon = float(headers.get("epsilon", 1.0 if parity == "even" else -1.0))
+    epsilon = _parsed(float, headers.get("epsilon", "1" if parity == "even" else "-1"),
+                      f"'# epsilon = {headers.get('epsilon')}' header")
     if epsilon not in (1.0, -1.0):
         raise ValueError(f"bad '# epsilon = {headers['epsilon']}' header: need +1 or -1")
     if not rows:

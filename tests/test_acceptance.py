@@ -9,9 +9,11 @@ docstring of criterion_bessel_sum_suppression for the analysis).
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from weylbound import acceptance, pipeline
@@ -144,31 +146,60 @@ def test_empty_case_sets_raise(check, kwargs):
         check(**kwargs)
 
 
-# the `pipeline` command's S5 and J-decay checks gate as criteria 7 and 8 do
+# the `pipeline` command's S5 and J-decay checks read the verdicts
+# criteria 7 and 8 read, at the CLI's default scale
 _PIPELINE_PARAMS = pipeline.PipelineParams(N=2500.0, t=400.0, K=10.0, Q=25.0)
+# test_poisson_identity_stationary_regime's scale, with Q = 26 so that the
+# pipeline's S5 check reads c = 13: |dual| passes 1e-3 of the trivial bound
+_STATIONARY = pipeline.PipelineParams(N=600.0, t=300.0, K=17.0, Q=26.0)
+
+
+def test_criterion_8_detail_pinned():
+    assert acceptance.criterion_j_decay().detail == (
+        "|J(0)| t = 1.92; worst |J(m)| t K = 3.11; decay ratio at m = 1600: "
+        "1.52e-14; octave trend ok True"
+    )
+
+
+def test_pipeline_j_decay_check_is_criterion_8():
+    res = acceptance.pipeline_checks(_PIPELINE_PARAMS)[1]()
+    ref = acceptance.criterion_j_decay(_PIPELINE_PARAMS)
+    assert (res.name, res.status, res.detail) == (ref.name, ref.status, ref.detail)
 
 
 def test_pipeline_j_decay_check_gates_octave_trend(monkeypatch):
-    rep = pipeline.JDecayReport(
-        j0=1e-3, a0=0.4, worst_a1=4.0, decay_threshold=400, decay_ratio=1e-15,
-        octave_trend_ok=False, status="PASS",
-    )
-    monkeypatch.setattr(pipeline, "j_decay_report", lambda p, n, c: rep)
+    # |J| at the second octave of m raised to |J(0)|, far past 2x the
+    # first; the constants and the collapse are untouched
+    batch = pipeline.j_integral_batch
+
+    def grown(ms, *args):
+        vals = batch(ms, *args)
+        vals[6] = vals[0]  # ms: 0; 1, 2, 4, 8; then the octaves
+        return vals
+
+    monkeypatch.setattr(pipeline, "j_integral_batch", grown)
     res = acceptance.pipeline_checks(_PIPELINE_PARAMS)[1]()
     assert res.status == "FAIL"
-    assert res.detail.endswith("; octave trend broken")
+    assert res.detail.endswith("; octave trend ok False")
     assert acceptance.criterion_j_decay().status == "FAIL"
 
 
 def test_pipeline_s5_check_gates_fat_tail(monkeypatch):
-    # |dual| is the trivial bound, and all of it lies past the cutoff
-    rep = pipeline.S5Report(
-        m=1, c=12, direct=1.0, dual=1.0, abs_diff=0.0, rel_diff=0.0,
-        trivial_bound=1.0, n_window=(-6, 20), nonpositive_mass=0.0,
-        tail_mass=1.0, tail_cutoff=10, status="PASS",
-    )
-    monkeypatch.setattr(pipeline, "poisson_check_s5", lambda m, c, p: rep)
-    res = acceptance.pipeline_checks(_PIPELINE_PARAMS)[0]()
+    # the I values past the nominal cutoff, 3e4 times larger, put about
+    # 4e-8 of |dual| there: a fat tail, while both sides still agree to
+    # 1e-8 of the scale
+    window = pipeline.i_integral_window
+
+    def fat(m, n_lo, n_hi, c, p):
+        vals = window(m, n_lo, n_hi, c, p)
+        vals[np.arange(n_lo, n_hi + 1) > math.ceil(pipeline.s5_cutoff(c, p))] *= 3e4
+        return vals
+
+    monkeypatch.setattr(pipeline, "i_integral_window", fat)
+    rep = pipeline.poisson_check_s5(1, 13, _STATIONARY)
+    assert rep.fat_tail and rep.scaled_diff <= 1e-8 and rep.status == "FAIL"
+    res = acceptance.pipeline_checks(_STATIONARY)[0]()
     assert res.status == "FAIL"
     assert res.detail.endswith("; fat tail")
-    assert acceptance.criterion_poisson_s5(t_list=(0.0,)).status == "FAIL"
+    res = acceptance.criterion_poisson_s5(t_list=(0.0,))
+    assert res.status == "FAIL" and "fat tails [(0.0, 1, 1)]" in res.detail

@@ -247,6 +247,11 @@ _BAD_MAASS = {
     "nu-nan": "# nu = nan\n# parity = even\n" + _MAASS_ROWS,
     "epsilon-nan": "# nu = 5.0\n# epsilon = nan\n# parity = even\n" + _MAASS_ROWS,
     "repeated-row": "# nu = 5.0\n# parity = even\n" + _MAASS_ROWS + "2,0.5\n",
+    "nu-abc": "# nu = abc\n# parity = even\n" + _MAASS_ROWS,
+    "epsilon-one": "# nu = 5.0\n# epsilon = one\n# parity = even\n" + _MAASS_ROWS,
+    "row-n-x": "# nu = 5.0\n# parity = even\n" + _MAASS_ROWS + "x,0.5\n",
+    "row-no-lambda": "# nu = 5.0\n# parity = even\n1,1.0\n2\n",
+    "row-lambda-abc": "# nu = 5.0\n# parity = even\n1,1.0\n2,abc\n",
 }
 
 
@@ -339,6 +344,17 @@ _BAD_MAASS = {
          "bad '# epsilon = nan' header: need +1 or -1"),
         (["afe", "--form", "maass:{tmp}/repeated-row", "--t-list", "0,10"],
          "repeated coefficient row '2,0.5'"),
+        # values that do not parse, named with their header or row
+        (["afe", "--form", "maass:{tmp}/nu-abc", "--t-list", "0,10"],
+         "bad '# nu = abc' header: cannot read 'abc' as float"),
+        (["afe", "--form", "maass:{tmp}/epsilon-one", "--t-list", "0,10"],
+         "bad '# epsilon = one' header: cannot read 'one' as float"),
+        (["afe", "--form", "maass:{tmp}/row-n-x", "--t-list", "0,10"],
+         "bad coefficient row 'x,0.5': cannot read 'x' as int"),
+        (["afe", "--form", "maass:{tmp}/row-no-lambda", "--t-list", "0,10"],
+         "bad coefficient row '2': cannot read '' as float"),
+        (["afe", "--form", "maass:{tmp}/row-lambda-abc", "--t-list", "0,10"],
+         "bad coefficient row '2,abc': cannot read 'abc' as float"),
         # an off-diagonal assembly of 2.4e9 predicted work (164 s), refused
         # before any check
         (["pipeline", "--n-len", "1e5", "--q-scale", "3"],
@@ -365,7 +381,9 @@ _BAD_MAASS = {
          "holomorphic-k10-empty", "holomorphic-k13-odd", "holomorphic-k14-empty",
          "holomorphic-k36-dim3",
          "maass-nu-inf", "scan-maass-nu-inf", "maass-nu-1e300", "maass-nu-nan",
-         "maass-epsilon-nan", "maass-repeated-row", "pipeline-assembly-past-desk-scale"],
+         "maass-epsilon-nan", "maass-repeated-row",
+         "maass-nu-abc", "maass-epsilon-one", "maass-row-n-x", "maass-row-no-lambda",
+         "maass-row-lambda-abc", "pipeline-assembly-past-desk-scale"],
 )
 def test_rejected_parameters_exit_usage(argv, message, tmp_path, capsys):
     for name, text in _BAD_MAASS.items():

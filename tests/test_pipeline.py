@@ -71,7 +71,7 @@ def test_poisson_identity_stationary_regime():
     rep = poisson_check_s5(1, 13, p)
     assert rep.status == "PASS"
     assert abs(rep.direct) > 1e-4  # healthy size
-    assert rep.rel_diff <= 1e-6
+    assert rep.scaled_diff <= 1e-6
     # truncated dual terms are reported and negligible
     assert rep.tail_mass <= 1e-8 * abs(rep.dual)
 
@@ -95,6 +95,15 @@ def test_poisson_identity_t_zero():
     p = PipelineParams(N=400.0, t=1e-12, K=1e-7, Q=10.0)
     rep = poisson_check_s5(2, 5, p)
     assert rep.status == "PASS"
+
+
+def test_poisson_identity_without_direct_terms_fails():
+    # no integer n in [N, 2N] lies inside the bump's support, so the scale
+    # max(|direct|, 1e-3 trivial bound) is 0: nothing is compared
+    p = PipelineParams(N=0.5, t=1.0, K=1.0, Q=3.0)
+    rep = poisson_check_s5(1, 2, p)
+    assert rep.direct == 0 and rep.trivial_bound == 0
+    assert rep.scaled_diff == math.inf and rep.status == "FAIL"
 
 
 def test_poisson_desk_scale_guard():
@@ -211,7 +220,7 @@ def test_i_profile_against_dense_oracle(p, n, c, m_max, stride):
     # 1e-11 max |I|, the dense sum's own rounding (phases up to ~1500 rad,
     # ~2e-13 each, against total weight int W) sets a floor; it matters at
     # (2, 25), where no stationary point leaves |I| at ~1e-7
-    v, _ = _outer_nodes(m_max, n, c, n, c, p)
+    v, _ = _outer_nodes(m_max, c, c, p)
     ms = v * p.N_dual
     got = _i_profile(ms, n, c, p)[::stride]
     dense = i_integral_batch(ms[::stride], n, c, p)

@@ -49,6 +49,12 @@ def test_s5_tolerance_is_one_pipeline_constant():
     assert _modules_matching(r"\w*S5_TOL\b") == ["pipeline"]
 
 
+def test_s5_scale_and_fat_tail_are_stated_in_pipeline():
+    # the S5 scale max(|direct|, 1e-3 trivial bound) and the fat-tail rule
+    # are formed in poisson_check_s5 alone; no caller reads their inputs
+    assert _modules_matching(r"\btrivial_bound\b|\btail_mass\b") == ["pipeline"]
+
+
 def test_characters_are_built_only_in_characters():
     # characters exist only for odd prime moduli, where every non-principal
     # one is primitive; a character built elsewhere could break that
