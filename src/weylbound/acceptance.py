@@ -319,14 +319,17 @@ def criterion_poisson_s5(t_list: tuple[float, ...] = (0.0, 100.0, 500.0)):
     return ("Poisson identity for S5", "FAIL" if fails else "PASS", detail)
 
 
+def _j_decay_point(p: pipeline.PipelineParams) -> tuple[int, int]:
+    """Criterion 8's profile (n, c): the stationary dual index at c = int(Q)."""
+    return pipeline.stationary_dual_index(p, int(p.Q)), int(p.Q)
+
+
 @_timed
 def criterion_j_decay(p: pipeline.PipelineParams = _CHAIN_POINT):
     """J(0) ~ 1/t, J(m) ~ 1/(t K), collapse past 16 N / K^2 and the
-    octave trend, as `pipeline.j_decay_report` decides them, at the
-    stationary dual index for c = int(Q); the `pipeline` command runs
-    it at its own scale."""
-    c = int(p.Q)
-    rep = pipeline.j_decay_report(p, pipeline.stationary_dual_index(p, c), c)
+    octave trend, as `pipeline.j_decay_report` decides them, at
+    `_j_decay_point`; the `pipeline` command runs it at its own scale."""
+    rep = pipeline.j_decay_report(p, *_j_decay_point(p))
     detail = (
         f"|J(0)| t = {rep.a0:.2f}; worst |J(m)| t K = {rep.worst_a1:.2f}; "
         f"decay ratio at m = {rep.decay_threshold}: {rep.decay_ratio:.2e}; "
@@ -559,19 +562,20 @@ def pipeline_checks(p: pipeline.PipelineParams) -> list:
     checks run in order: the S5 Poisson identity at m = 1,
     c = max(2, Q // 2), whose verdict is `pipeline.poisson_check_s5`'s;
     criterion 8 (`criterion_j_decay`) at this scale; the assembled second
-    moment over c near Q.  Q < 3, where the assembly's moduli int(Q) - 2
-    ... reach 0, scales past the S5 check's desk-scale limits, and an
-    assembly whose predicted work passes `pipeline.ASSEMBLY_WORK_MAX` are
-    refused before any check."""
+    moment over c near Q, whose J values come from `pipeline.j_integral_batch`
+    as criterion 8's do.  Refused before any check: Q < 3, where the moduli
+    int(Q) - 2 ... reach 0; scales `pipeline.s5_cutoff` refuses; J-decay or
+    assembly rows whose `pipeline.j_integral_work` refuses or passes 2e8."""
     if p.Q < 3:
         raise ValueError(f"the pipeline checks need Q >= 3, got Q = {p.Q:g}")
     c, cs = max(2, int(p.Q // 2)), tuple(int(p.Q) + d for d in (-2, -1, 0, 1))
     # the S5 limits bound t, N and Q, and so the assembly's plan
     pipeline.s5_cutoff(c, p)
-    work = pipeline.assembly_work(p, cs)
-    if work > pipeline.ASSEMBLY_WORK_MAX:
-        raise ValueError(f"desk-scale off-diagonal assembly limited to "
-                         f"{pipeline.ASSEMBLY_WORK_MAX:.0e} units of work, "
-                         f"got {work:.2e} at N = {p.N:g}, Q = {p.Q:g}")
+    for name, rows in (("J-decay", pipeline.j_decay_rows(p, *_j_decay_point(p))),
+                       ("off-diagonal assembly", pipeline._assembly_plan(p, cs)[0])):
+        work = pipeline.j_integral_work(rows, p)
+        if work > pipeline.J_WORK_MAX:
+            raise ValueError(f"desk-scale {name} limited to {pipeline.J_WORK_MAX:.0e} units "
+                             f"of work, got {work:.2e} at N = {p.N:g}, Q = {p.Q:g}")
     return [functools.partial(_s5_check, p, c), functools.partial(criterion_j_decay, p),
             functools.partial(_assembly_check, p, cs)]

@@ -156,7 +156,8 @@ def _spec_for(name: str, prec: int):
     if name == "delta":
         return lfunc.delta_spec(prec)
     if name.startswith("holomorphic:"):
-        return lfunc.holomorphic_spec(int(name.split(":", 1)[1]), prec)
+        k = lfunc._parsed(int, name.split(":", 1)[1], f"form {name!r}")
+        return lfunc.holomorphic_spec(k, prec)
     if name.startswith("maass:"):
         spec, _ = lfunc.load_maass_file(name.split(":", 1)[1])
         return spec

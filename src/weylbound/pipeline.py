@@ -11,15 +11,16 @@ Everything is measured against brute-force or quadrature ground truth;
 scaling claims are fitted, never assumed.
 
 W lives on [1, 2], so I(x^2, n, c) is e^(i omega0 x) times a function
-band-limited in x = sqrt(m).  The J integrals and the assembly read their
-profiles over the outer grid from a Chebyshev interpolant in x, fitted
-once per (n, c) by the dense I kernel `i_integral_batch`, which is also
-the test oracle.  The S5 dual side reads its whole window of n from one
-node grid per (m, c), folded onto one period c/N of the e(-N v / c)
-factor: the rest of the integrand, summed over the periods, is one
-smooth function on that period, read at the period's nodes from a
-Chebyshev interpolant, and only one period's nodes (and the leftover
-piece's) step the phase from n to n + 1.  The dual terms are assembled
+band-limited in x = sqrt(m).  Every J value, the assembly's included,
+comes from `j_integral_batch`, which reads its profiles over one outer
+grid per call from a Chebyshev interpolant in x, fitted once per (n, c)
+by the dense I kernel `i_integral_batch`, which is also the test
+oracle.  The S5 dual side reads its whole window of n from one node
+grid per (m, c), folded onto one period c/N of the e(-N v / c) factor:
+the rest of the integrand, summed over the periods, is one smooth
+function on that period, read at the period's nodes from a Chebyshev
+interpolant, and only one period's nodes (and the leftover piece's)
+step the phase from n to n + 1.  The dual terms are assembled
 as one array pass over the window.  The S5 direct side reads S(n, m; c)
 from one Kloosterman sum per residue class n mod c and forms its phases
 in long double.
@@ -273,13 +274,16 @@ S5_CUTOFF_MAX = 4000
 
 def s5_cutoff(c: int, p: PipelineParams) -> float:
     """The nominal dual cutoff 8 c max(t, 1) / N of the S5 window at
-    modulus c; ValueError past the desk-scale limits."""
+    modulus c; ValueError past the desk-scale limits, or where no
+    integer n lies in N < n < 2N, so S5 has no term to compare."""
     if c > 50 or p.N > 1e5 or p.t > 2000:
         raise ValueError("desk-scale limits: c <= 50, N <= 1e5, t <= 2000")
     reach = 8.0 * c * max(p.t, 1.0) / p.N
     if not reach <= S5_CUTOFF_MAX:
         raise ValueError(f"desk-scale S5 dual window limited to 8 c max(t, 1) / N <= "
                          f"{S5_CUTOFF_MAX}, got {reach:.3g} at N = {p.N:g}, t = {p.t:g}, c = {c}")
+    if not math.floor(p.N) + 1 < 2 * p.N:
+        raise ValueError(f"empty S5 window: no integer n with N < n < 2N at N = {p.N:g}")
     return reach
 
 
@@ -351,42 +355,68 @@ def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
     )
 
 
-def _outer_nodes(m_max: float, c1: int, c2: int, p: PipelineParams):
+def _outer_nodes(rows, p: PipelineParams):
     """Fixed Gauss-Legendre grid on [0.5, 3] resolving the phase of the
-    J-integrand up to frequency m_max: 16 nodes per 10 rad of phase."""
-    rate = TWO_PI * abs(m_max) + TWO_PI * math.sqrt(p.N * p.N_dual) * math.sqrt(
+    J-integrand of every row (m, n1, c1, n2, c2): the largest |m|
+    against two profiles of the least modulus, 16 nodes per 10 rad of
+    phase.  ValueError past 400,000 panels (6.4e6 nodes), where a grid
+    clamped at the cap would alias the largest |m|."""
+    m_max = max(abs(row[0]) for row in rows)
+    c = min(min(row[2], row[4]) for row in rows)
+    rate = TWO_PI * m_max + TWO_PI * math.sqrt(p.N * p.N_dual) * math.sqrt(
         2.0 / 0.5
-    ) * (1.0 / c1 + 1.0 / c2)
-    panels = int(min(max(rate * 2.5 / 10.0, 32), 400_000))
+    ) * (2.0 / c)
+    panels = int(max(rate * 2.5 / 10.0, 32))
+    if panels > 400_000:
+        raise ValueError(f"desk-scale J grid limited to 400000 panels, "
+                         f"got {panels} for |m| = {m_max} at N = {p.N:g}, K = {p.K:g}")
     return panel_rule(np.linspace(0.5, 3.0, panels + 1), 16)
 
 
-def j_integral_batch(
-    ms: np.ndarray,
-    n1: int,
-    c1: int,
-    n2: int,
-    c2: int,
-    p: PipelineParams,
-) -> np.ndarray:
+def j_integral_batch(rows, p: PipelineParams) -> np.ndarray:
     """J(m) = int I(v Ntil, n1, c1) conj(I(v Ntil, n2, c2)) U(v) e(-m v) dv
-    for an array of integer frequencies m, sharing one profile pass.
+    for each row (m, n1, c1, n2, c2) on one `_outer_nodes` grid, each
+    profile (n, c) fitted once and each profile pair's m in one product.
 
     The conjugate on the second factor realizes the opened absolute
     square this integral comes from (its expanded form carries
     (y1/y2)^{it} and opposite-sign phases).
     """
-    ms = np.asarray(ms, dtype=float)
-    v, wt = _outer_nodes(float(np.max(np.abs(ms), initial=0.0)), c1, c2, p)
-    prof1 = _i_profile(v * p.N_dual, n1, c1, p)
-    prof2 = prof1 if (n1, c1) == (n2, c2) else _i_profile(v * p.N_dual, n2, c2, p)
-    core = wt * prof1 * np.conj(prof2) * _U.evaluator(v, np.zeros(v.size, dtype=np.intp))
-    out = np.empty(len(ms), dtype=complex)
-    block = max(1, int(4_000_000 // max(len(v), 1)))
-    for i in range(0, len(ms), block):
-        phases = np.exp(-2j * math.pi * np.outer(ms[i : i + block], v))
-        out[i : i + block] = phases @ core
+    v, wt = _outer_nodes(rows, p)
+    u = _U.evaluator(v, np.zeros(v.size, dtype=np.intp))
+    ms = np.array([row[0] for row in rows], dtype=float)
+    pairs = {}  # profile pair -> its rows
+    for i, (_, n1, c1, n2, c2) in enumerate(rows):
+        pairs.setdefault(((n1, c1), (n2, c2)), []).append(i)
+    keys = {key for pair in pairs for key in pair}
+    profiles = {key: _i_profile(v * p.N_dual, *key, p) for key in keys}
+    out = np.empty(len(rows), dtype=complex)
+    block = max(1, 4_000_000 // len(v))
+    for (key1, key2), idx in pairs.items():
+        core = wt * profiles[key1] * np.conj(profiles[key2]) * u
+        for i in range(0, len(idx), block):
+            part = idx[i : i + block]
+            out[part] = np.exp(-2j * math.pi * np.outer(ms[part], v)) @ core
     return out
+
+
+# desk scale: the largest `j_integral_work`, about 8 s at 4e-8 s per unit on
+# x86: the CLI defaults' assembly at 4.0e6 takes 0.3 s and N = 2500, Q = 3's
+# 1.6e8 6.6 s; N = 1e4 and 1e5 at Q = 3 would take 13 and 164 s at 3.4e8 and 2.4e9
+J_WORK_MAX = 2 * 10**8
+
+
+def j_integral_work(rows, p: PipelineParams) -> int:
+    """Predicted work of `j_integral_batch(rows, p)`: rows x outer nodes, plus
+    each profile's Chebyshev samples x the inner nodes that fit them."""
+    v, _ = _outer_nodes(rows, p)
+    x_lo, x_hi = math.sqrt(v.min() * p.N_dual), math.sqrt(v.max() * p.N_dual)
+    work = len(rows) * len(v)
+    for n, c in {key for row in rows for key in (row[1:3], row[3:5])}:
+        samples = chebyshev_degree(_profile_band(c, p)[1] * (x_hi - x_lo) / 4.0) + 1
+        # `_inner_nodes` puts 20 nodes on each panel of [1, 2], counted, not built
+        work += samples * 20 * _panel_density(x_hi * x_hi, n, c, p)
+    return work
 
 
 @dataclass(frozen=True)
@@ -403,28 +433,31 @@ class JDecayReport:
     status: str
 
 
-def j_decay_report(p: PipelineParams, n: int, c: int) -> JDecayReport:
-    """Fit |J(0)| t and |J(m)| t K constants, the latter over
-    m = 1, 2, 4, 8, and measure the collapse past m = 16 N / K^2, all on
-    one (n, c; n, c) profile family.  PASS: both constants at most 100,
-    the collapse ratio at most 1e-6, and |J| at most doubling from one
-    octave of m to the next (or under 1e-10 |J(0)|)."""
-    fit_ms = (1, 2, 4, 8)
+def j_decay_rows(p: PipelineParams, n: int, c: int) -> list[tuple]:
+    """J-decay's rows (m, n, c, n, c): m = 0; 1, 2, 4, 8; the octaves of m
+    from max(2 floor(N / K^2), 4) up to m_big = 16 N / K^2; m_big."""
     m_big = int(16 * p.N / p.K**2)
     octaves = []
     mm = max(2 * int(p.N / p.K**2), 4)
     while mm <= m_big:
         octaves.append(mm)
         mm *= 2
-    ms = np.array([0, *fit_ms, *octaves, m_big], dtype=float)
-    vals = j_integral_batch(ms, n, c, n, c, p)
+    return [(m, n, c, n, c) for m in (0, 1, 2, 4, 8, *octaves, m_big)]
+
+
+def j_decay_report(p: PipelineParams, n: int, c: int) -> JDecayReport:
+    """Fit |J(0)| t and |J(m)| t K constants, the latter over
+    m = 1, 2, 4, 8, and measure the collapse past m = 16 N / K^2, all on
+    the `j_decay_rows` of (n, c).  PASS: both constants at most 100,
+    the collapse ratio at most 1e-6, and |J| at most doubling from one
+    octave of m to the next (or under 1e-10 |J(0)|)."""
+    rows = j_decay_rows(p, n, c)
+    vals = j_integral_batch(rows, p)
     j0 = abs(vals[0])
     a0 = j0 * p.t
-    worst_a1 = max(
-        abs(v) * p.t * p.K for v in vals[1 : 1 + len(fit_ms)]
-    )
+    worst_a1 = max(abs(v) * p.t * p.K for v in vals[1:5])
     jbig = abs(vals[-1])
-    oct_vals = [abs(v) for v in vals[1 + len(fit_ms) : -1]]
+    oct_vals = [abs(v) for v in vals[5:-1]]
     floor = 1e-10 * max(j0, 1e-300)
     trend_ok = all(
         oct_vals[i + 1] <= 2.0 * oct_vals[i] or oct_vals[i + 1] <= floor
@@ -436,7 +469,7 @@ def j_decay_report(p: PipelineParams, n: int, c: int) -> JDecayReport:
         j0=j0,
         a0=a0,
         worst_a1=worst_a1,
-        decay_threshold=m_big,
+        decay_threshold=rows[-1][0],
         decay_ratio=ratio,
         octave_trend_ok=trend_ok,
         status="PASS" if ok else "FAIL",
@@ -474,10 +507,9 @@ _M_WINDOW = 60
 
 
 def _assembly_plan(p: PipelineParams, c_values: tuple[int, ...]):
-    """The assembly's congruence hits (m, n1, c1, n2, c2, diagonal tuple),
-    the expected count of generic hits, the outer grid (v, wt) every J
-    value shares, sized for the largest |m| among the hits, and the set
-    of profiles (n, c) the hits read."""
+    """The assembly's congruence hits, rows (m, n1, c1, n2, c2) of
+    `j_integral_batch`, and the expected count of generic hits, those
+    off the diagonal tuples (n1, c1) = (n2, c2)."""
     if len(c_values) < 2:
         raise ValueError("need at least a 2 x 2 grid of moduli")
 
@@ -495,36 +527,13 @@ def _assembly_plan(p: PipelineParams, c_values: tuple[int, ...]):
                 n1b = inv_mod(n1, c1) if c1 > 1 else 0
                 for n2 in n_window(c2):
                     n2b = inv_mod(n2, c2) if c2 > 1 else 0
-                    diag_tuple = c1 == c2 and n1 == n2
-                    if not diag_tuple:
+                    if (n1, c1) != (n2, c2):
                         expected += (2 * _M_WINDOW + 1) / cc
                     base = (n1b * c2 - n2b * c1) % cc
                     for m in range(-_M_WINDOW, _M_WINDOW + 1):
                         if (m - base) % cc == 0:
-                            hits.append((m, n1, c1, n2, c2, diag_tuple))
-    m_max = max((abs(h[0]) for h in hits), default=1)
-    cmin = min(c_values)
-    v, wt = _outer_nodes(float(m_max), cmin, cmin, p)
-    return hits, expected, v, wt, {key for h in hits for key in (h[1:3], h[3:5])}
-
-
-# desk scale: the largest `assembly_work`, about 8 s at 4e-8 s per unit on
-# x86: the CLI defaults' 4.0e6 takes 0.3 s and N = 2500, Q = 3's 1.6e8 6.6 s;
-# N = 1e4 and 1e5 at Q = 3 would take 13 and 164 s at 3.4e8 and 2.4e9
-ASSEMBLY_WORK_MAX = 2 * 10**8
-
-
-def assembly_work(p: PipelineParams, c_values: tuple[int, ...]) -> int:
-    """Predicted work of `offdiagonal_assembly`: hits x outer nodes, plus
-    each profile's Chebyshev samples x the inner nodes that fit them."""
-    hits, _, v, _, keys = _assembly_plan(p, c_values)
-    x_lo, x_hi = math.sqrt(v.min() * p.N_dual), math.sqrt(v.max() * p.N_dual)
-    work = len(hits) * len(v)
-    for n, c in keys:
-        samples = chebyshev_degree(_profile_band(c, p)[1] * (x_hi - x_lo) / 4.0) + 1
-        # `_inner_nodes` puts 20 nodes on each panel of [1, 2], counted, not built
-        work += samples * 20 * _panel_density(x_hi * x_hi, n, c, p)
-    return work
+                            hits.append((m, n1, c1, n2, c2))
+    return hits, expected
 
 
 def offdiagonal_assembly(
@@ -534,31 +543,28 @@ def offdiagonal_assembly(
     values and the congruence indicator, split diagonal from
     off-diagonal, and compare both against their predicted scales.
 
-    The off-diagonal constant is fitted with the written double
-    1/(c1 c2) chain (offdiag_constant); the alternative single-factor
-    reading is reported alongside (offdiag_constant_alt).  Profiles
-    I(v Ntil, n, c) are shared across every pair they appear in.  The
-    expected-hit density 1/(c1 c2) is a statement about generic tuples,
-    so structurally forced diagonal hits are counted separately.
+    The J values are one `j_integral_batch` call over the hits.  The
+    off-diagonal constant is fitted with the written double 1/(c1 c2)
+    chain (offdiag_constant); the alternative single-factor reading is
+    reported alongside (offdiag_constant_alt).  The expected-hit density
+    1/(c1 c2) is a statement about generic tuples, so structurally
+    forced diagonal hits are counted separately.
     """
     ntil = p.N_dual
-    hits, expected, v, wt, keys = _assembly_plan(p, c_values)
+    hits, expected = _assembly_plan(p, c_values)
     # sample cross-check of the indicator against the brute-force sum
-    for m, n1, c1, n2, c2, _ in hits[:5]:
+    for m, n1, c1, n2, c2 in hits[:5]:
         r = charsum_congruence(m, n1, n2, c1, c2)
         if not (r.indicator and r.abs_diff < 1e-6):
             raise ArithmeticError(
                 f"congruence indicator disagrees with the character sum at "
                 f"(m, n1, c1, n2, c2) = {(m, n1, c1, n2, c2)}"
             )
-    uw = wt * _U.evaluator(v, np.zeros(v.size, dtype=np.intp))
-    profiles = {(n, c): _i_profile(v * ntil, n, c, p) for n, c in keys}
     diag = 0.0
     off = 0.0
     generic_hits = 0
-    for m, n1, c1, n2, c2, diag_tuple in hits:
-        core = profiles[n1, c1] * np.conj(profiles[n2, c2]) * uw
-        jv = complex(np.exp(-2j * math.pi * m * v) @ core)
+    for (m, n1, c1, n2, c2), jv in zip(hits, j_integral_batch(hits, p)):
+        diag_tuple = (n1, c1) == (n2, c2)
         if diag_tuple and m == 0:
             diag += jv.real / (c1 * c2)
         else:

@@ -172,9 +172,9 @@ def test_pipeline_j_decay_check_gates_octave_trend(monkeypatch):
     # first; the constants and the collapse are untouched
     batch = pipeline.j_integral_batch
 
-    def grown(ms, *args):
-        vals = batch(ms, *args)
-        vals[6] = vals[0]  # ms: 0; 1, 2, 4, 8; then the octaves
+    def grown(rows, p):
+        vals = batch(rows, p)
+        vals[6] = vals[0]  # rows' m: 0; 1, 2, 4, 8; then the octaves
         return vals
 
     monkeypatch.setattr(pipeline, "j_integral_batch", grown)
@@ -182,6 +182,20 @@ def test_pipeline_j_decay_check_gates_octave_trend(monkeypatch):
     assert res.status == "FAIL"
     assert res.detail.endswith("; octave trend ok False")
     assert acceptance.criterion_j_decay().status == "FAIL"
+
+
+def test_zero_j_reaches_criterion_8_and_the_assembly(monkeypatch):
+    # criterion 8, the pipeline's J line and the assembly read one J
+    # kernel, so a zeroed kernel reaches all three (their gates do not yet
+    # tell a null measurement from a pass, so the constants are asserted)
+    monkeypatch.setattr(pipeline, "j_integral_batch",
+                        lambda rows, p: np.zeros(len(rows), dtype=complex))
+    assert acceptance.criterion_j_decay().detail.startswith(
+        "|J(0)| t = 0.00; worst |J(m)| t K = 0.00;")
+    checks = acceptance.pipeline_checks(_PIPELINE_PARAMS)
+    assert checks[1]().detail.startswith("|J(0)| t = 0.00; worst |J(m)| t K = 0.00;")
+    assert checks[2]().detail.startswith(
+        "diag const 0.000, offdiag const 0.000 (alt 0.000e+00)")
 
 
 def test_pipeline_s5_check_gates_fat_tail(monkeypatch):

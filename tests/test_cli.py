@@ -359,6 +359,19 @@ _BAD_MAASS = {
         # before any check
         (["pipeline", "--n-len", "1e5", "--q-scale", "3"],
          "assembly limited to 2e+08 units of work, got 2.41e+09 at N = 100000"),
+        # no integer n with N < n < 2N: S5 has no term to compare
+        (["pipeline", "--n-len", "0.5", "--t", "1", "--weight-scale", "1", "--q-scale", "3"],
+         "empty S5 window: no integer n with N < n < 2N at N = 0.5"),
+        (["pipeline", "--n-len", "1", "--t", "1", "--weight-scale", "1", "--q-scale", "3"],
+         "empty S5 window: no integer n with N < n < 2N at N = 1"),
+        # J-decay's m = 16 N / K^2 past the J grid's 400000 panels, where a
+        # clamped grid aliases it
+        (["pipeline", "--n-len", "1e5", "--t", "100", "--weight-scale", "1", "--q-scale", "40"],
+         "J grid limited to 400000 panels, got 2513280 for |m| = 1600000"),
+        (["pipeline", "--n-len", "1e5", "--t", "100", "--weight-scale", "2", "--q-scale", "40"],
+         "J grid limited to 400000 panels, got 628343 for |m| = 400000"),
+        (["afe", "--form", "holomorphic:abc"],
+         "bad form 'holomorphic:abc': cannot read 'abc' as int"),
     ],
     ids=["k-above-sqrt-t", "modulus-past-desk-scale", "zero-step",
          "charsum-no-grid", "charsum-no-congruence", "charsum-no-primes",
@@ -383,7 +396,10 @@ _BAD_MAASS = {
          "maass-nu-inf", "scan-maass-nu-inf", "maass-nu-1e300", "maass-nu-nan",
          "maass-epsilon-nan", "maass-repeated-row",
          "maass-nu-abc", "maass-epsilon-one", "maass-row-n-x", "maass-row-no-lambda",
-         "maass-row-lambda-abc", "pipeline-assembly-past-desk-scale"],
+         "maass-row-lambda-abc", "pipeline-assembly-past-desk-scale",
+         "pipeline-empty-s5-window", "pipeline-empty-s5-window-n1",
+         "pipeline-j-grid-k1", "pipeline-j-grid-k2",
+         "holomorphic-k-abc"],
 )
 def test_rejected_parameters_exit_usage(argv, message, tmp_path, capsys):
     for name, text in _BAD_MAASS.items():

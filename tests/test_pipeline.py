@@ -12,11 +12,12 @@ from weylbound.pipeline import (
     PipelineParams,
     _i_profile,
     _outer_nodes,
-    assembly_work,
     i_integral_batch,
     i_integral_window,
     j_decay_report,
+    j_decay_rows,
     j_integral_batch,
+    j_integral_work,
     offdiagonal_assembly,
     poisson_check_s5,
     stationary_dual_index,
@@ -98,9 +99,9 @@ def test_poisson_identity_t_zero():
 
 
 def test_poisson_identity_without_direct_terms_fails():
-    # no integer n in [N, 2N] lies inside the bump's support, so the scale
-    # max(|direct|, 1e-3 trivial bound) is 0: nothing is compared
-    p = PipelineParams(N=0.5, t=1.0, K=1.0, Q=3.0)
+    # n = 2 lies in N < n < 2N, but the bump underflows to 0 there, so the
+    # scale max(|direct|, 1e-3 trivial bound) is 0: nothing is compared
+    p = PipelineParams(N=1.0001, t=1.0, K=1.0, Q=3.0)
     rep = poisson_check_s5(1, 2, p)
     assert rep.direct == 0 and rep.trivial_bound == 0
     assert rep.scaled_diff == math.inf and rep.status == "FAIL"
@@ -116,13 +117,13 @@ SMALL = PipelineParams(N=2500.0, t=400.0, K=10.0, Q=25.0)
 
 
 def test_j_symmetry():
-    a = j_integral_batch(np.array([2]), 1, 24, 2, 25, SMALL)[0]
-    b = j_integral_batch(np.array([-2]), 2, 25, 1, 24, SMALL)[0]
+    a = j_integral_batch([(2, 1, 24, 2, 25)], SMALL)[0]
+    b = j_integral_batch([(-2, 2, 25, 1, 24)], SMALL)[0]
     assert abs(a - np.conj(b)) <= 1e-9 + 1e-6 * abs(a)
 
 
 def test_j_zero_positive_for_matched_profiles():
-    v = j_integral_batch(np.array([0]), 1, 25, 1, 25, SMALL)[0]
+    v = j_integral_batch([(0, 1, 25, 1, 25)], SMALL)[0]
     assert v.real > 0
     assert abs(v.imag) <= 1e-9 * v.real
 
@@ -138,11 +139,24 @@ def test_j_decay_report_small_params():
 
 
 def test_j_batch_matches_scalar():
-    ms = np.array([0.0, 1.0, 3.0])
-    batch = j_integral_batch(ms, 1, 24, 1, 24, SMALL)
-    for m, bv in zip(ms, batch):
-        sv = j_integral_batch(np.array([m]), 1, 24, 1, 24, SMALL)[0]
+    rows = [(m, 1, 24, 1, 24) for m in (0, 1, 3)]
+    batch = j_integral_batch(rows, SMALL)
+    for row, bv in zip(rows, batch):
+        sv = j_integral_batch([row], SMALL)[0]
         assert abs(bv - sv) <= 1e-10 + 1e-8 * abs(sv)
+
+
+def test_j_batch_over_two_profile_pairs_matches_per_pair_calls():
+    # one grid, sized for the least modulus and the largest |m| of all
+    # rows, serves both pairs; each pair's own call sizes its own grid
+    pair_a, pair_b = (1, 24, 1, 24), (1, 24, 2, 25)
+    rows = [(0, *pair_a), (2, *pair_b), (3, *pair_a), (-5, *pair_b)]
+    batch = j_integral_batch(rows, SMALL)
+    for pair in (pair_a, pair_b):
+        mine = [i for i, row in enumerate(rows) if row[1:] == pair]
+        alone = j_integral_batch([rows[i] for i in mine], SMALL)
+        for bv, sv in zip(batch[mine], alone):
+            assert abs(bv - sv) <= 1e-10 + 1e-8 * abs(sv)
 
 
 def test_assembly_small_grid():
@@ -179,18 +193,24 @@ def test_assembly_work_predicts_the_profile_fits(monkeypatch):
     monkeypatch.setattr(pipeline, "i_integral_batch", counted)
     cs = (23, 24, 25, 26)
     offdiagonal_assembly(SMALL, cs)
-    hits, _, v, _, _ = pipeline._assembly_plan(SMALL, cs)
-    profile_work = assembly_work(SMALL, cs) - len(hits) * len(v)
+    hits, _ = pipeline._assembly_plan(SMALL, cs)
+    v, _ = _outer_nodes(hits, SMALL)
+    profile_work = j_integral_work(hits, SMALL) - len(hits) * len(v)
     assert sum(spent) <= profile_work <= 1.1 * sum(spent)
 
 
 def test_assembly_work_cap_admits_the_checked_scales():
     # the CLI defaults (SMALL) and criterion 8's point sit far below the
-    # cap; N = 1e5 at Q = 3, whose assembly takes 164 s, sits above it
+    # cap, for the assembly's hits and the J-decay rows alike; N = 1e5 at
+    # Q = 3, whose assembly takes 164 s, sits above it
     for p, cs in ((SMALL, (23, 24, 25, 26)), (CRIT8, (98, 99, 100, 101))):
-        assert assembly_work(p, cs) < pipeline.ASSEMBLY_WORK_MAX / 10
+        c = int(p.Q)
+        for rows in (pipeline._assembly_plan(p, cs)[0],
+                     j_decay_rows(p, stationary_dual_index(p, c), c)):
+            assert j_integral_work(rows, p) < pipeline.J_WORK_MAX / 10
     far = PipelineParams(N=1e5, t=400.0, K=10.0, Q=3.0)
-    assert assembly_work(far, (1, 2, 3, 4)) > pipeline.ASSEMBLY_WORK_MAX
+    hits, _ = pipeline._assembly_plan(far, (1, 2, 3, 4))
+    assert j_integral_work(hits, far) > pipeline.J_WORK_MAX
 
 
 def test_assembly_rejects_tiny_grid():
@@ -220,7 +240,7 @@ def test_i_profile_against_dense_oracle(p, n, c, m_max, stride):
     # 1e-11 max |I|, the dense sum's own rounding (phases up to ~1500 rad,
     # ~2e-13 each, against total weight int W) sets a floor; it matters at
     # (2, 25), where no stationary point leaves |I| at ~1e-7
-    v, _ = _outer_nodes(m_max, c, c, p)
+    v, _ = _outer_nodes([(m_max, n, c, n, c)], p)
     ms = v * p.N_dual
     got = _i_profile(ms, n, c, p)[::stride]
     dense = i_integral_batch(ms[::stride], n, c, p)

@@ -153,6 +153,31 @@ def _names(node):
     return out
 
 
+def _top_level_users(name):
+    """The top-level statements in src/ that name `name`, apart from its
+    own definition, as module.function (or module.<statement type>)."""
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            targets = getattr(stmt, "targets", ())
+            if getattr(stmt, "name", None) == name or any(
+                isinstance(t, ast.Name) and t.id == name for t in targets
+            ):
+                continue
+            if name in _names(stmt):
+                users.append(f"{path.stem}.{getattr(stmt, 'name', type(stmt).__name__)}")
+    return sorted(users)
+
+
+def test_j_integrand_is_formed_in_j_integral_batch():
+    # the J grid, the profiles and the U weight meet in j_integral_batch
+    # alone (j_integral_work sizes its grid), so no caller forms J again
+    assert _top_level_users("_outer_nodes") == [
+        "pipeline.j_integral_batch", "pipeline.j_integral_work"]
+    assert _top_level_users("_i_profile") == ["pipeline.j_integral_batch"]
+    assert _top_level_users("_U") == ["pipeline.j_integral_batch"]
+
+
 def test_unnamed_definitions_are_allowlisted():
     # code that no gate, oracle or CLI path reaches is deleted or moved to
     # the tests, unless listed above
