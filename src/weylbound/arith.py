@@ -84,11 +84,14 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def divisor_counts(n: int) -> np.ndarray:
-    """d(1..n) as an int array (index 0 unused)."""
-    d = np.zeros(n + 1, dtype=np.int64)
-    for k in range(1, n + 1):
-        d[k::k] += 1
-    return d
+    """d(1..n) as an int array (index 0 unused): one count of every
+    multiple j k <= n of every k <= n."""
+    ks = np.arange(1, n + 1)
+    counts = n // ks
+    k = np.repeat(ks, counts)
+    # j runs 1..n // k within each k's run
+    j = np.arange(1, len(k) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.bincount(k * j, minlength=n + 1)
 
 
 def primitive_root(q: int) -> int:

@@ -355,9 +355,9 @@ def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
     )
 
 
-def _outer_nodes(rows, p: PipelineParams):
-    """Fixed Gauss-Legendre grid on [0.5, 3] resolving the phase of the
-    J-integrand of every row (m, n1, c1, n2, c2): the largest |m|
+def _outer_panels(rows, p: PipelineParams) -> int:
+    """The panel count of `_outer_nodes`' grid, which resolves the phase of
+    the J-integrand of every row (m, n1, c1, n2, c2): the largest |m|
     against two profiles of the least modulus, 16 nodes per 10 rad of
     phase.  ValueError past 400,000 panels (6.4e6 nodes), where a grid
     clamped at the cap would alias the largest |m|."""
@@ -370,7 +370,13 @@ def _outer_nodes(rows, p: PipelineParams):
     if panels > 400_000:
         raise ValueError(f"desk-scale J grid limited to 400000 panels, "
                          f"got {panels} for |m| = {m_max} at N = {p.N:g}, K = {p.K:g}")
-    return panel_rule(np.linspace(0.5, 3.0, panels + 1), 16)
+    return panels
+
+
+def _outer_nodes(rows, p: PipelineParams):
+    """Fixed Gauss-Legendre grid on [0.5, 3] for the J-integrand of every
+    row: `_outer_panels` panels of 16 nodes."""
+    return panel_rule(np.linspace(0.5, 3.0, _outer_panels(rows, p) + 1), 16)
 
 
 def j_integral_batch(rows, p: PipelineParams) -> np.ndarray:
@@ -409,9 +415,14 @@ J_WORK_MAX = 2 * 10**8
 def j_integral_work(rows, p: PipelineParams) -> int:
     """Predicted work of `j_integral_batch(rows, p)`: rows x outer nodes, plus
     each profile's Chebyshev samples x the inner nodes that fit them."""
-    v, _ = _outer_nodes(rows, p)
-    x_lo, x_hi = math.sqrt(v.min() * p.N_dual), math.sqrt(v.max() * p.N_dual)
-    work = len(rows) * len(v)
+    panels = _outer_panels(rows, p)
+    # the outer grid's end panels alone, to the bit: np.linspace puts edge
+    # i at i * (2.5 / panels) + 0.5 and the last at 3.0
+    step = 2.5 / panels
+    v_lo = panel_rule(np.array([0.5, step + 0.5]), 16)[0].min()
+    v_hi = panel_rule(np.array([(panels - 1) * step + 0.5, 3.0]), 16)[0].max()
+    x_lo, x_hi = math.sqrt(v_lo * p.N_dual), math.sqrt(v_hi * p.N_dual)
+    work = len(rows) * 16 * panels
     for n, c in {key for row in rows for key in (row[1:3], row[3:5])}:
         samples = chebyshev_degree(_profile_band(c, p)[1] * (x_hi - x_lo) / 4.0) + 1
         # `_inner_nodes` puts 20 nodes on each panel of [1, 2], counted, not built

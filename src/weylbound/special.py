@@ -141,10 +141,11 @@ def jacobi_anger_coefficients(bessel, amp, sign) -> np.ndarray:
     return (factor * (sums[..., 0] + 1j * sums[..., 1])).T
 
 
-def chebyshev_block(coef, lo: float, hi: float, x, valid=None) -> np.ndarray:
+def chebyshev_block(coef, lo: float, hi: float, x, valid=None, out=None) -> np.ndarray:
     """sum_k coef[k, b] T_k(y) for every column b of a (K x B) complex
     coefficient matrix at every x of an array, with x = mid + half y
-    mapping [-1, 1] onto [lo, hi]: a (len(x) x B) array.
+    mapping [-1, 1] onto [lo, hi]: a (len(x) x B) array, written into
+    `out` (a C-contiguous complex array of that shape) when given.
 
     The rows T_0..T_(K-1) are built over a chunk of at most
     `_BASIS_CHUNK` arguments at once, in panels of p = `_PANEL_ROWS` rows:
@@ -160,7 +161,8 @@ def chebyshev_block(coef, lo: float, hi: float, x, valid=None) -> np.ndarray:
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     _check_range(x, (lo, hi) if valid is None else valid)
     columns = np.ascontiguousarray(coef).view(np.float64)  # re, im, re, im, ...
-    out = np.empty((len(x), coef.shape[1]), dtype=complex)
+    if out is None:
+        out = np.empty((len(x), coef.shape[1]), dtype=complex)
     for a in range(0, len(x), _BASIS_CHUNK):
         y = (x[a : a + _BASIS_CHUNK] - mid) / half
         _basis_product(columns, y, out[a : a + _BASIS_CHUNK].view(np.float64))

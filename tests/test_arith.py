@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from weylbound.arith import inv_mod, require_inv
+from weylbound.arith import divisor_counts, inv_mod, require_inv
 from weylbound.expsums import units_and_inverses
 
 
@@ -30,3 +30,16 @@ def test_require_inv_raises_on_non_units():
     assert require_inv(-2, 7) == 3
     with pytest.raises(ValueError, match="4 is not invertible modulo 6"):
         require_inv(4, 6)
+
+
+def test_divisor_counts_against_the_slice_loop():
+    # one bincount over every multiple gives the integers of one slice
+    # update per k: at n = 10^4, and at smaller n as prefixes of it
+    n_max = 10**4
+    loop = np.zeros(n_max + 1, dtype=np.int64)
+    for k in range(1, n_max + 1):
+        loop[k::k] += 1
+    got = divisor_counts(n_max)
+    assert got.dtype == np.int64 and np.array_equal(got, loop)
+    for n in (0, 1, 2, 3, 12, 97, 360, 9999):
+        assert np.array_equal(divisor_counts(n), loop[: n + 1]), n

@@ -136,10 +136,13 @@ def _interp_case(name, request, tmp_path):
         return load_maass_file(str(path))[0], 30.0
     if name == "k16":
         return holomorphic_spec(16, 1000), 20.0
-    spec = request.getfixturevalue("delta12000")
+    t = name.split("@")[1]
+    # past t = 1000 the AFE sums need more coefficients: balance 2's dual
+    # length is about 9.6 t
+    spec = request.getfixturevalue({"2500": "delta30000", "4990": "delta50000"}.get(t, "delta12000"))
     if name == "delta@edge":
         return spec, _bucket_edge_t(spec, 25)
-    return spec, float(name.split("@")[1])
+    return spec, float(t)
 
 
 def _dense_central_value(spec, t, balance) -> complex:
@@ -177,8 +180,8 @@ def _cutoff_read(table, t_index, balance):
 @pytest.mark.parametrize(
     "case",
     [
-        "delta@0", "delta@10", "delta@100", "delta@500", "delta@1000", "delta@-250",
-        "delta@edge", "k16", "maass",
+        "delta@0", "delta@10", "delta@100", "delta@500", "delta@1000", "delta@2500",
+        "delta@4990", "delta@-250", "delta@edge", "k16", "maass",
     ],
 )
 def test_interpolated_weight_against_dense_oracle(case, request, tmp_path):
@@ -242,15 +245,17 @@ def test_central_value_dense_weight_work(delta12000, monkeypatch):
 
 def test_scan_one_cutoff_work(delta12000, monkeypatch):
     # a block sends each distinct AFE argument of the two balances over all
-    # of its t's to one basis evaluation: at t = 1000 alone the 9553
-    # half-integers and integers up to the balance-2 dual length, not the
-    # 21492 arguments n, n, 2n and n/2 of the four Dirichlet pieces
+    # of its t's to one basis evaluation per occupied piece, each piece its
+    # run of the sorted union: at t = 1000 alone the 9553 half-integers and
+    # integers up to the balance-2 dual length, not the 21492 arguments n,
+    # n, 2n and n/2 of the four Dirichlet pieces, split at the four octave
+    # edges below the bucket end 8.5
     block, stirling = lfunc.chebyshev_block, special._stirling
     evaluated, lifted = [], []
 
-    def counted_block(coef, lo, hi, x, valid=None):
+    def counted_block(coef, lo, hi, x, valid=None, out=None):
         evaluated.append(np.size(x))
-        return block(coef, lo, hi, x, valid)
+        return block(coef, lo, hi, x, valid, out)
 
     def counted_stirling(*args):
         lifted.append(np.size(args[0]))
@@ -260,7 +265,7 @@ def test_scan_one_cutoff_work(delta12000, monkeypatch):
     monkeypatch.setattr(special, "_stirling", counted_stirling)
     (rec,) = lfunc._scan_block(delta12000, [1000.0], (1.0, 2.0))
     assert rec.accepted
-    assert evaluated == [9553]
+    assert evaluated == [614, 614, 1229, 2457, 4639] and sum(evaluated) == 9553
     # one gamma-factor call per block: s + w, s and 1 - s together
     assert len(lifted) == 1
     evaluated.clear()
@@ -275,9 +280,62 @@ def test_scan_one_cutoff_work(delta12000, monkeypatch):
             n1, n2 = afe_lengths(delta12000, t, b)
             union |= set((np.arange(1, n1 + 1) * b).tolist())
             union |= set((np.arange(1, n2 + 1) / b).tolist())
-    assert evaluated == [len(union)]
+    assert len(evaluated) == 5 and sum(evaluated) == len(union)
     # s + w at every contour node, s and 1 - s, for each t
     assert lifted == [len(ts) * (lfunc._CONTOUR_PANELS * lfunc._CONTOUR_NODES + 2)]
+
+
+def _pieces_used(spec, t, monkeypatch):
+    """The (lo, hi) of every basis evaluation of a block of one at t."""
+    block, used = lfunc.chebyshev_block, []
+
+    def recorded(coef, lo, hi, x, valid=None, out=None):
+        used.append((lo, hi))
+        return block(coef, lo, hi, x, valid, out)
+
+    with monkeypatch.context() as m:
+        m.setattr(lfunc, "chebyshev_block", recorded)
+        lfunc._cutoff_table(spec, [t], (1.0, 2.0))
+    return used
+
+
+def test_piece_edges_depend_on_the_bucket_alone(delta12000, monkeypatch):
+    # two t's of one bucket use the same pieces, to the bit: octaves of one
+    # exact width, down to the last whose lower end is at least log 240,
+    # then the remainder from log 1/4
+    lo = math.log(0.25)
+    for t1, t2 in ((1000.0, 1000.25), (2.0, 2.1), (500.0, 500.2)):
+        hi = lfunc._basis_end(lfunc._log_u_range(delta12000, t1)[1])
+        assert hi == lfunc._basis_end(lfunc._log_u_range(delta12000, t2)[1])
+        used = _pieces_used(delta12000, t1, monkeypatch)
+        assert used == _pieces_used(delta12000, t2, monkeypatch)
+        assert [a for a, _ in used[1:]] == [b for _, b in used[:-1]]
+        assert used[0][0] == lo and used[-1][1] == hi
+        assert all(b - a == lfunc._OCTAVE and a >= math.log(240.0) for a, b in used[1:])
+        assert used[0][1] - lfunc._OCTAVE < math.log(240.0)
+    assert len(_pieces_used(delta12000, 1000.0, monkeypatch)) == 5
+    assert len(_pieces_used(delta12000, 2.0, monkeypatch)) == 1
+
+
+def test_cutoff_table_below_the_octave_floor_is_one_piece(delta12000):
+    # every bucket end on [10, 50] is at most 5.75 < log 240 + log 2: its
+    # table is one Jacobi-Anger product and one basis evaluation over
+    # [lo, hi], to the bit
+    ts = [50.0, 49.9]
+    lo, end = lfunc._log_u_range(delta12000, ts[0])
+    hi = lfunc._basis_end(end)
+    assert hi == 5.75 < math.log(240.0) + math.log(2.0)
+    v, positions, lengths, _ = lfunc._cutoff_table(delta12000, ts, (1.0, 2.0))
+    amp, _ = lfunc._amplitudes(delta12000, ts)
+    table, phase, sign = lfunc._jacobi_anger_basis(lo, hi)
+    coef = special.jacobi_anger_coefficients(table, (amp * phase).T, sign)
+    longest = np.max(lengths, axis=0)
+    lu = np.log(np.unique(np.concatenate([
+        lfunc._afe_arguments(n1, n2, b) for (n1, n2), b in zip(longest, (1.0, 2.0))
+    ])))
+    want = special.chebyshev_block(coef, lo, hi, lu, (lo, end))
+    want *= np.exp(-lu)[:, None]
+    assert np.array_equal(v, want)
 
 
 def test_scan_blocks_match_blocks_of_one(delta12000):
@@ -334,8 +392,9 @@ def test_contour_block_memory(delta12000):
 
 def test_bessel_table_built_once_per_bucket(delta12000, monkeypatch):
     # t = 1000 and 1000.25 end their log-u ranges in one 1/4 bucket and
-    # share one Bessel table; t = 700 lies in another and builds its own,
-    # and the cache keeps at most two tables
+    # share its remainder's Bessel table; t = 700 lies in another and
+    # builds its own, and the cache keeps at most two.  Every octave piece
+    # reads one table of 36 rows, built once per process
     built = []
     table = lfunc.bessel_j_table
 
@@ -345,16 +404,19 @@ def test_bessel_table_built_once_per_bucket(delta12000, monkeypatch):
 
     monkeypatch.setattr(lfunc, "bessel_j_table", counted)
     lfunc._jacobi_anger_basis.cache_clear()
+    lfunc._octave_basis.cache_clear()
     bucket = []
     for t in (1000.0, 1000.25, 700.0):
         lfunc._cutoff_table(delta12000, [t], (1.0,))
         bucket.append(math.ceil(lfunc._log_u_range(delta12000, t)[1] * lfunc._LOG_U_BUCKETS))
     assert bucket[0] == bucket[1] != bucket[2]
-    assert len(built) == 2
+    assert len(built) == 3 and built.count(35) == 1
+    assert lfunc._octave_basis().shape == (36, lfunc._CONTOUR_PANELS * lfunc._CONTOUR_NODES)
     assert lfunc._jacobi_anger_basis.cache_info().currsize == 2
     for t in (500.0, 700.0, 1000.5):
         lfunc._cutoff_table(delta12000, [t], (1.0,))
     assert lfunc._jacobi_anger_basis.cache_info().currsize == 2
+    assert built.count(35) == 1 and lfunc._octave_basis.cache_info().misses == 1
     lfunc._jacobi_anger_basis.cache_clear()
 
 

@@ -208,9 +208,33 @@ def test_assembly_work_cap_admits_the_checked_scales():
         for rows in (pipeline._assembly_plan(p, cs)[0],
                      j_decay_rows(p, stationary_dual_index(p, c), c)):
             assert j_integral_work(rows, p) < pipeline.J_WORK_MAX / 10
-    far = PipelineParams(N=1e5, t=400.0, K=10.0, Q=3.0)
-    hits, _ = pipeline._assembly_plan(far, (1, 2, 3, 4))
-    assert j_integral_work(hits, far) > pipeline.J_WORK_MAX
+    hits, _ = pipeline._assembly_plan(FAR, (1, 2, 3, 4))
+    assert j_integral_work(hits, FAR) > pipeline.J_WORK_MAX
+
+
+@pytest.mark.parametrize(
+    "case, figure",
+    [("defaults-assembly", 3979400), ("defaults-j-decay", 491360),
+     ("criterion-8", 1022860), ("far-assembly", 2411373188)],
+)
+def test_j_integral_work_sizes_the_grid_without_building_it(case, figure, monkeypatch):
+    # the node count and the end nodes come from the panel count, with the
+    # floats of the built grid, so the figure is the one a built grid gave
+    # (pinned here) at the CLI defaults, criterion 8's rows and the 164 s
+    # assembly's 2.4e9
+    p, rows = {
+        "defaults-assembly": (SMALL, pipeline._assembly_plan(SMALL, (23, 24, 25, 26))[0]),
+        "defaults-j-decay": (SMALL, j_decay_rows(SMALL, stationary_dual_index(SMALL, 25), 25)),
+        "criterion-8": (CRIT8, j_decay_rows(CRIT8, stationary_dual_index(CRIT8, 100), 100)),
+        "far-assembly": (FAR, pipeline._assembly_plan(FAR, (1, 2, 3, 4))[0]),
+    }[case]
+    v, _ = _outer_nodes(rows, p)
+    panels = pipeline._outer_panels(rows, p)
+    ends = (pipeline.panel_rule(np.array([0.5, 2.5 / panels + 0.5]), 16)[0].min(),
+            pipeline.panel_rule(np.array([(panels - 1) * (2.5 / panels) + 0.5, 3.0]), 16)[0].max())
+    assert (len(v), v.min(), v.max()) == (16 * panels, *ends)
+    monkeypatch.setattr(pipeline, "_outer_nodes", None)
+    assert j_integral_work(rows, p) == figure
 
 
 def test_assembly_rejects_tiny_grid():
@@ -219,6 +243,8 @@ def test_assembly_rejects_tiny_grid():
 
 
 CRIT8 = PipelineParams(N=1e4, t=1e3, K=10.0, Q=100.0)
+# N = 1e5 at Q = 3, whose assembly takes 164 s
+FAR = PipelineParams(N=1e5, t=400.0, K=10.0, Q=3.0)
 # |I| <= int_1^2 W(v) dv; the mean of the bump over a uniform grid on
 # [-1, 1] is that integral (spectrally accurate for a compact C-infinity bump)
 TRIVIAL_I = float(np.mean(_canonical_bump(np.linspace(-1.0, 1.0, 4001))))

@@ -216,6 +216,10 @@ def test_jacobi_anger_coefficients_match_dense_interpolation(monkeypatch):
         # a value does not depend on the other arguments or columns of the call
         alone = chebyshev_block(coef[:, 1:], -1.0, 2.0, xs[5::7])
         assert np.array_equal(alone[:, 0], got[5::7, 1])
+        # written into a row slice of a larger array, the values are the same
+        into = np.zeros((len(xs) + 20, 2), dtype=complex)
+        assert chebyshev_block(coef, -1.0, 2.0, xs, out=into[10:-10]).base is into
+        assert np.array_equal(into[10:-10], got) and not into[:10].any() and not into[-10:].any()
     # a narrower valid range is checked on its own
     narrow = chebyshev_block(coef, -1.0, 2.0, xs[:9], (-1.0, 0.0))
     assert np.max(np.abs(narrow - got[:9])) <= 1e-13 * scale
