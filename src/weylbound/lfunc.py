@@ -46,12 +46,19 @@ positions in the union of its two argument progressions, so a sum reads
 V with one `take` at those positions cut to its own lengths.
 `_block_values` turns the table into every central value of the block,
 one row per t.  Each t's Dirichlet coefficients lambda(n) n^(-s) =
-lambda(n) n^(-1/2) e^(-i t log n) do not depend on the balance: the
-block forms log n and lambda(n) n^(-1/2) once, to its longest length,
-each t forms its column from their prefixes once, at its longest
-length, and every balance slices that column.  A central value computed
-alone is a block of one.  The dense contour sum (`_AfeContour`) stays
-as `afe_weight` and as the test oracle.
+lambda(n) n^(-1/2) e^(-i t log n) do not depend on the balance, and
+consecutive t's share them by angle addition, n^(-i(t + d)) =
+n^(-it) n^(-id) (Odlyzko and Schonhage, Trans. AMS 309 (1988)): the
+block's first column comes from the phase t log n, formed and reduced
+mod 2 pi in `np.longdouble` (log n cached per form length), and each
+later t's column is the previous one times e^(-i d log n), one complex
+exponential per distinct step d of the block (a scan grid has one to
+three).  Each column is formed once, at the block's longest length, and
+every balance slices it; in a block of 16 t's at t = 4990 it lies
+within 1.1e-14 relative of 40-digit values, where one double phase
+t log n per t erred by 7.8e-12.  A central value computed alone is a
+block of one.  The dense contour sum (`_AfeContour`) stays as
+`afe_weight` and as the test oracle.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ import numpy as np
 from .modforms import delta_eigenform, dim_cusp, hecke_eigenforms
 from .oscint import WeightFamily, panel_rule
 from .special import (
+    TWO_PI_LD,
     ComplexEstimate,
     bessel_j_table,
     chebyshev_block,
@@ -382,9 +390,42 @@ def _cutoff_table(spec: LFunctionSpec, ts, balances):
     return v, positions, lengths, root
 
 
-def _dirichlet_column(t: float, log_n: np.ndarray, lam_root: np.ndarray) -> np.ndarray:
-    """lambda(n) n^(-s) = lambda(n) n^(-1/2) e^(-i t log n) at s = 1/2 + it."""
-    return lam_root * np.exp(-1j * t * log_n)
+@functools.lru_cache(maxsize=2)
+def _log_n(n_max: int) -> np.ndarray:
+    """log n for n = 1..n_max in `np.longdouble`, read-only: the Dirichlet
+    phases of a form with n_max coefficients read its prefixes."""
+    log_n = np.log(np.arange(1, n_max + 1, dtype=np.longdouble))
+    log_n.flags.writeable = False
+    return log_n
+
+
+def _unit_phases(phase: np.ndarray) -> np.ndarray:
+    """e^(-i phase) for a long-double phase, reduced mod 2 pi in long double
+    before it rounds to double."""
+    return np.exp(-1j * (phase % TWO_PI_LD).astype(float))
+
+
+def _dirichlet_columns(spec: LFunctionSpec, ts, n: int):
+    """lambda(m) m^(-s) = lambda(m) m^(-1/2) e^(-i t log m), m <= n, at
+    s = 1/2 + it for each t of ts in turn: the first from its phase
+    t log m, each later one the column before times e^(-i d log m) for its
+    step d from the t before, with one exponential per distinct step.
+    Every phase is formed and reduced mod 2 pi in long double (d, the
+    difference of two nearby doubles, exactly) before it rounds to
+    double, so a column carries one rounding per step and no error of
+    size t eps; where long double is only double, the first phase is only
+    double-accurate."""
+    log_n = _log_n(spec.coefficients.n_max)[:n]
+    t_ld = np.array(ts, dtype=np.longdouble)
+    column = spec.coefficients.values[1 : n + 1] / np.sqrt(np.arange(1, n + 1.0))
+    column = column * _unit_phases(t_ld[0] * log_n)
+    yield column
+    steps = {}
+    for d in np.diff(t_ld):
+        if d not in steps:
+            steps[d] = _unit_phases(d * log_n)
+        column = column * steps[d]
+        yield column
 
 
 @dataclass(frozen=True)
@@ -401,33 +442,33 @@ class _Row:
 def _block_values(spec: LFunctionSpec, ts, balances) -> list[_Row]:
     """Every central value of a block (`_cutoff_table`): one row per t.
 
-    The block forms log n and lambda(n) n^(-1/2) once, to its longest
-    length; each t forms its Dirichlet column from their prefixes once, at
-    its longest length over the balances (capped at n_max), and each
-    balance's two sums slice it.
+    Each t's Dirichlet column (`_dirichlet_columns`) runs to the block's
+    longest length over the balances, capped at n_max, and each balance's
+    two sums slice it.
     """
     v, positions, lengths, root = _cutoff_table(spec, ts, balances)
     n_max = spec.coefficients.n_max
-    n_t = np.minimum(np.max(lengths, axis=(1, 2)), n_max)
-    ns = np.arange(1, n_t.max() + 1.0)
-    log_n, lam_root = np.log(ns), spec.coefficients.values[1 : len(ns) + 1] / np.sqrt(ns)
+    columns = _dirichlet_columns(spec, ts, min(int(np.max(lengths)), n_max))
     # truncation model: the log-normal mollifier tail past the cut,
     # summed against a divisor-weighted n^(-1/2) envelope
     v_cut = math.exp(-((MOLLIFIER_WIDTH * math.log(CUT_RATIO) / 2.0) ** 2))
     rows = []
-    for t, column, omega, n, t_lengths in zip(ts, v.T, root, n_t, lengths):
-        coef = _dirichlet_column(t, log_n[:n], lam_root[:n])
+    for t, v_t, omega, t_lengths, coef in zip(ts, v.T, root, lengths, columns):
         values = {}
         for b, (n1, n2) in zip(balances, t_lengths):
             if max(n1, n2) > n_max:
                 continue
             # one kernel sum_m lambda(m) m^(-s) V(u_m) for both pieces: lambda
             # is real and s - 1 = -conj(s), so the dual piece is the conjugate
-            # of the kernel at the reciprocal balance
+            # of the kernel at the reciprocal balance; at balance 1 both
+            # pieces read the same positions to the same length, so the dual
+            # sum is the first one's conjugate
             pos = positions[b]
-            cut = column.take(np.concatenate((pos[0][:n1], pos[1][:n2])))
-            sum1 = complex(np.sum(coef[:n1] * cut[:n1]))
-            sum2 = complex(np.sum(coef[:n2] * cut[n1:])).conjugate()
+            sum1 = complex(np.sum(coef[:n1] * v_t.take(pos[0][:n1])))
+            if b == 1.0:
+                sum2 = sum1.conjugate()
+            else:
+                sum2 = complex(np.sum(coef[:n2] * v_t.take(pos[1][:n2]))).conjugate()
             value = sum1 + omega * sum2
             tail = v_cut * 35.0 * (1.0 + (math.sqrt(n1) + math.sqrt(n2)) / 30.0)
             values[b] = ComplexEstimate(value, tail + 1e-12 * abs(value), "quadrature")

@@ -36,12 +36,10 @@ import numpy as np
 from .arith import inv_mod
 from .expsums import charsum_congruence, kloosterman_reals, units_and_inverses
 from .oscint import _canonical_bump, _two_product, panel_rule, plateau_weight
-from .special import chebyshev_degree, chebyshev_fit
+from .special import TWO_PI_LD, chebyshev_degree, chebyshev_fit
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
-# 2 pi in long double (only double where long double is)
-TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
 # The fold's degree above its phase's, per unit sqrt(c/N).  Period 0's
 # bump is e exp(-1/(4w)) to leading order at w = v - 1 <= c/N (the last
 # period's mirrors it at v = 2): flat to all orders at w = 0, so not

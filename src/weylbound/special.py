@@ -19,6 +19,10 @@ from numpy.polynomial import chebyshev
 
 EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
+# 2 pi in long double, for phases reduced before they round to double
+# (only double where long double is): np.longdouble(2 * math.pi) would
+# carry the double's error of 2.4e-16
+TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
 # Cody-Waite split of 2*pi: short-mantissa parts keep q*c_i exact
 _CW1 = 6.28125
 _CW2 = 0.0019353071693331003

@@ -477,12 +477,14 @@ def test_bare_contour_has_no_cutoff(delta12000):
     [([10.1, 10.2, 10.3], (1.0, 2.0)), ([1000.0, 1000.5, 1001.0], (1.0, 2.0, 4.0))],
     ids=["t10", "t1000"],
 )
-def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances, monkeypatch):
-    # a block's central values equal, bit for bit, a per-call column
-    # lambda(n) n^(-1/2) e^(-i t log n) and a searchsorted lookup in the same
-    # block's table; the balances of one t slice one Dirichlet column,
-    # formed once at the t's longest length (capped at n_max: balance 4
-    # passes it at t = 1000)
+def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances):
+    # a block's central values equal, bit for bit, columns formed by angle
+    # addition and a searchsorted lookup in the same block's table: the
+    # first t's column is lambda(n) n^(-1/2) e^(-i t log n) from its phase
+    # reduced mod 2 pi in long double, each later one the column before
+    # times e^(-i d log n) for its step d, reduced the same way.  The
+    # balances of one t slice one column, formed at the block's longest
+    # length (capped at n_max: balance 4 passes it at t = 1000)
     spec = delta12000
     lam, n_max = spec.coefficients.values, spec.coefficients.n_max
     assert lfunc._scan_blocks(spec, ts) == [ts]
@@ -491,16 +493,18 @@ def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances
     u = np.unique(np.concatenate([
         lfunc._afe_arguments(n1, n2, b) for (n1, n2), b in zip(longest, balances)
     ]))
-    columns, column = [], lfunc._dirichlet_column
+    big = min(int(longest.max()), n_max)
+    log_n = np.log(np.arange(1, big + 1, dtype=np.longdouble))
 
-    def kept(*args):
-        columns.append(column(*args))
-        return columns[-1]
+    def unit(phase):
+        return np.exp(-1j * (phase % special.TWO_PI_LD).astype(float))
 
-    monkeypatch.setattr(lfunc, "_dirichlet_column", kept)
+    ns = np.arange(1, big + 1.0)
+    coef = lam[1 : big + 1] / np.sqrt(ns) * unit(np.longdouble(ts[0]) * log_n)
     rows = lfunc._block_values(spec, ts, balances)
-    assert len(columns) == len(ts)
     for i, (t, row) in enumerate(zip(ts, rows)):
+        if i:
+            coef = coef * unit((np.longdouble(t) - np.longdouble(ts[i - 1])) * log_n)
         assert row.t == t
         for b in balances:
             n1, n2 = afe_lengths(spec, t, b)
@@ -510,8 +514,6 @@ def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances
                 with pytest.raises(ValueError, match=f"need coefficients to n = {n}"):
                     central_value(spec, t, b, _row=row)
                 continue
-            ns = np.arange(1, n + 1.0)
-            coef = lam[1 : n + 1] / np.sqrt(ns) * np.exp(-1j * t * np.log(ns))
             args = np.concatenate([np.arange(1, n1 + 1.0) * b, np.arange(1, n2 + 1.0) / b])
             pos = np.searchsorted(u, args)
             assert np.array_equal(u[pos], args)
@@ -520,37 +522,74 @@ def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances
             sum2 = complex(np.sum(coef[:n2] * v[n1:])).conjugate()
             got = central_value(spec, t, b, _row=row)
             assert got.value == sum1 + root[i] * sum2, (t, b)
-        longest_t = max(max(afe_lengths(spec, t, b)) for b in balances)
-        assert len(columns[i]) == min(longest_t, n_max)
     if max(balances) == 4.0:
-        assert longest_t > n_max
+        assert max(afe_lengths(spec, ts[-1], 4.0)) > n_max
 
 
-@pytest.mark.parametrize("t", [0.0, 10.0, 1000.0])
-def test_dirichlet_column_against_mpmath(delta12000, t, monkeypatch):
-    # lambda(n) n^(-1/2) e^(-i t log n) against n^(-s) in 30 digits, at 300
-    # n up to the length of the column the block forms (n_max at t = 1000,
-    # balance 4)
-    spec = delta12000
-    columns, column = [], lfunc._dirichlet_column
+@pytest.mark.parametrize(
+    "fixture, ts",
+    [
+        ("delta12000", [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5]),
+        ("delta12000", [10.0 + 0.1 * i for i in range(8)]),
+        ("delta12000", [1000.0 + 0.5 * i for i in range(13)]),
+        ("delta50000", [4990.0 + 0.5 * i for i in range(16)]),
+        ("delta12000", list(1000.0 + np.cumsum([0.0, 0.5, 0.75, 0.25, 1.5, -1.0]))),
+    ],
+    ids=["0.0", "10.0", "1000.0", "4990.0", "nonuniform"],
+)
+def test_dirichlet_column_against_mpmath(fixture, ts, request, monkeypatch):
+    # every column of a block, lambda(m) m^(-1/2) e^(-i t log m) by angle
+    # addition from the block's first t, against lambda(m) m^(-s) in 40
+    # digits at 150 m up to the column's length (the block's longest): a
+    # block straddling t = 0, uniform steps (at t = 10 the grid's 0.1 rounds
+    # to two distinct steps), and steps 0.5, 0.75, 0.25, 1.5 and -1
+    spec = request.getfixturevalue(fixture)
+    assert len({lfunc._basis_end(lfunc._log_u_range(spec, t)[1]) for t in ts}) == 1
+    columns, lengths, formed = [], [], lfunc._dirichlet_columns
 
-    def kept(*args):
-        columns.append(column(*args))
-        return columns[-1]
+    def kept(spec, ts, n):
+        lengths.append(n)
+        for column in formed(spec, ts, n):
+            columns.append(column)
+            yield column
 
-    monkeypatch.setattr(lfunc, "_dirichlet_column", kept)
-    lfunc._block_values(spec, [t], (1.0, 2.0, 4.0))
-    (column,) = columns
-    n = min(max(afe_lengths(spec, t, 4.0)), spec.coefficients.n_max)
-    assert len(column) == n
+    monkeypatch.setattr(lfunc, "_dirichlet_columns", kept)
+    lfunc._block_values(spec, ts, (1.0, 2.0))
+    (n,) = lengths
+    assert n == min(max(max(afe_lengths(spec, t, b)) for t in ts for b in (1.0, 2.0)),
+                    spec.coefficients.n_max)
+    assert len(columns) == len(ts) and all(len(c) == n for c in columns)
     lam = spec.coefficients.values
+    ms = np.unique(np.linspace(1, n, 150).astype(int))
     worst = 0.0
-    with mp.workdps(30):
-        s = mp.mpc(0.5, t)
-        for m in np.unique(np.linspace(1, n, 300).astype(int)):
-            want = mp.mpf(float(lam[m])) * mp.power(m, -s)
-            worst = max(worst, float(abs(want - column[m - 1]) / abs(want)))
-    assert worst <= 2e-12, worst
+    with mp.workdps(40):
+        for t, column in zip(ts, columns):
+            s = mp.mpc(0.5, t)
+            for m in ms:
+                want = mp.mpf(float(lam[m])) * mp.power(int(m), -s)
+                worst = max(worst, float(abs(want - column[m - 1]) / abs(want)))
+    assert worst <= 1e-13, worst
+
+
+@pytest.mark.parametrize(
+    "steps, distinct",
+    [([], 0), ([0.5] * 12, 1), ([0.5, 0.75, 0.25, 1.5, -1.0, 0.5, 0.75], 5)],
+    ids=["one", "uniform", "nonuniform"],
+)
+def test_block_makes_one_exponential_per_distinct_step(delta12000, steps, distinct, monkeypatch):
+    # a block of B t's with k distinct steps makes 1 + k full-length complex
+    # exponentials (the first t's phase, then one per step), not B
+    ts = list(1000.0 + np.cumsum([0.0, *steps]))
+    seen, unit = [], lfunc._unit_phases
+
+    def counted(phase):
+        seen.append(len(phase))
+        return unit(phase)
+
+    monkeypatch.setattr(lfunc, "_unit_phases", counted)
+    lfunc._block_values(delta12000, ts, (1.0, 2.0))
+    n = max(max(afe_lengths(delta12000, t, b)) for t in ts for b in (1.0, 2.0))
+    assert seen == [n] * (1 + distinct)
 
 
 def test_scan_builds_no_contour_and_one_length_pair_per_balance(delta2000, monkeypatch):

@@ -21,7 +21,7 @@ from weylbound.special import (
     log_gamma,
     log_gamma_vec,
 )
-from weylbound import lfunc, oscint, special
+from weylbound import lfunc, oscint, pipeline, special
 from weylbound.lfunc import CoefficientSource, LFunctionSpec
 
 mp.mp.dps = 40
@@ -505,6 +505,16 @@ def test_gamma_ratio_against_mpmath():
         r = gamma_ratio_phase(K, tau)
         ref = complex(mp.gamma(mp.mpc(K / 2, tau)) / mp.gamma(mp.mpc(K / 2, -tau)))
         assert abs(r.ratio.value - ref) < 1e-11
+
+
+def test_two_pi_ld_against_mpmath():
+    # the one long-double 2 pi that the Dirichlet columns and criterion 7's
+    # direct side reduce their phases by: within half an ulp (2 eps on
+    # [4, 8)) of 2 pi in long double, where 2 * math.pi is 2.4e-16 off
+    assert lfunc.TWO_PI_LD is pipeline.TWO_PI_LD is special.TWO_PI_LD
+    num, den = special.TWO_PI_LD.as_integer_ratio()
+    err = float(abs(mp.mpf(num) / den - 2 * mp.pi))
+    assert err <= 2 * float(np.finfo(np.longdouble).eps), err
 
 
 def test_kernel_ca_examples():
