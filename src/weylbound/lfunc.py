@@ -18,47 +18,46 @@ u ~ 30 sqrt(C) while still dying superexponentially on the contour.
 
 On the contour u^(-w) = u^(-1) e^(-i tau log u), so V(u) = u^(-1) g(log u)
 with g = sum_j amp_j e^(-i tau_j log u), a finite exponential sum.  The
-AFE sums read V from the Chebyshev series of g in log u, whose
-coefficients are exact by Jacobi-Anger: with log u = m + h y,
+AFE sums read V from a piecewise Chebyshev series of g in log u, whose
+coefficients are exact by Jacobi-Anger: with log u = m + h y on a piece,
 c_k = eps_k (-i)^k sum_j amp_j e^(-i tau_j m) J_k(tau_j h).  The nodes
-tau_j do not depend on t, and the basis range ends on a 1/4 grid in
-log u, so t's whose ranges end in one bucket share the Bessel table
-J_k(|tau_j| h), whose height bounds every t's degree, and share the
-AFE arguments n, 2n and n/2 of balances 1 and 2.  (Rounding the end up
-by at most 1/4 raises a degree by at most 3.4 % on [0, 1000]; a scan
-over t in [10, 50] builds 7 tables.)  The scan therefore works in
-blocks of such t's.  Most arguments lie near the top of the range, so
-the series is piecewise (`_piece_edges`, which reads the bucket alone):
-from the end down, octaves of width log 2 while an octave holds at least
-as many half-integer arguments as the contour has nodes, then one
-remainder piece.  Every octave shares one Bessel table J_k(|tau_j| h)
-at h = log 2 / 2, 36 rows built once, and adds its own phase; the
-remainder keeps its bucket's table.  At t = 1000 four octaves hold 8939
-of the 9553 arguments at degree 35 in place of 219; on [10, 50] no
-octave qualifies and the remainder is the whole range.
+tau_j do not depend on t, and neither do the pieces (`_piece_edges`):
+one grid in log u, a remainder [log 1/4, F] and above it octaves of
+width log 2 from F = log 240, where an octave starts to hold as many
+half-integer arguments as the contour has nodes.  A t uses the pieces
+up to its log-u end.  So every t reads two Bessel tables, each built
+once per process: the remainder's, 162 rows, and the one all octaves
+share, 36 rows (each piece adds its phase).  Both are signed, row k
+holding J_k(tau_j h), so the coefficients are one real product with two
+columns per t.  At t = 1000 five octaves hold 9074 of the 9553
+arguments at degree 35.  The scan works in blocks of consecutive t's,
+cut only by count and bytes, which share the AFE arguments n, 2n and
+n/2 of balances 1 and 2.
 `_cutoff_table` makes one gamma-factor call for every s + w, s and
 1 - s, which gives every t's amplitudes as one row and its root factor;
 forms every t's coefficients from one batched product per table; and
 evaluates each piece's Chebyshev basis once, a matrix product, over its
 run of the sorted union of the block's distinct arguments, one column
-of V per t.  `np.unique` also gives, for each balance, the
-positions in the union of its two argument progressions, so a sum reads
-V with one `take` at those positions cut to its own lengths.
+of V per t.  The union comes from a stable merge of the argument
+progressions (`_sorted_union`), which also gives, for each balance, the
+positions of its two progressions in it, so a sum reads V with one
+`take` at those positions cut to its own lengths.
 `_block_values` turns the table into every central value of the block,
 one row per t.  Each t's Dirichlet coefficients lambda(n) n^(-s) =
 lambda(n) n^(-1/2) e^(-i t log n) do not depend on the balance, and
 consecutive t's share them by angle addition, n^(-i(t + d)) =
 n^(-it) n^(-id) (Odlyzko and Schonhage, Trans. AMS 309 (1988)): the
-block's first column comes from the phase t log n, formed and reduced
-mod 2 pi in `np.longdouble` (log n cached per form length), and each
-later t's column is the previous one times e^(-i d log n), one complex
-exponential per distinct step d of the block (a scan grid has one to
-three).  Each column is formed once, at the block's longest length, and
-every balance slices it; in a block of 16 t's at t = 4990 it lies
-within 1.1e-14 relative of 40-digit values, where one double phase
-t log n per t erred by 7.8e-12.  A central value computed alone is a
-block of one.  The dense contour sum (`_AfeContour`) stays as
-`afe_weight` and as the test oracle.
+block's first column comes from the phase t log n, formed in
+double-double on a (hi, lo) split of log n (cached per form length) and
+reduced mod 2 pi by a three-part Cody-Waite split, and each later t's
+column is the previous one times e^(-i d log n), d taken exactly as a
+two-sum pair, with one complex exponential per distinct step of the
+block (a scan grid has one to three).  Each column is formed once, at
+the block's longest length, and every balance slices it; in a block of
+16 t's at t = 4990 it lies within 7.6e-15 relative of 40-digit values,
+where one double phase t log n per t erred by 7.8e-12.  A central value
+computed alone is a block of one.  The dense contour sum (`_AfeContour`)
+stays as `afe_weight` and as the test oracle.
 """
 
 from __future__ import annotations
@@ -72,9 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modforms import delta_eigenform, dim_cusp, hecke_eigenforms
-from .oscint import WeightFamily, panel_rule
+from .oscint import WeightFamily, _two_product, panel_rule
 from .special import (
-    TWO_PI_LD,
     ComplexEstimate,
     bessel_j_table,
     chebyshev_block,
@@ -95,19 +93,22 @@ _CONTOUR_SIGMA = 1.0
 _CONTOUR_TMAX = 28.0
 _CONTOUR_PANELS = 40
 _CONTOUR_NODES = 12
-# the interpolant's basis range ends on this grid in log u: each bucket
-# costs one Miller pass for its Bessel table (about 3 ms), and a coarser
-# grid raises the degree of every t in it
-_LOG_U_BUCKETS = 4
-# the basis splits off octaves of u below a bucket's end while an octave
-# [e^a, 2 e^a] holds at least as many half-integer arguments (about
-# 2 e^a) as the contour has nodes, so each pays back its coefficient
-# product; on such a piece e^(-i tau log u) needs degree 35, not the
-# whole range's 219 at t = 1000.  The width is log 2 on a 2^-20 grid:
-# every piece edge, width and half-width is then exact, so the shared
-# octave table and each piece's map read one half-width to the bit
+# the interpolant's pieces lie on one grid in log u, the same for every
+# t: a remainder [log 1/4, F] and octaves [F + j w, F + (j + 1) w] above
+# it.  F is where an octave [e^a, 2 e^a] starts to hold at least as many
+# half-integer arguments (about 2 e^a) as the contour has nodes, so each
+# octave pays back its coefficient product; on one, e^(-i tau log u)
+# needs degree 35, not the whole range's 219 at t = 1000.  The width w
+# is log 2 and F is log 240, each on a 2^-20 grid: every piece edge,
+# width and half-width is then exact, so the shared octave table and
+# each piece's map read one half-width to the bit
+_LOG_U_LO = math.log(0.25)
 _OCTAVE = round(math.log(2.0) * 2**20) / 2**20
-_OCTAVE_FLOOR = math.log(_CONTOUR_PANELS * _CONTOUR_NODES / 2.0)
+_OCTAVE_FLOOR = round(math.log(_CONTOUR_PANELS * _CONTOUR_NODES / 2.0) * 2**20) / 2**20
+# Cody-Waite split of 2 pi for the Dirichlet phases: C1 has 31 significant
+# bits, so q C1 is exact for |q| < 2^20, which covers |t log n| up to
+# T_MAX log PREC_MAX; C1 + C2 + C3 is 2 pi within 1e-42
+_TWO_PI_CW = (6.2831853069365025, 2.430840202602477e-10, 1.40862394607328e-26)
 # a scan block holds at most 16 t-points (its gamma pass keeps about
 # eight arrays of 482 complex values per t alive, 1 MB in all) and 2 MiB
 # of cutoff values: 16 bytes per t and argument, and the arguments of
@@ -226,56 +227,34 @@ def _contour_nodes(panels: int):
     return tau, w, base
 
 
-@functools.lru_cache(maxsize=2)
-def _jacobi_anger_basis(lo: float, hi: float):
-    """The t-independent part of the Chebyshev series of g on the log-u
-    range [lo, hi]: the table J_k(|tau_j| h) (k up to the largest degree
-    any amplitudes can need), the phases e^(-i tau_j m) and the signs of
-    tau_j, read-only.  The scan's t-points walk through buckets in order,
-    so two entries serve it; one entry holds about 0.65 MB at t = 1000,
-    where the range is the remainder piece below four octaves.
-    """
-    tau = _contour_nodes(_CONTOUR_PANELS)[0]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    # |tau_j| <= TMAX bounds every degree the amplitudes can ask for
-    kmax = chebyshev_degree(_CONTOUR_TMAX * half / 2.0)
-    table = bessel_j_table(kmax, np.abs(tau) * half)
-    phase, sign = np.exp(-1j * tau * mid), np.sign(tau)
-    for a in (table, phase, sign):
-        a.flags.writeable = False
-    return table, phase, sign
-
-
 def _log_u_range(spec: LFunctionSpec, t: float) -> tuple[float, float]:
     """log u over every argument central_value forms for a balance in
     [1/4, 4]: n = 1 at balance 1/4 up to afe_lengths' largest n * b."""
-    return math.log(0.25), math.log(CUT_RATIO * conductor_sqrt(spec, t) + 8.0)
+    return _LOG_U_LO, math.log(CUT_RATIO * conductor_sqrt(spec, t) + 8.0)
 
 
-def _basis_end(log_u_end: float) -> float:
-    """The log-u end rounded up onto the bucket grid: t's sharing it share
-    the interpolant's basis range and Bessel table."""
-    return math.ceil(log_u_end * _LOG_U_BUCKETS) / _LOG_U_BUCKETS
-
-
-def _piece_edges(lo: float, hi: float) -> list[float]:
-    """The edges of the interpolant's pieces of [lo, hi], ascending: the
-    octaves [hi - (j + 1) w, hi - j w] of width w = `_OCTAVE` while an
-    octave's lower end is at least `_OCTAVE_FLOOR`, below them one
-    remainder piece [lo, last edge] (all of [lo, hi] when no octave
-    qualifies).  They depend on the bucket alone."""
-    edges = [hi]
-    while edges[-1] - _OCTAVE >= _OCTAVE_FLOOR:
-        edges.append(edges[-1] - _OCTAVE)
-    return [lo, *edges[::-1]]
+def _piece_edges(end: float) -> list[float]:
+    """The edges of the interpolant's pieces up to the log-u end `end`,
+    ascending: the remainder [log 1/4, F], F = `_OCTAVE_FLOOR`, then the
+    octaves [F + j w, F + (j + 1) w], w = `_OCTAVE`, up to the first that
+    reaches `end`.  Every t's edges are a prefix of one grid."""
+    count = max(0, math.ceil((end - _OCTAVE_FLOOR) / _OCTAVE))
+    return [_LOG_U_LO, *(_OCTAVE_FLOOR + j * _OCTAVE for j in range(count + 1))]
 
 
 @functools.cache
-def _octave_basis() -> np.ndarray:
-    """J_k(|tau_j| w / 2), w = `_OCTAVE`, the Bessel table every octave
-    piece shares (each adds its own phase e^(-i tau_j m)): the table of a
-    range of width w, 36 rows, built once outside the buckets' cache."""
-    return _jacobi_anger_basis.__wrapped__(0.0, _OCTAVE)[0]
+def _bessel_table(half: float) -> np.ndarray:
+    """J_k(tau_j h) at h = `half` for the signed contour nodes tau_j, that
+    is (-1)^k J_k(|tau_j| h) where tau_j < 0, read-only and built once per
+    process: k runs up to the largest degree any amplitudes can need on a
+    piece of that half-width, since |tau_j| <= TMAX bounds it.  The scan
+    reads two, the remainder's (162 rows) and the one every octave shares
+    (36 rows)."""
+    tau = _contour_nodes(_CONTOUR_PANELS)[0]
+    table = bessel_j_table(chebyshev_degree(_CONTOUR_TMAX * half / 2.0), np.abs(tau) * half)
+    table[1::2] *= np.sign(tau)
+    table.flags.writeable = False
+    return table
 
 
 def _amplitudes(spec: LFunctionSpec, ts, panels: int = _CONTOUR_PANELS):
@@ -331,51 +310,46 @@ class _AfeContour:
 
 
 def _cutoff_table(spec: LFunctionSpec, ts, balances):
-    """V at every AFE argument of `balances` for t's whose log-u ranges end
-    in one bucket: the (U x B) table over the block's U distinct
-    arguments, column b for t_b; each balance's two position runs in it at
-    the block's longest lengths; every (t, balance)'s lengths (n1, n2);
-    and every t's root factor.
+    """V at every AFE argument of `balances` for a block of t's: the
+    (U x B) table over the block's U distinct arguments, column b for
+    t_b; each balance's two position runs in it at the block's longest
+    lengths; every (t, balance)'s lengths (n1, n2); and every t's root
+    factor.
 
     One gamma-factor call covers s + w, s and 1 - s of every t; every
-    t's coefficients on the bucket's remainder piece come from one
-    product with its Bessel table, and on every octave piece from one
-    product with the shared octave table; one basis evaluation per
-    occupied piece, over its run of the sorted union of the block's
-    distinct arguments, gives every t's values there, each column cut at
-    its own log-u end.
+    t's coefficients on the remainder piece come from one product with
+    its Bessel table, and on every octave piece up to the block's largest
+    log-u end from one product with the shared octave table; one basis
+    evaluation per occupied piece, over its run of the sorted union of
+    the block's distinct arguments, gives every t's values there.  The
+    top piece's range check stops at the block's largest end.
     """
     lengths = [[afe_lengths(spec, t, b) for b in balances] for t in ts]
-    lo, ends = _log_u_range(spec, ts[0])[0], [_log_u_range(spec, t)[1] for t in ts]
-    if len({_basis_end(e) for e in ends}) != 1:
-        raise ValueError("a contour block must share one log-u bucket")
-    edges = _piece_edges(lo, _basis_end(ends[0]))
+    end = max(_log_u_range(spec, t)[1] for t in ts)
+    edges = _piece_edges(end)
     amp, root = _amplitudes(spec, ts)
-    # the remainder's coefficients: one product with the bucket's Bessel
-    # table at its full height, which bounds every degree; column b holds
-    # t_b's coefficients
-    table, phase, sign = _jacobi_anger_basis(lo, edges[1])
-    coefs = [jacobi_anger_coefficients(table, (amp * phase).T, sign)]
+    # every piece's amplitudes times its phase at its midpoint; the
+    # remainder's coefficients come from one product with its table at
+    # its full height, which bounds every degree, and every octave's from
+    # one product with the shared table, stacked; column b holds t_b's
+    tau = _contour_nodes(_CONTOUR_PANELS)[0]
+    mids = 0.5 * (np.array(edges[:-1]) + np.array(edges[1:]))
+    stacked = amp[None] * np.exp(-1j * np.outer(mids, tau))[:, None]
+    coefs = [jacobi_anger_coefficients(_bessel_table(0.5 * (edges[1] - edges[0])), stacked[0].T)]
     if len(edges) > 2:
-        # every octave's, from one product with the shared table: the
-        # amplitudes times each octave's phase at its midpoint, stacked
-        tau = _contour_nodes(_CONTOUR_PANELS)[0]
-        mids = 0.5 * (np.array(edges[1:-1]) + np.array(edges[2:]))
-        stacked = amp[None] * np.exp(-1j * np.outer(mids, tau))[:, None]
-        octaves = jacobi_anger_coefficients(_octave_basis(), stacked.reshape(-1, len(tau)).T, sign)
-        coefs += np.split(octaves, len(mids), axis=1)
+        octaves = stacked[1:].reshape(-1, len(tau)).T
+        coefs += np.split(
+            jacobi_anger_coefficients(_bessel_table(0.5 * _OCTAVE), octaves), len(mids) - 1, axis=1
+        )
     # each balance's arguments are two progressions, nested in t: the
-    # union is theirs at the block's longest lengths
-    longest = np.max(lengths, axis=0)
-    u, inverse = np.unique(
-        np.concatenate([_afe_arguments(n1, n2, b) for (n1, n2), b in zip(longest, balances)]),
-        return_inverse=True,
-    )
-    # a t's pieces read the prefixes of its balance's two position runs
-    positions, start = {}, 0
-    for (n1, n2), b in zip(longest, balances):
-        positions[b] = (inverse[start : start + n1], inverse[start + n1 : start + n1 + n2])
-        start += n1 + n2
+    # union is theirs at the block's longest lengths, and a t's pieces
+    # read the prefixes of its balance's two position runs
+    runs = []
+    for (n1, n2), b in zip(np.max(lengths, axis=0), balances):
+        args = _afe_arguments(n1, n2, b)
+        runs += [args[:n1], args[n1:]]
+    u, runs = _sorted_union(runs)
+    positions = {b: (runs[2 * i], runs[2 * i + 1]) for i, b in enumerate(balances)}
     lu = np.log(u)
     # V = u^(-sigma) g(log u), each piece over its run of the sorted
     # arguments; one below lo lands in the remainder and one past the
@@ -384,25 +358,56 @@ def _cutoff_table(spec: LFunctionSpec, ts, balances):
     v = np.empty((len(lu), len(ts)), dtype=complex)
     for coef, a, b, i, j in zip(coefs, edges, edges[1:], bounds, bounds[1:]):
         if j > i:
-            valid = (a, max(ends)) if b == edges[-1] else None
+            valid = (a, end) if b == edges[-1] else None
             chebyshev_block(coef, a, b, lu[i:j], valid, out=v[i:j])
     v *= np.exp(-_CONTOUR_SIGMA * lu)[:, None]
     return v, positions, lengths, root
 
 
+def _sorted_union(runs) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted union of ascending arrays and each one's positions in
+    it, equal to `np.unique` of their concatenation with its inverse: a
+    stable argsort merges the runs, and a first-occurrence flag and its
+    cumulative sum number the distinct values."""
+    x = np.concatenate(runs)
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    first = np.empty(len(x), dtype=bool)
+    first[:1] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    inverse = np.empty(len(x), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return x[first], np.split(inverse, np.cumsum([len(r) for r in runs[:-1]]))
+
+
 @functools.lru_cache(maxsize=2)
-def _log_n(n_max: int) -> np.ndarray:
-    """log n for n = 1..n_max in `np.longdouble`, read-only: the Dirichlet
-    phases of a form with n_max coefficients read its prefixes."""
+def _log_n(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """log n for n = 1..n_max as a double-double pair (hi, lo), read-only:
+    one pass in `np.longdouble` rounded to hi, and the rest to lo.  The
+    Dirichlet phases of a form with n_max coefficients read its prefixes."""
     log_n = np.log(np.arange(1, n_max + 1, dtype=np.longdouble))
-    log_n.flags.writeable = False
-    return log_n
+    hi = log_n.astype(float)
+    lo = (log_n - hi).astype(float)
+    for a in (hi, lo):
+        a.flags.writeable = False
+    return hi, lo
 
 
-def _unit_phases(phase: np.ndarray) -> np.ndarray:
-    """e^(-i phase) for a long-double phase, reduced mod 2 pi in long double
-    before it rounds to double."""
-    return np.exp(-1j * (phase % TWO_PI_LD).astype(float))
+def _unit_phases(x: tuple[float, float], log_n) -> np.ndarray:
+    """e^(-i x log n) for x = x_hi + x_lo and log n the pair of `_log_n`,
+    in double-double: x_hi hi exactly by `_two_product`, plus the cross
+    terms, reduced mod 2 pi by `_TWO_PI_CW` (q C1 exact for |q| < 2^20,
+    so for |x log n| up to 6.5e6) before it rounds to double."""
+    (x_hi, x_lo), (hi, lo) = x, log_n
+    p, e = _two_product(x_hi, hi)
+    e += x_hi * lo + x_lo * hi
+    c1, c2, c3 = _TWO_PI_CW
+    q = np.rint(p * (1.0 / (2.0 * math.pi)))
+    r = p - q * c1
+    r -= q * c2
+    r += e
+    r -= q * c3
+    return np.exp(-1j * r)
 
 
 def _dirichlet_columns(spec: LFunctionSpec, ts, n: int):
@@ -410,22 +415,30 @@ def _dirichlet_columns(spec: LFunctionSpec, ts, n: int):
     s = 1/2 + it for each t of ts in turn: the first from its phase
     t log m, each later one the column before times e^(-i d log m) for its
     step d from the t before, with one exponential per distinct step.
-    Every phase is formed and reduced mod 2 pi in long double (d, the
-    difference of two nearby doubles, exactly) before it rounds to
-    double, so a column carries one rounding per step and no error of
-    size t eps; where long double is only double, the first phase is only
-    double-accurate."""
-    log_n = _log_n(spec.coefficients.n_max)[:n]
-    t_ld = np.array(ts, dtype=np.longdouble)
+    Every phase is formed and reduced mod 2 pi in double-double
+    (`_unit_phases`; d, the difference of two doubles, exactly as a
+    two-sum pair) before it rounds to double, so a column carries one
+    rounding per step and no error of size t eps; where long double is
+    only double, log m and so the first phase are only double-accurate."""
+    log_n = tuple(part[:n] for part in _log_n(spec.coefficients.n_max))
     column = spec.coefficients.values[1 : n + 1] / np.sqrt(np.arange(1, n + 1.0))
-    column = column * _unit_phases(t_ld[0] * log_n)
+    column = column * _unit_phases((float(ts[0]), 0.0), log_n)
     yield column
     steps = {}
-    for d in np.diff(t_ld):
+    for before, t in zip(ts, ts[1:]):
+        d = _two_difference(float(t), float(before))
         if d not in steps:
-            steps[d] = _unit_phases(d * log_n)
+            steps[d] = _unit_phases(d, log_n)
         column = column * steps[d]
         yield column
+
+
+def _two_difference(a: float, b: float) -> tuple[float, float]:
+    """a - b as a pair (d, d_lo) with d + d_lo = a - b exactly: Knuth's
+    two-sum of a and -b."""
+    d = a - b
+    b_part = a - d
+    return d, (a - (d + b_part)) - (b - b_part)
 
 
 @dataclass(frozen=True)
@@ -603,16 +616,18 @@ def _scan_one(spec: LFunctionSpec, t: float, balances: tuple[float, float]) -> S
 
 
 def _scan_blocks(spec: LFunctionSpec, ts: list[float]) -> list[list[float]]:
-    """The grid cut into runs of consecutive t's whose log-u ranges end in
-    one bucket, at most `_SCAN_BLOCK` long and within `_BLOCK_BYTES`."""
-    blocks, last = [], None
+    """The grid cut into runs of consecutive t's, at most `_SCAN_BLOCK`
+    long and within `_BLOCK_BYTES` of cutoff values at the run's largest
+    log-u end."""
+    blocks, top = [], -math.inf
     for t in ts:
-        end = _basis_end(_log_u_range(spec, t)[1])
-        size = min(_SCAN_BLOCK, max(1, int(_BLOCK_BYTES // (32.0 * math.exp(end)))))
-        if end != last or len(blocks[-1]) >= size:
+        end = _log_u_range(spec, t)[1]
+        top = max(top, end)
+        size = min(_SCAN_BLOCK, max(1, int(_BLOCK_BYTES // (32.0 * math.exp(top)))))
+        if not blocks or len(blocks[-1]) >= size:
             blocks.append([])
+            top = end
         blocks[-1].append(t)
-        last = end
     return blocks
 
 
@@ -637,8 +652,8 @@ def exponent_scan(
     values at balances 1 and 2.
 
     Grid includes both endpoints when t_min < t_max and is empty when
-    t_min = t_max.  The grid is cut into bucket blocks (`_scan_blocks`),
-    which run in order in the calling thread, so records come ordered by
+    t_min = t_max.  The grid is cut into blocks (`_scan_blocks`), which
+    run in order in the calling thread, so records come ordered by
     t.  A grid past |t| = `T_MAX` or of more than `SCAN_POINTS_MAX`
     points raises ValueError before any point is formed.
 

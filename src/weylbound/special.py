@@ -121,28 +121,29 @@ def chebyshev_degree(ratio: float) -> int:
     return deg
 
 
-def jacobi_anger_coefficients(bessel, amp, sign) -> np.ndarray:
-    """Chebyshev coefficients of g_b(y) = sum_j amp[j, b] e^(-i sign_j r_j y)
-    on [-1, 1] for every column b, given bessel[k, j] = J_k(r_j), r_j >= 0:
-    column b of the (K x B) result holds c_0..c_(K-1) of g_b, K the
-    table's height.
+def jacobi_anger_coefficients(bessel, amp) -> np.ndarray:
+    """Chebyshev coefficients of g_b(y) = sum_j amp[j, b] e^(-i z_j y) on
+    [-1, 1] for every column b, given the signed table bessel[k, j] =
+    J_k(z_j): column b of the (K x B) result holds c_0..c_(K-1) of g_b, K
+    the table's height.
 
     By Jacobi-Anger e^(-i z y) = sum_k eps_k (-i)^k J_k(z) T_k(y), with
-    eps_0 = 1 and eps_k = 2, and J_k(-r) = (-1)^k J_k(r).  So the even
-    orders sum the amplitudes and the odd orders the signed amplitudes:
-    one real product of the table with four columns per b.  The products
-    are one batched `np.matmul` over a (B x J x 4) stack, a GEMM per b,
-    so that a column's coefficients do not depend on the others.  The
-    coefficients are exact up to the table's rounding; the height must
-    bound the series' tail (`chebyshev_degree` of the largest r_j / 2).
+    eps_0 = 1 and eps_k = 2, and the table carries the signs of the z_j
+    (J_k(-r) = (-1)^k J_k(r)): one real product of the table with the
+    real and imaginary parts of the amplitudes, two columns per b.  The
+    products are one batched `np.matmul` over a (B x J x 2) stack, a GEMM
+    per b, so that a column's coefficients do not depend on the others.
+    The coefficients are exact up to the table's rounding; the height
+    must bound the series' tail (`chebyshev_degree` of the largest
+    |z_j| / 2).
     """
     factor = 2.0 * (-1j) ** (np.arange(len(bessel)) % 4)
     factor[0] = 1.0
-    a = amp.T
-    odd = sign * a
-    sums = np.matmul(bessel, np.stack([a.real, a.imag, odd.real, odd.imag], axis=-1))
-    sums[:, 1::2, :2] = sums[:, 1::2, 2:]
-    return (factor * (sums[..., 0] + 1j * sums[..., 1])).T
+    # (B x J) complex is (B x J x 2) real, and the (B x K x 2) product is
+    # (B x K) complex again
+    parts = np.ascontiguousarray(amp.T).view(np.float64).reshape(amp.shape[1], amp.shape[0], 2)
+    sums = np.matmul(bessel, parts).view(complex)[..., 0]
+    return (factor * sums).T
 
 
 def chebyshev_block(coef, lo: float, hi: float, x, valid=None, out=None) -> np.ndarray:

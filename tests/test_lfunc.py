@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from weylbound import lfunc, special
+from weylbound import acceptance, lfunc, special
 from weylbound.arith import is_prime
 from weylbound.lfunc import (
     CUT_RATIO,
@@ -111,22 +111,25 @@ def test_weight16_central_value_balance_stable():
         assert abs(v - vals[1]) <= 1e-8 * max(1.0, abs(vals[1]))
 
 
-def _bucket_edge_t(spec, k: int) -> float:
-    """A t whose log-u range ends exactly on the bucket edge
-    k / _LOG_U_BUCKETS, so the basis range and the exact range share their
-    upper end."""
+def _piece_edge_t(spec, edge: float) -> float:
+    """A t whose log-u range ends exactly on the piece edge `edge`, so the
+    top piece and the exact range share their upper end."""
 
     def end(t):
         return math.log(CUT_RATIO * conductor_sqrt(spec, t) + 8.0)
 
     # Delta's conductor: 2 pi sqrt(C) = |6 + it|
-    sqrt_c = (math.exp(k / lfunc._LOG_U_BUCKETS) - 8.0) / CUT_RATIO
+    sqrt_c = (math.exp(edge) - 8.0) / CUT_RATIO
     t = math.sqrt((2 * math.pi * sqrt_c) ** 2 - 36.0)
     for _ in range(64):  # a few ulps either way if the rounding misses
-        if end(t) * lfunc._LOG_U_BUCKETS == k:
+        if end(t) == edge:
             return t
-        t = float(np.nextafter(t, np.inf if end(t) * lfunc._LOG_U_BUCKETS < k else -np.inf))
-    raise AssertionError(f"no t ends on bucket edge {k}")
+        t = float(np.nextafter(t, np.inf if end(t) < edge else -np.inf))
+    raise AssertionError(f"no t ends on piece edge {edge}")
+
+
+# the top of the first octave piece, log 480
+_EDGE = lfunc._OCTAVE_FLOOR + lfunc._OCTAVE
 
 
 def _interp_case(name, request, tmp_path):
@@ -141,7 +144,7 @@ def _interp_case(name, request, tmp_path):
     # length is about 9.6 t
     spec = request.getfixturevalue({"2500": "delta30000", "4990": "delta50000"}.get(t, "delta12000"))
     if name == "delta@edge":
-        return spec, _bucket_edge_t(spec, 25)
+        return spec, _piece_edge_t(spec, _EDGE)
     return spec, float(t)
 
 
@@ -160,12 +163,10 @@ def _dense_central_value(spec, t, balance) -> complex:
     return complex(sum1 + spec.root_number * np.exp(lg[1] - lg[0]) * sum2)
 
 
-def _block_around(spec, t):
-    """t and the first two of its neighbours whose log-u ranges end in t's
-    bucket."""
-    end = lfunc._basis_end(lfunc._log_u_range(spec, t)[1])
-    near = [t + d for d in (0.0, -0.1, 0.1, -0.25, 0.25)]
-    return [s for s in near if lfunc._basis_end(lfunc._log_u_range(spec, s)[1]) == end][:3]
+def _block_around(t):
+    """t and two neighbours below it: for t > 0 its log-u range ends the
+    block's."""
+    return [t, t - 0.1, t - 0.25]
 
 
 def _cutoff_read(table, t_index, balance):
@@ -186,13 +187,13 @@ def _cutoff_read(table, t_index, balance):
 )
 def test_interpolated_weight_against_dense_oracle(case, request, tmp_path):
     spec, t = _interp_case(case, request, tmp_path)
-    ts = _block_around(spec, t)
+    ts = _block_around(t)
     assert len(ts) >= 3
     balances = (0.25, 0.5, 1.0, 2.0, 4.0)
     table = lfunc._cutoff_table(spec, ts, balances)
     lengths = table[2]
     if case == "delta@edge":
-        assert lfunc._log_u_range(spec, ts[0])[1] == 25 / lfunc._LOG_U_BUCKETS
+        assert max(lfunc._log_u_range(spec, s)[1] for s in ts) == _EDGE
     rows = lfunc._block_values(spec, ts, balances)
     for i, (s, row) in enumerate(zip(ts, rows)):
         assert lengths[i] == [afe_lengths(spec, s, b) for b in balances]
@@ -248,8 +249,8 @@ def test_scan_one_cutoff_work(delta12000, monkeypatch):
     # of its t's to one basis evaluation per occupied piece, each piece its
     # run of the sorted union: at t = 1000 alone the 9553 half-integers and
     # integers up to the balance-2 dual length, not the 21492 arguments n,
-    # n, 2n and n/2 of the four Dirichlet pieces, split at the four octave
-    # edges below the bucket end 8.5
+    # n, 2n and n/2 of the four Dirichlet pieces, split at the grid's edges
+    # just below 240, 480, ..., 3840 (F lies 4e-7 under log 240)
     block, stirling = lfunc.chebyshev_block, special._stirling
     evaluated, lifted = [], []
 
@@ -265,7 +266,7 @@ def test_scan_one_cutoff_work(delta12000, monkeypatch):
     monkeypatch.setattr(special, "_stirling", counted_stirling)
     (rec,) = lfunc._scan_block(delta12000, [1000.0], (1.0, 2.0))
     assert rec.accepted
-    assert evaluated == [614, 614, 1229, 2457, 4639] and sum(evaluated) == 9553
+    assert evaluated == [479, 480, 960, 1920, 3840, 1874] and sum(evaluated) == 9553
     # one gamma-factor call per block: s + w, s and 1 - s together
     assert len(lifted) == 1
     evaluated.clear()
@@ -280,7 +281,7 @@ def test_scan_one_cutoff_work(delta12000, monkeypatch):
             n1, n2 = afe_lengths(delta12000, t, b)
             union |= set((np.arange(1, n1 + 1) * b).tolist())
             union |= set((np.arange(1, n2 + 1) / b).tolist())
-    assert len(evaluated) == 5 and sum(evaluated) == len(union)
+    assert len(evaluated) == 6 and sum(evaluated) == len(union)
     # s + w at every contour node, s and 1 - s, for each t
     assert lifted == [len(ts) * (lfunc._CONTOUR_PANELS * lfunc._CONTOUR_NODES + 2)]
 
@@ -299,45 +300,47 @@ def _pieces_used(spec, t, monkeypatch):
     return used
 
 
-def test_piece_edges_depend_on_the_bucket_alone(delta12000, monkeypatch):
-    # two t's of one bucket use the same pieces, to the bit: octaves of one
-    # exact width, down to the last whose lower end is at least log 240,
-    # then the remainder from log 1/4
-    lo = math.log(0.25)
-    for t1, t2 in ((1000.0, 1000.25), (2.0, 2.1), (500.0, 500.2)):
-        hi = lfunc._basis_end(lfunc._log_u_range(delta12000, t1)[1])
-        assert hi == lfunc._basis_end(lfunc._log_u_range(delta12000, t2)[1])
-        used = _pieces_used(delta12000, t1, monkeypatch)
-        assert used == _pieces_used(delta12000, t2, monkeypatch)
-        assert [a for a, _ in used[1:]] == [b for _, b in used[:-1]]
-        assert used[0][0] == lo and used[-1][1] == hi
-        assert all(b - a == lfunc._OCTAVE and a >= math.log(240.0) for a, b in used[1:])
-        assert used[0][1] - lfunc._OCTAVE < math.log(240.0)
-    assert len(_pieces_used(delta12000, 1000.0, monkeypatch)) == 5
-    assert len(_pieces_used(delta12000, 2.0, monkeypatch)) == 1
+def test_piece_edges_are_one_fixed_grid(delta12000, monkeypatch):
+    # every t's pieces are a prefix of one grid, to the bit: the remainder
+    # [log 1/4, F] with F = log 240 on the 2^-20 grid, then octaves of one
+    # exact width from F up to the first that reaches the t's log-u end
+    lo, floor, width = math.log(0.25), lfunc._OCTAVE_FLOOR, lfunc._OCTAVE
+    assert floor * 2**20 == round(math.log(240.0) * 2**20)
+    assert width * 2**20 == round(math.log(2.0) * 2**20)
+    grid = [(lo, floor)] + [(floor + j * width, floor + (j + 1) * width) for j in range(8)]
+    counts = {}
+    for t in (1000.0, 1000.25, 2.0, 45.0, 500.0, 4990.0, -250.0):
+        # the table needs no coefficients, so t = 4990 reads delta12000 too
+        used = _pieces_used(delta12000, t, monkeypatch)
+        assert used == grid[: len(used)]
+        end = lfunc._log_u_range(delta12000, t)[1]
+        assert used[-1][0] < end <= used[-1][1] or used == grid[:1]
+        counts[t] = len(used)
+    assert counts[1000.0] == counts[1000.25] == 6 and counts[500.0] == 5
+    assert counts[4990.0] == 8 and counts[-250.0] == 4
+    assert counts[2.0] == counts[45.0] == 1
 
 
 def test_cutoff_table_below_the_octave_floor_is_one_piece(delta12000):
-    # every bucket end on [10, 50] is at most 5.75 < log 240 + log 2: its
-    # table is one Jacobi-Anger product and one basis evaluation over
-    # [lo, hi], to the bit
-    ts = [50.0, 49.9]
+    # every log-u end of t in [10, 45] lies below F: the block's table is
+    # one signed Jacobi-Anger product and one basis evaluation over the
+    # remainder [log 1/4, F], its range check at the block's end, to the bit
+    ts = [45.0, 44.9, 10.0]
     lo, end = lfunc._log_u_range(delta12000, ts[0])
-    hi = lfunc._basis_end(end)
-    assert hi == 5.75 < math.log(240.0) + math.log(2.0)
+    assert end < lfunc._OCTAVE_FLOOR
     v, positions, lengths, _ = lfunc._cutoff_table(delta12000, ts, (1.0, 2.0))
     amp, _ = lfunc._amplitudes(delta12000, ts)
-    table, phase, sign = lfunc._jacobi_anger_basis(lo, hi)
-    coef = special.jacobi_anger_coefficients(table, (amp * phase).T, sign)
+    tau = lfunc._contour_nodes(lfunc._CONTOUR_PANELS)[0]
+    phase = np.exp(-1j * (0.5 * (lo + lfunc._OCTAVE_FLOOR) * tau))
+    table = lfunc._bessel_table(0.5 * (lfunc._OCTAVE_FLOOR - lo))
+    coef = special.jacobi_anger_coefficients(table, (amp * phase).T)
     longest = np.max(lengths, axis=0)
     lu = np.log(np.unique(np.concatenate([
         lfunc._afe_arguments(n1, n2, b) for (n1, n2), b in zip(longest, (1.0, 2.0))
     ])))
-    want = special.chebyshev_block(coef, lo, hi, lu, (lo, end))
+    want = special.chebyshev_block(coef, lo, lfunc._OCTAVE_FLOOR, lu, (lo, end))
     want *= np.exp(-lu)[:, None]
     assert np.array_equal(v, want)
-
-
 def test_scan_blocks_match_blocks_of_one(delta12000):
     # the shared gamma pass, coefficient product and basis evaluation change
     # nothing but rounding against each t built alone: a t's coefficients
@@ -355,23 +358,26 @@ def test_scan_blocks_match_blocks_of_one(delta12000):
             assert abs(alone.consistency_gap - rec.consistency_gap) <= tol
 
 
-def test_scan_blocks_follow_buckets(delta12000):
-    # runs of one bucket, at most _SCAN_BLOCK long at low t and within the
-    # byte budget of cutoff values at high t, whatever the pool size
+def test_scan_blocks_follow_the_byte_budget(delta12000):
+    # consecutive runs, at most _SCAN_BLOCK long at low t and within the
+    # byte budget of cutoff values at high t: 13 t's at t = 1000 and 2 at
+    # t = 4900, whatever the pool size
     for ts, longest in (
         ([10.0 + 0.002 * i for i in range(400)], lfunc._SCAN_BLOCK),
         ([1000.0 + 0.1 * i for i in range(40)], 13),
+        ([4900.0 + 0.5 * i for i in range(9)], 2),
     ):
         blocks = lfunc._scan_blocks(delta12000, ts)
-        assert [t for b in blocks for t in b] == ts
-        assert max(len(b) for b in blocks) == longest
-        for b in blocks:
-            ends = {lfunc._basis_end(lfunc._log_u_range(delta12000, t)[1]) for t in b}
-            assert len(ends) == 1
-    table = lfunc._cutoff_table(delta12000, blocks[0], (1.0, 2.0))[0]
-    assert table.shape[1] == len(blocks[0]) and table.nbytes <= lfunc._BLOCK_BYTES
-    with pytest.raises(ValueError, match="one log-u bucket"):
-        lfunc._cutoff_table(delta12000, [10.0, 14.0], (1.0,))
+        assert blocks == [ts[i : i + longest] for i in range(0, len(ts), longest)]
+        # the budget holds, and one more t's column would break it
+        table = lfunc._cutoff_table(delta12000, blocks[0], (1.0, 2.0))[0]
+        assert table.shape[1] == longest and table.nbytes <= lfunc._BLOCK_BYTES
+        assert longest == lfunc._SCAN_BLOCK or table.nbytes / longest * (longest + 1) > (
+            lfunc._BLOCK_BYTES
+        )
+    # no t-dependent basis range: t's far apart share a block
+    v, _, lengths, _ = lfunc._cutoff_table(delta12000, [10.0, 14.0, 1000.0], (1.0,))
+    assert v.shape == (np.max(lengths), 3)
 
 
 def test_contour_block_memory(delta12000):
@@ -379,22 +385,20 @@ def test_contour_block_memory(delta12000):
     # arguments, 220 rows) allocate less than 8 MB, table build and
     # Dirichlet columns included
     ts = [1000.0 + 0.25 * i for i in range(10)]
-    lfunc._jacobi_anger_basis.cache_clear()
+    lfunc._bessel_table.cache_clear()
     tracemalloc.start()
     try:
         lfunc._block_values(delta12000, ts, (1.0, 2.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        lfunc._jacobi_anger_basis.cache_clear()
     assert peak < 8e6, peak
 
 
-def test_bessel_table_built_once_per_bucket(delta12000, monkeypatch):
-    # t = 1000 and 1000.25 end their log-u ranges in one 1/4 bucket and
-    # share its remainder's Bessel table; t = 700 lies in another and
-    # builds its own, and the cache keeps at most two.  Every octave piece
-    # reads one table of 36 rows, built once per process
+def test_bessel_tables_built_once_per_process(monkeypatch):
+    # criterion 9 (balances 0.5, 1 and 2 at four t's, conjugate pairs and
+    # the scan over [100, 1000]) reads two Bessel tables, each built once:
+    # the remainder's, 162 rows for F = log 240, and the octaves', 36 rows
     built = []
     table = lfunc.bessel_j_table
 
@@ -403,21 +407,10 @@ def test_bessel_table_built_once_per_bucket(delta12000, monkeypatch):
         return table(kmax, xs)
 
     monkeypatch.setattr(lfunc, "bessel_j_table", counted)
-    lfunc._jacobi_anger_basis.cache_clear()
-    lfunc._octave_basis.cache_clear()
-    bucket = []
-    for t in (1000.0, 1000.25, 700.0):
-        lfunc._cutoff_table(delta12000, [t], (1.0,))
-        bucket.append(math.ceil(lfunc._log_u_range(delta12000, t)[1] * lfunc._LOG_U_BUCKETS))
-    assert bucket[0] == bucket[1] != bucket[2]
-    assert len(built) == 3 and built.count(35) == 1
-    assert lfunc._octave_basis().shape == (36, lfunc._CONTOUR_PANELS * lfunc._CONTOUR_NODES)
-    assert lfunc._jacobi_anger_basis.cache_info().currsize == 2
-    for t in (500.0, 700.0, 1000.5):
-        lfunc._cutoff_table(delta12000, [t], (1.0,))
-    assert lfunc._jacobi_anger_basis.cache_info().currsize == 2
-    assert built.count(35) == 1 and lfunc._octave_basis.cache_info().misses == 1
-    lfunc._jacobi_anger_basis.cache_clear()
+    lfunc._bessel_table.cache_clear()
+    assert acceptance.criterion_l_values().status == "PASS"
+    assert sorted(built) == [35, 161]
+    assert lfunc._bessel_table.cache_info().currsize == 2
 
 
 def test_cutoff_table_is_order_independent(delta12000):
@@ -481,10 +474,11 @@ def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances
     # a block's central values equal, bit for bit, columns formed by angle
     # addition and a searchsorted lookup in the same block's table: the
     # first t's column is lambda(n) n^(-1/2) e^(-i t log n) from its phase
-    # reduced mod 2 pi in long double, each later one the column before
-    # times e^(-i d log n) for its step d, reduced the same way.  The
-    # balances of one t slice one column, formed at the block's longest
-    # length (capped at n_max: balance 4 passes it at t = 1000)
+    # in double-double (`_unit_phases` on log n split from long double),
+    # each later one the column before times e^(-i d log n) for its step d
+    # taken exactly as a pair, formed the same way.  The balances of one t
+    # slice one column, formed at the block's longest length (capped at
+    # n_max: balance 4 passes it at t = 1000)
     spec = delta12000
     lam, n_max = spec.coefficients.values, spec.coefficients.n_max
     assert lfunc._scan_blocks(spec, ts) == [ts]
@@ -494,17 +488,15 @@ def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances
         lfunc._afe_arguments(n1, n2, b) for (n1, n2), b in zip(longest, balances)
     ]))
     big = min(int(longest.max()), n_max)
-    log_n = np.log(np.arange(1, big + 1, dtype=np.longdouble))
-
-    def unit(phase):
-        return np.exp(-1j * (phase % special.TWO_PI_LD).astype(float))
-
+    log_ld = np.log(np.arange(1, big + 1, dtype=np.longdouble))
+    log_n = (log_ld.astype(float), (log_ld - log_ld.astype(float)).astype(float))
     ns = np.arange(1, big + 1.0)
-    coef = lam[1 : big + 1] / np.sqrt(ns) * unit(np.longdouble(ts[0]) * log_n)
+    coef = lam[1 : big + 1] / np.sqrt(ns) * lfunc._unit_phases((ts[0], 0.0), log_n)
     rows = lfunc._block_values(spec, ts, balances)
     for i, (t, row) in enumerate(zip(ts, rows)):
         if i:
-            coef = coef * unit((np.longdouble(t) - np.longdouble(ts[i - 1])) * log_n)
+            step = lfunc._two_difference(t, ts[i - 1])
+            coef = coef * lfunc._unit_phases(step, log_n)
         assert row.t == t
         for b in balances:
             n1, n2 = afe_lengths(spec, t, b)
@@ -544,7 +536,6 @@ def test_dirichlet_column_against_mpmath(fixture, ts, request, monkeypatch):
     # block straddling t = 0, uniform steps (at t = 10 the grid's 0.1 rounds
     # to two distinct steps), and steps 0.5, 0.75, 0.25, 1.5 and -1
     spec = request.getfixturevalue(fixture)
-    assert len({lfunc._basis_end(lfunc._log_u_range(spec, t)[1]) for t in ts}) == 1
     columns, lengths, formed = [], [], lfunc._dirichlet_columns
 
     def kept(spec, ts, n):
@@ -582,14 +573,68 @@ def test_block_makes_one_exponential_per_distinct_step(delta12000, steps, distin
     ts = list(1000.0 + np.cumsum([0.0, *steps]))
     seen, unit = [], lfunc._unit_phases
 
-    def counted(phase):
-        seen.append(len(phase))
-        return unit(phase)
+    def counted(x, log_n):
+        seen.append(len(log_n[0]))
+        return unit(x, log_n)
 
     monkeypatch.setattr(lfunc, "_unit_phases", counted)
     lfunc._block_values(delta12000, ts, (1.0, 2.0))
     n = max(max(afe_lengths(delta12000, t, b)) for t in ts for b in (1.0, 2.0))
     assert seen == [n] * (1 + distinct)
+
+
+def test_unit_phases_against_mpmath():
+    # e^(-i x log n) in double-double against 40 digits over n up to
+    # PREC_MAX: x up to T_MAX as one double, and steps taken exactly as a
+    # two-sum pair.  The error is a few eps in the reduced phase plus x
+    # times the long-double rounding of log n
+    from fractions import Fraction
+
+    c1, c2, c3 = lfunc._TWO_PI_CW
+    # C1 has at most 33 significant bits on [4, 8), so q C1 is exact for
+    # every |q| < 2^20 the scan can ask for
+    assert (c1 * 2**30).is_integer() and 4.0 <= c1 < 8.0
+    assert lfunc.T_MAX * math.log(lfunc.PREC_MAX) / (2 * math.pi) < 2**20 - 1
+    with mp.workdps(60):
+        assert abs(mp.mpf(c1) + mp.mpf(c2) + mp.mpf(c3) - 2 * mp.pi) < mp.mpf(10) ** -40
+    hi, lo = lfunc._log_n(lfunc.PREC_MAX)
+    eps_ld = float(np.finfo(np.longdouble).eps)
+    ns = np.unique(np.geomspace(1, lfunc.PREC_MAX, 200).astype(int))
+    steps = [(4999.75, 1000.0), (1000.1, 1000.0), (0.25, -0.5), (-4990.3, 1.0 / 3.0)]
+    xs = [(lfunc.T_MAX, 0.0), (-4990.3, 0.0), (0.5, 0.0)]
+    for a, b in steps:
+        d = lfunc._two_difference(a, b)
+        assert Fraction(d[0]) + Fraction(d[1]) == Fraction(a) - Fraction(b)
+        xs.append(d)
+    for x in xs:
+        got = lfunc._unit_phases(x, (hi[ns - 1], lo[ns - 1]))
+        with mp.workdps(40):
+            xm = mp.mpf(x[0]) + mp.mpf(x[1])
+            for n, g in zip(ns.tolist(), got):
+                err = float(abs(mp.exp(-1j * xm * mp.log(n)) - mp.mpc(g)))
+                assert err <= 8 * special.EPS + abs(x[0]) * math.log(n) * eps_ld, (x, n, err)
+
+
+@pytest.mark.parametrize(
+    "balances", [(1.0, 2.0), (0.5, 1.0, 2.0), (1.3,), (0.25, 1.3, 4.0)],
+    ids=["scan", "criterion9", "1.3", "mixed"],
+)
+def test_sorted_union_is_np_unique(balances):
+    # the union of the AFE argument runs, and each run's positions in it,
+    # equal np.unique's with its inverse, at the lengths of t = 0, 10 and
+    # 1000
+    spec = delta_spec(20)
+    for t in (0.0, 10.0, 1000.0):
+        runs = []
+        for b in balances:
+            n1, n2 = afe_lengths(spec, t, b)
+            args = lfunc._afe_arguments(n1, n2, b)
+            runs += [args[:n1], args[n1:]]
+        u, positions = lfunc._sorted_union(runs)
+        want, inverse = np.unique(np.concatenate(runs), return_inverse=True)
+        assert np.array_equal(u, want)
+        assert np.array_equal(np.concatenate(positions), inverse)
+        assert [len(p) for p in positions] == [len(r) for r in runs]
 
 
 def test_scan_builds_no_contour_and_one_length_pair_per_balance(delta2000, monkeypatch):
@@ -778,15 +823,16 @@ def test_scan_parallel_matches_serial(delta2000):
 
 
 def test_scan_blocks_share_bessel_tables(delta2000):
-    # the bucket blocks of t in [20, 24] run in order, so each bucket's
-    # Bessel table is built once and the two-entry cache holds them
-    ts = [20.0 + 0.25 * i for i in range(17)]
-    buckets = {lfunc._basis_end(lfunc._log_u_range(delta2000, t)[1]) for t in ts}
-    lfunc._jacobi_anger_basis.cache_clear()
+    # every block of a scan reads the same two tables: over [20, 24] each
+    # log-u end lies below F, so the blocks build the remainder's table
+    # once and no octave table; over [200, 205] they reach octaves, build
+    # the octave table once and reuse the remainder's
+    lfunc._bessel_table.cache_clear()
     exponent_scan(delta2000, 20.0, 24.0, 0.25)
-    info = lfunc._jacobi_anger_basis.cache_info()
-    assert info.misses == len(buckets) >= 2
-    assert info.currsize <= 2
+    assert len(lfunc._scan_blocks(delta2000, [20.0 + 0.25 * i for i in range(17)])) >= 2
+    assert lfunc._bessel_table.cache_info().misses == 1
+    exponent_scan(delta2000, 200.0, 205.0, 0.25)
+    assert lfunc._bessel_table.cache_info().misses == 2
 
 
 def test_scan_reaches_each_t_through_scan_one(delta2000, monkeypatch):
@@ -1066,24 +1112,24 @@ def test_gamma_shifts_reproduce_per_form_formulas_bitwise(tmp_path):
             assert got == [_per_form_conductor_sqrt(data, t) for t in grid], data
 
 
-def test_gamma_shifts_keep_lengths_and_buckets(tmp_path, monkeypatch):
+def test_gamma_shifts_keep_lengths_and_pieces(tmp_path, monkeypatch):
     # the Maass conductor moves in its last bits, as a product of two
     # moduli in place of the modulus of a product; no AFE length and no
-    # basis-bucket end moves on the t grid of step 1/4 over [-T_MAX, T_MAX].
-    # Both read the conductor alone, and the holomorphic conductors are
-    # equal to the bit on this grid (the test above), so the Maass forms
-    # are the ones that could move
+    # interpolant piece count moves on the t grid of step 1/4 over
+    # [-T_MAX, T_MAX].  Both read the conductor alone, and the holomorphic
+    # conductors are equal to the bit on this grid (the test above), so
+    # the Maass forms are the ones that could move
     grid = np.arange(-4 * lfunc.T_MAX, 4 * lfunc.T_MAX + 1) / 4
 
-    def lengths_and_ends(spec):
+    def lengths_and_pieces(spec):
         return [
             (*(afe_lengths(spec, t, b) for b in (0.5, 1.0, 2.0)),
-             lfunc._basis_end(lfunc._log_u_range(spec, t)[1]))
+             len(lfunc._piece_edges(lfunc._log_u_range(spec, t)[1])))
             for t in grid
         ]
 
     for spec, data in _per_form_cases(tmp_path)[2:]:
-        got = lengths_and_ends(spec)
+        got = lengths_and_pieces(spec)
         with monkeypatch.context() as m:
             m.setattr(lfunc, "conductor_sqrt", lambda spec, t: _per_form_conductor_sqrt(data, t))
-            assert got == lengths_and_ends(spec), data
+            assert got == lengths_and_pieces(spec), data

@@ -22,7 +22,6 @@ from weylbound.special import (
     log_gamma_vec,
 )
 from weylbound import lfunc, oscint, pipeline, special
-from weylbound.lfunc import CoefficientSource, LFunctionSpec
 
 mp.mp.dps = 40
 
@@ -187,13 +186,15 @@ def test_jacobi_anger_coefficients_match_dense_interpolation(monkeypatch):
         return np.exp(-1j * np.outer(y, tau)) @ amp
 
     deg = chebyshev_degree(np.abs(tau).max() / 2.0)
+    # the signed table J_k(tau_j) = (-1)^k J_k(|tau_j|)
     table = bessel_j_table(deg, np.abs(tau))
-    coef = jacobi_anger_coefficients(table, amp, np.sign(tau))
+    table[1::2] *= np.sign(tau)
+    coef = jacobi_anger_coefficients(table, amp)
     assert coef.shape == (deg + 1, 2)
     # a column's coefficients do not depend on the others: the batched
     # product is one GEMM per column, bit for bit a column computed alone
     for b in range(2):
-        alone = jacobi_anger_coefficients(table, amp[:, b : b + 1], np.sign(tau))
+        alone = jacobi_anger_coefficients(table, amp[:, b : b + 1])
         assert np.array_equal(alone[:, 0], coef[:, b])
     scale = np.sum(np.abs(amp))
     for b in range(2):
@@ -508,10 +509,10 @@ def test_gamma_ratio_against_mpmath():
 
 
 def test_two_pi_ld_against_mpmath():
-    # the one long-double 2 pi that the Dirichlet columns and criterion 7's
-    # direct side reduce their phases by: within half an ulp (2 eps on
-    # [4, 8)) of 2 pi in long double, where 2 * math.pi is 2.4e-16 off
-    assert lfunc.TWO_PI_LD is pipeline.TWO_PI_LD is special.TWO_PI_LD
+    # the one long-double 2 pi that criterion 7's direct side reduces its
+    # phases by: within half an ulp (2 eps on [4, 8)) of 2 pi in long
+    # double, where 2 * math.pi is 2.4e-16 off
+    assert pipeline.TWO_PI_LD is special.TWO_PI_LD
     num, den = special.TWO_PI_LD.as_integer_ratio()
     err = float(abs(mp.mpf(num) / den - 2 * mp.pi))
     assert err <= 2 * float(np.finfo(np.longdouble).eps), err
@@ -552,26 +553,14 @@ def test_chebyshev_degree_is_smallest_below_floor(ratio):
 
 
 def test_chebyshev_degree_is_smallest_below_floor_on_contours():
-    # the scan asks for one degree per Bessel table: the bound
-    # chebyshev_degree(TMAX h / 2) at each bucket end its log-u ranges
-    # reach, here every bucket of Delta, k = 16 and the Maass form for t in
-    # [0, 1000]
-    nu = 9.5336952613536
-    forms = (((), (5.5,)), ((), (7.5,)), ((complex(0, nu), complex(0, -nu)), ()))
-    coeffs = CoefficientSource("computed", np.array([0.0, 1.0]), 1)
-    buckets = set()
-    for gamma_r, gamma_c in forms:
-        spec = LFunctionSpec(gamma_r, gamma_c, coeffs, 1.0)
-        # the log-u end is continuous in t, so it passes every bucket
-        # between its extremes (the Maass form's lies near t = nu)
-        ends = [lfunc._log_u_range(spec, t)[1] for t in np.arange(0.0, 1000.25, 0.25)]
-        lo, hi = (math.ceil(e * lfunc._LOG_U_BUCKETS) for e in (min(ends), max(ends)))
-        buckets |= set(range(lo, hi + 1))
-    assert len(buckets) == 22
-    lo = lfunc._log_u_range(spec, 0.0)[0]
-    for k in sorted(buckets):
-        half = 0.5 * (k / lfunc._LOG_U_BUCKETS - lo)
-        _assert_smallest_below_floor(lfunc._CONTOUR_TMAX * half / 2.0)
+    # the scan asks for two degrees, one per Bessel table: the bound
+    # chebyshev_degree(TMAX h / 2) at the half-widths h of the remainder
+    # [log 1/4, F] and of an octave, whatever the form or t
+    halves = (0.5 * (lfunc._OCTAVE_FLOOR - math.log(0.25)), 0.5 * lfunc._OCTAVE)
+    for half in halves:
+        ratio = lfunc._CONTOUR_TMAX * half / 2.0
+        _assert_smallest_below_floor(ratio)
+        assert len(lfunc._bessel_table(half)) == chebyshev_degree(ratio) + 1
 
 
 def test_chebyshev_degree_is_smallest_below_floor_on_random_ratios():
