@@ -48,11 +48,12 @@ lambda(n) n^(-1/2) e^(-i t log n) do not depend on the balance, and
 consecutive t's share them by angle addition, n^(-i(t + d)) =
 n^(-it) n^(-id) (Odlyzko and Schonhage, Trans. AMS 309 (1988)): the
 block's first column comes from the phase t log n, formed in
-double-double on a (hi, lo) split of log n (cached per form length) and
-reduced mod 2 pi by a three-part Cody-Waite split, and each later t's
-column is the previous one times e^(-i d log n), d taken exactly as a
-two-sum pair, with one complex exponential per distinct step of the
-block (a scan grid has one to three).  Each column is formed once, at
+double-double on the (hi, lo) pair of log n (`special._log_n`, cached
+per form length) and reduced mod 2 pi by `special._reduce_two_pi`, the
+one reduction, which the S5 direct side and the Hankel route share; each
+later t's column is the previous one times e^(-i d log n), d taken
+exactly as a two-sum pair, with one complex exponential per distinct
+step of the block (a scan grid has one to three).  Each column is formed once, at
 the block's longest length, and every balance slices it; in a block of
 16 t's at t = 4990 it lies within 7.6e-15 relative of 40-digit values,
 where one double phase t log n per t erred by 7.8e-12.  A central value
@@ -71,9 +72,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modforms import delta_eigenform, dim_cusp, hecke_eigenforms
-from .oscint import WeightFamily, _two_product, panel_rule
+from .oscint import WeightFamily, panel_rule
 from .special import (
     ComplexEstimate,
+    _log_n,
+    _reduce_two_pi,
+    _two_product,
+    _two_sum,
     bessel_j_table,
     chebyshev_block,
     chebyshev_degree,
@@ -105,10 +110,6 @@ _CONTOUR_NODES = 12
 _LOG_U_LO = math.log(0.25)
 _OCTAVE = round(math.log(2.0) * 2**20) / 2**20
 _OCTAVE_FLOOR = round(math.log(_CONTOUR_PANELS * _CONTOUR_NODES / 2.0) * 2**20) / 2**20
-# Cody-Waite split of 2 pi for the Dirichlet phases: C1 has 31 significant
-# bits, so q C1 is exact for |q| < 2^20, which covers |t log n| up to
-# T_MAX log PREC_MAX; C1 + C2 + C3 is 2 pi within 1e-42
-_TWO_PI_CW = (6.2831853069365025, 2.430840202602477e-10, 1.40862394607328e-26)
 # a scan block holds at most 16 t-points (its gamma pass keeps about
 # eight arrays of 482 complex values per t alive, 1 MB in all) and 2 MiB
 # of cutoff values: 16 bytes per t and argument, and the arguments of
@@ -380,34 +381,15 @@ def _sorted_union(runs) -> tuple[np.ndarray, list[np.ndarray]]:
     return x[first], np.split(inverse, np.cumsum([len(r) for r in runs[:-1]]))
 
 
-@functools.lru_cache(maxsize=2)
-def _log_n(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """log n for n = 1..n_max as a double-double pair (hi, lo), read-only:
-    one pass in `np.longdouble` rounded to hi, and the rest to lo.  The
-    Dirichlet phases of a form with n_max coefficients read its prefixes."""
-    log_n = np.log(np.arange(1, n_max + 1, dtype=np.longdouble))
-    hi = log_n.astype(float)
-    lo = (log_n - hi).astype(float)
-    for a in (hi, lo):
-        a.flags.writeable = False
-    return hi, lo
-
-
 def _unit_phases(x: tuple[float, float], log_n) -> np.ndarray:
-    """e^(-i x log n) for x = x_hi + x_lo and log n the pair of `_log_n`,
-    in double-double: x_hi hi exactly by `_two_product`, plus the cross
-    terms, reduced mod 2 pi by `_TWO_PI_CW` (q C1 exact for |q| < 2^20,
-    so for |x log n| up to 6.5e6) before it rounds to double."""
+    """e^(-i x log n) for x = x_hi + x_lo and log n the pair of
+    `special._log_n`, in double-double: x_hi hi exactly by `_two_product`,
+    plus the cross terms, reduced mod 2 pi by `_reduce_two_pi` before it
+    rounds to double."""
     (x_hi, x_lo), (hi, lo) = x, log_n
     p, e = _two_product(x_hi, hi)
     e += x_hi * lo + x_lo * hi
-    c1, c2, c3 = _TWO_PI_CW
-    q = np.rint(p * (1.0 / (2.0 * math.pi)))
-    r = p - q * c1
-    r -= q * c2
-    r += e
-    r -= q * c3
-    return np.exp(-1j * r)
+    return np.exp(-1j * _reduce_two_pi(p, e))
 
 
 def _dirichlet_columns(spec: LFunctionSpec, ts, n: int):
@@ -426,19 +408,11 @@ def _dirichlet_columns(spec: LFunctionSpec, ts, n: int):
     yield column
     steps = {}
     for before, t in zip(ts, ts[1:]):
-        d = _two_difference(float(t), float(before))
+        d = _two_sum(float(t), -float(before))
         if d not in steps:
             steps[d] = _unit_phases(d, log_n)
         column = column * steps[d]
         yield column
-
-
-def _two_difference(a: float, b: float) -> tuple[float, float]:
-    """a - b as a pair (d, d_lo) with d + d_lo = a - b exactly: Knuth's
-    two-sum of a and -b."""
-    d = a - b
-    b_part = a - d
-    return d, (a - (d + b_part)) - (b - b_part)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .special import ComplexEstimate, bessel_j_orders, bessel_kernel_ca
+from .special import ComplexEstimate, _two_product, bessel_j_orders, bessel_kernel_ca
 
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -584,20 +584,6 @@ _IMAGE_STEP = 0.0025  # knot step of the k-sum kernel's folded image table
 _KERNEL_PANELS = 2_000_000  # the k-sum kernel's panel budget on [0, 1/2]
 _KERNEL_CHUNK = 1024  # kernel panels per pass, keeping the node arrays in cache
 _IMAGE_ROWS = 4096  # image table rows gathered at a time
-
-
-def _split(a):
-    """Dekker's split: a = hi + lo, each half of at most 26 significant bits."""
-    t = 134217729.0 * a  # 2^27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_product(a, b):
-    """Dekker's two-product: a b = p + e exactly, p the rounded product."""
-    p = a * b
-    (ah, al), (bh, bl) = _split(a), _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _hermite(f: np.ndarray, d: np.ndarray, h: float) -> tuple[np.ndarray, ...]:

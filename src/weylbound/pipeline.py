@@ -22,8 +22,8 @@ function on that period, read at the period's nodes from a Chebyshev
 interpolant, and only one period's nodes (and the leftover piece's)
 step the phase from n to n + 1.  The dual terms are assembled
 as one array pass over the window.  The S5 direct side reads S(n, m; c)
-from one Kloosterman sum per residue class n mod c and forms its phases
-in long double.
+from one Kloosterman sum per residue class n mod c and forms each phase
+as a double-double pair, reduced mod 2 pi by `special._reduce_two_pi`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,10 @@ import numpy as np
 
 from .arith import inv_mod
 from .expsums import charsum_congruence, kloosterman_reals, units_and_inverses
-from .oscint import _canonical_bump, _two_product, panel_rule, plateau_weight
-from .special import TWO_PI_LD, chebyshev_degree, chebyshev_fit
+from .oscint import _canonical_bump, panel_rule, plateau_weight
+from .special import (
+    _TWO_PI_LO, _log_n, _reduce_two_pi, _two_product, _two_sum, chebyshev_degree, chebyshev_fit
+)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -289,17 +291,21 @@ def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
     """Both sides of the Poisson identity for S5.
 
     direct: sum over n in [N, 2N] of n^{it} e(sqrt(nm)/c) S(n, m; c)
-    W(n/N).  Its phases t log n + 2 pi sqrt(nm) / c are formed and
-    reduced mod 2 pi in `np.longdouble` before they round to double;
-    where long double is only double, the same code runs at the accuracy
-    of double phases.  dual: N^{1+it} sum over gcd(n, c) = 1 of
-    e(-m nbar / c) I(m, n, c), with the n-window extended well past the
-    nominal c t / N cutoff and through zero into negative frequencies
-    whose mass is reported.  The identity is exact; PASS demands
-    scaled_diff = |direct - dual| / max(|direct|, 1e-3 trivial bound) at
-    most S5_TOL (inf where that scale is 0), the floor covering regimes
-    where S5 itself cancels to exponentially small size, and no fat tail:
-    |dual| above 1e-3 trivial bound with over 1e-8 of it past the cutoff.
+    W(n/N).  Each phase t log n + 2 pi sqrt(nm) / c is one double-double
+    pair, reduced mod 2 pi before it rounds to double: t log n by a
+    two-product on the log n pair of `special._log_n`, sqrt(nm) as a pair
+    from its exact square residual, less its whole multiples of c, over c
+    and times 2 pi as pairs.  Only log n's low part comes from long
+    double; where long double is only double it is 0, which costs up to
+    2e-13 rad at t = 500, and at t = 0 nothing depends on it.  dual:
+    N^{1+it} sum over gcd(n, c) = 1 of e(-m nbar / c) I(m, n, c), with the
+    n-window extended well past the nominal c t / N cutoff and through
+    zero into negative frequencies whose mass is reported.  The identity
+    is exact; PASS demands scaled_diff = |direct - dual| / max(|direct|,
+    1e-3 trivial bound) at most S5_TOL (inf where that scale is 0), the
+    floor covering regimes where S5 itself cancels to exponentially small
+    size, and no fat tail: |dual| above 1e-3 trivial bound with over 1e-8
+    of it past the cutoff.
     """
     reach = s5_cutoff(c, p)
     N = p.N
@@ -309,9 +315,23 @@ def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
     ns, bump = ns[keep], bump[keep]
     # S(n, m; c) depends on n mod c alone
     s = kloosterman_reals(np.arange(c), m, c)[ns % c]
-    n_ld = ns.astype(np.longdouble)
-    phase = p.t * np.log(n_ld) + TWO_PI_LD * np.sqrt(n_ld * m) / c
-    terms = bump * s * np.exp(1j * (phase % TWO_PI_LD).astype(float))
+    # t log n from the log n pair, and sqrt(nm) = r + r_lo from r's exact
+    # square residual (r >= 1 unless nm = 0), less whole multiples of c
+    hi, lo = (part[ns - 1] for part in _log_n(int(math.ceil(2 * N))))
+    nm = ns * float(m)
+    r = np.sqrt(nm)
+    sq, sq_err = _two_product(r, r)
+    r_lo = (nm - sq - sq_err) / (2.0 * np.maximum(r, 1.0))
+    r -= c * np.floor(r / c)
+    # turns + turns_lo = (r + r_lo) / c, and 2 pi times it as a pair
+    turns = r / c
+    rc, rc_err = _two_product(turns, float(c))
+    turns_lo = (r - rc - rc_err + r_lo) / c
+    a, a_err = _two_product(turns, TWO_PI)
+    b, b_err = _two_product(p.t, hi)
+    phase, err = _two_sum(a, b)
+    err += a_err + b_err + p.t * lo + turns * _TWO_PI_LO + turns_lo * TWO_PI
+    terms = bump * s * np.exp(1j * _reduce_two_pi(phase, err))
     direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
     # a running total in n order, as a per-n loop would sum it
     trivial = float(np.cumsum(bump * np.abs(s))[-1]) if ns.size else 0.0

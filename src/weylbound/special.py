@@ -1,11 +1,19 @@
 """Special functions: integer-order Bessel J, Stirling log-Gamma, the
-Gamma-ratio phase expansion, and the mod-4 trigonometric kernel.
+Gamma-ratio phase expansion, the mod-4 trigonometric kernel, and the
+package's one home for exact phase arithmetic.
 
-The Bessel evaluator routes between an ascending series (no-cancellation
-regime), Miller backward recurrence normalized by the Neumann identity,
-and the Hankel asymptotic expansion with Cody-Waite argument reduction.
-Production paths are double precision; extended-precision references
-live in the test layer only.
+The Bessel evaluator routes every argument by one vectorized test
+between an ascending series (no-cancellation regime), Miller backward
+recurrence normalized by the Neumann identity, and the Hankel asymptotic
+expansion, and refuses the rest, a non-finite argument included.
+Phases of 10^3 to 10^8 rad are formed as double-double pairs p + e
+(Dekker's split and two-product, Knuth's two-sum) and reduced mod 2 pi
+by one four-part Cody-Waite split, `_reduce_two_pi`, before they round
+to double: the scan's Dirichlet phases, the S5 direct side and the
+Hankel route (e = 0) share it.  Production paths are double precision
+but for one table, the (hi, lo) pair of log n (`_log_n`), split from
+one `np.longdouble` pass; where long double is only double its low part
+is 0.  Other extended-precision references live in the test layer.
 """
 
 from __future__ import annotations
@@ -13,17 +21,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
-# 2 pi in long double, for phases reduced before they round to double
-# (only double where long double is): np.longdouble(2 * math.pi) would
-# carry the double's error of 2.4e-16
-TWO_PI_LD = 8 * np.arctan(np.longdouble(1))
-# Cody-Waite split of 2*pi: short-mantissa parts keep q*c_i exact
+# 2 pi - _TWO_PI: the pair (_TWO_PI, _TWO_PI_LO) is 2 pi in double-double
+_TWO_PI_LO = 2.4492935982947064e-16
+# Cody-Waite split of 2 pi: C1, C2 and C3 have 8, 23 and 26 significant
+# bits, so q C1, q C2 and q C3 are exact for every |q| < 2^27 (phases up
+# to 8e8 rad); C1 + C2 + C3 + C4 is 2 pi within 5e-36
 _CW1 = 6.28125
 _CW2 = 0.0019353071693331003
 _CW3 = 1.0253376489868793e-11
@@ -231,11 +240,56 @@ def chebyshev_fit(g, lo: float, hi: float, freq: float, extra_degree: int = 0):
     return lambda x: chebyshev_block(coef, lo, hi, x)[:, 0]
 
 
-def _reduce_two_pi(x: float) -> float:
-    """x mod 2*pi by multi-part Cody-Waite, accurate for x <= 1e8."""
-    q = math.floor(x / _TWO_PI + 0.5)
-    r = x - q * _CW1
+# ----------------------------------------------------------------------
+# Double-double phase arithmetic (Dekker, Numer. Math. 18 (1971); Cody and
+# Waite, Software Manual for the Elementary Functions (1980)): the scan's
+# Dirichlet phases, the S5 direct side and the Hankel route form a phase
+# as a pair p + e and reduce it mod 2 pi here before it rounds to double
+
+
+def _split(a):
+    """Dekker's split: a = hi + lo, each half of at most 26 significant bits."""
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_product(a, b):
+    """Dekker's two-product: a b = p + e exactly, p the rounded product."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _two_sum(a, b):
+    """Knuth's two-sum: a + b = s + e exactly, s the rounded sum."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+@lru_cache(maxsize=4)
+def _log_n(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """log n for n = 1..n_max as a double-double pair (hi, lo), read-only:
+    one pass in `np.longdouble` rounded to hi, and the rest to lo.  Where
+    long double is only double, lo is 0.  Callers read its prefixes."""
+    log_n = np.log(np.arange(1, n_max + 1, dtype=np.longdouble))
+    hi = log_n.astype(float)
+    lo = (log_n - hi).astype(float)
+    for a in (hi, lo):
+        a.flags.writeable = False
+    return hi, lo
+
+
+def _reduce_two_pi(p, e):
+    """p + e mod 2 pi, in [-pi, pi] up to rounding, for a double-double
+    phase over arrays (e = 0 for a double p).  q = round(p / 2 pi) must
+    stay below 2^27: p - q C1 - q C2 is exact, e joins before the smaller
+    parts, so the result errs by a few ulps of itself plus e's rounding."""
+    q = np.floor(p / _TWO_PI + 0.5)
+    r = p - q * _CW1
     r -= q * _CW2
+    r += e
     r -= q * _CW3
     r -= q * _CW4
     return r
@@ -379,28 +433,33 @@ def _bessel_hankel(n: int, x: float) -> tuple[float, float]:
             break
     # reduce x alone first: subtracting the order phase from a huge x
     # would cost ~ulp(x) of phase accuracy
-    chi = _reduce_two_pi(x) - (0.5 * n + 0.25) * math.pi
+    chi = _reduce_two_pi(x, 0.0) - (0.5 * n + 0.25) * math.pi
     amp = math.sqrt(2.0 / (math.pi * x))
     value = amp * (p * math.cos(chi) - q * math.sin(chi))
     return value, amp * (smallest + 20 * EPS)
 
 
-def _bessel_route(order: int, x: float) -> str:
-    """The method `bessel_j` uses for J_order(x); raises outside every one."""
-    if order < 0 or order > 10**4:
-        raise RangeError(f"order {order} outside [0, 10^4]")
-    if x < 0 or x > 10**8:
-        raise RangeError(f"argument {x} outside [0, 10^8]")
-    if x == 0.0 or x <= 8.5 or x * x <= 2.0 * (order + 1):
-        return "series"
-    if max(order, x) <= 5e5:
-        return "recurrence"
-    if x >= max(1000.0, 1.5 * order * order):
-        return "asymptotic"
-    raise RangeError(
-        f"J_{order}({x}): no certified method (recurrence too long, "
-        "asymptotic out of regime)"
-    )
+def _bessel_route(order, x) -> np.ndarray:
+    """The method `bessel_j` uses for J_order(x), broadcast over arrays of
+    orders and arguments: "series", "recurrence" or "asymptotic" for each
+    pair.  Raises RangeError if any pair has no method, a non-finite x
+    among them."""
+    order, x = np.broadcast_arrays(np.asarray(order), np.asarray(x, dtype=float))
+    bad = (order < 0) | (order > 10**4)
+    if bad.any():
+        raise RangeError(f"order {order[bad][0]} outside [0, 10^4]")
+    bad = ~((x >= 0) & (x <= 10**8))
+    if bad.any():
+        raise RangeError(f"argument {x[bad][0]} outside [0, 10^8]")
+    series = (x <= 8.5) | (x * x <= 2.0 * (order + 1))
+    recurrence = ~series & (np.maximum(order, x) <= 5e5)
+    stuck = ~(series | recurrence | (x >= np.maximum(1000.0, 1.5 * order * order)))
+    if stuck.any():
+        raise RangeError(
+            f"J_{order[stuck][0]}({x[stuck][0]}): no certified method (recurrence "
+            "too long, asymptotic out of regime)"
+        )
+    return np.where(series, "series", np.where(recurrence, "recurrence", "asymptotic"))
 
 
 def bessel_j_orders(orders, x: float) -> list[ComplexEstimate]:
@@ -409,7 +468,7 @@ def bessel_j_orders(orders, x: float) -> list[ComplexEstimate]:
     Each order takes `bessel_j`'s route; the recurrence orders share one
     Miller backward pass started above the largest of them.
     """
-    routes = [_bessel_route(n, x) for n in orders]
+    routes = _bessel_route(orders, x).tolist()
     rec = [n for n, r in zip(orders, routes) if r == "recurrence"]
     miller = dict(zip(rec, zip(*_bessel_miller(rec, x)))) if rec else {}
     out = []
@@ -438,25 +497,23 @@ def bessel_j(order: int, x: float) -> ComplexEstimate:
 
 
 def bessel_j_many(order: int, xs: np.ndarray) -> np.ndarray:
-    """J_order over an array of arguments (values only).
+    """J_order over an array of arguments (values only), raising where
+    `bessel_j` would.
 
     Each argument takes `bessel_j`'s route: the series runs on every
     series-regime argument at once, the recurrence-regime arguments share
     one `bessel_j_table` pass, and the rest go to `bessel_j` one by one.
     """
     xs = np.asarray(xs, dtype=float)
+    routes = _bessel_route(order, xs)
     out = np.empty_like(xs)
-    series_mask = (xs <= 8.5) | (xs * xs <= 2.0 * (order + 1))
-    if series_mask.any():
-        out[series_mask] = _bessel_series(order, xs[series_mask])[0]
-    hard = np.flatnonzero(~series_mask)
-    routes = [_bessel_route(order, float(xs[i])) for i in hard]
-    rec = hard[[r == "recurrence" for r in routes]]
-    if rec.size:
+    series, rec = routes == "series", routes == "recurrence"
+    if series.any():
+        out[series] = _bessel_series(order, xs[series])[0]
+    if rec.any():
         out[rec] = bessel_j_table(order, xs[rec])[order]
-    for i, route in zip(hard, routes):
-        if route != "recurrence":
-            out[i] = bessel_j(order, float(xs[i])).value
+    for i in np.flatnonzero(routes == "asymptotic"):
+        out[i] = bessel_j(order, float(xs[i])).value
     return out
 
 

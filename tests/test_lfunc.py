@@ -495,7 +495,7 @@ def test_central_value_is_direct_arithmetic_bit_for_bit(delta12000, ts, balances
     rows = lfunc._block_values(spec, ts, balances)
     for i, (t, row) in enumerate(zip(ts, rows)):
         if i:
-            step = lfunc._two_difference(t, ts[i - 1])
+            step = special._two_sum(t, -ts[i - 1])
             coef = coef * lfunc._unit_phases(step, log_n)
         assert row.t == t
         for b in balances:
@@ -587,23 +587,17 @@ def test_unit_phases_against_mpmath():
     # e^(-i x log n) in double-double against 40 digits over n up to
     # PREC_MAX: x up to T_MAX as one double, and steps taken exactly as a
     # two-sum pair.  The error is a few eps in the reduced phase plus x
-    # times the long-double rounding of log n
+    # times the long-double rounding of log n (the reduction's own split is
+    # checked in test_special)
     from fractions import Fraction
 
-    c1, c2, c3 = lfunc._TWO_PI_CW
-    # C1 has at most 33 significant bits on [4, 8), so q C1 is exact for
-    # every |q| < 2^20 the scan can ask for
-    assert (c1 * 2**30).is_integer() and 4.0 <= c1 < 8.0
-    assert lfunc.T_MAX * math.log(lfunc.PREC_MAX) / (2 * math.pi) < 2**20 - 1
-    with mp.workdps(60):
-        assert abs(mp.mpf(c1) + mp.mpf(c2) + mp.mpf(c3) - 2 * mp.pi) < mp.mpf(10) ** -40
-    hi, lo = lfunc._log_n(lfunc.PREC_MAX)
+    hi, lo = special._log_n(lfunc.PREC_MAX)
     eps_ld = float(np.finfo(np.longdouble).eps)
     ns = np.unique(np.geomspace(1, lfunc.PREC_MAX, 200).astype(int))
     steps = [(4999.75, 1000.0), (1000.1, 1000.0), (0.25, -0.5), (-4990.3, 1.0 / 3.0)]
     xs = [(lfunc.T_MAX, 0.0), (-4990.3, 0.0), (0.5, 0.0)]
     for a, b in steps:
-        d = lfunc._two_difference(a, b)
+        d = special._two_sum(a, -b)
         assert Fraction(d[0]) + Fraction(d[1]) == Fraction(a) - Fraction(b)
         xs.append(d)
     for x in xs:

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from weylbound import pipeline
+from weylbound import pipeline, special
 from weylbound.expsums import kloosterman
 from weylbound.oscint import _canonical_bump
 from weylbound.pipeline import (
@@ -440,12 +440,13 @@ def test_i_window_stepped_phase_at_ulp_level():
 
 
 def test_poisson_direct_side_against_per_n_loop():
-    # S(n, m; c) read by residue class, and each phase formed and reduced
-    # mod 2 pi in long double, give the per-n loop's terms bit for bit;
+    # S(n, m; c) read by residue class, and each phase t log n +
+    # 2 pi sqrt(nm) / c formed as a double-double pair and reduced mod 2 pi
+    # before it rounds to double, give the per-n loop's terms bit for bit;
     # N / c = 600 / 7 is not an integer
     p, m, c = _crit7_params(500.0), 3, 7
     rep = poisson_check_s5(m, c, p)
-    two_pi = 8 * np.arctan(np.longdouble(1))
+    log_hi, log_lo = special._log_n(1200)
     re, im = [], []
     trivial = 0.0
     ns = np.arange(600, 1201)
@@ -454,9 +455,21 @@ def test_poisson_direct_side_against_per_n_loop():
         if wv == 0.0:
             continue
         trivial += wv * abs(s)
-        n_ld = np.longdouble(n)
-        phase = p.t * np.log(n_ld) + two_pi * np.sqrt(n_ld * m) / c
-        term = wv * s * np.exp(1j * float(phase % two_pi))
+        # sqrt(nm) = r + r_lo, less whole multiples of c, then over c
+        r = math.sqrt(n * m)
+        sq, sq_err = special._two_product(r, r)
+        r_lo = (n * m - sq - sq_err) / (2.0 * r)
+        r -= c * math.floor(r / c)
+        turns = r / c
+        rc, rc_err = special._two_product(turns, float(c))
+        turns_lo = (r - rc - rc_err + r_lo) / c
+        # 2 pi (turns + turns_lo) plus t (log_hi + log_lo), as one pair
+        a, a_err = special._two_product(turns, 2 * math.pi)
+        b, b_err = special._two_product(p.t, log_hi[n - 1])
+        phase, err = special._two_sum(a, b)
+        err += (a_err + b_err + p.t * log_lo[n - 1] + turns * special._TWO_PI_LO
+                + turns_lo * 2 * math.pi)
+        term = wv * s * np.exp(1j * float(special._reduce_two_pi(phase, err)))
         re.append(term.real)
         im.append(term.imag)
     assert rep.direct == complex(math.fsum(re), math.fsum(im))
@@ -488,8 +501,10 @@ def test_poisson_dual_assembly_against_per_n_loop(t, m, c):
 
 # criterion 7's cells: (500, 2, 2), where the dual side's rounding
 # peaks, (500, 3, 5), where the double-phase direct side erred most, a
-# leftover piece (c = 7), the widest period (c = 10) and t = 0 at c = 1
-S5_CELLS = [(500.0, 2, 2), (500.0, 3, 5), (500.0, 1, 7), (500.0, 1, 10), (0.0, 1, 1)]
+# leftover piece (c = 7), the widest period (c = 10), t = 0 at c = 1, and
+# (0, 1, 2), which sets criterion 7's worst scaled difference
+S5_CELLS = [(500.0, 2, 2), (500.0, 3, 5), (500.0, 1, 7), (500.0, 1, 10), (0.0, 1, 1),
+            (0.0, 1, 2)]
 
 
 @pytest.mark.parametrize("t, m, c", S5_CELLS)
@@ -532,7 +547,7 @@ def test_poisson_dual_side_against_long_double_dense_sum(t, m, c):
 
 @pytest.mark.parametrize("t, m, c", S5_CELLS)
 def test_poisson_direct_side_against_mpmath(t, m, c):
-    # the long-double phases leave the direct side at its terms' own
+    # the double-double phases leave the direct side at its terms' own
     # rounding; in double they erred by up to 1.8e-11 of scale
     p = _crit7_params(t)
     rep = poisson_check_s5(m, c, p)

@@ -128,6 +128,34 @@ def test_bessel_many_matches_scalar():
             assert abs(g - bessel_j(n, float(x)).value) < 1e-13
 
 
+def test_bessel_many_raises_where_scalar_does():
+    # one router: over orders and arguments in and out of range (negative,
+    # non-finite, past 1e8, the gap where neither the recurrence nor the
+    # Hankel expansion is certified), bessel_j_many raises RangeError on
+    # an array exactly where bessel_j raises on one of its arguments, and
+    # elsewhere agrees with it
+    xs = [-3.0, -0.0, 0.0, 0.5, 8.5, 9.0, 77.0, 1234.5, 2e4, 6e5, 1e8, 1.1e8,
+          math.nan, math.inf, -math.inf]
+    for n in (-1, 0, 5, 13, 800, 10**4, 10**4 + 1, 20000):
+        want = {}
+        for x in xs:
+            try:
+                want[x] = bessel_j(n, x).value
+            except RangeError:
+                want[x] = None
+        for x, v in want.items():
+            if v is None:
+                with pytest.raises(RangeError):
+                    bessel_j_many(n, np.array([x]))
+        ok = [x for x, v in want.items() if v is not None]
+        if len(ok) < len(xs):
+            with pytest.raises(RangeError):
+                bessel_j_many(n, np.array(xs))
+        got = bessel_j_many(n, np.array(ok))
+        assert np.all(np.abs(got - [want[x] for x in ok]) <= 1e-13), n
+    assert bessel_j_many(5, np.array([])).shape == (0,)
+
+
 def test_bessel_many_one_table_pass_for_recurrence_arguments(monkeypatch):
     # series arguments go to the vectorized series, the recurrence ones
     # share one table pass, and only the Hankel argument calls bessel_j
@@ -508,14 +536,48 @@ def test_gamma_ratio_against_mpmath():
         assert abs(r.ratio.value - ref) < 1e-11
 
 
-def test_two_pi_ld_against_mpmath():
-    # the one long-double 2 pi that criterion 7's direct side reduces its
-    # phases by: within half an ulp (2 eps on [4, 8)) of 2 pi in long
-    # double, where 2 * math.pi is 2.4e-16 off
-    assert pipeline.TWO_PI_LD is special.TWO_PI_LD
-    num, den = special.TWO_PI_LD.as_integer_ratio()
-    err = float(abs(mp.mpf(num) / den - 2 * mp.pi))
-    assert err <= 2 * float(np.finfo(np.longdouble).eps), err
+def test_reduce_two_pi_against_mpmath():
+    # the one reduction mod 2 pi of a double-double phase p + e.  Its
+    # callers' largest quotients: the Hankel route at x <= 1e8, the scan at
+    # |t| log n <= T_MAX log PREC_MAX, and the S5 direct side at t <= 2000,
+    # n < 2N <= 2e5, plus under 2 pi from sqrt(nm) / c less multiples of c.
+    # Each q C_i of the first three parts is exact only if its bits fit
+    from fractions import Fraction
+
+    def bits(v):
+        num = Fraction(v).numerator
+        return (num // (num & -num)).bit_length()
+
+    # Hankel, scan, S5
+    phases = (1e8, lfunc.T_MAX * math.log(lfunc.PREC_MAX), 2000 * math.log(2e5) + 2 * math.pi)
+    q_max = max(round(x / (2 * math.pi)) for x in phases)
+    widths = [bits(c) for c in (special._CW1, special._CW2, special._CW3)]
+    assert widths == [8, 23, 26] and max(widths) + q_max.bit_length() <= 53
+    parts = (special._CW1, special._CW2, special._CW3, special._CW4)
+    assert abs(mp.fsum(map(mp.mpf, parts)) - 2 * mp.pi) < mp.mpf(10) ** -35
+    pair = mp.mpf(special._TWO_PI) + mp.mpf(special._TWO_PI_LO)
+    assert abs(pair - 2 * mp.pi) < mp.mpf(10) ** -31
+
+    def worst(r, ref):
+        # each r in [-pi, pi] up to rounding, and its distance from ref mod 2 pi
+        assert np.all(np.abs(r) <= math.pi + 4 * special.EPS)
+        out = 0.0
+        for got, want in zip(r.tolist(), ref):
+            d = mp.mpf(got) - want
+            out = max(out, float(abs(d - 2 * mp.pi * mp.nint(d / (2 * mp.pi)))))
+        return out
+
+    # e = 0 over the Hankel range: the phase is x itself
+    xs = np.concatenate([np.geomspace(1.0, 1e8, 300), [6e5, 3.3e6, 9.9e7, 1e8]])
+    ref = [mp.mpf(x) for x in xs.tolist()]
+    assert worst(special._reduce_two_pi(xs, 0.0), ref) <= 4 * special.EPS
+    # pairs p + e, e up to half an ulp of p, over the scan's and S5's range
+    # and past the Hankel route's
+    rng = np.random.default_rng(7)
+    p = np.concatenate([rng.uniform(-q, q, 100) for q in (10.0, 3e4, 1e8, 8e8)])
+    e = rng.uniform(-0.5, 0.5, p.size) * np.spacing(p)
+    ref = [mp.mpf(a) + mp.mpf(b) for a, b in zip(p.tolist(), e.tolist())]
+    assert worst(special._reduce_two_pi(p, e), ref) <= 4 * special.EPS
 
 
 def test_kernel_ca_examples():

@@ -155,11 +155,14 @@ def _names(node):
 
 def _top_level_users(name):
     """The top-level statements in src/ that name `name`, apart from its
-    own definition, as module.function (or module.<statement type>)."""
+    own definition and the imports of it, as module.function (or
+    module.<statement type>)."""
     users = []
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             targets = getattr(stmt, "targets", ())
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
             if getattr(stmt, "name", None) == name or any(
                 isinstance(t, ast.Name) and t.id == name for t in targets
             ):
@@ -178,6 +181,24 @@ def test_j_integrand_is_formed_in_j_integral_batch():
         "pipeline._outer_nodes", "pipeline.j_integral_work"]
     assert _top_level_users("_i_profile") == ["pipeline.j_integral_batch"]
     assert _top_level_users("_U") == ["pipeline.j_integral_batch"]
+
+
+def test_phase_arithmetic_lives_in_special():
+    # one double-double toolkit: Dekker's split and two-product, the
+    # two-sum, the log n table (the one long-double pass) and the one
+    # Cody-Waite reduction mod 2 pi, which the scan's unit phases, the S5
+    # direct side and the Hankel route share.  No other module holds the
+    # Cody-Waite parts (by name or value), 2 pi's double-double low part,
+    # long double or Dekker's constant 2^27 + 1
+    split = r"\b_CW\d\b|\b6\.28125\b|0\.0019353071|1\.0253376489|1\.1650928224|2\.4492935982"
+    assert _modules_matching(split) == ["special"]
+    assert _modules_matching(r"np\.longdouble|134217729") == ["special"]
+    assert _top_level_users("longdouble") == ["special._log_n"]
+    helpers = r"def (_split|_two_product|_two_sum|_log_n|_reduce_two_pi)\b"
+    assert _modules_matching(helpers) == ["special"]
+    assert _modules_matching(r"\bTWO_PI_LD\b|_TWO_PI_CW|_two_difference") == []
+    assert _top_level_users("_reduce_two_pi") == [
+        "lfunc._unit_phases", "pipeline.poisson_check_s5", "special._bessel_hankel"]
 
 
 def test_unnamed_definitions_are_allowlisted():
