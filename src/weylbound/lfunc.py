@@ -79,11 +79,11 @@ from .special import (
     _reduce_two_pi,
     _two_product,
     _two_sum,
-    bessel_j_table,
     chebyshev_block,
     chebyshev_degree,
     jacobi_anger_coefficients,
     log_gamma_vec,
+    signed_bessel_table,
 )
 
 MOLLIFIER_WIDTH = 3.0
@@ -252,8 +252,7 @@ def _bessel_table(half: float) -> np.ndarray:
     reads two, the remainder's (162 rows) and the one every octave shares
     (36 rows)."""
     tau = _contour_nodes(_CONTOUR_PANELS)[0]
-    table = bessel_j_table(chebyshev_degree(_CONTOUR_TMAX * half / 2.0), np.abs(tau) * half)
-    table[1::2] *= np.sign(tau)
+    table = signed_bessel_table(chebyshev_degree(_CONTOUR_TMAX * half / 2.0), tau * half)
     table.flags.writeable = False
     return table
 

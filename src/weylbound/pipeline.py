@@ -13,14 +13,16 @@ scaling claims are fitted, never assumed.
 W lives on [1, 2], so I(x^2, n, c) is e^(i omega0 x) times a function
 band-limited in x = sqrt(m).  Every J value, the assembly's included,
 comes from `j_integral_batch`, which reads its profiles over one outer
-grid per call from a Chebyshev interpolant in x, fitted once per (n, c)
-by the dense I kernel `i_integral_batch`, which is also the test
-oracle.  The S5 dual side reads its whole window of n from one node
-grid per (m, c), folded onto one period c/N of the e(-N v / c) factor:
-the rest of the integrand, summed over the periods, is one smooth
-function on that period, read at the period's nodes from a Chebyshev
-interpolant, and only one period's nodes (and the leftover piece's)
-step the phase from n to n + 1.  The dual terms are assembled
+grid per call from a Chebyshev series in x, one per (n, c), whose
+coefficients are closed-form: by Jacobi-Anger, a signed Bessel table
+times the inner grid's amplitudes.  It factors e(-m v) over the outer
+grid's panels, so no dense table of exponentials is formed; the dense I
+kernel `i_integral_batch` is the test oracle.  The S5 dual side reads
+its whole window of n from one node grid per (m, c), folded onto one
+period c/N of the e(-N v / c) factor: the rest of the integrand, summed
+over the periods, is one smooth function on that period, read at the
+period's nodes from a Chebyshev interpolant, and only one period's
+nodes (and the leftover piece's) step the phase from n to n + 1.  The dual terms are assembled
 as one array pass over the window.  The S5 direct side reads S(n, m; c)
 from one Kloosterman sum per residue class n mod c and forms each phase
 as a double-double pair, reduced mod 2 pi by `special._reduce_two_pi`.
@@ -37,7 +39,8 @@ from .arith import inv_mod
 from .expsums import charsum_congruence, kloosterman_reals, units_and_inverses
 from .oscint import _canonical_bump, panel_rule, plateau_weight
 from .special import (
-    _TWO_PI_LO, _log_n, _reduce_two_pi, _two_product, _two_sum, chebyshev_degree, chebyshev_fit
+    _TWO_PI_LO, _log_n, _reduce_two_pi, _two_product, _two_sum, chebyshev_block,
+    chebyshev_degree, chebyshev_fit, jacobi_anger_coefficients, signed_bessel_table,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -110,21 +113,31 @@ def _inner_nodes(m_max: float, n: int, c: int, p: PipelineParams):
     return panel_rule(np.linspace(1.0, 2.0, _panel_density(m_max, n, c, p) + 1), 20)
 
 
+def _inner_terms(m_max: float, n: int, c: int, p: PipelineParams):
+    """I(m, n, c) = sum_j base_j e^(i sqrt(m) omega_j) on the `_inner_nodes`
+    grid for first arguments up to m_max: returns the frequencies omega_j
+    = (2 pi / c) sqrt(N v_j) and base_j = wt_j W(v_j) e^(i (t log v_j - 2 pi
+    n N v_j / c))."""
+    v, wt = _inner_nodes(m_max, n, c, p)
+    w_v = _canonical_bump(2.0 * v - 3.0)
+    base_phase = p.t * np.log(v) - (TWO_PI / c) * n * p.N * v
+    base = wt * w_v * np.exp(1j * base_phase)
+    return (TWO_PI / c) * math.sqrt(p.N) * np.sqrt(v), base
+
+
 def i_integral_batch(
     ms: np.ndarray, n: int, c: int, p: PipelineParams
 ) -> np.ndarray:
     """I(m, n, c) = int v^{it} W(v) e((sqrt(m N v) - n N v)/c) dv for an
-    array of (continuous) first arguments m >= 0."""
+    array of (continuous) first arguments m >= 0, one dense complex
+    exponential per first argument and inner node: the oracle of
+    `_i_profile` and `i_integral_window`."""
     ms = np.asarray(ms, dtype=float)
     if np.any(ms < 0):
         raise ValueError("first argument must be nonnegative")
-    v, wt = _inner_nodes(float(ms.max(initial=0.0)), n, c, p)
-    w_v = _canonical_bump(2.0 * v - 3.0)
-    base_phase = p.t * np.log(v) - (TWO_PI / c) * n * p.N * v
-    base = wt * w_v * np.exp(1j * base_phase)
-    sq = (TWO_PI / c) * math.sqrt(p.N) * np.sqrt(v)
+    sq, base = _inner_terms(float(ms.max(initial=0.0)), n, c, p)
     out = np.empty(len(ms), dtype=complex)
-    block = max(1, int(4_000_000 // max(len(v), 1)))
+    block = max(1, int(4_000_000 // max(len(sq), 1)))
     for i in range(0, len(ms), block):
         root_m = np.sqrt(ms[i : i + block])
         phases = np.exp(1j * np.outer(root_m, sq))
@@ -141,21 +154,35 @@ def _profile_band(c: int, p: PipelineParams) -> tuple[float, float]:
 
 def _i_profile(ms: np.ndarray, n: int, c: int, p: PipelineParams) -> np.ndarray:
     """I(m, n, c) on an array of first arguments, read from one Chebyshev
-    interpolant in x = sqrt(m).
+    series in x = sqrt(m) whose coefficients are formed in closed form.
 
     W lives on [1, 2], so x -> I(x^2, n, c) superposes e^(i omega x) over
     omega = (2 pi / c) sqrt(N v), v in [1, 2]: demodulated by the centre
-    frequency omega0 it is band-limited to |omega - omega0| <= beta.  The
-    demodulated profile is fitted on the x-range by the dense
-    `i_integral_batch`, as one band of unit amplitude and frequency beta.
+    frequency omega0 it is band-limited to |omega - omega0| <= beta.  On
+    x = mid + half y it is, on the `_inner_nodes` grid sized at the
+    range's end x_hi^2, sum_j amp_j e^(i half dw_j y) with dw_j = omega_j
+    - omega0 and amp_j = base_j e^(i mid dw_j) (`_inner_terms`).  By
+    Jacobi-Anger its Chebyshev coefficients are one product of the
+    amplitudes with the table J_k(-half dw_j), k up to
+    `chebyshev_degree(beta half / 2)` (`signed_bessel_table`), built over
+    the inner nodes in blocks of at most 4e6 entries and summed, and
+    `chebyshev_block` reads the series at every x.
     """
     x = np.sqrt(np.asarray(ms, dtype=float))
+    lo, hi = float(x.min()), float(x.max())
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     omega0, beta = _profile_band(c, p)
-    fit = chebyshev_fit(
-        lambda xs: np.exp(-1j * omega0 * xs) * i_integral_batch(xs * xs, n, c, p),
-        float(x.min()), float(x.max()), beta,
+    omega, base = _inner_terms(hi * hi, n, c, p)
+    dw = omega - omega0
+    amp = (base * np.exp(1j * mid * dw))[:, None]
+    z = -half * dw
+    kmax = chebyshev_degree(beta * half / 2.0)
+    block = max(1, 4_000_000 // (kmax + 1))
+    coef = sum(
+        jacobi_anger_coefficients(signed_bessel_table(kmax, z[i : i + block]), amp[i : i + block])
+        for i in range(0, len(z), block)
     )
-    return np.exp(1j * omega0 * x) * fit(x)
+    return np.exp(1j * omega0 * x) * chebyshev_block(coef, lo, hi, x)[:, 0]
 
 
 def _window_nodes(m: float, n: int, c: int, p: PipelineParams):
@@ -400,14 +427,22 @@ def _outer_nodes(rows, p: PipelineParams):
 def j_integral_batch(rows, p: PipelineParams) -> np.ndarray:
     """J(m) = int I(v Ntil, n1, c1) conj(I(v Ntil, n2, c2)) U(v) e(-m v) dv
     for each row (m, n1, c1, n2, c2) on one `_outer_nodes` grid, each
-    profile (n, c) fitted once and each profile pair's m in one product.
+    profile (n, c) read once (`_i_profile`) and each profile pair's m in
+    one pass.
 
-    The conjugate on the second factor realizes the opened absolute
-    square this integral comes from (its expanded form carries
-    (y1/y2)^{it} and opposite-sign phases).
+    The grid's 16 Gauss-Legendre nodes per panel are v = mid_i + d_j, so
+    e(-m v) factors: J(m) = sum_i e(-m mid_i) sum_j core[i, j] e(-m d_j),
+    one (panels x 16) by (16 x rows) product and a rows x panels table of
+    exponentials per pair.  The conjugate on the second factor realizes
+    the opened absolute square this integral comes from (its expanded
+    form carries (y1/y2)^{it} and opposite-sign phases).
     """
     v, wt = _outer_nodes(rows, p)
     u = _U.evaluator(v, np.zeros(v.size, dtype=np.intp))
+    # each panel's centre, and the offsets of the first panel's nodes from it
+    panels = v.reshape(-1, 16)
+    mid = 0.5 * (panels[:, 0] + panels[:, -1])
+    offset = panels[0] - mid[0]
     ms = np.array([row[0] for row in rows], dtype=float)
     pairs = {}  # profile pair -> its rows
     for i, (_, n1, c1, n2, c2) in enumerate(rows):
@@ -415,24 +450,28 @@ def j_integral_batch(rows, p: PipelineParams) -> np.ndarray:
     keys = {key for pair in pairs for key in pair}
     profiles = {key: _i_profile(v * p.N_dual, *key, p) for key in keys}
     out = np.empty(len(rows), dtype=complex)
-    block = max(1, 4_000_000 // len(v))
+    block = max(1, 4_000_000 // len(mid))
     for (key1, key2), idx in pairs.items():
-        core = wt * profiles[key1] * np.conj(profiles[key2]) * u
+        core = (wt * profiles[key1] * np.conj(profiles[key2]) * u).reshape(panels.shape)
         for i in range(0, len(idx), block):
             part = idx[i : i + block]
-            out[part] = np.exp(-2j * math.pi * np.outer(ms[part], v)) @ core
+            inner = core @ np.exp(-2j * math.pi * np.outer(offset, ms[part]))
+            outer = np.exp(-2j * math.pi * np.outer(ms[part], mid))
+            out[part] = np.einsum("ri,ir->r", outer, inner)
     return out
 
 
-# desk scale: the largest `j_integral_work`, about 8 s at 4e-8 s per unit on
-# x86: the CLI defaults' assembly at 4.0e6 takes 0.3 s and N = 2500, Q = 3's
-# 1.6e8 6.6 s; N = 1e4 and 1e5 at Q = 3 would take 13 and 164 s at 3.4e8 and 2.4e9
+# desk scale: the largest `j_integral_work`, about 2 s at 5e-9 to 1e-8 s per
+# unit on a 2-vCPU x86 Xeon with one BLAS thread: the CLI defaults' assembly
+# at 4.0e6 takes 0.07 s and N = 2500, Q = 3's 1.6e8 0.9 s; N = 1e4 at Q = 3
+# would take 3.3 s at 3.4e8, and N = 1e5 at Q = 3 is 2.4e9
 J_WORK_MAX = 2 * 10**8
 
 
 def j_integral_work(rows, p: PipelineParams) -> int:
     """Predicted work of `j_integral_batch(rows, p)`: rows x outer nodes, plus
-    each profile's Chebyshev samples x the inner nodes that fit them."""
+    each profile's signed Bessel table, Chebyshev coefficients x inner
+    nodes, exactly as `_i_profile` builds it."""
     panels = _outer_panels(rows, p)
     # the outer grid's end panels alone, to the bit: np.linspace puts edge
     # i at i * (2.5 / panels) + 0.5 and the last at 3.0
@@ -442,9 +481,9 @@ def j_integral_work(rows, p: PipelineParams) -> int:
     x_lo, x_hi = math.sqrt(v_lo * p.N_dual), math.sqrt(v_hi * p.N_dual)
     work = len(rows) * 16 * panels
     for n, c in {key for row in rows for key in (row[1:3], row[3:5])}:
-        samples = chebyshev_degree(_profile_band(c, p)[1] * (x_hi - x_lo) / 4.0) + 1
+        coefs = chebyshev_degree(_profile_band(c, p)[1] * (x_hi - x_lo) / 4.0) + 1
         # `_inner_nodes` puts 20 nodes on each panel of [1, 2], counted, not built
-        work += samples * 20 * _panel_density(x_hi * x_hi, n, c, p)
+        work += coefs * 20 * _panel_density(x_hi * x_hi, n, c, p)
     return work
 
 

@@ -411,6 +411,28 @@ def bessel_j_table(kmax: int, xs) -> np.ndarray:
     return table
 
 
+def signed_bessel_table(kmax: int, zs) -> np.ndarray:
+    """J_0..J_kmax at every real z of an array, the table that
+    `jacobi_anger_coefficients` reads: row k holds J_k(zs).
+
+    The nonzero arguments share one `bessel_j_table` pass at |z|, and the
+    odd rows take the signs of the z's (J_k(-r) = (-1)^k J_k(r)); a zero
+    argument's column is J_k(0) = (1, 0, 0, ...).
+    """
+    zs = np.asarray(zs, dtype=float)
+    r = np.abs(zs)
+    nonzero = r != 0  # a NaN goes on to bessel_j_table, which refuses it
+    if nonzero.all():
+        table = bessel_j_table(kmax, r)
+    else:
+        table = np.zeros((kmax + 1, zs.size))
+        table[0] = 1.0
+        if nonzero.any():
+            table[:, nonzero] = bessel_j_table(kmax, r[nonzero])
+    table[1::2] *= np.sign(zs)
+    return table
+
+
 def _bessel_hankel(n: int, x: float) -> tuple[float, float]:
     """Hankel asymptotic expansion, valid for x well beyond n^2."""
     mu = 4.0 * n * n

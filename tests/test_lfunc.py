@@ -400,13 +400,13 @@ def test_bessel_tables_built_once_per_process(monkeypatch):
     # the scan over [100, 1000]) reads two Bessel tables, each built once:
     # the remainder's, 162 rows for F = log 240, and the octaves', 36 rows
     built = []
-    table = lfunc.bessel_j_table
+    table = lfunc.signed_bessel_table
 
-    def counted(kmax, xs):
+    def counted(kmax, zs):
         built.append(kmax)
-        return table(kmax, xs)
+        return table(kmax, zs)
 
-    monkeypatch.setattr(lfunc, "bessel_j_table", counted)
+    monkeypatch.setattr(lfunc, "signed_bessel_table", counted)
     lfunc._bessel_table.cache_clear()
     assert acceptance.criterion_l_values().status == "PASS"
     assert sorted(built) == [35, 161]

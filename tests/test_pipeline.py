@@ -180,23 +180,41 @@ def test_assembly_refuses_a_congruence_indicator_the_character_sum_denies(monkey
         offdiagonal_assembly(SMALL, (23, 24, 25, 26))
 
 
+def _count_profile_work(monkeypatch):
+    """Record the entries (rows x inner nodes) of every signed Bessel table
+    the profiles build, and count the dense I kernel's calls."""
+    tables, dense_calls = [], []
+    table, dense = pipeline.signed_bessel_table, pipeline.i_integral_batch
+
+    def counted_table(kmax, zs):
+        out = table(kmax, zs)
+        tables.append(out.size)
+        return out
+
+    def counted_dense(*args):
+        dense_calls.append(args)
+        return dense(*args)
+
+    monkeypatch.setattr(pipeline, "signed_bessel_table", counted_table)
+    monkeypatch.setattr(pipeline, "i_integral_batch", counted_dense)
+    return tables, dense_calls
+
+
 def test_assembly_work_predicts_the_profile_fits(monkeypatch):
     # past the hits x outer nodes of the J values, the prediction is the
-    # samples x inner nodes the dense kernel spends fitting each profile
-    dense = pipeline.i_integral_batch
-    spent = []
-
-    def counted(ms, n, c, p):
-        spent.append(np.size(ms) * len(pipeline._inner_nodes(float(np.max(ms)), n, c, p)[0]))
-        return dense(ms, n, c, p)
-
-    monkeypatch.setattr(pipeline, "i_integral_batch", counted)
+    # signed Bessel table's entries, rows x inner nodes, of each profile's
+    # Jacobi-Anger coefficients, to the entry: the inner grid is sized at
+    # the x-range's end, as j_integral_work counts it.  The dense I kernel
+    # is not called
+    tables, dense_calls = _count_profile_work(monkeypatch)
     cs = (23, 24, 25, 26)
     offdiagonal_assembly(SMALL, cs)
     hits, _ = pipeline._assembly_plan(SMALL, cs)
     v, _ = _outer_nodes(hits, SMALL)
-    profile_work = j_integral_work(hits, SMALL) - len(hits) * len(v)
-    assert sum(spent) <= profile_work <= 1.1 * sum(spent)
+    profiles = {key for row in hits for key in (row[1:3], row[3:5])}
+    assert len(tables) == len(profiles)
+    assert j_integral_work(hits, SMALL) - len(hits) * len(v) == sum(tables)
+    assert dense_calls == []
 
 
 def test_assembly_work_cap_admits_the_checked_scales():
@@ -282,18 +300,38 @@ def test_j_decay_reference_figures():
 
 
 def test_j_decay_dense_profile_work(monkeypatch):
-    # the dense kernel only fits the interpolant: deg + 1 first arguments,
-    # not the 50256 outer nodes
-    dense = pipeline.i_integral_batch
-    seen = []
+    # criterion 8 makes no dense I call: its one profile's coefficients
+    # come from one signed Bessel table, whose entries are the profile
+    # term of j_integral_work
+    tables, dense_calls = _count_profile_work(monkeypatch)
+    n = stationary_dual_index(CRIT8, 100)
+    j_decay_report(CRIT8, n, 100)
+    rows = j_decay_rows(CRIT8, n, 100)
+    v, _ = _outer_nodes(rows, CRIT8)
+    assert len(tables) == 1
+    assert j_integral_work(rows, CRIT8) - len(rows) * len(v) == tables[0]
+    assert dense_calls == []
 
-    def counted(ms, n, c, p):
-        seen.append(np.size(ms))
-        return dense(ms, n, c, p)
 
-    monkeypatch.setattr(pipeline, "i_integral_batch", counted)
-    j_decay_report(CRIT8, stationary_dual_index(CRIT8, 100), 100)
-    assert 0 < sum(seen) <= 300
+@pytest.mark.parametrize("case", ["criterion-8", "defaults-assembly"])
+def test_j_batch_against_dense_exponentials(case):
+    # the panel-factored e(-m v) against one dense exponential per row
+    # and outer node, on the same grid and the same profiles
+    p, rows = {
+        "criterion-8": (CRIT8, j_decay_rows(CRIT8, stationary_dual_index(CRIT8, 100), 100)),
+        "defaults-assembly": (SMALL, pipeline._assembly_plan(SMALL, (23, 24, 25, 26))[0]),
+    }[case]
+    v, wt = _outer_nodes(rows, p)
+    u = pipeline._U.evaluator(v, np.zeros(v.size, dtype=np.intp))
+    keys = {key for row in rows for key in (row[1:3], row[3:5])}
+    profiles = {key: _i_profile(v * p.N_dual, *key, p) for key in keys}
+    dense = np.array([
+        np.exp(-2j * np.pi * np.outer([m], v))[0]
+        @ (wt * profiles[(n1, c1)] * np.conj(profiles[(n2, c2)]) * u)
+        for m, n1, c1, n2, c2 in rows
+    ])
+    got = j_integral_batch(rows, p)
+    assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def _crit7_params(t):

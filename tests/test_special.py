@@ -20,6 +20,7 @@ from weylbound.special import (
     gamma_ratio_phase,
     log_gamma,
     log_gamma_vec,
+    signed_bessel_table,
 )
 from weylbound import lfunc, oscint, pipeline, special
 
@@ -202,6 +203,34 @@ def test_bessel_table_against_mpmath():
         bessel_j_table(4, np.array([1.0, 0.0]))
 
 
+def test_signed_bessel_table_on_negative_and_zero_arguments():
+    # J_k(-r) = (-1)^k J_k(r), and J_k(0) = (1, 0, 0, ...) exactly, where
+    # bessel_j_table refuses a zero argument; both checked row by row
+    # against bessel_j_many at |z| and mpmath at z, within the Miller
+    # error model of bessel_j
+    kmax = 60
+    zs = np.array([-41.5, -7.25, -0.5, -1e-3, 0.0, 1e-3, 0.5, 7.25, 41.5])
+    tab = signed_bessel_table(kmax, zs)
+    assert tab.shape == (kmax + 1, len(zs))
+    zero = zs == 0.0
+    assert tab[0, zero] == 1.0 and not tab[1:, zero].any()
+    sign = np.where(zs < 0, -1.0, 1.0)
+    for k in range(kmax + 1):
+        many = bessel_j_many(k, np.abs(zs)) * sign**k
+        for i, z in enumerate(zs):
+            ref = ref_j(k, z)
+            r = abs(z)
+            envelope = math.sqrt(2.0 / (math.pi * r)) if 0 < r and k <= r else abs(ref)
+            claim = (abs(ref) + envelope) * 5e-14 + 1e-305
+            assert abs(tab[k, i] - ref) <= claim, (k, z)
+            assert abs(tab[k, i] - many[i]) <= 2 * claim, (k, z)
+    # positive arguments alone are bessel_j_table's pass, bit for bit
+    pos = zs[zs > 0]
+    assert np.array_equal(signed_bessel_table(kmax, pos), bessel_j_table(kmax, pos))
+    with pytest.raises(ValueError):
+        signed_bessel_table(4, np.array([1.0, np.nan]))
+
+
 def test_jacobi_anger_coefficients_match_dense_interpolation(monkeypatch):
     rng = np.random.default_rng(3)
     tau = np.concatenate([rng.uniform(-30.0, -0.01, 40), rng.uniform(0.01, 30.0, 40)])
@@ -215,8 +244,7 @@ def test_jacobi_anger_coefficients_match_dense_interpolation(monkeypatch):
 
     deg = chebyshev_degree(np.abs(tau).max() / 2.0)
     # the signed table J_k(tau_j) = (-1)^k J_k(|tau_j|)
-    table = bessel_j_table(deg, np.abs(tau))
-    table[1::2] *= np.sign(tau)
+    table = signed_bessel_table(deg, tau)
     coef = jacobi_anger_coefficients(table, amp)
     assert coef.shape == (deg + 1, 2)
     # a column's coefficients do not depend on the others: the batched

@@ -133,6 +133,7 @@ UNNAMED_ALLOWED = {
     "lfunc.afe_weight": "the dense V oracle the cutoff table is tested against",
     "lfunc.sn_sum": "the paper's S(N) sum, checked against its trivial bound",
     "oscint._phi_hat": "phi_hat with its cut, the oracle of the folded kernel's tests",
+    "pipeline.i_integral_batch": "the dense I oracle of the profile and window tests",
     "oscint.nonstationary_decay_check": "the nonstationary decay lemma's check",
     "oscint.sum_over_orders_check": "the mod-4 sum-over-orders identity, both sides",
     "special.gamma_ratio_phase": "the paper's Gamma-ratio phase and its two slips",
@@ -181,6 +182,17 @@ def test_j_integrand_is_formed_in_j_integral_batch():
         "pipeline._outer_nodes", "pipeline.j_integral_work"]
     assert _top_level_users("_i_profile") == ["pipeline.j_integral_batch"]
     assert _top_level_users("_U") == ["pipeline.j_integral_batch"]
+
+
+def test_jacobi_anger_tables_are_signed_in_special():
+    # closed-form Chebyshev coefficients of exponential sums: the scan's
+    # cutoff table and the J kernel's profiles read them from one signed
+    # Bessel table, whose odd rows only special signs
+    assert _top_level_users("jacobi_anger_coefficients") == [
+        "lfunc._cutoff_table", "pipeline._i_profile"]
+    assert _modules_matching(r"\[1::2\]") == ["special"]
+    assert _top_level_users("bessel_j_table") == [
+        "special.bessel_j_many", "special.signed_bessel_table"]
 
 
 def test_phase_arithmetic_lives_in_special():
