@@ -20,6 +20,17 @@ import numpy as np
 from . import characters as chars
 from . import arith, expsums, lfunc, modforms, oscint, pipeline, trace
 
+# the headline suite's settings; the CLI's charsum, kloosterman, besselsum
+# and oscint commands take them as their defaults
+SEED = 20240801  # criterion 6's corpus and the Kloosterman sample
+CHARSUM_C_MAX = 40
+CHARSUM_CC_MAX = 12
+PRIMES = (3, 5, 7, 11, 13)  # the odd primes <= 13
+K_LIST = (8, 16, 32)
+X_LIST = (10.0, 100.0, 1000.0, 10000.0)
+# criterion 9's exponent-scan step on [100, 1000]
+_SCAN_STEP = 0.5
+
 
 @dataclass
 class CheckResult:
@@ -44,7 +55,7 @@ def _timed(fn):
 
 
 @_timed
-def criterion_charsums(c_max: int = 40, cc_max: int = 12):
+def criterion_charsums(c_max: int = CHARSUM_C_MAX, cc_max: int = CHARSUM_CC_MAX):
     """Exact closed forms of the two complete character sums: one call
     per modulus c (every m and unit n) and per coprime pair (c1, c2)
     (every m and units n1, n2); an empty case set is a usage error."""
@@ -75,9 +86,7 @@ def criterion_charsums(c_max: int = 40, cc_max: int = 12):
 
 
 @_timed
-def criterion_twisted_factorization(
-    primes: tuple[int, ...] = (3, 5, 7, 11, 13), c_max: int = 20
-):
+def criterion_twisted_factorization(primes: tuple[int, ...] = PRIMES, c_max: int = 20):
     """Twisted Kloosterman factorization with the sign-corrected final
     form, one call per (q, c) over the odd characters and the (nu, n, m')
     rows; any deviation is itemized with its smallest counterexample."""
@@ -114,7 +123,7 @@ def criterion_twisted_factorization(
 
 
 @_timed
-def criterion_psi_average(primes: tuple[int, ...] = (3, 5, 7, 11, 13)):
+def criterion_psi_average(primes: tuple[int, ...] = PRIMES):
     """Odd-character average against the discovered closed form for all
     admissible arguments, one convention per modulus; each modulus's
     (c, ell, m') cases are one array call."""
@@ -165,8 +174,7 @@ def criterion_petersson():
 
 @_timed
 def criterion_bessel_sum_identity(
-    k_list: tuple[int, ...] = (8, 16, 32),
-    x_list: tuple[float, ...] = (10.0, 100.0, 1000.0, 10000.0),
+    k_list: tuple[int, ...] = K_LIST, x_list: tuple[float, ...] = X_LIST
 ):
     """Sum-over-weights identity: direct vs kernel to 1e-8, one call per
     mode over every (K, x) pair.  The direct sums at one x share one
@@ -183,7 +191,7 @@ def criterion_bessel_sum_identity(
 
 
 @_timed
-def criterion_bessel_sum_suppression(k_list: tuple[int, ...] = (8, 16, 32)):
+def criterion_bessel_sum_suppression(k_list: tuple[int, ...] = K_LIST):
     """Sub-threshold suppression ratio of the direct sum, as stated:
     |S1| at x = K^2/16 must sit six orders below |S1| at x = 4 K^2.
 
@@ -270,7 +278,7 @@ def _vdc_corpus(seed: int):
 
 
 @_timed
-def criterion_stationary_phase(seed: int = 20240801):
+def criterion_stationary_phase(seed: int = SEED):
     """Order-0 stationary phase within 2% of quadrature on the dual-
     chain phase corpus, plus the second-derivative bound on a 200-case
     randomized corpus; each corpus's integrals are one quadrature
@@ -363,8 +371,9 @@ def _scan_verdict(summary: lfunc.ScanSummary) -> tuple[str, str]:
 
 
 @_timed
-def criterion_l_values(scan_step: float = 0.5):
-    """Balance invariance, conjugate symmetry, and the exponent scan."""
+def criterion_l_values():
+    """Balance invariance, conjugate symmetry, and the exponent scan at
+    step `_SCAN_STEP`."""
     spec = lfunc.delta_spec(12000)
     worst_balance = _balance_spread(spec, (0.0, 10.0, 100.0, 500.0))
     worst_conj = 0.0
@@ -372,7 +381,7 @@ def criterion_l_values(scan_step: float = 0.5):
         vp = lfunc.central_value(spec, t).value
         vm = lfunc.central_value(spec, -t).value
         worst_conj = max(worst_conj, abs(vp - np.conj(vm)))
-    records = lfunc.exponent_scan(spec, 100.0, 1000.0, scan_step)
+    records = lfunc.exponent_scan(spec, 100.0, 1000.0, _SCAN_STEP)
     scan_status, scan_detail = _scan_verdict(lfunc.scan_summary(records))
     ok = worst_balance <= lfunc.BALANCE_TOL and worst_conj <= 1e-9 and scan_status == "PASS"
     detail = (
@@ -429,9 +438,7 @@ def run_all(checks=ALL_CRITERIA, emit=print) -> list[CheckResult]:
 
 
 @_timed
-def criterion_kloosterman(
-    p_exhaustive: int = 50, p_max: int = 499, seed: int = 20240801
-):
+def criterion_kloosterman(p_exhaustive: int, p_max: int, seed: int):
     """Weil's bound and real values at every (m, n) mod p <= p_exhaustive,
     Weil's bound at seeded pairs for sampled primes up to p_max, and the
     CRT twisted multiplicativity: one array call per modulus.  An empty
@@ -476,7 +483,7 @@ def criterion_kloosterman(
 
 
 @_timed
-def criterion_petersson_weight(k: int = 12, grid: int = 8, tol: float = 1e-6):
+def criterion_petersson_weight(k: int, grid: int, tol: float):
     """The trace formula at one weight on a grid x grid set of (m, n)."""
     rep = trace.trace_consistency(k, grid, tol=tol)
     if rep.dim == 0:
@@ -495,7 +502,7 @@ def criterion_petersson_weight(k: int = 12, grid: int = 8, tol: float = 1e-6):
 
 
 @_timed
-def criterion_ksum_asymptotic_scale(k_list: tuple[int, ...] = (8, 16, 32)):
+def criterion_ksum_asymptotic_scale(k_list: tuple[int, ...]):
     """The k-sum's asymptotic form within 10% of the direct sum at x = 4 K^2."""
     xs = [float(4 * K * K) for K in k_list]
     direct = oscint.bessel_weighted_k_sum(k_list, xs, "direct")
@@ -509,7 +516,7 @@ def criterion_ksum_asymptotic_scale(k_list: tuple[int, ...] = (8, 16, 32)):
 
 
 @_timed
-def criterion_afe_balance(spec: lfunc.LFunctionSpec, ts, form: str = "delta"):
+def criterion_afe_balance(spec: lfunc.LFunctionSpec, ts, form: str):
     """Balance invariance of the smoothed AFE at each t of ts."""
     worst = _balance_spread(spec, ts)
     return (

@@ -95,6 +95,34 @@ def _list(text: str, typ) -> list:
     return [typ(x) for x in text.split(",") if x.strip()]
 
 
+def _listed(values) -> str:
+    """The comma list that `_list` reads back as `values`."""
+    return ",".join(f"{v:g}" for v in values)
+
+
+# desk scale, like trace.GRID_MAX: the largest value each charsum and
+# kloosterman parameter takes, refused before any check runs.  Each
+# criterion alone, warm, one BLAS thread, on a 2-core x86 machine:
+# criterion_charsums took 0.5 / 10.2 / 410 s at c_max = 80 / 160 / 320
+# and 0.3 / 20.3 s at cc_max = 24 / 48; criteria 2 and 3 together 1.6 /
+# 20-25 / 191 s at q_max = 61 / 127 / 191; criterion_kloosterman 0.13 /
+# 2.3 / 10.7 s at p_exhaustive = 100 / 200 / 300, and 0.36 / 4.1 s at
+# p_max = 1e5 / 1e6, where its sampled sums peak at 0.9 GB (the sieve
+# alone holds p_max + 1 bytes)
+_DESK_LIMITS = {
+    "c_max": 160, "cc_max": 48, "q_max": 127, "p_exhaustive": 300, "p_max": 10**6,
+}
+
+
+def _refuse_past_desk_scale(cfg: RunConfig, *keys) -> None:
+    for key in keys:
+        if cfg.params[key] > _DESK_LIMITS[key]:
+            raise ConfigError(
+                f"desk-scale {cfg.command} limited to {key} <= {_DESK_LIMITS[key]}, "
+                f"got {key} = {cfg.params[key]}"
+            )
+
+
 # ----------------------------------------------------------------------
 # suites: each maps cfg.params to (label, check) pairs of acceptance checks
 
@@ -106,6 +134,7 @@ def _unlabelled(*checks):
 def _suite_charsum(cfg: RunConfig):
     from .arith import primes_up_to
 
+    _refuse_past_desk_scale(cfg, "c_max", "cc_max", "q_max")
     primes = tuple(p for p in primes_up_to(cfg.params["q_max"]) if p >= 3)
     if not primes:
         raise ConfigError(
@@ -120,6 +149,7 @@ def _suite_charsum(cfg: RunConfig):
 
 
 def _suite_kloosterman(cfg: RunConfig):
+    _refuse_past_desk_scale(cfg, "p_exhaustive", "p_max")
     return _unlabelled(partial(
         acceptance.criterion_kloosterman,
         cfg.params["p_exhaustive"], cfg.params["p_max"], cfg.params["seed"],
@@ -168,12 +198,14 @@ def _suite_afe(cfg: RunConfig):
     ts = _list(cfg.params["t_list"], float)
     if not ts:
         raise ConfigError("afe needs at least one t in t_list")
-    # afe_lengths rejects a non-finite t; the form is sized only past both checks
-    need = max(
-        lfunc.afe_lengths(lfunc.delta_spec(100), t, 0.5)[0] for t in ts
-    )
-    if max(abs(t) for t in ts) > lfunc.T_MAX:
-        raise ConfigError(f"desk-scale AFE limited to |t| <= {lfunc.T_MAX:g}")
+    # before any length is taken: at |t| = 1e308 the conductor overflows
+    for t in ts:
+        if not abs(t) <= lfunc.T_MAX:
+            raise ConfigError(
+                f"desk-scale AFE limited to |t| <= {lfunc.T_MAX:g}, got t = {t:g}"
+                if math.isfinite(t) else f"t must be finite, got {t}"
+            )
+    need = max(lfunc.afe_lengths(lfunc.delta_spec(100), t, 0.5)[0] for t in ts)
     spec = _spec_for(cfg.params["form"], max(2000, int(need * 1.2)))
     return _unlabelled(
         partial(acceptance.criterion_afe_balance, spec, ts, cfg.params["form"])
@@ -274,17 +306,27 @@ def _suite_all(cfg: RunConfig):
 
 # command -> (typed parameter schema: name -> (type, default), suite)
 _COMMAND_TABLE = {
-    "charsum": ({"c_max": (int, 40), "cc_max": (int, 12), "q_max": (int, 13)}, _suite_charsum),
+    "charsum": (
+        {
+            "c_max": (int, acceptance.CHARSUM_C_MAX),
+            "cc_max": (int, acceptance.CHARSUM_CC_MAX),
+            "q_max": (int, max(acceptance.PRIMES)),
+        },
+        _suite_charsum,
+    ),
     "kloosterman": (
-        {"p_exhaustive": (int, 50), "p_max": (int, 499), "seed": (int, 20240801)},
+        {"p_exhaustive": (int, 50), "p_max": (int, 499), "seed": (int, acceptance.SEED)},
         _suite_kloosterman,
     ),
     "petersson": ({"k": (int, 12), "grid": (int, 8), "tol": (float, 1e-6)}, _suite_petersson),
     "besselsum": (
-        {"k_list": (str, "8,16,32"), "x_list": (str, "10,100,1000,10000")},
+        {
+            "k_list": (str, _listed(acceptance.K_LIST)),
+            "x_list": (str, _listed(acceptance.X_LIST)),
+        },
         _suite_besselsum,
     ),
-    "oscint": ({"seed": (int, 20240801)}, _suite_oscint),
+    "oscint": ({"seed": (int, acceptance.SEED)}, _suite_oscint),
     "afe": ({"form": (str, "delta"), "t_list": (str, "0,10,100")}, _suite_afe),
     "scan": (
         {

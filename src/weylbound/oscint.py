@@ -223,6 +223,7 @@ def plateau_weight(a, b, c, d, amp=1.0) -> WeightFamily:
 
 _PHASE_PER_PANEL = 9.0
 _CHUNK_NODES = 1 << 14  # evaluator points per call, keeping the arrays small
+_MAX_NODES = 3_000_000  # oscillatory_quadrature's node budget per case
 
 
 def _phase_edges(h: PhaseFamily, supports: np.ndarray, max_panels: int) -> list[np.ndarray]:
@@ -262,7 +263,7 @@ def _phase_edges(h: PhaseFamily, supports: np.ndarray, max_panels: int) -> list[
     return edges
 
 
-def oscillatory_quadrature(w, h, tol: float = 1e-10, max_nodes: int = 3_000_000):
+def oscillatory_quadrature(w, h, tol: float = 1e-10):
     """integral of w(t) exp(i h(t)) dt over the support of w.
 
     w and h are a WeightFamily and a PhaseFamily of B cases, giving a
@@ -272,13 +273,13 @@ def oscillatory_quadrature(w, h, tol: float = 1e-10, max_nodes: int = 3_000_000)
     it is bisected.  Each generation of pending panels, of every case, is
     evaluated in calls of w and h of at most _CHUNK_NODES points; each
     case's accepted panels are summed left to right.  A case past
-    max_nodes raises QuadratureError with its partial value.
+    `_MAX_NODES` nodes raises QuadratureError with its partial value.
     """
     if tol < 1e-12:
         raise ValueError("tol below the 1e-12 floor")
     n_cases = len(w.supports)
     span = w.supports[:, 1] - w.supports[:, 0]
-    edges = _phase_edges(h, w.supports, max_panels=max_nodes // 72)
+    edges = _phase_edges(h, w.supports, max_panels=_MAX_NODES // 72)
     lo = np.concatenate([e[:-1] for e in edges])
     hi = np.concatenate([e[1:] for e in edges])
     case = np.repeat(np.arange(n_cases), [e.size - 1 for e in edges])
@@ -291,12 +292,12 @@ def oscillatory_quadrature(w, h, tol: float = 1e-10, max_nodes: int = 3_000_000)
     while lo.size:
         # one generation: the GL24/GL12 pair of every pending panel
         nodes += xs.size * np.bincount(case, minlength=n_cases)
-        if np.any(nodes > max_nodes):
-            k = int(np.argmax(nodes > max_nodes))
+        if np.any(nodes > _MAX_NODES):
+            k = int(np.argmax(nodes > _MAX_NODES))
             best, bound = _left_to_right(kept, n_cases)
             pending = float(np.sum((hi - lo)[case == k]) * w.amp_scales[k])
             raise QuadratureError(
-                f"node budget {max_nodes} exhausted", best[k], bound[k] + pending
+                f"node budget {_MAX_NODES} exhausted", best[k], bound[k] + pending
             )
         i24 = np.empty(lo.size, dtype=complex)
         i12 = np.empty(lo.size, dtype=complex)
@@ -827,23 +828,28 @@ def bessel_weighted_k_sum(K, x, mode: str) -> list[ComplexEstimate]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+# sum_over_orders_check's orders and the half-width of its kernel side
+_ORDERS = (-80, 120)
+_ORDERS_V_MAX = 12.0
+
+
 def sum_over_orders_check(
     a: int,
     y: float,
     g: Callable[[np.ndarray], np.ndarray],
     g_hat: Callable[[np.ndarray], np.ndarray],
-    order_range: tuple[int, int] = (-80, 120),
-    v_max: float = 12.0,
 ) -> tuple[complex, complex]:
     """Both sides of 4 sum_{u = a mod 4} g(u) J_u(y) = int ghat(v) C_a(v, y) dv.
 
     Odd residue class a; the kernel argument matches the Bessel argument
-    y on both sides.  Returns (direct, kernel) for the caller to compare.
+    y on both sides.  The orders run over `_ORDERS` and the kernel side
+    over |v| <= `_ORDERS_V_MAX`.  Returns (direct, kernel) for the caller
+    to compare.
     """
     if a % 2 == 0:
         raise ValueError("this check covers odd residue classes")
     terms = []
-    for u in range(order_range[0], order_range[1] + 1):
+    for u in range(_ORDERS[0], _ORDERS[1] + 1):
         if u % 4 != a % 4:
             continue
         gu = float(g(np.array([float(u)]))[0])
@@ -856,7 +862,7 @@ def sum_over_orders_check(
         ju = -jv.value if u < 0 and u % 2 else jv.value
         direct += 4.0 * gu * ju
     rate = 2 * math.pi * y + 1.0
-    panels = int(min(max(rate * 2 * v_max / 10.0, 64), 400_000))
-    v, wt = panel_rule(np.linspace(-v_max, v_max, panels + 1), 24)
+    panels = int(min(max(rate * 2 * _ORDERS_V_MAX / 10.0, 64), 400_000))
+    v, wt = panel_rule(np.linspace(-_ORDERS_V_MAX, _ORDERS_V_MAX, panels + 1), 24)
     ca = bessel_kernel_ca(a, v, y)
     return direct, complex(wt @ (np.asarray(g_hat(v), dtype=complex) * ca))

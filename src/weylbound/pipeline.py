@@ -188,11 +188,12 @@ def _i_profile(ms: np.ndarray, n: int, c: int, p: PipelineParams) -> np.ndarray:
 def _window_nodes(m: float, n: int, c: int, p: PipelineParams):
     """Gauss-Legendre grid on [1, 2] cut at the periods c/N of z(v) = e(-N v/c).
 
-    Returns (rows, wt, tail, tail_wt).  rows[k] holds period k's nodes,
-    rows[0] + k c/N, for the floor(N/c) whole periods from v = 1; the
-    weights wt are shared by every row.  tail and tail_wt are the nodes and
-    weights of the leftover piece [1 + floor(N/c) c/N, 2], which is all
-    of [1, 2] when N < c.  Both pieces take the panels of `_panel_density`
+    Returns (u, wt, periods, tail, tail_wt).  u and wt are the nodes and
+    weights of period 0, [1, 1 + c/N]; each of the periods = floor(N/c)
+    whole periods from v = 1 takes the nodes u + k c/N and the same
+    weights (u and wt are empty when N < c).  tail and tail_wt are the
+    nodes and weights of the leftover piece [1 + periods c/N, 2], which is
+    all of [1, 2] when N < c.  Both pieces take the panels of `_panel_density`
     rounded up to a whole number per piece, so no panel is wider than
     the `_inner_nodes` grid's, and the grid's outer edges are exactly 1
     and 2.
@@ -200,17 +201,15 @@ def _window_nodes(m: float, n: int, c: int, p: PipelineParams):
     density = _panel_density(m, n, c, p)
     period = c / p.N
     periods = math.floor(p.N / c)
-    rows = np.empty((0, 0))
-    wt = np.empty(0)
+    u, wt = np.empty(0), np.empty(0)
     if periods:
         per_period = math.ceil(density * period)
         u, wt = panel_rule(np.linspace(1.0, 1.0 + period, per_period + 1), 20)
-        rows = u + period * np.arange(periods)[:, None]
     rest = p.N - periods * c  # what is left of [1, 2], in units of 1/N
     start = 1.0 + periods * period
     tail_panels = math.ceil(density * rest / p.N) if rest > 0 else 0
     tail, tail_wt = panel_rule(np.linspace(start, 2.0, tail_panels + 1), 20)
-    return rows, wt, tail, tail_wt
+    return u, wt, periods, tail, tail_wt
 
 
 def i_integral_window(
@@ -238,7 +237,7 @@ def i_integral_window(
     """
     if m < 0:
         raise ValueError("first argument must be nonnegative")
-    rows, wt, tail, tail_wt = _window_nodes(
+    u, wt, periods, tail, tail_wt = _window_nodes(
         float(m), max(abs(n_lo), abs(n_hi)), c, p
     )
     root_m = (TWO_PI / c) * math.sqrt(m * p.N)
@@ -249,16 +248,16 @@ def i_integral_window(
         )
 
     folded = np.empty(0, dtype=complex)
-    if len(rows):
+    if periods:
         period = c / p.N
-        shifts = period * np.arange(len(rows))[:, None]
+        shifts = period * np.arange(periods)[:, None]
         fold = chebyshev_fit(
             lambda u: h(u + shifts).sum(axis=0), 1.0, 1.0 + period,
             p.t + 0.5 * root_m, math.ceil(_FOLD_EDGE_RATE * math.sqrt(period)),
         )
-        folded = fold(rows[0])
+        folded = fold(u)
     # period-0 nodes carry the folded h; the leftover nodes their own
-    v = np.concatenate([rows[:1].ravel(), tail])
+    v = np.concatenate([u, tail])
     acc = np.concatenate([wt * folded, tail_wt * h(tail)])
     nv, nv_err = _two_product(p.N, v)
     cycles = ((nv - c * np.floor(nv / c)) + nv_err) / c

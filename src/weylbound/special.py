@@ -38,7 +38,7 @@ _CW2 = 0.0019353071693331003
 _CW3 = 1.0253376489868793e-11
 _CW4 = 1.1650928224373424e-19
 
-# the Stirling terms log_gamma_vec takes, and log_gamma by default
+# the Stirling terms log_gamma and log_gamma_vec take
 _STIRLING_TERMS = 12
 # B_{2j} for the Stirling tail, j = 1..16: the 16th bounds a 15-term tail
 _BERNOULLI = [
@@ -323,6 +323,14 @@ def _bessel_series(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return total, np.where(underflow, math.exp(-700.0), err)  # underflow-level tail
 
 
+def _miller_start(top: float) -> int:
+    """Where a Miller backward recurrence for orders and arguments up to
+    `top` starts: top + 16 sqrt(top + 1) + 24, truncated, then rounded up
+    to even."""
+    start = int(top + 16.0 * math.sqrt(top + 1.0) + 24)
+    return start + start % 2
+
+
 def _bessel_miller(orders, x: float) -> tuple[np.ndarray, np.ndarray]:
     """J_n(x) for every n in `orders` from one backward recurrence.
 
@@ -332,10 +340,7 @@ def _bessel_miller(orders, x: float) -> tuple[np.ndarray, np.ndarray]:
     it, and kept values are rescaled with the running ones on overflow.
     Returns values and error bounds aligned with `orders`.
     """
-    top = max(max(orders), x)
-    start = int(top + 16.0 * math.sqrt(top + 1.0) + 24)
-    if start % 2 == 1:
-        start += 1
+    start = _miller_start(max(max(orders), x))
     todo = sorted(set(orders))  # pop() gives the next order down
     nxt = todo.pop()
     kept = {}
@@ -380,9 +385,7 @@ def bessel_j_table(kmax: int, xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or not np.all(xs > 0):
         raise ValueError("bessel_j_table needs a 1-d array of positive arguments")
-    top = max(kmax, float(xs.max()))
-    start = int(top + 16.0 * math.sqrt(top + 1.0) + 24)
-    start += start % 2
+    start = _miller_start(max(kmax, float(xs.max())))
     every = max(1, int(50.0 / math.log10(2.0 * start / xs.min() + 1.0)))
     scale = 2.0 / xs
     table = np.empty((kmax + 1, xs.size))
@@ -585,14 +588,16 @@ def _stirling(z: np.ndarray, terms: int) -> tuple[np.ndarray, int, np.ndarray]:
     return value, lifts, z
 
 
-def log_gamma(s: complex, terms: int = _STIRLING_TERMS) -> ComplexEstimate:
-    """Principal-branch log Gamma(s) by Stirling with recursion lift.
+def log_gamma(s: complex) -> ComplexEstimate:
+    """Principal-branch log Gamma(s) by Stirling with recursion lift,
+    `_STIRLING_TERMS` terms.
 
     The claimed error is the first omitted Bernoulli term at the lifted
     argument, with its sector factor, plus lift rounding.
     """
     if s.imag == 0 and s.real <= 0 and s.real == int(s.real):
         raise ZeroDivisionError(f"Gamma pole at s = {s}")
+    terms = _STIRLING_TERMS
     value, m, z = _stirling(np.array([s]), terms)
     val = complex(value[0])
     err = _stirling_remainder(terms, complex(z[0])) + (m + 4) * EPS * (abs(val) + 1.0)

@@ -96,8 +96,13 @@ def _kloosterman_terms(pairs: list[tuple[int, int]], c_maxes: list[int]) -> list
     return terms
 
 
-def petersson_delta(k: int, m, n, tol: float = 1e-12) -> list[PeterssonSide]:
-    """Geometric side with each c-sum truncated at certified accuracy.
+# the certified bound on each Petersson c-sum's tail
+_TAIL_TOL = 1e-12
+
+
+def petersson_delta(k: int, m, n) -> list[PeterssonSide]:
+    """Geometric side with each c-sum truncated where its certified tail
+    is below `_TAIL_TOL`.
 
     m and n broadcast together, and one side comes back per (m, n) pair,
     in C order; scalars give a list of one.  Every pair is truncated
@@ -106,7 +111,7 @@ def petersson_delta(k: int, m, n, tol: float = 1e-12) -> list[PeterssonSide]:
     pass, and their Re S(m, n; c) / c from one `_kloosterman_terms` call.
     """
     pairs = list(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(m, n))))
-    cuts = [_truncation(k, mm, nn, tol) for mm, nn in pairs]
+    cuts = [_truncation(k, mm, nn, _TAIL_TOL) for mm, nn in pairs]
     c_maxes = [c_max for _, c_max in cuts]
     args = [A / np.arange(1, c_max + 1, dtype=float) for A, c_max in cuts]
     bessel = bessel_j_many(k - 1, np.concatenate(args))
@@ -121,11 +126,10 @@ def petersson_delta(k: int, m, n, tol: float = 1e-12) -> list[PeterssonSide]:
 
 def petersson_matrix(k: int, size: int) -> np.ndarray:
     """Matrix [Delta_k(m, n)] for 1 <= m, n <= size (symmetric): one
-    `petersson_delta` call over the upper triangle, each c-sum truncated
-    at tail 1e-12."""
+    `petersson_delta` call over the upper triangle."""
     m, n = np.triu_indices(size)
     out = np.zeros((size, size))
-    out[m, n] = out[n, m] = [side.value for side in petersson_delta(k, m + 1, n + 1, 1e-12)]
+    out[m, n] = out[n, m] = [side.value for side in petersson_delta(k, m + 1, n + 1)]
     return out
 
 

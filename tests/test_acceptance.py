@@ -116,9 +116,10 @@ def test_criterion_9_l_values():
     assert res.elapsed < 600
 
 
-def test_criterion_9_without_fitted_slope():
+def test_criterion_9_without_fitted_slope(monkeypatch):
     # three scan records hold one interior peak, too few to fit an exponent
-    res = _report(acceptance.criterion_l_values(scan_step=450.0))
+    monkeypatch.setattr(acceptance, "_SCAN_STEP", 450.0)
+    res = _report(acceptance.criterion_l_values())
     assert res.status == "PASS", res.detail
     assert "3 records, 0 flagged; fitted peak exponent n/a (reported;" in res.detail
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from weylbound import acceptance, lfunc
+from weylbound import acceptance, arith, lfunc
 from weylbound.cli import (
     COMMANDS,
     ConfigError,
@@ -13,6 +13,7 @@ from weylbound.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     _COMMAND_TABLE,
+    _DESK_LIMITS,
     build_config,
     emit_plotdata,
     main,
@@ -372,6 +373,11 @@ _BAD_MAASS = {
          "J grid limited to 400000 panels, got 628343 for |m| = 400000"),
         (["afe", "--form", "holomorphic:abc"],
          "bad form 'holomorphic:abc': cannot read 'abc' as int"),
+        # a height whose conductor overflows, and one that is not a number,
+        # refused before any AFE length is taken
+        (["afe", "--t-list", "0,1e308"],
+         "desk-scale AFE limited to |t| <= 5000, got t = 1e+308"),
+        (["afe", "--t-list", "nan"], "t must be finite, got nan"),
     ],
     ids=["k-above-sqrt-t", "modulus-past-desk-scale", "zero-step",
          "charsum-no-grid", "charsum-no-congruence", "charsum-no-primes",
@@ -399,7 +405,7 @@ _BAD_MAASS = {
          "maass-row-lambda-abc", "pipeline-assembly-past-desk-scale",
          "pipeline-empty-s5-window", "pipeline-empty-s5-window-n1",
          "pipeline-j-grid-k1", "pipeline-j-grid-k2",
-         "holomorphic-k-abc"],
+         "holomorphic-k-abc", "afe-t-1e308", "afe-t-nan"],
 )
 def test_rejected_parameters_exit_usage(argv, message, tmp_path, capsys):
     for name, text in _BAD_MAASS.items():
@@ -436,6 +442,56 @@ def test_charsum_without_odd_prime_refused_before_any_check(monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: charsum needs an odd prime q <= q_max, got q_max = 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["charsum", "--c-max", "161"],
+         "desk-scale charsum limited to c_max <= 160, got c_max = 161"),
+        (["charsum", "--cc-max", "49"],
+         "desk-scale charsum limited to cc_max <= 48, got cc_max = 49"),
+        (["charsum", "--q-max", "1000000000000"],
+         "desk-scale charsum limited to q_max <= 127, got q_max = 1000000000000"),
+        (["kloosterman", "--p-exhaustive", "301"],
+         "desk-scale kloosterman limited to p_exhaustive <= 300, got p_exhaustive = 301"),
+        (["kloosterman", "--p-max", "1000000000000"],
+         "desk-scale kloosterman limited to p_max <= 1000000, got p_max = 1000000000000"),
+    ],
+    ids=["c-max", "cc-max", "q-max", "p-exhaustive", "p-max"],
+)
+def test_sums_past_desk_scale_refused_before_sieve_or_check(argv, message, monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise AssertionError("a sieve or a check ran")
+
+    monkeypatch.setattr(arith, "primes_up_to", refused)
+    monkeypatch.setattr(acceptance, "run_all", refused)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_sums_at_desk_scale_are_accepted():
+    # each limit itself is taken: the suites are built, and not run
+    for command, keys in (("charsum", ("c_max", "cc_max", "q_max")),
+                          ("kloosterman", ("p_exhaustive", "p_max"))):
+        limits = {key: str(_DESK_LIMITS[key]) for key in keys}
+        assert _COMMAND_TABLE[command][1](build_config(command, limits, {}, None))
+
+
+def test_command_defaults_are_the_headline_settings():
+    # charsum, besselsum and oscint at their defaults pass criteria 1-3,
+    # 5a, 5b and 6 the settings that `all` runs them at
+    def passed(command):
+        suite = _COMMAND_TABLE[command][1](build_config(command, {}, {}, None))
+        return [check.args for _, check in suite]
+
+    a = acceptance
+    assert passed("charsum") == [(a.CHARSUM_C_MAX, a.CHARSUM_CC_MAX), (a.PRIMES,), (a.PRIMES,)]
+    assert passed("besselsum") == [(a.K_LIST, a.X_LIST), (a.K_LIST,), (a.K_LIST,)]
+    assert passed("oscint") == [(a.SEED,)]
+    assert build_config("kloosterman", {}, {}, None).params["seed"] == a.SEED
 
 
 def test_besselsum_past_kernel_budget_exits_usage(capsys):

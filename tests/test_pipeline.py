@@ -392,9 +392,10 @@ def test_poisson_dual_window_work(monkeypatch):
         return wrapper
 
     def counted_window(*args):
-        rows, wt, tail, tail_wt = window(*args)
-        grid.append(rows.size + tail.size)
-        return rows, wt, tail, tail_wt
+        nodes = window(*args)
+        u, _, periods, tail, _ = nodes
+        grid.append(periods * u.size + tail.size)
+        return nodes
 
     def counted_bump(s):
         bumped.append(np.size(s))
@@ -415,21 +416,22 @@ def test_window_nodes_fold_layout():
     # panel wider than the dense grid's; with no whole period the grid is
     # the dense one
     p = _crit7_params(100.0)
-    for c, periods in ((5, 120), (7, 85)):
-        rows, wt, tail, tail_wt = pipeline._window_nodes(1.0, 20, c, p)
+    for c, whole in ((5, 120), (7, 85)):
+        u, wt, periods, tail, tail_wt = pipeline._window_nodes(1.0, 20, c, p)
         density = pipeline._panel_density(1.0, 20, c, p)
-        assert rows.shape == (periods, wt.size) and 1.0 < rows[0, 0]
-        assert np.allclose(np.diff(rows, axis=0), c / p.N, rtol=0, atol=1e-14)
+        assert periods == whole and u.shape == wt.shape
+        assert 1.0 < u[0] and u[-1] < 1.0 + c / p.N
         assert wt.sum() == pytest.approx(c / p.N)
         assert wt.size / 20 >= density * c / p.N  # panels per period
         rest = 1.0 - periods * c / p.N
         assert (tail.size == 0) == (p.N % c == 0)
         assert tail_wt.sum() == pytest.approx(rest, abs=1e-15)
         assert tail.size / 20 >= density * rest and np.all(tail < 2.0)
+        assert np.all(tail > 1.0 + periods * c / p.N)
     q = PipelineParams(N=40.0, t=20.0, K=2.0, Q=10.0)
-    rows, wt, tail, tail_wt = pipeline._window_nodes(2.0, 400, 47, q)
+    u, wt, periods, tail, tail_wt = pipeline._window_nodes(2.0, 400, 47, q)
     dense_v, dense_wt = pipeline._inner_nodes(2.0, 400, 47, q)
-    assert rows.size == 0
+    assert periods == 0 and u.size == wt.size == 0
     assert np.array_equal(tail, dense_v) and np.array_equal(tail_wt, dense_wt)
 
 
@@ -447,10 +449,12 @@ def test_i_window_stepped_phase_at_ulp_level():
     p, m, c = _crit7_params(0.0), 1, 7
     n_lo, n_hi = poisson_check_s5(m, c, p).n_window
     got = i_integral_window(m, n_lo, n_hi, c, p)
-    rows, wt, tail, tail_wt = pipeline._window_nodes(
+    u, wt, periods, tail, tail_wt = pipeline._window_nodes(
         float(m), max(abs(n_lo), abs(n_hi)), c, p
     )
-    assert len(rows) == 85 and tail.size
+    assert periods == 85 and tail.size
+    # period k's nodes, u + k c/N
+    rows = u + (c / p.N) * np.arange(periods)[:, None]
     bump_rows = _canonical_bump(2.0 * rows - 3.0)
     bump_tail = _canonical_bump(2.0 * tail - 3.0)
     with mp.workdps(30):
@@ -467,7 +471,7 @@ def test_i_window_stepped_phase_at_ulp_level():
         sums = folded + [h(w, x) for w, x in zip(bump_tail.tolist(), tail.tolist())]
         weights = wt.tolist() + tail_wt.tolist()
         terms, steps = [], []
-        for w, f, z in zip(weights, sums, rows[0].tolist() + tail.tolist()):
+        for w, f, z in zip(weights, sums, u.tolist() + tail.tolist()):
             z = mp.mpf(z)
             terms.append(w * f * mp.expj(-two_pi * n_lo * p.N * z / c))
             steps.append(mp.expj(-two_pi * p.N * z / c))
@@ -556,14 +560,16 @@ def test_poisson_dual_side_against_long_double_dense_sum(t, m, c):
     p = _crit7_params(t)
     rep = poisson_check_s5(m, c, p)
     n_lo, n_hi = rep.n_window
-    rows, wt, tail, tail_wt = pipeline._window_nodes(
+    u, wt, periods, tail, tail_wt = pipeline._window_nodes(
         float(m), max(abs(n_lo), abs(n_hi)), c, p
     )
+    # the whole grid, periods x nodes, then the leftover piece
+    rows = u + (c / p.N) * np.arange(periods)[:, None]
     ld = np.longdouble
     two_pi = 8 * np.arctan(ld(1))
     v = np.concatenate([rows.ravel(), tail]).astype(ld)
-    z = np.concatenate([np.tile(rows[0], len(rows)), tail])
-    w = np.concatenate([np.tile(wt, len(rows)), tail_wt]).astype(ld)
+    z = np.concatenate([np.tile(u, periods), tail])
+    w = np.concatenate([np.tile(wt, periods), tail_wt]).astype(ld)
     s = 2 * v - 3
     amp = w * np.exp(1 - 1 / (1 - s * s))
     phase = p.t * np.log(v) + two_pi / c * np.sqrt(ld(m) * ld(p.N) * v)

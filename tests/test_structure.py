@@ -231,6 +231,66 @@ def test_unnamed_definitions_are_allowlisted():
     assert sorted(unnamed) == sorted(UNNAMED_ALLOWED)
 
 
+# defaulted parameters that no call in src/ sets; each is set from outside
+# the package, and every other setting is a module constant (tests
+# monkeypatch those) or is passed by its callers
+UNSET_DEFAULTS_ALLOWED = {
+    "lfunc.exponent_scan.parallelism": "the benchmark's scan-high pool passes it",
+    "cli.main.argv": "the program's entry point; tests pass an argv",
+    "acceptance.criterion_poisson_s5.t_list": "the benchmark's small variant passes it",
+    "acceptance.criterion_twisted_factorization.c_max":
+        "the benchmark's small variant passes it",
+}
+
+
+def _callee(func):
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def test_defaulted_parameters_are_set_or_allowlisted():
+    # a default that no caller overrides is a setting with one value: it
+    # becomes a constant.  Calls resolve by name (a class call reaches
+    # __init__, a method call skips self), and functools.partial(f, ...)
+    # counts as a call of f
+    defs = []  # (qualified name, callee name, definition, leading self)
+    trees = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+    for module, tree in trees:
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                defs.append((f"{module}.{stmt.name}", stmt.name, stmt, 0))
+            elif isinstance(stmt, ast.ClassDef):
+                defs += [
+                    (f"{module}.{stmt.name}.{fn.name}",
+                     stmt.name if fn.name == "__init__" else fn.name, fn, 1)
+                    for fn in stmt.body if isinstance(fn, ast.FunctionDef)
+                ]
+    set_by_a_call = set()
+    for _, tree in trees:
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name, args = _callee(call.func), call.args
+            if name == "partial" and args:
+                name, args = _callee(args[0]), args[1:]
+            for qual, callee, fn, skip in defs:
+                if callee != name:
+                    continue
+                params = [a.arg for a in fn.args.posonlyargs + fn.args.args][skip:]
+                for i, arg in enumerate(args):
+                    # a starred argument may fill every later position
+                    reached = params[i:] if isinstance(arg, ast.Starred) else params[i:i + 1]
+                    set_by_a_call.update((qual, p) for p in reached)
+                for kw in call.keywords:
+                    names = params + [a.arg for a in fn.args.kwonlyargs]
+                    set_by_a_call.update((qual, p) for p in ([kw.arg] if kw.arg else names))
+    unset = []
+    for qual, _, fn, _ in defs:
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = positional[len(positional) - len(a.defaults):] + [
+            p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        unset += [f"{qual}.{p.arg}" for p in defaulted if (qual, p.arg) not in set_by_a_call]
+    assert sorted(unset) == sorted(UNSET_DEFAULTS_ALLOWED)
+
+
 def _declared_test_extras():
     """The import names of the `test` extra in pyproject.toml."""
     text = (SRC.parents[1] / "pyproject.toml").read_text()

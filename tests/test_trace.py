@@ -44,9 +44,10 @@ def test_symmetry():
             assert abs(a - b) < 1e-10
 
 
-def test_truncation_soundness():
-    (side,) = petersson_delta(12, 2, 3, tol=1e-12)
-    (refined,) = petersson_delta(12, 2, 3, tol=1e-14)
+def test_truncation_soundness(monkeypatch):
+    (side,) = petersson_delta(12, 2, 3)
+    monkeypatch.setattr(trace, "_TAIL_TOL", 1e-14)
+    (refined,) = petersson_delta(12, 2, 3)
     assert abs(side.value - refined.value) <= side.tail_bound + 1e-13
 
 
@@ -191,10 +192,11 @@ def test_petersson_matrix_is_one_petersson_delta_call(monkeypatch):
     calls = []
     delta = trace.petersson_delta
 
-    def counted(k, m, n, tol=1e-12):
-        calls.append((k, len(m), tol))
-        return delta(k, m, n, tol)
+    def counted(k, m, n):
+        calls.append((k, len(m)))
+        return delta(k, m, n)
 
     monkeypatch.setattr(trace, "petersson_delta", counted)
     petersson_matrix(12, 8)
-    assert calls == [(12, 36, 1e-12)]
+    # each c-sum is truncated at the one tail bound
+    assert calls == [(12, 36)] and trace._TAIL_TOL == 1e-12
