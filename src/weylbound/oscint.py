@@ -576,13 +576,20 @@ def second_derivative_bound_check(g, f):
 # Bessel-weighted sum over the odd weight grid
 
 _PHI_HAT_STEP = 0.02
-# the phi_hat table's range, past which phi_hat is taken as zero; it is not
-# negligible there (30-digit quadrature): phi_hat(368) = -1.649e-10, and
-# phi_hat(480) = -3.65e-12
-_PHI_HAT_MAX = 368.0
+# the phi_hat table's range, past which phi_hat is taken as zero: by
+# 30-digit quadrature |phi_hat| < 1e-13 from 720 on (its peaks fall from
+# 1.02e-13 at 719.3 to 9.65e-14 at 722.3 and 4.9e-14 at 757.5), while
+# phi_hat(650) = 1.17e-13 and its peaks near 650 reach 4.2e-13
+_PHI_HAT_MAX = 720.0
 _PHI_HAT_ROWS = 128  # grid rows per block of the phi_hat table
-_IMAGE_STEP = 0.0025  # knot step of the k-sum kernel's folded image table
-_KERNEL_PANELS = 2_000_000  # the k-sum kernel's panel budget on [0, 1/2]
+# knot step of the k-sum kernel's folded image table: its own Hermite error
+# (1.2e-12 at K = 8, against a table of step 0.0025) stays below that of the
+# phi_hat pieces it reads (2.7e-11 against direct GL-560 image sums)
+_IMAGE_STEP = 0.01
+_KERNEL_PHASE = 24.0  # radians of the kernel's cumulative phase per GL-24 panel
+# the k-sum kernel's panel budget on [0, 1/4]: x up to about 1.115e6 at
+# K = 8, where 2e6 uniform panels of [0, 1/2] reached 1.1145e6
+_KERNEL_PANELS = 292_000
 _KERNEL_CHUNK = 1024  # kernel panels per pass, keeping the node arrays in cache
 _IMAGE_ROWS = 4096  # image table rows gathered at a time
 
@@ -730,6 +737,25 @@ def _image_sums(K: int, xi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kernel_edges(K: int, x: float, n: int) -> np.ndarray:
+    """Edges of n panels on [0, 1/4] at equal steps of the kernel's
+    cumulative phase Phi(u) = 2 pi x (1 - cos 2 pi u) + 4 pi K u: the
+    phase of G(u) = cos(2 pi x cos 2 pi u) plus the weight factor's
+    peak rate 4 pi K.  Each term alone reaches a target no earlier than
+    both, so the lesser of its arccos and linear solutions starts four
+    vectorized Newton steps from above; Phi is convex, so they fall
+    monotonically onto the edge, to within about 1e-10 of a panel's
+    phase."""
+    a, b = 2 * math.pi * x, 4 * math.pi * K
+    target = np.arange(1, n) * ((a + 0.25 * b) / n)
+    u = np.minimum(np.arccos(np.maximum(1.0 - target / a, 0.0)), 2 * math.pi * target / b)
+    u *= 1.0 / (2 * math.pi)
+    for _ in range(4):
+        s = np.sin(math.pi * u)  # 1 - cos 2 pi u = 2 s^2, without cancellation
+        u -= (2 * a * s * s + b * u - target) / (2 * math.pi * a * np.sin(2 * math.pi * u) + b)
+    return np.concatenate([[0.0], u, [0.25]])
+
+
 def bessel_weighted_k_sum(K, x, mode: str) -> list[ComplexEstimate]:
     """S1 = sum over odd weights k of i^(-k) W((k-1)/K) J_{k-1}(2 pi x).
 
@@ -755,9 +781,14 @@ def bessel_weighted_k_sum(K, x, mode: str) -> list[ComplexEstimate]:
                 and sin(3 pi K j/2) are 0 or +-1, so the images add up
                 to a cosine part P_c and a sine part P_s of xi = pi K u
                 (P_s = 0 for even K), tabulated once per K
-                (`_image_table`), and each GL-24 node of [0, 1/2] costs
-                one G, one cosine (and for odd K one sine) of 3 xi and
-                one table row; no Bessel value enters.
+                (`_image_table`).  G(1/2 - u) = G(u), so the half-period
+                folds once more onto [0, 1/4]: the image F(1/2 - u) is
+                the same table read at pi K / 2 - xi, turned by
+                e^(3 pi i K / 2).  The panels sit at equal steps of the
+                cumulative phase (`_kernel_edges`), _KERNEL_PHASE radians
+                each, and each GL-24 node of [0, 1/4] costs one G, one
+                cosine (and for odd K one sine) of 3 xi and two table
+                rows; no Bessel value enters.
                 A pair needing more than _KERNEL_PANELS panels raises
                 ValueError before any node of any pair is built;
     asymptotic  leading stationary term with the u-integral folded in,
@@ -790,26 +821,28 @@ def bessel_weighted_k_sum(K, x, mode: str) -> list[ComplexEstimate]:
             out.append(ComplexEstimate(total, err + 1e-15, "+".join(routes)))
         return out
     if mode == "kernel":
-        # weight factor oscillates at ~4 pi K, the kernel at <= 2 pi (2 pi x)
-        panels = [int((2 * math.pi * (2 * math.pi * x) + 4 * math.pi * K) / 22.0)
-                  for K, x in pairs]
+        panels = [math.ceil((2 * math.pi * x + math.pi * K) / _KERNEL_PHASE) for K, x in pairs]
         for (K, x), n in zip(pairs, panels):
             if n > _KERNEL_PANELS:
                 raise ValueError(
                     f"kernel quadrature at K = {K}, x = {x:g} needs {n} panels "
-                    f"on [0, 1/2], over the budget of {_KERNEL_PANELS}"
+                    f"on [0, 1/4], over the budget of {_KERNEL_PANELS}"
                 )
         out = []
         for (K, x), n in zip(pairs, panels):
-            edges = np.linspace(0.0, 0.5, n + 1)
+            # the image F(1/2 - u) turns by e^(3 pi i K / 2) = ca + i sa
+            ca, sa = ((1, 0), (0, -1), (-1, 0), (0, 1))[K % 4]
+            edges = _kernel_edges(K, x, n)
             total = 0.0
             for i0 in range(0, n, _KERNEL_CHUNK):
                 u, wt = panel_rule(edges[i0 : i0 + _KERNEL_CHUNK + 1], 24)
-                parts = _image_sums(K, math.pi * K * u)
-                theta = 3 * math.pi * K * u
-                f = np.cos(theta) * parts[0]
-                if len(parts) == 2:
-                    f -= np.sin(theta) * parts[1]
+                xi = math.pi * K * u
+                near, far = _image_sums(K, xi), _image_sums(K, 0.5 * math.pi * K - xi)
+                if K % 2:
+                    f = np.cos(3.0 * xi) * (near[0] - sa * far[1])
+                    f -= np.sin(3.0 * xi) * (near[1] - sa * far[0])
+                else:
+                    f = np.cos(3.0 * xi) * (near[0] + ca * far[0])
                 f *= np.cos(2 * math.pi * x * np.cos(2 * math.pi * u))
                 total += float(f @ wt)
             value = -1j * K * total

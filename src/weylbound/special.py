@@ -457,8 +457,9 @@ def _bessel_hankel(n: int, x: float) -> tuple[float, float]:
         if abs(term) < 1e-17:
             break
     # reduce x alone first: subtracting the order phase from a huge x
-    # would cost ~ulp(x) of phase accuracy
-    chi = _reduce_two_pi(x, 0.0) - (0.5 * n + 0.25) * math.pi
+    # would cost ~ulp(x) of phase accuracy; the order phase (2 n + 1) pi / 4
+    # is taken mod 2 pi too, since rounding it whole would cost ~ulp(n pi)
+    chi = _reduce_two_pi(x, 0.0) - (2 * n + 1) % 8 * (0.25 * math.pi)
     amp = math.sqrt(2.0 / (math.pi * x))
     value = amp * (p * math.cos(chi) - q * math.sin(chi))
     return value, amp * (smallest + 20 * EPS)

@@ -501,8 +501,8 @@ def test_besselsum_past_kernel_budget_exits_usage(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: kernel quadrature at K = 8, x = 1e+07 needs 17944739 panels "
-        "on [0, 1/2], over the budget of 2000000\n"
+        "error: kernel quadrature at K = 8, x = 1e+07 needs 2617995 panels "
+        "on [0, 1/4], over the budget of 292000\n"
     )
 
 

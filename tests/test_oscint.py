@@ -526,13 +526,43 @@ def _unfolded_kernel(K, x):
     return -2j * total
 
 
-@pytest.mark.parametrize("x", [10.0, 100.0, 1000.0])
-@pytest.mark.parametrize("K", [8, 9, 10, 11])
+@pytest.mark.parametrize(
+    "K, x",
+    [(K, x) for x in (10.0, 100.0, 1000.0) for K in (8, 9, 10, 11)] + [(9, 1e4), (32, 1e4)],
+)
 def test_folded_kernel_matches_unfolded_integral(K, x):
     # K runs over every residue mod 4, so each image's rotation
-    # e^(3 pi i K j / 2) takes all four values
+    # e^(3 pi i K j / 2) and the quarter-period fold's turn e^(3 pi i K / 2)
+    # take all four values
     got = bessel_weighted_k_sum(K, x, "kernel")[0].value
     assert abs(got - _unfolded_kernel(K, x)) <= 1e-12, (K, x)
+
+
+def test_kernel_edges_at_equal_phase():
+    for K, x in [(8, 10.0), (9, 100.0), (32, 1e4), (1000, 0.5), (8, 1e6)]:
+        n = math.ceil((2 * math.pi * x + math.pi * K) / oscint._KERNEL_PHASE)
+        edges = oscint._kernel_edges(K, x, n)
+        assert len(edges) == n + 1 and edges[0] == 0.0 and edges[-1] == 0.25
+        assert np.all(np.diff(edges) > 0.0), (K, x)
+        phase = 2 * math.pi * x * (1 - np.cos(2 * math.pi * edges)) + 4 * math.pi * K * edges
+        step = (2 * math.pi * x + math.pi * K) / n
+        assert step <= oscint._KERNEL_PHASE
+        assert np.max(np.abs(np.diff(phase) - step)) <= 1e-8 * step + 1e-12 * phase[-1], (K, x)
+
+
+def test_criterion_5a_kernel_nodes(monkeypatch):
+    # 5a's 12 (K, x) pairs take 210,264 GL-24 nodes on [0, 1/4] (1,438,392
+    # on uniform panels of [0, 1/2] at 11 rad a panel)
+    nodes = []
+    rule = oscint.panel_rule
+
+    def counted(edges, order):
+        nodes.append((len(edges) - 1) * order)
+        return rule(edges, order)
+
+    monkeypatch.setattr(oscint, "panel_rule", counted)
+    bessel_weighted_k_sum(acceptance.K_LIST, np.array(acceptance.X_LIST)[:, None], "kernel")
+    assert sum(nodes) == 210_264
 
 
 def test_kernel_past_panel_budget_refused_before_any_node(monkeypatch):
@@ -544,9 +574,18 @@ def test_kernel_past_panel_budget_refused_before_any_node(monkeypatch):
     with pytest.raises(ValueError) as exc:
         bessel_weighted_k_sum(8, 1e7, "kernel")
     assert str(exc.value) == (
-        "kernel quadrature at K = 8, x = 1e+07 needs 17944739 panels "
-        "on [0, 1/2], over the budget of 2000000"
+        "kernel quadrature at K = 8, x = 1e+07 needs 2617995 panels "
+        "on [0, 1/4], over the budget of 292000"
     )
+    # the largest accepted x at K = 8 stays where 2e6 uniform panels of
+    # [0, 1/2] put it, about 1.1145e6: just below it the budget passes and
+    # the first node is built
+    x_max = (oscint._KERNEL_PANELS * oscint._KERNEL_PHASE - 8 * math.pi) / (2 * math.pi)
+    assert abs(x_max / 1.1145e6 - 1) < 1e-3, x_max
+    with pytest.raises(AssertionError, match="a node was built"):
+        bessel_weighted_k_sum(8, x_max * (1 - 1e-9), "kernel")
+    with pytest.raises(ValueError, match="needs 292001 panels"):
+        bessel_weighted_k_sum(8, x_max * (1 + 1e-9), "kernel")
 
 
 def test_ksum_direct_reports_bessel_routes():
@@ -585,7 +624,7 @@ def test_criterion_5a_direct_sums_share_one_miller_pass_per_x(monkeypatch):
     # one call per mode over the 12 pairs, and one Miller pass per x
     assert modes == ["direct", "kernel"]
     assert len(passes) == len(set(passes)) == 4
-    assert res.detail == "worst |direct - kernel| 1.55e-10 over 12 pairs"
+    assert res.detail == "worst |direct - kernel| 2.39e-12 over 12 pairs"
     monkeypatch.undo()
     # the shared pass starts above every order of the union; where 2 pi x
     # sets the start, the values are those of a pass per K
@@ -742,10 +781,11 @@ def test_batched_quadrature_matches_per_panel_loop():
 
 
 def _mp_phi_hat(xi, nodes):
-    """phi_hat(xi) and phi_hat'(xi) from a composite 30-digit rule."""
-    xi = mp.mpf(xi)
-    value = mp.fsum(w * mp.cos(xi * s) for s, w in nodes)
-    slope = -mp.fsum(w * s * mp.sin(xi * s) for s, w in nodes)
+    """phi_hat(xi) and phi_hat'(xi) from a 30-digit rule of (s, weight)
+    pairs, each weight holding phi(s)."""
+    cs = [(w, s, mp.cos_sin(xi * s)) for s, w in nodes]
+    value = mp.fsum(w * c for w, _, (c, _) in cs)
+    slope = -mp.fsum(w * s * sn for w, s, (_, sn) in cs)
     return value, slope
 
 
@@ -753,9 +793,10 @@ def _mp_phi_hat_nodes():
     """Gauss-Legendre, 24 nodes a panel, on panels of [0, 0.995] that
     narrow toward s = 1 where the bump falls off; each node stands for
     +-s.  Past 0.995 the bump is below 1e-43.  At 48 nodes a panel the
-    values and slopes at the knots below move by under 1e-30."""
-    edges = [mp.mpf(k) / 20 for k in range(19)] + [
-        mp.mpf(e) for e in ("0.95", "0.97", "0.98", "0.985", "0.99", "0.9925", "0.995")
+    values and slopes at the knots below, up to xi = 721, move by under
+    1e-30."""
+    edges = [mp.mpf(k) / 40 for k in range(38)] + [
+        mp.mpf(e) for e in ("0.95", "0.96", "0.97", "0.975", "0.98", "0.985", "0.99", "0.9925", "0.995")
     ]
     rule = GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)
     nodes = []
@@ -774,7 +815,7 @@ def test_phi_hat_table_built_in_row_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the one-shot 18450 x 280 cosine and sine matrices alone take 41 MB each
+    # the one-shot 18450 x 280 cosine and sine matrices alone took 41 MB each
     assert peak < 20e6, peak
     # each piece starts at phi_hat and its slope at its left knot: at 26
     # knots from 0 to 367.98 against 30-digit quadrature, the worst errors
@@ -782,46 +823,67 @@ def test_phi_hat_table_built_in_row_blocks():
     # floor; the one-shot cosine build of the rule was off by 4.9e-16 and
     # 2.8e-16 there, so the bound is that build's worst
     h = oscint._PHI_HAT_STEP
-    knots = [*range(0, 18400, 766), 18399]
+    assert len(c0) == 36049 and oscint._PHI_HAT_MAX == 720.0
+    low = [*range(0, 18400, 766), 18399]
+    # at 25 knots from 368 to 720.96 the table is the GL-560 rule, taken
+    # at 30 digits on its double nodes, to within 6.6e-17; the rule there
+    # is off the integral by up to 2.9e-15 (value) and 8.5e-16 (slope),
+    # since its nodes are rounded to double and xi ds grows with xi: the
+    # exact GL-480, GL-640 and GL-800 rules err by the same order
+    high = [*range(18400, 36049, 766), 36048]
+    xs, ws = oscint._gl(560)
     with mp.workdps(30):
         nodes = _mp_phi_hat_nodes()
-        for i in knots:
+        rule = [(mp.mpf(s), 2 * mp.mpf(w) * mp.exp(1 - 1 / (1 - mp.mpf(s) ** 2)))
+                for s, w in zip(xs[xs > 0].tolist(), ws[xs > 0].tolist())]
+        for i in low:
             value, slope = _mp_phi_hat(i * mp.mpf(h), nodes)
             assert abs(c0[i] - value) <= 4.9e-16, (i, c0[i] - value)
             assert abs(c1[i] - slope) <= 4.9e-16, (i, c1[i] - slope)
+        for i in high:
+            value, slope = _mp_phi_hat(i * mp.mpf(h), nodes)
+            rule_value, rule_slope = _mp_phi_hat(i * mp.mpf(h), rule)
+            assert abs(c0[i] - rule_value) <= 1e-16, (i, c0[i] - rule_value)
+            assert abs(c1[i] - rule_slope) <= 1e-16, (i, c1[i] - rule_slope)
+            assert abs(c0[i] - value) <= 3e-15, (i, c0[i] - value)
+            assert abs(c1[i] - slope) <= 1e-15, (i, c1[i] - slope)
     # and ends at the next knot's value and slope
     assert np.max(np.abs(c0[:-1] + h * (c1[:-1] + h * (c2[:-1] + h * c3[:-1])) - c0[1:])) <= 1e-15
     assert np.max(np.abs(c1[:-1] + h * (2 * c2[:-1] + 3 * h * c3[:-1]) - c1[1:])) <= 1e-15
     # phi_hat is even, and zero past the cut although the grid runs on
-    xi = np.array([367.99, 368.0, 368.01, 368.5, 500.0])
+    xi = np.array([719.99, 720.0, 720.01, 720.5, 900.0])
     got = oscint._phi_hat(np.concatenate([xi, -xi]))
     assert np.array_equal(got[:5], got[5:])
     assert np.all(got[:2] != 0.0) and np.all(got[2:5] == 0.0)
 
 
+def test_phi_hat_negligible_past_the_cut():
+    # 30-digit quadrature over the first peaks past the cut: they stay
+    # below 1e-13 (9.65e-14 near 722.3), and phi_hat's envelope decays
+    # past them
+    with mp.workdps(30):
+        nodes = _mp_phi_hat_nodes()
+        past = [abs(_mp_phi_hat(mp.mpf(oscint._PHI_HAT_MAX) + mp.mpf(k) / 4, nodes)[0])
+                for k in range(0, 29)]
+        assert 9e-14 < max(past) < 1e-13, max(past)
+
+
 @pytest.mark.parametrize("K", [8, 16, 32, 11])
-def test_phi_hat_table_matches_direct_quadrature_at_kernel_nodes(K, monkeypatch):
-    # the folded image sums P_c, P_s at the kernel's own nodes xi = pi K u
-    # of criterion 5a's k-sums at x = 10 and 100, and of K = 11, whose
-    # images take all four signs +-1, +-i: every seventh node, each
-    # one below 0.1, where a spline's end condition would show, and each
-    # one within 0.05 of the cut, against the image sums of the GL-560
-    # quadrature of phi_hat itself, each image cut where it passes 368
-    seen = []
-    sums = oscint._image_sums
-
-    def recorded(k, xi):
-        seen.append(np.array(xi))
-        return sums(k, xi)
-
-    monkeypatch.setattr(oscint, "_image_sums", recorded)
-    for x in (10.0, 100.0):
-        bessel_weighted_k_sum(K, x, "kernel")
-    xi = np.concatenate(seen)
+def test_phi_hat_table_matches_direct_quadrature_at_kernel_nodes(K):
+    # the folded image sums P_c, P_s at xi = pi K u over the table's range
+    # [0, pi K / 2], which the kernel reads at xi and at pi K / 2 - xi:
+    # 601 evenly spaced, ten below 0.1, where a spline's end condition
+    # would show, and 21 within 0.05 of the cut with the cut itself and the
+    # float below it; K = 11's images take all four signs +-1, +-i.
+    # Against the image sums of the GL-560 quadrature of phi_hat itself,
+    # each image cut where it passes _PHI_HAT_MAX
     _, cut, _ = oscint._image_table(K)
-    xi = np.concatenate([xi[::7], xi[xi < 0.1], xi[np.abs(xi - cut) < 0.05]])
-    assert np.sum(xi < 0.1) >= 10
-    assert np.any((xi > cut - 0.05) & (xi < cut)) and np.any((xi >= cut) & (xi < cut + 0.05))
+    xi = np.concatenate([
+        np.linspace(0.0, 0.5 * math.pi * K, 601),
+        np.linspace(0.0, 0.09, 10),
+        cut + np.linspace(-0.05, 0.05, 21),
+        [math.nextafter(cut, -math.inf), cut],
+    ])
     xs, ws = oscint._gl(560)
     phi_w = oscint._canonical_bump(xs) * ws
     images = math.ceil(2 * oscint._PHI_HAT_MAX / (math.pi * K))
@@ -832,7 +894,7 @@ def test_phi_hat_table_matches_direct_quadrature_at_kernel_nodes(K, monkeypatch)
         value[arg > oscint._PHI_HAT_MAX] = 0.0
         turn = 3 * K * j % 4
         direct[turn % 2] += value if turn < 2 else -value
-    got = sums(K, xi)
+    got = oscint._image_sums(K, xi)
     # for even K every image's sign is real: the sine part is zero and
     # only the cosine part is tabulated
     assert len(got) == 1 + K % 2 and np.all(direct[len(got) :] == 0.0)
