@@ -18,11 +18,9 @@ coefficients are closed-form: by Jacobi-Anger, a signed Bessel table
 times the inner grid's amplitudes.  It factors e(-m v) over the outer
 grid's panels, so no dense table of exponentials is formed; the dense I
 kernel `i_integral_batch` is the test oracle.  The S5 dual side reads
-its whole window of n from one node grid per (m, c), folded onto one
-period c/N of the e(-N v / c) factor: the rest of the integrand, summed
-over the periods, is one smooth function on that period, read at the
-period's nodes from a Chebyshev interpolant, and only one period's
-nodes (and the leftover piece's) step the phase from n to n + 1.  The dual terms are assembled
+its whole window of n from one trapezoid lattice per (m, c) whose
+spacing divides the period c/N of the e(-N v / c) factor: the samples,
+summed over the periods, take one FFT.  The dual terms are assembled
 as one array pass over the window.  The S5 direct side reads S(n, m; c)
 from one Kloosterman sum per residue class n mod c and forms each phase
 as a double-double pair, reduced mod 2 pi by `special._reduce_two_pi`.
@@ -40,22 +38,16 @@ from .expsums import charsum_congruence, kloosterman_reals, units_and_inverses
 from .oscint import _canonical_bump, panel_rule, plateau_weight
 from .special import (
     _TWO_PI_LO, _log_n, _reduce_two_pi, _two_product, _two_sum, chebyshev_block,
-    chebyshev_degree, chebyshev_fit, jacobi_anger_coefficients, signed_bessel_table,
+    chebyshev_degree, jacobi_anger_coefficients, signed_bessel_table,
 )
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
-# The fold's degree above its phase's, per unit sqrt(c/N).  Period 0's
-# bump is e exp(-1/(4w)) to leading order at w = v - 1 <= c/N (the last
-# period's mirrors it at v = 2): flat to all orders at w = 0, so not
-# analytic there, and by a saddle-point estimate its Chebyshev
-# coefficients on [0, c/N] fall like exp(-3 (b k^2 / 4)^(1/3)),
-# b = N / (4c), past 2^-52 near k = 83 / sqrt(b).  Measured, the edge
-# period alone needs degree 13, 19, 23, 28 and 37 at c/N = 1/120, 1/80,
-# 1/60, 13/600 and 1/30; 200 sqrt(c/N) = 100 / sqrt(b) covers each (26
-# at criterion 7's widest period, 1/60).  The phase's degree adds to
-# it, since the fold is the edge times the phase
-_FOLD_EDGE_RATE = 200.0
+# Cycles per unit v past which W's Fourier transform is at the double
+# floor: |W^(xi)| / ||W||_1 is 2.4e-13 at 200, 1.3e-15 at 300 and 4.1e-17
+# at 400.  `_window_size` keeps every alias of the S5 window's integrand
+# this far outside its band
+_WINDOW_BAND = 400.0
 # U(v), the J integrals' plateau: rising on [0.5, 1], 1 on [1, 2], falling on [2, 3]
 _U = plateau_weight(0.5, 1.0, 2.0, 3.0)
 
@@ -185,89 +177,74 @@ def _i_profile(ms: np.ndarray, n: int, c: int, p: PipelineParams) -> np.ndarray:
     return np.exp(1j * omega0 * x) * chebyshev_block(coef, lo, hi, x)[:, 0]
 
 
-def _window_nodes(m: float, n: int, c: int, p: PipelineParams):
-    """Gauss-Legendre grid on [1, 2] cut at the periods c/N of z(v) = e(-N v/c).
+def _window_root(m: float, c: int, p: PipelineParams) -> float:
+    """root_m = 2 pi sqrt(m N) / c, the phase of e(sqrt(m N v) / c) at v = 1."""
+    return (TWO_PI / c) * math.sqrt(m * p.N)
 
-    Returns (u, wt, periods, tail, tail_wt).  u and wt are the nodes and
-    weights of period 0, [1, 1 + c/N]; each of the periods = floor(N/c)
-    whole periods from v = 1 takes the nodes u + k c/N and the same
-    weights (u and wt are empty when N < c).  tail and tail_wt are the
-    nodes and weights of the leftover piece [1 + periods c/N, 2], which is
-    all of [1, 2] when N < c.  Both pieces take the panels of `_panel_density`
-    rounded up to a whole number per piece, so no panel is wider than
-    the `_inner_nodes` grid's, and the grid's outer edges are exactly 1
-    and 2.
-    """
-    density = _panel_density(m, n, c, p)
-    period = c / p.N
-    periods = math.floor(p.N / c)
-    u, wt = np.empty(0), np.empty(0)
-    if periods:
-        per_period = math.ceil(density * period)
-        u, wt = panel_rule(np.linspace(1.0, 1.0 + period, per_period + 1), 20)
-    rest = p.N - periods * c  # what is left of [1, 2], in units of 1/N
-    start = 1.0 + periods * period
-    tail_panels = math.ceil(density * rest / p.N) if rest > 0 else 0
-    tail, tail_wt = panel_rule(np.linspace(start, 2.0, tail_panels + 1), 20)
-    return u, wt, periods, tail, tail_wt
+
+def _window_size(m: float, n_lo: int, n_hi: int, c: int, p: PipelineParams) -> int:
+    """M, the lattice points per period c/N of `i_integral_window`: the
+    least integer above the widest |f - n N / c| plus `_WINDOW_BAND`, in
+    units of N / c, so that every alias of the integrand's band lies
+    `_WINDOW_BAND` cycles past it.  f runs over h's frequencies (t / v +
+    root_m / (2 sqrt v)) / 2 pi on [1, 2], between f_lo at v = 2 and f_hi
+    at v = 1, and n over [n_lo, n_hi]."""
+    root_m = _window_root(m, c, p)
+    f_hi = (p.t + 0.5 * root_m) / TWO_PI
+    f_lo = (0.5 * p.t + root_m / (2.0 * SQRT2)) / TWO_PI
+    per = c / p.N
+    return math.floor(max(f_hi * per - n_lo, n_hi - f_lo * per) + _WINDOW_BAND * per) + 1
+
+
+def _window_samples(m: float, size: int, c: int, p: PipelineParams) -> np.ndarray:
+    """h(1 + x) e^(-i root_m) on the lattice x_j = j c / (N size), j = 0 ..
+    ceil(N/c) size - 1, with the samples at x = 0 and x >= 1 set to 0.
+
+    h(v) = v^{it} W(v) e(sqrt(m N v) / c), root_m = `_window_root`.
+    The phase is centred, t log1p(x) + root_m x / (sqrt(1 + x) + 1), so
+    no sample's phase rounds at the size of root_m."""
+    rows = math.ceil(p.N / c)
+    root_m = _window_root(m, c, p)
+    x = (c / (p.N * size)) * np.arange(1, rows * size)
+    x = x[x < 1.0]
+    samples = np.zeros(rows * size, dtype=complex)
+    samples[1 : x.size + 1] = _canonical_bump(2.0 * x - 1.0) * np.exp(
+        1j * (p.t * np.log1p(x) + root_m * x / (np.sqrt(1.0 + x) + 1.0))
+    )
+    return samples
 
 
 def i_integral_window(
     m: float, n_lo: int, n_hi: int, c: int, p: PipelineParams
 ) -> np.ndarray:
-    """I(m, n, c) for every integer n in [n_lo, n_hi], from one node grid.
+    """I(m, n, c) for every integer n in [n_lo, n_hi], from one lattice and one FFT.
 
-    For fixed (m, c) the integrand is h(v) z(v)^n with h(v) = v^{it} W(v)
-    e(sqrt(m N v)/c) and z(v) = e(-N v/c).  z has period c/N, so on the
-    `_window_nodes` grid the whole periods fold onto the first: the fold
-    H(u) = sum_k h(u + k c/N) is one smooth function on [1, 1 + c/N].
-    `chebyshev_fit` samples it at d + 1 first-kind Chebyshev points,
-    periods (d + 1) evaluations of h, and reads it at period 0's nodes;
-    d is `chebyshev_degree` of the phase's half-width, whose rate is at
-    most t + sqrt(m N) pi / c on [1, 2], plus `_FOLD_EDGE_RATE` sqrt(c/N)
-    for the bump's flat edges.  The leftover piece's nodes take h
-    directly, and with N < c (no whole period) they are the whole grid.
-    Only period 0's nodes and the leftover piece's are stepped from n to
-    n + 1, one complex product per node and n.  The step's N v / c
-    cycles are reduced mod 1 with no rounding loss (N v = nv + nv_err
-    exactly by Dekker's two-product, and nv mod c is exact), so after n
-    steps the phase is off by about n ulps of a cycle, far under the
-    n (2 pi N v / c) 2^-53 rad at which the dense kernel's argument
-    rounds.  No re-seeding is needed.
+    For fixed (m, c) the integrand is h(v) e(-n N v / c) with h(v) =
+    v^{it} W(v) e(sqrt(m N v) / c).  W is C-infinity with support [1, 2],
+    so the trapezoid rule on the lattice of `_window_samples`, spacing
+    c / (N M) in x = v - 1, errs only by aliasing: by the integrand's
+    Fourier transform at whole multiples of N M / c cycles, which
+    `_window_size` puts `_WINDOW_BAND` past its band.  On that lattice
+    e(-n N x_j / c) = e(-n j / M) is an exact M-th root of unity, so the
+    ceil(N/c) rows of M samples, summed, take one length-M DFT F, and
+
+        I(n) = (c / (N M)) e^(i root_m) e(-n N / c) F[n mod M],
+
+    root_m from `_window_root`.  e(-n N / c) is reduced mod 1 with no
+    rounding loss: n N = nN + nN_err exactly by Dekker's two-product, and
+    nN mod c is exact, so non-integer N stays exact.
     """
     if m < 0:
         raise ValueError("first argument must be nonnegative")
-    u, wt, periods, tail, tail_wt = _window_nodes(
-        float(m), max(abs(n_lo), abs(n_hi)), c, p
-    )
-    root_m = (TWO_PI / c) * math.sqrt(m * p.N)
-
-    def h(v):
-        return _canonical_bump(2.0 * v - 3.0) * np.exp(
-            1j * (p.t * np.log(v) + root_m * np.sqrt(v))
-        )
-
-    folded = np.empty(0, dtype=complex)
-    if periods:
-        period = c / p.N
-        shifts = period * np.arange(periods)[:, None]
-        fold = chebyshev_fit(
-            lambda u: h(u + shifts).sum(axis=0), 1.0, 1.0 + period,
-            p.t + 0.5 * root_m, math.ceil(_FOLD_EDGE_RATE * math.sqrt(period)),
-        )
-        folded = fold(u)
-    # period-0 nodes carry the folded h; the leftover nodes their own
-    v = np.concatenate([u, tail])
-    acc = np.concatenate([wt * folded, tail_wt * h(tail)])
-    nv, nv_err = _two_product(p.N, v)
-    cycles = ((nv - c * np.floor(nv / c)) + nv_err) / c
-    acc *= np.exp(-1j * TWO_PI * n_lo * cycles)
-    step = np.exp(-1j * TWO_PI * cycles)
-    out = np.empty(n_hi - n_lo + 1, dtype=complex)
-    for k in range(len(out)):
-        out[k] = acc.sum()
-        acc *= step
-    return out
+    size = _window_size(m, n_lo, n_hi, c, p)
+    samples = _window_samples(m, size, c, p)
+    spectrum = np.fft.fft(samples.reshape(-1, size).sum(axis=0))
+    ns = np.arange(n_lo, n_hi + 1)
+    nN, nN_err = _two_product(ns.astype(float), p.N)
+    cycles = ((nN - c * np.floor(nN / c)) + nN_err) / c
+    root_m = _window_root(m, c, p)
+    scale = (c / (p.N * size)) * complex(math.cos(root_m), math.sin(root_m))
+    return scale * np.exp(-1j * TWO_PI * cycles) * spectrum[ns % size]
 
 
 @dataclass(frozen=True)
@@ -294,7 +271,8 @@ class S5Report:
 # max(|direct|, 1e-3 trivial bound)
 S5_TOL = 1e-6
 # desk scale: the largest nominal cutoff 8 c max(t, 1) / N of the S5 dual window,
-# which holds 2.5 times as many terms (4001 and 20001 take 0.15 and 9 s on x86)
+# which holds 2.5 times as many terms (one check at c = 50 takes 1.2, 3.7 and
+# 4.6 ms on x86 with 4001, 10001 and 20001 terms)
 S5_CUTOFF_MAX = 4000
 
 
@@ -358,7 +336,7 @@ def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
     phase, err = _two_sum(a, b)
     err += a_err + b_err + p.t * lo + turns * _TWO_PI_LO + turns_lo * TWO_PI
     terms = bump * s * np.exp(1j * _reduce_two_pi(phase, err))
-    direct = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    direct = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
     # a running total in n order, as a per-n loop would sum it
     trivial = float(np.cumsum(bump * np.abs(s))[-1]) if ns.size else 0.0
 
@@ -376,10 +354,10 @@ def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
     unit = nbar >= 0
     window = window[unit]
     dual_terms = np.exp(-2j * math.pi * ((m % c) * nbar[unit] % c) / c) * ivals[unit]
-    total = complex(math.fsum(dual_terms.real), math.fsum(dual_terms.imag))
+    total = complex(math.fsum(dual_terms.real.tolist()), math.fsum(dual_terms.imag.tolist()))
     mass = np.abs(dual_terms)
-    nonpos = math.fsum(mass[window <= 0])
-    tail = math.fsum(mass[window > cutoff])
+    nonpos = math.fsum(mass[window <= 0].tolist())
+    tail = math.fsum(mass[window > cutoff].tolist())
     dual = complex(prefac * total)
     diff = abs(direct - dual)
     scale = max(abs(direct), 1e-3 * trivial)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 EPS = 2.220446049250313e-16
 _TWO_PI = 2.0 * math.pi
@@ -222,22 +221,6 @@ def _check_range(x, valid) -> None:
     # a few ulps of slack for an argument computed at the range end
     if not np.all(np.abs((x - v_mid) / v_half) <= 1.0 + 1e-12):
         raise ValueError(f"argument outside the fitted range [{v_lo:.4g}, {v_hi:.4g}]")
-
-
-def chebyshev_fit(g, lo: float, hi: float, freq: float, extra_degree: int = 0):
-    """Chebyshev interpolant of g on [lo, hi], returned as an evaluator.
-
-    g must be band-limited like a unit-amplitude e^(i freq x): on the
-    half-width h the degree is `chebyshev_degree(|freq| h / 2)`, plus
-    `extra_degree` for what the band does not bound (a factor that is
-    not analytic at an end of [lo, hi]).  g is sampled once at the
-    first-kind Chebyshev points; the evaluator is `chebyshev_block` with
-    one column, so an argument outside [lo, hi] raises ValueError.
-    """
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    deg = chebyshev_degree(abs(freq) * half / 2.0) + extra_degree
-    coef = chebyshev.chebinterpolate(lambda y: g(mid + half * y), deg)[:, None]
-    return lambda x: chebyshev_block(coef, lo, hi, x)[:, 0]
 
 
 # ----------------------------------------------------------------------

@@ -155,6 +155,16 @@ _PIPELINE_PARAMS = pipeline.PipelineParams(N=2500.0, t=400.0, K=10.0, Q=25.0)
 _STATIONARY = pipeline.PipelineParams(N=600.0, t=300.0, K=17.0, Q=26.0)
 
 
+def test_criterion_7_detail_pinned():
+    # the worst scaled diff is the dual side's rounding floor, at (t, m, c)
+    # = (500, 2, 2): any change in the S5 kernels' arithmetic moves it
+    assert acceptance.criterion_poisson_s5().detail == (
+        "worst scaled diff 1.72e-12; fails none; fat tails none"
+    )
+    worst = pipeline.PipelineParams(N=600.0, t=500.0, K=10.0, Q=20.0)
+    assert f"{pipeline.poisson_check_s5(2, 2, worst).scaled_diff:.2e}" == "1.72e-12"
+
+
 def test_criterion_8_detail_pinned():
     assert acceptance.criterion_j_decay().detail == (
         "|J(0)| t = 1.92; worst |J(m)| t K = 3.11; decay ratio at m = 1600: "
@@ -211,14 +221,17 @@ def test_zero_j_reaches_criterion_8_and_the_assembly(monkeypatch):
 
 
 def test_pipeline_s5_check_gates_fat_tail(monkeypatch):
-    # the I values past the nominal cutoff, 3e4 times larger, put about
-    # 4e-8 of |dual| there: a fat tail, while both sides still agree to
-    # 1e-8 of the scale
+    # the I values past the nominal cutoff, scaled until they put 4e-8 of
+    # |dual| there: a fat tail, while both sides still agree to 1e-8 of
+    # the scale.  Those values are the window's rounding floor, so the
+    # factor (1.3e5) is read from the unscaled report, not fixed
     window = pipeline.i_integral_window
+    base = pipeline.poisson_check_s5(1, 13, _STATIONARY)
+    factor = 4e-8 * abs(base.dual) / base.tail_mass
 
     def fat(m, n_lo, n_hi, c, p):
         vals = window(m, n_lo, n_hi, c, p)
-        vals[np.arange(n_lo, n_hi + 1) > math.ceil(pipeline.s5_cutoff(c, p))] *= 3e4
+        vals[np.arange(n_lo, n_hi + 1) > math.ceil(pipeline.s5_cutoff(c, p))] *= factor
         return vals
 
     monkeypatch.setattr(pipeline, "i_integral_window", fat)

@@ -374,16 +374,17 @@ def test_i_window_against_dense_oracle(p, m, c):
 
 
 def test_poisson_dual_window_work(monkeypatch):
-    # the dual side builds one folded node grid and makes no dense
-    # one-point calls; the fold samples h at its Chebyshev points, so the
-    # whole check (the direct side's 601 included) evaluates the bump at
-    # no more than an eighth of the grid's nodes
-    calls = {"batch": 0, "inner": 0, "window": 0}
-    batch, inner, window, bump = (
-        pipeline.i_integral_batch, pipeline._inner_nodes, pipeline._window_nodes,
-        pipeline._canonical_bump,
+    # the dual side samples h once per lattice point below x = 1 and takes
+    # one FFT: no dense one-point call, no Gauss-Legendre grid.  The
+    # direct side's bump takes its 601 n, the lattice's at most its
+    # ceil(N/c) M - 1 points
+    p, c = _crit7_params(500.0), 10
+    calls = {"batch": 0, "inner": 0, "fft": 0}
+    batch, inner, fft, size, bump = (
+        pipeline.i_integral_batch, pipeline._inner_nodes, np.fft.fft,
+        pipeline._window_size, pipeline._canonical_bump,
     )
-    grid, bumped = [], []
+    sizes, bumped = [], []
 
     def counted(key, fn):
         def wrapper(*args):
@@ -391,11 +392,9 @@ def test_poisson_dual_window_work(monkeypatch):
             return fn(*args)
         return wrapper
 
-    def counted_window(*args):
-        nodes = window(*args)
-        u, _, periods, tail, _ = nodes
-        grid.append(periods * u.size + tail.size)
-        return nodes
+    def recorded_size(*args):
+        sizes.append(size(*args))
+        return sizes[-1]
 
     def counted_bump(s):
         bumped.append(np.size(s))
@@ -403,82 +402,88 @@ def test_poisson_dual_window_work(monkeypatch):
 
     monkeypatch.setattr(pipeline, "i_integral_batch", counted("batch", batch))
     monkeypatch.setattr(pipeline, "_inner_nodes", counted("inner", inner))
-    monkeypatch.setattr(pipeline, "_window_nodes", counted("window", counted_window))
+    monkeypatch.setattr(np.fft, "fft", counted("fft", fft))
+    monkeypatch.setattr(pipeline, "_window_size", recorded_size)
     monkeypatch.setattr(pipeline, "_canonical_bump", counted_bump)
-    rep = poisson_check_s5(1, 10, _crit7_params(500.0))
+    rep = poisson_check_s5(1, c, p)
     assert rep.status == "PASS"
-    assert calls == {"batch": 0, "inner": 0, "window": 1}
-    assert 0 < sum(bumped) <= grid[0] / 8
+    assert calls == {"batch": 0, "inner": 0, "fft": 1} and len(sizes) == 1
+    assert bumped[0] == 601 and len(bumped) == 2
+    assert 0 < bumped[1] <= math.ceil(p.N / c) * sizes[0] - 1
 
 
-def test_window_nodes_fold_layout():
-    # whole periods c/N from v = 1, then the leftover piece up to 2, no
-    # panel wider than the dense grid's; with no whole period the grid is
-    # the dense one
-    p = _crit7_params(100.0)
-    for c, whole in ((5, 120), (7, 85)):
-        u, wt, periods, tail, tail_wt = pipeline._window_nodes(1.0, 20, c, p)
-        density = pipeline._panel_density(1.0, 20, c, p)
-        assert periods == whole and u.shape == wt.shape
-        assert 1.0 < u[0] and u[-1] < 1.0 + c / p.N
-        assert wt.sum() == pytest.approx(c / p.N)
-        assert wt.size / 20 >= density * c / p.N  # panels per period
-        rest = 1.0 - periods * c / p.N
-        assert (tail.size == 0) == (p.N % c == 0)
-        assert tail_wt.sum() == pytest.approx(rest, abs=1e-15)
-        assert tail.size / 20 >= density * rest and np.all(tail < 2.0)
-        assert np.all(tail > 1.0 + periods * c / p.N)
-    q = PipelineParams(N=40.0, t=20.0, K=2.0, Q=10.0)
-    u, wt, periods, tail, tail_wt = pipeline._window_nodes(2.0, 400, 47, q)
-    dense_v, dense_wt = pipeline._inner_nodes(2.0, 400, 47, q)
-    assert periods == 0 and u.size == wt.size == 0
-    assert np.array_equal(tail, dense_v) and np.array_equal(tail_wt, dense_wt)
+def test_window_lattice_layout():
+    # M is the least integer past the rule, with h's frequency on [1, 2]
+    # running from f_lo at v = 2 to f_hi at v = 1 (cycles per unit v) and
+    # 400 cycles of margin; the ceil(N/c) rows of M samples hold h(1 + x) e^(-i root_m) at x_j = j c / (N M), checked
+    # at 30 digits at the lattice's first and last live points and
+    # between, and 0 at x = 0 and x >= 1.  c = 7 leaves a partial last
+    # row, c = 5 none, and with N = 40 < c = 47 the lattice is one row
+    for p, m, c in [
+        (_crit7_params(100.0), 1, 7),
+        (_crit7_params(500.0), 3, 5),
+        (PipelineParams(N=40.0, t=20.0, K=2.0, Q=10.0), 2, 47),
+    ]:
+        n_lo, n_hi = poisson_check_s5(m, c, p).n_window
+        root_m = 2 * math.pi * math.sqrt(m * p.N) / c
+        f_hi = (p.t + root_m / 2) / (2 * math.pi)
+        f_lo = (p.t / 2 + root_m / (2 * math.sqrt(2))) / (2 * math.pi)
+        per = c / p.N
+        rule = max(f_hi * per - n_lo, n_hi - f_lo * per) + 400 * per
+        size = pipeline._window_size(float(m), n_lo, n_hi, c, p)
+        assert size - 1 <= rule < size
+        samples = pipeline._window_samples(float(m), size, c, p)
+        rows = math.ceil(p.N / c)
+        assert samples.shape == (rows * size,)
+        j = np.arange(rows * size)
+        outside = (j == 0) | (j * (c / (p.N * size)) >= 1.0)
+        assert np.all(samples[outside] == 0.0)
+        live = np.flatnonzero(~outside)
+        with mp.workdps(30):
+            for k in np.unique(live[np.linspace(0, live.size - 1, 9).astype(int)]).tolist():
+                x = mp.mpf(k) * c / (mp.mpf(p.N) * size)
+                v = 1 + x
+                ref = mp.exp(1 - 1 / (1 - (2 * x - 1) ** 2)) * mp.expj(
+                    p.t * mp.log(v) + 2 * mp.pi * mp.sqrt(m * p.N) * (mp.sqrt(v) - 1) / c
+                )
+                assert abs(samples[k] - complex(ref)) <= 1e-13, (c, k)
 
 
-def test_i_window_stepped_phase_at_ulp_level():
-    # the stepped phase stays at the level of the node sum's own rounding
-    # (~1e-16): the folded grid's own sum, stepped at 30 digits, is the
-    # reference at every n of the window.  z(v)^n = e(-n N v / c) has
-    # period c/N, so period k's nodes take their z-phase at their period-0
-    # node, exactly: the sum is, at each period-0 node, the weight times
-    # the 30-digit h summed over the periods at the stored nodes, and only
-    # those nodes and the leftover piece's are stepped.  At t ~ 0 the
-    # folded sums are coherent: a step of plain rounded phase (N / c) v
-    # errs by 9e-15 TRIVIAL_I here, one without the two-product's low part
-    # by 1.7e-15.  The cell has 85 whole periods and a leftover piece
-    p, m, c = _crit7_params(0.0), 1, 7
+def test_i_window_fft_at_ulp_level():
+    # the fold, the FFT and the assembly stay at the level of the
+    # samples' own rounding (~1e-16): the window against a 30-digit DFT
+    # of the same samples, folded at 30 digits, with e^(i root_m) and
+    # e(-n N / c) exact, at every n of the window.  (0, 1, 7) has 86 rows
+    # of M, the last partly past x = 1; (500, 1, 10) has criterion 7's
+    # widest window, 168 terms
+    for t, m, c in [(0.0, 1, 7), (500.0, 1, 10)]:
+        p = _crit7_params(t)
+        n_lo, n_hi = poisson_check_s5(m, c, p).n_window
+        got = i_integral_window(m, n_lo, n_hi, c, p)
+        size = pipeline._window_size(float(m), n_lo, n_hi, c, p)
+        rows = pipeline._window_samples(float(m), size, c, p).reshape(-1, size)
+        with mp.workdps(30):
+            two_pi, N = 2 * mp.pi, mp.mpf(p.N)
+            folded = [mp.fsum(mp.mpc(z) for z in col) for col in rows.T.tolist()]
+            roots = [mp.expj(-two_pi * k / size) for k in range(size)]
+            root_m = two_pi * mp.sqrt(m * N) / c
+            for n in range(n_lo, n_hi + 1):
+                dft = mp.fsum(f * roots[n * k % size] for k, f in enumerate(folded))
+                ref = c / (N * size) * mp.expj(root_m - two_pi * n * N / c) * dft
+                assert abs(got[n - n_lo] - complex(ref)) <= 1e-15 * TRIVIAL_I, (c, n)
+
+
+@pytest.mark.parametrize("t, m, c", [(0.0, 1, 7), (500.0, 2, 2), (500.0, 1, 10)])
+def test_i_window_independent_of_lattice_above_the_rule(monkeypatch, t, m, c):
+    # past the rule no alias reaches the band, so a lattice twice as fine
+    # reads the same window to the samples' rounding
+    p = _crit7_params(t)
     n_lo, n_hi = poisson_check_s5(m, c, p).n_window
     got = i_integral_window(m, n_lo, n_hi, c, p)
-    u, wt, periods, tail, tail_wt = pipeline._window_nodes(
-        float(m), max(abs(n_lo), abs(n_hi)), c, p
-    )
-    assert periods == 85 and tail.size
-    # period k's nodes, u + k c/N
-    rows = u + (c / p.N) * np.arange(periods)[:, None]
-    bump_rows = _canonical_bump(2.0 * rows - 3.0)
-    bump_tail = _canonical_bump(2.0 * tail - 3.0)
-    with mp.workdps(30):
-        two_pi = 2 * mp.pi
-
-        def h(w, x):
-            x = mp.mpf(x)
-            return w * mp.expj(p.t * mp.log(x) + two_pi / c * mp.sqrt(m * p.N * x))
-
-        folded = [
-            mp.fsum(h(w, x) for w, x in zip(ws, xs))
-            for ws, xs in zip(bump_rows.T.tolist(), rows.T.tolist())
-        ]
-        sums = folded + [h(w, x) for w, x in zip(bump_tail.tolist(), tail.tolist())]
-        weights = wt.tolist() + tail_wt.tolist()
-        terms, steps = [], []
-        for w, f, z in zip(weights, sums, u.tolist() + tail.tolist()):
-            z = mp.mpf(z)
-            terms.append(w * f * mp.expj(-two_pi * n_lo * p.N * z / c))
-            steps.append(mp.expj(-two_pi * p.N * z / c))
-        for n in range(n_lo, n_hi + 1):
-            ref = complex(mp.fsum(terms))
-            assert abs(got[n - n_lo] - ref) <= 1e-15 * TRIVIAL_I
-            terms = [a * b for a, b in zip(terms, steps)]
+    size = pipeline._window_size
+    monkeypatch.setattr(pipeline, "_window_size", lambda *args: 2 * size(*args))
+    finer = i_integral_window(m, n_lo, n_hi, c, p)
+    assert np.max(np.abs(finer - got)) <= 1e-15 * TRIVIAL_I
 
 
 def test_poisson_direct_side_against_per_n_loop():
@@ -542,49 +547,41 @@ def test_poisson_dual_assembly_against_per_n_loop(t, m, c):
 
 
 # criterion 7's cells: (500, 2, 2), where the dual side's rounding
-# peaks, (500, 3, 5), where the double-phase direct side erred most, a
-# leftover piece (c = 7), the widest period (c = 10), t = 0 at c = 1, and
-# (0, 1, 2), which sets criterion 7's worst scaled difference
+# peaks and which sets criterion 7's worst scaled difference, (500, 3,
+# 5), where the double-phase direct side erred most, a partial last row
+# (c = 7), the widest period (c = 10), t = 0 at c = 1, and (0, 1, 2)
 S5_CELLS = [(500.0, 2, 2), (500.0, 3, 5), (500.0, 1, 7), (500.0, 1, 10), (0.0, 1, 1),
             (0.0, 1, 2)]
 
 
 @pytest.mark.parametrize("t, m, c", S5_CELLS)
 def test_poisson_dual_side_against_long_double_dense_sum(t, m, c):
-    # the folded, interpolated, stepped dual side against the same grid
-    # summed node by node in long double: h at every stored node, z^n at
-    # its period-0 node (the same function there) stepped in long double,
-    # e(-m nbar / c) by n.  The interpolant's rounding, a smooth error
-    # across the period, sets the new side's floor: worst 2.0e-12 of
-    # scale over criterion 7's 54 cells, against 1.4e-12 for the node sum
+    # the folded, FFT'd dual side against the same lattice summed node by
+    # node in long double: h at every node v = 1 + j c / (N M) below 2,
+    # and e(-n N v / c) e(-m nbar / c) from exact integer residues of n N,
+    # n j and m nbar, by n
     p = _crit7_params(t)
     rep = poisson_check_s5(m, c, p)
     n_lo, n_hi = rep.n_window
-    u, wt, periods, tail, tail_wt = pipeline._window_nodes(
-        float(m), max(abs(n_lo), abs(n_hi)), c, p
-    )
-    # the whole grid, periods x nodes, then the leftover piece
-    rows = u + (c / p.N) * np.arange(periods)[:, None]
+    size = pipeline._window_size(float(m), n_lo, n_hi, c, p)
+    assert p.N == int(p.N)
+    N = int(p.N)
     ld = np.longdouble
     two_pi = 8 * np.arctan(ld(1))
-    v = np.concatenate([rows.ravel(), tail]).astype(ld)
-    z = np.concatenate([np.tile(u, periods), tail])
-    w = np.concatenate([np.tile(wt, periods), tail_wt]).astype(ld)
-    s = 2 * v - 3
-    amp = w * np.exp(1 - 1 / (1 - s * s))
-    phase = p.t * np.log(v) + two_pi / c * np.sqrt(ld(m) * ld(p.N) * v)
-    cycles = (ld(p.N) * z.astype(ld) / c) % 1
-    acc = amp * (np.cos(phase) + 1j * np.sin(phase))
-    step = np.cos(two_pi * cycles) - 1j * np.sin(two_pi * cycles)
-    acc *= step ** n_lo
+    j = np.arange(1, math.ceil(N / c) * size)
+    x = j.astype(ld) * c / (ld(N) * size)
+    j, x = j[x < 1], x[x < 1]
+    s = 2 * x - 1
+    amp = np.exp(1 - 1 / (1 - s * s)) * c / (ld(N) * size)
+    phase = p.t * np.log1p(x) + two_pi / c * np.sqrt(ld(m) * N * (1 + x))
+    h = amp * (np.cos(phase) + 1j * np.sin(phase))
     total = np.clongdouble(0)
     for n in range(n_lo, n_hi + 1):
         if math.gcd(n, c) == 1:
-            char = two_pi * ld((m % c) * pow(n, -1, c) % c) / c
-            total += (np.cos(char) - 1j * np.sin(char)) * acc.sum()
-        acc *= step
-    log_n = p.t * np.log(ld(p.N)) % two_pi
-    dense = p.N * (np.cos(log_n) + 1j * np.sin(log_n)) * total
+            turns = ld(n * N % c + (m % c) * pow(n, -1, c) % c) / c + (n * j % size).astype(ld) / size
+            total += np.sum(h * (np.cos(two_pi * turns) - 1j * np.sin(two_pi * turns)))
+    log_n = p.t * np.log(ld(N)) % two_pi
+    dense = N * (np.cos(log_n) + 1j * np.sin(log_n)) * total
     scale = max(abs(rep.direct), 1e-3 * rep.trivial_bound)
     assert abs(rep.dual - complex(dense)) <= 5e-12 * scale
 
