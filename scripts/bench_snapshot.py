@@ -11,12 +11,14 @@ in, because the benchmark does not measure it.
 Usage:
     python scripts/bench_snapshot.py --tier1-wall-s 56.1 --out BENCH_8.json \\
         [--runs DIR ...] [--parent-runs DIR ...] [--commit LABEL]
+        [--parent-commit LABEL]
 
 --runs defaults to `.bench_out`.  With --parent-runs the same summary of
 the parent commit's runs is stored under "parent".  run.py stamps each
-run with the HEAD of its checkout, which for runs of an uncommitted tree
-is its parent; --commit replaces that stamp on the runs' summary.
-Standard library only.
+run with the HEAD of its checkout: for runs of an uncommitted tree that
+is its parent, and for runs of an exported tree, which has no git
+metadata, `unknown`.  --commit and --parent-commit replace that stamp on
+the runs' and the parent runs' summaries.  Standard library only.
 """
 
 import argparse
@@ -73,6 +75,7 @@ def main(argv=None) -> int:
     ap.add_argument("--runs", nargs="+", default=[".bench_out"])
     ap.add_argument("--parent-runs", nargs="+", default=[])
     ap.add_argument("--commit", help="commit label of the --runs side")
+    ap.add_argument("--parent-commit", help="commit label of the --parent-runs side")
     args = ap.parse_args(argv)
     if args.tier1_wall_s <= 0:
         ap.error("--tier1-wall-s must be positive")
@@ -80,8 +83,12 @@ def main(argv=None) -> int:
     snapshot["tier1_wall_s"] = args.tier1_wall_s
     if args.commit:
         snapshot["env"]["commit"] = args.commit
+    if args.parent_commit and not args.parent_runs:
+        ap.error("--parent-commit needs --parent-runs")
     if args.parent_runs:
         snapshot["parent"] = summarize(args.parent_runs)
+        if args.parent_commit:
+            snapshot["parent"]["env"]["commit"] = args.parent_commit
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -12,12 +12,12 @@ scaling claims are fitted, never assumed.
 
 W lives on [1, 2], so I(x^2, n, c) is e^(i omega0 x) times a function
 band-limited in x = sqrt(m).  Every J value, the assembly's included,
-comes from `j_integral_batch`, which reads its profiles over one outer
-grid per call from a Chebyshev series in x, one per (n, c), whose
-coefficients are closed-form: by Jacobi-Anger, a signed Bessel table
-times the inner grid's amplitudes.  It factors e(-m v) over the outer
-grid's panels, so no dense table of exponentials is formed; the dense I
-kernel `i_integral_batch` is the test oracle.  The S5 dual side reads
+comes from `j_integral_batch`: each profile (n, c) is read once on one
+trapezoid lattice in v from a Chebyshev series in x whose coefficients
+are closed-form (by Jacobi-Anger, a signed Bessel table times the inner
+grid's amplitudes), and each profile pair's samples take one FFT, which
+holds J(m) for every integer m; the dense I kernel `i_integral_batch` is
+the test oracle.  The S5 dual side reads
 its whole window of n from one trapezoid lattice per (m, c) whose
 spacing divides the period c/N of the e(-N v / c) factor: the samples,
 summed over the periods, take one FFT.  The dual terms are assembled
@@ -377,86 +377,85 @@ def poisson_check_s5(m: int, c: int, p: PipelineParams) -> S5Report:
     )
 
 
-def _outer_panels(rows, p: PipelineParams) -> int:
-    """The panel count of `_outer_nodes`' grid, which resolves the phase of
-    the J-integrand of every row (m, n1, c1, n2, c2): the largest |m|
-    against two profiles of the least modulus, 16 nodes per 10 rad of
-    phase.  ValueError past 400,000 panels (6.4e6 nodes), where a grid
-    clamped at the cap would alias the largest |m|."""
+# Cycles per unit v past which U's Fourier transform is at the double
+# floor: |U^(xi)| / ||U||_1 is 5.2e-13 at 100, 1.4e-15 at 150 and 8.9e-18
+# at 200.  `_j_lattice_size` keeps every alias of the J integrand this far
+# past its band
+_J_BAND = 200.0
+# desk scale: the widest J band, in cycles per unit v: the reach of the
+# 400,000 panels of 10 rad over [0.5, 3] of the grid the lattice replaced
+_J_CYCLES_MAX = 400_000 * 10.0 / (2.5 * TWO_PI)
+
+
+def _j_lattice_size(rows, p: PipelineParams) -> int:
+    """M, the J lattice's points per unit v for rows (m, n1, c1, n2, c2):
+    the least integer above the band plus `_J_BAND`.  The band is the
+    largest |m| plus 4 sqrt(N Ntil) / c at the least modulus c, four times
+    a profile's top frequency in v.  ValueError past `_J_CYCLES_MAX`."""
     m_max = max(abs(row[0]) for row in rows)
     c = min(min(row[2], row[4]) for row in rows)
-    rate = TWO_PI * m_max + TWO_PI * math.sqrt(p.N * p.N_dual) * math.sqrt(
-        2.0 / 0.5
-    ) * (2.0 / c)
-    panels = int(max(rate * 2.5 / 10.0, 32))
-    if panels > 400_000:
-        raise ValueError(f"desk-scale J grid limited to 400000 panels, "
-                         f"got {panels} for |m| = {m_max} at N = {p.N:g}, K = {p.K:g}")
-    return panels
-
-
-def _outer_nodes(rows, p: PipelineParams):
-    """Fixed Gauss-Legendre grid on [0.5, 3] for the J-integrand of every
-    row: `_outer_panels` panels of 16 nodes."""
-    return panel_rule(np.linspace(0.5, 3.0, _outer_panels(rows, p) + 1), 16)
+    cycles = m_max + 4.0 * math.sqrt(p.N * p.N_dual) / c
+    if cycles > _J_CYCLES_MAX:
+        raise ValueError(f"desk-scale J lattice limited to {_J_CYCLES_MAX:.0f} cycles per "
+                         f"unit v, got {cycles:.0f} for |m| = {m_max} at N = {p.N:g}, K = {p.K:g}")
+    return math.floor(cycles + _J_BAND) + 1
 
 
 def j_integral_batch(rows, p: PipelineParams) -> np.ndarray:
     """J(m) = int I(v Ntil, n1, c1) conj(I(v Ntil, n2, c2)) U(v) e(-m v) dv
-    for each row (m, n1, c1, n2, c2) on one `_outer_nodes` grid, each
-    profile (n, c) read once (`_i_profile`) and each profile pair's m in
-    one pass.
+    for each row (m, n1, c1, n2, c2), m an integer, from one lattice and
+    one FFT per profile pair.
 
-    The grid's 16 Gauss-Legendre nodes per panel are v = mid_i + d_j, so
-    e(-m v) factors: J(m) = sum_i e(-m mid_i) sum_j core[i, j] e(-m d_j),
-    one (panels x 16) by (16 x rows) product and a rows x panels table of
-    exponentials per pair.  The conjugate on the second factor realizes
-    the opened absolute square this integral comes from (its expanded
-    form carries (y1/y2)^{it} and opposite-sign phases).
+    The integrand is C-infinity with support [0.5, 3], so the trapezoid
+    rule on v_j = 0.5 + j / M, j = 1 .. ceil(2.5 M) - 1, errs only by
+    aliasing, which `_j_lattice_size` puts `_J_BAND` past the band.  Each
+    profile (n, c) is read once on the lattice (`_i_profile`).  There
+    e(-m v_j) = (-1)^m e(-m j / M), so each pair's samples, summed over
+    rows of M, take one length-M DFT F, and J(m) = (-1)^m F[m mod M] / M.
+    The conjugate on the second factor realizes the opened absolute
+    square this integral comes from (its expanded form carries
+    (y1/y2)^{it} and opposite-sign phases).
     """
-    v, wt = _outer_nodes(rows, p)
-    u = _U.evaluator(v, np.zeros(v.size, dtype=np.intp))
-    # each panel's centre, and the offsets of the first panel's nodes from it
-    panels = v.reshape(-1, 16)
-    mid = 0.5 * (panels[:, 0] + panels[:, -1])
-    offset = panels[0] - mid[0]
     ms = np.array([row[0] for row in rows], dtype=float)
+    if not np.all(ms == np.floor(ms)):
+        raise ValueError("J's frequencies m must be integers")
+    ms = ms.astype(np.int64)
+    size = _j_lattice_size(rows, p)
+    v = 0.5 + np.arange(1, math.ceil(2.5 * size)) / size
+    u = _U.evaluator(v, np.zeros(v.size, dtype=np.intp))
     pairs = {}  # profile pair -> its rows
     for i, (_, n1, c1, n2, c2) in enumerate(rows):
         pairs.setdefault(((n1, c1), (n2, c2)), []).append(i)
     keys = {key for pair in pairs for key in pair}
     profiles = {key: _i_profile(v * p.N_dual, *key, p) for key in keys}
     out = np.empty(len(rows), dtype=complex)
-    block = max(1, 4_000_000 // len(mid))
+    # point j at index j: index 0 (v = 0.5) and the padding past v = 3 are U's zeros
+    samples = np.zeros(3 * size, dtype=complex)
     for (key1, key2), idx in pairs.items():
-        core = (wt * profiles[key1] * np.conj(profiles[key2]) * u).reshape(panels.shape)
-        for i in range(0, len(idx), block):
-            part = idx[i : i + block]
-            inner = core @ np.exp(-2j * math.pi * np.outer(offset, ms[part]))
-            outer = np.exp(-2j * math.pi * np.outer(ms[part], mid))
-            out[part] = np.einsum("ri,ir->r", outer, inner)
+        samples[1 : v.size + 1] = profiles[key1] * np.conj(profiles[key2]) * u
+        spectrum = np.fft.fft(samples.reshape(3, size).sum(axis=0))
+        m = ms[idx]
+        out[idx] = np.where(m % 2, -1.0, 1.0) * spectrum[m % size] / size
     return out
 
 
-# desk scale: the largest `j_integral_work`, about 2 s at 5e-9 to 1e-8 s per
-# unit on a 2-vCPU x86 Xeon with one BLAS thread: the CLI defaults' assembly
-# at 4.0e6 takes 0.07 s and N = 2500, Q = 3's 1.6e8 0.9 s; N = 1e4 at Q = 3
-# would take 3.3 s at 3.4e8, and N = 1e5 at Q = 3 is 2.4e9
+# desk scale: the largest `j_integral_work`, 1.3 to 4 s at 7e-9 to 2e-8 s a
+# unit (2-vCPU x86 Xeon, one BLAS thread): the CLI defaults' assembly, 3.7e6,
+# takes 0.04 s; N = 2500, Q = 3's 6.2e7 0.5 s; N = 1e4, Q = 3's 2.3e8 1.6 s;
+# N = 10, t = 1000, K = 20, Q = 3.5's 1.8e8 3.7 s. N = 1e5, Q = 3 is 2.3e9
 J_WORK_MAX = 2 * 10**8
 
 
 def j_integral_work(rows, p: PipelineParams) -> int:
-    """Predicted work of `j_integral_batch(rows, p)`: rows x outer nodes, plus
-    each profile's signed Bessel table, Chebyshev coefficients x inner
-    nodes, exactly as `_i_profile` builds it."""
-    panels = _outer_panels(rows, p)
-    # the outer grid's end panels alone, to the bit: np.linspace puts edge
-    # i at i * (2.5 / panels) + 0.5 and the last at 3.0
-    step = 2.5 / panels
-    v_lo = panel_rule(np.array([0.5, step + 0.5]), 16)[0].min()
-    v_hi = panel_rule(np.array([(panels - 1) * step + 0.5, 3.0]), 16)[0].max()
-    x_lo, x_hi = math.sqrt(v_lo * p.N_dual), math.sqrt(v_hi * p.N_dual)
-    work = len(rows) * 16 * panels
+    """Predicted work of `j_integral_batch(rows, p)`: lattice points x
+    profile pairs, plus each profile's signed Bessel table, Chebyshev
+    coefficients x inner nodes, exactly as `_i_profile` builds it."""
+    size = _j_lattice_size(rows, p)
+    points = math.ceil(2.5 * size) - 1
+    # the lattice's end points, with the floats of the built lattice
+    x_lo = math.sqrt((0.5 + 1 / size) * p.N_dual)
+    x_hi = math.sqrt((0.5 + points / size) * p.N_dual)
+    work = len({(row[1:3], row[3:5]) for row in rows}) * points
     for n, c in {key for row in rows for key in (row[1:3], row[3:5])}:
         coefs = chebyshev_degree(_profile_band(c, p)[1] * (x_hi - x_lo) / 4.0) + 1
         # `_inner_nodes` puts 20 nodes on each panel of [1, 2], counted, not built

@@ -168,7 +168,7 @@ def test_criterion_7_detail_pinned():
 def test_criterion_8_detail_pinned():
     assert acceptance.criterion_j_decay().detail == (
         "|J(0)| t = 1.92; worst |J(m)| t K = 3.11; decay ratio at m = 1600: "
-        "7.43e-15; octave trend ok True"
+        "7.60e-18; octave trend ok True"
     )
 
 

@@ -356,21 +356,21 @@ _BAD_MAASS = {
          "bad coefficient row '2': cannot read '' as float"),
         (["afe", "--form", "maass:{tmp}/row-lambda-abc", "--t-list", "0,10"],
          "bad coefficient row '2,abc': cannot read 'abc' as float"),
-        # an off-diagonal assembly of 2.4e9 predicted work (164 s), refused
+        # an off-diagonal assembly of 2.3e9 predicted work, refused
         # before any check
         (["pipeline", "--n-len", "1e5", "--q-scale", "3"],
-         "assembly limited to 2e+08 units of work, got 2.41e+09 at N = 100000"),
+         "assembly limited to 2e+08 units of work, got 2.30e+09 at N = 100000"),
         # no integer n with N < n < 2N: S5 has no term to compare
         (["pipeline", "--n-len", "0.5", "--t", "1", "--weight-scale", "1", "--q-scale", "3"],
          "empty S5 window: no integer n with N < n < 2N at N = 0.5"),
         (["pipeline", "--n-len", "1", "--t", "1", "--weight-scale", "1", "--q-scale", "3"],
          "empty S5 window: no integer n with N < n < 2N at N = 1"),
-        # J-decay's m = 16 N / K^2 past the J grid's 400000 panels, where a
-        # clamped grid aliases it
+        # J-decay's m = 16 N / K^2 past the J lattice's reach, the 400000
+        # panels of the Gauss-Legendre grid it replaced
         (["pipeline", "--n-len", "1e5", "--t", "100", "--weight-scale", "1", "--q-scale", "40"],
-         "J grid limited to 400000 panels, got 2513280 for |m| = 1600000"),
+         "J lattice limited to 254648 cycles per unit v, got 1600004 for |m| = 1600000"),
         (["pipeline", "--n-len", "1e5", "--t", "100", "--weight-scale", "2", "--q-scale", "40"],
-         "J grid limited to 400000 panels, got 628343 for |m| = 400000"),
+         "J lattice limited to 254648 cycles per unit v, got 400016 for |m| = 400000"),
         (["afe", "--form", "holomorphic:abc"],
          "bad form 'holomorphic:abc': cannot read 'abc' as int"),
         # a height whose conductor overflows, and one that is not a number,

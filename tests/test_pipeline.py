@@ -11,7 +11,6 @@ from weylbound.oscint import _canonical_bump
 from weylbound.pipeline import (
     PipelineParams,
     _i_profile,
-    _outer_nodes,
     i_integral_batch,
     i_integral_window,
     j_decay_report,
@@ -147,8 +146,8 @@ def test_j_batch_matches_scalar():
 
 
 def test_j_batch_over_two_profile_pairs_matches_per_pair_calls():
-    # one grid, sized for the least modulus and the largest |m| of all
-    # rows, serves both pairs; each pair's own call sizes its own grid
+    # one lattice, sized for the least modulus and the largest |m| of all
+    # rows, serves both pairs; each pair's own call sizes its own lattice
     pair_a, pair_b = (1, 24, 1, 24), (1, 24, 2, 25)
     rows = [(0, *pair_a), (2, *pair_b), (3, *pair_a), (-5, *pair_b)]
     batch = j_integral_batch(rows, SMALL)
@@ -201,19 +200,29 @@ def _count_profile_work(monkeypatch):
 
 
 def test_assembly_work_predicts_the_profile_fits(monkeypatch):
-    # past the hits x outer nodes of the J values, the prediction is the
-    # signed Bessel table's entries, rows x inner nodes, of each profile's
-    # Jacobi-Anger coefficients, to the entry: the inner grid is sized at
-    # the x-range's end, as j_integral_work counts it.  The dense I kernel
-    # is not called
+    # past the profile pairs x lattice points of the J values, the
+    # prediction is the signed Bessel table's entries, rows x inner nodes,
+    # of each profile's Jacobi-Anger coefficients, to the entry: the inner
+    # grid is sized at the x-range's end, as j_integral_work counts it.
+    # Every profile is read on the lattice _j_lattice builds, and the
+    # dense I kernel is not called
     tables, dense_calls = _count_profile_work(monkeypatch)
+    profile, read = pipeline._i_profile, []
+
+    def recorded_profile(ms, *args):
+        read.append(ms)
+        return profile(ms, *args)
+
+    monkeypatch.setattr(pipeline, "_i_profile", recorded_profile)
     cs = (23, 24, 25, 26)
     offdiagonal_assembly(SMALL, cs)
     hits, _ = pipeline._assembly_plan(SMALL, cs)
-    v, _ = _outer_nodes(hits, SMALL)
+    v = _j_lattice(hits, SMALL)
     profiles = {key for row in hits for key in (row[1:3], row[3:5])}
-    assert len(tables) == len(profiles)
-    assert j_integral_work(hits, SMALL) - len(hits) * len(v) == sum(tables)
+    pairs = {(row[1:3], row[3:5]) for row in hits}
+    assert len(tables) == len(read) == len(profiles)
+    assert all(np.array_equal(ms, v * SMALL.N_dual) for ms in read)
+    assert j_integral_work(hits, SMALL) - len(pairs) * len(v) == sum(tables)
     assert dense_calls == []
 
 
@@ -232,26 +241,27 @@ def test_assembly_work_cap_admits_the_checked_scales():
 
 @pytest.mark.parametrize(
     "case, figure",
-    [("defaults-assembly", 3979400), ("defaults-j-decay", 491360),
-     ("criterion-8", 1022860), ("far-assembly", 2411373188)],
+    [("defaults-assembly", 3744450), ("defaults-j-decay", 292902),
+     ("criterion-8", 525802), ("far-assembly", 2303996712)],
+    ids=["defaults-assembly", "defaults-j-decay", "criterion-8", "far-assembly"],
 )
 def test_j_integral_work_sizes_the_grid_without_building_it(case, figure, monkeypatch):
-    # the node count and the end nodes come from the panel count, with the
-    # floats of the built grid, so the figure is the one a built grid gave
-    # (pinned here) at the CLI defaults, criterion 8's rows and the 164 s
-    # assembly's 2.4e9
+    # the point count and the end points come from M, with the floats of
+    # the built lattice, so the figure is the one the built lattice gives
+    # (pinned here) at the CLI defaults, criterion 8's rows and the far
+    # assembly's 2.3e9; no profile is read
     p, rows = {
         "defaults-assembly": (SMALL, pipeline._assembly_plan(SMALL, (23, 24, 25, 26))[0]),
         "defaults-j-decay": (SMALL, j_decay_rows(SMALL, stationary_dual_index(SMALL, 25), 25)),
         "criterion-8": (CRIT8, j_decay_rows(CRIT8, stationary_dual_index(CRIT8, 100), 100)),
         "far-assembly": (FAR, pipeline._assembly_plan(FAR, (1, 2, 3, 4))[0]),
     }[case]
-    v, _ = _outer_nodes(rows, p)
-    panels = pipeline._outer_panels(rows, p)
-    ends = (pipeline.panel_rule(np.array([0.5, 2.5 / panels + 0.5]), 16)[0].min(),
-            pipeline.panel_rule(np.array([(panels - 1) * (2.5 / panels) + 0.5, 3.0]), 16)[0].max())
-    assert (len(v), v.min(), v.max()) == (16 * panels, *ends)
-    monkeypatch.setattr(pipeline, "_outer_nodes", None)
+    size = pipeline._j_lattice_size(rows, p)
+    v = _j_lattice(rows, p)
+    points = math.ceil(2.5 * size) - 1
+    assert (len(v), v[0], v[-1]) == (points, 0.5 + 1 / size, 0.5 + points / size)
+    monkeypatch.setattr(pipeline, "_i_profile", None)
+    monkeypatch.setattr(pipeline, "signed_bessel_table", None)
     assert j_integral_work(rows, p) == figure
 
 
@@ -268,24 +278,43 @@ FAR = PipelineParams(N=1e5, t=400.0, K=10.0, Q=3.0)
 TRIVIAL_I = float(np.mean(_canonical_bump(np.linspace(-1.0, 1.0, 4001))))
 
 
+def _j_lattice(rows, p):
+    """The J lattice v_j = 0.5 + j / M, j = 1 .. ceil(2.5 M) - 1, M from
+    `_j_lattice_size`."""
+    size = pipeline._j_lattice_size(rows, p)
+    return 0.5 + np.arange(1, math.ceil(2.5 * size)) / size
+
+
+def _gauss_legendre_j_grid(rows, p):
+    """The Gauss-Legendre grid on [0.5, 3] that the J kernel used before its
+    lattice, as an independent rule: 16 nodes a panel at 10 rad of the
+    integrand's phase rate 2 pi (max |m| + 4 sqrt(N Ntil) / c), c the
+    least modulus."""
+    m_max = max(abs(row[0]) for row in rows)
+    c = min(min(row[2], row[4]) for row in rows)
+    rate = 2.0 * np.pi * (m_max + 4.0 * math.sqrt(p.N * p.N_dual) / c)
+    panels = int(max(rate * 2.5 / 10.0, 32))
+    return pipeline.panel_rule(np.linspace(0.5, 3.0, panels + 1), 16)
+
+
 @pytest.mark.parametrize(
     "p, n, c, m_max, stride",
     [
-        (CRIT8, stationary_dual_index(CRIT8, 100), 100, 1600.0, 97),
-        (SMALL, 1, 24, 60.0, 7),
-        (SMALL, 2, 25, 60.0, 7),
-        (SMALL, 1, 23, 60.0, 7),
+        (CRIT8, stationary_dual_index(CRIT8, 100), 100, 1600.0, 11),
+        (SMALL, 1, 24, 60.0, 1),
+        (SMALL, 2, 25, 60.0, 1),
+        (SMALL, 1, 23, 60.0, 1),
     ],
     ids=["crit8", "small-1-24", "small-2-25", "small-1-23"],
 )
 def test_i_profile_against_dense_oracle(p, n, c, m_max, stride):
-    # the interpolant is fitted on the whole outer grid j_integral_batch
-    # uses; the dense kernel checks it on a stride of those nodes.  Past
-    # 1e-11 max |I|, the dense sum's own rounding (phases up to ~1500 rad,
-    # ~2e-13 each, against total weight int W) sets a floor; it matters at
-    # (2, 25), where no stationary point leaves |I| at ~1e-7
-    v, _ = _outer_nodes([(m_max, n, c, n, c)], p)
-    ms = v * p.N_dual
+    # the interpolant is fitted on the whole lattice j_integral_batch
+    # uses; the dense kernel checks it on every point, or at criterion 8
+    # on a stride of 11 (501 of 5502 points).  Past 1e-11 max |I|, the
+    # dense sum's own rounding (phases up to ~1500 rad, ~2e-13 each,
+    # against total weight int W) sets a floor; it matters at (2, 25),
+    # where no stationary point leaves |I| at ~1e-7
+    ms = _j_lattice([(m_max, n, c, n, c)], p) * p.N_dual
     got = _i_profile(ms, n, c, p)[::stride]
     dense = i_integral_batch(ms[::stride], n, c, p)
     tol = 1e-11 * np.max(np.abs(dense)) + 1e-12 * TRIVIAL_I
@@ -307,31 +336,54 @@ def test_j_decay_dense_profile_work(monkeypatch):
     n = stationary_dual_index(CRIT8, 100)
     j_decay_report(CRIT8, n, 100)
     rows = j_decay_rows(CRIT8, n, 100)
-    v, _ = _outer_nodes(rows, CRIT8)
     assert len(tables) == 1
-    assert j_integral_work(rows, CRIT8) - len(rows) * len(v) == tables[0]
+    assert j_integral_work(rows, CRIT8) - len(_j_lattice(rows, CRIT8)) == tables[0]
     assert dense_calls == []
 
 
-@pytest.mark.parametrize("case", ["criterion-8", "defaults-assembly"])
+J_CASES = {
+    "criterion-8": (CRIT8, j_decay_rows(CRIT8, stationary_dual_index(CRIT8, 100), 100)),
+    "defaults-assembly": (SMALL, pipeline._assembly_plan(SMALL, (23, 24, 25, 26))[0]),
+}
+
+
+@pytest.mark.parametrize("case", list(J_CASES))
 def test_j_batch_against_dense_exponentials(case):
-    # the panel-factored e(-m v) against one dense exponential per row
-    # and outer node, on the same grid and the same profiles
-    p, rows = {
-        "criterion-8": (CRIT8, j_decay_rows(CRIT8, stationary_dual_index(CRIT8, 100), 100)),
-        "defaults-assembly": (SMALL, pipeline._assembly_plan(SMALL, (23, 24, 25, 26))[0]),
-    }[case]
-    v, wt = _outer_nodes(rows, p)
+    # an independent rule: Gauss-Legendre on the panels the kernel used
+    # before its lattice, with the profiles read on those nodes and one
+    # dense exponential per row and node
+    p, rows = J_CASES[case]
+    v, wt = _gauss_legendre_j_grid(rows, p)
     u = pipeline._U.evaluator(v, np.zeros(v.size, dtype=np.intp))
     keys = {key for row in rows for key in (row[1:3], row[3:5])}
     profiles = {key: _i_profile(v * p.N_dual, *key, p) for key in keys}
     dense = np.array([
-        np.exp(-2j * np.pi * np.outer([m], v))[0]
+        np.exp(-2j * np.pi * m * v)
         @ (wt * profiles[(n1, c1)] * np.conj(profiles[(n2, c2)]) * u)
         for m, n1, c1, n2, c2 in rows
     ])
     got = j_integral_batch(rows, p)
     assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("case", list(J_CASES))
+def test_j_batch_independent_of_lattice_above_the_rule(case, monkeypatch):
+    # M carries every alias _J_BAND past the band, so 2M, whose aliases lie
+    # M further out, moves no J value past the rounding floor
+    p, rows = J_CASES[case]
+    got = j_integral_batch(rows, p)
+    size = pipeline._j_lattice_size
+    monkeypatch.setattr(pipeline, "_j_lattice_size", lambda *args: 2 * size(*args))
+    doubled = j_integral_batch(rows, p)
+    assert np.max(np.abs(got - doubled)) <= 1e-14 * np.max(np.abs(got))
+
+
+def test_j_batch_refuses_a_non_integer_frequency():
+    # e(-m v_j) is periodic on the lattice only for integer m
+    with pytest.raises(ValueError, match="must be integers"):
+        j_integral_batch([(0.5, 1, 24, 1, 24)], SMALL)
+    assert j_integral_batch([(2.0, 1, 24, 1, 24)], SMALL)[0] == j_integral_batch(
+        [(2, 1, 24, 1, 24)], SMALL)[0]
 
 
 def _crit7_params(t):

@@ -27,10 +27,10 @@ def test_ksum_suppression_profile_small_K():
     assert len(out.splitlines()) == 2 + 9
 
 
-def _fake_result(directory, workload, wall_s):
+def _fake_result(directory, workload, wall_s, commit="abc"):
     directory.mkdir(exist_ok=True)
     result = {
-        "env": {"commit": "abc", "workload": workload, "seed": 0, "trace": 0},
+        "env": {"commit": commit, "workload": workload, "seed": 0, "trace": 0},
         "correct": True,
         "attempted": 4,
         "failed": 0,
@@ -76,3 +76,21 @@ def test_bench_snapshot_medians(tmp_path):
     snap = json.loads(out.read_text())
     assert snap["env"]["commit"] == "abc + tree"
     assert snap["parent"]["env"]["commit"] == "abc"
+
+
+def test_bench_snapshot_relabels_the_parent_side(tmp_path):
+    # a parent run from an exported tree stamps `unknown`; --parent-commit
+    # names it, as --commit names the change side
+    workloads = ("scan-high", "scan-low", "dualchain", "exact")
+    for w in workloads:
+        _fake_result(tmp_path / "run", w, 1.0)
+        _fake_result(tmp_path / "parent", w, 2.0, commit="unknown")
+    out = tmp_path / "BENCH.json"
+    _run_script(
+        "bench_snapshot.py", "--tier1-wall-s", "40.0", "--out", str(out),
+        "--runs", str(tmp_path / "run"), "--parent-runs", str(tmp_path / "parent"),
+        "--commit", "abc + tree", "--parent-commit", "abc",
+    )
+    snap = json.loads(out.read_text())
+    assert (snap["env"]["commit"], snap["parent"]["env"]["commit"]) == ("abc + tree", "abc")
+    assert snap["parent"]["workloads"]["dualchain"]["metrics"]["wall_s"]["value"] == 2.0

@@ -176,12 +176,11 @@ def _top_level_users(name):
 
 
 def test_j_integrand_is_formed_in_j_integral_batch():
-    # the J grid, the profiles and the U weight meet in j_integral_batch
-    # alone (j_integral_work sizes its grid from the panel count), so no
+    # the J lattice, the profiles and the U weight meet in j_integral_batch
+    # alone (j_integral_work counts the lattice from its size), so no
     # caller forms J again
-    assert _top_level_users("_outer_nodes") == ["pipeline.j_integral_batch"]
-    assert _top_level_users("_outer_panels") == [
-        "pipeline._outer_nodes", "pipeline.j_integral_work"]
+    assert _top_level_users("_j_lattice_size") == [
+        "pipeline.j_integral_batch", "pipeline.j_integral_work"]
     assert _top_level_users("_i_profile") == ["pipeline.j_integral_batch"]
     assert _top_level_users("_U") == ["pipeline.j_integral_batch"]
 
